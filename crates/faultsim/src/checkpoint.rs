@@ -95,14 +95,7 @@ impl CheckpointStore {
     pub fn stats(&self) -> CheckpointStats {
         CheckpointStats {
             checkpoints: self.len(),
-            full_mem_words: self
-                .base
-                .machine
-                .mem
-                .regions()
-                .iter()
-                .map(|r| r.words.len())
-                .sum(),
+            full_mem_words: self.base.machine.mem.len_words(),
             delta_mem_words: self.deltas.iter().map(|d| d.mem_words()).sum(),
         }
     }

@@ -213,21 +213,16 @@ pub fn diff_machines(golden: &Machine, faulty: &Machine, cpu: CpuId, nr_doms: us
         diff.regs.push("rflags".to_string());
     }
 
-    for (gr, fr) in golden.mem.regions().iter().zip(faulty.mem.regions().iter()) {
-        debug_assert_eq!(gr.base, fr.base, "region layout must match");
-        if gr.words == fr.words {
-            continue;
+    // Pages the two machines still share (everything neither run wrote
+    // since they forked) are skipped by identity.
+    let regions = golden.mem.regions();
+    golden.mem.for_each_diff(&faulty.mem, |ridx, widx, gw, fw| {
+        let addr = regions[ridx].base + (widx as u64) * 8;
+        diff.sites.push(classify_site(addr, nr_doms));
+        if diff.words.len() < MAX_RECORDED {
+            diff.words.push((addr, gw, fw));
         }
-        for (i, (gw, fw)) in gr.words.iter().zip(fr.words.iter()).enumerate() {
-            if gw != fw {
-                let addr = gr.base + (i as u64) * 8;
-                diff.sites.push(classify_site(addr, nr_doms));
-                if diff.words.len() < MAX_RECORDED {
-                    diff.words.push((addr, *gw, *fw));
-                }
-            }
-        }
-    }
+    });
 
     // Output-side device divergence matters (wrong data reached a device);
     // read-side sequence numbers are apparatus.
@@ -321,6 +316,42 @@ mod tests {
         f.mem.poke(lay::HV_STACK_BASE + 0x100, 5).unwrap();
         let d = diff_machines(&m, &f, 0, 2);
         assert_eq!(d.sites, vec![DiffSite::StackOrSaveArea]);
+    }
+
+    /// The page-identity walk reports what a word-by-word walk over every
+    /// mapped word reports, whether a page is still shared by the two
+    /// machines, was copied but holds equal words again, or differs.
+    #[test]
+    fn memory_diff_matches_the_word_by_word_oracle() {
+        let g = machine();
+        let mut f = g.snapshot();
+        let mut g = g;
+        // Different on the faulty side, different on the golden side (its
+        // own copy of that page), written and written back (unshared but
+        // equal), both sides written to the same value, and a word next to
+        // a region's end.
+        f.mem.poke(lay::vcpu_addr(0) + 24, 0x42).unwrap();
+        g.mem.poke(lay::HV_STACK_BASE + 0x100, 5).unwrap();
+        f.mem.poke(guest_addrs(1).result, 7).unwrap();
+        f.mem.poke(guest_addrs(1).result, 0).unwrap();
+        f.mem.poke(lay::shared_addr(1), 9).unwrap();
+        g.mem.poke(lay::shared_addr(1), 9).unwrap();
+        let last = g.mem.region_by_name("hv.global").unwrap();
+        f.mem.poke(last.base + last.len_bytes() - 8, 1).unwrap();
+
+        let mut oracle = Vec::new();
+        for r in g.mem.regions() {
+            for addr in (r.base..r.base + r.len_bytes()).step_by(8) {
+                let (gw, fw) = (g.mem.peek(addr).unwrap(), f.mem.peek(addr).unwrap());
+                if gw != fw {
+                    oracle.push((addr, gw, fw));
+                }
+            }
+        }
+        assert_eq!(oracle.len(), 3);
+        let d = diff_machines(&g, &f, 0, 2);
+        assert_eq!(d.words, oracle);
+        assert_eq!(d.sites.len(), oracle.len());
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl RecoverySpec {
                 let name = MICROREBOOT_PRIVATE_REGIONS
                     [region as usize % MICROREBOOT_PRIVATE_REGIONS.len()];
                 let r = m.mem.region_by_name(name).expect("private region mapped");
-                let idx = word as usize % r.words.len();
+                let idx = word as usize % r.len_words();
                 let addr = r.base + idx as u64 * 8;
                 poke_xor(m, addr, 1u64 << (bit & 63));
             }
@@ -234,7 +234,7 @@ impl RecoverySpec {
                     let name = MICROREBOOT_PRIVATE_REGIONS
                         [region as usize % MICROREBOOT_PRIVATE_REGIONS.len()];
                     let r = m.mem.region_by_name(name).expect("private region mapped");
-                    let (base, len) = (r.base, r.words.len());
+                    let (base, len) = (r.base, r.len_words());
                     let idx = word as usize % len;
                     for off in b.bit_offsets() {
                         // Word-spill: a bit index past 63 lands in the
@@ -650,18 +650,15 @@ mod tests {
             stride: 2,
             at_step: 0,
         });
-        let before: Vec<u64> = {
-            let r = point
-                .at_exit
-                .machine
-                .mem
-                .region_by_name("hv.dispatch")
-                .unwrap();
-            r.words.clone()
-        };
+        let before = point
+            .at_exit
+            .machine
+            .mem
+            .region_words("hv.dispatch")
+            .unwrap();
         let mut m = point.at_exit.machine.clone();
         spec.apply(&mut m, point.cpu);
-        let after = &m.mem.region_by_name("hv.dispatch").unwrap().words;
+        let after = m.mem.region_words("hv.dispatch").unwrap();
         let changed: Vec<usize> = (0..before.len())
             .filter(|&i| before[i] != after[i])
             .collect();

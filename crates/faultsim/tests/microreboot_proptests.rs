@@ -63,7 +63,7 @@ proptest! {
         // Corrupt one private word (poke is privileged, perms irrelevant).
         let name = MICROREBOOT_PRIVATE_REGIONS[region];
         let r = p.machine.mem.region_by_name(name).unwrap();
-        let addr = r.base + (offset % r.words.len()) as u64 * 8;
+        let addr = r.base + (offset % r.len_words()) as u64 * 8;
         p.machine.mem.poke(addr, garbage).unwrap();
 
         let preserved_before: Vec<u64> = PRESERVED_REGIONS
@@ -91,8 +91,8 @@ proptest! {
         // Private regions: word-identical with the boot image, except the
         // carried wallclock.
         for name in MICROREBOOT_PRIVATE_REGIONS {
-            let img = p.boot_image_region(name).unwrap().to_vec();
-            let live = p.machine.mem.region_by_name(name).unwrap().words.clone();
+            let img = p.boot_image_region(name).unwrap();
+            let live = p.machine.mem.region_words(name).unwrap();
             if name == "hv.global" {
                 for (i, (l, b)) in live.iter().zip(&img).enumerate() {
                     if i as u64 == lay::global::WALLCLOCK {
@@ -118,7 +118,7 @@ proptest! {
         let mut p = warm_platform().clone();
         let name = MICROREBOOT_PRIVATE_REGIONS[region];
         let r = p.machine.mem.region_by_name(name).unwrap();
-        let addr = r.base + (offset % r.words.len()) as u64 * 8;
+        let addr = r.base + (offset % r.len_words()) as u64 * 8;
         p.machine.mem.poke(addr, garbage).unwrap();
 
         let (_report, out) = p.microreboot(1, &mut NullMonitor);

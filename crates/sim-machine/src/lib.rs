@@ -9,7 +9,9 @@
 //!   instruction and stack pointers, and flags);
 //! * a region-based physical memory with read/write/execute permissions, so
 //!   that corrupted pointers produce page faults and corrupted instruction
-//!   pointers produce invalid-opcode or fetch faults;
+//!   pointers produce invalid-opcode or fetch faults; stored in
+//!   copy-on-write 4 KiB pages behind a flat page table, so an access is one
+//!   index and a snapshot copies no words ([`mem`]);
 //! * hardware exceptions (#DE, #UD, #PF, #GP, #AC, ...) reported to the
 //!   harness exactly like the fatal-exception signals Xentry consumes;
 //! * per-logical-CPU performance counters for the four events of Table I
@@ -46,8 +48,8 @@ pub use machine::{
     vmcs, Devices, Event, Machine, MachineConfig, MachineDelta, StepOutcome, VirtMode, VMCS_WORDS,
 };
 pub use mem::{
-    MemError, Memory, MemoryDelta, PageMap, Perms, Region, RegionId, PAGE_BYTES, PTE_FRAME_MASK,
-    PTE_PRESENT, PTE_RW,
+    MemError, Memory, MemoryDelta, PageMap, Perms, Region, RegionId, ADDR_LIMIT, PAGE_BYTES,
+    PAGE_WORDS, PTE_FRAME_MASK, PTE_PRESENT, PTE_RW,
 };
 pub use perf::{PerfCounters, PerfSample};
 pub use prng::fold64;

@@ -56,7 +56,7 @@ pub enum VirtMode {
 }
 
 /// Static machine configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MachineConfig {
     /// Number of logical CPUs.
     pub nr_cpus: usize,
@@ -320,7 +320,7 @@ impl Machine {
     /// load host RSP/RIP, switch to host mode. `guest_rip` is the resume
     /// point to record (already advanced past trap-like instructions).
     fn hw_vm_exit(&mut self, cpu: CpuId, reason: ExitReason, guest_rip: u64, qual: u64) -> Event {
-        let cfg = self.config.clone();
+        let cfg = &self.config;
         let c = &mut self.cpus[cpu];
         let guest_rsp = c.get(Reg::Rsp);
         let guest_rflags = c.rflags;
@@ -720,7 +720,7 @@ impl Machine {
                 if !is_host {
                     fault!(Exception::at(Vector::GeneralProtection, pc));
                 }
-                let cfg = self.config.clone();
+                let cfg = &self.config;
                 let grip = self
                     .mem
                     .peek(cfg.vmcs_field(cpu, vmcs::GUEST_RIP))
@@ -1063,7 +1063,7 @@ mod tests {
         assert!(m.cpu(0).mode.is_host());
         assert_eq!(m.cpu(0).rip, m.config.host_entry);
         assert_eq!(m.cpu(0).rsp(), m.config.host_stack_top(0));
-        let cfg = m.config.clone();
+        let cfg = m.config;
         assert_eq!(
             m.mem.peek(cfg.vmcs_field(0, vmcs::GUEST_RIP)).unwrap(),
             g + 8
@@ -1087,7 +1087,7 @@ mod tests {
             other => panic!("expected #GP exit, got {other:?}"),
         }
         // Fault-like exit: guest RIP in the VMCS points at the CPUID itself.
-        let cfg = m.config.clone();
+        let cfg = m.config;
         assert_eq!(m.mem.peek(cfg.vmcs_field(0, vmcs::GUEST_RIP)).unwrap(), g);
     }
 
@@ -1103,7 +1103,7 @@ mod tests {
             StepOutcome::Event(Event::VmExit(ExitReason::CpuidExit)) => {}
             other => panic!("expected cpuid exit, got {other:?}"),
         }
-        let cfg = m.config.clone();
+        let cfg = m.config;
         assert_eq!(
             m.mem.peek(cfg.vmcs_field(0, vmcs::GUEST_RIP)).unwrap(),
             g + 8
@@ -1113,7 +1113,7 @@ mod tests {
     #[test]
     fn vmentry_loads_guest_state_from_vmcs() {
         let mut m = test_machine(&[Insn::VmEntry]);
-        let cfg = m.config.clone();
+        let cfg = m.config;
         m.mem
             .poke(cfg.vmcs_field(0, vmcs::GUEST_RIP), 0x10_0008)
             .unwrap();
@@ -1184,7 +1184,7 @@ mod tests {
         m.step(0); // retire first nop
         let ev = m.force_exit(0, ExitReason::DeviceInterrupt(3));
         assert_eq!(ev, Event::VmExit(ExitReason::DeviceInterrupt(3)));
-        let cfg = m.config.clone();
+        let cfg = m.config;
         assert_eq!(
             m.mem.peek(cfg.vmcs_field(0, vmcs::GUEST_RIP)).unwrap(),
             g + 8
@@ -1268,7 +1268,7 @@ mod tests {
         m.cpu_mut(0).set(Reg::Rsp, 0x1234_5678);
         m.cpu_mut(0).rflags = flags::CF | flags::SF;
         m.step(0);
-        let cfg = m.config.clone();
+        let cfg = m.config;
         assert_eq!(
             m.mem.peek(cfg.vmcs_field(0, vmcs::GUEST_RSP)).unwrap(),
             0x1234_5678

@@ -1,8 +1,8 @@
-//! Region-based physical memory with permissions.
+//! Paged physical memory with permissions and copy-on-write snapshots.
 //!
-//! Memory is a set of non-overlapping regions of 64-bit words. Every access
-//! is checked for mapping, alignment and permission; violations surface as
-//! the hardware exceptions the Xentry runtime detector consumes:
+//! Memory is a set of non-overlapping *regions* of 64-bit words. Every
+//! access is checked for mapping, alignment and permission; violations
+//! surface as the hardware exceptions the Xentry runtime detector consumes:
 //!
 //! * unmapped address → `#PF`
 //! * store to read-only region (e.g. hypervisor text) → `#PF` (write)
@@ -11,8 +11,39 @@
 //!
 //! The null page is never mapped, so corrupted zero-ish pointers fault
 //! exactly like on real hardware.
+//!
+//! # Pages
+//!
+//! Contents live in 4 KiB pages ([`PAGE_BYTES`], [`PAGE_WORDS`] words)
+//! aligned to the address space, each behind its own `Arc`. Everything that
+//! is fixed once setup code has finished — region names, bases, lengths,
+//! permissions, the [`PageMap`] descriptors and the page table — sits behind
+//! one more `Arc`. So:
+//!
+//! * **An access is one index.** `addr >> 12` indexes a flat page table
+//!   whose entry names the page's storage slot, the word range of the page
+//!   the region covers, its permissions and the page map governing it (if
+//!   any). A page that holds several small regions chains one entry per
+//!   region; an address past the table, or outside every entry's word
+//!   range (the unmapped tail of a partial page), is `Unmapped`.
+//! * **A clone copies no words.** `Memory::clone` bumps one reference count
+//!   per page (240 for the campaign platform, ~5 µs where the deep copy of
+//!   its 935 KiB took ~72 µs). A page is copied the first time it is
+//!   written while shared, and only that page — so the cost a snapshot
+//!   used to pay up front moves to the first write to each page after it.
+//! * **Comparing two descendants of one image skips what they share.**
+//!   [`Memory::for_each_diff`] (and with it [`Memory::delta_from`], `==`
+//!   and [`Memory::restore_region`]) passes over pages that are the same
+//!   allocation and word-compares the rest, so a diff costs the pages
+//!   either side dirtied, not the size of the image. An equal but
+//!   unshared page still compares equal.
+//!
+//! Mapped addresses must lie below [`ADDR_LIMIT`], which bounds the table.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Access permissions for a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,28 +85,85 @@ impl Perms {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RegionId(pub u32);
 
-/// A contiguous mapped range of words.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Bytes per page — region storage and every [`PageMap`] use 4 KiB pages.
+pub const PAGE_BYTES: u64 = 0x1000;
+/// Words per page.
+pub const PAGE_WORDS: usize = (PAGE_BYTES / 8) as usize;
+/// Regions and page-mapped ranges must end at or below this address: the
+/// page table is a flat array indexed by `addr >> 12`, and this keeps it
+/// small (the campaign platform ends at 26 MiB). Accesses above it simply
+/// miss.
+pub const ADDR_LIMIT: u64 = 1 << 32;
+
+type Page = [u64; PAGE_WORDS];
+
+/// Page number of a byte address.
+fn page_of(addr: u64) -> u64 {
+    addr / PAGE_BYTES
+}
+
+/// Word index of a byte address within its page.
+fn word_of(addr: u64) -> usize {
+    (addr / 8) as usize % PAGE_WORDS
+}
+
+/// A contiguous mapped range of words: the boot-static description. The
+/// contents live in the owning [`Memory`]'s pages; read them with
+/// [`Memory::region_words`], [`Memory::peek`] or [`Memory::for_each_diff`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     pub id: RegionId,
     /// Human-readable name ("hv.text", "dom1.data", ...).
     pub name: String,
     /// Base byte address; must be 8-aligned.
     pub base: u64,
-    /// Backing words.
-    pub words: Vec<u64>,
     pub perms: Perms,
+    /// Length in words.
+    words: usize,
+    /// Storage slot of the page holding `base`; the region's pages occupy
+    /// consecutive slots from here.
+    first_slot: usize,
 }
 
 impl Region {
+    /// Size in words.
+    pub fn len_words(&self) -> usize {
+        self.words
+    }
+
     /// Size in bytes.
     pub fn len_bytes(&self) -> u64 {
-        (self.words.len() as u64) * 8
+        (self.words as u64) * 8
     }
 
     /// Whether `addr` (byte address) falls inside this region.
     pub fn contains(&self, addr: u64) -> bool {
-        addr >= self.base && addr < self.base + self.len_bytes()
+        addr >= self.base && addr < self.end()
+    }
+
+    fn end(&self) -> u64 {
+        self.base + self.len_bytes()
+    }
+
+    /// First and last page number the region touches.
+    fn page_span(&self) -> (u64, u64) {
+        (page_of(self.base), page_of(self.end() - 1))
+    }
+
+    /// The region's pages in address order: `(storage slot, word range of
+    /// that page the region covers)`. Concatenating the ranges yields the
+    /// region's words in order.
+    fn spans(&self) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+        let (first, last) = self.page_span();
+        (first..=last).map(move |page| {
+            let page_base = page * PAGE_BYTES;
+            let lo = self.base.saturating_sub(page_base) / 8;
+            let hi = ((self.end() - page_base) / 8).min(PAGE_WORDS as u64);
+            (
+                self.first_slot + (page - first) as usize,
+                lo as usize..hi as usize,
+            )
+        })
     }
 }
 
@@ -96,8 +184,6 @@ pub const PTE_PRESENT: u64 = 1 << 0;
 pub const PTE_RW: u64 = 1 << 1;
 /// Mask selecting the frame (physical page base) bits of a PTE.
 pub const PTE_FRAME_MASK: u64 = !0xFFFu64;
-/// Bytes per page — every [`PageMap`] uses 4 KiB pages.
-pub const PAGE_BYTES: u64 = 0x1000;
 
 /// A single-level page table governing one virtual range: data accesses
 /// (never fetches) whose address falls in `[virt_base, virt_base +
@@ -140,15 +226,225 @@ impl PageMap {
     }
 }
 
-/// The physical memory map.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Memory {
+/// What the page table knows about one region's share of one page.
+#[derive(Debug, Clone, Copy)]
+struct PageEntry {
+    /// Index into [`Memory::pages`].
+    slot: u32,
+    /// Index into [`Layout::overflow`] of the next region on the same page;
+    /// [`NO_NEXT`] ends the chain.
+    next: u32,
+    /// Index into [`Layout::regions`].
+    region: u16,
+    /// Words `[lo, hi)` of the page belong to the region; empty when
+    /// nothing is mapped on the page.
+    lo: u16,
+    hi: u16,
+    /// 1 + index into [`Layout::page_maps`] of the map governing this
+    /// virtual page, 0 for none. Meaningful on table entries only, not on
+    /// overflow entries.
+    map: u16,
+    perms: Perms,
+}
+
+const NO_NEXT: u32 = u32::MAX;
+
+const UNMAPPED_PAGE: PageEntry = PageEntry {
+    slot: 0,
+    next: NO_NEXT,
+    region: 0,
+    lo: 0,
+    hi: 0,
+    map: 0,
+    perms: Perms {
+        read: false,
+        write: false,
+        exec: false,
+    },
+};
+
+/// Everything about a memory map that is fixed once setup code is done.
+/// Shared by every clone; [`Memory::map`] and [`Memory::add_page_map`]
+/// extend it (their own copy of it, if clones exist).
+#[derive(Debug, Clone, Default)]
+struct Layout {
     /// Regions sorted by base address.
     regions: Vec<Region>,
-    /// Page maps governing translated virtual ranges. Boot-static (the
-    /// descriptors never change after setup; the PTE *words* live in a
-    /// region and change like any other memory).
+    /// Page maps governing translated virtual ranges. The descriptors never
+    /// change after setup; the PTE *words* live in a region and change like
+    /// any other memory.
     page_maps: Vec<PageMap>,
+    /// Indexed by page number; one entry per page up to the last mapped or
+    /// page-mapped one.
+    table: Vec<PageEntry>,
+    /// Second and later regions of pages that hold more than one.
+    overflow: Vec<PageEntry>,
+    /// Page number stored in each slot, ascending.
+    slot_pages: Vec<u64>,
+}
+
+impl Layout {
+    /// Build the table for `regions` (disjoint, any order) and `page_maps`.
+    fn build(mut regions: Vec<Region>, page_maps: Vec<PageMap>) -> Layout {
+        regions.sort_by_key(|r| r.base);
+        let mut layout = Layout::default();
+        for r in regions {
+            layout.append(r);
+        }
+        for m in page_maps {
+            layout.govern(m);
+        }
+        layout
+    }
+
+    /// Whether a region at `base` would sort after every region here.
+    fn ends_below(&self, base: u64) -> bool {
+        self.regions.last().is_none_or(|r| r.end() <= base)
+    }
+
+    /// Grow the table to `pages` entries.
+    fn cover(&mut self, pages: u64) {
+        if self.table.len() < pages as usize {
+            self.table.resize(pages as usize, UNMAPPED_PAGE);
+        }
+    }
+
+    /// Add a region that lies above every region already here
+    /// ([`Layout::ends_below`]): give its pages the next slots and enter
+    /// them in the table.
+    fn append(&mut self, mut r: Region) {
+        let (first, last) = r.page_span();
+        // Regions are disjoint and ascending, so the only page this one
+        // can share with an earlier region is the last one allocated.
+        let shared = self.slot_pages.last() == Some(&first);
+        r.first_slot = self.slot_pages.len() - shared as usize;
+        self.slot_pages.extend(first + shared as u64..=last);
+        self.cover(last + 1);
+        for (page, (slot, words)) in (first..).zip(r.spans()) {
+            let head = &mut self.table[page as usize];
+            let entry = PageEntry {
+                slot: slot as u32,
+                next: head.next,
+                region: self.regions.len() as u16,
+                lo: words.start as u16,
+                hi: words.end as u16,
+                map: head.map,
+                perms: r.perms,
+            };
+            if head.hi == 0 {
+                *head = entry;
+            } else {
+                head.next = self.overflow.len() as u32;
+                self.overflow.push(entry);
+            }
+        }
+        self.regions.push(r);
+    }
+
+    /// Put `map`'s virtual pages under its governance.
+    fn govern(&mut self, map: PageMap) {
+        let first = page_of(map.virt_base);
+        self.cover(first + map.nr_pages as u64);
+        self.page_maps.push(map);
+        for head in &mut self.table[first as usize..][..map.nr_pages as usize] {
+            head.map = self.page_maps.len() as u16;
+        }
+    }
+
+    /// Table entry for the page holding `addr`; `None` past the table.
+    #[inline]
+    fn head(&self, addr: u64) -> Option<&PageEntry> {
+        self.table.get(usize::try_from(page_of(addr)).ok()?)
+    }
+
+    /// The entry, on the chain starting at `head`, whose region maps the
+    /// word at `addr`.
+    #[inline]
+    fn resolve<'a>(&'a self, head: Option<&'a PageEntry>, addr: u64) -> Option<&'a PageEntry> {
+        let w = word_of(addr) as u16;
+        let mut e = head?;
+        loop {
+            if e.lo <= w && w < e.hi {
+                return Some(e);
+            }
+            e = self.overflow.get(e.next as usize)?;
+        }
+    }
+
+    /// Why a new region cannot join `regions`, if it cannot.
+    fn check_region(&self, name: &str, base: u64, words: usize) -> Result<(), String> {
+        if !base.is_multiple_of(8) {
+            return Err(format!("region base must be 8-aligned: {name} @ {base:#x}"));
+        }
+        if words == 0 {
+            return Err(format!("empty region: {name}"));
+        }
+        let end = (words as u64)
+            .checked_mul(8)
+            .and_then(|len| base.checked_add(len))
+            .filter(|&end| end <= ADDR_LIMIT)
+            .ok_or_else(|| format!("region {name} @ {base:#x} ends above {ADDR_LIMIT:#x}"))?;
+        if self.regions.len() >= u16::MAX as usize {
+            return Err(format!("too many regions for {name}"));
+        }
+        for r in &self.regions {
+            if end > r.base && base < r.end() {
+                return Err(format!(
+                    "region {name} [{base:#x},{end:#x}) overlaps {} [{:#x},{:#x})",
+                    r.name,
+                    r.base,
+                    r.end()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Why a new page map cannot join `page_maps`, if it cannot.
+    fn check_page_map(&self, map: &PageMap) -> Result<(), String> {
+        if !map.virt_base.is_multiple_of(PAGE_BYTES) {
+            return Err(format!(
+                "page map base must be page-aligned: {:#x}",
+                map.virt_base
+            ));
+        }
+        if map.nr_pages == 0 {
+            return Err("empty page map".to_string());
+        }
+        let end = map.virt_base as u128 + map.nr_pages as u128 * PAGE_BYTES as u128;
+        if end > ADDR_LIMIT as u128 {
+            return Err(format!(
+                "page map @ {:#x} ends above {ADDR_LIMIT:#x}",
+                map.virt_base
+            ));
+        }
+        if map.ptbl_base.checked_add(map.nr_pages as u64 * 8).is_none() {
+            return Err(format!(
+                "page map PTE array @ {:#x} wraps the address space",
+                map.ptbl_base
+            ));
+        }
+        if self.page_maps.len() >= u16::MAX as usize - 1 {
+            return Err("too many page maps".to_string());
+        }
+        for m in &self.page_maps {
+            if m.covers(map.virt_base) || map.covers(m.virt_base) {
+                return Err(format!("page maps overlap at {:#x}", map.virt_base));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The physical memory map. See the [module docs](self) for how pages are
+/// stored and what a clone shares.
+#[derive(Clone, Default)]
+pub struct Memory {
+    /// Boot-static description and page table.
+    layout: Arc<Layout>,
+    /// Contents, one page per slot ([`Layout::slot_pages`]). Words of a
+    /// page that no region covers are never written and stay zero.
+    pages: Vec<Arc<Page>>,
 }
 
 /// Sparse word-level difference between two memory images that share one
@@ -175,10 +471,12 @@ impl MemoryDelta {
 
 /// Kind of access being performed, for permission checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
+enum Access {
     Read,
     Write,
     Fetch,
+    /// Privileged: any mapped word, whatever the region's permissions.
+    Raw,
 }
 
 impl Memory {
@@ -187,58 +485,75 @@ impl Memory {
         Memory::default()
     }
 
-    /// Map a new zero-filled region. Panics if it overlaps an existing
-    /// region or the base is unaligned — memory maps are built by trusted
-    /// setup code, not simulated code.
-    pub fn map(&mut self, name: &str, base: u64, words: usize, perms: Perms) -> RegionId {
-        assert_eq!(
-            base % 8,
-            0,
-            "region base must be 8-aligned: {name} @ {base:#x}"
-        );
-        assert!(words > 0, "empty region: {name}");
-        let end = base + (words as u64) * 8;
-        for r in &self.regions {
-            let r_end = r.base + r.len_bytes();
-            assert!(
-                end <= r.base || base >= r_end,
-                "region {name} [{base:#x},{end:#x}) overlaps {} [{:#x},{r_end:#x})",
-                r.name,
-                r.base
-            );
-        }
-        let id = RegionId(self.regions.len() as u32);
-        self.regions.push(Region {
+    fn try_map(
+        &mut self,
+        id: RegionId,
+        name: &str,
+        base: u64,
+        words: usize,
+        perms: Perms,
+    ) -> Result<(), String> {
+        self.layout.check_region(name, base, words)?;
+        let region = Region {
             id,
             name: name.to_string(),
             base,
-            words: vec![0; words],
             perms,
-        });
-        self.regions.sort_by_key(|r| r.base);
+            words,
+            first_slot: 0,
+        };
+        let zero: Arc<Page> = Arc::new([0; PAGE_WORDS]);
+        if self.layout.ends_below(base) {
+            // Setup code maps in ascending order: extend in place.
+            let layout = Arc::make_mut(&mut self.layout);
+            layout.append(region);
+            self.pages.resize(layout.slot_pages.len(), zero);
+            return Ok(());
+        }
+        // Out of order: slots are in address order, so later regions move.
+        // Rebuild, carrying every page over to its new slot.
+        let mut regions = self.layout.regions.clone();
+        regions.push(region);
+        let layout = Layout::build(regions, self.layout.page_maps.clone());
+        let mut kept = self.layout.slot_pages.iter().zip(&self.pages).peekable();
+        self.pages = layout
+            .slot_pages
+            .iter()
+            .map(|page| match kept.next_if(|(old, _)| *old == page) {
+                Some((_, contents)) => Arc::clone(contents),
+                None => Arc::clone(&zero),
+            })
+            .collect();
+        self.layout = Arc::new(layout);
+        Ok(())
+    }
+
+    fn try_add_page_map(&mut self, map: PageMap) -> Result<(), String> {
+        self.layout.check_page_map(&map)?;
+        Arc::make_mut(&mut self.layout).govern(map);
+        Ok(())
+    }
+
+    /// Map a new zero-filled region. Panics if it overlaps an existing
+    /// region, the base is unaligned or it ends above [`ADDR_LIMIT`] —
+    /// memory maps are built by trusted setup code, not simulated code.
+    /// Every page of the new region starts as one shared zero page.
+    pub fn map(&mut self, name: &str, base: u64, words: usize, perms: Perms) -> RegionId {
+        let id = RegionId(self.layout.regions.len() as u32);
+        self.try_map(id, name, base, words, perms)
+            .unwrap_or_else(|e| panic!("{e}"));
         id
     }
 
     /// Look up the region covering `addr`.
     pub fn region_at(&self, addr: u64) -> Option<&Region> {
-        let idx = match self.regions.binary_search_by(|r| {
-            if addr < r.base {
-                std::cmp::Ordering::Greater
-            } else if addr >= r.base + r.len_bytes() {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => i,
-            Err(_) => return None,
-        };
-        Some(&self.regions[idx])
+        let e = self.layout.resolve(self.layout.head(addr), addr)?;
+        Some(&self.layout.regions[e.region as usize])
     }
 
     /// Region by id.
     pub fn region(&self, id: RegionId) -> &Region {
-        self.regions
+        self.regions()
             .iter()
             .find(|r| r.id == id)
             .expect("region id valid")
@@ -246,45 +561,99 @@ impl Memory {
 
     /// Region lookup by name (setup/diagnostics).
     pub fn region_by_name(&self, name: &str) -> Option<&Region> {
-        self.regions.iter().find(|r| r.name == name)
+        self.regions().iter().find(|r| r.name == name)
     }
 
     /// All regions, sorted by base.
     pub fn regions(&self) -> &[Region] {
-        &self.regions
+        &self.layout.regions
     }
 
-    fn access(&self, addr: u64, kind: Access) -> Result<(usize, usize), MemError> {
+    /// The contents of `r` (a region of this memory), page slice by page
+    /// slice in address order.
+    fn region_slices<'a>(&'a self, r: &'a Region) -> impl Iterator<Item = &'a [u64]> + 'a {
+        r.spans().map(move |(slot, words)| &self.pages[slot][words])
+    }
+
+    /// A flat copy of the named region's contents (diagnostics, tests).
+    pub fn region_words(&self, name: &str) -> Option<Vec<u64>> {
+        let r = self.region_by_name(name)?;
+        Some(self.region_slices(r).flatten().copied().collect())
+    }
+
+    /// Total mapped words.
+    pub fn len_words(&self) -> usize {
+        self.regions().iter().map(Region::len_words).sum()
+    }
+
+    /// Check alignment, mapping and permission of an access to physical
+    /// address `addr`, whose page's table entry is `head`; return the
+    /// storage slot and in-page word index.
+    #[inline]
+    fn check(
+        &self,
+        head: Option<&PageEntry>,
+        addr: u64,
+        kind: Access,
+    ) -> Result<(usize, usize), MemError> {
         if !addr.is_multiple_of(8) {
             return Err(MemError::Unaligned { addr });
         }
-        let ridx = self
-            .regions
-            .iter()
-            .position(|r| r.contains(addr))
+        let e = self
+            .layout
+            .resolve(head, addr)
             .ok_or(MemError::Unmapped { addr })?;
-        let r = &self.regions[ridx];
         let ok = match kind {
-            Access::Read => r.perms.read,
-            Access::Write => r.perms.write,
-            Access::Fetch => r.perms.exec,
+            Access::Read => e.perms.read,
+            Access::Write => e.perms.write,
+            Access::Fetch => e.perms.exec,
+            Access::Raw => true,
         };
         if !ok {
             return Err(MemError::Protection { addr });
         }
-        Ok((ridx, ((addr - r.base) / 8) as usize))
+        Ok((e.slot as usize, word_of(addr)))
+    }
+
+    #[inline]
+    fn access(&self, addr: u64, kind: Access) -> Result<(usize, usize), MemError> {
+        self.check(self.layout.head(addr), addr, kind)
+    }
+
+    /// [`Memory::access`] behind the page walk: one table lookup serves
+    /// both the walk and, for an identity PTE (what boot installs), the
+    /// data access itself.
+    #[inline]
+    fn access_v(&self, addr: u64, kind: Access) -> Result<(usize, usize), MemError> {
+        let head = self.layout.head(addr);
+        let pa = self.walk(head, addr, kind == Access::Write)?;
+        let head = if page_of(pa) == page_of(addr) {
+            head
+        } else {
+            self.layout.head(pa)
+        };
+        self.check(head, pa, kind)
+    }
+
+    /// Copy-on-write: the word is written in place when this handle is the
+    /// page's only owner, otherwise the page is copied first.
+    #[inline]
+    fn store(&mut self, (slot, word): (usize, usize), value: u64) {
+        Arc::make_mut(&mut self.pages[slot])[word] = value;
     }
 
     /// Read the word at `addr` (data read).
+    #[inline]
     pub fn read(&self, addr: u64) -> Result<u64, MemError> {
-        let (r, w) = self.access(addr, Access::Read)?;
-        Ok(self.regions[r].words[w])
+        let (slot, word) = self.access(addr, Access::Read)?;
+        Ok(self.pages[slot][word])
     }
 
     /// Write the word at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, value: u64) -> Result<(), MemError> {
-        let (r, w) = self.access(addr, Access::Write)?;
-        self.regions[r].words[w] = value;
+        let at = self.access(addr, Access::Write)?;
+        self.store(at, value);
         Ok(())
     }
 
@@ -292,36 +661,21 @@ impl Memory {
     /// [`Memory::map`]). The PTE words at `ptbl_base` must already be
     /// mapped; setup fills them with identity entries.
     pub fn add_page_map(&mut self, map: PageMap) {
-        assert!(
-            map.virt_base.is_multiple_of(PAGE_BYTES),
-            "page map base must be page-aligned: {:#x}",
-            map.virt_base
-        );
-        assert!(map.nr_pages > 0, "empty page map");
-        for m in &self.page_maps {
-            assert!(
-                !m.covers(map.virt_base) && !map.covers(m.virt_base),
-                "page maps overlap at {:#x}",
-                map.virt_base
-            );
-        }
-        self.page_maps.push(map);
+        self.try_add_page_map(map).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Registered page maps.
     pub fn page_maps(&self) -> &[PageMap] {
-        &self.page_maps
+        &self.layout.page_maps
     }
 
-    /// Walk `addr` through the covering page map, if any. Returns the
-    /// physical address data accesses must use; addresses outside every
-    /// map translate to themselves. A non-present PTE faults `Unmapped`, a
-    /// write through a read-only PTE faults `Protection` — both reported
-    /// against the *virtual* address, as hardware does. The PTE read
-    /// itself is a raw walk (privileged, no recursion, no PMC events).
-    pub fn translate(&self, addr: u64, write: bool) -> Result<u64, MemError> {
-        let Some(map) = self.page_maps.iter().find(|m| m.covers(addr)) else {
-            return Ok(addr);
+    /// The page walk for virtual address `addr`, whose page's table entry
+    /// is `head`.
+    #[inline]
+    fn walk(&self, head: Option<&PageEntry>, addr: u64, write: bool) -> Result<u64, MemError> {
+        let map = match head {
+            Some(e) if e.map != 0 => &self.layout.page_maps[e.map as usize - 1],
+            _ => return Ok(addr),
         };
         let pte = self.peek(map.pte_addr(addr))?;
         if pte & PTE_PRESENT == 0 {
@@ -333,62 +687,66 @@ impl Memory {
         Ok((pte & PTE_FRAME_MASK) | (addr & (PAGE_BYTES - 1)))
     }
 
+    /// Walk `addr` through the covering page map, if any. Returns the
+    /// physical address data accesses must use; addresses outside every
+    /// map translate to themselves. A non-present PTE faults `Unmapped`, a
+    /// write through a read-only PTE faults `Protection` — both reported
+    /// against the *virtual* address, as hardware does. The PTE read
+    /// itself is a raw walk (privileged, no recursion, no PMC events).
+    pub fn translate(&self, addr: u64, write: bool) -> Result<u64, MemError> {
+        self.walk(self.layout.head(addr), addr, write)
+    }
+
     /// Read the word at virtual address `addr`: translate through the
     /// covering page map (identity outside every map), then [`Memory::read`].
+    #[inline]
     pub fn read_v(&self, addr: u64) -> Result<u64, MemError> {
-        let pa = self.translate(addr, false)?;
-        self.read(pa)
+        let (slot, word) = self.access_v(addr, Access::Read)?;
+        Ok(self.pages[slot][word])
     }
 
     /// Write the word at virtual address `addr` (see [`Memory::read_v`]).
+    #[inline]
     pub fn write_v(&mut self, addr: u64, value: u64) -> Result<(), MemError> {
-        let pa = self.translate(addr, true)?;
-        self.write(pa, value)
+        let at = self.access_v(addr, Access::Write)?;
+        self.store(at, value);
+        Ok(())
     }
 
     /// Fetch the word at `addr` for execution.
+    #[inline]
     pub fn fetch(&self, addr: u64) -> Result<u64, MemError> {
-        let (r, w) = self.access(addr, Access::Fetch)?;
-        Ok(self.regions[r].words[w])
+        let (slot, word) = self.access(addr, Access::Fetch)?;
+        Ok(self.pages[slot][word])
     }
 
     /// Privileged write used by loaders and the "hardware" (VMCS block,
     /// device DMA): ignores the write permission but still requires the
     /// address to be mapped and aligned.
     pub fn poke(&mut self, addr: u64, value: u64) -> Result<(), MemError> {
-        if !addr.is_multiple_of(8) {
-            return Err(MemError::Unaligned { addr });
-        }
-        let ridx = self
-            .regions
-            .iter()
-            .position(|r| r.contains(addr))
-            .ok_or(MemError::Unmapped { addr })?;
-        let off = ((addr - self.regions[ridx].base) / 8) as usize;
-        self.regions[ridx].words[off] = value;
+        let at = self.access(addr, Access::Raw)?;
+        self.store(at, value);
         Ok(())
     }
 
     /// Privileged read (golden-run differencing, diagnostics).
+    #[inline]
     pub fn peek(&self, addr: u64) -> Result<u64, MemError> {
-        if !addr.is_multiple_of(8) {
-            return Err(MemError::Unaligned { addr });
-        }
-        let r = self.region_at(addr).ok_or(MemError::Unmapped { addr })?;
-        Ok(r.words[((addr - r.base) / 8) as usize])
+        let (slot, word) = self.access(addr, Access::Raw)?;
+        Ok(self.pages[slot][word])
     }
 
     /// Human-readable memory-map dump (diagnostics).
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        for r in &self.regions {
+        for r in self.regions() {
             let p = &r.perms;
             let _ = writeln!(
                 s,
                 "{:#012x}..{:#012x}  {}{}{}  {:>8} KiB  {}",
                 r.base,
-                r.base + r.len_bytes(),
+                r.end(),
                 if p.read { 'r' } else { '-' },
                 if p.write { 'w' } else { '-' },
                 if p.exec { 'x' } else { '-' },
@@ -399,12 +757,63 @@ impl Memory {
         s
     }
 
-    /// Copy a slice of words into memory starting at `addr` (loader).
+    /// Copy a slice of words into memory starting at `addr` (loader):
+    /// [`Memory::poke`] word by word, stopping at the first address that is
+    /// not mapped, but resolving each page once.
     pub fn load_image(&mut self, addr: u64, words: &[u64]) -> Result<(), MemError> {
-        for (i, &w) in words.iter().enumerate() {
-            self.poke(addr + (i as u64) * 8, w)?;
+        let mut done = 0;
+        while done < words.len() {
+            let at = addr.wrapping_add(done as u64 * 8);
+            if !at.is_multiple_of(8) {
+                return Err(MemError::Unaligned { addr: at });
+            }
+            let e = *self
+                .layout
+                .resolve(self.layout.head(at), at)
+                .ok_or(MemError::Unmapped { addr: at })?;
+            let first = word_of(at);
+            let n = (e.hi as usize - first).min(words.len() - done);
+            Arc::make_mut(&mut self.pages[e.slot as usize])[first..first + n]
+                .copy_from_slice(&words[done..done + n]);
+            done += n;
         }
         Ok(())
+    }
+
+    /// Whether `other` has this memory's regions in this memory's slots.
+    fn same_layout(&self, other: &Memory) -> bool {
+        Arc::ptr_eq(&self.layout, &other.layout) || self.regions() == other.regions()
+    }
+
+    /// Call `f(region index, word index, ours, theirs)` for every word that
+    /// differs between `self` and `other`, in region then word order. Pages
+    /// the two images share are skipped without being read, so the walk
+    /// costs the pages either side has written since they diverged.
+    ///
+    /// # Panics
+    /// If the layouts differ: only images of one memory map are comparable
+    /// word by word.
+    pub fn for_each_diff(&self, other: &Memory, mut f: impl FnMut(usize, usize, u64, u64)) {
+        assert!(
+            self.same_layout(other),
+            "memory diff requires an identical region layout"
+        );
+        for (ridx, r) in self.regions().iter().enumerate() {
+            let mut widx = 0;
+            for (slot, words) in r.spans() {
+                let (ours, theirs) = (&self.pages[slot], &other.pages[slot]);
+                let n = words.len();
+                if !Arc::ptr_eq(ours, theirs) && ours[words.clone()] != theirs[words.clone()] {
+                    for (i, (&a, &b)) in ours[words.clone()].iter().zip(&theirs[words]).enumerate()
+                    {
+                        if a != b {
+                            f(ridx, widx + i, a, b);
+                        }
+                    }
+                }
+                widx += n;
+            }
+        }
     }
 
     /// Sparse difference of `self` against `base`. Both images must share
@@ -414,24 +823,10 @@ impl Memory {
     /// If the layouts differ — that would mean the delta silently dropped
     /// state, which a checkpoint store must never do.
     pub fn delta_from(&self, base: &Memory) -> MemoryDelta {
-        assert_eq!(
-            self.regions.len(),
-            base.regions.len(),
-            "memory delta requires an identical region layout"
-        );
         let mut words = Vec::new();
-        for (ridx, (cur, old)) in self.regions.iter().zip(&base.regions).enumerate() {
-            assert!(
-                cur.base == old.base && cur.words.len() == old.words.len(),
-                "region {} layout changed between checkpoints",
-                cur.name
-            );
-            for (widx, (&c, &o)) in cur.words.iter().zip(&old.words).enumerate() {
-                if c != o {
-                    words.push((ridx as u32, widx as u32, c));
-                }
-            }
-        }
+        self.for_each_diff(base, |ridx, widx, cur, _| {
+            words.push((ridx as u32, widx as u32, cur));
+        });
         MemoryDelta { words }
     }
 
@@ -439,7 +834,16 @@ impl Memory {
     /// image, replaying the recorded word changes in place.
     pub fn apply_delta(&mut self, delta: &MemoryDelta) {
         for &(ridx, widx, value) in &delta.words {
-            self.regions[ridx as usize].words[widx as usize] = value;
+            let r = &self.layout.regions[ridx as usize];
+            assert!(
+                (widx as usize) < r.words,
+                "delta word {widx} outside region {}",
+                r.name
+            );
+            let at = self
+                .access(r.base + widx as u64 * 8, Access::Raw)
+                .expect("inside a mapped region");
+            self.store(at, value);
         }
     }
 
@@ -448,18 +852,20 @@ impl Memory {
     /// round-trip tests and the campaign determinism harness.
     pub fn digest(&self) -> u64 {
         use crate::prng::fold64;
-        let mut h = fold64(0x6d65_6d6f_7279, self.regions.len() as u64);
-        for r in &self.regions {
+        let mut h = fold64(0x6d65_6d6f_7279, self.regions().len() as u64);
+        for r in self.regions() {
             h = fold64(h, r.base);
-            h = fold64(h, r.words.len() as u64);
+            h = fold64(h, r.words as u64);
             for b in r.name.bytes() {
                 h = fold64(h, b as u64);
             }
-            for &w in &r.words {
-                h = fold64(h, w);
+            for words in self.region_slices(r) {
+                for &w in words {
+                    h = fold64(h, w);
+                }
             }
         }
-        for m in &self.page_maps {
+        for m in self.page_maps() {
             h = fold64(h, m.virt_base);
             h = fold64(h, m.nr_pages as u64);
             h = fold64(h, m.ptbl_base);
@@ -467,30 +873,47 @@ impl Memory {
         h
     }
 
-    /// Overwrite the named region's contents with `words` (privileged,
-    /// loader-grade: ignores write permission). Returns how many words
-    /// actually changed — the caller's state-loss accounting.
+    /// Overwrite the named region's contents with what `image` — another
+    /// state of this same memory map, e.g. its boot-time clone — holds
+    /// there (privileged, loader-grade: ignores write permission). Returns
+    /// how many words actually changed — the caller's state-loss
+    /// accounting. Pages still shared with `image` are skipped; a page the
+    /// region owns entirely is restored by sharing `image`'s again.
     ///
     /// # Panics
-    /// If the region is missing or the length differs: callers restore
+    /// If the region is missing or the layouts differ: callers restore
     /// images captured from this same layout, so a mismatch means the
     /// image belongs to a different machine.
-    pub fn restore_region(&mut self, name: &str, words: &[u64]) -> usize {
-        let r = self
+    pub fn restore_region(&mut self, name: &str, image: &Memory) -> usize {
+        assert!(
+            self.same_layout(image),
+            "restore_region: image of a different memory map for {name}"
+        );
+        let layout = Arc::clone(&self.layout);
+        let r = layout
             .regions
-            .iter_mut()
+            .iter()
             .find(|r| r.name == name)
             .unwrap_or_else(|| panic!("restore_region: no region named {name}"));
-        assert_eq!(
-            r.words.len(),
-            words.len(),
-            "restore_region: image size mismatch for {name}"
-        );
         let mut changed = 0usize;
-        for (dst, &src) in r.words.iter_mut().zip(words) {
-            if *dst != src {
-                *dst = src;
-                changed += 1;
+        for (slot, words) in r.spans() {
+            let (live, boot) = (&mut self.pages[slot], &image.pages[slot]);
+            if Arc::ptr_eq(live, boot) {
+                continue;
+            }
+            let differing = live[words.clone()]
+                .iter()
+                .zip(&boot[words.clone()])
+                .filter(|(a, b)| a != b)
+                .count();
+            if differing == 0 {
+                continue;
+            }
+            changed += differing;
+            if words.len() == PAGE_WORDS {
+                *live = Arc::clone(boot);
+            } else {
+                Arc::make_mut(live)[words.clone()].copy_from_slice(&boot[words]);
             }
         }
         changed
@@ -505,10 +928,91 @@ impl Memory {
         use crate::prng::fold64;
         let r = self.region_by_name(name)?;
         let mut h = fold64(0x7265_6769_6f6e, r.base);
-        for &w in &r.words {
+        for &w in self.region_slices(r).flatten() {
             h = fold64(h, w);
         }
         Some(h)
+    }
+}
+
+/// Same memory map and same contents; shared pages are equal by identity.
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        self.same_layout(other)
+            && self.page_maps() == other.page_maps()
+            && self
+                .pages
+                .iter()
+                .zip(&other.pages)
+                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+    }
+}
+
+impl Eq for Memory {}
+
+/// The memory map and a digest of the contents, not 100k words.
+impl fmt::Debug for Memory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Memory")
+            .field("regions", &self.regions())
+            .field("page_maps", &self.page_maps())
+            .field("digest", &format_args!("{:#018x}", self.digest()))
+            .finish()
+    }
+}
+
+/// Serialized form of a region: the description plus its words as one flat
+/// array.
+#[derive(Serialize, Deserialize)]
+struct RegionImage {
+    id: RegionId,
+    name: String,
+    base: u64,
+    words: Vec<u64>,
+    perms: Perms,
+}
+
+/// Serialized form of [`Memory`]; the page table is rebuilt on load.
+#[derive(Serialize, Deserialize)]
+struct MemoryImage {
+    regions: Vec<RegionImage>,
+    page_maps: Vec<PageMap>,
+}
+
+impl Serialize for Memory {
+    fn to_value(&self) -> Value {
+        MemoryImage {
+            regions: self
+                .regions()
+                .iter()
+                .map(|r| RegionImage {
+                    id: r.id,
+                    name: r.name.clone(),
+                    base: r.base,
+                    words: self.region_slices(r).flatten().copied().collect(),
+                    perms: r.perms,
+                })
+                .collect(),
+            page_maps: self.page_maps().to_vec(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for Memory {
+    fn from_value(v: &Value) -> Result<Memory, serde::Error> {
+        let image = MemoryImage::from_value(v)?;
+        let mut mem = Memory::new();
+        for r in &image.regions {
+            mem.try_map(r.id, &r.name, r.base, r.words.len(), r.perms)
+                .map_err(serde::Error::msg)?;
+            mem.load_image(r.base, &r.words)
+                .expect("region just mapped");
+        }
+        for &m in &image.page_maps {
+            mem.try_add_page_map(m).map_err(serde::Error::msg)?;
+        }
+        Ok(mem)
     }
 }
 

@@ -187,4 +187,43 @@ proptest! {
         // program could have written.
         prop_assert!(delta.mem_words() <= prog.len() + 1);
     }
+
+    /// serialize → deserialize rebuilds the page table and the pages from
+    /// the flat per-region word arrays: the loaded machine has the same
+    /// digest and its continuation matches the original step for step.
+    #[test]
+    fn serialized_machine_reloads_and_keeps_stepping(
+        prog in proptest::collection::vec(arb_straightline_insn(), 1..40),
+        seed in any::<u64>(),
+        cut in 0usize..40,
+    ) {
+        let cut = cut % (prog.len() + 1);
+        let mut live = build_machine(&prog, seed);
+        for _ in 0..cut {
+            live.step(0);
+        }
+        let json = serde_json::to_string(&live).unwrap();
+        let mut loaded: Machine = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(loaded.state_digest(), live.state_digest());
+        prop_assert!(loaded == live, "reloaded machine differs");
+        prop_assert_eq!(loaded.mem.regions(), live.mem.regions());
+
+        let rest = prog.len() + 1 - cut;
+        let live_obs = run_observed(&mut live, rest);
+        let loaded_obs = run_observed(&mut loaded, rest);
+        prop_assert_eq!(&loaded_obs, &live_obs);
+    }
+}
+
+/// A memory image that cannot be a memory map is a typed error, not a
+/// panic in `map`.
+#[test]
+fn overlapping_regions_in_a_serialized_machine_are_rejected() {
+    let m = build_machine(&[Insn::Nop], 1);
+    let json = serde_json::to_string(&m).unwrap();
+    // Move "data" (0x9000) on top of "text" (0x1000).
+    let bad = json.replacen("\"base\":36864", "\"base\":4096", 1);
+    assert_ne!(bad, json, "fixture no longer matches the wire form");
+    let err = serde_json::from_str::<Machine>(&bad).unwrap_err();
+    assert!(err.to_string().contains("overlaps"), "{err}");
 }

@@ -14,7 +14,7 @@ use sim_machine::cpu::Cpu;
 use sim_machine::exit::{NR_APIC_VECTORS, NR_DEVICE_IRQS};
 use sim_machine::prng::{fold64, SplitMix64};
 use sim_machine::{
-    CpuId, Event, Exception, ExitReason, Machine, MachineDelta, Mode, Reg, StepOutcome,
+    CpuId, Event, Exception, ExitReason, Machine, MachineDelta, Memory, Mode, Reg, StepOutcome,
 };
 use std::sync::Arc;
 
@@ -42,8 +42,12 @@ pub const MICROREBOOT_PRIVATE_REGIONS: [&str; 7] = [
 /// `state_digest` — it never changes.
 #[derive(Debug)]
 struct BootImage {
-    /// `(region name, boot-time contents)` for every private region.
-    private: Vec<(String, Vec<u64>)>,
+    /// The memory as the builder left it. A copy-on-write clone: it keeps
+    /// alive only the boot-time version of pages written since, and a
+    /// private page nobody has written yet is still shared with it, which
+    /// is what lets the restore skip it. Only the
+    /// [`MICROREBOOT_PRIVATE_REGIONS`] are ever read from it.
+    mem: Memory,
     /// Address of the `vmexit_return` stub: the same host entry point the
     /// builder boots CPUs at, and the microreboot re-entry point.
     reentry: u64,
@@ -228,18 +232,14 @@ impl Platform {
         let (machine, img) = build_machine(&topo);
         let irq = IrqProfile::default();
         let nr = topo.nr_cpus;
-        let private = MICROREBOOT_PRIVATE_REGIONS
-            .iter()
-            .map(|name| {
-                let r = machine
-                    .mem
-                    .region_by_name(name)
-                    .unwrap_or_else(|| panic!("private region {name} mapped"));
-                (r.name.clone(), r.words.clone())
-            })
-            .collect();
+        for name in MICROREBOOT_PRIVATE_REGIONS {
+            assert!(
+                machine.mem.region_by_name(name).is_some(),
+                "private region {name} mapped"
+            );
+        }
         let boot_image = Arc::new(BootImage {
-            private,
+            mem: machine.mem.clone(),
             reentry: img.sym("vmexit_return"),
         });
         let p = Platform {
@@ -446,12 +446,11 @@ impl Platform {
 
     /// Boot-time contents of a hypervisor-private region, as captured for
     /// the microreboot image. `None` for preserved (non-private) regions.
-    pub fn boot_image_region(&self, name: &str) -> Option<&[u64]> {
-        self.boot_image
-            .private
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, w)| w.as_slice())
+    pub fn boot_image_region(&self, name: &str) -> Option<Vec<u64>> {
+        if !MICROREBOOT_PRIVATE_REGIONS.contains(&name) {
+            return None;
+        }
+        self.boot_image.mem.region_words(name)
     }
 
     /// ReHype-style hypervisor microreboot on `cpu`: reinitialize the
@@ -510,14 +509,15 @@ impl Platform {
         // words that actually changed — that is the state the reboot
         // discards.
         let image = Arc::clone(&self.boot_image);
-        let mut per_region = Vec::with_capacity(image.private.len());
+        let mut per_region = Vec::with_capacity(MICROREBOOT_PRIVATE_REGIONS.len());
         let mut words_lost = 0usize;
         let mut words_scanned = 0u64;
-        for (name, words) in &image.private {
-            let changed = self.machine.mem.restore_region(name, words);
+        for name in MICROREBOOT_PRIVATE_REGIONS {
+            let changed = self.machine.mem.restore_region(name, &image.mem);
             words_lost += changed;
-            words_scanned += words.len() as u64;
-            per_region.push((name.clone(), changed));
+            let region = image.mem.region_by_name(name).expect("checked at new");
+            words_scanned += region.len_words() as u64;
+            per_region.push((name.to_string(), changed));
         }
         self.machine
             .mem

@@ -309,8 +309,8 @@ fn microreboot_restore_heals_private_state_and_preserves_guest_state() {
     // Private regions are back to the boot image, except the carried
     // wallclock word in hv.global.
     for name in xen_like::MICROREBOOT_PRIVATE_REGIONS {
-        let img = p.boot_image_region(name).unwrap().to_vec();
-        let live = p.machine.mem.region_by_name(name).unwrap().words.clone();
+        let img = p.boot_image_region(name).unwrap();
+        let live = p.machine.mem.region_words(name).unwrap();
         if name == "hv.global" {
             for (i, (l, b)) in live.iter().zip(&img).enumerate() {
                 if i as u64 == lay::global::WALLCLOCK {
@@ -353,4 +353,47 @@ fn microreboot_reenters_guest_which_keeps_running() {
             act.outcome
         );
     }
+}
+
+/// Campaign workers clone platforms from one shared `&GoldenTrace` and run
+/// them concurrently. Clones share pages copy-on-write, so this is the
+/// place a write could leak between threads: four threads clone the same
+/// `&Platform`, run 50 activations each, and must all land on the digest
+/// the serial run lands on — with the shared source untouched.
+#[test]
+fn clones_of_one_shared_platform_run_independently_on_four_threads() {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Platform>();
+
+    let mut source = pv_platform(2);
+    source.boot(0, &mut NullMonitor);
+    for _ in 0..20 {
+        assert!(source
+            .run_activation(0, &mut NullMonitor)
+            .outcome
+            .is_healthy());
+    }
+    let before = source.state_digest();
+
+    let run = |p: &Platform| {
+        let mut p = p.clone();
+        for _ in 0..50 {
+            assert!(p.run_activation(0, &mut NullMonitor).outcome.is_healthy());
+        }
+        p.state_digest()
+    };
+    let serial = run(&source);
+    assert_ne!(serial, before, "50 activations changed nothing");
+
+    let shared = &source;
+    let digests: Vec<u64> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4).map(|_| s.spawn(|| run(shared))).collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(digests, vec![serial; 4]);
+    assert_eq!(
+        source.state_digest(),
+        before,
+        "a clone wrote through to its source"
+    );
 }

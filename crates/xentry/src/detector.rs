@@ -4,6 +4,7 @@
 use crate::features::{FeatureVec, FEATURE_NAMES};
 use mltree::{CompiledTree, DecisionTree, Label};
 use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// Measurement of one [`classify_batch_timed`] call: the span a flight
 /// tracer records for the batch.
@@ -32,15 +33,18 @@ impl BatchSpan {
 /// ([`CompiledTree`]) and caches the model fingerprint; the hot-path
 /// entry points ([`classify`], [`classify_cost`], [`classify_batch`])
 /// only ever touch the compiled form. The boxed tree is retained for
-/// training-side work: rule dumps, pruning and the code generator.
+/// training-side work: rule dumps, pruning and the code generator. Both
+/// forms are immutable and shared, so cloning a detector (the campaign
+/// engine hands one to every shim it builds, several per injection)
+/// copies two pointers, not 159 boxed nodes and the arena.
 ///
 /// [`classify`]: VmTransitionDetector::classify
 /// [`classify_cost`]: VmTransitionDetector::classify_cost
 /// [`classify_batch`]: VmTransitionDetector::classify_batch
 #[derive(Debug, Clone)]
 pub struct VmTransitionDetector {
-    tree: DecisionTree,
-    compiled: CompiledTree,
+    tree: Arc<DecisionTree>,
+    compiled: Arc<CompiledTree>,
     fingerprint: u64,
 }
 
@@ -82,8 +86,8 @@ impl VmTransitionDetector {
         let json = serde_json::to_string(&wire_value(&tree)).expect("detector serializes");
         let fingerprint = fnv1a(json.as_bytes());
         VmTransitionDetector {
-            tree,
-            compiled,
+            tree: Arc::new(tree),
+            compiled: Arc::new(compiled),
             fingerprint,
         }
     }
@@ -182,8 +186,8 @@ impl VmTransitionDetector {
     /// ([`CompiledTree::hot_prefix_bytes`]) the cache can actually hold.
     pub fn with_profiled_layout(&self, profile: &mltree::TreeProfile) -> VmTransitionDetector {
         VmTransitionDetector {
-            compiled: self.compiled.reorder_profiled(profile),
-            tree: self.tree.clone(),
+            compiled: Arc::new(self.compiled.reorder_profiled(profile)),
+            tree: Arc::clone(&self.tree),
             fingerprint: self.fingerprint,
         }
     }
@@ -205,7 +209,7 @@ impl VmTransitionDetector {
     /// The result is for feeding *into* validation gates (swap canaries,
     /// the fleet chaos harness), never for classifying with.
     pub fn chaos_flip_arena_bit(&mut self, bit: usize) {
-        self.compiled.flip_bit(bit);
+        Arc::make_mut(&mut self.compiled).flip_bit(bit);
     }
 
     /// Defined bit count of the compiled arena (the
