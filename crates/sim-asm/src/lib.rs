@@ -409,9 +409,7 @@ impl Asm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_machine::{
-        CycleModel, Event, Machine, MachineConfig, Memory, Perms, StepOutcome, VirtMode,
-    };
+    use sim_machine::{CycleModel, Event, Machine, MachineConfig, Memory, Perms, VirtMode};
 
     fn machine_with(img: &Image) -> Machine {
         let cfg = MachineConfig {
@@ -433,14 +431,8 @@ mod tests {
         Machine::new(cfg, mem, 1)
     }
 
-    fn run(m: &mut Machine, max: usize) -> Option<Event> {
-        for _ in 0..max {
-            match m.step(0) {
-                StepOutcome::Retired => {}
-                StepOutcome::Event(e) => return Some(e),
-            }
-        }
-        None
+    fn run(m: &mut Machine, max: u64) -> Option<Event> {
+        m.run(0, max, u64::MAX).1
     }
 
     #[test]

@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 use sim_asm::Asm;
-use sim_machine::{
-    CycleModel, Event, Insn, Machine, MachineConfig, Memory, Perms, Reg, StepOutcome, VirtMode,
-};
+use sim_machine::{CycleModel, Event, Insn, Machine, MachineConfig, Memory, Perms, Reg, VirtMode};
 
 fn machine_for(img: &sim_asm::Image) -> Machine {
     let cfg = MachineConfig {
@@ -40,11 +38,8 @@ proptest! {
         a.hlt();
         let img = a.assemble().unwrap();
         let mut m = machine_for(&img);
-        for _ in 0..values.len() + 3 {
-            if let StepOutcome::Event(Event::Halt) = m.step(0) {
-                break;
-            }
-        }
+        let halt = m.run(0, values.len() as u64 + 3, u64::MAX).1;
+        prop_assert_eq!(halt, Some(Event::Halt));
         let expect = values.iter().sum::<i64>() as u64;
         prop_assert_eq!(m.cpu(0).get(Reg::Rax), expect);
     }
@@ -63,11 +58,8 @@ proptest! {
         a.hlt();
         let img = a.assemble().unwrap();
         let mut m = machine_for(&img);
-        for _ in 0..(n as usize * 5 + 10) {
-            if let StepOutcome::Event(Event::Halt) = m.step(0) {
-                break;
-            }
-        }
+        let halt = m.run(0, n as u64 * 5 + 10, u64::MAX).1;
+        prop_assert_eq!(halt, Some(Event::Halt));
         prop_assert_eq!(m.cpu(0).get(Reg::Rax) as i64, n);
     }
 
@@ -108,14 +100,8 @@ proptest! {
         }
         let img = a.assemble().unwrap();
         let mut m = machine_for(&img);
-        let mut halted = false;
-        for _ in 0..depth * 6 + 10 {
-            if let StepOutcome::Event(Event::Halt) = m.step(0) {
-                halted = true;
-                break;
-            }
-        }
-        prop_assert!(halted, "program must halt");
+        let halt = m.run(0, depth as u64 * 6 + 10, u64::MAX).1;
+        prop_assert_eq!(halt, Some(Event::Halt), "program must halt");
         prop_assert_eq!(m.cpu(0).get(Reg::Rax), depth as u64);
         // Stack fully unwound.
         prop_assert_eq!(m.cpu(0).rsp(), m.config.host_stack_top(0));

@@ -65,6 +65,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decode an opcode byte.
+    #[inline]
     pub fn from_u8(b: u8) -> Option<Opcode> {
         use Opcode::*;
         Some(match b {
@@ -389,6 +390,7 @@ impl Insn {
 
     /// Decode a 64-bit word. Unknown opcodes and invalid operand encodings
     /// yield `Err`, which the CPU turns into `#UD`.
+    #[inline]
     pub fn decode(word: u64) -> Result<Insn, DecodeError> {
         let opb = (word >> 56) as u8;
         let op = Opcode::from_u8(opb).ok_or(DecodeError::BadOpcode(opb))?;

@@ -1,7 +1,9 @@
 //! The machine: CPUs + memory + devices + world-switch "hardware".
 //!
-//! [`Machine::step`] executes one instruction on one logical CPU and reports
-//! what happened. Mode transitions mirror Intel VMX:
+//! [`Machine::run`] executes instructions on one logical CPU until something
+//! the harness must handle happens, a step budget runs out or a cycle
+//! deadline passes; [`Machine::step`] executes one. Mode transitions mirror
+//! Intel VMX:
 //!
 //! * a guest instruction that requires hypervisor service (hypercall, trapped
 //!   exception, I/O exit, ...) performs a **VM exit**: hardware writes the
@@ -22,7 +24,7 @@ use crate::cycles::CycleModel;
 use crate::exception::{AccessKind, Exception, Vector};
 use crate::exit::ExitReason;
 use crate::insn::{Cond, DecodeError, Insn};
-use crate::mem::{MemError, Memory};
+use crate::mem::{FetchWindow, MemError, Memory};
 use crate::prng::SiteNoise;
 use crate::reg::{flags, Reg};
 use serde::{Deserialize, Serialize};
@@ -316,36 +318,19 @@ impl Machine {
         h
     }
 
-    /// Perform the hardware part of a VM exit on `cpu`: fill the VMCS block,
-    /// load host RSP/RIP, switch to host mode. `guest_rip` is the resume
-    /// point to record (already advanced past trap-like instructions).
-    fn hw_vm_exit(&mut self, cpu: CpuId, reason: ExitReason, guest_rip: u64, qual: u64) -> Event {
-        let cfg = &self.config;
-        let c = &mut self.cpus[cpu];
-        let guest_rsp = c.get(Reg::Rsp);
-        let guest_rflags = c.rflags;
-        c.mode = Mode::Host;
-        c.rip = cfg.host_entry_for(cpu);
-        c.set(Reg::Rsp, cfg.host_stack_top(cpu));
-        c.cycles += cfg.cycle_model.vm_exit;
-        // VMCS writes are "microcode": they bypass page permissions but the
-        // block must be mapped.
-        self.mem
-            .poke(cfg.vmcs_field(cpu, vmcs::GUEST_RIP), guest_rip)
-            .expect("VMCS mapped");
-        self.mem
-            .poke(cfg.vmcs_field(cpu, vmcs::GUEST_RSP), guest_rsp)
-            .expect("VMCS mapped");
-        self.mem
-            .poke(cfg.vmcs_field(cpu, vmcs::GUEST_RFLAGS), guest_rflags)
-            .expect("VMCS mapped");
-        self.mem
-            .poke(cfg.vmcs_field(cpu, vmcs::EXIT_REASON), reason.vmer() as u64)
-            .expect("VMCS mapped");
-        self.mem
-            .poke(cfg.vmcs_field(cpu, vmcs::EXIT_QUAL), qual)
-            .expect("VMCS mapped");
-        Event::VmExit(reason)
+    /// Split the machine into `cpu`'s register state and everything else
+    /// its instructions can touch.
+    fn split(&mut self, cpu: CpuId) -> (&mut Cpu, Core<'_>) {
+        (
+            &mut self.cpus[cpu],
+            Core {
+                mem: &mut self.mem,
+                noise: &mut self.noise,
+                devices: &mut self.devices,
+                config: &self.config,
+                cpu,
+            },
+        )
     }
 
     /// Inject an asynchronous VM exit (device/APIC interrupt, pending
@@ -356,35 +341,13 @@ impl Machine {
     /// If the CPU is in host mode — asynchronous events arriving during
     /// hypervisor execution are queued by the platform, not injected.
     pub fn force_exit(&mut self, cpu: CpuId, reason: ExitReason) -> Event {
+        let (c, mut core) = self.split(cpu);
         assert!(
-            !self.cpus[cpu].mode.is_host(),
+            !c.mode.is_host(),
             "force_exit requires guest mode; host-mode interrupts are queued"
         );
-        let rip = self.cpus[cpu].rip;
-        self.hw_vm_exit(cpu, reason, rip, 0)
-    }
-
-    /// Raise an exception observed on `cpu`: in guest mode it becomes a VM
-    /// exit (the hypervisor traps guest exceptions); in host mode it is
-    /// surfaced to the harness.
-    fn raise(&mut self, cpu: CpuId, e: Exception) -> Event {
-        if self.cpus[cpu].mode.is_host() {
-            Event::Exception(e)
-        } else {
-            let qual = e.addr.unwrap_or(0);
-            self.hw_vm_exit(cpu, ExitReason::Exception(e.vector), e.rip, qual)
-        }
-    }
-
-    fn mem_error_to_exception(e: MemError, rip: u64, access: AccessKind) -> Exception {
-        match e {
-            MemError::Unmapped { addr } | MemError::Protection { addr } => {
-                Exception::mem(Vector::PageFault, rip, addr, access)
-            }
-            MemError::Unaligned { addr } => {
-                Exception::mem(Vector::AlignmentCheck, rip, addr, access)
-            }
-        }
+        let rip = c.rip;
+        core.hw_vm_exit(c, reason, rip, 0)
     }
 
     /// CPUID model: a fixed deterministic function of the leaf. The #GP
@@ -400,82 +363,148 @@ impl Machine {
         [m(1), m(2), m(3), m(4)]
     }
 
-    /// Execute one instruction on `cpu`.
+    /// Run `cpu` until an instruction produces an [`Event`], `max_steps`
+    /// instructions have been attempted, or the CPU's cycle counter has
+    /// reached `cycle_deadline` (checked before each instruction, so a
+    /// deadline already passed runs nothing). Returns how many instructions
+    /// were attempted — the one that produced the event included — and the
+    /// event, if that is what stopped the run.
+    pub fn run(&mut self, cpu: CpuId, max_steps: u64, cycle_deadline: u64) -> (u64, Option<Event>) {
+        let (c, mut core) = self.split(cpu);
+        let mut near = FetchWindow::default();
+        let mut steps = 0;
+        while steps < max_steps && c.cycles < cycle_deadline {
+            steps += 1;
+            if let StepOutcome::Event(e) = core.step(c, &mut near) {
+                return (steps, Some(e));
+            }
+        }
+        (steps, None)
+    }
+
+    /// Execute one instruction on `cpu`: the body [`Machine::run`] loops
+    /// over, entered once.
     pub fn step(&mut self, cpu: CpuId) -> StepOutcome {
-        let pc = self.cpus[cpu].rip;
-        let word = match self.mem.fetch(pc) {
-            Ok(w) => w,
-            Err(e) => {
-                let exc = Machine::mem_error_to_exception(e, pc, AccessKind::Fetch);
-                return StepOutcome::Event(self.raise(cpu, exc));
-            }
-        };
-        let insn = match Insn::decode(word) {
-            Ok(i) => i,
-            Err(DecodeError::BadOpcode(_)) | Err(DecodeError::BadOperand(_)) => {
-                return StepOutcome::Event(
-                    self.raise(cpu, Exception::at(Vector::InvalidOpcode, pc)),
-                );
-            }
-        };
-        self.execute(cpu, pc, insn)
+        let (c, mut core) = self.split(cpu);
+        core.step(c, &mut FetchWindow::default())
+    }
+}
+
+fn mem_error_to_exception(e: MemError, rip: u64, access: AccessKind) -> Exception {
+    match e {
+        MemError::Unmapped { addr } | MemError::Protection { addr } => {
+            Exception::mem(Vector::PageFault, rip, addr, access)
+        }
+        MemError::Unaligned { addr } => Exception::mem(Vector::AlignmentCheck, rip, addr, access),
+    }
+}
+
+fn set_flags_sub(c: &mut Cpu, a: u64, b: u64) {
+    let (res, carry) = a.overflowing_sub(b);
+    let sa = (a as i64) < 0;
+    let sb = (b as i64) < 0;
+    let sr = (res as i64) < 0;
+    let of = (sa != sb) && (sr != sa);
+    let mut f = c.rflags & !flags::ALL;
+    if res == 0 {
+        f |= flags::ZF;
+    }
+    if sr {
+        f |= flags::SF;
+    }
+    if carry {
+        f |= flags::CF;
+    }
+    if of {
+        f |= flags::OF;
+    }
+    c.rflags = f;
+}
+
+fn set_flags_logic(c: &mut Cpu, res: u64) {
+    let mut f = c.rflags & !flags::ALL;
+    if res == 0 {
+        f |= flags::ZF;
+    }
+    if (res as i64) < 0 {
+        f |= flags::SF;
+    }
+    c.rflags = f;
+}
+
+fn cond_holds(c: &Cpu, cond: Cond) -> bool {
+    let zf = c.rflags & flags::ZF != 0;
+    let sf = c.rflags & flags::SF != 0;
+    let of = c.rflags & flags::OF != 0;
+    let cf = c.rflags & flags::CF != 0;
+    match cond {
+        Cond::Eq => zf,
+        Cond::Ne => !zf,
+        Cond::Lt => sf != of,
+        Cond::Ge => sf == of,
+        Cond::Gt => !zf && (sf == of),
+        Cond::Le => zf || (sf != of),
+        Cond::B => cf,
+        Cond::Ae => !cf,
+    }
+}
+
+/// Everything an instruction on one CPU can touch besides that CPU's own
+/// registers. [`Machine::run`] takes it and the `&mut Cpu` once, so the
+/// interpreter body below indexes `cpus` for no instruction.
+struct Core<'a> {
+    mem: &'a mut Memory,
+    noise: &'a mut SiteNoise,
+    devices: &'a mut Devices,
+    config: &'a MachineConfig,
+    /// Which CPU `c` is: selects its VMCS block, host stack and entry.
+    cpu: CpuId,
+}
+
+impl Core<'_> {
+    /// Perform the hardware part of a VM exit on `c`: fill the VMCS block,
+    /// load host RSP/RIP, switch to host mode. `guest_rip` is the resume
+    /// point to record (already advanced past trap-like instructions).
+    fn hw_vm_exit(&mut self, c: &mut Cpu, reason: ExitReason, guest_rip: u64, qual: u64) -> Event {
+        let (cfg, cpu) = (self.config, self.cpu);
+        let guest_rsp = c.get(Reg::Rsp);
+        let guest_rflags = c.rflags;
+        c.mode = Mode::Host;
+        c.rip = cfg.host_entry_for(cpu);
+        c.set(Reg::Rsp, cfg.host_stack_top(cpu));
+        c.cycles += cfg.cycle_model.vm_exit;
+        // VMCS writes are "microcode": they bypass page permissions but the
+        // block must be mapped.
+        for (field, value) in [
+            (vmcs::GUEST_RIP, guest_rip),
+            (vmcs::GUEST_RSP, guest_rsp),
+            (vmcs::GUEST_RFLAGS, guest_rflags),
+            (vmcs::EXIT_REASON, reason.vmer() as u64),
+            (vmcs::EXIT_QUAL, qual),
+        ] {
+            self.mem
+                .poke(cfg.vmcs_field(cpu, field), value)
+                .expect("VMCS mapped");
+        }
+        Event::VmExit(reason)
     }
 
-    fn set_flags_sub(c: &mut Cpu, a: u64, b: u64) {
-        let (res, carry) = a.overflowing_sub(b);
-        let sa = (a as i64) < 0;
-        let sb = (b as i64) < 0;
-        let sr = (res as i64) < 0;
-        let of = (sa != sb) && (sr != sa);
-        let mut f = c.rflags & !flags::ALL;
-        if res == 0 {
-            f |= flags::ZF;
-        }
-        if sr {
-            f |= flags::SF;
-        }
-        if carry {
-            f |= flags::CF;
-        }
-        if of {
-            f |= flags::OF;
-        }
-        c.rflags = f;
-    }
-
-    fn set_flags_logic(c: &mut Cpu, res: u64) {
-        let mut f = c.rflags & !flags::ALL;
-        if res == 0 {
-            f |= flags::ZF;
-        }
-        if (res as i64) < 0 {
-            f |= flags::SF;
-        }
-        c.rflags = f;
-    }
-
-    fn cond_holds(c: &Cpu, cond: Cond) -> bool {
-        let zf = c.rflags & flags::ZF != 0;
-        let sf = c.rflags & flags::SF != 0;
-        let of = c.rflags & flags::OF != 0;
-        let cf = c.rflags & flags::CF != 0;
-        match cond {
-            Cond::Eq => zf,
-            Cond::Ne => !zf,
-            Cond::Lt => sf != of,
-            Cond::Ge => sf == of,
-            Cond::Gt => !zf && (sf == of),
-            Cond::Le => zf || (sf != of),
-            Cond::B => cf,
-            Cond::Ae => !cf,
+    /// Raise an exception observed on `c`: in guest mode it becomes a VM
+    /// exit (the hypervisor traps guest exceptions); in host mode it is
+    /// surfaced to the harness.
+    fn raise(&mut self, c: &mut Cpu, e: Exception) -> Event {
+        if c.mode.is_host() {
+            Event::Exception(e)
+        } else {
+            let qual = e.addr.unwrap_or(0);
+            self.hw_vm_exit(c, ExitReason::Exception(e.vector), e.rip, qual)
         }
     }
 
     /// Retire bookkeeping: PMU events, cycles, dynamic instruction count.
-    fn retire(&mut self, cpu: CpuId, insn: &Insn, taken_branch: bool) {
+    fn retire(&self, c: &mut Cpu, insn: &Insn, taken_branch: bool) {
         let reads = insn.mem_reads();
         let writes = insn.mem_writes();
-        let c = &mut self.cpus[cpu];
         c.perf.record(insn.is_branch(), reads, writes);
         c.cycles += self
             .config
@@ -484,9 +513,31 @@ impl Machine {
         c.insns_retired += 1;
     }
 
-    fn execute(&mut self, cpu: CpuId, pc: u64, insn: Insn) -> StepOutcome {
+    /// Fetch, decode and execute the instruction at `c.rip`. The one
+    /// interpreter body: [`Machine::step`] enters it once, [`Machine::run`]
+    /// in a loop with one `near` for the whole run.
+    #[inline(always)]
+    fn step(&mut self, c: &mut Cpu, near: &mut FetchWindow) -> StepOutcome {
+        let pc = c.rip;
+        let word = match self.mem.fetch_near(near, pc) {
+            Ok(w) => w,
+            Err(e) => {
+                let exc = mem_error_to_exception(e, pc, AccessKind::Fetch);
+                return StepOutcome::Event(self.raise(c, exc));
+            }
+        };
+        match Insn::decode(word) {
+            Ok(insn) => self.execute(c, pc, insn),
+            Err(DecodeError::BadOpcode(_)) | Err(DecodeError::BadOperand(_)) => {
+                StepOutcome::Event(self.raise(c, Exception::at(Vector::InvalidOpcode, pc)))
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn execute(&mut self, c: &mut Cpu, pc: u64, insn: Insn) -> StepOutcome {
         use Insn::*;
-        let is_host = self.cpus[cpu].mode.is_host();
+        let is_host = c.mode.is_host();
         let virt = self.config.virt_mode;
         // Default next-RIP; control transfers overwrite.
         let mut next = pc.wrapping_add(8);
@@ -494,223 +545,199 @@ impl Machine {
 
         macro_rules! fault {
             ($e:expr) => {
-                return StepOutcome::Event(self.raise(cpu, $e))
+                return StepOutcome::Event(self.raise(c, $e))
+            };
+        }
+        macro_rules! mem_fault {
+            ($e:expr, $access:expr) => {
+                fault!(mem_error_to_exception($e, pc, $access))
+            };
+        }
+        // A privileged instruction in guest mode: PV guests trap with #GP
+        // at the instruction, HVM guests exit past it.
+        macro_rules! guest_privileged {
+            ($reason:expr, $qual:expr) => {
+                return StepOutcome::Event(match virt {
+                    VirtMode::Para => self.raise(c, Exception::at(Vector::GeneralProtection, pc)),
+                    VirtMode::Hvm => self.hw_vm_exit(c, $reason, pc.wrapping_add(8), $qual),
+                })
             };
         }
 
         match insn {
-            MovImm { dst, imm } => self.cpus[cpu].set(dst, imm as u64),
-            MovReg { dst, src } => {
-                let v = self.cpus[cpu].get(src);
-                self.cpus[cpu].set(dst, v);
-            }
+            MovImm { dst, imm } => c.set(dst, imm as u64),
+            MovReg { dst, src } => c.set(dst, c.get(src)),
             Load { dst, base, off } => {
-                let addr = self.cpus[cpu].get(base).wrapping_add(off as u64);
+                let addr = c.get(base).wrapping_add(off as u64);
                 match self.mem.read_v(addr) {
-                    Ok(v) => self.cpus[cpu].set(dst, v),
-                    Err(e) => fault!(Machine::mem_error_to_exception(e, pc, AccessKind::Read)),
+                    Ok(v) => c.set(dst, v),
+                    Err(e) => mem_fault!(e, AccessKind::Read),
                 }
             }
             Store { base, src, off } => {
-                let addr = self.cpus[cpu].get(base).wrapping_add(off as u64);
-                let v = self.cpus[cpu].get(src);
-                if let Err(e) = self.mem.write_v(addr, v) {
-                    fault!(Machine::mem_error_to_exception(e, pc, AccessKind::Write));
+                let addr = c.get(base).wrapping_add(off as u64);
+                if let Err(e) = self.mem.write_v(addr, c.get(src)) {
+                    mem_fault!(e, AccessKind::Write);
                 }
             }
             Add { dst, src } => {
-                let v = self.cpus[cpu]
-                    .get(dst)
-                    .wrapping_add(self.cpus[cpu].get(src));
-                self.cpus[cpu].set(dst, v);
-                Machine::set_flags_logic(&mut self.cpus[cpu], v);
+                let v = c.get(dst).wrapping_add(c.get(src));
+                c.set(dst, v);
+                set_flags_logic(c, v);
             }
             AddImm { dst, imm } => {
-                let v = self.cpus[cpu].get(dst).wrapping_add(imm as u64);
-                self.cpus[cpu].set(dst, v);
-                Machine::set_flags_logic(&mut self.cpus[cpu], v);
+                let v = c.get(dst).wrapping_add(imm as u64);
+                c.set(dst, v);
+                set_flags_logic(c, v);
             }
             Sub { dst, src } => {
-                let a = self.cpus[cpu].get(dst);
-                let b = self.cpus[cpu].get(src);
-                Machine::set_flags_sub(&mut self.cpus[cpu], a, b);
-                self.cpus[cpu].set(dst, a.wrapping_sub(b));
+                let (a, b) = (c.get(dst), c.get(src));
+                set_flags_sub(c, a, b);
+                c.set(dst, a.wrapping_sub(b));
             }
             SubImm { dst, imm } => {
-                let a = self.cpus[cpu].get(dst);
-                let b = imm as u64;
-                Machine::set_flags_sub(&mut self.cpus[cpu], a, b);
-                self.cpus[cpu].set(dst, a.wrapping_sub(b));
+                let (a, b) = (c.get(dst), imm as u64);
+                set_flags_sub(c, a, b);
+                c.set(dst, a.wrapping_sub(b));
             }
-            Mul { dst, src } => {
-                let v = self.cpus[cpu]
-                    .get(dst)
-                    .wrapping_mul(self.cpus[cpu].get(src));
-                self.cpus[cpu].set(dst, v);
-            }
+            Mul { dst, src } => c.set(dst, c.get(dst).wrapping_mul(c.get(src))),
             Div { dst, src } => {
-                let b = self.cpus[cpu].get(src);
+                let b = c.get(src);
                 if b == 0 {
                     fault!(Exception::at(Vector::DivideError, pc));
                 }
-                let v = self.cpus[cpu].get(dst) / b;
-                self.cpus[cpu].set(dst, v);
+                c.set(dst, c.get(dst) / b);
             }
             Rem { dst, src } => {
-                let b = self.cpus[cpu].get(src);
+                let b = c.get(src);
                 if b == 0 {
                     fault!(Exception::at(Vector::DivideError, pc));
                 }
-                let v = self.cpus[cpu].get(dst) % b;
-                self.cpus[cpu].set(dst, v);
+                c.set(dst, c.get(dst) % b);
             }
             And { dst, src } => {
-                let v = self.cpus[cpu].get(dst) & self.cpus[cpu].get(src);
-                self.cpus[cpu].set(dst, v);
-                Machine::set_flags_logic(&mut self.cpus[cpu], v);
+                let v = c.get(dst) & c.get(src);
+                c.set(dst, v);
+                set_flags_logic(c, v);
             }
             Or { dst, src } => {
-                let v = self.cpus[cpu].get(dst) | self.cpus[cpu].get(src);
-                self.cpus[cpu].set(dst, v);
-                Machine::set_flags_logic(&mut self.cpus[cpu], v);
+                let v = c.get(dst) | c.get(src);
+                c.set(dst, v);
+                set_flags_logic(c, v);
             }
             Xor { dst, src } => {
-                let v = self.cpus[cpu].get(dst) ^ self.cpus[cpu].get(src);
-                self.cpus[cpu].set(dst, v);
-                Machine::set_flags_logic(&mut self.cpus[cpu], v);
+                let v = c.get(dst) ^ c.get(src);
+                c.set(dst, v);
+                set_flags_logic(c, v);
             }
             ShlImm { dst, imm } => {
-                let v = self.cpus[cpu].get(dst) << (imm & 63);
-                self.cpus[cpu].set(dst, v);
-                Machine::set_flags_logic(&mut self.cpus[cpu], v);
+                let v = c.get(dst) << (imm & 63);
+                c.set(dst, v);
+                set_flags_logic(c, v);
             }
             ShrImm { dst, imm } => {
-                let v = self.cpus[cpu].get(dst) >> (imm & 63);
-                self.cpus[cpu].set(dst, v);
-                Machine::set_flags_logic(&mut self.cpus[cpu], v);
+                let v = c.get(dst) >> (imm & 63);
+                c.set(dst, v);
+                set_flags_logic(c, v);
             }
             Cmp { a, b } => {
-                let x = self.cpus[cpu].get(a);
-                let y = self.cpus[cpu].get(b);
-                Machine::set_flags_sub(&mut self.cpus[cpu], x, y);
+                let (x, y) = (c.get(a), c.get(b));
+                set_flags_sub(c, x, y);
             }
             CmpImm { a, imm } => {
-                let x = self.cpus[cpu].get(a);
-                Machine::set_flags_sub(&mut self.cpus[cpu], x, imm as u64);
+                let x = c.get(a);
+                set_flags_sub(c, x, imm as u64);
             }
             Test { a, b } => {
-                let v = self.cpus[cpu].get(a) & self.cpus[cpu].get(b);
-                Machine::set_flags_logic(&mut self.cpus[cpu], v);
+                let v = c.get(a) & c.get(b);
+                set_flags_logic(c, v);
             }
             Jmp { target } => {
                 next = target;
                 taken = true;
             }
             Jcc { cond, target } => {
-                if Machine::cond_holds(&self.cpus[cpu], cond) {
+                if cond_holds(c, cond) {
                     next = target;
                     taken = true;
                 }
             }
             Call { target } => {
-                let rsp = self.cpus[cpu].rsp().wrapping_sub(8);
+                let rsp = c.rsp().wrapping_sub(8);
                 if let Err(e) = self.mem.write_v(rsp, pc.wrapping_add(8)) {
-                    fault!(Machine::mem_error_to_exception(e, pc, AccessKind::Write));
+                    mem_fault!(e, AccessKind::Write);
                 }
-                self.cpus[cpu].set(Reg::Rsp, rsp);
+                c.set(Reg::Rsp, rsp);
                 next = target;
                 taken = true;
             }
             Ret => {
-                let rsp = self.cpus[cpu].rsp();
+                let rsp = c.rsp();
                 match self.mem.read_v(rsp) {
                     Ok(ra) => {
-                        self.cpus[cpu].set(Reg::Rsp, rsp.wrapping_add(8));
+                        c.set(Reg::Rsp, rsp.wrapping_add(8));
                         next = ra;
                         taken = true;
                     }
-                    Err(e) => fault!(Machine::mem_error_to_exception(e, pc, AccessKind::Read)),
+                    Err(e) => mem_fault!(e, AccessKind::Read),
                 }
             }
             Push { src } => {
-                let rsp = self.cpus[cpu].rsp().wrapping_sub(8);
-                let v = self.cpus[cpu].get(src);
-                if let Err(e) = self.mem.write_v(rsp, v) {
-                    fault!(Machine::mem_error_to_exception(e, pc, AccessKind::Write));
+                let rsp = c.rsp().wrapping_sub(8);
+                if let Err(e) = self.mem.write_v(rsp, c.get(src)) {
+                    mem_fault!(e, AccessKind::Write);
                 }
-                self.cpus[cpu].set(Reg::Rsp, rsp);
+                c.set(Reg::Rsp, rsp);
             }
             Pop { dst } => {
-                let rsp = self.cpus[cpu].rsp();
+                let rsp = c.rsp();
                 match self.mem.read_v(rsp) {
                     Ok(v) => {
-                        self.cpus[cpu].set(dst, v);
-                        self.cpus[cpu].set(Reg::Rsp, rsp.wrapping_add(8));
+                        c.set(dst, v);
+                        c.set(Reg::Rsp, rsp.wrapping_add(8));
                     }
-                    Err(e) => fault!(Machine::mem_error_to_exception(e, pc, AccessKind::Read)),
+                    Err(e) => mem_fault!(e, AccessKind::Read),
                 }
             }
             JmpReg { target } => {
-                next = self.cpus[cpu].get(target);
+                next = c.get(target);
                 taken = true;
             }
             CallReg { target } => {
-                let dest = self.cpus[cpu].get(target);
-                let rsp = self.cpus[cpu].rsp().wrapping_sub(8);
+                let dest = c.get(target);
+                let rsp = c.rsp().wrapping_sub(8);
                 if let Err(e) = self.mem.write_v(rsp, pc.wrapping_add(8)) {
-                    fault!(Machine::mem_error_to_exception(e, pc, AccessKind::Write));
+                    mem_fault!(e, AccessKind::Write);
                 }
-                self.cpus[cpu].set(Reg::Rsp, rsp);
+                c.set(Reg::Rsp, rsp);
                 next = dest;
                 taken = true;
             }
             Cpuid => {
-                if is_host {
-                    let leaf = self.cpus[cpu].get(Reg::Rax);
-                    let out = Machine::cpuid_model(leaf);
-                    self.cpus[cpu].set(Reg::Rax, out[0]);
-                    self.cpus[cpu].set(Reg::Rbx, out[1]);
-                    self.cpus[cpu].set(Reg::Rcx, out[2]);
-                    self.cpus[cpu].set(Reg::Rdx, out[3]);
-                } else {
-                    return match virt {
-                        VirtMode::Para => StepOutcome::Event(
-                            self.raise(cpu, Exception::at(Vector::GeneralProtection, pc)),
-                        ),
-                        VirtMode::Hvm => StepOutcome::Event(self.hw_vm_exit(
-                            cpu,
-                            ExitReason::CpuidExit,
-                            pc.wrapping_add(8),
-                            self.cpus[cpu].get(Reg::Rax),
-                        )),
-                    };
+                if !is_host {
+                    let leaf = c.get(Reg::Rax);
+                    guest_privileged!(ExitReason::CpuidExit, leaf);
                 }
+                let out = Machine::cpuid_model(c.get(Reg::Rax));
+                c.set(Reg::Rax, out[0]);
+                c.set(Reg::Rbx, out[1]);
+                c.set(Reg::Rcx, out[2]);
+                c.set(Reg::Rdx, out[3]);
             }
             Rdtsc => {
-                if is_host {
-                    let t = self.cpus[cpu].cycles;
-                    self.cpus[cpu].set(Reg::Rax, t & 0xffff_ffff);
-                    self.cpus[cpu].set(Reg::Rdx, t >> 32);
-                } else {
-                    return match virt {
-                        VirtMode::Para => StepOutcome::Event(
-                            self.raise(cpu, Exception::at(Vector::GeneralProtection, pc)),
-                        ),
-                        VirtMode::Hvm => StepOutcome::Event(self.hw_vm_exit(
-                            cpu,
-                            ExitReason::RdtscExit,
-                            pc.wrapping_add(8),
-                            0,
-                        )),
-                    };
+                if !is_host {
+                    guest_privileged!(ExitReason::RdtscExit, 0);
                 }
+                let t = c.cycles;
+                c.set(Reg::Rax, t & 0xffff_ffff);
+                c.set(Reg::Rdx, t >> 32);
             }
             Hypercall { nr } => {
                 if is_host {
                     fault!(Exception::at(Vector::InvalidOpcode, pc));
                 }
                 return StepOutcome::Event(self.hw_vm_exit(
-                    cpu,
+                    c,
                     ExitReason::Hypercall(nr % crate::exit::NR_HYPERCALLS),
                     pc.wrapping_add(8),
                     nr as u64,
@@ -720,50 +747,29 @@ impl Machine {
                 if !is_host {
                     fault!(Exception::at(Vector::GeneralProtection, pc));
                 }
-                let cfg = &self.config;
-                let grip = self
-                    .mem
-                    .peek(cfg.vmcs_field(cpu, vmcs::GUEST_RIP))
-                    .expect("VMCS");
-                let grsp = self
-                    .mem
-                    .peek(cfg.vmcs_field(cpu, vmcs::GUEST_RSP))
-                    .expect("VMCS");
-                let gfl = self
-                    .mem
-                    .peek(cfg.vmcs_field(cpu, vmcs::GUEST_RFLAGS))
-                    .expect("VMCS");
-                let c = &mut self.cpus[cpu];
-                c.rip = grip;
-                c.set(Reg::Rsp, grsp);
-                c.rflags = gfl;
+                let (cfg, cpu) = (self.config, self.cpu);
+                let field = |f| self.mem.peek(cfg.vmcs_field(cpu, f)).expect("VMCS");
+                c.rip = field(vmcs::GUEST_RIP);
+                c.set(Reg::Rsp, field(vmcs::GUEST_RSP));
+                c.rflags = field(vmcs::GUEST_RFLAGS);
                 c.cycles += cfg.cycle_model.vm_entry;
                 // Mode switch to Guest is performed by the orchestrator,
                 // which knows (from the hypervisor's scheduling state) which
                 // VCPU is being resumed.
-                self.retire(cpu, &insn, true);
+                self.retire(c, &insn, true);
                 return StepOutcome::Event(Event::VmEntry);
             }
             Hlt => {
                 if is_host {
-                    self.cpus[cpu].rip = next;
-                    self.retire(cpu, &insn, false);
+                    c.rip = next;
+                    self.retire(c, &insn, false);
                     return StepOutcome::Event(Event::Halt);
                 }
-                return match virt {
-                    VirtMode::Para => StepOutcome::Event(self.hw_vm_exit(
-                        cpu,
-                        ExitReason::Hypercall(29), // PV guests yield via sched_op
-                        pc.wrapping_add(8),
-                        0,
-                    )),
-                    VirtMode::Hvm => StepOutcome::Event(self.hw_vm_exit(
-                        cpu,
-                        ExitReason::HltExit,
-                        pc.wrapping_add(8),
-                        0,
-                    )),
+                let reason = match virt {
+                    VirtMode::Para => ExitReason::Hypercall(29), // PV guests yield via sched_op
+                    VirtMode::Hvm => ExitReason::HltExit,
                 };
+                return StepOutcome::Event(self.hw_vm_exit(c, reason, pc.wrapping_add(8), 0));
             }
             Nop => {}
             AssertFail { id } => {
@@ -773,49 +779,25 @@ impl Machine {
                 fault!(Exception::at(Vector::InvalidOpcode, pc));
             }
             Out { port, src } => {
-                if is_host {
-                    let v = self.cpus[cpu].get(src);
-                    self.devices.write(port, v);
-                } else {
-                    return match virt {
-                        VirtMode::Para => StepOutcome::Event(
-                            self.raise(cpu, Exception::at(Vector::GeneralProtection, pc)),
-                        ),
-                        VirtMode::Hvm => StepOutcome::Event(self.hw_vm_exit(
-                            cpu,
-                            ExitReason::IoInstruction { port, write: true },
-                            pc.wrapping_add(8),
-                            port as u64,
-                        )),
-                    };
+                if !is_host {
+                    guest_privileged!(ExitReason::IoInstruction { port, write: true }, port as u64);
                 }
+                self.devices.write(port, c.get(src));
             }
             In { dst, port } => {
-                if is_host {
-                    let v = self.devices.read(port);
-                    self.cpus[cpu].set(dst, v);
-                } else {
-                    return match virt {
-                        VirtMode::Para => StepOutcome::Event(
-                            self.raise(cpu, Exception::at(Vector::GeneralProtection, pc)),
-                        ),
-                        VirtMode::Hvm => StepOutcome::Event(self.hw_vm_exit(
-                            cpu,
-                            ExitReason::IoInstruction { port, write: false },
-                            pc.wrapping_add(8),
-                            port as u64,
-                        )),
-                    };
+                if !is_host {
+                    guest_privileged!(
+                        ExitReason::IoInstruction { port, write: false },
+                        port as u64
+                    );
                 }
+                c.set(dst, self.devices.read(port));
             }
-            Noise { dst, bound } => {
-                let v = self.noise.next_at(pc, bound);
-                self.cpus[cpu].set(dst, v);
-            }
+            Noise { dst, bound } => c.set(dst, self.noise.next_at(pc, bound)),
         }
 
-        self.cpus[cpu].rip = next;
-        self.retire(cpu, &insn, taken);
+        c.rip = next;
+        self.retire(c, &insn, taken);
         StepOutcome::Retired
     }
 }

@@ -469,6 +469,36 @@ impl MemoryDelta {
     }
 }
 
+/// One-entry fetch lookaside: where the last successful
+/// [`Memory::fetch_near`] found its word. Holds only what the memory map
+/// fixes — a page number, the executable word range of that page and its
+/// storage slot — never contents, so stores, pokes, restores and
+/// copy-on-write between fetches are seen. It belongs to one memory map:
+/// start a new one after [`Memory::map`]. [`Machine::run`](crate::Machine::run)
+/// keeps one per call and nothing stores one.
+#[derive(Debug, Clone, Copy)]
+pub struct FetchWindow {
+    /// Page the window is on; `u64::MAX`, which no address is on, when it
+    /// is on none.
+    page: u64,
+    /// Words `[lo, hi)` of the page are one executable region's.
+    lo: u16,
+    hi: u16,
+    /// Index into [`Memory::pages`].
+    slot: u32,
+}
+
+impl Default for FetchWindow {
+    fn default() -> FetchWindow {
+        FetchWindow {
+            page: u64::MAX,
+            lo: 0,
+            hi: 0,
+            slot: 0,
+        }
+    }
+}
+
 /// Kind of access being performed, for permission checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Access {
@@ -587,15 +617,15 @@ impl Memory {
     }
 
     /// Check alignment, mapping and permission of an access to physical
-    /// address `addr`, whose page's table entry is `head`; return the
-    /// storage slot and in-page word index.
+    /// address `addr`, whose page's table entry is `head`; return the entry
+    /// of the region that maps it.
     #[inline]
-    fn check(
-        &self,
-        head: Option<&PageEntry>,
+    fn check<'a>(
+        &'a self,
+        head: Option<&'a PageEntry>,
         addr: u64,
         kind: Access,
-    ) -> Result<(usize, usize), MemError> {
+    ) -> Result<&'a PageEntry, MemError> {
         if !addr.is_multiple_of(8) {
             return Err(MemError::Unaligned { addr });
         }
@@ -612,12 +642,15 @@ impl Memory {
         if !ok {
             return Err(MemError::Protection { addr });
         }
-        Ok((e.slot as usize, word_of(addr)))
+        Ok(e)
     }
 
+    /// [`Memory::check`] from the address alone; return the storage slot
+    /// and in-page word index.
     #[inline]
     fn access(&self, addr: u64, kind: Access) -> Result<(usize, usize), MemError> {
-        self.check(self.layout.head(addr), addr, kind)
+        let e = self.check(self.layout.head(addr), addr, kind)?;
+        Ok((e.slot as usize, word_of(addr)))
     }
 
     /// [`Memory::access`] behind the page walk: one table lookup serves
@@ -632,7 +665,8 @@ impl Memory {
         } else {
             self.layout.head(pa)
         };
-        self.check(head, pa, kind)
+        let e = self.check(head, pa, kind)?;
+        Ok((e.slot as usize, word_of(pa)))
     }
 
     /// Copy-on-write: the word is written in place when this handle is the
@@ -716,8 +750,30 @@ impl Memory {
     /// Fetch the word at `addr` for execution.
     #[inline]
     pub fn fetch(&self, addr: u64) -> Result<u64, MemError> {
-        let (slot, word) = self.access(addr, Access::Fetch)?;
-        Ok(self.pages[slot][word])
+        self.fetch_near(&mut FetchWindow::default(), addr)
+    }
+
+    /// [`Memory::fetch`] for a caller that fetches again and again: an
+    /// aligned `addr` inside `near` skips the table; any other takes the
+    /// checked path, which moves `near` to wherever it succeeds. The word is
+    /// read from the live page either way.
+    #[inline]
+    pub fn fetch_near(&self, near: &mut FetchWindow, addr: u64) -> Result<u64, MemError> {
+        let word = word_of(addr);
+        if page_of(addr) == near.page
+            && addr.is_multiple_of(8)
+            && (near.lo..near.hi).contains(&(word as u16))
+        {
+            return Ok(self.pages[near.slot as usize][word]);
+        }
+        let e = self.check(self.layout.head(addr), addr, Access::Fetch)?;
+        *near = FetchWindow {
+            page: page_of(addr),
+            lo: e.lo,
+            hi: e.hi,
+            slot: e.slot,
+        };
+        Ok(self.pages[e.slot as usize][word])
     }
 
     /// Privileged write used by loaders and the "hardware" (VMCS block,

@@ -13,7 +13,8 @@
 
 use proptest::prelude::*;
 use sim_machine::{
-    MemError, Memory, PageMap, Perms, Region, PAGE_BYTES, PTE_FRAME_MASK, PTE_PRESENT, PTE_RW,
+    FetchWindow, MemError, Memory, PageMap, Perms, Region, PAGE_BYTES, PTE_FRAME_MASK, PTE_PRESENT,
+    PTE_RW,
 };
 
 const PERMS: [Perms; 5] = [
@@ -291,6 +292,77 @@ proptest! {
         }
 
         // The stores landed where the oracle put them and nowhere else.
+        for (r, words) in oracle.regions.iter().zip(&oracle.words) {
+            prop_assert_eq!(&mem.region_words(&r.name).unwrap(), words, "{}", r.name);
+        }
+    }
+
+    /// One [`FetchWindow`] carried through a whole sequence — what
+    /// `Machine::run` does — must fetch what a table walk per fetch would:
+    /// addresses that stay on the last page (the next word, the previous
+    /// one, any offset, aligned or not), addresses that leave it, and
+    /// writes, pokes, region restores and snapshots of the page in between.
+    #[test]
+    fn one_fetch_window_matches_the_linear_scan(
+        layout in (
+            prop_oneof![Just(8u64), Just(0xff8u64), Just(0x1000u64), Just(0x7_f000u64)],
+            proptest::collection::vec(arb_chunk(), 1..7),
+            any::<u64>(),
+        ),
+        text in (prop_oneof![Just(0u64), 1u64..16], any::<bool>(), prop_oneof![1usize..8, 1usize..600, 500usize..1600], 2usize..4),
+        ops in proptest::collection::vec((0u8..10, any::<u8>(), any::<u64>(), any::<u64>()), 1..300),
+    ) {
+        let (start, mut chunks, shuffle) = layout;
+        // At least one executable region, RX or RWX, anywhere in the order.
+        chunks.insert(shuffle as usize % (chunks.len() + 1), text);
+        let mut mem = build_layout(start, &chunks, shuffle);
+        let boot = mem.clone();
+        let boot_words = Oracle::of(&boot).words;
+        let mut oracle = Oracle::of(&mem);
+        let mut near = FetchWindow::default();
+        let mut snapshots = Vec::new();
+        let mut last = oracle.regions.iter().find(|r| r.perms.exec).unwrap().base;
+
+        for (op, pick, raw, value) in ops {
+            let page = last & !(PAGE_BYTES - 1);
+            let addr = match pick % 8 {
+                0 | 1 => last.wrapping_add(8),
+                2 => last.wrapping_sub(8),
+                3 => page | (raw & (PAGE_BYTES - 1)),
+                4 => page | (raw & (PAGE_BYTES - 8)),
+                _ => probe_addr(&oracle, pick / 8, raw),
+            };
+            match op {
+                0..=5 => {
+                    let got = mem.fetch_near(&mut near, addr);
+                    prop_assert_eq!(got, oracle.load(addr, Kind::Fetch), "fetch_near {:#x} after {:#x}", addr, last);
+                    prop_assert_eq!(got, mem.fetch(addr));
+                    if got.is_ok() {
+                        last = addr;
+                    }
+                }
+                6 => prop_assert_eq!(
+                    mem.write(addr, value),
+                    oracle.store(addr, Kind::Write, value),
+                    "write {:#x}", addr
+                ),
+                7 => prop_assert_eq!(
+                    mem.poke(addr, value),
+                    oracle.store(addr, Kind::Raw, value),
+                    "poke {:#x}", addr
+                ),
+                8 => {
+                    // Back to boot contents: whole pages are swapped for the
+                    // boot image's, partial ones copied over.
+                    let r = oracle.regions.iter().position(|r| r.contains(last)).unwrap();
+                    mem.restore_region(&oracle.regions[r].name, &boot);
+                    oracle.words[r].clone_from(&boot_words[r]);
+                }
+                // Share every page, so the next write to one copies it.
+                _ => snapshots.push(mem.clone()),
+            }
+        }
+
         for (r, words) in oracle.regions.iter().zip(&oracle.words) {
             prop_assert_eq!(&mem.region_words(&r.name).unwrap(), words, "{}", r.name);
         }

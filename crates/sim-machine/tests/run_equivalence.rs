@@ -1,0 +1,318 @@
+//! `Machine::run` against `Machine::step`.
+//!
+//! `run` is the loop every driver uses; `step` is its body entered once.
+//! For arbitrary text, registers, modes, budgets and deadlines, `run` must
+//! stop where a loop of `step` calls written out here stops: same count,
+//! same event, `==` machines, equal digests. `step` starts a fresh fetch
+//! window per instruction and `run` keeps one, so this is also the window
+//! against the table walk on whatever the text does — self-modifying
+//! stores, jumps between regions sharing a page, a `rip` corrupted to
+//! anywhere. Neither entry point may panic: that is the host-never-panics
+//! property, scoped to the step loop.
+
+use proptest::prelude::*;
+use sim_machine::{
+    CycleModel, Event, Machine, MachineConfig, Memory, Mode, Opcode, Perms, Reg, StepOutcome,
+    VirtMode,
+};
+
+const TEXT: u64 = 0x1_0000;
+/// Two pages and a bit, so straight-line code crosses a page and ends
+/// inside one.
+const TEXT_WORDS: usize = 1100;
+const STACK: u64 = 0x2_0000;
+const VMCS: u64 = 0x3_0000;
+const DATA: u64 = 0x4_0000;
+/// A sub-page executable region and a writable one on the same page.
+const STUB: u64 = 0x5_0100;
+const STUB_WORDS: usize = 8;
+const STUB_DATA: u64 = 0x5_0200;
+/// Writable and executable: stores here change what is fetched next.
+const SMC: u64 = 0x6_0000;
+const SMC_WORDS: usize = 64;
+
+/// Where in the text the arbitrary words go (word index): the two CPUs'
+/// host entries, where a VM exit lands; across the page boundary; off the
+/// end of the region.
+const LOAD_AT: [usize; 4] = [0, 8, 500, TEXT_WORDS - 10];
+
+fn config(virt_mode: VirtMode) -> MachineConfig {
+    MachineConfig {
+        nr_cpus: 2,
+        host_entry: TEXT,
+        host_entry_stride: 0x40,
+        host_stack_base: STACK,
+        host_stack_size: 0x1000,
+        vmcs_base: VMCS,
+        virt_mode,
+        cycle_model: CycleModel::default(),
+    }
+}
+
+fn memory() -> Memory {
+    let mut mem = Memory::new();
+    mem.map("text", TEXT, TEXT_WORDS, Perms::RX);
+    mem.map("stack", STACK, 1024, Perms::RW);
+    mem.map("vmcs", VMCS, 16, Perms::RW);
+    mem.map("data", DATA, 256, Perms::RW);
+    mem.map("stub", STUB, STUB_WORDS, Perms::RX);
+    mem.map("stub.data", STUB_DATA, 8, Perms::RW);
+    mem.map("smc", SMC, SMC_WORDS, Perms::RWX);
+    mem
+}
+
+/// An address simulated code might plausibly hold: in or at the edge of a
+/// region, aligned or not, or anything at all.
+fn arb_addr() -> impl Strategy<Value = u64> {
+    let near = |base: u64, words: usize| {
+        let end = base + words as u64 * 8;
+        let word = move || (0..words as u64).prop_map(move |w| base + w * 8);
+        prop_oneof![
+            word(),
+            word(),
+            word(),
+            word(),
+            (0..words as u64 * 8).prop_map(move |b| base + b),
+            Just(base - 8),
+            Just(end - 8),
+            Just(end),
+        ]
+    };
+    // (The vendored `prop_oneof!` is uniform: an arm listed twice weighs two.)
+    prop_oneof![
+        near(TEXT, TEXT_WORDS),
+        near(TEXT, TEXT_WORDS),
+        near(TEXT, TEXT_WORDS),
+        near(STACK, 1024),
+        near(STACK, 1024),
+        near(VMCS, 16),
+        near(DATA, 256),
+        near(STUB, STUB_WORDS),
+        near(STUB, STUB_WORDS),
+        near(STUB_DATA, 8),
+        near(SMC, SMC_WORDS),
+        near(SMC, SMC_WORDS),
+        prop_oneof![
+            Just(0u64),
+            Just(8),
+            Just(0xdead_0000),
+            Just(u64::MAX),
+            Just(u64::MAX - 7)
+        ],
+        any::<u64>(),
+        any::<u64>(),
+    ]
+}
+
+/// Opcodes that retire whatever their operands: moves, ALU, NOP.
+const ALU: [Opcode; 16] = {
+    use Opcode::*;
+    [
+        MovImm, MovReg, Add, AddImm, Sub, SubImm, Mul, And, Or, Xor, ShlImm, ShrImm, Cmp, CmpImm,
+        Test, Nop,
+    ]
+};
+/// Direct branches and calls.
+const BRANCH: [Opcode; 3] = [Opcode::Jmp, Opcode::Jcc, Opcode::Call];
+/// Loads, stores, pushes, pops, returns.
+const MEMORY: [Opcode; 5] = [
+    Opcode::Load,
+    Opcode::Store,
+    Opcode::Ret,
+    Opcode::Push,
+    Opcode::Pop,
+];
+
+fn encode(op: Opcode, regs: u8, imm: u64) -> u64 {
+    (op as u64) << 56 | (regs as u64) << 48 | imm & ((1 << 48) - 1)
+}
+
+/// A text word. Arbitrary bits mostly fail to decode and a valid opcode over
+/// arbitrary operands mostly faults, so most words are drawn to retire —
+/// ALU work, branches that land near loaded words, memory operations at
+/// small offsets from whatever address a register holds — and runs get long
+/// enough to cross pages, regions and their own stores.
+fn arb_word() -> impl Strategy<Value = u64> {
+    let of = |ops: &'static [Opcode]| (0..ops.len()).prop_map(move |i| ops[i]);
+    // Every opcode the decoder knows, from the decoder.
+    let any_opcode = (0u8..=u8::MAX)
+        .filter_map(Opcode::from_u8)
+        .collect::<Vec<_>>();
+    let regs = any::<u8>;
+    let small = || prop_oneof![(0u64..32).prop_map(|w| w * 8), 0u64..64];
+    let target =
+        || (0..LOAD_AT.len(), 0u64..48).prop_map(|(at, w)| TEXT + (LOAD_AT[at] as u64 + w) * 8);
+    let alu = || {
+        (of(&ALU), regs(), prop_oneof![small(), arb_addr()])
+            .prop_map(|(op, regs, imm)| encode(op, regs, imm))
+    };
+    prop_oneof![
+        any::<u64>(),
+        (
+            (0..any_opcode.len()).prop_map(move |i| any_opcode[i]),
+            regs(),
+            prop_oneof![small(), arb_addr(), any::<u64>()]
+        )
+            .prop_map(|(op, regs, imm)| encode(op, regs, imm)),
+        alu(),
+        alu(),
+        alu(),
+        (of(&BRANCH), 0u8..8, target()).prop_map(|(op, cond, imm)| encode(op, cond << 4, imm)),
+        // Into the middle of a word on a page just fetched from.
+        (of(&BRANCH), 0u8..8, target(), 1u64..8).prop_map(|(op, cond, imm, off)| encode(
+            op,
+            cond << 4,
+            imm + off
+        )),
+        (of(&MEMORY), regs(), small()).prop_map(|(op, regs, imm)| encode(op, regs, imm)),
+        // Through R14 (data) or R15 (the writable text), other operand free.
+        (of(&MEMORY), 14u8..16, 0u8..16, any::<bool>(), small()).prop_map(
+            |(op, base, other, base_is_dst, imm)| {
+                let regs = if base_is_dst {
+                    base << 4 | other
+                } else {
+                    other << 4 | base
+                };
+                encode(op, regs, imm)
+            }
+        ),
+    ]
+}
+
+fn arb_mode() -> impl Strategy<Value = Mode> {
+    prop_oneof![
+        Just(Mode::Host),
+        (0u16..3, 0u16..2).prop_map(|(dom, vcpu)| Mode::Guest { dom, vcpu }),
+    ]
+}
+
+/// `(max_steps, cycle_deadline relative to the cycle counter at the start
+/// of the segment)`; a deadline at or below zero has already passed.
+fn arb_segment() -> impl Strategy<Value = (u64, i64)> {
+    (
+        prop_oneof![0u64..4, 1u64..80, 1u64..80, 1u64..80],
+        prop_oneof![
+            Just(i64::MAX),
+            Just(i64::MAX),
+            Just(i64::MAX),
+            1i64..200,
+            1i64..200,
+            -50i64..1
+        ],
+    )
+}
+
+/// `run`, written out over `step`.
+fn run_by_steps(
+    m: &mut Machine,
+    cpu: usize,
+    max_steps: u64,
+    cycle_deadline: u64,
+) -> (u64, Option<Event>) {
+    let mut steps = 0;
+    while steps < max_steps && m.cpu(cpu).cycles < cycle_deadline {
+        steps += 1;
+        if let StepOutcome::Event(e) = m.step(cpu) {
+            return (steps, Some(e));
+        }
+    }
+    (steps, None)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn run_is_a_loop_of_steps(
+        text in proptest::collection::vec(arb_word(), 1..48),
+        text_at in 0..LOAD_AT.len(),
+        stub in proptest::collection::vec(arb_word(), STUB_WORDS),
+        smc in proptest::collection::vec(arb_word(), 1..16),
+        regs in proptest::collection::vec(arb_addr(), 16),
+        rip in arb_addr(),
+        rflags in any::<u64>(),
+        mode in arb_mode(),
+        hvm in any::<bool>(),
+        cpu in 0usize..2,
+        cycles0 in 0u64..100,
+        pmu_on in any::<bool>(),
+        segments in proptest::collection::vec(arb_segment(), 1..6),
+    ) {
+        let virt = if hvm { VirtMode::Hvm } else { VirtMode::Para };
+        let mut mem = memory();
+        // The same arbitrary words at each place a branch or a VM exit may
+        // land; `rip` may or may not start on one.
+        for at in LOAD_AT {
+            let n = text.len().min(TEXT_WORDS - at);
+            mem.load_image(TEXT + at as u64 * 8, &text[..n]).unwrap();
+        }
+        let text_at = LOAD_AT[text_at];
+        mem.load_image(STUB, &stub).unwrap();
+        mem.load_image(SMC, &smc).unwrap();
+        let mut by_run = Machine::new(config(virt), mem, 11);
+        {
+            let c = by_run.cpu_mut(cpu);
+            for (r, &v) in Reg::ALL.iter().zip(&regs) {
+                c.set(*r, v);
+            }
+            // Two registers a memory operation can rely on.
+            c.set(Reg::R14, DATA + 0x400);
+            c.set(Reg::R15, SMC + 0x100);
+            // Mostly start on the loaded words, else wherever.
+            c.rip = if rflags & 3 != 0 { TEXT + text_at as u64 * 8 } else { rip };
+            c.rflags = rflags;
+            c.mode = mode;
+            c.cycles = cycles0;
+            if pmu_on {
+                c.perf.start();
+            }
+        }
+        let mut by_step = by_run.clone();
+
+        for (max_steps, rel_deadline) in segments {
+            let deadline = by_run.cpu(cpu).cycles.saturating_add_signed(rel_deadline);
+            let got = by_run.run(cpu, max_steps, deadline);
+            let want = run_by_steps(&mut by_step, cpu, max_steps, deadline);
+            prop_assert_eq!(got, want, "max_steps {} deadline {}", max_steps, deadline);
+            prop_assert!(got.0 <= max_steps);
+            prop_assert!(by_run == by_step, "machines differ after {:?}", got);
+            prop_assert_eq!(by_run.state_digest(), by_step.state_digest());
+            // A host-mode fault leaves the CPU on the faulting instruction;
+            // move both on, as a harness would, so later segments run.
+            if let Some(Event::Exception(_) | Event::AssertFail { .. }) = got.1 {
+                let resume = TEXT + (text_at as u64 + got.0) * 8;
+                by_run.cpu_mut(cpu).rip = resume;
+                by_step.cpu_mut(cpu).rip = resume;
+            }
+        }
+    }
+}
+
+/// The stop conditions, one at a time, on code that would otherwise run on.
+#[test]
+fn run_stops_at_budget_deadline_and_event() {
+    use sim_machine::Insn;
+    let mut mem = memory();
+    let nops = vec![Insn::Nop.encode(); 10];
+    mem.load_image(TEXT, &nops).unwrap();
+    mem.load_image(TEXT + 80, &[Insn::Hlt.encode()]).unwrap();
+    let m0 = Machine::new(config(VirtMode::Para), mem, 1);
+
+    // Budget: exactly that many instructions, no event.
+    let mut m = m0.clone();
+    assert_eq!(m.run(0, 4, u64::MAX), (4, None));
+    assert_eq!(m.cpu(0).rip, TEXT + 32);
+    assert_eq!(m.run(0, 0, u64::MAX), (0, None));
+
+    // Deadline: checked before each instruction; a NOP costs one cycle.
+    let mut m = m0.clone();
+    assert_eq!(m.run(0, 100, 3), (3, None));
+    assert_eq!(m.cpu(0).cycles, 3);
+    // Already passed: nothing runs.
+    assert_eq!(m.run(0, 100, 3), (0, None));
+    assert_eq!(m.run(0, 100, 0), (0, None));
+
+    // Event: the instruction that produced it is counted.
+    let mut m = m0.clone();
+    assert_eq!(m.run(0, 100, u64::MAX), (11, Some(Event::Halt)));
+}

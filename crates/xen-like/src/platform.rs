@@ -13,9 +13,7 @@ use sim_asm::Image;
 use sim_machine::cpu::Cpu;
 use sim_machine::exit::{NR_APIC_VECTORS, NR_DEVICE_IRQS};
 use sim_machine::prng::{fold64, SplitMix64};
-use sim_machine::{
-    CpuId, Event, Exception, ExitReason, Machine, MachineDelta, Memory, Mode, Reg, StepOutcome,
-};
+use sim_machine::{CpuId, Event, Exception, ExitReason, Machine, MachineDelta, Memory, Mode, Reg};
 use std::sync::Arc;
 
 use crate::builder::{build_machine, Topology};
@@ -153,7 +151,7 @@ impl ActivationOutcome {
 }
 
 /// Record of one hypervisor activation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Activation {
     pub cpu: CpuId,
     pub reason: ExitReason,
@@ -355,48 +353,42 @@ impl Platform {
     ) -> (ActivationOutcome, u64, u64) {
         let insns0 = self.machine.cpu(cpu).insns_retired;
         let cycles0 = self.machine.cpu(cpu).cycles;
-        let mut steps = 0u64;
-        let mut hook = Some(hook);
-        let outcome = loop {
-            if let Some(at) = hook_at {
-                if steps == at {
-                    if let Some(h) = hook.take() {
-                        h(&mut self.machine, cpu);
+        let budget = self.host_step_budget;
+        // The hook is a run boundary: run to it, apply it, run on. A hook
+        // past the budget, or past the handler's end, never fires.
+        let (mut steps, mut event) = (0, None);
+        if let Some(at) = hook_at.filter(|&at| at <= budget) {
+            (steps, event) = self.machine.run(cpu, at, u64::MAX);
+            if event.is_none() {
+                hook(&mut self.machine, cpu);
+            }
+        }
+        if event.is_none() {
+            (_, event) = self.machine.run(cpu, budget - steps, u64::MAX);
+        }
+        let outcome = match event {
+            None | Some(Event::Halt) => ActivationOutcome::Hung,
+            Some(Event::VmEntry) => match monitor.on_vm_entry(&mut self.machine, cpu) {
+                Verdict::Pass => {
+                    let mode = self.scheduled_mode(cpu);
+                    self.machine.cpu_mut(cpu).mode = mode;
+                    if self.is_idle(cpu) {
+                        ActivationOutcome::WentIdle
+                    } else {
+                        ActivationOutcome::Resumed
                     }
                 }
+                Verdict::Incorrect => ActivationOutcome::Flagged,
+            },
+            Some(Event::Exception(e)) => {
+                monitor.on_host_exception(&mut self.machine, cpu, e);
+                ActivationOutcome::HostException(e)
             }
-            if steps >= self.host_step_budget {
-                break ActivationOutcome::Hung;
+            Some(Event::AssertFail { id, .. }) => {
+                monitor.on_assert_fail(&mut self.machine, cpu, id);
+                ActivationOutcome::AssertFailed(id)
             }
-            steps += 1;
-            match self.machine.step(cpu) {
-                StepOutcome::Retired => {}
-                StepOutcome::Event(Event::VmEntry) => {
-                    match monitor.on_vm_entry(&mut self.machine, cpu) {
-                        Verdict::Pass => {
-                            let mode = self.scheduled_mode(cpu);
-                            self.machine.cpu_mut(cpu).mode = mode;
-                            if self.is_idle(cpu) {
-                                break ActivationOutcome::WentIdle;
-                            }
-                            break ActivationOutcome::Resumed;
-                        }
-                        Verdict::Incorrect => break ActivationOutcome::Flagged,
-                    }
-                }
-                StepOutcome::Event(Event::Exception(e)) => {
-                    monitor.on_host_exception(&mut self.machine, cpu, e);
-                    break ActivationOutcome::HostException(e);
-                }
-                StepOutcome::Event(Event::AssertFail { id, .. }) => {
-                    monitor.on_assert_fail(&mut self.machine, cpu, id);
-                    break ActivationOutcome::AssertFailed(id);
-                }
-                StepOutcome::Event(Event::Halt) => break ActivationOutcome::Hung,
-                StepOutcome::Event(Event::VmExit(_)) => {
-                    unreachable!("VM exit while already in host mode")
-                }
-            }
+            Some(Event::VmExit(_)) => unreachable!("VM exit while already in host mode"),
         };
         let c = self.machine.cpu(cpu);
         (outcome, c.insns_retired - insns0, c.cycles - cycles0)
@@ -442,6 +434,12 @@ impl Platform {
     /// Whether this CPU has been booted.
     pub fn is_booted(&self, cpu: CpuId) -> bool {
         self.booted[cpu]
+    }
+
+    /// Cycle counts at which `cpu`'s next timer tick and next device
+    /// interrupt are due; the guest runs until the earlier one.
+    pub fn async_deadlines(&self, cpu: CpuId) -> (u64, u64) {
+        (self.next_tick[cpu], self.next_dev[cpu])
     }
 
     /// Boot-time contents of a hypervisor-private region, as captured for
@@ -598,26 +596,14 @@ impl Platform {
             }
             self.fire_async(cpu)
         } else {
-            // Run the guest until it exits or an async deadline passes.
-            let mut steps = 0u64;
-            loop {
-                let now = self.machine.cpu(cpu).cycles;
-                if now >= self.next_tick[cpu] || now >= self.next_dev[cpu] {
-                    break self.fire_async(cpu);
-                }
-                if steps >= self.guest_step_budget {
-                    // Guest runaway (should not happen with the tick armed);
-                    // treat as a forced tick.
-                    break self.fire_async(cpu);
-                }
-                steps += 1;
-                match self.machine.step(cpu) {
-                    StepOutcome::Retired => {}
-                    StepOutcome::Event(Event::VmExit(r)) => break r,
-                    StepOutcome::Event(ev) => {
-                        unreachable!("guest produced host event {ev:?}")
-                    }
-                }
+            // Run the guest until it exits or an async deadline passes. A
+            // guest that exhausts the step budget (should not happen with
+            // the tick armed) is treated as a forced tick.
+            let deadline = self.next_tick[cpu].min(self.next_dev[cpu]);
+            match self.machine.run(cpu, self.guest_step_budget, deadline) {
+                (_, Some(Event::VmExit(r))) => r,
+                (_, Some(ev)) => unreachable!("guest produced host event {ev:?}"),
+                (_, None) => self.fire_async(cpu),
             }
         };
 

@@ -2,9 +2,10 @@
 //! drive full activations (VM exit → handler → VM entry).
 
 use sim_asm::Asm;
-use sim_machine::{ExitReason, Machine, Mode, Reg, Vector, VirtMode};
+use sim_machine::{Event, ExitReason, Machine, Mode, Reg, StepOutcome, Vector, VirtMode};
+use std::cell::Cell;
 use xen_like::layout as lay;
-use xen_like::platform::{ActivationOutcome, NullMonitor};
+use xen_like::platform::{Activation, ActivationOutcome, NullMonitor};
 use xen_like::{DomainSpec, Platform, Topology};
 
 /// A guest that loops: ALU work, xen_version hypercall, evtchn send, cpuid.
@@ -396,4 +397,324 @@ fn clones_of_one_shared_platform_run_independently_on_four_threads() {
         before,
         "a clone wrote through to its source"
     );
+}
+
+// ---- Run boundaries against a per-instruction reference ------------------
+//
+// `Platform` drives the machine with `Machine::run`, whose stop conditions
+// are the injection hook, the two watchdog budgets and the interrupt
+// deadline. The two drivers below are those loops written out one
+// `Machine::step` at a time, with every test of every condition made
+// before every instruction. At each boundary the platform must produce the
+// reference's `Activation`, `state_digest` and interrupt deadlines.
+
+/// `Platform::run_handler_hooked` under a `NullMonitor`, one step at a time.
+fn handler_by_steps(
+    p: &mut Platform,
+    reason: ExitReason,
+    guest_cycles: u64,
+    hook_at: Option<u64>,
+    hook: impl FnOnce(&mut Machine, usize),
+) -> Activation {
+    let (insns0, cycles0) = (p.machine.cpu(0).insns_retired, p.machine.cpu(0).cycles);
+    let mut hook = Some(hook);
+    let mut steps = 0u64;
+    let outcome = loop {
+        if hook_at == Some(steps) {
+            if let Some(h) = hook.take() {
+                h(&mut p.machine, 0);
+            }
+        }
+        if steps >= p.host_step_budget {
+            break ActivationOutcome::Hung;
+        }
+        steps += 1;
+        match p.machine.step(0) {
+            StepOutcome::Retired => {}
+            StepOutcome::Event(Event::VmEntry) => {
+                let vp = p.current_vcpu_ptr(0);
+                let field = |f| p.machine.mem.peek(vp + f * 8).unwrap_or(0) as u16;
+                let mode = Mode::Guest {
+                    dom: field(lay::vcpu::DOM_ID),
+                    vcpu: field(lay::vcpu::VCPU_ID),
+                };
+                p.machine.cpu_mut(0).mode = mode;
+                break if p.is_idle(0) {
+                    ActivationOutcome::WentIdle
+                } else {
+                    ActivationOutcome::Resumed
+                };
+            }
+            StepOutcome::Event(Event::Exception(e)) => break ActivationOutcome::HostException(e),
+            StepOutcome::Event(Event::AssertFail { id, .. }) => {
+                break ActivationOutcome::AssertFailed(id)
+            }
+            StepOutcome::Event(Event::Halt) => break ActivationOutcome::Hung,
+            StepOutcome::Event(Event::VmExit(r)) => panic!("VM exit {r:?} in host mode"),
+        }
+    };
+    let c = p.machine.cpu(0);
+    Activation {
+        cpu: 0,
+        reason,
+        handler_insns: c.insns_retired - insns0,
+        handler_cycles: c.cycles - cycles0,
+        guest_cycles,
+        outcome,
+    }
+}
+
+/// The guest loop of `Platform::run_to_exit`, one step at a time. Where it
+/// stops without a VM exit, the platform fires the interrupt that is due
+/// (its choice of reason draws from private randomness) — from a budget of
+/// zero, so it cannot run the guest any further itself.
+fn to_exit_by_steps(p: &mut Platform) -> (ExitReason, u64) {
+    assert_eq!(p.pcpu_field(0, lay::pcpu::SOFTIRQ_PENDING), 0);
+    assert!(!p.is_idle(0));
+    let cycles0 = p.machine.cpu(0).cycles;
+    let (tick, dev) = p.async_deadlines(0);
+    let mut steps = 0u64;
+    let reason = loop {
+        let now = p.machine.cpu(0).cycles;
+        if now >= tick || now >= dev || steps >= p.guest_step_budget {
+            let budget = std::mem::replace(&mut p.guest_step_budget, 0);
+            let (reason, _) = p.run_to_exit(0);
+            p.guest_step_budget = budget;
+            break reason;
+        }
+        steps += 1;
+        match p.machine.step(0) {
+            StepOutcome::Retired => {}
+            StepOutcome::Event(Event::VmExit(r)) => break r,
+            StepOutcome::Event(ev) => panic!("guest produced host event {ev:?}"),
+        }
+    };
+    (reason, p.machine.cpu(0).cycles - cycles0)
+}
+
+/// A platform parked at its first VM exit, and that exit.
+fn at_first_exit() -> (Platform, ExitReason, u64) {
+    let mut p = pv_platform(1);
+    p.boot(0, &mut NullMonitor);
+    let (reason, guest_cycles) = p.run_to_exit(0);
+    (p, reason, guest_cycles)
+}
+
+/// Run the handler both ways from `at_exit` with `hook` at `hook_at`;
+/// assert they agree and return the activation and whether the hook fired.
+fn hooked_both_ways(
+    at_exit: &Platform,
+    reason: ExitReason,
+    guest_cycles: u64,
+    hook_at: u64,
+    hook: impl Fn(&mut Machine, usize),
+) -> (Activation, bool) {
+    let fired = Cell::new(0u32);
+    let counted = |m: &mut Machine, c: usize| {
+        fired.set(fired.get() + 1);
+        hook(m, c);
+    };
+    let mut by_run = at_exit.clone();
+    let got = by_run.run_handler_hooked(
+        0,
+        reason,
+        guest_cycles,
+        &mut NullMonitor,
+        Some(hook_at),
+        counted,
+    );
+    let fired_by_run = fired.replace(0);
+    let mut by_step = at_exit.clone();
+    let want = handler_by_steps(&mut by_step, reason, guest_cycles, Some(hook_at), counted);
+    assert_eq!(got, want, "hook_at {hook_at}");
+    assert_eq!(fired_by_run, fired.get(), "hook_at {hook_at}: hook calls");
+    assert_eq!(
+        by_run.state_digest(),
+        by_step.state_digest(),
+        "hook_at {hook_at}"
+    );
+    assert_eq!(by_run.async_deadlines(0), by_step.async_deadlines(0));
+    (got, fired_by_run == 1)
+}
+
+/// Harmless to control flow at most points, visible in the digest.
+fn flip_r15(m: &mut Machine, c: usize) {
+    m.cpu_mut(c).regs[15] ^= 1 << 40;
+}
+
+#[test]
+fn hook_fires_at_each_handler_boundary_like_the_stepwise_reference() {
+    let (p, reason, gc) = at_first_exit();
+    let len = p
+        .clone()
+        .run_handler(0, reason, gc, &mut NullMonitor)
+        .handler_insns;
+    assert!(len > 10, "a handler worth hooking");
+
+    // Before the first instruction, mid-handler, before the last one.
+    for at in [0, 1, len / 2, len - 1] {
+        let (_, fired) = hooked_both_ways(&p, reason, gc, at, flip_r15);
+        assert!(fired, "hook at {at} of {len}");
+    }
+    // Past the end: the handler has entered the guest, nothing fires.
+    for at in [len, len + 1, len + 1000] {
+        let (act, fired) = hooked_both_ways(&p, reason, gc, at, flip_r15);
+        assert!(!fired, "hook at {at} past {len}");
+        assert_eq!(act.outcome, ActivationOutcome::Resumed);
+        assert_eq!(act.handler_insns, len);
+    }
+}
+
+#[test]
+fn hook_and_host_budget_meet_like_the_stepwise_reference() {
+    let (mut p, reason, gc) = at_first_exit();
+    let len = p
+        .clone()
+        .run_handler(0, reason, gc, &mut NullMonitor)
+        .handler_insns;
+    let budget = len / 2;
+    p.host_step_budget = budget;
+
+    // Inside the budget: fires, then the watchdog.
+    let (act, fired) = hooked_both_ways(&p, reason, gc, budget - 1, flip_r15);
+    assert!(fired);
+    assert_eq!(
+        (act.outcome, act.handler_insns),
+        (ActivationOutcome::Hung, budget)
+    );
+    // On the budget: still fires — after the last instruction the budget
+    // allows — then the watchdog.
+    let (act, fired) = hooked_both_ways(&p, reason, gc, budget, flip_r15);
+    assert!(fired);
+    assert_eq!(
+        (act.outcome, act.handler_insns),
+        (ActivationOutcome::Hung, budget)
+    );
+    // Past it: the watchdog first, the hook never.
+    for at in [budget + 1, u64::MAX] {
+        let (act, fired) = hooked_both_ways(&p, reason, gc, at, flip_r15);
+        assert!(!fired, "hook at {at} past budget {budget}");
+        assert_eq!(
+            (act.outcome, act.handler_insns),
+            (ActivationOutcome::Hung, budget)
+        );
+    }
+    // A budget of zero runs nothing; a hook at zero still lands.
+    p.host_step_budget = 0;
+    let (act, fired) = hooked_both_ways(&p, reason, gc, 0, flip_r15);
+    assert!(fired);
+    assert_eq!(
+        (act.outcome, act.handler_insns),
+        (ActivationOutcome::Hung, 0)
+    );
+}
+
+#[test]
+fn hook_that_breaks_the_next_instruction_faults_there() {
+    let (p, reason, gc) = at_first_exit();
+    let len = p
+        .clone()
+        .run_handler(0, reason, gc, &mut NullMonitor)
+        .handler_insns;
+    for at in [0, len / 3, len - 1] {
+        // The next fetch is from unmapped space...
+        let (act, fired) = hooked_both_ways(&p, reason, gc, at, |m, c| {
+            m.cpu_mut(c).rip = 0xdead_0000;
+        });
+        assert!(fired);
+        match act.outcome {
+            ActivationOutcome::HostException(e) => {
+                assert_eq!((e.vector, e.rip), (Vector::PageFault, 0xdead_0000));
+            }
+            other => panic!("hook at {at}: expected #PF, got {other:?}"),
+        }
+        assert_eq!(act.handler_insns, at, "nothing retires after the hook");
+        // ...or from the middle of a word.
+        let (act, _) = hooked_both_ways(&p, reason, gc, at, |m, c| m.cpu_mut(c).rip += 4);
+        match act.outcome {
+            ActivationOutcome::HostException(e) => assert_eq!(e.vector, Vector::AlignmentCheck),
+            other => panic!("hook at {at}: expected #AC, got {other:?}"),
+        }
+    }
+}
+
+/// `run_to_exit` both ways from `p`; assert they agree and return the exit.
+fn to_exit_both_ways(p: &Platform) -> (ExitReason, u64) {
+    let mut by_run = p.clone();
+    let got = by_run.run_to_exit(0);
+    let mut by_step = p.clone();
+    let want = to_exit_by_steps(&mut by_step);
+    assert_eq!(got, want);
+    assert_eq!(by_run.state_digest(), by_step.state_digest());
+    assert_eq!(by_run.async_deadlines(0), by_step.async_deadlines(0));
+    assert_eq!(
+        by_run.machine.cpu(0).insns_retired,
+        by_step.machine.cpu(0).insns_retired
+    );
+    got
+}
+
+/// A platform whose tick falls due `after` guest cycles past boot.
+fn booted_with_tick(after: u64) -> Platform {
+    let mut p = pv_platform(1);
+    p.irq.tick_period = after;
+    p.boot(0, &mut NullMonitor);
+    p
+}
+
+#[test]
+fn tick_deadline_stops_the_guest_like_the_stepwise_reference() {
+    // Cycle count after each of the guest's first instructions (all ALU
+    // work, well before its first hypercall).
+    let mut probe = booted_with_tick(1 << 40);
+    let boot_cycles = probe.machine.cpu(0).cycles;
+    let after: Vec<u64> = (0..12)
+        .map(|_| {
+            assert_eq!(probe.machine.step(0), StepOutcome::Retired);
+            probe.machine.cpu(0).cycles - boot_cycles
+        })
+        .collect();
+
+    for (k, &cycles) in after.iter().enumerate() {
+        // Due exactly on an instruction boundary: that instruction is the
+        // last the guest runs.
+        let p = booted_with_tick(cycles);
+        assert_eq!(p.async_deadlines(0).0, boot_cycles + cycles);
+        let (reason, guest_cycles) = to_exit_both_ways(&p);
+        assert_eq!(reason, ExitReason::ApicInterrupt(0));
+        assert_eq!(
+            guest_cycles,
+            cycles + p.machine.config.cycle_model.vm_exit,
+            "k = {k}"
+        );
+        // Due one cycle later: one more instruction runs.
+        to_exit_both_ways(&booted_with_tick(cycles + 1));
+    }
+}
+
+#[test]
+fn deadline_already_passed_runs_no_guest_instruction() {
+    let mut p = booted_with_tick(1000);
+    let insns = p.machine.cpu(0).insns_retired;
+    // The tick fell due while the CPU was elsewhere.
+    p.machine.cpu_mut(0).cycles = p.async_deadlines(0).0 + 17;
+    let mut ran = p.clone();
+    assert_eq!(to_exit_both_ways(&p).0, ExitReason::ApicInterrupt(0));
+    ran.run_to_exit(0);
+    assert_eq!(ran.machine.cpu(0).insns_retired, insns);
+    // On the deadline to the cycle is passed too.
+    p.machine.cpu_mut(0).cycles = p.async_deadlines(0).0;
+    to_exit_both_ways(&p);
+}
+
+#[test]
+fn exhausted_guest_budget_is_a_forced_tick() {
+    for budget in [0, 1, 5, 11] {
+        let mut p = booted_with_tick(1 << 40);
+        p.guest_step_budget = budget;
+        let insns = p.machine.cpu(0).insns_retired;
+        assert_eq!(to_exit_both_ways(&p).0, ExitReason::ApicInterrupt(0));
+        p.run_to_exit(0);
+        assert_eq!(p.machine.cpu(0).insns_retired, insns + budget);
+    }
 }
