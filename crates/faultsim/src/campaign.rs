@@ -8,29 +8,35 @@
 //! injection points are chosen randomly while applications run; one fault
 //! per run.
 //!
-//! # Engine: checkpoint forking
+//! # Engine: one walk, stepped
 //!
-//! The engine runs the golden (fault-free) execution exactly **once** per
-//! campaign ([`golden_trace`]): it walks the trace, records a scalar
-//! [`PointMeta`] per injection point, and checkpoints the platform every
-//! [`CampaignConfig::checkpoint_interval`] points (delta-compressed, see
-//! [`crate::checkpoint`]). Injections are then grouped into
-//! checkpoint-aligned **chunks**: a chunk restores its checkpoint, replays
-//! the short walk to each of its points, and performs that point's
-//! injections — never touching boot, warmup, or any earlier segment of the
-//! trace. The naive alternative, replaying the golden execution from boot
-//! for every injection ([`run_campaign_from_boot`]), is kept as the
+//! The golden (fault-free) execution is simulated exactly **once** per
+//! campaign, and the thread that walks it does nothing else.
+//! [`golden_trace`] walks on the calling thread — stride, `run_to_exit`,
+//! the VM-exit state pushed onto a delta chain with a copy-on-write
+//! keyframe every [`CampaignConfig::checkpoint_interval`] iterations (see
+//! [`crate::checkpoint`]), live handler — and hands each exit's
+//! [`prepare_point`] (golden handler and post window, which nothing
+//! further down the walk waits for) to the workers beside it; the scalar
+//! [`PointMeta`]s come back in walk order. Injections are then grouped
+//! into keyframe-aligned **chunks**: a chunk restores its keyframe, steps
+//! the chain from recorded VM exit to recorded VM exit, and performs each
+//! point's injections — never simulating boot, warmup, or any part of the
+//! walk again. The naive alternative, replaying the golden execution from
+//! boot for every injection ([`run_campaign_from_boot`]), is kept as the
 //! equivalence oracle and benchmark baseline.
 //!
 //! # Determinism and resumption
 //!
-//! Injection specs are a pure function of `(seed, point ordinal)` and
-//! chunks are self-contained, so [`CampaignResult`] is **bit-identical for
-//! any `threads` value** — workers claim whole chunks from a shared queue
-//! and results are assembled in chunk order. [`run_campaign_resumable`]
-//! additionally journals each completed chunk (atomic temp + rename); an
-//! interrupted campaign resumes from the journal and recomputes only the
-//! missing chunks, yielding the same bytes as an uninterrupted run.
+//! The golden pass assembles its workers' results in walk order, injection
+//! specs are a pure function of `(seed, point ordinal)` and chunks are
+//! self-contained, so [`GoldenTrace`] and [`CampaignResult`] are
+//! **bit-identical for any `threads` value** — fork workers claim whole
+//! chunks from a shared queue and results are assembled in chunk order.
+//! [`run_campaign_resumable`] additionally journals each completed chunk
+//! (atomic temp + rename); an interrupted campaign resumes from the
+//! journal and recomputes only the missing chunks, yielding the same bytes
+//! as an uninterrupted run.
 
 use crate::checkpoint::{CheckpointStats, CheckpointStore};
 use crate::injection::{
@@ -53,6 +59,7 @@ use sim_machine::{fold64, VirtMode};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Mutex;
 use xen_like::{DomainSpec, IrqProfile, Platform, Topology};
 use xentry::{FeatureVec, VmTransitionDetector, Xentry, FEATURE_NAMES};
@@ -76,11 +83,15 @@ pub struct CampaignConfig {
     /// behaviour — the thing under test — is unchanged).
     pub kernel_scale: u64,
     pub seed: u64,
-    /// Worker threads. Affects wall-clock only: the result is bit-identical
-    /// for any value (the determinism regression test pins this).
+    /// Worker threads: in the golden pass they run `prepare_point` beside
+    /// the calling thread, which walks (`threads + 1` runnable threads); in
+    /// the fork phase they run the chunks while the caller waits. Affects
+    /// wall-clock only: trace and result are bit-identical for any value
+    /// (the determinism regression tests pin this).
     pub threads: usize,
-    /// Golden points per checkpoint (and per work chunk). Smaller intervals
-    /// cost checkpoint memory; larger intervals cost replay time per chunk.
+    /// Walk iterations per keyframe of the golden chain, and golden points
+    /// per work chunk. Smaller intervals cost keyframe memory; larger ones
+    /// cost delta steps per restore and coarser work units.
     pub checkpoint_interval: usize,
 }
 
@@ -219,9 +230,9 @@ fn specs_at(cfg: &CampaignConfig, ordinal: usize, golden_len: u64) -> Vec<Inject
 }
 
 /// One golden execution, walked once and frozen: the per-point scalar
-/// metadata, the delta-compressed checkpoint chain the injection phase
-/// forks from, and the fault-free feature trace (a ready source of
-/// `Correct` training samples).
+/// metadata, the chain of VM-exit states the injection phase steps along
+/// (keyframes and deltas, never a snapshot per point), and the fault-free
+/// feature trace (a ready source of `Correct` training samples).
 pub struct GoldenTrace {
     /// Scalar description of every golden injection point, in walk order.
     pub points: Vec<PointMeta>,
@@ -235,7 +246,7 @@ pub struct GoldenTrace {
 }
 
 impl GoldenTrace {
-    /// Checkpoint-chain sizing diagnostics.
+    /// Sizing diagnostics of the per-exit chain.
     pub fn checkpoint_stats(&self) -> CheckpointStats {
         self.store.stats()
     }
@@ -275,15 +286,103 @@ impl GoldenTrace {
 /// structures right after boot distort the feature distribution).
 const COLD_SKIP: usize = 20;
 
-/// Phase 1: run the golden execution once, checkpointing every
-/// [`CampaignConfig::checkpoint_interval`] points and recording the scalar
-/// metadata each injection will need. Serial — it advances one platform —
-/// but executed once per campaign, not once per worker or per injection.
+/// Jobs the producer may have handed off and not yet seen claimed: two per
+/// worker, so a worker that finishes early finds its next job waiting.
+fn handoff_depth(threads: usize) -> usize {
+    2 * threads
+}
+
+/// Run `produce` on the calling thread and every job it submits on one of
+/// `threads` workers, returning the results in submission order. The
+/// hand-off is bounded and nobody waits on it: a submit that finds
+/// [`handoff_depth`] jobs queued runs its job on the calling thread, and
+/// once `produce` returns the caller helps drain the queue — so at most
+/// `handoff_depth + threads + 1` jobs are alive at any time, and the
+/// producer is never parked behind a barrier. A job that panics on a
+/// worker resurfaces as a panic of the caller after the queue has drained.
+fn overlap<J: Send, R: Send>(
+    threads: usize,
+    produce: impl FnOnce(&mut dyn FnMut(J)),
+    work: impl Fn(J) -> R + Sync,
+) -> Vec<R> {
+    let threads = threads.max(1);
+    let (tx, rx) = sync_channel::<(usize, J)>(handoff_depth(threads));
+    let rx = Mutex::new(rx);
+    // Run queued jobs until the queue is closed (`wait`) or merely empty.
+    // The lock is held while claiming a job, never while running one.
+    let run_queued = |wait: bool| {
+        let mut done = Vec::new();
+        loop {
+            let rx = rx.lock().expect("no job runs under the hand-off lock");
+            let claimed = if wait {
+                rx.recv().ok()
+            } else {
+                rx.try_recv().ok()
+            };
+            drop(rx);
+            let Some((i, job)) = claimed else { return done };
+            done.push((i, work(job)));
+        }
+    };
+    let mut done = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(|| run_queued(true))).collect();
+        let mut done = Vec::new();
+        let mut submitted = 0usize;
+        produce(&mut |job| {
+            if let Err(TrySendError::Full((i, job)) | TrySendError::Disconnected((i, job))) =
+                tx.try_send((submitted, job))
+            {
+                done.push((i, work(job)));
+            }
+            submitted += 1;
+        });
+        drop(tx);
+        done.extend(run_queued(false));
+        for w in workers {
+            done.extend(
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Fold one round of walk-order `prepare_point` results into the trace: a
+/// valid iteration becomes the next point and records how many invalid
+/// ones the walk skipped right before it; an invalid one has a chain entry
+/// but no point.
+fn assemble(points: &mut Vec<PointMeta>, skipped: &mut usize, results: Vec<Option<PointMeta>>) {
+    for meta in results {
+        match meta {
+            Some(meta) => points.push(PointMeta {
+                ordinal: points.len(),
+                skipped_before: std::mem::take(skipped),
+                ..meta
+            }),
+            None => *skipped += 1,
+        }
+    }
+}
+
+/// Chain entry the walk stood at before the iteration(s) leading to point
+/// `i`: entry 0 is the warmed-up platform and every walk iteration, valid
+/// or skipped, appends its VM exit.
+fn entry_before(points: &[PointMeta], i: usize) -> usize {
+    i + points[..i].iter().map(|m| m.skipped_before).sum::<usize>()
+}
+
+/// Phase 1: walk the golden execution once. The calling thread only walks
+/// — stride, `run_to_exit`, push the VM-exit state onto the chain, hand a
+/// copy-on-write snapshot to a worker, live handler — while
+/// [`CampaignConfig::threads`] workers run each exit's [`prepare_point`]
+/// (golden handler and post window) beside it. Results are assembled in
+/// walk order, so the trace is the same for every thread count.
 pub fn golden_trace(cfg: &CampaignConfig, detector: Option<&VmTransitionDetector>) -> GoldenTrace {
     let nr_points = cfg.nr_points();
-    let ci = cfg.checkpoint_interval.max(1);
-    let cpu = 1; // DomU 1's CPU
-    let dom = 1;
+    let (cpu, dom) = (1, 1); // DomU 1 and the CPU it is pinned to
     let mut plat = campaign_platform(cfg, cfg.seed);
     let mut collector = Xentry::collector();
     plat.boot(cpu, &mut collector);
@@ -291,32 +390,37 @@ pub fn golden_trace(cfg: &CampaignConfig, detector: Option<&VmTransitionDetector
         let act = plat.run_activation(cpu, &mut collector);
         assert!(act.outcome.is_healthy(), "warmup died: {:?}", act.outcome);
     }
-    let mut store = CheckpointStore::new(plat.snapshot());
+    let mut store = CheckpointStore::with_interval(plat.snapshot(), cfg.checkpoint_interval);
     let mut points: Vec<PointMeta> = Vec::with_capacity(nr_points);
     let mut skipped = 0usize;
+    // A round walks one iteration per point still missing. There is a
+    // second round only if some golden run did not complete healthily
+    // (cannot happen in practice; defensive); it walks on from where the
+    // first stopped, so the walk ends where a serial one would.
     while points.len() < nr_points {
-        let ordinal = points.len();
-        // Segment boundary: checkpoint the state from which the chunk
-        // holding points [ordinal, ordinal + ci) will be replayed. Guarded
-        // by the chain length so an invalid walk iteration at the boundary
-        // does not push twice.
-        if ordinal > 0 && ordinal.is_multiple_of(ci) && store.len() == ordinal / ci {
-            store.push(&plat);
-        }
-        for _ in 0..cfg.stride {
-            let act = plat.run_activation(cpu, &mut collector);
-            assert!(act.outcome.is_healthy(), "trace died: {:?}", act.outcome);
-        }
-        let (reason, _gc) = plat.run_to_exit(cpu);
-        match prepare_point(plat.clone(), cpu, dom, reason, cfg.post_window, detector) {
-            Some(p) => points.push(p.meta(ordinal, std::mem::take(&mut skipped))),
-            // Defensive: the golden run of this point did not complete
-            // healthily (cannot happen in practice). The walk skips it; the
-            // skip count makes replays traverse it identically.
-            None => skipped += 1,
-        }
-        // Resume the live (fault-free) platform past this activation.
-        plat.run_handler(cpu, reason, 0, &mut collector);
+        let missing = nr_points - points.len();
+        let results = overlap(
+            cfg.threads.min(missing),
+            |submit| {
+                for _ in 0..missing {
+                    for _ in 0..cfg.stride {
+                        let act = plat.run_activation(cpu, &mut collector);
+                        assert!(act.outcome.is_healthy(), "trace died: {:?}", act.outcome);
+                    }
+                    let (reason, _gc) = plat.run_to_exit(cpu);
+                    store.push(&plat);
+                    submit((plat.snapshot(), reason));
+                    // Resume the live (fault-free) platform past this activation.
+                    plat.run_handler(cpu, reason, 0, &mut collector);
+                }
+            },
+            // Only the scalars leave the worker: the snapshots die with the job.
+            |(at_exit, reason)| {
+                prepare_point(at_exit, cpu, dom, reason, cfg.post_window, detector)
+                    .map(|p| p.meta(0, 0))
+            },
+        );
+        assemble(&mut points, &mut skipped, results);
     }
     let correct_features = collector.trace.iter().skip(COLD_SKIP).copied().collect();
     GoldenTrace {
@@ -329,10 +433,12 @@ pub fn golden_trace(cfg: &CampaignConfig, detector: Option<&VmTransitionDetector
     }
 }
 
-/// Phase 2, one chunk: restore the chunk's checkpoint, replay the short
-/// walk to each point in the segment, rebuild the point via
+/// Phase 2, one chunk: restore the chain entry the walk stood at before
+/// the chunk's first point (a keyframe, unless iterations were skipped),
+/// step the chain from VM exit to VM exit, rebuild each point via
 /// [`prepare_point_forked`], and let `per_point` produce whatever the
-/// caller aggregates (single-bit records, multi-bit pairs, ...).
+/// caller aggregates (single-bit records, multi-bit pairs, ...). Nothing
+/// of the walk is simulated again.
 fn replay_chunk<R>(
     cfg: &CampaignConfig,
     trace: &GoldenTrace,
@@ -343,44 +449,25 @@ fn replay_chunk<R>(
     let ci = cfg.checkpoint_interval.max(1);
     let lo = chunk * ci;
     let hi = ((chunk + 1) * ci).min(trace.points.len());
-    let (cpu, dom) = (trace.cpu, trace.dom);
-    let mut plat = trace.store.restore(chunk);
-    let mut collector = Xentry::collector();
+    let mut entry = entry_before(&trace.points, lo);
+    let mut plat = trace.store.restore(entry);
     let mut out = Vec::new();
     for meta in &trace.points[lo..hi] {
-        // Invalid walk iterations the golden pass skipped before this
-        // point: replay them verbatim (stride, exit, handler — no golden
-        // run) so the platform evolves exactly as it did in phase 1.
-        for _ in 0..meta.skipped_before {
-            for _ in 0..cfg.stride {
-                let act = plat.run_activation(cpu, &mut collector);
-                assert!(
-                    act.outcome.is_healthy(),
-                    "fork walk died: {:?}",
-                    act.outcome
-                );
-            }
-            let (reason, _gc) = plat.run_to_exit(cpu);
-            plat.run_handler(cpu, reason, 0, &mut collector);
+        // Over the exits of the iterations the golden pass skipped, onto
+        // this point's own.
+        for _ in 0..=meta.skipped_before {
+            entry += 1;
+            trace.store.advance(&mut plat, entry);
         }
-        // The recorded point's own walk iteration.
-        for _ in 0..cfg.stride {
-            let act = plat.run_activation(cpu, &mut collector);
-            assert!(
-                act.outcome.is_healthy(),
-                "fork walk died: {:?}",
-                act.outcome
-            );
-        }
-        let (reason, _gc) = plat.run_to_exit(cpu);
-        assert_eq!(
-            reason, meta.reason,
-            "fork walk diverged from the golden pass at point {}",
-            meta.ordinal
+        let point = prepare_point_forked(
+            plat.clone(),
+            trace.cpu,
+            trace.dom,
+            cfg.post_window,
+            meta,
+            detector,
         );
-        let point = prepare_point_forked(plat.clone(), cpu, dom, cfg.post_window, meta, detector);
         out.extend(per_point(&point, meta));
-        plat.run_handler(cpu, reason, 0, &mut collector);
     }
     out
 }
@@ -425,6 +512,15 @@ fn run_chunks<R: Send>(
     });
 }
 
+/// Every chunk of `cfg` on `cfg.threads` workers, records in chunk order.
+fn run_all_chunks<R: Send>(cfg: &CampaignConfig, run: &(dyn Fn(usize) -> Vec<R> + Sync)) -> Vec<R> {
+    let ids: Vec<usize> = (0..cfg.nr_chunks()).collect();
+    let collected = Mutex::new(BTreeMap::new());
+    run_chunks(cfg.threads, &ids, None, &collected, run, &|_| {});
+    let chunks = collected.into_inner().expect("chunk map lock");
+    chunks.into_values().flatten().collect()
+}
+
 /// Run a campaign against an already-walked golden trace. Deterministic:
 /// the records depend only on the configuration, never on `threads`.
 pub fn run_campaign_with(
@@ -432,27 +528,15 @@ pub fn run_campaign_with(
     trace: &GoldenTrace,
     detector: Option<&VmTransitionDetector>,
 ) -> CampaignResult {
-    let ids: Vec<usize> = (0..cfg.nr_chunks()).collect();
-    let collected = Mutex::new(BTreeMap::new());
-    run_chunks(
-        cfg.threads,
-        &ids,
-        None,
-        &collected,
-        &|chunk| {
-            replay_chunk(cfg, trace, chunk, detector, |point, meta| {
-                specs_at(cfg, meta.ordinal, point.golden_len)
-                    .into_iter()
-                    .map(|spec| inject(point, spec, detector))
-                    .collect()
-            })
-        },
-        &|_| {},
-    );
-    let chunks = collected.into_inner().expect("chunk map lock");
-    CampaignResult {
-        records: chunks.into_values().flatten().collect(),
-    }
+    let records = run_all_chunks(cfg, &|chunk| {
+        replay_chunk(cfg, trace, chunk, detector, |point, meta| {
+            specs_at(cfg, meta.ordinal, point.golden_len)
+                .into_iter()
+                .map(|spec| inject(point, spec, detector))
+                .collect()
+        })
+    });
+    CampaignResult { records }
 }
 
 /// Run a campaign, optionally with a deployed VM-transition detector:
@@ -505,9 +589,8 @@ pub fn run_campaign_resumable(
             records: journal.chunks.into_values().flatten().collect(),
         }));
     }
-    // The golden pass is recomputed on resume: it is deterministic, serial
-    // and a small fraction of campaign cost, and journaling it would mean
-    // persisting full platform snapshots.
+    // The golden pass is recomputed on resume: it is deterministic (for any
+    // thread count), and journaling it would mean persisting the chain.
     let trace = golden_trace(cfg, detector);
     let pending: Vec<usize> = (0..chunks_total)
         .filter(|c| !journal.chunks.contains_key(c))
@@ -763,20 +846,10 @@ pub fn run_recovery_campaign_with(
     detector: Option<&VmTransitionDetector>,
     tables: &[HmTable],
 ) -> RecoveryCampaignResult {
-    let ids: Vec<usize> = (0..cfg.nr_chunks()).collect();
-    let collected = Mutex::new(BTreeMap::new());
-    run_chunks(
-        cfg.threads,
-        &ids,
-        None,
-        &collected,
-        &|chunk| recovery_chunk(cfg, trace, chunk, detector, tables),
-        &|_| {},
-    );
-    let chunks = collected.into_inner().expect("chunk map lock");
-    RecoveryCampaignResult {
-        records: chunks.into_values().flatten().collect(),
-    }
+    let records = run_all_chunks(cfg, &|chunk| {
+        recovery_chunk(cfg, trace, chunk, detector, tables)
+    });
+    RecoveryCampaignResult { records }
 }
 
 /// Run a recovery campaign: golden pass once, then checkpoint-forked
@@ -947,49 +1020,39 @@ pub fn multibit_study(
     study_cfg.seed = seed;
     let trace = golden_trace(&study_cfg, detector);
     let targets = FlipTarget::all();
-    let ids: Vec<usize> = (0..study_cfg.nr_chunks()).collect();
-    let collected = Mutex::new(BTreeMap::new());
-    run_chunks(
-        study_cfg.threads,
-        &ids,
-        None,
-        &collected,
-        &|chunk| {
-            replay_chunk(&study_cfg, &trace, chunk, detector, |point, meta| {
-                let per = study_cfg.per_point.max(1);
-                let n = study_cfg
-                    .injections
-                    .saturating_sub(meta.ordinal * per)
-                    .min(per);
-                let mut rng = ChaCha8Rng::seed_from_u64(fold64(
-                    study_cfg.seed,
-                    0x4d42_4954 ^ meta.ordinal as u64,
-                ));
-                (0..n)
-                    .map(|_| {
-                        let at_step = rng.gen_range(0..point.golden_len.max(1));
-                        let flips: Vec<(FlipTarget, u8)> = (0..bits_per_fault)
-                            .map(|_| {
-                                (
-                                    targets[rng.gen_range(0..targets.len())],
-                                    rng.gen_range(0..64),
-                                )
-                            })
-                            .collect();
-                        (
-                            inject_with_flips(point, &flips[..1], at_step, detector),
-                            inject_with_flips(point, &flips, at_step, detector),
-                        )
-                    })
-                    .collect()
-            })
-        },
-        &|_| {},
-    );
-    let chunks = collected.into_inner().expect("chunk map lock");
+    let pairs = run_all_chunks(&study_cfg, &|chunk| {
+        replay_chunk(&study_cfg, &trace, chunk, detector, |point, meta| {
+            let per = study_cfg.per_point.max(1);
+            let n = study_cfg
+                .injections
+                .saturating_sub(meta.ordinal * per)
+                .min(per);
+            let mut rng = ChaCha8Rng::seed_from_u64(fold64(
+                study_cfg.seed,
+                0x4d42_4954 ^ meta.ordinal as u64,
+            ));
+            (0..n)
+                .map(|_| {
+                    let at_step = rng.gen_range(0..point.golden_len.max(1));
+                    let flips: Vec<(FlipTarget, u8)> = (0..bits_per_fault)
+                        .map(|_| {
+                            (
+                                targets[rng.gen_range(0..targets.len())],
+                                rng.gen_range(0..64),
+                            )
+                        })
+                        .collect();
+                    (
+                        inject_with_flips(point, &flips[..1], at_step, detector),
+                        inject_with_flips(point, &flips, at_step, detector),
+                    )
+                })
+                .collect()
+        })
+    });
     let mut single = CampaignResult::default();
     let mut multi = CampaignResult::default();
-    for (s, m) in chunks.into_values().flatten() {
+    for (s, m) in pairs {
         single.records.push(s);
         multi.records.push(m);
     }
@@ -1139,39 +1202,27 @@ pub fn run_model_campaign_with(
     trace: &GoldenTrace,
     detector: Option<&VmTransitionDetector>,
 ) -> ModelCampaignResult {
-    let ids: Vec<usize> = (0..cfg.nr_chunks()).collect();
-    let collected = Mutex::new(BTreeMap::new());
-    run_chunks(
-        cfg.threads,
-        &ids,
-        None,
-        &collected,
-        &|chunk| {
-            replay_chunk(cfg, trace, chunk, detector, |point, meta| {
-                model_specs_at(cfg, meta.ordinal, point.golden_len, point.reason.vmer())
-                    .into_iter()
-                    .map(|spec| {
-                        let (outcome, features) = inject_spec(point, &spec, detector);
-                        ModelRecord {
-                            ordinal: meta.ordinal,
-                            vmer: point.reason.vmer(),
-                            class: spec.class().to_string(),
-                            target: spec.target_label(),
-                            bit: spec.bit(),
-                            at_step: spec.at_step(),
-                            outcome,
-                            features,
-                        }
-                    })
-                    .collect()
-            })
-        },
-        &|_| {},
-    );
-    let chunks = collected.into_inner().expect("chunk map lock");
-    ModelCampaignResult {
-        records: chunks.into_values().flatten().collect(),
-    }
+    let records = run_all_chunks(cfg, &|chunk| {
+        replay_chunk(cfg, trace, chunk, detector, |point, meta| {
+            model_specs_at(cfg, meta.ordinal, point.golden_len, point.reason.vmer())
+                .into_iter()
+                .map(|spec| {
+                    let (outcome, features) = inject_spec(point, &spec, detector);
+                    ModelRecord {
+                        ordinal: meta.ordinal,
+                        vmer: point.reason.vmer(),
+                        class: spec.class().to_string(),
+                        target: spec.target_label(),
+                        bit: spec.bit(),
+                        at_step: spec.at_step(),
+                        outcome,
+                        features,
+                    }
+                })
+                .collect()
+        })
+    });
+    ModelCampaignResult { records }
 }
 
 /// Run an extended-model campaign: golden pass once, then
@@ -1261,6 +1312,178 @@ mod tests {
         c.warmup = 30;
         c.post_window = 4;
         c
+    }
+
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    /// A gate workers are held at until the producer has submitted
+    /// everything (dropping the sender opens it), so the hand-off is
+    /// exercised at its bound: every worker holds one job, the queue is
+    /// full, and the caller runs the rest itself.
+    fn gate() -> (Sender<()>, Mutex<Receiver<()>>) {
+        let (open, opened) = channel();
+        (open, Mutex::new(opened))
+    }
+
+    fn wait_at(gate: &Mutex<Receiver<()>>) {
+        let _ = gate.lock().unwrap().recv();
+    }
+
+    #[test]
+    fn overlap_keeps_order_and_its_bound_when_the_queue_overflows() {
+        use std::sync::atomic::AtomicUsize;
+        /// A job that counts how many of its kind are alive.
+        struct Job<'a>(usize, &'a AtomicUsize);
+        impl Drop for Job<'_> {
+            fn drop(&mut self) {
+                self.1.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        for threads in [1, 2, 7] {
+            let depth = handoff_depth(threads);
+            let jobs = 5 * depth + 3;
+            let (alive, peak, on_caller) = (
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+            );
+            let caller = std::thread::current().id();
+            let (open, opened) = gate();
+            let got = overlap(
+                threads,
+                |submit| {
+                    for i in 0..jobs {
+                        peak.fetch_max(alive.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                        submit(Job(i, &alive));
+                    }
+                    drop(open);
+                },
+                |job: Job| {
+                    if std::thread::current().id() == caller {
+                        on_caller.fetch_add(1, Ordering::SeqCst);
+                    } else {
+                        wait_at(&opened);
+                    }
+                    job.0 * 10
+                },
+            );
+            let want: Vec<usize> = (0..jobs).map(|i| i * 10).collect();
+            assert_eq!(got, want, "threads={threads}");
+            assert_eq!(
+                alive.load(Ordering::SeqCst),
+                0,
+                "a job outlived the hand-off"
+            );
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= depth + threads + 1,
+                "threads={threads}: {peak} jobs alive, bound {depth} + {threads} + 1"
+            );
+            // Workers were held at the gate, so everything past the queue
+            // and the workers' hands ran on the caller.
+            assert!(
+                on_caller.load(Ordering::SeqCst) >= jobs - depth - threads,
+                "threads={threads}: caller ran {on_caller:?} of {jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn overlap_of_no_jobs_returns_nothing() {
+        let got = overlap(3, |_submit| {}, |j: usize| j);
+        assert!(got.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "job 0 failed its assert")]
+    fn overlap_resurfaces_a_worker_panic_instead_of_hanging() {
+        let caller = std::thread::current().id();
+        let (open, opened) = gate();
+        let (claimed, was_claimed) = channel();
+        // The one worker claims job 0 and is held until every job is
+        // submitted; it panics while the caller drains the queue.
+        overlap(
+            1,
+            |submit| {
+                submit(0usize);
+                was_claimed
+                    .recv()
+                    .expect("the worker claims the queued job");
+                (1..20).for_each(submit);
+                drop(open);
+            },
+            |job| {
+                if std::thread::current().id() != caller {
+                    claimed.send(()).unwrap();
+                    wait_at(&opened);
+                    panic!("job {job} failed its assert");
+                }
+                job
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the walk died")]
+    fn overlap_lets_waiting_workers_go_when_the_producer_panics() {
+        overlap(
+            2,
+            |submit| {
+                submit(1usize);
+                panic!("the walk died");
+            },
+            |job| job,
+        );
+    }
+
+    fn synthetic(valid: bool) -> Option<PointMeta> {
+        valid.then_some(PointMeta {
+            ordinal: 0,
+            reason: sim_machine::ExitReason::Hypercall(0),
+            skipped_before: 0,
+            golden_len: 1,
+            golden_features: FeatureVec {
+                vmer: 0,
+                rt: 1,
+                br: 0,
+                rm: 0,
+                wm: 0,
+            },
+            golden_post_bursts: 0,
+            golden_post_result: 0,
+            golden_post_traps: 0,
+        })
+    }
+
+    #[test]
+    fn assembly_numbers_points_and_counts_skips() {
+        // Walk iterations 0..12 in two rounds; invalid in the middle (3),
+        // twice in a row at a keyframe boundary of interval 4 (7, 8: chain
+        // entries 8 and 9), and first of the second round (10).
+        let invalid = [3, 7, 8, 10];
+        let walk: Vec<_> = (0..12).map(|i| synthetic(!invalid.contains(&i))).collect();
+        let (mut points, mut skipped) = (Vec::new(), 0);
+        assemble(&mut points, &mut skipped, walk[..10].to_vec());
+        assert_eq!((points.len(), skipped), (7, 0));
+        assemble(&mut points, &mut skipped, walk[10..].to_vec());
+        assert_eq!((points.len(), skipped), (8, 0));
+        let ordinals: Vec<_> = points.iter().map(|m| m.ordinal).collect();
+        assert_eq!(ordinals, (0..8).collect::<Vec<_>>());
+        let skips: Vec<_> = points.iter().map(|m| m.skipped_before).collect();
+        assert_eq!(skips, [0, 0, 0, 1, 0, 0, 2, 1]);
+        // Iteration i's VM exit is chain entry i + 1: each point's entry is
+        // where `replay_chunk` arrives from `entry_before` it.
+        let valid: Vec<_> = (0..12).filter(|i| !invalid.contains(i)).collect();
+        for (i, meta) in points.iter().enumerate() {
+            assert_eq!(
+                entry_before(&points, i) + meta.skipped_before + 1,
+                valid[i] + 1,
+                "point {i}"
+            );
+        }
+        // A trailing invalid iteration is carried into the next round.
+        assemble(&mut points, &mut skipped, vec![synthetic(false)]);
+        assert_eq!((points.len(), skipped), (8, 1));
     }
 
     #[test]

@@ -1,21 +1,26 @@
-//! Delta-compressed checkpoint chains over the golden execution.
+//! The golden execution as one delta chain with copy-on-write keyframes.
 //!
-//! The campaign engine runs the golden (fault-free) execution once and
-//! checkpoints the platform at segment boundaries; every injection then
-//! forks from the nearest checkpoint at or before its injection point
-//! instead of replaying from boot (the DETOx/ReHype idea applied to our
-//! simulator). Consecutive checkpoints share almost the entire memory
-//! image, so checkpoint `k` is stored as a sparse [`xen_like::PlatformDelta`]
-//! against checkpoint `k-1`; only checkpoint 0 is a full snapshot.
+//! The campaign's golden pass walks the fault-free execution once and
+//! pushes the platform **at every walk iteration's VM exit** (entry 0 is
+//! the platform after warm-up). Consecutive exits differ by a few dozen
+//! words on a handful of pages, so entry `k` is stored as a sparse
+//! [`xen_like::PlatformDelta`] against entry `k - 1`; every
+//! `interval`-th entry is also kept whole as a keyframe — a
+//! copy-on-write clone that owns only the pages written since the
+//! previous one. The fork phase never re-simulates the walk: a chunk
+//! [`restore`](CheckpointStore::restore)s the entry its first point's
+//! iteration started from (a keyframe; at most `interval - 1` deltas past
+//! one if the walk skipped iterations) and then
+//! [`advance`](CheckpointStore::advance)s from exit to exit.
 
 use serde::{Deserialize, Serialize};
 use xen_like::{Platform, PlatformDelta};
 
 /// Sizing diagnostics for a checkpoint chain, reported by the campaign
 /// benchmark so the compression claim is measured, not assumed.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointStats {
-    /// Checkpoints in the chain (including the full base).
+    /// Entries in the chain (including entry 0).
     pub checkpoints: usize,
     /// Words in one full memory image.
     pub full_mem_words: usize,
@@ -36,38 +41,50 @@ impl CheckpointStats {
     }
 }
 
-/// A chain of platform checkpoints along one golden execution.
+/// A chain of platform states along one golden execution.
 ///
-/// Checkpoint 0 is a full snapshot; checkpoint `k > 0` is a delta against
-/// checkpoint `k-1`. [`CheckpointStore::restore`] rebuilds any checkpoint
-/// by cloning the base and replaying the delta prefix — O(changed words),
-/// not O(memory image), per step.
+/// Entry `k > 0` is a delta against entry `k - 1`; entries `0, interval,
+/// 2 * interval, ...` are also held whole. [`CheckpointStore::restore`]
+/// rebuilds any entry by cloning the keyframe at or before it and applying
+/// the deltas in between — O(changed words), not O(memory image), per step.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
-    base: Platform,
+    /// Entry `i * interval`, whole.
+    keyframes: Vec<Platform>,
+    /// `deltas[k - 1]` takes entry `k - 1` to entry `k`.
     deltas: Vec<PlatformDelta>,
-    /// Full copy of the newest checkpoint, kept so the next push can be
+    interval: usize,
+    /// Full copy of the newest entry, kept so the next push can be
     /// delta-compressed without re-materializing the chain.
     tip: Platform,
 }
 
 impl CheckpointStore {
-    /// Start a chain at `base` (checkpoint 0).
+    /// Start a chain at `base` (entry 0) whose only keyframe is the base.
     pub fn new(base: Platform) -> CheckpointStore {
+        CheckpointStore::with_interval(base, usize::MAX)
+    }
+
+    /// Start a chain at `base` that keeps every `interval`-th entry whole.
+    pub fn with_interval(base: Platform, interval: usize) -> CheckpointStore {
         CheckpointStore {
-            tip: base.clone(),
-            base,
+            keyframes: vec![base.clone()],
             deltas: Vec::new(),
+            interval: interval.max(1),
+            tip: base,
         }
     }
 
-    /// Append the next checkpoint, delta-compressed against the previous.
+    /// Append the next entry, delta-compressed against the previous.
     pub fn push(&mut self, snap: &Platform) {
         self.deltas.push(snap.delta_against(&self.tip));
+        if self.deltas.len().is_multiple_of(self.interval) {
+            self.keyframes.push(snap.clone());
+        }
         self.tip = snap.clone();
     }
 
-    /// Number of checkpoints in the chain.
+    /// Number of entries in the chain.
     pub fn len(&self) -> usize {
         self.deltas.len() + 1
     }
@@ -77,25 +94,27 @@ impl CheckpointStore {
         self.deltas.is_empty()
     }
 
-    /// Materialize checkpoint `k` (0-based).
+    /// Materialize entry `k` (0-based) from the nearest keyframe.
     pub fn restore(&self, k: usize) -> Platform {
-        assert!(
-            k < self.len(),
-            "checkpoint {k} beyond chain of {}",
-            self.len()
-        );
-        let mut p = self.base.clone();
-        for d in &self.deltas[..k] {
+        assert!(k < self.len(), "entry {k} beyond chain of {}", self.len());
+        let key = k / self.interval;
+        let mut p = self.keyframes[key].clone();
+        for d in &self.deltas[key * self.interval..k] {
             p.apply_delta(d);
         }
         p
+    }
+
+    /// Step `plat`, which must hold entry `k - 1`, to entry `k`.
+    pub fn advance(&self, plat: &mut Platform, k: usize) {
+        plat.apply_delta(&self.deltas[k - 1]);
     }
 
     /// Sizing diagnostics.
     pub fn stats(&self) -> CheckpointStats {
         CheckpointStats {
             checkpoints: self.len(),
-            full_mem_words: self.base.machine.mem.len_words(),
+            full_mem_words: self.tip.machine.mem.len_words(),
             delta_mem_words: self.deltas.iter().map(|d| d.mem_words()).sum(),
         }
     }

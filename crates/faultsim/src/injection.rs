@@ -94,9 +94,8 @@ pub struct PointMeta {
     /// Valid-point ordinal along the golden walk (keys the spec schedule).
     pub ordinal: usize,
     pub reason: ExitReason,
-    /// Invalid walk iterations skipped immediately before this point; the
-    /// fork replays them so the platform evolution matches the golden pass
-    /// step for step.
+    /// Invalid walk iterations skipped immediately before this point; each
+    /// has an entry on the golden chain, which the fork steps over.
     pub skipped_before: usize,
     pub golden_len: u64,
     pub golden_features: FeatureVec,

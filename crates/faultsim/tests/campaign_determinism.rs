@@ -158,3 +158,76 @@ fn interrupted_recovery_campaign_resumes_to_the_identical_result() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Phase 1 runs on `threads` workers beside the walking caller: the trace it
+// freezes must not know how many there were
+// ---------------------------------------------------------------------------
+
+use faultsim::campaign::{golden_trace, run_campaign_with, run_model_campaign_with};
+use faultsim::run_recovery_campaign_with;
+
+#[test]
+fn golden_trace_is_the_same_walk_at_every_thread_count() {
+    let one = golden_trace(&cfg(1), None);
+    assert_eq!(one.points.len(), cfg(1).nr_points());
+    // More fault-free samples than the walk collected, so the top-up runs
+    // the final platform on past the walk's end.
+    let n = 4 * cfg(1).nr_points() * (cfg(1).stride + 1);
+    let samples = one.correct_samples(n).samples;
+    assert_eq!(samples.len(), n);
+    for threads in [2, 4, 7] {
+        let many = golden_trace(&cfg(threads), None);
+        assert_eq!(many.points, one.points, "threads={threads}");
+        assert_eq!(
+            many.checkpoint_stats(),
+            one.checkpoint_stats(),
+            "threads={threads}"
+        );
+        assert_eq!(
+            many.correct_samples(n).samples,
+            samples,
+            "threads={threads}"
+        );
+    }
+}
+
+#[test]
+fn a_trace_walked_at_one_thread_count_forks_identically_at_another() {
+    let tables = recovery_tables();
+    let results = |walk: usize, fork: usize| {
+        let trace = golden_trace(&cfg(walk), None);
+        let c = cfg(fork);
+        [
+            result_json(&run_campaign_with(&c, &trace, None)),
+            recovery_json(&run_recovery_campaign_with(&c, &trace, None, &tables)),
+            serde_json::to_string(&run_model_campaign_with(&c, &trace, None)).unwrap(),
+        ]
+    };
+    let baseline = results(1, 1);
+    assert_eq!(baseline[0], result_json(&run_campaign(&cfg(1), None)));
+    for (walk, fork) in [(1, 4), (4, 1), (7, 2)] {
+        assert_eq!(
+            results(walk, fork),
+            baseline,
+            "walked at {walk}, forked at {fork}"
+        );
+    }
+}
+
+#[test]
+fn resuming_at_another_thread_count_still_equals_the_straight_run() {
+    let dir = std::env::temp_dir().join("xentry_campaign_resume_threads");
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = dir.join("campaign.journal");
+    let fresh = result_json(&run_campaign(&cfg(1), None));
+    // One worker stops exactly after its first chunk; several could all
+    // finish one before any of them looks at the cap.
+    let first = run_campaign_resumable(&cfg(1), None, &journal, Some(1)).unwrap();
+    assert!(matches!(first, CampaignRun::Interrupted { .. }));
+    match run_campaign_resumable(&cfg(4), None, &journal, None).unwrap() {
+        CampaignRun::Complete(res) => assert_eq!(result_json(&res), fresh),
+        CampaignRun::Interrupted { .. } => panic!("resume did not complete"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

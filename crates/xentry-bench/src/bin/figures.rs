@@ -29,7 +29,8 @@
 //! ```
 //!
 //! Text renderings go to stdout; JSON artifacts to `--out` (default
-//! `results/`).
+//! `results/`), with the wall-clock of every experiment that ran — the
+//! `[figures] ... took` lines — in `figures_timing.json`.
 
 use guest_sim::Benchmark;
 use std::collections::HashSet;
@@ -105,6 +106,35 @@ fn guard_detector_batch(fresh: &InferenceReport) {
     );
 }
 
+/// Wall-clock of one experiment of this invocation.
+#[derive(serde::Serialize)]
+struct Took {
+    experiment: &'static str,
+    seconds: f64,
+}
+
+/// What this invocation spent where: the `[figures] ... took` lines,
+/// persisted as `figures_timing.json` so `--paper` wall-clock — the number
+/// a user waits on — has a row of its own.
+#[derive(serde::Serialize)]
+struct FiguresTiming {
+    scale: String,
+    nproc: usize,
+    total_seconds: f64,
+    experiments: Vec<Took>,
+}
+
+impl FiguresTiming {
+    fn took(&mut self, experiment: &'static str, since: std::time::Instant) {
+        let elapsed = since.elapsed();
+        eprintln!("[figures] {experiment} took {elapsed:?}\n");
+        self.experiments.push(Took {
+            experiment,
+            seconds: elapsed.as_secs_f64(),
+        });
+    }
+}
+
 fn main() {
     // Child hook for the distributed experiment: `run_distributed`
     // re-executes this binary with the wire-host sentinel as argv[1],
@@ -136,6 +166,13 @@ fn main() {
     let seed = 2014; // the paper's year, for reproducibility of artifacts
 
     println!("== Xentry evaluation harness (scale: {scale:?}) ==\n");
+    let started = std::time::Instant::now();
+    let mut timing = FiguresTiming {
+        scale: format!("{scale:?}"),
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        total_seconds: 0.0,
+        experiments: Vec::new(),
+    };
 
     if want("table1") {
         let t1 = table1_features();
@@ -147,7 +184,7 @@ fn main() {
         let t = std::time::Instant::now();
         let fig3 = fig3_activation_frequency(&scale, seed);
         println!("{}", fig3.render());
-        eprintln!("[figures] fig3 took {:?}\n", t.elapsed());
+        timing.took("fig3", t);
         write_json(&out, "fig3", &fig3);
     }
 
@@ -176,7 +213,7 @@ fn main() {
         let t = std::time::Instant::now();
         let (det, ml) = ml_accuracy(&train_set, &scale, seed);
         println!("{}", ml.render());
-        eprintln!("[figures] training took {:?}\n", t.elapsed());
+        timing.took("training", t);
         write_json(&out, "ml_accuracy", &ml);
         std::fs::create_dir_all(&out).expect("create output dir");
         std::fs::write(out.join("detector.json"), det.to_json()).expect("write detector");
@@ -189,7 +226,7 @@ fn main() {
         let t = std::time::Instant::now();
         let fig7 = fig7_overhead(&scale, seed);
         println!("{}", fig7.render());
-        eprintln!("[figures] fig7 took {:?}\n", t.elapsed());
+        timing.took("fig7", t);
         write_json(&out, "fig7", &fig7);
     }
 
@@ -201,7 +238,7 @@ fn main() {
         println!("{}", inj.render_fig9());
         println!("{}", inj.render_fig10());
         println!("{}", inj.render_table2());
-        eprintln!("[figures] injection campaigns took {:?}\n", t.elapsed());
+        timing.took("injection campaigns", t);
         write_json(&out, "injection", &inj);
     }
 
@@ -210,7 +247,7 @@ fn main() {
         let t = std::time::Instant::now();
         let fig11 = fig11_recovery_overhead(det, &scale, seed);
         println!("{}", fig11.render());
-        eprintln!("[figures] fig11 took {:?}\n", t.elapsed());
+        timing.took("fig11", t);
         write_json(&out, "fig11", &fig11);
     }
 
@@ -224,7 +261,7 @@ fn main() {
             seed,
         );
         println!("{}", rec.render());
-        eprintln!("[figures] recovery took {:?}\n", t.elapsed());
+        timing.took("recovery", t);
         write_json(&out, "ext_recovery", &rec);
         // Mirror at the repo root so the recovery receipts ride along in
         // version control next to BENCH_campaign.json / BENCH_inference.json.
@@ -247,7 +284,7 @@ fn main() {
             .collect();
         let vm = vulnmap_experiment(&workloads, det, &scale, seed);
         println!("{}", vm.render());
-        eprintln!("[figures] vulnmap took {:?}\n", t.elapsed());
+        timing.took("vulnmap", t);
         write_json(&out, "vulnmap", &vm);
         // Mirror at the repo root next to the other committed receipts.
         std::fs::write(
@@ -273,14 +310,14 @@ fn main() {
         let envelope = envelope_comparison(&[Benchmark::Freqmine], &scale, seed);
         println!("{}", envelope.render());
         write_json(&out, "ext_envelope", &envelope);
-        eprintln!("[figures] extensions took {:?}\n", t.elapsed());
+        timing.took("extensions", t);
     }
 
     if want("fleet") {
         let t = std::time::Instant::now();
         let fleet = fleet_experiment(detector.as_ref(), &scale, seed);
         println!("{}", fleet.render());
-        eprintln!("[figures] fleet took {:?}\n", t.elapsed());
+        timing.took("fleet", t);
         write_json(&out, "fleet", &fleet);
         // The raw service snapshot as its own artifact: the shape
         // operators scrape, with the model gauges and per-shard counters.
@@ -292,7 +329,7 @@ fn main() {
         let t = std::time::Instant::now();
         let oh = overhead_experiment(&scale, seed);
         println!("{}\n", oh.render());
-        eprintln!("[figures] overhead took {:?}\n", t.elapsed());
+        timing.took("overhead", t);
         write_json(&out, "overhead", &oh);
     }
 
@@ -300,7 +337,7 @@ fn main() {
         let t = std::time::Instant::now();
         let inf = inference_experiment(&scale, seed);
         println!("{}", inf.render());
-        eprintln!("[figures] inference took {:?}\n", t.elapsed());
+        timing.took("inference", t);
         write_json(&out, "inference", &inf);
         // The perf-regression gate reads the *committed* trajectory file
         // before the mirror below overwrites it. Parsed as a generic
@@ -321,7 +358,7 @@ fn main() {
         let t = std::time::Instant::now();
         let lay = layout_experiment(&scale, seed);
         println!("{}", lay.render());
-        eprintln!("[figures] layout took {:?}\n", t.elapsed());
+        timing.took("layout", t);
         write_json(&out, "layout", &lay);
     }
 
@@ -329,7 +366,7 @@ fn main() {
         let t = std::time::Instant::now();
         let camp = campaign_experiment(&scale, seed);
         println!("{}", camp.render());
-        eprintln!("[figures] campaign took {:?}\n", t.elapsed());
+        timing.took("campaign", t);
         write_json(&out, "campaign", &camp);
         // Mirror to the repo root: the committed perf-trajectory record.
         std::fs::write(
@@ -350,7 +387,7 @@ fn main() {
         cfg.out = out.clone();
         let report = xentry_wire::run_distributed(&cfg).expect("distributed fleet run");
         println!("{}", report.render());
-        eprintln!("[figures] distributed took {:?}\n", t.elapsed());
+        timing.took("distributed", t);
         write_json(&out, "distributed", &report);
         assert!(
             report.is_clean(),
@@ -362,9 +399,11 @@ fn main() {
         let t = std::time::Instant::now();
         let ab = ablations(&[Benchmark::Freqmine, Benchmark::Postmark], &scale, seed);
         println!("{}", ab.render());
-        eprintln!("[figures] ablations took {:?}\n", t.elapsed());
+        timing.took("ablations", t);
         write_json(&out, "ablation", &ab);
     }
 
+    timing.total_seconds = started.elapsed().as_secs_f64();
+    write_json(&out, "figures_timing", &timing);
     println!("done.");
 }
