@@ -8,6 +8,15 @@
 //! injection points are chosen randomly while applications run; one fault
 //! per run.
 //!
+//! # One engine, four experiments
+//!
+//! That loop — walk to a VM exit, draw a fault, inject, classify — is
+//! written once. An [`Experiment`] says what is drawn at a golden point and
+//! what is kept of each injection ([`RegFlips`], [`Recovery`], [`Models`],
+//! [`Multibit`]); four drivers generic over it say how the campaign is
+//! walked: [`run`], [`run_with`] (a trace already walked),
+//! [`run_resumable`] (journaled) and [`run_from_boot`] (the oracle).
+//!
 //! # Engine: one walk, stepped
 //!
 //! The golden (fault-free) execution is simulated exactly **once** per
@@ -23,20 +32,20 @@
 //! the chain from recorded VM exit to recorded VM exit, and performs each
 //! point's injections — never simulating boot, warmup, or any part of the
 //! walk again. The naive alternative, replaying the golden execution from
-//! boot for every injection ([`run_campaign_from_boot`]), is kept as the
+//! boot for every injection ([`run_from_boot`]), is kept as the
 //! equivalence oracle and benchmark baseline.
 //!
 //! # Determinism and resumption
 //!
 //! The golden pass assembles its workers' results in walk order, injection
-//! specs are a pure function of `(seed, point ordinal)` and chunks are
-//! self-contained, so [`GoldenTrace`] and [`CampaignResult`] are
-//! **bit-identical for any `threads` value** — fork workers claim whole
+//! specs are a pure function of `(seed, point ordinal, point)` and chunks
+//! are self-contained, so [`GoldenTrace`] and the records of every driver
+//! are **bit-identical for any `threads` value** — fork workers claim whole
 //! chunks from a shared queue and results are assembled in chunk order.
-//! [`run_campaign_resumable`] additionally journals each completed chunk
-//! (atomic temp + rename); an interrupted campaign resumes from the
-//! journal and recomputes only the missing chunks, yielding the same bytes
-//! as an uninterrupted run.
+//! [`run_resumable`] additionally journals each completed chunk (atomic
+//! temp + rename) under the experiment's [`Experiment::fingerprint`]; an
+//! interrupted campaign resumes from the journal and recomputes only the
+//! missing chunks, yielding the same bytes as an uninterrupted run.
 
 use crate::checkpoint::{CheckpointStats, CheckpointStore};
 use crate::injection::{
@@ -57,6 +66,7 @@ use rand_chacha::ChaCha8Rng;
 use sim_machine::cpu::FlipTarget;
 use sim_machine::{fold64, VirtMode};
 use std::collections::BTreeMap;
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
@@ -118,6 +128,13 @@ impl CampaignConfig {
     /// Golden injection points this campaign will visit.
     pub fn nr_points(&self) -> usize {
         self.injections.div_ceil(self.per_point.max(1))
+    }
+
+    /// Injections due at golden point `ordinal`: `per_point` of them, fewer
+    /// at the last point.
+    pub fn due_at(&self, ordinal: usize) -> usize {
+        let per = self.per_point.max(1);
+        self.injections.saturating_sub(ordinal * per).min(per)
     }
 
     /// Checkpoint-aligned work chunks this campaign divides into.
@@ -184,11 +201,6 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
-    /// Merge another result in.
-    pub fn extend(&mut self, other: CampaignResult) {
-        self.records.extend(other.records);
-    }
-
     /// Persist the raw records as JSON (the paper's stored injection
     /// traces; downstream analysis can re-aggregate without re-running).
     /// Written atomically so a crash never leaves a torn file.
@@ -207,26 +219,6 @@ impl CampaignResult {
         serde_json::from_str(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
-}
-
-fn random_spec(rng: &mut ChaCha8Rng, golden_len: u64) -> InjectionSpec {
-    let targets = FlipTarget::all();
-    InjectionSpec {
-        target: targets[rng.gen_range(0..targets.len())],
-        bit: rng.gen_range(0..64),
-        at_step: rng.gen_range(0..golden_len.max(1)),
-    }
-}
-
-/// The specs injected at golden point `ordinal` — a pure function of the
-/// campaign seed and the ordinal, independent of which worker reaches the
-/// point and of whether the walk forked from a checkpoint or ran from
-/// boot. This is the keystone of both determinism properties.
-fn specs_at(cfg: &CampaignConfig, ordinal: usize, golden_len: u64) -> Vec<InjectionSpec> {
-    let per = cfg.per_point.max(1);
-    let n = cfg.injections.saturating_sub(ordinal * per).min(per);
-    let mut rng = ChaCha8Rng::seed_from_u64(fold64(cfg.seed, 0x5350_4543 ^ ordinal as u64));
-    (0..n).map(|_| random_spec(&mut rng, golden_len)).collect()
 }
 
 /// One golden execution, walked once and frozen: the per-point scalar
@@ -472,6 +464,46 @@ fn replay_chunk<R>(
     out
 }
 
+// ---------------------------------------------------------------------------
+// The engine: one `Experiment` description, four drivers
+// ---------------------------------------------------------------------------
+
+/// What a campaign draws at each golden point and what it keeps of every
+/// injection. Everything else — golden pass, chunk queue, journal,
+/// from-boot oracle — is the four drivers below.
+pub trait Experiment: Sync {
+    /// One fault to inject.
+    type Spec;
+    /// What is kept of one injection; [`run_resumable`] journals it as JSON.
+    type Record: Send + serde::Serialize + serde::Deserialize;
+
+    /// Stable fingerprint of everything that shapes the records:
+    /// [`CampaignConfig::digest`], the experiment and its parameters. A
+    /// journal written under another fingerprint is ignored, not resumed.
+    fn fingerprint(&self, cfg: &CampaignConfig) -> u64;
+
+    /// The [`CampaignConfig::due_at`]`(ordinal)` specs injected at golden
+    /// point `ordinal` — a pure function of the seed, the ordinal and the
+    /// point's golden observables, whichever worker reaches the point and
+    /// whether the walk forked from a checkpoint or ran from boot. This is
+    /// the keystone of both determinism properties.
+    fn specs_at(
+        &self,
+        cfg: &CampaignConfig,
+        ordinal: usize,
+        point: &InjectionPoint,
+    ) -> Vec<Self::Spec>;
+
+    /// Perform one injection at a prepared point.
+    fn inject(
+        &self,
+        point: &InjectionPoint,
+        ordinal: usize,
+        spec: &Self::Spec,
+        detector: Option<&VmTransitionDetector>,
+    ) -> Self::Record;
+}
+
 /// Chunk results keyed by chunk id, assembled in id order.
 type ChunkMap<R> = BTreeMap<usize, Vec<R>>;
 
@@ -480,25 +512,28 @@ type ChunkMap<R> = BTreeMap<usize, Vec<R>>;
 /// division of labor cannot leak into the results); each completed chunk is
 /// inserted into `collected` under its id and `on_complete` fires while the
 /// lock is held (journaling hook). `stop_after` bounds how many *new*
-/// chunks complete — the deterministic stand-in for an interrupt.
+/// chunks complete — the deterministic stand-in for an interrupt. The first
+/// error of `on_complete` stops every worker from claiming another chunk
+/// and is returned.
 fn run_chunks<R: Send>(
     threads: usize,
     ids: &[usize],
     stop_after: Option<usize>,
     collected: &Mutex<ChunkMap<R>>,
     run: &(dyn Fn(usize) -> Vec<R> + Sync),
-    on_complete: &(dyn Fn(&ChunkMap<R>) + Sync),
-) {
+    on_complete: &(dyn Fn(&ChunkMap<R>) -> io::Result<()> + Sync),
+) -> io::Result<()> {
     let next = AtomicUsize::new(0);
     let completed = AtomicUsize::new(0);
+    let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
+    let failed = || first_error.lock().expect("error slot lock").is_some();
     let workers = threads.max(1).min(ids.len().max(1));
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
-                if let Some(cap) = stop_after {
-                    if completed.load(Ordering::SeqCst) >= cap {
-                        return;
-                    }
+                let capped = stop_after.is_some_and(|cap| completed.load(Ordering::SeqCst) >= cap);
+                if capped || failed() {
+                    return;
                 }
                 let i = next.fetch_add(1, Ordering::SeqCst);
                 let Some(&id) = ids.get(i) else { return };
@@ -506,58 +541,94 @@ fn run_chunks<R: Send>(
                 let mut map = collected.lock().expect("chunk map lock");
                 map.insert(id, records);
                 completed.fetch_add(1, Ordering::SeqCst);
-                on_complete(&map);
+                if let Err(e) = on_complete(&map) {
+                    first_error
+                        .lock()
+                        .expect("error slot lock")
+                        .get_or_insert(e);
+                    return;
+                }
             });
         }
     });
+    first_error
+        .into_inner()
+        .expect("error slot lock")
+        .map_or(Ok(()), Err)
 }
 
-/// Every chunk of `cfg` on `cfg.threads` workers, records in chunk order.
-fn run_all_chunks<R: Send>(cfg: &CampaignConfig, run: &(dyn Fn(usize) -> Vec<R> + Sync)) -> Vec<R> {
-    let ids: Vec<usize> = (0..cfg.nr_chunks()).collect();
-    let collected = Mutex::new(BTreeMap::new());
-    run_chunks(cfg.threads, &ids, None, &collected, run, &|_| {});
-    let chunks = collected.into_inner().expect("chunk map lock");
-    chunks.into_values().flatten().collect()
-}
-
-/// Run a campaign against an already-walked golden trace. Deterministic:
-/// the records depend only on the configuration, never on `threads`.
-pub fn run_campaign_with(
+/// The fork phase: every chunk of `exp`'s campaign not yet in `done`, on
+/// `cfg.threads` workers, `on_complete` as in [`run_chunks`].
+fn fork_pending<E: Experiment>(
     cfg: &CampaignConfig,
     trace: &GoldenTrace,
     detector: Option<&VmTransitionDetector>,
-) -> CampaignResult {
-    let records = run_all_chunks(cfg, &|chunk| {
+    exp: &E,
+    done: ChunkMap<E::Record>,
+    stop_after: Option<usize>,
+    on_complete: &(dyn Fn(&ChunkMap<E::Record>) -> io::Result<()> + Sync),
+) -> io::Result<ChunkMap<E::Record>> {
+    let pending: Vec<usize> = (0..cfg.nr_chunks())
+        .filter(|c| !done.contains_key(c))
+        .collect();
+    let collected = Mutex::new(done);
+    let run = |chunk| {
         replay_chunk(cfg, trace, chunk, detector, |point, meta| {
-            specs_at(cfg, meta.ordinal, point.golden_len)
-                .into_iter()
-                .map(|spec| inject(point, spec, detector))
+            exp.specs_at(cfg, meta.ordinal, point)
+                .iter()
+                .map(|spec| exp.inject(point, meta.ordinal, spec, detector))
                 .collect()
         })
-    });
-    CampaignResult { records }
+    };
+    run_chunks(
+        cfg.threads,
+        &pending,
+        stop_after,
+        &collected,
+        &run,
+        on_complete,
+    )?;
+    Ok(collected.into_inner().expect("chunk map lock"))
 }
 
-/// Run a campaign, optionally with a deployed VM-transition detector:
+/// Run `exp`'s campaign against an already-walked golden trace, records in
+/// chunk order. Deterministic: the records depend only on the configuration
+/// and the experiment, never on `threads`.
+pub fn run_with<E: Experiment>(
+    cfg: &CampaignConfig,
+    trace: &GoldenTrace,
+    detector: Option<&VmTransitionDetector>,
+    exp: &E,
+) -> Vec<E::Record> {
+    let chunks = fork_pending(
+        cfg,
+        trace,
+        detector,
+        exp,
+        BTreeMap::new(),
+        None,
+        &|_| Ok(()),
+    )
+    .expect("the hook cannot fail");
+    chunks.into_values().flatten().collect()
+}
+
+/// Run `exp`'s campaign, optionally with a deployed VM-transition detector:
 /// golden pass once, then checkpoint-forked injections in parallel.
-pub fn run_campaign(
+pub fn run<E: Experiment>(
     cfg: &CampaignConfig,
     detector: Option<&VmTransitionDetector>,
-) -> CampaignResult {
-    if cfg.injections == 0 {
-        return CampaignResult::default();
-    }
-    let trace = golden_trace(cfg, detector);
-    run_campaign_with(cfg, &trace, detector)
+    exp: &E,
+) -> Vec<E::Record> {
+    run_with(cfg, &golden_trace(cfg, detector), detector, exp)
 }
 
-/// How a resumable campaign invocation ended.
+/// How a [`run_resumable`] invocation ended.
 #[derive(Debug, Clone)]
-pub enum CampaignRun {
-    /// Every chunk is done; the assembled result is bit-identical to an
-    /// uninterrupted [`run_campaign`] with the same configuration.
-    Complete(CampaignResult),
+pub enum Run<R> {
+    /// Every chunk is done; the records are bit-identical to an
+    /// uninterrupted [`run`] with the same configuration and experiment.
+    Complete(Vec<R>),
     /// Stopped early (`stop_after_chunks`); progress is in the journal.
     Interrupted {
         chunks_done: usize,
@@ -565,89 +636,61 @@ pub enum CampaignRun {
     },
 }
 
-/// Run a campaign with crash-safe progress journaling. Completed chunks
-/// are persisted (atomic temp + rename) after each finish; a rerun with
-/// the same configuration and journal path resumes, recomputing only
-/// missing chunks. `stop_after_chunks` stops after roughly that many new
-/// chunks — the deterministic stand-in for killing the process, used by
-/// tests and the CI resume smoke.
-pub fn run_campaign_resumable(
+/// [`run`] with crash-safe progress journaling. Completed chunks are
+/// persisted (atomic temp + rename) after each finish; a rerun with the
+/// same configuration, experiment and journal path resumes, recomputing
+/// only missing chunks. `stop_after_chunks` stops after roughly that many
+/// new chunks — the deterministic stand-in for killing the process, used by
+/// tests and the CI resume smoke. A journal write that fails stops the
+/// campaign and is returned.
+pub fn run_resumable<E: Experiment>(
     cfg: &CampaignConfig,
     detector: Option<&VmTransitionDetector>,
+    exp: &E,
     journal_path: &Path,
     stop_after_chunks: Option<usize>,
-) -> std::io::Result<CampaignRun> {
-    if cfg.injections == 0 {
-        return Ok(CampaignRun::Complete(CampaignResult::default()));
-    }
-    let digest = cfg.digest();
+) -> io::Result<Run<E::Record>> {
+    let fingerprint = exp.fingerprint(cfg);
     let chunks_total = cfg.nr_chunks();
-    let journal = CampaignJournal::load_matching(journal_path, digest, chunks_total)
-        .unwrap_or_else(|| CampaignJournal::new(digest, chunks_total));
-    if journal.is_complete() {
-        return Ok(CampaignRun::Complete(CampaignResult {
-            records: journal.chunks.into_values().flatten().collect(),
-        }));
+    let mut chunks = CampaignJournal::load_matching(journal_path, fingerprint, chunks_total)
+        .map_or_else(BTreeMap::new, |journal| journal.chunks);
+    if chunks.len() < chunks_total {
+        // The golden pass is recomputed on resume: it is deterministic (for
+        // any thread count), and journaling it would mean persisting the
+        // chain.
+        let trace = golden_trace(cfg, detector);
+        let save = |chunks: &ChunkMap<E::Record>| {
+            CampaignJournal::save(journal_path, fingerprint, chunks_total, chunks)
+        };
+        chunks = fork_pending(cfg, &trace, detector, exp, chunks, stop_after_chunks, &save)?;
     }
-    // The golden pass is recomputed on resume: it is deterministic (for any
-    // thread count), and journaling it would mean persisting the chain.
-    let trace = golden_trace(cfg, detector);
-    let pending: Vec<usize> = (0..chunks_total)
-        .filter(|c| !journal.chunks.contains_key(c))
-        .collect();
-    let collected = Mutex::new(journal.chunks);
-    run_chunks(
-        cfg.threads,
-        &pending,
-        stop_after_chunks,
-        &collected,
-        &|chunk| {
-            replay_chunk(cfg, &trace, chunk, detector, |point, meta| {
-                specs_at(cfg, meta.ordinal, point.golden_len)
-                    .into_iter()
-                    .map(|spec| inject(point, spec, detector))
-                    .collect()
-            })
-        },
-        &|map| {
-            let j = CampaignJournal {
-                config_digest: digest,
-                chunks_total,
-                chunks: map.clone(),
-            };
-            j.save(journal_path).expect("journal write");
-        },
-    );
-    let chunks = collected.into_inner().expect("chunk map lock");
-    if chunks.len() == chunks_total {
-        Ok(CampaignRun::Complete(CampaignResult {
-            records: chunks.into_values().flatten().collect(),
-        }))
+    Ok(if chunks.len() == chunks_total {
+        Run::Complete(chunks.into_values().flatten().collect())
     } else {
-        Ok(CampaignRun::Interrupted {
+        Run::Interrupted {
             chunks_done: chunks.len(),
             chunks_total,
-        })
-    }
+        }
+    })
 }
 
 /// The naive baseline the paper's methodology implies: every injection
 /// replays the **entire golden execution from boot** (fresh platform, boot,
 /// warmup, walk to the injection point, golden runs, inject). Kept as the
-/// equivalence oracle — it must produce bit-identical records to
-/// [`run_campaign`] — and as the benchmark baseline the ≥5x throughput
-/// target is measured against. Serial and deliberately unoptimized.
-pub fn run_campaign_from_boot(
+/// equivalence oracle — it must produce bit-identical records to [`run`] —
+/// and as the benchmark baseline the ≥5x throughput target is measured
+/// against. Serial, deliberately unoptimized, and sharing nothing with the
+/// golden pass it checks.
+pub fn run_from_boot<E: Experiment>(
     cfg: &CampaignConfig,
     detector: Option<&VmTransitionDetector>,
-) -> CampaignResult {
+    exp: &E,
+) -> Vec<E::Record> {
     let mut records = Vec::with_capacity(cfg.injections);
-    let nr_points = cfg.nr_points();
     let (cpu, dom) = (1, 1);
-    for ordinal in 0..nr_points {
+    for ordinal in 0..cfg.nr_points() {
         // One full replay from boot per injection at this point.
-        let mut done = 0usize;
-        loop {
+        for k in 0..cfg.due_at(ordinal) {
             let mut plat = campaign_platform(cfg, cfg.seed);
             let mut collector = Xentry::collector();
             plat.boot(cpu, &mut collector);
@@ -674,18 +717,82 @@ pub fn run_campaign_from_boot(
                 }
                 plat.run_handler(cpu, reason, 0, &mut collector);
             };
-            let specs = specs_at(cfg, ordinal, point.golden_len);
-            if done >= specs.len() {
-                break;
-            }
-            records.push(inject(&point, specs[done], detector));
-            done += 1;
-            if done >= specs.len() {
-                break;
-            }
+            let specs = exp.specs_at(cfg, ordinal, &point);
+            records.push(exp.inject(&point, ordinal, &specs[k], detector));
         }
     }
-    CampaignResult { records }
+    records
+}
+
+/// §V-A/B: one uniformly drawn register bit flip per injection, recorded
+/// with the outcome taxonomy behind Fig. 8–10 and Table II.
+pub struct RegFlips;
+
+impl Experiment for RegFlips {
+    type Spec = InjectionSpec;
+    type Record = InjectionRecord;
+
+    fn fingerprint(&self, cfg: &CampaignConfig) -> u64 {
+        cfg.digest()
+    }
+
+    fn specs_at(
+        &self,
+        cfg: &CampaignConfig,
+        ordinal: usize,
+        point: &InjectionPoint,
+    ) -> Vec<InjectionSpec> {
+        let targets = FlipTarget::all();
+        let mut rng = ChaCha8Rng::seed_from_u64(fold64(cfg.seed, 0x5350_4543 ^ ordinal as u64));
+        (0..cfg.due_at(ordinal))
+            .map(|_| InjectionSpec {
+                target: targets[rng.gen_range(0..targets.len())],
+                bit: rng.gen_range(0..64),
+                at_step: rng.gen_range(0..point.golden_len.max(1)),
+            })
+            .collect()
+    }
+
+    fn inject(
+        &self,
+        point: &InjectionPoint,
+        _ordinal: usize,
+        spec: &InjectionSpec,
+        detector: Option<&VmTransitionDetector>,
+    ) -> InjectionRecord {
+        inject(point, *spec, detector)
+    }
+}
+
+/// [`run`] for [`RegFlips`], the campaign nearly every caller wants.
+pub fn run_campaign(
+    cfg: &CampaignConfig,
+    detector: Option<&VmTransitionDetector>,
+) -> CampaignResult {
+    CampaignResult {
+        records: run(cfg, detector, &RegFlips),
+    }
+}
+
+/// [`run_with`] for [`RegFlips`] (a name the repo benchmark calls).
+pub fn run_campaign_with(
+    cfg: &CampaignConfig,
+    trace: &GoldenTrace,
+    detector: Option<&VmTransitionDetector>,
+) -> CampaignResult {
+    CampaignResult {
+        records: run_with(cfg, trace, detector, &RegFlips),
+    }
+}
+
+/// [`run_from_boot`] for [`RegFlips`] (a name the repo benchmark calls).
+pub fn run_campaign_from_boot(
+    cfg: &CampaignConfig,
+    detector: Option<&VmTransitionDetector>,
+) -> CampaignResult {
+    CampaignResult {
+        records: run_from_boot(cfg, detector, &RegFlips),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -714,20 +821,11 @@ pub struct RecoveryCampaignResult {
     pub records: Vec<RecoveryRecord>,
 }
 
-/// Stable fingerprint of a recovery campaign: the base configuration
-/// plus every policy table under comparison. A journal written under a
-/// different policy set is ignored, not resumed.
-pub fn recovery_campaign_digest(cfg: &CampaignConfig, tables: &[HmTable]) -> u64 {
-    let mut h = fold64(0x7265_6356, cfg.digest());
-    for t in tables {
-        h = fold64(h, t.digest());
-    }
-    h
-}
-
-/// The recovery campaign's spec schedule: the architectural flips of
-/// [`specs_at`] with every third injection redirected into a
-/// hypervisor-private memory word — the latent-corruption class that
+/// The recovery experiment: every fault through detection, and every
+/// detected one through each of the policy tables.
+///
+/// Its spec schedule is the architectural flips of [`RegFlips`] with every
+/// third injection redirected into a hypervisor-private memory word — the latent-corruption class that
 /// separates the microreboot tier from re-execution (the critical-state
 /// copy cannot heal it) — and every third-plus-one injection redirected
 /// into the extended fault models (spatial bursts, PTE strikes, PMC
@@ -746,29 +844,31 @@ pub fn recovery_campaign_digest(cfg: &CampaignConfig, tables: &[HmTable]) -> u64
 /// never read and therefore benign by construction — sampling only
 /// those would measure nothing, the standard argument for targeted
 /// fault injection.
-///
-/// A pure function of (seed, ordinal, vmer) — all reproduced
-/// identically by the golden pass and every checkpoint fork — so both
-/// campaign determinism properties are preserved.
-fn recovery_specs_at(
-    cfg: &CampaignConfig,
-    ordinal: usize,
-    golden_len: u64,
-    vmer: u16,
-) -> Vec<RecoverySpec> {
-    let regs = specs_at(cfg, ordinal, golden_len);
-    let mut rng = ChaCha8Rng::seed_from_u64(fold64(cfg.seed, 0x4856_4d45 ^ ordinal as u64));
-    let dispatch = xen_like::MICROREBOOT_PRIVATE_REGIONS
-        .iter()
-        .position(|n| *n == "hv.dispatch")
-        .expect("dispatch region listed") as u8;
-    regs.into_iter()
-        .enumerate()
-        .map(|(k, s)| {
+pub struct Recovery<'a>(pub &'a [HmTable]);
+
+impl Experiment for Recovery<'_> {
+    type Spec = RecoverySpec;
+    type Record = RecoveryRecord;
+
+    /// The base configuration plus every policy table under comparison.
+    fn fingerprint(&self, cfg: &CampaignConfig) -> u64 {
+        let salted = fold64(0x7265_6356, cfg.digest());
+        self.0.iter().fold(salted, |h, t| fold64(h, t.digest()))
+    }
+
+    fn specs_at(
+        &self,
+        cfg: &CampaignConfig,
+        ordinal: usize,
+        point: &InjectionPoint,
+    ) -> Vec<RecoverySpec> {
+        let (golden_len, vmer) = (point.golden_len, point.reason.vmer());
+        let mut rng = ChaCha8Rng::seed_from_u64(fold64(cfg.seed, 0x4856_4d45 ^ ordinal as u64));
+        let dispatch = dispatch_region_index();
+        let redirect = |(k, reg): (usize, InjectionSpec)| {
             if k % 3 == 2 {
                 // 3/8 dispatch, the rest uniform over the other regions.
-                let roll = rng.gen_range(0..8u8);
-                let region = match roll {
+                let region = match rng.gen_range(0..8u8) {
                     0..=2 => dispatch,
                     3 => 0, // hv.global
                     4 => 1, // hv.scratch
@@ -796,144 +896,43 @@ fn recovery_specs_at(
                 match rng.gen_range(0..4u8) {
                     0 | 1 => RecoverySpec::Burst(random_burst(&mut rng, golden_len, vmer)),
                     2 => RecoverySpec::Pte(random_pte(&mut rng)),
-                    _ => RecoverySpec::Pmc(PmcSpec {
-                        counter: rng.gen_range(0..4),
-                        bit: rng.gen_range(0..64),
-                        at_step: rng.gen_range(0..golden_len.max(1)),
-                    }),
+                    _ => RecoverySpec::Pmc(random_pmc(&mut rng, golden_len)),
                 }
             } else {
-                RecoverySpec::Reg(s)
+                RecoverySpec::Reg(reg)
             }
-        })
-        .collect()
+        };
+        let regs = RegFlips.specs_at(cfg, ordinal, point);
+        regs.into_iter().enumerate().map(redirect).collect()
+    }
+
+    fn inject(
+        &self,
+        point: &InjectionPoint,
+        ordinal: usize,
+        spec: &RecoverySpec,
+        detector: Option<&VmTransitionDetector>,
+    ) -> RecoveryRecord {
+        let fault = detect_fault(point, *spec, detector);
+        RecoveryRecord {
+            ordinal,
+            spec: *spec,
+            per_policy: (self.0.iter())
+                .map(|t| fault.as_ref().map(|f| recover_detected(f, point, t)))
+                .collect(),
+        }
+    }
 }
 
-fn recovery_chunk(
-    cfg: &CampaignConfig,
-    trace: &GoldenTrace,
-    chunk: usize,
-    detector: Option<&VmTransitionDetector>,
-    tables: &[HmTable],
-) -> Vec<RecoveryRecord> {
-    replay_chunk(cfg, trace, chunk, detector, |point, meta| {
-        recovery_specs_at(cfg, meta.ordinal, point.golden_len, point.reason.vmer())
-            .into_iter()
-            .map(|spec| {
-                let per_policy = match detect_fault(point, spec, detector) {
-                    None => tables.iter().map(|_| None).collect(),
-                    Some(fault) => tables
-                        .iter()
-                        .map(|t| Some(recover_detected(&fault, point, t)))
-                        .collect(),
-                };
-                RecoveryRecord {
-                    ordinal: meta.ordinal,
-                    spec,
-                    per_policy,
-                }
-            })
-            .collect()
-    })
-}
-
-/// Run the recovery phase against an already-walked golden trace.
-/// Deterministic: records depend only on the configuration and the
-/// tables, never on `threads`.
+/// [`run_with`] for [`Recovery`] (a name the repo benchmark calls).
 pub fn run_recovery_campaign_with(
     cfg: &CampaignConfig,
     trace: &GoldenTrace,
     detector: Option<&VmTransitionDetector>,
     tables: &[HmTable],
 ) -> RecoveryCampaignResult {
-    let records = run_all_chunks(cfg, &|chunk| {
-        recovery_chunk(cfg, trace, chunk, detector, tables)
-    });
-    RecoveryCampaignResult { records }
-}
-
-/// Run a recovery campaign: golden pass once, then checkpoint-forked
-/// injections, each detected fault driven through every policy table.
-pub fn run_recovery_campaign(
-    cfg: &CampaignConfig,
-    detector: Option<&VmTransitionDetector>,
-    tables: &[HmTable],
-) -> RecoveryCampaignResult {
-    if cfg.injections == 0 {
-        return RecoveryCampaignResult::default();
-    }
-    let trace = golden_trace(cfg, detector);
-    run_recovery_campaign_with(cfg, &trace, detector, tables)
-}
-
-/// How a resumable recovery campaign invocation ended.
-#[derive(Debug, Clone)]
-pub enum RecoveryCampaignRun {
-    /// Every chunk is done; bit-identical to an uninterrupted
-    /// [`run_recovery_campaign`] with the same configuration and tables.
-    Complete(RecoveryCampaignResult),
-    /// Stopped early (`stop_after_chunks`); progress is in the journal.
-    Interrupted {
-        chunks_done: usize,
-        chunks_total: usize,
-    },
-}
-
-/// [`run_recovery_campaign`] with crash-safe progress journaling — the
-/// recovery-phase counterpart of [`run_campaign_resumable`], sharing the
-/// same chunk queue, journal format and determinism guarantees.
-pub fn run_recovery_campaign_resumable(
-    cfg: &CampaignConfig,
-    detector: Option<&VmTransitionDetector>,
-    tables: &[HmTable],
-    journal_path: &Path,
-    stop_after_chunks: Option<usize>,
-) -> std::io::Result<RecoveryCampaignRun> {
-    if cfg.injections == 0 {
-        return Ok(RecoveryCampaignRun::Complete(
-            RecoveryCampaignResult::default(),
-        ));
-    }
-    let digest = recovery_campaign_digest(cfg, tables);
-    let chunks_total = cfg.nr_chunks();
-    let journal: CampaignJournal<RecoveryRecord> =
-        CampaignJournal::load_matching(journal_path, digest, chunks_total)
-            .unwrap_or_else(|| CampaignJournal::new(digest, chunks_total));
-    if journal.is_complete() {
-        return Ok(RecoveryCampaignRun::Complete(RecoveryCampaignResult {
-            records: journal.chunks.into_values().flatten().collect(),
-        }));
-    }
-    let trace = golden_trace(cfg, detector);
-    let pending: Vec<usize> = (0..chunks_total)
-        .filter(|c| !journal.chunks.contains_key(c))
-        .collect();
-    let collected = Mutex::new(journal.chunks);
-    run_chunks(
-        cfg.threads,
-        &pending,
-        stop_after_chunks,
-        &collected,
-        &|chunk| recovery_chunk(cfg, &trace, chunk, detector, tables),
-        &|map| {
-            let j = CampaignJournal {
-                config_digest: digest,
-                chunks_total,
-                chunks: map.clone(),
-            };
-            j.save(journal_path).expect("journal write");
-        },
-    );
-    let chunks = collected.into_inner().expect("chunk map lock");
-    if chunks.len() == chunks_total {
-        Ok(RecoveryCampaignRun::Complete(RecoveryCampaignResult {
-            records: chunks.into_values().flatten().collect(),
-        }))
-    } else {
-        Ok(RecoveryCampaignRun::Interrupted {
-            chunks_done: chunks.len(),
-            chunks_total,
-        })
+    RecoveryCampaignResult {
+        records: run_with(cfg, trace, detector, &Recovery(tables)),
     }
 }
 
@@ -999,64 +998,65 @@ pub fn evaluate_detector_on_records(
     mltree::evaluate_compiled(detector.compiled(), &ds)
 }
 
-/// Multi-bit-upset comparison: paired single-bit and k-bit campaigns over
-/// the same golden trace — the beyond-ECC scenario the paper motivates in
-/// §V-B. Runs on the checkpoint-forked engine (parallel, deterministic):
-/// at every point, the 1-bit fault is the first flip of the k-bit fault,
-/// injected at the same step, so the comparison stays paired.
-pub fn multibit_study(
-    cfg: &CampaignConfig,
-    injections: usize,
-    bits_per_fault: usize,
-    detector: Option<&VmTransitionDetector>,
-    seed: u64,
-) -> (CampaignResult, CampaignResult) {
-    assert!(
-        bits_per_fault >= 2,
-        "use run_campaign for single-bit faults"
-    );
-    let mut study_cfg = cfg.clone();
-    study_cfg.injections = injections;
-    study_cfg.seed = seed;
-    let trace = golden_trace(&study_cfg, detector);
-    let targets = FlipTarget::all();
-    let pairs = run_all_chunks(&study_cfg, &|chunk| {
-        replay_chunk(&study_cfg, &trace, chunk, detector, |point, meta| {
-            let per = study_cfg.per_point.max(1);
-            let n = study_cfg
-                .injections
-                .saturating_sub(meta.ordinal * per)
-                .min(per);
-            let mut rng = ChaCha8Rng::seed_from_u64(fold64(
-                study_cfg.seed,
-                0x4d42_4954 ^ meta.ordinal as u64,
-            ));
-            (0..n)
-                .map(|_| {
-                    let at_step = rng.gen_range(0..point.golden_len.max(1));
-                    let flips: Vec<(FlipTarget, u8)> = (0..bits_per_fault)
-                        .map(|_| {
-                            (
-                                targets[rng.gen_range(0..targets.len())],
-                                rng.gen_range(0..64),
-                            )
-                        })
-                        .collect();
-                    (
-                        inject_with_flips(point, &flips[..1], at_step, detector),
-                        inject_with_flips(point, &flips, at_step, detector),
-                    )
-                })
-                .collect()
-        })
-    });
-    let mut single = CampaignResult::default();
-    let mut multi = CampaignResult::default();
-    for (s, m) in pairs {
-        single.records.push(s);
-        multi.records.push(m);
+/// One k-bit upset: `flips` struck together at `at_step`. The 1-bit fault
+/// it is paired with is the first flip alone.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MultibitSpec {
+    pub at_step: u64,
+    pub flips: Vec<(FlipTarget, u8)>,
+}
+
+/// Multi-bit-upset comparison — the beyond-ECC scenario the paper motivates
+/// in §V-B: at every injection, the 1-bit fault is the first flip of the
+/// `bits`-bit fault, injected at the same point and step, so the comparison
+/// stays paired.
+pub struct Multibit {
+    /// Flips per fault, at least 2.
+    pub bits: usize,
+}
+
+impl Experiment for Multibit {
+    type Spec = MultibitSpec;
+    /// The first flip alone, then all `bits` of them.
+    type Record = (InjectionRecord, InjectionRecord);
+
+    fn fingerprint(&self, cfg: &CampaignConfig) -> u64 {
+        fold64(fold64(0x4d42_4954, cfg.digest()), self.bits as u64)
     }
-    (single, multi)
+
+    fn specs_at(
+        &self,
+        cfg: &CampaignConfig,
+        ordinal: usize,
+        point: &InjectionPoint,
+    ) -> Vec<MultibitSpec> {
+        assert!(self.bits >= 2, "use RegFlips for single-bit faults");
+        let targets = FlipTarget::all();
+        let flip = |rng: &mut ChaCha8Rng| {
+            let target = targets[rng.gen_range(0..targets.len())];
+            (target, rng.gen_range(0..64))
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(fold64(cfg.seed, 0x4d42_4954 ^ ordinal as u64));
+        (0..cfg.due_at(ordinal))
+            .map(|_| MultibitSpec {
+                at_step: rng.gen_range(0..point.golden_len.max(1)),
+                flips: (0..self.bits).map(|_| flip(&mut rng)).collect(),
+            })
+            .collect()
+    }
+
+    fn inject(
+        &self,
+        point: &InjectionPoint,
+        _ordinal: usize,
+        spec: &MultibitSpec,
+        detector: Option<&VmTransitionDetector>,
+    ) -> (InjectionRecord, InjectionRecord) {
+        (
+            inject_with_flips(point, &spec.flips[..1], spec.at_step, detector),
+            inject_with_flips(point, &spec.flips, spec.at_step, detector),
+        )
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1075,32 +1075,26 @@ fn random_burst(rng: &mut ChaCha8Rng, golden_len: u64, vmer: u16) -> BurstSpec {
     let width = rng.gen_range(2..=4);
     let stride = rng.gen_range(1..=3);
     let start_bit = rng.gen_range(0..64);
-    if rng.gen_range(0..2u8) == 0 {
+    let (site, at_step) = if rng.gen_range(0..2u8) == 0 {
         let targets = FlipTarget::all();
-        BurstSpec {
-            site: BurstSite::Reg(targets[rng.gen_range(0..targets.len())]),
-            start_bit,
-            width,
-            stride,
-            at_step: rng.gen_range(0..golden_len.max(1)),
-        }
+        let target = targets[rng.gen_range(0..targets.len())];
+        (BurstSite::Reg(target), rng.gen_range(0..golden_len.max(1)))
     } else {
-        // Importance-sample the dispatch table like [`recovery_specs_at`]:
+        // Importance-sample the dispatch table like [`Recovery`]'s schedule:
         // half the memory bursts anchor at the in-flight exit's own entry,
         // so cross-word spills reach the adjacent (also live) entries.
         let hot = rng.gen_range(0..2u8) == 0;
         let word = if hot { vmer } else { rng.gen_range(0..256) };
-        BurstSpec {
-            site: BurstSite::HvMem {
-                region: dispatch_region_index(),
-                word,
-            },
-            start_bit,
-            width,
-            stride,
-            // Memory strikes persist: corrupted at handler entry.
-            at_step: 0,
-        }
+        let region = dispatch_region_index();
+        // Memory strikes persist: corrupted at handler entry.
+        (BurstSite::HvMem { region, word }, 0)
+    };
+    BurstSpec {
+        site,
+        start_bit,
+        width,
+        stride,
+        at_step,
     }
 }
 
@@ -1122,29 +1116,32 @@ fn random_pte(rng: &mut ChaCha8Rng) -> PteSpec {
     }
 }
 
+fn random_pmc(rng: &mut ChaCha8Rng, golden_len: u64) -> PmcSpec {
+    PmcSpec {
+        counter: rng.gen_range(0..4),
+        bit: rng.gen_range(0..64),
+        at_step: rng.gen_range(0..golden_len.max(1)),
+    }
+}
+
 /// The model-diversity spec schedule: golden point `ordinal`'s injections
 /// rotate through the three extended fault models — spatial multi-bit
 /// bursts, page-table-entry strikes and performance-counter strikes. A
-/// pure function of (seed, ordinal, vmer), like [`specs_at`], so model
-/// campaigns inherit both determinism properties unchanged.
+/// pure function of (seed, ordinal, golden length, vmer), as
+/// [`Experiment::specs_at`] requires, so model campaigns inherit both
+/// determinism properties unchanged.
 pub fn model_specs_at(
     cfg: &CampaignConfig,
     ordinal: usize,
     golden_len: u64,
     vmer: u16,
 ) -> Vec<RecoverySpec> {
-    let per = cfg.per_point.max(1);
-    let n = cfg.injections.saturating_sub(ordinal * per).min(per);
     let mut rng = ChaCha8Rng::seed_from_u64(fold64(cfg.seed, 0x4d4f_444c ^ ordinal as u64));
-    (0..n)
+    (0..cfg.due_at(ordinal))
         .map(|k| match k % 3 {
             0 => RecoverySpec::Burst(random_burst(&mut rng, golden_len, vmer)),
             1 => RecoverySpec::Pte(random_pte(&mut rng)),
-            _ => RecoverySpec::Pmc(PmcSpec {
-                counter: rng.gen_range(0..4),
-                bit: rng.gen_range(0..64),
-                at_step: rng.gen_range(0..golden_len.max(1)),
-            }),
+            _ => RecoverySpec::Pmc(random_pmc(&mut rng, golden_len)),
         })
         .collect()
 }
@@ -1168,137 +1165,47 @@ pub struct ModelRecord {
     pub features: Option<FeatureVec>,
 }
 
-/// Records of an extended-model campaign, in injection order.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
-pub struct ModelCampaignResult {
-    pub records: Vec<ModelRecord>,
-}
+/// The extended-model experiment: the burst / PTE / PMC strikes of
+/// [`model_specs_at`], each recorded with the labels the vulnerability map
+/// buckets by.
+pub struct Models;
 
-impl ModelCampaignResult {
-    /// Persist the raw records as JSON, atomically.
-    pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        crate::journal::write_atomic(
-            path.as_ref(),
-            serde_json::to_string(self)
-                .expect("records serialize")
-                .as_bytes(),
-        )
+impl Experiment for Models {
+    type Spec = RecoverySpec;
+    type Record = ModelRecord;
+
+    fn fingerprint(&self, cfg: &CampaignConfig) -> u64 {
+        fold64(0x4d4f_444c, cfg.digest())
     }
 
-    /// Load records saved by [`ModelCampaignResult::save_json`].
-    pub fn load_json(path: impl AsRef<std::path::Path>) -> std::io::Result<ModelCampaignResult> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    fn specs_at(
+        &self,
+        cfg: &CampaignConfig,
+        ordinal: usize,
+        point: &InjectionPoint,
+    ) -> Vec<RecoverySpec> {
+        model_specs_at(cfg, ordinal, point.golden_len, point.reason.vmer())
     }
-}
 
-/// Run an extended-model campaign against an already-walked golden trace.
-/// Deterministic: records depend only on the configuration, never on
-/// `threads` — the same chunk queue and schedule purity as
-/// [`run_campaign_with`].
-pub fn run_model_campaign_with(
-    cfg: &CampaignConfig,
-    trace: &GoldenTrace,
-    detector: Option<&VmTransitionDetector>,
-) -> ModelCampaignResult {
-    let records = run_all_chunks(cfg, &|chunk| {
-        replay_chunk(cfg, trace, chunk, detector, |point, meta| {
-            model_specs_at(cfg, meta.ordinal, point.golden_len, point.reason.vmer())
-                .into_iter()
-                .map(|spec| {
-                    let (outcome, features) = inject_spec(point, &spec, detector);
-                    ModelRecord {
-                        ordinal: meta.ordinal,
-                        vmer: point.reason.vmer(),
-                        class: spec.class().to_string(),
-                        target: spec.target_label(),
-                        bit: spec.bit(),
-                        at_step: spec.at_step(),
-                        outcome,
-                        features,
-                    }
-                })
-                .collect()
-        })
-    });
-    ModelCampaignResult { records }
-}
-
-/// Run an extended-model campaign: golden pass once, then
-/// checkpoint-forked burst/PTE/PMC injections in parallel.
-pub fn run_model_campaign(
-    cfg: &CampaignConfig,
-    detector: Option<&VmTransitionDetector>,
-) -> ModelCampaignResult {
-    if cfg.injections == 0 {
-        return ModelCampaignResult::default();
-    }
-    let trace = golden_trace(cfg, detector);
-    run_model_campaign_with(cfg, &trace, detector)
-}
-
-/// Reference extended-model campaign with NO checkpoint forking: every
-/// injection replays from a fresh boot ([`run_campaign_from_boot`]'s
-/// slow path, for the model schedule). Must produce records identical to
-/// [`run_model_campaign`] — the equivalence the fast path is pinned by.
-pub fn run_model_campaign_from_boot(
-    cfg: &CampaignConfig,
-    detector: Option<&VmTransitionDetector>,
-) -> ModelCampaignResult {
-    let mut records = Vec::with_capacity(cfg.injections);
-    let nr_points = cfg.nr_points();
-    let (cpu, dom) = (1, 1);
-    for ordinal in 0..nr_points {
-        let mut done = 0usize;
-        loop {
-            let mut plat = campaign_platform(cfg, cfg.seed);
-            let mut collector = Xentry::collector();
-            plat.boot(cpu, &mut collector);
-            for _ in 0..cfg.warmup {
-                let act = plat.run_activation(cpu, &mut collector);
-                assert!(act.outcome.is_healthy(), "warmup died: {:?}", act.outcome);
-            }
-            let mut valid = 0usize;
-            let point = loop {
-                for _ in 0..cfg.stride {
-                    let act = plat.run_activation(cpu, &mut collector);
-                    assert!(act.outcome.is_healthy(), "trace died: {:?}", act.outcome);
-                }
-                let (reason, _gc) = plat.run_to_exit(cpu);
-                let prepared =
-                    prepare_point(plat.clone(), cpu, dom, reason, cfg.post_window, detector);
-                if let Some(p) = prepared {
-                    if valid == ordinal {
-                        break p;
-                    }
-                    valid += 1;
-                }
-                plat.run_handler(cpu, reason, 0, &mut collector);
-            };
-            let specs = model_specs_at(cfg, ordinal, point.golden_len, point.reason.vmer());
-            if done >= specs.len() {
-                break;
-            }
-            let spec = specs[done];
-            let (outcome, features) = inject_spec(&point, &spec, detector);
-            records.push(ModelRecord {
-                ordinal,
-                vmer: point.reason.vmer(),
-                class: spec.class().to_string(),
-                target: spec.target_label(),
-                bit: spec.bit(),
-                at_step: spec.at_step(),
-                outcome,
-                features,
-            });
-            done += 1;
-            if done >= specs.len() {
-                break;
-            }
+    fn inject(
+        &self,
+        point: &InjectionPoint,
+        ordinal: usize,
+        spec: &RecoverySpec,
+        detector: Option<&VmTransitionDetector>,
+    ) -> ModelRecord {
+        let (outcome, features) = inject_spec(point, spec, detector);
+        ModelRecord {
+            ordinal,
+            vmer: point.reason.vmer(),
+            class: spec.class().to_string(),
+            target: spec.target_label(),
+            bit: spec.bit(),
+            at_step: spec.at_step(),
+            outcome,
+            features,
         }
     }
-    ModelCampaignResult { records }
 }
 
 #[cfg(test)]
@@ -1491,20 +1398,16 @@ mod tests {
         use crate::policy::RecoveryOutcome;
         let cfg = small_cfg();
         let tables = [HmTable::reexecute_only(), HmTable::tiered()];
-        let res = run_recovery_campaign(&cfg, None, &tables);
-        assert_eq!(res.records.len(), 60);
+        let records = run(&cfg, None, &Recovery(&tables));
+        assert_eq!(records.len(), 60);
         let recovered = |idx: usize| {
-            res.records
+            records
                 .iter()
                 .filter_map(|r| r.per_policy[idx].as_ref())
                 .filter(|p| matches!(p.outcome, RecoveryOutcome::Recovered { .. }))
                 .count()
         };
-        let detected = res
-            .records
-            .iter()
-            .filter(|r| r.per_policy[0].is_some())
-            .count();
+        let detected = records.iter().filter(|r| r.per_policy[0].is_some()).count();
         assert!(detected > 10, "too few detections: {detected}");
         // The microreboot tier closes faults re-execution leaves residual.
         assert!(
@@ -1514,7 +1417,7 @@ mod tests {
             recovered(0)
         );
         // Every ladder terminated within its proven bound.
-        for r in &res.records {
+        for r in &records {
             for (p, t) in r.per_policy.iter().zip(&tables) {
                 if let Some(p) = p {
                     assert!(p.steps.len() <= t.max_attempts() as usize);
@@ -1645,20 +1548,13 @@ mod tests {
 
     #[test]
     fn multibit_faults_manifest_at_least_as_often() {
-        let cfg = small_cfg();
-        let (single, multi) = multibit_study(&cfg, 80, 2, None, 7);
-        assert_eq!(single.records.len(), multi.records.len());
-        assert_eq!(single.records.len(), 80);
-        let m1 = single
-            .records
-            .iter()
-            .filter(|r| r.outcome.manifested())
-            .count();
-        let m2 = multi
-            .records
-            .iter()
-            .filter(|r| r.outcome.manifested())
-            .count();
+        let mut cfg = small_cfg();
+        cfg.injections = 80;
+        cfg.seed = 7;
+        let pairs = run(&cfg, None, &Multibit { bits: 2 });
+        assert_eq!(pairs.len(), 80);
+        let m1 = pairs.iter().filter(|p| p.0.outcome.manifested()).count();
+        let m2 = pairs.iter().filter(|p| p.1.outcome.manifested()).count();
         // Two simultaneous flips strictly add corruption surface; paired
         // sampling means the 2-bit campaign manifests at least ~as often.
         assert!(

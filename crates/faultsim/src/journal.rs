@@ -12,30 +12,44 @@ use crate::injection::InjectionRecord;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// The temp file [`write_atomic`] stages `path` in: `.<file name>.tmp.<pid>`
+/// beside the target (the naming `xentry_fleet::write_atomic` uses), so
+/// `x.journal` and `x.json` never share one, nor do two processes.
+fn temp_beside(path: &Path) -> io::Result<PathBuf> {
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| io::Error::other("write_atomic: path has no file name"))?;
+    let mut name = std::ffi::OsString::from(".");
+    name.push(file_name);
+    name.push(format!(".tmp.{}", std::process::id()));
+    Ok(path.with_file_name(name))
+}
 
 /// Write `bytes` to `path` atomically: write a sibling temp file, then
-/// rename over the destination. Readers never observe a partial file.
+/// rename over the destination. Readers never observe a partial file, and
+/// a failed rename leaves no temp file behind.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
+    let tmp = temp_beside(path)?;
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
     std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 /// On-disk record of a partially completed campaign, generic over the
-/// per-injection record type: classification campaigns journal
-/// [`InjectionRecord`]s, recovery campaigns journal
-/// [`crate::campaign::RecoveryRecord`]s.
+/// per-injection record type ([`crate::campaign::Experiment::Record`]).
 #[derive(Debug, Clone)]
 pub struct CampaignJournal<R = InjectionRecord> {
-    /// Fingerprint of the [`crate::CampaignConfig`] that produced the
-    /// chunks (stable across processes — see `CampaignConfig::digest`). A
-    /// journal from a different configuration is ignored, not resumed.
+    /// [`crate::campaign::Experiment::fingerprint`] of the campaign that
+    /// produced the chunks (stable across processes). A journal from a
+    /// different configuration or experiment is ignored, not resumed.
     pub config_digest: u64,
     /// Total chunks the campaign will produce when complete.
     pub chunks_total: usize,
@@ -44,17 +58,7 @@ pub struct CampaignJournal<R = InjectionRecord> {
 }
 
 // The vendored serde derive does not support generic types, so the
-// journal lowers itself through the value data model by hand.
-impl<R: Serialize> Serialize for CampaignJournal<R> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("config_digest".into(), self.config_digest.to_value()),
-            ("chunks_total".into(), self.chunks_total.to_value()),
-            ("chunks".into(), self.chunks.to_value()),
-        ])
-    }
-}
-
+// journal passes through the value data model by hand.
 impl<R: Deserialize> Deserialize for CampaignJournal<R> {
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
         let obj = v
@@ -69,15 +73,6 @@ impl<R: Deserialize> Deserialize for CampaignJournal<R> {
 }
 
 impl<R: Serialize + Deserialize> CampaignJournal<R> {
-    /// Fresh journal for a campaign.
-    pub fn new(config_digest: u64, chunks_total: usize) -> CampaignJournal<R> {
-        CampaignJournal {
-            config_digest,
-            chunks_total,
-            chunks: BTreeMap::new(),
-        }
-    }
-
     /// Load a journal, returning `None` when the file is absent, unreadable
     /// or does not match the expected configuration — in every such case
     /// the campaign simply starts from scratch.
@@ -91,19 +86,22 @@ impl<R: Serialize + Deserialize> CampaignJournal<R> {
         (j.config_digest == config_digest && j.chunks_total == chunks_total).then_some(j)
     }
 
-    /// Persist atomically.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        write_atomic(
-            path,
-            serde_json::to_string(self)
-                .expect("journal serializes")
-                .as_bytes(),
-        )
-    }
-
-    /// Whether every chunk is present.
-    pub fn is_complete(&self) -> bool {
-        self.chunks.len() == self.chunks_total
+    /// Persist a journal of `chunks` atomically. Serialised from the
+    /// borrowed map: the engine journals under its chunk-map lock, once per
+    /// completed chunk, and must not clone every record so far to do it.
+    pub fn save(
+        path: &Path,
+        config_digest: u64,
+        chunks_total: usize,
+        chunks: &BTreeMap<usize, Vec<R>>,
+    ) -> io::Result<()> {
+        let journal = Value::Object(vec![
+            ("config_digest".into(), config_digest.to_value()),
+            ("chunks_total".into(), chunks_total.to_value()),
+            ("chunks".into(), chunks.to_value()),
+        ]);
+        let json = serde_json::to_string(&journal).expect("journal serializes");
+        write_atomic(path, json.as_bytes())
     }
 }
 
@@ -123,16 +121,29 @@ mod tests {
     }
 
     #[test]
+    fn temps_of_one_stem_differ_and_a_failed_rename_leaves_none() {
+        let dir = std::env::temp_dir().join("xentry_journal_temps");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, json) = (dir.join("freqmine.journal"), dir.join("freqmine.json"));
+        assert_ne!(temp_beside(&journal).unwrap(), temp_beside(&json).unwrap());
+        assert_eq!(temp_beside(&json).unwrap().parent(), json.parent());
+        // Renaming a file onto a directory fails.
+        std::fs::create_dir_all(&json).unwrap();
+        assert!(write_atomic(&json, b"{}").is_err());
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(left.len(), 1, "only the directory remains: {left:?}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn journal_round_trip_and_mismatch_rejection() {
         let dir = std::env::temp_dir().join("xentry_journal_rt");
         let path = dir.join("campaign.journal");
-        let mut j: CampaignJournal = CampaignJournal::new(0xABCD, 3);
-        j.chunks.insert(1, Vec::new());
-        j.save(&path).unwrap();
+        let chunks = BTreeMap::from([(1, Vec::<InjectionRecord>::new())]);
+        CampaignJournal::save(&path, 0xABCD, 3, &chunks).unwrap();
         let back: CampaignJournal = CampaignJournal::load_matching(&path, 0xABCD, 3).unwrap();
         assert_eq!(back.chunks.len(), 1);
         assert!(back.chunks.contains_key(&1));
-        assert!(!back.is_complete());
         // Wrong digest or chunk count → treated as absent.
         assert!(CampaignJournal::<InjectionRecord>::load_matching(&path, 0xABCE, 3).is_none());
         assert!(CampaignJournal::<InjectionRecord>::load_matching(&path, 0xABCD, 4).is_none());

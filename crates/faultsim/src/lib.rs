@@ -33,12 +33,10 @@ pub use analysis::{
 };
 pub use campaign::{
     campaign_platform, collect_correct_samples, dataset_from_records, evaluate_detector_on_records,
-    golden_trace, model_specs_at, multibit_study, recovery_campaign_digest, run_campaign,
-    run_campaign_from_boot, run_campaign_resumable, run_campaign_with, run_model_campaign,
-    run_model_campaign_from_boot, run_model_campaign_with, run_recovery_campaign,
-    run_recovery_campaign_resumable, run_recovery_campaign_with, CampaignConfig, CampaignResult,
-    CampaignRun, GoldenTrace, ModelCampaignResult, ModelRecord, RecoveryCampaignResult,
-    RecoveryCampaignRun, RecoveryRecord,
+    golden_trace, model_specs_at, run, run_campaign, run_campaign_from_boot, run_campaign_with,
+    run_from_boot, run_recovery_campaign_with, run_resumable, run_with, CampaignConfig,
+    CampaignResult, Experiment, GoldenTrace, ModelRecord, Models, Multibit, MultibitSpec, Recovery,
+    RecoveryCampaignResult, RecoveryRecord, RegFlips, Run,
 };
 pub use checkpoint::{CheckpointStats, CheckpointStore};
 pub use golden::{classify_site, diff_machines, DiffSite, StateDiff};

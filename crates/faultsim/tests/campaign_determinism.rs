@@ -1,11 +1,19 @@
-//! The determinism contract of the campaign engine: for a fixed seed the
-//! campaign result is a pure function of the configuration — thread count
-//! must not change a byte, and an interrupted + resumed campaign must be
-//! indistinguishable from an uninterrupted one.
+//! One contract, every experiment. For a fixed seed a campaign's records are
+//! a pure function of the configuration and the [`Experiment`]: thread count
+//! must not change a byte, an interrupted + resumed campaign must be
+//! indistinguishable from an uninterrupted one, a journal of anything else
+//! must be ignored, and the checkpoint-forked engine must equal the
+//! from-boot oracle. Each leg below is generic and runs for all four
+//! shipped experiments.
 
-use faultsim::campaign::{run_campaign_resumable, CampaignRun};
-use faultsim::{run_campaign, CampaignConfig, CampaignResult};
+use faultsim::campaign::{
+    golden_trace, run, run_from_boot, run_resumable, run_with, Experiment, Models, Multibit,
+    Recovery, RegFlips, Run,
+};
+use faultsim::policy::HmTable;
+use faultsim::{prepare_point, CampaignConfig, InjectionPoint};
 use guest_sim::Benchmark;
+use std::path::PathBuf;
 
 fn cfg(threads: usize) -> CampaignConfig {
     let mut c = CampaignConfig::paper(Benchmark::Canneal, 72, 23);
@@ -14,158 +22,234 @@ fn cfg(threads: usize) -> CampaignConfig {
     c
 }
 
-fn result_json(res: &CampaignResult) -> String {
-    serde_json::to_string(res).expect("campaign result serializes")
+fn json<R: serde::Serialize>(records: &[R]) -> String {
+    serde_json::to_string(records).expect("records serialize")
 }
 
-#[test]
-fn thread_count_never_changes_a_byte() {
-    let baseline = result_json(&run_campaign(&cfg(1), None));
+fn tables() -> Vec<HmTable> {
+    vec![HmTable::reexecute_only(), HmTable::tiered()]
+}
+
+const MULTIBIT: Multibit = Multibit { bits: 2 };
+
+/// `$leg(&experiment, name, ..)` for each of the four experiments.
+macro_rules! for_every_experiment {
+    ($leg:ident $(, $arg:expr)*) => {{
+        let tables = tables();
+        $leg(&RegFlips, "reg" $(, $arg)*);
+        $leg(&Recovery(&tables), "recovery" $(, $arg)*);
+        $leg(&Models, "models" $(, $arg)*);
+        $leg(&MULTIBIT, "multibit" $(, $arg)*);
+    }};
+}
+
+/// A journal path of its own per (test, experiment), cleared.
+fn journal_at(test: &str, name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("xentry_contract_{test}_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir.join("campaign.journal")
+}
+
+fn completed<R>(run: Run<R>, what: &str) -> Vec<R> {
+    match run {
+        Run::Complete(records) => records,
+        Run::Interrupted { .. } => panic!("{what} did not complete"),
+    }
+}
+
+fn threads_leg<E: Experiment>(exp: &E, name: &str) {
+    let baseline = json(&run(&cfg(1), None, exp));
     for threads in [4, 16] {
-        let got = result_json(&run_campaign(&cfg(threads), None));
+        let got = json(&run(&cfg(threads), None, exp));
         assert_eq!(
             got, baseline,
-            "threads={threads} produced a different campaign result"
+            "{name}: threads={threads} changed the result"
         );
     }
 }
 
 #[test]
-fn interrupted_campaign_resumes_to_the_identical_result() {
-    let c = cfg(2);
-    let dir = std::env::temp_dir().join("xentry_campaign_determinism");
-    let _ = std::fs::remove_dir_all(&dir);
-    let journal = dir.join("campaign.journal");
+fn thread_count_never_changes_a_byte() {
+    for_every_experiment!(threads_leg);
+}
 
+/// Killed after the first chunk at `first` threads, resumed at `then`.
+fn resume_leg<E: Experiment>(exp: &E, name: &str, first: usize, then: usize) {
+    let journal = journal_at(&format!("resume{first}{then}"), name);
     // A straight run is the reference.
-    let fresh = result_json(&run_campaign(&c, None));
+    let fresh = json(&run(&cfg(first), None, exp));
 
     // Kill the campaign after the first chunk...
-    let first = run_campaign_resumable(&c, None, &journal, Some(1)).unwrap();
-    match first {
-        CampaignRun::Interrupted {
+    match run_resumable(&cfg(first), None, exp, &journal, Some(1)).unwrap() {
+        Run::Interrupted {
             chunks_done,
             chunks_total,
-        } => {
-            assert!(chunks_done >= 1);
-            assert!(chunks_done < chunks_total);
-        }
-        CampaignRun::Complete(_) => panic!("stop_after_chunks=1 should interrupt"),
+        } => assert!((1..chunks_total).contains(&chunks_done), "{name}"),
+        Run::Complete(_) => panic!("{name}: stop_after_chunks=1 should interrupt"),
     }
-    assert!(journal.exists(), "interrupt must leave a journal behind");
+    assert!(journal.exists(), "{name}: interrupt must leave a journal");
 
     // ...and resume: same bytes as the uninterrupted run.
-    match run_campaign_resumable(&c, None, &journal, None).unwrap() {
-        CampaignRun::Complete(res) => assert_eq!(result_json(&res), fresh),
-        CampaignRun::Interrupted { .. } => panic!("resume did not complete"),
-    }
+    let resumed = run_resumable(&cfg(then), None, exp, &journal, None).unwrap();
+    assert_eq!(json(&completed(resumed, name)), fresh, "{name}: resumed");
 
     // A third invocation short-circuits off the complete journal.
-    match run_campaign_resumable(&c, None, &journal, Some(0)).unwrap() {
-        CampaignRun::Complete(res) => assert_eq!(result_json(&res), fresh),
-        CampaignRun::Interrupted { .. } => panic!("complete journal should short-circuit"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+    let again = run_resumable(&cfg(then), None, exp, &journal, Some(0)).unwrap();
+    assert_eq!(json(&completed(again, name)), fresh, "{name}: reloaded");
+    let _ = std::fs::remove_dir_all(journal.parent().unwrap());
+}
+
+#[test]
+fn interrupted_campaign_resumes_to_the_identical_result() {
+    for_every_experiment!(resume_leg, 2, 2);
+}
+
+#[test]
+fn resuming_at_another_thread_count_still_equals_the_straight_run() {
+    // One worker stops exactly after its first chunk; several could all
+    // finish one before any of them looks at the cap.
+    for_every_experiment!(resume_leg, 1, 4);
+}
+
+/// A partial journal of `exp` must be ignored by another seed and by
+/// `other`, an experiment (or parameter set) it could be mistaken for.
+fn stale_leg<E: Experiment, O: Experiment>(exp: &E, other: &O, name: &str) {
+    let journal = journal_at("stale", name);
+    let leave_partial = || {
+        let left = run_resumable(&cfg(1), None, exp, &journal, Some(1)).unwrap();
+        assert!(matches!(left, Run::Interrupted { .. }), "{name}");
+    };
+
+    leave_partial();
+    let mut reseeded = cfg(2);
+    reseeded.seed += 1;
+    let fresh = json(&run(&reseeded, None, exp));
+    let got = run_resumable(&reseeded, None, exp, &journal, None).unwrap();
+    assert_eq!(json(&completed(got, name)), fresh, "{name}: another seed");
+
+    leave_partial();
+    let fresh = json(&run(&cfg(2), None, other));
+    let got = run_resumable(&cfg(2), None, other, &journal, None).unwrap();
+    assert_eq!(
+        json(&completed(got, name)),
+        fresh,
+        "{name}: another experiment"
+    );
+    let _ = std::fs::remove_dir_all(journal.parent().unwrap());
 }
 
 #[test]
 fn stale_journal_from_a_different_config_is_ignored() {
-    let a = cfg(2);
-    let mut b = cfg(2);
-    b.seed += 1;
-    let dir = std::env::temp_dir().join("xentry_campaign_stale_journal");
-    let _ = std::fs::remove_dir_all(&dir);
-    let journal = dir.join("campaign.journal");
+    let (tables, other_tables) = (tables(), [HmTable::ignore_all()]);
+    stale_leg(&RegFlips, &Models, "reg");
+    // Same record type, so only the fingerprint tells these apart.
+    stale_leg(&Recovery(&tables), &Recovery(&other_tables), "recovery");
+    stale_leg(&Models, &Recovery(&tables), "models");
+    stale_leg(&MULTIBIT, &Multibit { bits: 3 }, "multibit");
+}
 
-    // Leave a partial journal for config `a`...
-    let _ = run_campaign_resumable(&a, None, &journal, Some(1)).unwrap();
-    // ...then run config `b` against the same path: it must start from
-    // scratch and still match a fresh `b` campaign.
-    let fresh_b = result_json(&run_campaign(&b, None));
-    match run_campaign_resumable(&b, None, &journal, None).unwrap() {
-        CampaignRun::Complete(res) => assert_eq!(result_json(&res), fresh_b),
-        CampaignRun::Interrupted { .. } => panic!("resume did not complete"),
+/// Small: the oracle boots once per injection. Two points a chunk, so the
+/// forks cross a keyframe and end on a short point.
+fn oracle_cfg(seed: u64) -> CampaignConfig {
+    let mut c = cfg(2);
+    c.injections = 10;
+    c.checkpoint_interval = 2;
+    c.seed = seed;
+    c
+}
+
+fn from_boot_leg<E: Experiment>(exp: &E, name: &str) {
+    for seed in [23, 41] {
+        let c = oracle_cfg(seed);
+        let forked = run(&c, None, exp);
+        assert_eq!(forked.len(), c.injections, "{name}");
+        let booted = run_from_boot(&c, None, exp);
+        assert_eq!(json(&forked), json(&booted), "{name}: seed {seed}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------------
-// Recovery phase: same contract, policy tables included in the fingerprint
-// ---------------------------------------------------------------------------
-
-use faultsim::campaign::{
-    run_recovery_campaign, run_recovery_campaign_resumable, RecoveryCampaignResult,
-    RecoveryCampaignRun,
-};
-use faultsim::policy::HmTable;
-
-fn recovery_tables() -> Vec<HmTable> {
-    vec![HmTable::reexecute_only(), HmTable::tiered()]
-}
-
-fn recovery_json(res: &RecoveryCampaignResult) -> String {
-    serde_json::to_string(&res.records).expect("recovery records serialize")
 }
 
 #[test]
-fn recovery_thread_count_never_changes_a_byte() {
-    let tables = recovery_tables();
-    let baseline = recovery_json(&run_recovery_campaign(&cfg(1), None, &tables));
-    let got = recovery_json(&run_recovery_campaign(&cfg(4), None, &tables));
-    assert_eq!(
-        got, baseline,
-        "threads=4 produced a different recovery campaign result"
+fn forked_campaign_equals_from_boot() {
+    for_every_experiment!(from_boot_leg);
+}
+
+/// The first golden point of `c`'s walk, prepared the way the oracle does.
+fn first_point(c: &CampaignConfig) -> InjectionPoint {
+    let (cpu, dom) = (1, 1);
+    let mut plat = faultsim::campaign_platform(c, c.seed);
+    let mut collector = xentry::Xentry::collector();
+    plat.boot(cpu, &mut collector);
+    for _ in 0..c.warmup + c.stride {
+        assert!(plat
+            .run_activation(cpu, &mut collector)
+            .outcome
+            .is_healthy());
+    }
+    let (reason, _) = plat.run_to_exit(cpu);
+    prepare_point(plat, cpu, dom, reason, c.post_window, None).expect("golden run is healthy")
+}
+
+fn schedule_leg<E: Experiment>(exp: &E, name: &str, point: &InjectionPoint)
+where
+    E::Spec: PartialEq + std::fmt::Debug,
+{
+    let c = cfg(1);
+    let at = |ordinal| exp.specs_at(&c, ordinal, point);
+    assert_eq!(at(0), at(0), "{name}: the schedule is not pure");
+    assert_eq!(at(0).len(), c.due_at(0), "{name}");
+    assert_ne!(at(0), at(1), "{name}: the schedule ignores the ordinal");
+    let mut reseeded = c.clone();
+    reseeded.seed += 1;
+    assert_ne!(
+        at(0),
+        exp.specs_at(&reseeded, 0, point),
+        "{name}: the schedule ignores the seed"
     );
 }
 
 #[test]
-fn interrupted_recovery_campaign_resumes_to_the_identical_result() {
-    let c = cfg(2);
-    let tables = recovery_tables();
-    let dir = std::env::temp_dir().join("xentry_recovery_determinism");
-    let _ = std::fs::remove_dir_all(&dir);
-    let journal = dir.join("recovery.journal");
+fn every_schedule_is_pure_in_seed_and_ordinal() {
+    let point = first_point(&cfg(1));
+    for_every_experiment!(schedule_leg, &point);
+}
 
-    // A straight run is the reference.
-    let fresh = recovery_json(&run_recovery_campaign(&c, None, &tables));
+/// A journal written before the engine became generic resumes after it:
+/// these are the values `CampaignConfig::digest` and
+/// `recovery_campaign_digest` computed for this configuration then.
+#[test]
+fn reg_and_recovery_fingerprints_are_the_historical_digests() {
+    assert_eq!(RegFlips.fingerprint(&cfg(1)), 0x1a1e_02c6_4c1c_b31d);
+    assert_eq!(
+        Recovery(&tables()).fingerprint(&cfg(1)),
+        0x64e5_4af5_a29b_0720
+    );
+    assert_eq!(RegFlips.fingerprint(&cfg(1)), cfg(9).digest());
+}
 
-    // Kill the campaign mid-recovery-phase, after the first chunk...
-    let first = run_recovery_campaign_resumable(&c, None, &tables, &journal, Some(1)).unwrap();
-    match first {
-        RecoveryCampaignRun::Interrupted {
-            chunks_done,
-            chunks_total,
-        } => {
-            assert!(chunks_done >= 1);
-            assert!(chunks_done < chunks_total);
-        }
-        RecoveryCampaignRun::Complete(_) => panic!("stop_after_chunks=1 should interrupt"),
+fn write_error_leg<E: Experiment>(exp: &E, name: &str) {
+    let journal = journal_at("unwritable", name);
+    let dir = journal.parent().unwrap();
+    // The journal's parent is a regular file: every write fails.
+    std::fs::create_dir_all(dir.parent().unwrap()).unwrap();
+    std::fs::write(dir, b"not a directory").unwrap();
+    for threads in [1, 4] {
+        let got = run_resumable(&cfg(threads), None, exp, &journal, None);
+        assert!(got.is_err(), "{name}: threads={threads}");
     }
-    assert!(journal.exists(), "interrupt must leave a journal behind");
+    let _ = std::fs::remove_file(dir);
+}
 
-    // ...and resume: same bytes as the uninterrupted run.
-    match run_recovery_campaign_resumable(&c, None, &tables, &journal, None).unwrap() {
-        RecoveryCampaignRun::Complete(res) => assert_eq!(recovery_json(&res), fresh),
-        RecoveryCampaignRun::Interrupted { .. } => panic!("resume did not complete"),
-    }
-
-    // A journal written under a different policy set must be ignored.
-    let other = vec![HmTable::ignore_all()];
-    let fresh_other = recovery_json(&run_recovery_campaign(&c, None, &other));
-    match run_recovery_campaign_resumable(&c, None, &other, &journal, None).unwrap() {
-        RecoveryCampaignRun::Complete(res) => assert_eq!(recovery_json(&res), fresh_other),
-        RecoveryCampaignRun::Interrupted { .. } => panic!("resume did not complete"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+#[test]
+fn a_failed_journal_write_is_an_error_not_a_panic() {
+    let tables = tables();
+    write_error_leg(&RegFlips, "reg");
+    write_error_leg(&Recovery(&tables), "recovery");
 }
 
 // ---------------------------------------------------------------------------
 // Phase 1 runs on `threads` workers beside the walking caller: the trace it
 // freezes must not know how many there were
 // ---------------------------------------------------------------------------
-
-use faultsim::campaign::{golden_trace, run_campaign_with, run_model_campaign_with};
-use faultsim::run_recovery_campaign_with;
 
 #[test]
 fn golden_trace_is_the_same_walk_at_every_thread_count() {
@@ -194,18 +278,19 @@ fn golden_trace_is_the_same_walk_at_every_thread_count() {
 
 #[test]
 fn a_trace_walked_at_one_thread_count_forks_identically_at_another() {
-    let tables = recovery_tables();
+    let tables = tables();
     let results = |walk: usize, fork: usize| {
         let trace = golden_trace(&cfg(walk), None);
         let c = cfg(fork);
         [
-            result_json(&run_campaign_with(&c, &trace, None)),
-            recovery_json(&run_recovery_campaign_with(&c, &trace, None, &tables)),
-            serde_json::to_string(&run_model_campaign_with(&c, &trace, None)).unwrap(),
+            json(&run_with(&c, &trace, None, &RegFlips)),
+            json(&run_with(&c, &trace, None, &Recovery(&tables))),
+            json(&run_with(&c, &trace, None, &Models)),
+            json(&run_with(&c, &trace, None, &MULTIBIT)),
         ]
     };
     let baseline = results(1, 1);
-    assert_eq!(baseline[0], result_json(&run_campaign(&cfg(1), None)));
+    assert_eq!(baseline[0], json(&run(&cfg(1), None, &RegFlips)));
     for (walk, fork) in [(1, 4), (4, 1), (7, 2)] {
         assert_eq!(
             results(walk, fork),
@@ -213,21 +298,4 @@ fn a_trace_walked_at_one_thread_count_forks_identically_at_another() {
             "walked at {walk}, forked at {fork}"
         );
     }
-}
-
-#[test]
-fn resuming_at_another_thread_count_still_equals_the_straight_run() {
-    let dir = std::env::temp_dir().join("xentry_campaign_resume_threads");
-    let _ = std::fs::remove_dir_all(&dir);
-    let journal = dir.join("campaign.journal");
-    let fresh = result_json(&run_campaign(&cfg(1), None));
-    // One worker stops exactly after its first chunk; several could all
-    // finish one before any of them looks at the cap.
-    let first = run_campaign_resumable(&cfg(1), None, &journal, Some(1)).unwrap();
-    assert!(matches!(first, CampaignRun::Interrupted { .. }));
-    match run_campaign_resumable(&cfg(4), None, &journal, None).unwrap() {
-        CampaignRun::Complete(res) => assert_eq!(result_json(&res), fresh),
-        CampaignRun::Interrupted { .. } => panic!("resume did not complete"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 //! and each profile must actually stress the exit-reason corner it is
 //! named for — otherwise the classifier-coverage argument is hollow.
 
-use faultsim::campaign::{golden_trace, run_model_campaign};
+use faultsim::campaign::{golden_trace, run, Models};
 use faultsim::{campaign_platform, run_campaign, CampaignConfig};
 use guest_sim::Benchmark;
 use std::collections::BTreeMap;
@@ -21,7 +21,7 @@ fn cfg(b: Benchmark, threads: usize) -> CampaignConfig {
 fn adversarial_campaigns_are_thread_count_invariant() {
     for b in Benchmark::ADVERSARIAL {
         let reg_base = serde_json::to_string(&run_campaign(&cfg(b, 1), None)).unwrap();
-        let model_base = serde_json::to_string(&run_model_campaign(&cfg(b, 1), None)).unwrap();
+        let model_base = serde_json::to_string(&run(&cfg(b, 1), None, &Models)).unwrap();
         for threads in [4, 16] {
             let reg = serde_json::to_string(&run_campaign(&cfg(b, threads), None)).unwrap();
             assert_eq!(
@@ -30,7 +30,7 @@ fn adversarial_campaigns_are_thread_count_invariant() {
                 "{}: threads={threads} changed the register campaign",
                 b.name()
             );
-            let model = serde_json::to_string(&run_model_campaign(&cfg(b, threads), None)).unwrap();
+            let model = serde_json::to_string(&run(&cfg(b, threads), None, &Models)).unwrap();
             assert_eq!(
                 model,
                 model_base,

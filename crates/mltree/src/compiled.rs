@@ -559,7 +559,7 @@ impl CompiledTree {
     /// Structural integrity check over the arena — the deploy-time gate
     /// in front of the `unsafe` unchecked walkers.
     ///
-    /// [`emit`] guarantees these invariants by construction; a bit flip in
+    /// `emit` guarantees these invariants by construction; a bit flip in
     /// a stored child reference or feature index silently breaks them, and
     /// the unchecked walk would then read out of bounds. `validate`
     /// re-proves, in O(arena):

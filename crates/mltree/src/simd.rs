@@ -6,7 +6,7 @@
 //! runtime feature values all fit 12 bits (Xentry's Table-I counters
 //! always do), the walk runs over a shadow arena that packs an entire
 //! split record into ONE u64 (`[shamt | left | right | threshold]`) and
-//! each lane's ≤ [`PACKED_MAX_ARITY`] feature values into one register
+//! each lane's ≤ `PACKED_MAX_ARITY` feature values into one register
 //! word. A round is then a single gather plus eight cheap ALU ops per
 //! 8-lane group; leaves self-loop, so there is no per-lane liveness
 //! bookkeeping at all. Saturating 12-bit quantization is *exact* under
@@ -19,10 +19,10 @@
 //! 24-byte-record arena directly: the three record fields are fetched
 //! with three independent masked gathers (they pipeline into one gather
 //! latency per group per round), feature values come from a
-//! column-major scratch ([`LaneCols`]) picked by compare/blend rather
+//! column-major scratch (`LaneCols`) picked by compare/blend rather
 //! than a fourth gather, and a liveness mask freezes finished lanes so
 //! a walk costs the deepest *taken* path. The scratch caps the feature
-//! count at [`MAX_SIMD_ARITY`]; wider models stay on the legacy
+//! count at `MAX_SIMD_ARITY`; wider models stay on the legacy
 //! per-lane-slice walker in [`compiled`].
 //!
 //! Both tiers come in three ISA flavours:

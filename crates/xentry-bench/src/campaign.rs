@@ -13,8 +13,7 @@
 //! doubles as a correctness receipt.
 
 use faultsim::campaign::{
-    golden_trace, run_campaign_from_boot, run_campaign_resumable, run_campaign_with,
-    CampaignConfig, CampaignRun,
+    golden_trace, run_from_boot, run_resumable, run_with, CampaignConfig, RegFlips, Run,
 };
 use faultsim::checkpoint::CheckpointStats;
 use guest_sim::Benchmark;
@@ -90,11 +89,11 @@ pub fn campaign_experiment(scale: &Scale, seed: u64) -> CampaignBenchReport {
     let mut cfg = CampaignConfig::paper(benchmark, injections, seed);
     cfg.threads = 1;
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = |res: &faultsim::CampaignResult| serde_json::to_string(res).unwrap();
+    let json = |records: &[faultsim::InjectionRecord]| serde_json::to_string(records).unwrap();
 
     // From-boot baseline (serial by construction).
     let t = Instant::now();
-    let boot_res = json(&run_campaign_from_boot(&cfg, None));
+    let boot_res = json(&run_from_boot(&cfg, None, &RegFlips));
     let from_boot_secs = t.elapsed().as_secs_f64();
 
     // Forked engine, each phase timed apart, at every thread count the
@@ -111,7 +110,7 @@ pub fn campaign_experiment(scale: &Scale, seed: u64) -> CampaignBenchReport {
         let trace = golden_trace(&row_cfg, None);
         let golden_secs = t.elapsed().as_secs_f64();
         let t = Instant::now();
-        results.push(json(&run_campaign_with(&row_cfg, &trace, None)));
+        results.push(json(&run_with(&row_cfg, &trace, None, &RegFlips)));
         let fork_secs = t.elapsed().as_secs_f64();
         forked.push(ThreadRow {
             name: format!("threads={threads}"),
@@ -131,20 +130,20 @@ pub fn campaign_experiment(scale: &Scale, seed: u64) -> CampaignBenchReport {
         threads: 4,
         ..cfg.clone()
     };
-    results.push(json(&run_campaign_with(&four, &trace, None)));
+    results.push(json(&run_with(&four, &trace, None, &RegFlips)));
     let deterministic = results.iter().all(|r| *r == results[0]);
 
     // Resume: stop after one chunk, restart, compare to the straight run.
     let dir = std::env::temp_dir().join(format!("xentry_campaign_bench_{seed}"));
     let journal = dir.join("campaign.journal");
     let _ = std::fs::remove_file(&journal);
-    let first = run_campaign_resumable(&cfg, None, &journal, Some(1)).expect("journal I/O");
-    let interrupted = matches!(first, CampaignRun::Interrupted { .. });
-    let resumed = run_campaign_resumable(&cfg, None, &journal, None).expect("journal I/O");
+    let first = run_resumable(&cfg, None, &RegFlips, &journal, Some(1)).expect("journal I/O");
+    let interrupted = matches!(first, Run::Interrupted { .. });
+    let resumed = run_resumable(&cfg, None, &RegFlips, &journal, None).expect("journal I/O");
     let resume_identical = interrupted
         && match resumed {
-            CampaignRun::Complete(res) => json(&res) == results[0],
-            CampaignRun::Interrupted { .. } => false,
+            Run::Complete(records) => json(&records) == results[0],
+            Run::Interrupted { .. } => false,
         };
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -15,10 +15,9 @@
 use crate::pipeline::{gather_dataset, rebalance, Scale, OVERSAMPLE_INCORRECT};
 use faultsim::policy::{HmTable, RecoveryAction, RecoveryOutcome};
 use faultsim::{
-    coverage_breakdown, golden_trace, merge_vulnmaps, multibit_study, run_campaign,
-    run_campaign_with, run_model_campaign_with, run_recovery_campaign, target_breakdown,
-    vulnmap_from_model_records, vulnmap_from_records, CampaignConfig, CoverageBreakdown, TargetRow,
-    VulnMap,
+    coverage_breakdown, golden_trace, merge_vulnmaps, run, run_campaign, run_with,
+    target_breakdown, vulnmap_from_model_records, vulnmap_from_records, CampaignConfig,
+    CoverageBreakdown, Models, Multibit, Recovery, RegFlips, TargetRow, VulnMap,
 };
 use guest_sim::Benchmark;
 use mltree::{
@@ -139,12 +138,8 @@ pub fn recovery_experiment(
     for (i, &b) in benchmarks.iter().enumerate() {
         let mut cfg = CampaignConfig::paper(b, scale.eval_injections / 2, seed + i as u64);
         cfg.warmup = 40;
-        let res = run_recovery_campaign(&cfg, detector, &tables);
-        let detected = res
-            .records
-            .iter()
-            .filter(|r| r.per_policy[0].is_some())
-            .count();
+        let records = run(&cfg, detector, &Recovery(&tables));
+        let detected = records.iter().filter(|r| r.per_policy[0].is_some()).count();
         let mut stats = Vec::new();
         for (pi, table) in tables.iter().enumerate() {
             let mut st = PolicyStats {
@@ -182,8 +177,7 @@ pub fn recovery_experiment(
                     }
                 }
             }
-            for (spec, rec) in res
-                .records
+            for (spec, rec) in records
                 .iter()
                 .filter_map(|r| r.per_policy[pi].as_ref().map(|p| (r.spec, p)))
             {
@@ -237,7 +231,7 @@ pub fn recovery_experiment(
         }
         per_benchmark.push(BenchmarkRecovery {
             benchmark: b.name().to_string(),
-            injections: res.records.len(),
+            injections: records.len(),
             detected,
             policies: stats,
         });
@@ -601,17 +595,17 @@ pub fn vulnmap_experiment(
         let mut cfg = CampaignConfig::paper(b, scale.eval_injections / 2, seed + i as u64 * 17);
         cfg.warmup = 40;
         let trace = golden_trace(&cfg, detector);
-        let reg = run_campaign_with(&cfg, &trace, detector);
-        let model = run_model_campaign_with(&cfg, &trace, detector);
-        injections += reg.records.len() + model.records.len();
-        if !reg.records.is_empty() {
+        let reg = run_with(&cfg, &trace, detector, &RegFlips);
+        let model = run_with(&cfg, &trace, detector, &Models);
+        injections += reg.len() + model.len();
+        if !reg.is_empty() {
             models.insert("reg".to_string());
         }
-        for r in &model.records {
+        for r in &model {
             models.insert(r.class.clone());
         }
-        maps.push(vulnmap_from_records(&reg.records));
-        maps.push(vulnmap_from_model_records(&model.records));
+        maps.push(vulnmap_from_records(&reg));
+        maps.push(vulnmap_from_model_records(&model));
     }
     let map = merge_vulnmaps(maps);
     let (mut detected, mut silent, mut crash, mut benign, mut cells) = (0, 0, 0, 0, 0);
@@ -700,13 +694,14 @@ pub fn multibit_comparison(
     scale: &Scale,
     seed: u64,
 ) -> MultibitReport {
-    let mut cfg = CampaignConfig::paper(benchmark, scale.eval_injections, seed);
+    let mut cfg = CampaignConfig::paper(benchmark, scale.eval_injections, seed + 5);
     cfg.warmup = 40;
-    let (single, multi) = multibit_study(&cfg, scale.eval_injections, bits, detector, seed + 5);
+    let pairs = run(&cfg, detector, &Multibit { bits });
+    let (single, multi): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
     MultibitReport {
         bits,
-        single: coverage_breakdown(&single.records),
-        multi: coverage_breakdown(&multi.records),
+        single: coverage_breakdown(&single),
+        multi: coverage_breakdown(&multi),
     }
 }
 

@@ -35,7 +35,7 @@
 //!   verdict, fleet-scale analogue of `examples/post_mortem.rs`.
 //! * **Metrics are lock-free** ([`metrics`]): relaxed counters and log2
 //!   latency histograms, exported as `results/service.json`.
-//! * **Workers are supervised** ([`supervisor`]): a panicking worker is
+//! * **Workers are supervised** (`supervisor`): a panicking worker is
 //!   restarted with capped backoff and its abandoned in-flight records
 //!   counted (`ingested == classified + lost` after a drained shutdown);
 //!   a stalled worker is superseded by the heartbeat watchdog. Repeated

@@ -8,7 +8,7 @@
 //! the right tradeoff for soft-error telemetry — a lost sample costs a
 //! little detection coverage, a blocked VM entry costs guest latency.
 //!
-//! Fault policy (see [`crate::supervisor`]): workers run supervised.
+//! Fault policy (see `crate::supervisor`): workers run supervised.
 //! A panicking worker is restarted with capped backoff and its abandoned
 //! in-flight records are counted as `lost`; a stalled worker is
 //! superseded by the heartbeat watchdog. Repeated panics escalate to an

@@ -16,9 +16,7 @@
 //!     --test campaign_equivalence
 //! ```
 
-use faultsim::campaign::{
-    golden_trace, run_campaign_from_boot, run_campaign_with, run_model_campaign_with,
-};
+use faultsim::campaign::{golden_trace, run_from_boot, run_with, Models, RegFlips};
 use faultsim::{CampaignConfig, InjectionRecord, ModelRecord};
 use guest_sim::Benchmark;
 use serde::{Deserialize, Serialize};
@@ -103,11 +101,11 @@ fn forked_engine_matches_from_boot_and_the_golden_corpus() {
 
     // Checkpoint-forked run.
     let trace = golden_trace(&cfg, None);
-    let forked = run_campaign_with(&cfg, &trace, None);
-    assert_eq!(forked.records.len(), cfg.injections);
+    let forked = run_with(&cfg, &trace, None, &RegFlips);
+    assert_eq!(forked.len(), cfg.injections);
 
     // From-boot reference: every injection replayed from a fresh boot.
-    let boot = run_campaign_from_boot(&cfg, None);
+    let boot = run_from_boot(&cfg, None, &RegFlips);
     assert_eq!(
         serde_json::to_string(&boot).unwrap(),
         serde_json::to_string(&forked).unwrap(),
@@ -126,16 +124,16 @@ fn forked_engine_matches_from_boot_and_the_golden_corpus() {
         }
         m
     };
-    assert_eq!(class(&boot.records), class(&forked.records));
+    assert_eq!(class(&boot), class(&forked));
 
     // Extended-model campaign over the same golden trace, byte-identical
     // across thread counts (the model schedule is a pure function of the
     // config, and chunks reassemble in id order).
-    let model = run_model_campaign_with(&cfg, &trace, None);
-    assert_eq!(model.records.len(), cfg.injections);
+    let model = run_with(&cfg, &trace, None, &Models);
+    assert_eq!(model.len(), cfg.injections);
     let mut serial_cfg = cfg.clone();
     serial_cfg.threads = 1;
-    let serial = run_model_campaign_with(&serial_cfg, &trace, None);
+    let serial = run_with(&serial_cfg, &trace, None, &Models);
     assert_eq!(
         serde_json::to_string(&serial).unwrap(),
         serde_json::to_string(&model).unwrap(),
@@ -144,10 +142,10 @@ fn forked_engine_matches_from_boot_and_the_golden_corpus() {
 
     // Pin every fault model against the committed corpus.
     let got = Corpus {
-        reg: corpus_of(&forked.records),
-        burst: model_corpus_of(&model.records, "burst"),
-        pte: model_corpus_of(&model.records, "pte"),
-        pmc: model_corpus_of(&model.records, "pmc"),
+        reg: corpus_of(&forked),
+        burst: model_corpus_of(&model, "burst"),
+        pte: model_corpus_of(&model, "pte"),
+        pmc: model_corpus_of(&model, "pmc"),
     };
     for (name, len) in [
         ("burst", got.burst.len()),
