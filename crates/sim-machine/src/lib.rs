@@ -48,8 +48,8 @@ pub use machine::{
     vmcs, Devices, Event, Machine, MachineConfig, MachineDelta, StepOutcome, VirtMode, VMCS_WORDS,
 };
 pub use mem::{
-    FetchWindow, MemError, Memory, MemoryDelta, PageMap, Perms, Region, RegionId, ADDR_LIMIT,
-    PAGE_BYTES, PAGE_WORDS, PTE_FRAME_MASK, PTE_PRESENT, PTE_RW,
+    DataWindow, FetchWindow, MemError, Memory, MemoryDelta, PageMap, Perms, Region, RegionId,
+    ADDR_LIMIT, PAGE_BYTES, PAGE_WORDS, PTE_FRAME_MASK, PTE_PRESENT, PTE_RW,
 };
 pub use perf::{PerfCounters, PerfSample};
 pub use prng::fold64;

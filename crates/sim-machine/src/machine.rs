@@ -24,7 +24,7 @@ use crate::cycles::CycleModel;
 use crate::exception::{AccessKind, Exception, Vector};
 use crate::exit::ExitReason;
 use crate::insn::{Cond, DecodeError, Insn};
-use crate::mem::{FetchWindow, MemError, Memory};
+use crate::mem::{DataWindow, FetchWindow, MemError, Memory};
 use crate::prng::SiteNoise;
 use crate::reg::{flags, Reg};
 use serde::{Deserialize, Serialize};
@@ -371,11 +371,11 @@ impl Machine {
     /// event, if that is what stopped the run.
     pub fn run(&mut self, cpu: CpuId, max_steps: u64, cycle_deadline: u64) -> (u64, Option<Event>) {
         let (c, mut core) = self.split(cpu);
-        let mut near = FetchWindow::default();
+        let (mut text, mut data) = (FetchWindow::default(), DataWindow::default());
         let mut steps = 0;
         while steps < max_steps && c.cycles < cycle_deadline {
             steps += 1;
-            if let StepOutcome::Event(e) = core.step(c, &mut near) {
+            if let StepOutcome::Event(e) = core.step(c, &mut text, &mut data) {
                 return (steps, Some(e));
             }
         }
@@ -386,7 +386,7 @@ impl Machine {
     /// over, entered once.
     pub fn step(&mut self, cpu: CpuId) -> StepOutcome {
         let (c, mut core) = self.split(cpu);
-        core.step(c, &mut FetchWindow::default())
+        core.step(c, &mut FetchWindow::default(), &mut DataWindow::default())
     }
 }
 
@@ -449,6 +449,19 @@ fn cond_holds(c: &Cpu, cond: Cond) -> bool {
     }
 }
 
+/// The Table-I events one retired instruction contributes: `(is_branch,
+/// loads, stores)`. Each arm of [`Core::execute`] names its class, so
+/// retiring re-examines no instruction; [`Insn::is_branch`],
+/// [`Insn::mem_reads`] and [`Insn::mem_writes`] are the specification the
+/// arms are held to.
+type Events = (bool, u64, u64);
+const PLAIN: Events = (false, 0, 0);
+const LOAD: Events = (false, 1, 0);
+const STORE: Events = (false, 0, 1);
+const BRANCH: Events = (true, 0, 0);
+const CALL: Events = (true, 0, 1);
+const RET: Events = (true, 1, 0);
+
 /// Everything an instruction on one CPU can touch besides that CPU's own
 /// registers. [`Machine::run`] takes it and the `&mut Cpu` once, so the
 /// interpreter body below indexes `cpus` for no instruction.
@@ -502,10 +515,8 @@ impl Core<'_> {
     }
 
     /// Retire bookkeeping: PMU events, cycles, dynamic instruction count.
-    fn retire(&self, c: &mut Cpu, insn: &Insn, taken_branch: bool) {
-        let reads = insn.mem_reads();
-        let writes = insn.mem_writes();
-        c.perf.record(insn.is_branch(), reads, writes);
+    fn retire(&self, c: &mut Cpu, (is_branch, reads, writes): Events, taken_branch: bool) {
+        c.perf.record(is_branch, reads, writes);
         c.cycles += self
             .config
             .cycle_model
@@ -515,11 +526,11 @@ impl Core<'_> {
 
     /// Fetch, decode and execute the instruction at `c.rip`. The one
     /// interpreter body: [`Machine::step`] enters it once, [`Machine::run`]
-    /// in a loop with one `near` for the whole run.
+    /// in a loop with one pair of lookaside windows for the whole run.
     #[inline(always)]
-    fn step(&mut self, c: &mut Cpu, near: &mut FetchWindow) -> StepOutcome {
+    fn step(&mut self, c: &mut Cpu, text: &mut FetchWindow, data: &mut DataWindow) -> StepOutcome {
         let pc = c.rip;
-        let word = match self.mem.fetch_near(near, pc) {
+        let word = match self.mem.fetch_near(text, pc) {
             Ok(w) => w,
             Err(e) => {
                 let exc = mem_error_to_exception(e, pc, AccessKind::Fetch);
@@ -527,7 +538,7 @@ impl Core<'_> {
             }
         };
         match Insn::decode(word) {
-            Ok(insn) => self.execute(c, pc, insn),
+            Ok(insn) => self.execute(c, pc, insn, data),
             Err(DecodeError::BadOpcode(_)) | Err(DecodeError::BadOperand(_)) => {
                 StepOutcome::Event(self.raise(c, Exception::at(Vector::InvalidOpcode, pc)))
             }
@@ -535,7 +546,7 @@ impl Core<'_> {
     }
 
     #[inline(always)]
-    fn execute(&mut self, c: &mut Cpu, pc: u64, insn: Insn) -> StepOutcome {
+    fn execute(&mut self, c: &mut Cpu, pc: u64, insn: Insn, data: &mut DataWindow) -> StepOutcome {
         use Insn::*;
         let is_host = c.mode.is_host();
         let virt = self.config.virt_mode;
@@ -564,49 +575,84 @@ impl Core<'_> {
             };
         }
 
+        // How every arm that completes ends: with its own Table-I events
+        // as constants, so the bookkeeping folds into the arm. `$outcome`
+        // is for the two instructions that retire *and* stop the run.
+        macro_rules! retire {
+            ($events:expr) => {
+                retire!($events, StepOutcome::Retired)
+            };
+            ($events:expr, $outcome:expr) => {{
+                debug_assert_eq!(
+                    $events,
+                    (insn.is_branch(), insn.mem_reads(), insn.mem_writes()),
+                    "{insn:?} retired with another instruction's events"
+                );
+                c.rip = next;
+                self.retire(c, $events, taken);
+                return $outcome;
+            }};
+        }
+
         match insn {
-            MovImm { dst, imm } => c.set(dst, imm as u64),
-            MovReg { dst, src } => c.set(dst, c.get(src)),
+            MovImm { dst, imm } => {
+                c.set(dst, imm as u64);
+                retire!(PLAIN)
+            }
+            MovReg { dst, src } => {
+                c.set(dst, c.get(src));
+                retire!(PLAIN)
+            }
             Load { dst, base, off } => {
                 let addr = c.get(base).wrapping_add(off as u64);
-                match self.mem.read_v(addr) {
+                match self.mem.read_near(data, addr) {
                     Ok(v) => c.set(dst, v),
                     Err(e) => mem_fault!(e, AccessKind::Read),
                 }
+                retire!(LOAD)
             }
             Store { base, src, off } => {
                 let addr = c.get(base).wrapping_add(off as u64);
-                if let Err(e) = self.mem.write_v(addr, c.get(src)) {
+                if let Err(e) = self.mem.write_near(data, addr, c.get(src)) {
                     mem_fault!(e, AccessKind::Write);
                 }
+                retire!(STORE)
             }
             Add { dst, src } => {
                 let v = c.get(dst).wrapping_add(c.get(src));
                 c.set(dst, v);
                 set_flags_logic(c, v);
+                retire!(PLAIN)
             }
             AddImm { dst, imm } => {
                 let v = c.get(dst).wrapping_add(imm as u64);
                 c.set(dst, v);
                 set_flags_logic(c, v);
+                retire!(PLAIN)
             }
             Sub { dst, src } => {
                 let (a, b) = (c.get(dst), c.get(src));
                 set_flags_sub(c, a, b);
                 c.set(dst, a.wrapping_sub(b));
+                retire!(PLAIN)
             }
             SubImm { dst, imm } => {
                 let (a, b) = (c.get(dst), imm as u64);
                 set_flags_sub(c, a, b);
                 c.set(dst, a.wrapping_sub(b));
+                retire!(PLAIN)
             }
-            Mul { dst, src } => c.set(dst, c.get(dst).wrapping_mul(c.get(src))),
+            Mul { dst, src } => {
+                c.set(dst, c.get(dst).wrapping_mul(c.get(src)));
+                retire!(PLAIN)
+            }
             Div { dst, src } => {
                 let b = c.get(src);
                 if b == 0 {
                     fault!(Exception::at(Vector::DivideError, pc));
                 }
                 c.set(dst, c.get(dst) / b);
+                retire!(PLAIN)
             }
             Rem { dst, src } => {
                 let b = c.get(src);
@@ -614,66 +660,78 @@ impl Core<'_> {
                     fault!(Exception::at(Vector::DivideError, pc));
                 }
                 c.set(dst, c.get(dst) % b);
+                retire!(PLAIN)
             }
             And { dst, src } => {
                 let v = c.get(dst) & c.get(src);
                 c.set(dst, v);
                 set_flags_logic(c, v);
+                retire!(PLAIN)
             }
             Or { dst, src } => {
                 let v = c.get(dst) | c.get(src);
                 c.set(dst, v);
                 set_flags_logic(c, v);
+                retire!(PLAIN)
             }
             Xor { dst, src } => {
                 let v = c.get(dst) ^ c.get(src);
                 c.set(dst, v);
                 set_flags_logic(c, v);
+                retire!(PLAIN)
             }
             ShlImm { dst, imm } => {
                 let v = c.get(dst) << (imm & 63);
                 c.set(dst, v);
                 set_flags_logic(c, v);
+                retire!(PLAIN)
             }
             ShrImm { dst, imm } => {
                 let v = c.get(dst) >> (imm & 63);
                 c.set(dst, v);
                 set_flags_logic(c, v);
+                retire!(PLAIN)
             }
             Cmp { a, b } => {
                 let (x, y) = (c.get(a), c.get(b));
                 set_flags_sub(c, x, y);
+                retire!(PLAIN)
             }
             CmpImm { a, imm } => {
                 let x = c.get(a);
                 set_flags_sub(c, x, imm as u64);
+                retire!(PLAIN)
             }
             Test { a, b } => {
                 let v = c.get(a) & c.get(b);
                 set_flags_logic(c, v);
+                retire!(PLAIN)
             }
             Jmp { target } => {
                 next = target;
                 taken = true;
+                retire!(BRANCH)
             }
             Jcc { cond, target } => {
                 if cond_holds(c, cond) {
                     next = target;
                     taken = true;
                 }
+                retire!(BRANCH)
             }
             Call { target } => {
                 let rsp = c.rsp().wrapping_sub(8);
-                if let Err(e) = self.mem.write_v(rsp, pc.wrapping_add(8)) {
+                if let Err(e) = self.mem.write_near(data, rsp, pc.wrapping_add(8)) {
                     mem_fault!(e, AccessKind::Write);
                 }
                 c.set(Reg::Rsp, rsp);
                 next = target;
                 taken = true;
+                retire!(CALL)
             }
             Ret => {
                 let rsp = c.rsp();
-                match self.mem.read_v(rsp) {
+                match self.mem.read_near(data, rsp) {
                     Ok(ra) => {
                         c.set(Reg::Rsp, rsp.wrapping_add(8));
                         next = ra;
@@ -681,37 +739,42 @@ impl Core<'_> {
                     }
                     Err(e) => mem_fault!(e, AccessKind::Read),
                 }
+                retire!(RET)
             }
             Push { src } => {
                 let rsp = c.rsp().wrapping_sub(8);
-                if let Err(e) = self.mem.write_v(rsp, c.get(src)) {
+                if let Err(e) = self.mem.write_near(data, rsp, c.get(src)) {
                     mem_fault!(e, AccessKind::Write);
                 }
                 c.set(Reg::Rsp, rsp);
+                retire!(STORE)
             }
             Pop { dst } => {
                 let rsp = c.rsp();
-                match self.mem.read_v(rsp) {
+                match self.mem.read_near(data, rsp) {
                     Ok(v) => {
                         c.set(dst, v);
                         c.set(Reg::Rsp, rsp.wrapping_add(8));
                     }
                     Err(e) => mem_fault!(e, AccessKind::Read),
                 }
+                retire!(LOAD)
             }
             JmpReg { target } => {
                 next = c.get(target);
                 taken = true;
+                retire!(BRANCH)
             }
             CallReg { target } => {
                 let dest = c.get(target);
                 let rsp = c.rsp().wrapping_sub(8);
-                if let Err(e) = self.mem.write_v(rsp, pc.wrapping_add(8)) {
+                if let Err(e) = self.mem.write_near(data, rsp, pc.wrapping_add(8)) {
                     mem_fault!(e, AccessKind::Write);
                 }
                 c.set(Reg::Rsp, rsp);
                 next = dest;
                 taken = true;
+                retire!(CALL)
             }
             Cpuid => {
                 if !is_host {
@@ -723,6 +786,7 @@ impl Core<'_> {
                 c.set(Reg::Rbx, out[1]);
                 c.set(Reg::Rcx, out[2]);
                 c.set(Reg::Rdx, out[3]);
+                retire!(PLAIN)
             }
             Rdtsc => {
                 if !is_host {
@@ -731,17 +795,18 @@ impl Core<'_> {
                 let t = c.cycles;
                 c.set(Reg::Rax, t & 0xffff_ffff);
                 c.set(Reg::Rdx, t >> 32);
+                retire!(PLAIN)
             }
             Hypercall { nr } => {
                 if is_host {
                     fault!(Exception::at(Vector::InvalidOpcode, pc));
                 }
-                return StepOutcome::Event(self.hw_vm_exit(
+                StepOutcome::Event(self.hw_vm_exit(
                     c,
                     ExitReason::Hypercall(nr % crate::exit::NR_HYPERCALLS),
                     pc.wrapping_add(8),
                     nr as u64,
-                ));
+                ))
             }
             VmEntry => {
                 if !is_host {
@@ -749,29 +814,27 @@ impl Core<'_> {
                 }
                 let (cfg, cpu) = (self.config, self.cpu);
                 let field = |f| self.mem.peek(cfg.vmcs_field(cpu, f)).expect("VMCS");
-                c.rip = field(vmcs::GUEST_RIP);
+                next = field(vmcs::GUEST_RIP);
+                taken = true;
                 c.set(Reg::Rsp, field(vmcs::GUEST_RSP));
                 c.rflags = field(vmcs::GUEST_RFLAGS);
                 c.cycles += cfg.cycle_model.vm_entry;
                 // Mode switch to Guest is performed by the orchestrator,
                 // which knows (from the hypervisor's scheduling state) which
                 // VCPU is being resumed.
-                self.retire(c, &insn, true);
-                return StepOutcome::Event(Event::VmEntry);
+                retire!(PLAIN, StepOutcome::Event(Event::VmEntry))
             }
             Hlt => {
-                if is_host {
-                    c.rip = next;
-                    self.retire(c, &insn, false);
-                    return StepOutcome::Event(Event::Halt);
+                if !is_host {
+                    let reason = match virt {
+                        VirtMode::Para => ExitReason::Hypercall(29), // PV guests yield via sched_op
+                        VirtMode::Hvm => ExitReason::HltExit,
+                    };
+                    return StepOutcome::Event(self.hw_vm_exit(c, reason, pc.wrapping_add(8), 0));
                 }
-                let reason = match virt {
-                    VirtMode::Para => ExitReason::Hypercall(29), // PV guests yield via sched_op
-                    VirtMode::Hvm => ExitReason::HltExit,
-                };
-                return StepOutcome::Event(self.hw_vm_exit(c, reason, pc.wrapping_add(8), 0));
+                retire!(PLAIN, StepOutcome::Event(Event::Halt))
             }
-            Nop => {}
+            Nop => retire!(PLAIN),
             AssertFail { id } => {
                 if is_host {
                     return StepOutcome::Event(Event::AssertFail { id, rip: pc });
@@ -783,6 +846,7 @@ impl Core<'_> {
                     guest_privileged!(ExitReason::IoInstruction { port, write: true }, port as u64);
                 }
                 self.devices.write(port, c.get(src));
+                retire!(PLAIN)
             }
             In { dst, port } => {
                 if !is_host {
@@ -792,13 +856,13 @@ impl Core<'_> {
                     );
                 }
                 c.set(dst, self.devices.read(port));
+                retire!(PLAIN)
             }
-            Noise { dst, bound } => c.set(dst, self.noise.next_at(pc, bound)),
+            Noise { dst, bound } => {
+                c.set(dst, self.noise.next_at(pc, bound));
+                retire!(PLAIN)
+            }
         }
-
-        c.rip = next;
-        self.retire(c, &insn, taken);
-        StepOutcome::Retired
     }
 }
 

@@ -39,6 +39,23 @@
 //!   unshared page still compares equal.
 //!
 //! Mapped addresses must lie below [`ADDR_LIMIT`], which bounds the table.
+//!
+//! # Lookaside windows
+//!
+//! A caller that accesses memory again and again — [`Machine::run`](crate::Machine::run) —
+//! carries two small caches of *where* recent accesses resolved, never of
+//! *what* they read: a [`FetchWindow`] for instruction fetches
+//! ([`Memory::fetch_near`]) and a [`DataWindow`] for loads and stores
+//! through the page maps ([`Memory::read_near`], [`Memory::write_near`]).
+//! Both are filled only by the checked path, which is also where every
+//! fault is raised, and the word itself always comes from the live page, so
+//! stores, pokes, restores and copy-on-write need no invalidation. The one
+//! thing a window remembers that simulated code can change is a
+//! translation: the data window keeps the PTE value it was derived from
+//! and compares it with the live PTE word on every hit. No window is
+//! stored in a [`Memory`], a machine or a snapshot; [`Memory::fetch`],
+//! [`Memory::read_v`] and [`Memory::write_v`] are the `_near` forms with a
+//! throwaway one.
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -499,6 +516,80 @@ impl Default for FetchWindow {
     }
 }
 
+/// Entries in a [`DataWindow`]. A `run` call on the campaign platform makes
+/// a couple of hundred data accesses to about eight pages, and the measured
+/// miss rate is 12.3% with 4 entries, 3.4% with 16 — close to the one miss
+/// a page must cost — and 3.0% with 32.
+const DATA_WINDOW_ENTRIES: usize = 16;
+
+/// The PTE a page walk went through: where it sits and what it held.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pte {
+    value: u64,
+    /// Index into [`Memory::pages`]; [`NO_PTE`] when no map governs the
+    /// address and there was no walk.
+    slot: u32,
+    /// Word of that page.
+    word: u16,
+}
+
+const NO_PTE: u32 = u32::MAX;
+
+/// What stands in for the PTE of an address no map governs: present,
+/// writable, nowhere.
+const UNTRANSLATED: Pte = Pte {
+    value: PTE_PRESENT | PTE_RW,
+    slot: NO_PTE,
+    word: 0,
+};
+
+/// Where one virtual page's data accesses go, and what that was derived
+/// from. All zeroes is the empty entry: its word range holds no word.
+#[derive(Debug, Clone, Copy, Default)]
+struct DataEntry {
+    /// Virtual page number the entry answers for.
+    vpage: u64,
+    /// The PTE the translation below was derived from.
+    pte: Pte,
+    /// Words `[lo, hi)` of the translated page are one readable region's.
+    lo: u16,
+    hi: u16,
+    /// Index into [`Memory::pages`] of the translated page.
+    slot: u32,
+    /// Whether region and PTE both allow a store.
+    write: bool,
+}
+
+/// Data lookaside, the [`FetchWindow`] of loads and stores: where the last
+/// successful [`Memory::read_near`] / [`Memory::write_near`] to each of a
+/// few virtual pages found its word. Like the fetch window it holds where,
+/// never what: the page's storage slot, the word range and write permission
+/// of the region there — which the memory map fixes — and, for a
+/// page-mapped address, where its PTE sits and the PTE value the slot was
+/// translated from. That last part simulated code *can* change, so a hit
+/// reads the live PTE word again and compares: a store, `poke`, restore or
+/// injected strike that changes the PTE is seen by the next access with no
+/// invalidation protocol, and one that leaves it equal changes nothing the
+/// entry holds. It belongs to one memory map: start a new one after
+/// [`Memory::map`] or [`Memory::add_page_map`].
+/// [`Machine::run`](crate::Machine::run) keeps one per call and nothing
+/// stores one.
+#[derive(Debug, Default)]
+pub struct DataWindow {
+    entries: [DataEntry; DATA_WINDOW_ENTRIES],
+}
+
+impl DataWindow {
+    /// The entry `vpage` maps to. The hypervisor's structure families sit
+    /// one page each at 0x40-page strides, so their low page-number bits
+    /// are all equal (16 entries indexed by those alone miss as often as
+    /// 4); fold the stride's bits in.
+    #[inline]
+    fn index(vpage: u64) -> usize {
+        (vpage ^ (vpage >> 6)) as usize % DATA_WINDOW_ENTRIES
+    }
+}
+
 /// Kind of access being performed, for permission checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Access {
@@ -653,19 +744,56 @@ impl Memory {
         Ok((e.slot as usize, word_of(addr)))
     }
 
-    /// [`Memory::access`] behind the page walk: one table lookup serves
-    /// both the walk and, for an identity PTE (what boot installs), the
-    /// data access itself.
+    /// Slot and word of a data access to virtual address `addr`, from
+    /// `near` alone: `None` unless `addr` is aligned, on a page `near` has
+    /// an entry for, inside the entry's word range, allowed (`write`) and —
+    /// for a page-mapped address — still governed by the PTE value the
+    /// entry was derived from.
     #[inline]
-    fn access_v(&self, addr: u64, kind: Access) -> Result<(usize, usize), MemError> {
+    fn near_hit(&self, near: &DataWindow, addr: u64, write: bool) -> Option<(usize, usize)> {
+        let (vpage, word) = (page_of(addr), word_of(addr));
+        let e = &near.entries[DataWindow::index(vpage)];
+        let hit = e.vpage == vpage
+            && addr.is_multiple_of(8)
+            && (e.lo..e.hi).contains(&(word as u16))
+            && (e.write || !write)
+            && (e.pte.slot == NO_PTE
+                || self.pages[e.pte.slot as usize][e.pte.word as usize] == e.pte.value);
+        hit.then_some((e.slot as usize, word))
+    }
+
+    /// The checked path of a data access to virtual address `addr`: the
+    /// page walk ([`Memory::walk`]), then [`Memory::check`] on the physical
+    /// address — one table lookup serves both and, for an identity PTE
+    /// (what boot installs), the data access as well. Raises every fault,
+    /// and is the only place `near` is filled.
+    #[inline(never)]
+    fn near_miss(
+        &self,
+        near: &mut DataWindow,
+        addr: u64,
+        kind: Access,
+    ) -> Result<(usize, usize), MemError> {
         let head = self.layout.head(addr);
-        let pa = self.walk(head, addr, kind == Access::Write)?;
+        let (pa, pte) = self.walk(head, addr, kind == Access::Write)?;
         let head = if page_of(pa) == page_of(addr) {
             head
         } else {
             self.layout.head(pa)
         };
         let e = self.check(head, pa, kind)?;
+        // An entry promises reads; a write-only region gets none.
+        if e.perms.read {
+            let vpage = page_of(addr);
+            near.entries[DataWindow::index(vpage)] = DataEntry {
+                vpage,
+                pte,
+                lo: e.lo,
+                hi: e.hi,
+                slot: e.slot,
+                write: e.perms.write && pte.value & PTE_RW != 0,
+            };
+        }
         Ok((e.slot as usize, word_of(pa)))
     }
 
@@ -704,45 +832,97 @@ impl Memory {
     }
 
     /// The page walk for virtual address `addr`, whose page's table entry
-    /// is `head`.
+    /// is `head`: the physical address and the PTE it went through
+    /// ([`UNTRANSLATED`] when no map governs the page).
+    ///
+    /// Three faults, in this order. The PTE word itself unmapped or
+    /// unaligned (a map whose PTE array hangs off its region, or was set up
+    /// at an odd address) fails with the *PTE's* address — before the data
+    /// address has been looked at, so before its own alignment check. Then
+    /// a non-present PTE is `Unmapped` and a write through a read-only PTE
+    /// `Protection`, both against the *virtual* address, as hardware
+    /// reports them. This is the one walk: [`Memory::translate`] and the
+    /// data path's checked half ([`Memory::near_miss`]) are both this
+    /// function, so there is no second place to give a different answer.
     #[inline]
-    fn walk(&self, head: Option<&PageEntry>, addr: u64, write: bool) -> Result<u64, MemError> {
+    fn walk(
+        &self,
+        head: Option<&PageEntry>,
+        addr: u64,
+        write: bool,
+    ) -> Result<(u64, Pte), MemError> {
         let map = match head {
             Some(e) if e.map != 0 => &self.layout.page_maps[e.map as usize - 1],
-            _ => return Ok(addr),
+            _ => return Ok((addr, UNTRANSLATED)),
         };
-        let pte = self.peek(map.pte_addr(addr))?;
-        if pte & PTE_PRESENT == 0 {
+        let (slot, word) = self.access(map.pte_addr(addr), Access::Raw)?;
+        let value = self.pages[slot][word];
+        if value & PTE_PRESENT == 0 {
             return Err(MemError::Unmapped { addr });
         }
-        if write && pte & PTE_RW == 0 {
+        if write && value & PTE_RW == 0 {
             return Err(MemError::Protection { addr });
         }
-        Ok((pte & PTE_FRAME_MASK) | (addr & (PAGE_BYTES - 1)))
+        let pte = Pte {
+            value,
+            slot: slot as u32,
+            word: word as u16,
+        };
+        Ok(((value & PTE_FRAME_MASK) | (addr & (PAGE_BYTES - 1)), pte))
     }
 
     /// Walk `addr` through the covering page map, if any. Returns the
     /// physical address data accesses must use; addresses outside every
     /// map translate to themselves. A non-present PTE faults `Unmapped`, a
     /// write through a read-only PTE faults `Protection` — both reported
-    /// against the *virtual* address, as hardware does. The PTE read
-    /// itself is a raw walk (privileged, no recursion, no PMC events).
+    /// against the *virtual* address, as hardware does — and a PTE word
+    /// that is itself unmapped or unaligned faults first, with the PTE's
+    /// address. The PTE read is a raw walk (privileged, no recursion, no
+    /// PMC events).
     pub fn translate(&self, addr: u64, write: bool) -> Result<u64, MemError> {
-        self.walk(self.layout.head(addr), addr, write)
+        Ok(self.walk(self.layout.head(addr), addr, write)?.0)
     }
 
     /// Read the word at virtual address `addr`: translate through the
     /// covering page map (identity outside every map), then [`Memory::read`].
     #[inline]
     pub fn read_v(&self, addr: u64) -> Result<u64, MemError> {
-        let (slot, word) = self.access_v(addr, Access::Read)?;
-        Ok(self.pages[slot][word])
+        self.read_near(&mut DataWindow::default(), addr)
     }
 
     /// Write the word at virtual address `addr` (see [`Memory::read_v`]).
     #[inline]
     pub fn write_v(&mut self, addr: u64, value: u64) -> Result<(), MemError> {
-        let at = self.access_v(addr, Access::Write)?;
+        self.write_near(&mut DataWindow::default(), addr, value)
+    }
+
+    /// [`Memory::read_v`] for a caller that loads and stores again and
+    /// again: an access `near` can answer ([`DataWindow`]) skips the page
+    /// table and the walk; any other takes the checked path, which enters
+    /// the page in `near` when it succeeds. The word is read from the live
+    /// page either way.
+    #[inline]
+    pub fn read_near(&self, near: &mut DataWindow, addr: u64) -> Result<u64, MemError> {
+        let (slot, word) = match self.near_hit(near, addr, false) {
+            Some(at) => at,
+            None => self.near_miss(near, addr, Access::Read)?,
+        };
+        Ok(self.pages[slot][word])
+    }
+
+    /// [`Memory::write_v`] through a [`DataWindow`] (see
+    /// [`Memory::read_near`]).
+    #[inline]
+    pub fn write_near(
+        &mut self,
+        near: &mut DataWindow,
+        addr: u64,
+        value: u64,
+    ) -> Result<(), MemError> {
+        let at = match self.near_hit(near, addr, true) {
+            Some(at) => at,
+            None => self.near_miss(near, addr, Access::Write)?,
+        };
         self.store(at, value);
         Ok(())
     }

@@ -7,17 +7,18 @@
 //! `page_maps()`) and a flat `Vec<u64>` per region. For arbitrary layouts
 //! (page-aligned and not, sub-page regions, several regions in one page,
 //! gaps, page maps whose PTEs are present, absent, read-only, redirected or
-//! garbage) and arbitrary addresses (unaligned ones, region edges,
-//! `u64::MAX`), every access path must return exactly what the oracle
-//! returns, leave exactly the contents the oracle leaves, and never panic.
+//! garbage — and rewritten between accesses) and arbitrary addresses
+//! (unaligned ones, region edges, `u64::MAX`), every access path must return
+//! exactly what the oracle returns, leave exactly the contents the oracle
+//! leaves, and never panic.
 
 use proptest::prelude::*;
 use sim_machine::{
-    FetchWindow, MemError, Memory, PageMap, Perms, Region, PAGE_BYTES, PTE_FRAME_MASK, PTE_PRESENT,
-    PTE_RW,
+    DataWindow, FetchWindow, MemError, Memory, PageMap, Perms, Region, PAGE_BYTES, PTE_FRAME_MASK,
+    PTE_PRESENT, PTE_RW,
 };
 
-const PERMS: [Perms; 5] = [
+const PERMS: [Perms; 6] = [
     Perms::R,
     Perms::RW,
     Perms::RX,
@@ -25,6 +26,12 @@ const PERMS: [Perms; 5] = [
     Perms {
         read: false,
         write: false,
+        exec: false,
+    },
+    // Write-only: a store succeeds where a load does not.
+    Perms {
+        read: false,
+        write: true,
         exec: false,
     },
 ];
@@ -355,6 +362,107 @@ proptest! {
                     // Back to boot contents: whole pages are swapped for the
                     // boot image's, partial ones copied over.
                     let r = oracle.regions.iter().position(|r| r.contains(last)).unwrap();
+                    mem.restore_region(&oracle.regions[r].name, &boot);
+                    oracle.words[r].clone_from(&boot_words[r]);
+                }
+                // Share every page, so the next write to one copies it.
+                _ => snapshots.push(mem.clone()),
+            }
+        }
+
+        for (r, words) in oracle.regions.iter().zip(&oracle.words) {
+            prop_assert_eq!(&mem.region_words(&r.name).unwrap(), words, "{}", r.name);
+        }
+    }
+
+    /// One [`DataWindow`] carried through a whole sequence — what
+    /// `Machine::run` does — must load and store what a page walk and a
+    /// table lookup per access would: addresses that stay on a page just
+    /// accessed (aligned or not, inside its region or past it), addresses
+    /// that leave it, and in between stores onto the PTE that governs the
+    /// page — through the window and around it — region restores and
+    /// snapshots.
+    #[test]
+    fn one_data_window_matches_the_linear_scan(
+        layout in (
+            prop_oneof![Just(8u64), Just(0xff8u64), Just(0x1000u64), Just(0x7_f000u64)],
+            proptest::collection::vec(arb_chunk(), 1..7),
+            any::<u64>(),
+        ),
+        maps in proptest::collection::vec((any::<u64>(), 1u32..5, any::<u64>(), any::<u8>()), 1..3),
+        ptes in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..8),
+        ops in proptest::collection::vec((0u8..12, any::<u8>(), any::<u64>(), any::<u64>()), 1..300),
+    ) {
+        let (start, chunks, shuffle) = layout;
+        let mut mem = build_layout(start, &chunks, shuffle);
+        add_page_maps(&mut mem, &maps, &ptes);
+        let boot = mem.clone();
+        let boot_words = Oracle::of(&boot).words;
+        let mut oracle = Oracle::of(&mem);
+        let mut near = DataWindow::default();
+        let mut snapshots = Vec::new();
+        // The virtual address last accessed successfully.
+        let mut last = oracle.maps[0].virt_base;
+
+        for (op, pick, raw, value) in ops {
+            let page = last & !(PAGE_BYTES - 1);
+            // The PTE governing `last`, or some page's if no map covers it.
+            let pte_of_last = match oracle.maps.iter().find(|m| m.covers(last)) {
+                Some(m) => m.pte_addr(last),
+                None => {
+                    let m = &oracle.maps[raw as usize % oracle.maps.len()];
+                    m.ptbl_base + ((raw >> 8) % m.nr_pages as u64) * 8
+                }
+            };
+            let (addr, value) = match pick % 8 {
+                0 => (last.wrapping_add(8), value),
+                1 => (last.wrapping_sub(8), value),
+                2 => (page | (raw & (PAGE_BYTES - 1)), value),
+                3 => (page | (raw & (PAGE_BYTES - 8)), value),
+                // A new PTE of some shape over the old one.
+                4 | 5 => (pte_of_last, make_pte(&oracle, (value >> 8) as u8, value >> 16, page)),
+                6 => (probe_addr(&oracle, 9, raw), value),
+                _ => (probe_addr(&oracle, pick / 8, raw), value),
+            };
+            match op {
+                0..=3 => {
+                    let got = mem.read_near(&mut near, addr);
+                    let expect = oracle.translate(addr, false).and_then(|pa| oracle.load(pa, Kind::Read));
+                    prop_assert_eq!(got, expect, "read_near {:#x} after {:#x}", addr, last);
+                    prop_assert_eq!(got, mem.read_v(addr));
+                    if got.is_ok() {
+                        last = addr;
+                    }
+                }
+                4..=6 => {
+                    let got = mem.write_near(&mut near, addr, value);
+                    let expect = oracle
+                        .translate(addr, true)
+                        .and_then(|pa| oracle.store(pa, Kind::Write, value));
+                    prop_assert_eq!(got, expect, "write_near {:#x} after {:#x}", addr, last);
+                    if got.is_ok() {
+                        last = addr;
+                    }
+                }
+                7 | 8 => prop_assert_eq!(
+                    mem.write(addr, value),
+                    oracle.store(addr, Kind::Write, value),
+                    "write {:#x}", addr
+                ),
+                9 => prop_assert_eq!(
+                    mem.poke(addr, value),
+                    oracle.store(addr, Kind::Raw, value),
+                    "poke {:#x}", addr
+                ),
+                10 => {
+                    // Back to boot contents: the region the last access
+                    // went to, or the one holding its PTE.
+                    let at = if raw & 1 == 0 { last } else { pte_of_last };
+                    let r = oracle
+                        .regions
+                        .iter()
+                        .position(|r| r.contains(at))
+                        .unwrap_or(raw as usize % oracle.regions.len());
                     mem.restore_region(&oracle.regions[r].name, &boot);
                     oracle.words[r].clone_from(&boot_words[r]);
                 }

@@ -7,13 +7,17 @@
 //! window per instruction and `run` keeps one, so this is also the window
 //! against the table walk on whatever the text does — self-modifying
 //! stores, jumps between regions sharing a page, a `rip` corrupted to
-//! anywhere. Neither entry point may panic: that is the host-never-panics
-//! property, scoped to the step loop.
+//! anywhere. The same goes for the data window: the text loads and stores
+//! through a page-mapped region and stores new PTEs over the ones that
+//! govern it (not present, read-only, pointing at another frame), so a
+//! translation `run` remembered from earlier in the call is held against
+//! the walk `step` does afresh. Neither entry point may panic: that is the
+//! host-never-panics property, scoped to the step loop.
 
 use proptest::prelude::*;
 use sim_machine::{
-    CycleModel, Event, Machine, MachineConfig, Memory, Mode, Opcode, Perms, Reg, StepOutcome,
-    VirtMode,
+    CycleModel, Event, Machine, MachineConfig, Memory, Mode, Opcode, PageMap, Perms, Reg,
+    StepOutcome, VirtMode, PAGE_BYTES, PTE_PRESENT, PTE_RW,
 };
 
 const TEXT: u64 = 0x1_0000;
@@ -30,6 +34,15 @@ const STUB_DATA: u64 = 0x5_0200;
 /// Writable and executable: stores here change what is fetched next.
 const SMC: u64 = 0x6_0000;
 const SMC_WORDS: usize = 64;
+/// The PTEs of `PAGED`, writable by the text like any other data.
+const PTBL: u64 = 0x7_0000;
+/// Two data pages behind a page map.
+const PAGED: u64 = 0x8_0000;
+const PAGED_MAP: PageMap = PageMap {
+    virt_base: PAGED,
+    nr_pages: 2,
+    ptbl_base: PTBL,
+};
 
 /// Where in the text the arbitrary words go (word index): the two CPUs'
 /// host entries, where a VM exit lands; across the page boundary; off the
@@ -58,7 +71,31 @@ fn memory() -> Memory {
     mem.map("stub", STUB, STUB_WORDS, Perms::RX);
     mem.map("stub.data", STUB_DATA, 8, Perms::RW);
     mem.map("smc", SMC, SMC_WORDS, Perms::RWX);
+    mem.map("ptbl", PTBL, 8, Perms::RW);
+    mem.map("paged", PAGED, 2 * PAGE_BYTES as usize / 8, Perms::RW);
+    for page in 0..2 {
+        let pte = PAGED_MAP.identity_pte(page);
+        mem.poke(PTBL + page as u64 * 8, pte).unwrap();
+    }
+    mem.add_page_map(PAGED_MAP);
     mem
+}
+
+/// A PTE for one of `PAGED`'s pages: as boot installs it, not present,
+/// read-only, or pointing at another frame (the other page, plain data, or
+/// nothing).
+fn arb_pte() -> impl Strategy<Value = u64> {
+    (0u32..2, 0usize..6).prop_map(|(page, shape)| {
+        let identity = PAGED_MAP.identity_pte(page);
+        [
+            identity,
+            identity & !PTE_PRESENT,
+            identity & !PTE_RW,
+            PAGED_MAP.identity_pte(1 - page),
+            DATA | PTE_PRESENT | PTE_RW,
+            identity ^ (1 << 30),
+        ][shape]
+    })
 }
 
 /// An address simulated code might plausibly hold: in or at the edge of a
@@ -92,6 +129,9 @@ fn arb_addr() -> impl Strategy<Value = u64> {
         near(STUB_DATA, 8),
         near(SMC, SMC_WORDS),
         near(SMC, SMC_WORDS),
+        near(PTBL, 8),
+        near(PAGED, 1024),
+        near(PAGED, 1024),
         prop_oneof![
             Just(0u64),
             Just(8),
@@ -142,6 +182,19 @@ fn arb_word() -> impl Strategy<Value = u64> {
     let small = || prop_oneof![(0u64..32).prop_map(|w| w * 8), 0u64..64];
     let target =
         || (0..LOAD_AT.len(), 0u64..48).prop_map(|(at, w)| TEXT + (LOAD_AT[at] as u64 + w) * 8);
+    // A memory operation through one of `bases`, other operand free.
+    let through = |bases: std::ops::Range<u8>| {
+        (of(&MEMORY), bases, 0u8..16, any::<bool>(), small()).prop_map(
+            |(op, base, other, base_is_dst, imm)| {
+                let regs = if base_is_dst {
+                    base << 4 | other
+                } else {
+                    other << 4 | base
+                };
+                encode(op, regs, imm)
+            },
+        )
+    };
     let alu = || {
         (of(&ALU), regs(), prop_oneof![small(), arb_addr()])
             .prop_map(|(op, regs, imm)| encode(op, regs, imm))
@@ -165,17 +218,14 @@ fn arb_word() -> impl Strategy<Value = u64> {
             imm + off
         )),
         (of(&MEMORY), regs(), small()).prop_map(|(op, regs, imm)| encode(op, regs, imm)),
-        // Through R14 (data) or R15 (the writable text), other operand free.
-        (of(&MEMORY), 14u8..16, 0u8..16, any::<bool>(), small()).prop_map(
-            |(op, base, other, base_is_dst, imm)| {
-                let regs = if base_is_dst {
-                    base << 4 | other
-                } else {
-                    other << 4 | base
-                };
-                encode(op, regs, imm)
-            }
-        ),
+        // A new PTE into R8..R11, and one of those stored over a live PTE
+        // through R12.
+        (8u8..12, arb_pte()).prop_map(|(dst, pte)| encode(Opcode::MovImm, dst << 4, pte)),
+        (8u8..12, 0u64..2).prop_map(|(src, page)| encode(Opcode::Store, 12 << 4 | src, page * 8)),
+        // Through R14 (data) or R15 (the writable text), and as often
+        // through R13 (the page-mapped data, just below its page boundary).
+        through(14..16),
+        through(13..14),
     ]
 }
 
@@ -229,6 +279,7 @@ proptest! {
         stub in proptest::collection::vec(arb_word(), STUB_WORDS),
         smc in proptest::collection::vec(arb_word(), 1..16),
         regs in proptest::collection::vec(arb_addr(), 16),
+        ptes in proptest::collection::vec(arb_pte(), 4),
         rip in arb_addr(),
         rflags in any::<u64>(),
         mode in arb_mode(),
@@ -255,7 +306,13 @@ proptest! {
             for (r, &v) in Reg::ALL.iter().zip(&regs) {
                 c.set(*r, v);
             }
-            // Two registers a memory operation can rely on.
+            // Registers a memory operation can rely on, and PTEs to store
+            // through the one that points at the page table.
+            for (r, &pte) in [Reg::R8, Reg::R9, Reg::R10, Reg::R11].iter().zip(&ptes) {
+                c.set(*r, pte);
+            }
+            c.set(Reg::R12, PTBL);
+            c.set(Reg::R13, PAGED + PAGE_BYTES - 0x80);
             c.set(Reg::R14, DATA + 0x400);
             c.set(Reg::R15, SMC + 0x100);
             // Mostly start on the loaded words, else wherever.
