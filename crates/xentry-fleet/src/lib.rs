@@ -87,7 +87,8 @@ pub mod trace;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport, Failpoints};
 pub use metrics::{
-    EpochVerdicts, Histogram, HistogramSnapshot, Metrics, ServiceSnapshot, ShardSnapshot,
+    EpochVerdicts, Histogram, HistogramSnapshot, HistogramTally, Metrics, ServiceSnapshot,
+    ShardSnapshot,
 };
 pub use model::{lock_recovering, GoldenSet, ModelCache, ModelSlot, SwapError, VersionedModel};
 pub use net::{http_get, HttpServer};

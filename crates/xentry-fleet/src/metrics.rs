@@ -14,9 +14,10 @@ use std::sync::Mutex;
 const BUCKETS: usize = 64;
 
 /// Histogram over `u64` values with power-of-two bucket edges: bucket `i`
-/// holds values in `[2^(i-1), 2^i)` (bucket 0 holds 0 and 1). The exact
-/// running sum is kept alongside the buckets so exports can report a true
-/// mean (and Prometheus exposition a correct `_sum`), not a bucket-edge
+/// holds values in `[2^i, 2^(i+1))` (bucket 0 also holds 0), so its
+/// exported upper edge is `2^(i+1) - 1`. The exact running sum is kept
+/// alongside the buckets so exports can report a true mean (and
+/// Prometheus exposition a correct `_sum`), not a bucket-edge
 /// approximation.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -40,8 +41,31 @@ impl Histogram {
     }
 
     pub fn record(&self, value: u64) {
-        self.buckets[Self::index(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.record_n(value, 1);
+    }
+
+    /// `n` samples of `value`, for the cost of one.
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::index(value)].fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
+    }
+
+    /// Fold a thread's private tally in and leave it empty: one add per
+    /// non-empty bucket plus one for the sum, however many samples the
+    /// tally holds.
+    pub fn absorb(&self, tally: &mut HistogramTally) {
+        while tally.nonempty != 0 {
+            let i = tally.nonempty.trailing_zeros() as usize;
+            tally.nonempty &= tally.nonempty - 1;
+            self.buckets[i].fetch_add(std::mem::take(&mut tally.buckets[i]), Ordering::Relaxed);
+        }
+        if tally.sum != 0 {
+            self.sum
+                .fetch_add(std::mem::take(&mut tally.sum), Ordering::Relaxed);
+        }
     }
 
     /// Racy-consistent snapshot of the bucket counts.
@@ -52,6 +76,36 @@ impl Histogram {
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         HistogramSnapshot::from_counts(counts, self.sum.load(Ordering::Relaxed))
+    }
+}
+
+/// One thread's private samples for a [`Histogram`]: plain counters, so
+/// recording costs no locked instruction, folded into the shared
+/// histogram with [`Histogram::absorb`]. The samples exist nowhere else
+/// until then — absorb before anything that can unwind past the tally.
+pub struct HistogramTally {
+    buckets: [u64; BUCKETS],
+    sum: u64,
+    /// Bit `i` set when `buckets[i]` is non-zero (there are 64 of each).
+    nonempty: u64,
+}
+
+impl Default for HistogramTally {
+    fn default() -> HistogramTally {
+        HistogramTally {
+            buckets: [0; BUCKETS],
+            sum: 0,
+            nonempty: 0,
+        }
+    }
+}
+
+impl HistogramTally {
+    pub fn record(&mut self, value: u64) {
+        let i = Histogram::index(value);
+        self.buckets[i] += 1;
+        self.nonempty |= 1 << i;
+        self.sum = self.sum.wrapping_add(value);
     }
 }
 
@@ -155,8 +209,19 @@ pub struct Metrics {
     /// Incident dumps suppressed by the per-host rate limiter.
     pub suppressed_incidents: AtomicU64,
     /// Time a record waited in its shard queue (ns).
+    ///
+    /// Both latency histograms are written once per batch, after the
+    /// batch is classified and before its first sink call, so every
+    /// record of a classified batch is in both — including the ones a
+    /// panicking sink then turns into `lost`. After a drained shutdown
+    /// each count is `classified + lost` when every loss came from a sink
+    /// panic; a batch whose *classify* call panicked was never measured
+    /// and is in `lost` alone (`classified <= count <= classified + lost`
+    /// in general).
     pub queue_latency: Histogram,
-    /// Time to classify one record (ns).
+    /// Time to classify one record (ns): a batch's measured classify time
+    /// split over its records as evenly as whole nanoseconds allow, so
+    /// `_sum` is exactly the time spent classifying.
     pub classify_latency: Histogram,
     /// Verdicts per model epoch (the version stamped on the verdict).
     /// Updated once per classified batch, so the mutex is off the
@@ -318,6 +383,70 @@ mod tests {
         assert_eq!(Histogram::index(4), 2);
         assert_eq!(Histogram::index(1024), 10);
         assert_eq!(Histogram::index(u64::MAX), 63);
+    }
+
+    /// Bucket `i` is `[2^i, 2^(i+1))` with 0 joining bucket 0, exported
+    /// under the upper edge `2^(i+1) - 1` — pinned at every boundary, and
+    /// the three ways of recording agree on where a value goes.
+    #[test]
+    fn bucket_boundaries_and_batched_recording_agree() {
+        let mut values = vec![0u64, 1, 2, 3, 4];
+        for k in 3..64 {
+            values.extend([(1u64 << k) - 1, 1u64 << k]);
+        }
+        for &v in &values {
+            let bucket = if v < 2 { 0 } else { v.ilog2() as usize };
+            assert_eq!(Histogram::index(v), bucket, "value {v}");
+            let edge = if bucket == 63 {
+                u64::MAX
+            } else {
+                (2u64 << bucket) - 1
+            };
+            assert!(v <= edge && (bucket == 0 || v > edge / 2), "value {v}");
+
+            // `record_n(v, n)` and a tally of n samples both equal n
+            // calls of `record(v)`.
+            let (one_by_one, at_once, folded) = (
+                Histogram::default(),
+                Histogram::default(),
+                Histogram::default(),
+            );
+            let mut tally = HistogramTally::default();
+            for _ in 0..5 {
+                one_by_one.record(v);
+                tally.record(v);
+            }
+            at_once.record_n(v, 5);
+            at_once.record_n(v, 0);
+            folded.absorb(&mut tally);
+            folded.absorb(&mut tally); // emptied by the first
+            let expect = one_by_one.snapshot();
+            assert_eq!(expect.buckets, vec![(edge, 5)], "value {v}");
+            for got in [at_once.snapshot(), folded.snapshot()] {
+                assert_eq!(got.buckets, expect.buckets, "value {v}");
+                assert_eq!(got.sum, expect.sum, "value {v}");
+            }
+        }
+
+        // A tally spanning several buckets folds each of them.
+        let (h, mut tally) = (Histogram::default(), HistogramTally::default());
+        for v in [0, 1, 7, 8, 1 << 40, u64::MAX >> 1] {
+            tally.record(v);
+        }
+        h.absorb(&mut tally);
+        let s = h.snapshot();
+        assert_eq!(s.count, 6);
+        assert_eq!(s.sum, 16 + (1 << 40) + (u64::MAX >> 1));
+        assert_eq!(
+            s.buckets,
+            vec![
+                (1, 2),
+                (7, 1),
+                (15, 1),
+                ((2 << 40) - 1, 1),
+                (u64::MAX >> 1, 1)
+            ]
+        );
     }
 
     #[test]

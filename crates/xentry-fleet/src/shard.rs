@@ -15,6 +15,7 @@
 //! supervisor's *in-flight* counter equal to the number of claimed but
 //! not-yet-classified records so a panic loses nothing silently.
 
+use crate::metrics::HistogramTally;
 use crate::model::ModelCache;
 use crate::record::{FleetVerdict, HostId, TelemetryRecord, VerdictSource};
 use crate::recorder::{DumpBudget, FlightRecorder};
@@ -56,6 +57,10 @@ pub(crate) fn run_worker(
     let mut batch: Vec<TelemetryRecord> = Vec::with_capacity(shared.cfg.batch);
     let mut features: Vec<FeatureVec> = Vec::with_capacity(shared.cfg.batch);
     let mut labels: Vec<Label> = Vec::with_capacity(shared.cfg.batch);
+    // Queue waits of the batch in hand, folded into the shared histogram
+    // once per batch.
+    let mut queue_waits = HistogramTally::default();
+    let ring = shared.tracer.enabled().then(|| shared.tracer.ring(shard));
     let mut idle: u32 = 0;
     loop {
         if sup.gen.load(Ordering::Acquire) != my_gen {
@@ -63,19 +68,13 @@ pub(crate) fn run_worker(
         }
         sup.heartbeat_ns.store(shared.now_ns(), Ordering::Relaxed);
         batch.clear();
-        while batch.len() < shared.cfg.batch {
-            match queue.pop() {
-                Some(r) => batch.push(r),
-                None => break,
-            }
-        }
-        if batch.is_empty() {
+        if queue.pop_batch(&mut batch, shared.cfg.batch) == 0 {
             // Drain-then-exit: producers stop ingesting before `stop` is
             // set, so an empty queue after observing `stop` is final.
             if shared.stop.load(Ordering::Acquire) && queue.is_empty() {
                 return WorkerExit::Stopped;
             }
-            idle += 1;
+            idle = idle.saturating_add(1);
             if idle < SPIN_POLLS {
                 std::hint::spin_loop();
             } else if idle < YIELD_POLLS {
@@ -126,53 +125,67 @@ pub(crate) fn run_worker(
             let span = model.detector.classify_batch_timed(&features, &mut labels);
             (VerdictSource::Model, span.elapsed_ns)
         };
-        let per_record_ns = batch_ns / batch.len() as u64;
-        // One batch-level span covering the classify call itself, plus
-        // per-epoch verdict attribution — both once per batch, off the
-        // per-record path.
-        shared.tracer.record(
-            shard,
-            SpanKind::BatchClassify,
-            dequeued_ns,
-            batch_ns,
-            0,
-            batch.len() as u64,
-        );
-        shared
-            .metrics
-            .count_epoch_verdicts(model.version, batch.len() as u64);
+        // Everything below up to the sink loop is the batch's bookkeeping,
+        // paid once per batch rather than once per record: the records
+        // share one classify time, their queue waits fold into the shared
+        // histogram in one go, and their spans share one claim on the
+        // trace ring. All of it happens *before* the first sink call: a
+        // sink may panic, and neither a worker-local tally nor a claimed
+        // but unwritten trace slot may be left behind by the unwind.
+        let n = batch.len() as u64;
+        let per_record_ns = batch_ns / n;
+        // The measured time split as evenly as whole nanoseconds allow,
+        // so the histogram's sum gains exactly `batch_ns`.
+        let longer = batch_ns % n;
+        let classify_latency = &shared.metrics.classify_latency;
+        classify_latency.record_n(per_record_ns + 1, longer);
+        classify_latency.record_n(per_record_ns, n - longer);
+        // One batch-level span covering the classify call itself, then
+        // two spans per record closing the ingest→classify→verdict chain
+        // for its trace id: the wait in the shard queue and the verdict
+        // (arg bit 0 = Incorrect, bit 1 = degraded-envelope source).
+        let trace_base = ring.map_or(0, |ring| {
+            let base = ring.claim(1 + 2 * n);
+            ring.write(base, SpanKind::BatchClassify, dequeued_ns, batch_ns, 0, n);
+            base
+        });
+        // Index of the first of the two spans of the batch's `i`-th record.
+        let spans_at = |i: usize| trace_base + 1 + 2 * i as u64;
+        // One pass for the tally and the spans: as two loops (tally, then
+        // claim-and-fill) this measured 4.6% slower on `fleet-serve`.
+        for (i, (rec, &label)) in batch.iter().zip(labels.iter()).enumerate() {
+            let queue_wait_ns = dequeued_ns.saturating_sub(rec.enqueued_ns);
+            queue_waits.record(queue_wait_ns);
+            if let Some(ring) = ring {
+                ring.write(
+                    spans_at(i),
+                    SpanKind::QueueWait,
+                    rec.enqueued_ns,
+                    queue_wait_ns,
+                    rec.trace_id,
+                    rec.host as u64,
+                );
+                ring.write(
+                    spans_at(i) + 1,
+                    SpanKind::Verdict,
+                    dequeued_ns,
+                    per_record_ns,
+                    rec.trace_id,
+                    (label == Label::Incorrect) as u64 | ((degraded as u64) << 1),
+                );
+            }
+        }
+        shared.metrics.queue_latency.absorb(&mut queue_waits);
+        // Per-epoch verdict attribution, also once per batch.
+        shared.metrics.count_epoch_verdicts(model.version, n);
         if degraded {
             shared
                 .metrics
                 .degraded_verdicts
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
+                .fetch_add(n, Ordering::Relaxed);
         }
-        let mut remaining = batch.len() as u64;
-        for (rec, &label) in batch.iter().zip(labels.iter()) {
-            let queue_wait_ns = dequeued_ns.saturating_sub(rec.enqueued_ns);
-            shared.metrics.queue_latency.record(queue_wait_ns);
-            shared.metrics.classify_latency.record(per_record_ns);
-            // Two spans per record close the ingest→classify→verdict
-            // chain for this trace id: the wait in the shard queue and
-            // the verdict itself (arg bit 0 = Incorrect, bit 1 =
-            // degraded-envelope source).
-            shared.tracer.record(
-                shard,
-                SpanKind::QueueWait,
-                rec.enqueued_ns,
-                queue_wait_ns,
-                rec.trace_id,
-                rec.host as u64,
-            );
-            shared.tracer.record(
-                shard,
-                SpanKind::Verdict,
-                dequeued_ns,
-                per_record_ns,
-                rec.trace_id,
-                (label == Label::Incorrect) as u64
-                    | (((source == VerdictSource::DegradedEnvelope) as u64) << 1),
-            );
+        let mut remaining = n;
+        for (i, (rec, &label)) in batch.iter().zip(labels.iter()).enumerate() {
             let (recorder, budget) = recorders.entry(rec.host).or_insert_with(|| {
                 (
                     FlightRecorder::new(shared.cfg.recorder_depth),
@@ -195,11 +208,16 @@ pub(crate) fn run_worker(
                 shard_metrics.incorrect.fetch_add(1, Ordering::Relaxed);
                 if budget.try_take(shared.now_ns()) {
                     shared.metrics.incidents.fetch_add(1, Ordering::Relaxed);
-                    // The dump carries this shard's trailing trace events
-                    // so an incident is debuggable from the dump alone.
-                    shared.sink.on_incident(
-                        &recorder.dump_with_trace(rec.host, shared.tracer.tail(shard, 32)),
-                    );
+                    // The dump carries this shard's trace events up to and
+                    // including the trigger's own two spans (the rest of
+                    // the batch is already in the ring behind them), so an
+                    // incident is debuggable from the dump alone.
+                    let trace = ring.map_or_else(Vec::new, |ring| {
+                        ring.before(shard as u32, spans_at(i) + 2, 32)
+                    });
+                    shared
+                        .sink
+                        .on_incident(&recorder.dump_with_trace(rec.host, trace));
                 } else {
                     shared
                         .metrics

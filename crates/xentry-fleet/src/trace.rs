@@ -16,6 +16,11 @@
 //! Cost model: tracing must be *always on*, so a recorded event is one
 //! relaxed `fetch_add` to claim a slot plus four relaxed stores — no
 //! locks, no allocation, no ordering constraint on the classify hot path.
+//! The shard worker, which records two spans for every record it drains,
+//! pays the `fetch_add` once per batch instead: it claims the batch's
+//! slots together ([`TraceRing::claim`]) and fills all of them before its
+//! first sink call, so no reader — an incident dump above all — ever
+//! meets a claimed slot that still holds an earlier lap's event.
 //! Rings overflow by overwriting the oldest slot; the exact number of
 //! overwritten (dropped) events is always reportable as
 //! `total() - capacity()`. Snapshots are racy-consistent, which is the
@@ -174,8 +179,29 @@ impl TraceRing {
 
     /// Record one event; overwrites the oldest slot when full.
     pub fn push(&self, kind: SpanKind, ts_ns: u64, dur_ns: u64, trace_id: u64, arg: u64) {
-        let i = self.head.0.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(i & self.mask) as usize];
+        self.write(self.claim(1), kind, ts_ns, dur_ns, trace_id, arg);
+    }
+
+    /// Claim `n` consecutive slots with one `fetch_add` and return the
+    /// index of the first; the caller fills each with [`TraceRing::write`].
+    /// Until it has, a claimed slot reads as whatever an earlier lap left
+    /// there — fill the whole claim before doing anything that can
+    /// unwind, block, or take a [`TraceRing::before`] of it.
+    pub fn claim(&self, n: u64) -> u64 {
+        self.head.0.fetch_add(n, Ordering::Relaxed)
+    }
+
+    /// Fill slot `index` of a claim.
+    pub fn write(
+        &self,
+        index: u64,
+        kind: SpanKind,
+        ts_ns: u64,
+        dur_ns: u64,
+        trace_id: u64,
+        arg: u64,
+    ) {
+        let slot = &self.slots[(index & self.mask) as usize];
         slot.ts.store(ts_ns, Ordering::Relaxed);
         slot.dur.store(dur_ns, Ordering::Relaxed);
         slot.id.store(trace_id, Ordering::Relaxed);
@@ -196,10 +222,20 @@ impl TraceRing {
     /// Retained events, oldest first, tagged with `lane`. Racy-consistent
     /// while writers are live; exact on a quiescent ring.
     pub fn snapshot(&self, lane: u32) -> Vec<TraceEvent> {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let cap = self.capacity() as u64;
-        let start = head.saturating_sub(cap);
-        (start..head)
+        self.before(lane, self.total(), self.capacity())
+    }
+
+    /// The up-to-`n` retained events that precede index `end`, oldest
+    /// first: what the ring looked like to the writer whose claim ended
+    /// at `end`, whatever has been claimed after it since.
+    pub fn before(&self, lane: u32, end: u64, n: usize) -> Vec<TraceEvent> {
+        let head = self.total();
+        let end = end.min(head);
+        // Anything a full lap behind the head has been overwritten.
+        let start = end
+            .saturating_sub(n as u64)
+            .max(head.saturating_sub(self.capacity() as u64));
+        (start..end)
             .map(|i| {
                 let slot = &self.slots[(i & self.mask) as usize];
                 let meta = slot.meta.load(Ordering::Relaxed);
@@ -319,16 +355,10 @@ impl Tracer {
     }
 
     /// The last `n` retained events on one lane, oldest first. Empty when
-    /// disabled — incident dumps embed this.
+    /// disabled.
     pub fn tail(&self, lane: usize, n: usize) -> Vec<TraceEvent> {
         match self.rings.get(lane) {
-            Some(ring) => {
-                let mut evs = ring.snapshot(lane as u32);
-                if evs.len() > n {
-                    evs.drain(..evs.len() - n);
-                }
-                evs
-            }
+            Some(ring) => ring.before(lane as u32, ring.total(), n),
             None => Vec::new(),
         }
     }
@@ -444,6 +474,37 @@ mod tests {
         assert_eq!(evs.len(), 5);
         assert_eq!(evs[4].kind, SpanKind::Verdict);
         assert_eq!(evs[4].arg, 1);
+    }
+
+    #[test]
+    fn claimed_slots_fill_in_place_and_before_stops_at_its_end() {
+        let ring = TraceRing::new(8);
+        for i in 0..3u64 {
+            ring.push(SpanKind::Ingest, 10 + i, 0, 0, 0);
+        }
+        // One claim for four events, filled out of order.
+        let base = ring.claim(4);
+        assert_eq!((base, ring.total()), (3, 7));
+        for i in [3, 1, 0, 2] {
+            ring.write(base + i, SpanKind::Verdict, 20 + i, 0, 0, 0);
+        }
+        let ts = |evs: Vec<TraceEvent>| evs.iter().map(|e| e.ts_ns).collect::<Vec<_>>();
+        assert_eq!(ts(ring.snapshot(0)), vec![10, 11, 12, 20, 21, 22, 23]);
+        // The view of the writer whose spans end at base + 2: nothing
+        // claimed after it, however much has been.
+        assert_eq!(ts(ring.before(0, base + 2, 3)), vec![12, 20, 21]);
+        assert_eq!(ts(ring.before(0, base + 2, 99)), vec![10, 11, 12, 20, 21]);
+        assert_eq!(
+            ts(ring.before(0, 99, 2)),
+            vec![22, 23],
+            "end clamps to head"
+        );
+        // Lapped: indices 0..4 are overwritten and no longer reported.
+        for i in 0..5u64 {
+            ring.push(SpanKind::Ingest, 30 + i, 0, 0, 0);
+        }
+        assert_eq!(ts(ring.before(0, base + 2, 3)), vec![21]);
+        assert!(ring.before(0, base, 3).is_empty());
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 use xentry_fleet::{
     replay, ChaosConfig, CollectSink, FleetConfig, FleetService, VerdictSink, VerdictSource,
 };
+use xentry_integration_tests::GateSink;
 
 /// Block until `pred` holds or fail with `what` after 10 s.
 fn wait_for(what: &str, mut pred: impl FnMut() -> bool) {
@@ -120,6 +121,61 @@ fn injected_panics_lose_nothing_silently() {
     assert_eq!(sink.0.load(Ordering::Relaxed), snap.classified);
     assert_eq!(snap.rollbacks, 0);
     assert!(!snap.degraded);
+}
+
+/// Isolated scenario: the sink panics on record `K` of one full 64-record
+/// batch. The `K` records before it are classified, the other `64 - K`
+/// are lost — exactly, because `classified` and the in-flight count move
+/// per record even though the rest of the worker's bookkeeping is per
+/// batch. And that per-batch bookkeeping is not lost with the worker: both
+/// latency histograms were written before the first sink call, so they
+/// hold every record of the batch (`metrics.rs`: `count == classified +
+/// lost` when every loss is a sink's).
+///
+/// Mutation-checked: folding the worker's queue-wait tally into the
+/// shared histogram after the sink loop instead of before it leaves
+/// `queue_latency.count` at 1 (the bait) and fails this test.
+#[test]
+fn sink_panic_mid_batch_loses_exactly_the_rest_and_no_bookkeeping() {
+    const BATCH: u64 = 64;
+    const K: u64 = 23;
+    let sink = GateSink::new(0, Some(1 + K));
+    let cfg = FleetConfig {
+        shards: 1,
+        queue_capacity: 1024,
+        batch: BATCH as usize,
+        recorder_depth: 8,
+        restart_backoff_ms: 1,
+        restart_backoff_cap_ms: 4,
+        stall_timeout_ms: 0, // isolate: no watchdog
+        rollback_after: 0,   // isolate: no rollback escalation
+        degrade_after: 0,    // isolate: no degraded escalation
+        ..FleetConfig::default()
+    };
+    let svc = FleetService::start(cfg, replay::synthetic_detector(1), Arc::clone(&sink) as _);
+    let trace = replay::synthetic_trace(BATCH as usize, 11);
+    sink.form_batch(&svc, 0, trace[0], &trace);
+    wait_for("panic recovery + drain", || {
+        svc.snapshot().restarts >= 1 && drained(&svc)
+    });
+    let snap = svc.shutdown();
+
+    assert_eq!(snap.ingested, 1 + BATCH);
+    assert_eq!(snap.restarts, 1);
+    assert_eq!(
+        snap.classified,
+        1 + K,
+        "the bait and the K records before the panic"
+    );
+    assert_eq!(snap.lost, BATCH - K);
+    assert_eq!(snap.ingested, snap.classified + snap.lost);
+    assert_eq!(snap.shards[0].batches, 1, "only the bait's batch completed");
+    assert_eq!(
+        sink.collected.verdicts.lock().unwrap().len() as u64,
+        snap.classified
+    );
+    assert_eq!(snap.queue_latency.count, snap.classified + snap.lost);
+    assert_eq!(snap.classify_latency.count, snap.classified + snap.lost);
 }
 
 /// Isolated scenario: a stalled worker is superseded by the watchdog

@@ -8,6 +8,7 @@ use xentry::{FeatureVec, VmTransitionDetector, FEATURE_NAMES};
 use xentry_fleet::{
     http_get, parse_exposition, CollectSink, FleetConfig, FleetService, SpanKind, TraceRing,
 };
+use xentry_integration_tests::GateSink;
 
 /// Detector with a planted decision boundary: on vmer 17, rt around
 /// 4*base is Incorrect (same construction as the service unit tests).
@@ -129,6 +130,91 @@ fn trace_id_flows_from_ingest_through_verdict_into_dump() {
         events.iter().any(|e| e.kind == SpanKind::BatchClassify),
         "classify batch spans exist"
     );
+}
+
+/// An incident in the middle of a full batch. The worker claims the trace
+/// slots of all 64 records at once and fills them before its first sink
+/// call, so when record `K` trips the detector the ring already holds the
+/// spans of the 23 records behind it — and the dump must still read as it
+/// did when spans were pushed one record at a time: the 32 events up to
+/// and including the trigger's own `QueueWait` and `Verdict`, each one
+/// written (no fresh slot, nothing left from an earlier lap of the ring),
+/// none from a later record.
+///
+/// Mutation-checked: filling a record's two spans after its sink calls
+/// instead of before the sink loop fails both cases (the trigger's slots
+/// read as zeros on the fresh ring, as lap-old events on the lapped one).
+#[test]
+fn mid_batch_incident_dump_ends_with_the_triggers_own_spans() {
+    const BATCH: usize = 64;
+    const K: usize = 40;
+    // (ring slots, records classified before the batch): a ring that has
+    // never wrapped, where an unwritten slot reads as zeros, and a small
+    // one lapped several times over, where it reads as an old event.
+    for (trace_depth, warmup) in [(4096, 0u64), (256, 1000)] {
+        let sink = GateSink::new(warmup, None);
+        let cfg = FleetConfig {
+            shards: 1,
+            queue_capacity: 1024,
+            batch: BATCH,
+            recorder_depth: 8,
+            stall_timeout_ms: 0,
+            trace_depth,
+            ..FleetConfig::default()
+        };
+        let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
+        for seq in 0..warmup {
+            while !svc.ingest(3, 0, seq, ok_features(100)) {
+                std::thread::yield_now();
+            }
+        }
+        while svc.snapshot().classified < warmup {
+            std::thread::yield_now();
+        }
+        let mut batch = vec![ok_features(100); BATCH];
+        batch[K] = bad_features(100);
+        sink.form_batch(&svc, 3, ok_features(100), &batch);
+        let tracer = svc.tracer();
+        let snap = svc.shutdown();
+        assert_eq!(snap.classified, warmup + 1 + BATCH as u64);
+        assert_eq!((snap.incorrect, snap.incidents), (1, 1));
+
+        // The batch really was drained as one: its classify span says so.
+        let events = tracer.events();
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == SpanKind::BatchClassify && e.arg == BATCH as u64),
+            "depth {trace_depth}: no {BATCH}-record batch formed"
+        );
+
+        // Trace ids of the batch's records, in batch order.
+        let verdicts = sink.collected.verdicts.lock().unwrap();
+        let id_at = |pos: usize| {
+            let seq = warmup + 1 + pos as u64;
+            verdicts.iter().find(|v| v.seq == seq).unwrap().trace_id
+        };
+        let incidents = sink.collected.incidents.lock().unwrap();
+        let dump = &incidents[0];
+        assert_eq!(dump.trigger.seq, warmup + 1 + K as u64);
+        assert_eq!(dump.trace_id, id_at(K));
+        let got: Vec<(SpanKind, u64)> = dump.trace.iter().map(|e| (e.kind, e.trace_id)).collect();
+        let want: Vec<(SpanKind, u64)> = (K - 15..=K)
+            .flat_map(|pos| {
+                [
+                    (SpanKind::QueueWait, id_at(pos)),
+                    (SpanKind::Verdict, id_at(pos)),
+                ]
+            })
+            .collect();
+        assert_eq!(got, want, "depth {trace_depth}");
+        assert!(
+            dump.trace.iter().all(|e| e.ts_ns != 0),
+            "depth {trace_depth}: a slot that was claimed but never written"
+        );
+        let own_verdict = dump.trace.last().unwrap();
+        assert_eq!(own_verdict.arg & 1, 1, "the trigger's verdict is Incorrect");
+    }
 }
 
 #[test]
