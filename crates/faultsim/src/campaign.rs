@@ -24,16 +24,19 @@
 //! [`golden_trace`] walks on the calling thread — stride, `run_to_exit`,
 //! the VM-exit state pushed onto a delta chain with a copy-on-write
 //! keyframe every [`CampaignConfig::checkpoint_interval`] iterations (see
-//! [`crate::checkpoint`]), live handler — and hands each exit's
-//! [`prepare_point`] (golden handler and post window, which nothing
-//! further down the walk waits for) to the workers beside it; the scalar
-//! [`PointMeta`]s come back in walk order. Injections are then grouped
-//! into keyframe-aligned **chunks**: a chunk restores its keyframe, steps
-//! the chain from recorded VM exit to recorded VM exit, and performs each
-//! point's injections — never simulating boot, warmup, or any part of the
-//! walk again. The naive alternative, replaying the golden execution from
-//! boot for every injection ([`run_from_boot`]), is kept as the
-//! equivalence oracle and benchmark baseline.
+//! [`crate::checkpoint`]), live handler — and hands each exit's golden run
+//! (golden handler and post window, which nothing further down the walk
+//! waits for) to the workers beside it, which run it on the hand-off
+//! snapshot itself; the scalar [`PointMeta`]s come back in walk order.
+//! Injections are then grouped into keyframe-aligned **chunks**: a chunk
+//! restores its keyframe, steps the chain from recorded VM exit to
+//! recorded VM exit, and performs each point's injections — never
+//! simulating boot, warmup, or any part of the walk again. Every platform
+//! a chunk forks along the way is rebuilt from one an earlier fork left
+//! behind (the crate's `fork` module). The naive alternative, replaying
+//! the golden execution from boot for every injection
+//! ([`run_from_boot`]), is kept as the equivalence oracle and benchmark
+//! baseline.
 //!
 //! # Determinism and resumption
 //!
@@ -48,9 +51,10 @@
 //! missing chunks, yielding the same bytes as an uninterrupted run.
 
 use crate::checkpoint::{CheckpointStats, CheckpointStore};
+use crate::fork::{fork_of, recycle};
 use crate::injection::{
-    inject, inject_spec, inject_with_flips, prepare_point, prepare_point_forked, InjectionPoint,
-    InjectionRecord, InjectionSpec, PointMeta,
+    golden_run, inject, inject_spec, inject_with_flips, prepare_point, prepare_point_forked,
+    InjectionPoint, InjectionRecord, InjectionSpec, PointMeta,
 };
 use crate::journal::CampaignJournal;
 use crate::outcome::FaultOutcome;
@@ -93,7 +97,7 @@ pub struct CampaignConfig {
     /// behaviour — the thing under test — is unchanged).
     pub kernel_scale: u64,
     pub seed: u64,
-    /// Worker threads: in the golden pass they run `prepare_point` beside
+    /// Worker threads: in the golden pass they run the golden runs beside
     /// the calling thread, which walks (`threads + 1` runnable threads); in
     /// the fork phase they run the chunks while the caller waits. Affects
     /// wall-clock only: trace and result are bit-identical for any value
@@ -342,7 +346,7 @@ fn overlap<J: Send, R: Send>(
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Fold one round of walk-order `prepare_point` results into the trace: a
+/// Fold one round of walk-order golden-run results into the trace: a
 /// valid iteration becomes the next point and records how many invalid
 /// ones the walk skipped right before it; an invalid one has a chain entry
 /// but no point.
@@ -369,9 +373,10 @@ fn entry_before(points: &[PointMeta], i: usize) -> usize {
 /// Phase 1: walk the golden execution once. The calling thread only walks
 /// — stride, `run_to_exit`, push the VM-exit state onto the chain, hand a
 /// copy-on-write snapshot to a worker, live handler — while
-/// [`CampaignConfig::threads`] workers run each exit's [`prepare_point`]
-/// (golden handler and post window) beside it. Results are assembled in
-/// walk order, so the trace is the same for every thread count.
+/// [`CampaignConfig::threads`] workers run each exit's golden run (golden
+/// handler and post window, the body of [`prepare_point`]) beside it, in
+/// place on the snapshot. Results are assembled in walk order, so the
+/// trace is the same for every thread count.
 pub fn golden_trace(cfg: &CampaignConfig, detector: Option<&VmTransitionDetector>) -> GoldenTrace {
     let nr_points = cfg.nr_points();
     let (cpu, dom) = (1, 1); // DomU 1 and the CPU it is pinned to
@@ -406,10 +411,18 @@ pub fn golden_trace(cfg: &CampaignConfig, detector: Option<&VmTransitionDetector
                     plat.run_handler(cpu, reason, 0, &mut collector);
                 }
             },
-            // Only the scalars leave the worker: the snapshots die with the job.
-            |(at_exit, reason)| {
-                prepare_point(at_exit, cpu, dom, reason, cfg.post_window, detector)
-                    .map(|p| p.meta(0, 0))
+            // The golden run happens on the snapshot itself, which dies with
+            // the job: only the scalars leave the worker.
+            |(mut at_exit, reason)| {
+                golden_run(
+                    &mut at_exit,
+                    cpu,
+                    dom,
+                    reason,
+                    cfg.post_window,
+                    detector,
+                    |_| {},
+                )
             },
         );
         assemble(&mut points, &mut skipped, results);
@@ -452,7 +465,7 @@ fn replay_chunk<R>(
             trace.store.advance(&mut plat, entry);
         }
         let point = prepare_point_forked(
-            plat.clone(),
+            fork_of(&plat),
             trace.cpu,
             trace.dom,
             cfg.post_window,
@@ -460,6 +473,7 @@ fn replay_chunk<R>(
             detector,
         );
         out.extend(per_point(&point, meta));
+        point.recycle();
     }
     out
 }
@@ -914,12 +928,16 @@ impl Experiment for Recovery<'_> {
         detector: Option<&VmTransitionDetector>,
     ) -> RecoveryRecord {
         let fault = detect_fault(point, *spec, detector);
+        let per_policy = (self.0.iter())
+            .map(|t| fault.as_ref().map(|f| recover_detected(f, point, t)))
+            .collect();
+        if let Some(fault) = fault {
+            recycle(fault.plat);
+        }
         RecoveryRecord {
             ordinal,
             spec: *spec,
-            per_policy: (self.0.iter())
-                .map(|t| fault.as_ref().map(|f| recover_detected(f, point, t)))
-                .collect(),
+            per_policy,
         }
     }
 }

@@ -81,7 +81,7 @@ impl CheckpointStore {
         if self.deltas.len().is_multiple_of(self.interval) {
             self.keyframes.push(snap.clone());
         }
-        self.tip = snap.clone();
+        self.tip.clone_from(snap);
     }
 
     /// Number of entries in the chain.

@@ -17,6 +17,7 @@
 //!    entry, run forward windows of both machines to classify the
 //!    consequence (APP SDC / APP crash / one-VM / all-VM).
 
+use crate::fork::{fork_of, recycle};
 use crate::golden::{diff_machines, DiffSite, StateDiff};
 use crate::outcome::{Consequence, FaultOutcome, UndetectedCategory};
 use crate::recovery::RecoverySpec;
@@ -67,21 +68,10 @@ pub struct InjectionPoint {
 }
 
 impl InjectionPoint {
-    /// The scalar description of this point, as recorded by the campaign's
-    /// golden pass. Together with a checkpoint-restored platform it is
-    /// enough to rebuild the point via [`prepare_point_forked`] without
-    /// re-running the post window.
-    pub fn meta(&self, ordinal: usize, skipped_before: usize) -> PointMeta {
-        PointMeta {
-            ordinal,
-            reason: self.reason,
-            skipped_before,
-            golden_len: self.golden_len,
-            golden_features: self.golden_features,
-            golden_post_bursts: self.golden_post_bursts,
-            golden_post_result: self.golden_post_result,
-            golden_post_traps: self.golden_post_traps,
-        }
+    /// Done with the point: its two platforms become the next forks.
+    pub(crate) fn recycle(self) {
+        recycle(self.at_exit);
+        recycle(self.golden_entry);
     }
 }
 
@@ -127,8 +117,56 @@ fn shim_for(detector: Option<&xentry::VmTransitionDetector>) -> Xentry {
     shim
 }
 
+/// The golden run at one VM exit, on `plat` itself (positioned right after
+/// [`Platform::run_to_exit`] returned `reason`): the fault-free handler,
+/// `at_entry` on the platform at the matching VM entry, then the post
+/// window and its observables. The campaign's golden pass runs it on each
+/// hand-off snapshot and keeps only the scalars; [`prepare_point`] runs it
+/// on a fork and keeps the VM-entry state too.
+///
+/// Returns `None` if the golden run itself does not complete healthily
+/// (cannot happen in practice; defensive). The meta's walk position
+/// (`ordinal`, `skipped_before`) is for the caller to fill in.
+pub(crate) fn golden_run(
+    plat: &mut Platform,
+    cpu: CpuId,
+    dom: usize,
+    reason: ExitReason,
+    post_window: usize,
+    detector: Option<&xentry::VmTransitionDetector>,
+    at_entry: impl FnOnce(&Platform),
+) -> Option<PointMeta> {
+    let mut shim = shim_for(detector);
+    let act = plat.run_handler(cpu, reason, 0, &mut shim);
+    if !act.outcome.is_healthy() {
+        return None;
+    }
+    let golden_features = shim.last_features()?;
+    at_entry(plat);
+    // Forward window for consequence reference.
+    for _ in 0..post_window {
+        let a = plat.run_activation(cpu, &mut shim);
+        if !a.outcome.is_healthy() {
+            return None;
+        }
+    }
+    let ga = guest_addrs(dom);
+    Some(PointMeta {
+        ordinal: 0,
+        reason,
+        skipped_before: 0,
+        golden_len: act.handler_insns,
+        golden_features,
+        golden_post_bursts: plat.machine.mem.peek(ga.iter_count).ok()?,
+        golden_post_result: plat.machine.mem.peek(ga.result).ok()?,
+        golden_post_traps: plat.machine.mem.peek(ga.trap_count).ok()?,
+    })
+}
+
 /// Prepare an injection point from a platform positioned at a VM exit
-/// (i.e. right after [`Platform::run_to_exit`] returned `reason`).
+/// (i.e. right after [`Platform::run_to_exit`] returned `reason`):
+/// the golden run (the body the campaign's golden pass runs in place) on a
+/// fork of it, keeping the VM-entry state.
 ///
 /// Returns `None` if the golden run itself does not complete healthily
 /// (cannot happen in practice; defensive).
@@ -140,36 +178,29 @@ pub fn prepare_point(
     post_window: usize,
     detector: Option<&xentry::VmTransitionDetector>,
 ) -> Option<InjectionPoint> {
-    let mut golden = at_exit.clone();
-    let mut shim = shim_for(detector);
-    let act = golden.run_handler(cpu, reason, 0, &mut shim);
-    if !act.outcome.is_healthy() {
-        return None;
-    }
-    let golden_features = shim.last_features()?;
-    let golden_entry = golden.clone();
-    // Forward window for consequence reference.
-    let mut post = golden;
-    for _ in 0..post_window {
-        let a = post.run_activation(cpu, &mut shim);
-        if !a.outcome.is_healthy() {
-            return None;
-        }
-    }
-    let ga = guest_addrs(dom);
-    let golden_post_bursts = post.machine.mem.peek(ga.iter_count).ok()?;
-    let golden_post_result = post.machine.mem.peek(ga.result).ok()?;
-    let golden_post_traps = post.machine.mem.peek(ga.trap_count).ok()?;
+    let mut golden = fork_of(&at_exit);
+    let mut golden_entry = None;
+    let meta = golden_run(
+        &mut golden,
+        cpu,
+        dom,
+        reason,
+        post_window,
+        detector,
+        |entry| golden_entry = Some(fork_of(entry)),
+    );
+    recycle(golden);
+    let meta = meta?;
     Some(InjectionPoint {
         at_exit,
         cpu,
         reason,
-        golden_entry,
-        golden_len: act.handler_insns,
-        golden_features,
-        golden_post_bursts,
-        golden_post_result,
-        golden_post_traps,
+        golden_entry: golden_entry.expect("a completed golden run passed VM entry"),
+        golden_len: meta.golden_len,
+        golden_features: meta.golden_features,
+        golden_post_bursts: meta.golden_post_bursts,
+        golden_post_result: meta.golden_post_result,
+        golden_post_traps: meta.golden_post_traps,
         dom,
         post_window,
     })
@@ -193,7 +224,7 @@ pub fn prepare_point_forked(
     meta: &PointMeta,
     detector: Option<&xentry::VmTransitionDetector>,
 ) -> InjectionPoint {
-    let mut golden = at_exit.clone();
+    let mut golden = fork_of(&at_exit);
     let mut shim = shim_for(detector);
     let act = golden.run_handler(cpu, meta.reason, 0, &mut shim);
     assert!(
@@ -228,19 +259,19 @@ pub fn prepare_point_forked(
     }
 }
 
-/// Consequence classification by running the faulty machine forward until
-/// the benchmark guest reaches the golden burst count (or dies / stalls).
-/// `None` means the divergence washed out completely (masked after entry).
+/// Consequence classification by running `f`, a fork of the faulty machine
+/// at VM entry, forward until the benchmark guest reaches the golden burst
+/// count (or dies / stalls). `None` means the divergence washed out
+/// completely (masked after entry).
 fn classify_consequence(
     point: &InjectionPoint,
-    faulty_entry: &Platform,
+    f: &mut Platform,
     entry_diff: &StateDiff,
     shim: &mut Xentry,
     nr_doms: usize,
 ) -> Option<Consequence> {
     let cpu = point.cpu;
     let ga = guest_addrs(point.dom);
-    let mut f = faulty_entry.clone();
     // Budget: generous multiple of the golden window.
     let budget = (point.post_window * 4).max(8);
     let mut died = false;
@@ -365,9 +396,8 @@ pub fn inject_with_flips(
         bit: flips[0].1,
         at_step,
     };
-    let flips_owned: Vec<(FlipTarget, u8)> = flips.to_vec();
-    let (outcome, features) = inject_core(point, at_step, detector, false, move |m, c| {
-        for (target, bit) in flips_owned {
+    let (outcome, features) = inject_core(point, at_step, detector, false, |m, c| {
+        for &(target, bit) in flips {
             m.cpu_mut(c).flip_bit(target, bit);
         }
     });
@@ -405,10 +435,26 @@ pub fn inject_spec(
     )
 }
 
-/// Shared execution core of every injection flavour: run the handler with
-/// the fault hook attached, diff against the golden entry state, classify
-/// the consequence, and give deployed detection its post-window chance.
+/// Shared execution core of every injection flavour, on a fork of the
+/// point's VM exit.
 fn inject_core(
+    point: &InjectionPoint,
+    at_step: u64,
+    detector: Option<&xentry::VmTransitionDetector>,
+    flag_on_clean_diff: bool,
+    apply: impl FnOnce(&mut Machine, CpuId),
+) -> (FaultOutcome, Option<FeatureVec>) {
+    let mut f = fork_of(&point.at_exit);
+    let result = faulty_run(&mut f, point, at_step, detector, flag_on_clean_diff, apply);
+    recycle(f);
+    result
+}
+
+/// Run the handler on `f` (the point's VM exit) with the fault hook
+/// attached, diff against the golden entry state, classify the
+/// consequence, and give deployed detection its post-window chance.
+fn faulty_run(
+    f: &mut Platform,
     point: &InjectionPoint,
     at_step: u64,
     detector: Option<&xentry::VmTransitionDetector>,
@@ -417,7 +463,6 @@ fn inject_core(
 ) -> (FaultOutcome, Option<FeatureVec>) {
     let cpu = point.cpu;
     let nr_doms = point.at_exit.topo.domains.len();
-    let mut f = point.at_exit.clone();
     let mut shim = shim_for(detector);
     // The latency clock starts at activation: the flips land after
     // `at_step` retired host instructions.
@@ -489,8 +534,15 @@ fn inject_core(
 
     // Fault propagated across VM entry: long-latency error. Determine the
     // would-be consequence by running the faulty machine forward.
-    let consequence =
-        classify_consequence(point, &f, &entry_diff, &mut shim_for(detector), nr_doms);
+    let mut fwd = fork_of(f);
+    let consequence = classify_consequence(
+        point,
+        &mut fwd,
+        &entry_diff,
+        &mut shim_for(detector),
+        nr_doms,
+    );
+    recycle(fwd);
 
     if shim.detected() {
         let d = &shim.detections[0];
@@ -510,26 +562,26 @@ fn inject_core(
 
     // Give the deployed runtime detection a chance during the observation
     // window (late hardware exceptions / assertions on corrupted state).
-    let mut fwd = f.clone();
+    let mut fwd = fork_of(f);
     let mut late_shim = shim_for(detector);
     late_shim.injection_mark = shim.injection_mark;
     for _ in 0..point.post_window {
         let a = fwd.run_activation(cpu, &mut late_shim);
-        if late_shim.detected() {
-            let d = &late_shim.detections[0];
-            return base(
-                FaultOutcome::Detected {
-                    technique: d.technique,
-                    latency: d.latency.unwrap_or(0),
-                    same_activation: false,
-                    consequence: Some(consequence),
-                },
-                Some(faulty_features),
-            );
-        }
-        if !a.outcome.is_healthy() {
+        if late_shim.detected() || !a.outcome.is_healthy() {
             break;
         }
+    }
+    recycle(fwd);
+    if let Some(d) = late_shim.detections.first() {
+        return base(
+            FaultOutcome::Detected {
+                technique: d.technique,
+                latency: d.latency.unwrap_or(0),
+                same_activation: false,
+                consequence: Some(consequence),
+            },
+            Some(faulty_features),
+        );
     }
 
     let category = categorize_undetected(&point.golden_features, &faulty_features, &entry_diff);

@@ -15,9 +15,14 @@
 //! * [`campaign`] — checkpoint-forked, deterministic, resumable campaigns.
 //! * [`analysis`] — the aggregations behind Fig. 8/9/10 and Table II.
 
+// `Memory`, `Machine` and `Platform` have a hand-written `clone_from` that
+// costs what differs; `a = b.clone()` over a live one throws that away.
+#![warn(clippy::assigning_clones)]
+
 pub mod analysis;
 pub mod campaign;
 pub mod checkpoint;
+mod fork;
 pub mod golden;
 pub mod injection;
 pub mod journal;

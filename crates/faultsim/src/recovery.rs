@@ -17,6 +17,7 @@
 //! * [`recover_with_policy`] — detection plus the full escalation
 //!   ladder for one injection, under a given [`HmTable`].
 
+use crate::fork::{fork_of, recycle};
 use crate::injection::{InjectionPoint, InjectionSpec};
 use crate::outcome::Consequence;
 use crate::policy::{
@@ -278,10 +279,7 @@ pub fn detect_fault(
     detector: Option<&VmTransitionDetector>,
 ) -> Option<DetectedFault> {
     let cpu = point.cpu;
-    let mut f = point.at_exit.clone();
-    // The shim's recovery support: critical copy at the VM exit.
-    let snapshot = CriticalState::capture(&f.machine, cpu);
-
+    let mut f = fork_of(&point.at_exit);
     // Detection mode: a positive verdict stops the activation.
     let mut shim = Xentry::new(XentryConfig::detection(), detector.cloned());
     let act = f.run_handler_hooked(
@@ -293,15 +291,21 @@ pub fn detect_fault(
         move |m, c| spec.apply(m, c),
     );
     let technique = match act.outcome {
-        ActivationOutcome::Resumed | ActivationOutcome::WentIdle => return None, // undetected
-        ActivationOutcome::Hung => return None, // no detection signal to act on
+        // Undetected, or hung with no detection signal to act on.
+        ActivationOutcome::Resumed | ActivationOutcome::WentIdle | ActivationOutcome::Hung => {
+            recycle(f);
+            return None;
+        }
         ActivationOutcome::HostException(_) => Technique::HwException,
         ActivationOutcome::AssertFailed(_) => Technique::SwAssertion,
         ActivationOutcome::Flagged => Technique::VmTransition,
     };
     Some(DetectedFault {
         plat: f,
-        snapshot,
+        // The shim's recovery support: the critical copy taken at the VM
+        // exit. The fork started as the point's VM-exit state, so that is
+        // where the copy is read from, and only for faults that need it.
+        snapshot: CriticalState::capture(&point.at_exit.machine, cpu),
         technique,
         cpu,
         spec,
@@ -317,7 +321,7 @@ pub fn detect_fault(
 pub fn ignore_recovery(fault: &DetectedFault, point: &InjectionPoint) -> TierResult {
     let cpu = fault.cpu;
     let spec = fault.spec;
-    let mut f = point.at_exit.clone();
+    let mut f = fork_of(&point.at_exit);
     let mut shim = Xentry::new(XentryConfig::overhead(), None);
     let act = f.run_handler_hooked(
         cpu,
@@ -327,11 +331,14 @@ pub fn ignore_recovery(fault: &DetectedFault, point: &InjectionPoint) -> TierRes
         Some(spec.at_step()),
         move |m, c| spec.apply(m, c),
     );
-    if !act.outcome.is_healthy() {
-        return TierResult::HypervisorDead;
-    }
-    let mut clean = Xentry::new(XentryConfig::overhead(), None);
-    convergence(&mut f, point, &mut clean, 1)
+    let result = if act.outcome.is_healthy() {
+        let mut clean = Xentry::new(XentryConfig::overhead(), None);
+        convergence(&mut f, point, &mut clean, 1)
+    } else {
+        TierResult::HypervisorDead
+    };
+    recycle(f);
+    result
 }
 
 /// Drive the recovered platform forward and check convergence with the
@@ -388,18 +395,30 @@ pub fn attempt_recovery(
     attempt: u32,
 ) -> (TierResult, u64) {
     let cpu = fault.cpu;
-    let mut f = fault.plat.clone();
+    let mut f = fork_of(&fault.plat);
     fault.snapshot.restore(&mut f.machine);
+    let result = reservice(&mut f, cpu, point, attempt);
+    recycle(f);
+    result
+}
+
+/// What both restoring tiers end with: service the pending VM exit again
+/// on the restored platform `f`, and if the handler completes, check
+/// convergence. Returns the tier result and the handler's cycles.
+fn reservice(
+    f: &mut Platform,
+    cpu: CpuId,
+    point: &InjectionPoint,
+    attempt: u32,
+) -> (TierResult, u64) {
     let mut clean = Xentry::new(XentryConfig::overhead(), None);
     let act = f.run_handler(cpu, point.reason, 0, &mut clean);
-    let cycles = act.handler_cycles;
-    if !act.outcome.is_healthy() {
-        return (TierResult::HypervisorDead, cycles);
-    }
-    (
-        convergence(&mut f, point, &mut clean, attempt as u64),
-        cycles,
-    )
+    let result = if act.outcome.is_healthy() {
+        convergence(f, point, &mut clean, attempt as u64)
+    } else {
+        TierResult::HypervisorDead
+    };
+    (result, act.handler_cycles)
 }
 
 /// The `Microreboot` tier, ReHype's sequence: reinitialize
@@ -416,21 +435,15 @@ pub fn microreboot_recovery(
     attempt: u32,
 ) -> (TierResult, MicrorebootReport) {
     let cpu = fault.cpu;
-    let mut f = fault.plat.clone();
+    let mut f = fork_of(&fault.plat);
     // Order matters: the reboot wipes hv.pcpu to its boot image; the
     // critical copy then rebuilds the pending exit's context on top.
     let mut report = f.microreboot_restore(cpu);
     fault.snapshot.restore(&mut f.machine);
-    let mut clean = Xentry::new(XentryConfig::overhead(), None);
-    let act = f.run_handler(cpu, point.reason, 0, &mut clean);
-    report.cycles += act.handler_cycles;
-    if !act.outcome.is_healthy() {
-        return (TierResult::HypervisorDead, report);
-    }
-    (
-        convergence(&mut f, point, &mut clean, attempt as u64),
-        report,
-    )
+    let (result, cycles) = reservice(&mut f, cpu, point, attempt);
+    recycle(f);
+    report.cycles += cycles;
+    (result, report)
 }
 
 /// Full recovery record for one detected injection under one policy.
@@ -461,7 +474,9 @@ pub fn recover_with_policy(
     table: &HmTable,
 ) -> Option<PolicyRecovery> {
     let fault = detect_fault(point, spec, detector)?;
-    Some(recover_detected(&fault, point, table))
+    let recovery = recover_detected(&fault, point, table);
+    recycle(fault.plat);
+    Some(recovery)
 }
 
 /// Drive an already-detected fault through `table`'s escalation ladder.

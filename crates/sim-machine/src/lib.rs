@@ -27,6 +27,10 @@
 //! snapshot replays the same instruction stream, which is what makes the
 //! paper's golden-run methodology possible.
 
+// `Memory`, `Machine` and `Platform` have a hand-written `clone_from` that
+// costs what differs; `a = b.clone()` over a live one throws that away.
+#![warn(clippy::assigning_clones)]
+
 pub mod cpu;
 pub mod cycles;
 pub mod exception;

@@ -103,7 +103,7 @@ impl MachineConfig {
 /// per-port sequence number so values are reproducible from a snapshot and
 /// independent across ports; writes are folded into a running hash so
 /// golden-run differencing can detect corrupted device output.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Devices {
     /// Number of OUT operations performed.
     pub out_count: u64,
@@ -111,6 +111,28 @@ pub struct Devices {
     pub in_counts: std::collections::HashMap<u16, u64>,
     /// Running hash of all (port, value) writes.
     pub out_hash: u64,
+}
+
+impl Clone for Devices {
+    fn clone(&self) -> Devices {
+        Devices {
+            out_count: self.out_count,
+            in_counts: self.in_counts.clone(),
+            out_hash: self.out_hash,
+        }
+    }
+
+    /// Field by field, so the port map keeps its allocation.
+    fn clone_from(&mut self, source: &Devices) {
+        let Devices {
+            out_count,
+            in_counts,
+            out_hash,
+        } = source;
+        self.out_count = *out_count;
+        self.in_counts.clone_from(in_counts);
+        self.out_hash = *out_hash;
+    }
 }
 
 impl Devices {
@@ -192,7 +214,7 @@ impl MachineDelta {
 }
 
 /// The simulated machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Machine {
     /// Physical memory.
     pub mem: Memory,
@@ -205,6 +227,36 @@ pub struct Machine {
     pub devices: Devices,
     /// Static configuration.
     pub config: MachineConfig,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Machine {
+        Machine {
+            mem: self.mem.clone(),
+            cpus: self.cpus.clone(),
+            noise: self.noise.clone(),
+            devices: self.devices.clone(),
+            config: self.config,
+        }
+    }
+
+    /// `*self = source.clone()` without its allocations: memory takes only
+    /// the pages that differ ([`Memory::clone_from`]), and the CPU vector
+    /// and the noise and device maps are overwritten in place.
+    fn clone_from(&mut self, source: &Machine) {
+        let Machine {
+            mem,
+            cpus,
+            noise,
+            devices,
+            config,
+        } = source;
+        self.mem.clone_from(mem);
+        self.cpus.clone_from(cpus);
+        self.noise.clone_from(noise);
+        self.devices.clone_from(devices);
+        self.config = *config;
+    }
 }
 
 impl Machine {
@@ -263,9 +315,9 @@ impl Machine {
     /// Apply a delta produced by [`Machine::delta_against`] whose base was
     /// this exact state, advancing `self` to the recorded state.
     pub fn apply_delta(&mut self, delta: &MachineDelta) {
-        self.cpus = delta.cpus.clone();
-        self.noise = delta.noise.clone();
-        self.devices = delta.devices.clone();
+        self.cpus.clone_from(&delta.cpus);
+        self.noise.clone_from(&delta.noise);
+        self.devices.clone_from(&delta.devices);
         self.mem.apply_delta(&delta.mem);
     }
 

@@ -31,6 +31,13 @@
 //!   its 935 KiB took ~72 µs). A page is copied the first time it is
 //!   written while shared, and only that page — so the cost a snapshot
 //!   used to pay up front moves to the first write to each page after it.
+//!   `a.clone_from(&b)` is `a = b.clone()` for less when `a` is an older
+//!   image of the same memory map (same `Arc`'d layout, so the same
+//!   slots): it keeps `a`'s page vector and walks it comparing pointers,
+//!   and only a slot whose page is not already `b`'s pays a reference
+//!   count up and one down — the ten or so pages a handler dirtied, not
+//!   240 and an allocation. With any other `a` (another layout, or a
+//!   memory still being mapped) it falls back to the plain clone.
 //! * **Comparing two descendants of one image skips what they share.**
 //!   [`Memory::for_each_diff`] (and with it [`Memory::delta_from`], `==`
 //!   and [`Memory::restore_region`]) passes over pages that are the same
@@ -455,13 +462,40 @@ impl Layout {
 
 /// The physical memory map. See the [module docs](self) for how pages are
 /// stored and what a clone shares.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Memory {
     /// Boot-static description and page table.
     layout: Arc<Layout>,
     /// Contents, one page per slot ([`Layout::slot_pages`]). Words of a
     /// page that no region covers are never written and stay zero.
     pages: Vec<Arc<Page>>,
+}
+
+impl Clone for Memory {
+    fn clone(&self) -> Memory {
+        Memory {
+            layout: Arc::clone(&self.layout),
+            pages: self.pages.clone(),
+        }
+    }
+
+    /// `*self = source.clone()`, at the cost of the pages that differ: when
+    /// both are images of one memory map (the same layout allocation,
+    /// so the same slots), the page vector is kept and only slots that do
+    /// not already share the source's page take its `Arc`. Anything else
+    /// is a plain clone.
+    fn clone_from(&mut self, source: &Memory) {
+        let Memory { layout, pages } = source;
+        if !Arc::ptr_eq(&self.layout, layout) || self.pages.len() != pages.len() {
+            *self = source.clone();
+            return;
+        }
+        for (ours, theirs) in self.pages.iter_mut().zip(pages) {
+            if !Arc::ptr_eq(ours, theirs) {
+                *ours = Arc::clone(theirs);
+            }
+        }
+    }
 }
 
 /// Sparse word-level difference between two memory images that share one

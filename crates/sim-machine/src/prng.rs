@@ -127,10 +127,26 @@ pub fn fold64(h: u64, v: u64) -> u64 {
 
 /// Per-site noise source: every `NOISE` instruction address owns an
 /// independent deterministic stream.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SiteNoise {
     seed: u64,
     counters: HashMap<u64, u64>,
+}
+
+impl Clone for SiteNoise {
+    fn clone(&self) -> SiteNoise {
+        SiteNoise {
+            seed: self.seed,
+            counters: self.counters.clone(),
+        }
+    }
+
+    /// Field by field, so the counter map keeps its allocation.
+    fn clone_from(&mut self, source: &SiteNoise) {
+        let SiteNoise { seed, counters } = source;
+        self.seed = *seed;
+        self.counters.clone_from(counters);
+    }
 }
 
 fn mix3(a: u64, b: u64, c: u64) -> u64 {

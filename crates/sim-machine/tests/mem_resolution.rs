@@ -11,6 +11,13 @@
 //! (unaligned ones, region edges, `u64::MAX`), every access path must return
 //! exactly what the oracle returns, leave exactly the contents the oracle
 //! leaves, and never panic.
+//!
+//! The sequences also take images of the memory and move contents between
+//! them and the live memory with `clone_from` — from an older image, from a
+//! sibling that was written to on its own, onto a memory with another
+//! layout — which must be `clone` as far as the oracle can tell: the
+//! destination reads what the source read, and no store made afterwards on
+//! either side shows on the other.
 
 use proptest::prelude::*;
 use sim_machine::{
@@ -103,6 +110,15 @@ impl Oracle {
         }
     }
 
+    /// This layout holding other contents.
+    fn holding(&self, words: Vec<Vec<u64>>) -> Oracle {
+        Oracle {
+            regions: self.regions.clone(),
+            maps: self.maps.clone(),
+            words,
+        }
+    }
+
     fn access(&self, addr: u64, kind: Kind) -> Result<(usize, usize), MemError> {
         if !addr.is_multiple_of(8) {
             return Err(MemError::Unaligned { addr });
@@ -148,6 +164,103 @@ impl Oracle {
             return Err(MemError::Protection { addr });
         }
         Ok((pte & PTE_FRAME_MASK) | (addr & (PAGE_BYTES - 1)))
+    }
+}
+
+/// Images of the live memory taken along a sequence, each beside what the
+/// oracle held when it was taken (or last rebuilt), and the `clone_from`
+/// traffic between them and the live memory.
+struct Images {
+    taken: Vec<(Memory, Vec<Vec<u64>>)>,
+    /// A memory with another layout: nothing of it can be kept.
+    foreign: Memory,
+}
+
+impl Images {
+    fn new() -> Images {
+        let mut foreign = Memory::new();
+        foreign.map("foreign", 0x3000, 700, Perms::RW);
+        foreign.poke(0x3008, 0xf0e1).unwrap();
+        Images {
+            taken: Vec::new(),
+            foreign,
+        }
+    }
+
+    /// One of five things, by `op`: take an image; roll the live memory
+    /// back to an older image; rebuild an older image from the live memory;
+    /// rebuild the live memory from a sibling (a clone of an older image
+    /// that took a poke of its own); rebuild a memory of another layout
+    /// from the live one and carry on with that.
+    fn op(
+        &mut self,
+        op: u8,
+        mem: &mut Memory,
+        oracle: &mut Oracle,
+        (addr, value, raw): (u64, u64, u64),
+    ) {
+        let nr = self.taken.len();
+        if op == 0 || nr == 0 {
+            // Share every page, so the next write to one copies it.
+            self.taken.push((mem.clone(), oracle.words.clone()));
+            return;
+        }
+        let pick = raw as usize % nr;
+        match op {
+            1 => {
+                let (image, words) = &self.taken[pick];
+                mem.clone_from(image);
+                prop_assert!(mem == image, "rolled back to image {}", pick);
+                prop_assert_eq!(mem.digest(), image.digest());
+                oracle.words.clone_from(words);
+            }
+            2 => {
+                let (image, words) = &mut self.taken[pick];
+                image.clone_from(mem);
+                prop_assert!(image == mem, "image {} rebuilt from live", pick);
+                words.clone_from(&oracle.words);
+            }
+            3 => {
+                let (image, words) = &self.taken[pick];
+                let mut sibling = image.clone();
+                let mut theirs = oracle.holding(words.clone());
+                prop_assert_eq!(
+                    sibling.poke(addr, value),
+                    theirs.store(addr, Kind::Raw, value),
+                    "sibling poke {:#x}",
+                    addr
+                );
+                mem.clone_from(&sibling);
+                prop_assert!(*mem == sibling, "rebuilt from a sibling of image {}", pick);
+                oracle.words.clone_from(&theirs.words);
+                self.taken.push((sibling, theirs.words));
+            }
+            _ => {
+                let mut other = self.foreign.clone();
+                other.clone_from(mem);
+                prop_assert!(other == *mem, "rebuilt over another layout");
+                prop_assert_eq!(other.digest(), mem.digest());
+                *mem = other;
+            }
+        }
+    }
+
+    /// Every image still holds what it held when it was taken or last
+    /// rebuilt, whatever was stored to the live memory and to the other
+    /// images since; and the foreign memory was never written through.
+    fn check(&self, oracle: &Oracle) {
+        for (i, (image, words)) in self.taken.iter().enumerate() {
+            for (r, words) in oracle.regions.iter().zip(words) {
+                prop_assert_eq!(
+                    &image.region_words(&r.name).unwrap(),
+                    words,
+                    "image {} {}",
+                    i,
+                    r.name
+                );
+            }
+        }
+        prop_assert_eq!(self.foreign.peek(0x3008), Ok(0xf0e1));
     }
 }
 
@@ -308,7 +421,8 @@ proptest! {
     /// `Machine::run` does — must fetch what a table walk per fetch would:
     /// addresses that stay on the last page (the next word, the previous
     /// one, any offset, aligned or not), addresses that leave it, and
-    /// writes, pokes, region restores and snapshots of the page in between.
+    /// writes, pokes, region restores, snapshots of the page and
+    /// `clone_from` in either direction in between.
     #[test]
     fn one_fetch_window_matches_the_linear_scan(
         layout in (
@@ -317,7 +431,7 @@ proptest! {
             any::<u64>(),
         ),
         text in (prop_oneof![Just(0u64), 1u64..16], any::<bool>(), prop_oneof![1usize..8, 1usize..600, 500usize..1600], 2usize..4),
-        ops in proptest::collection::vec((0u8..10, any::<u8>(), any::<u64>(), any::<u64>()), 1..300),
+        ops in proptest::collection::vec((0u8..14, any::<u8>(), any::<u64>(), any::<u64>()), 1..300),
     ) {
         let (start, mut chunks, shuffle) = layout;
         // At least one executable region, RX or RWX, anywhere in the order.
@@ -327,7 +441,7 @@ proptest! {
         let boot_words = Oracle::of(&boot).words;
         let mut oracle = Oracle::of(&mem);
         let mut near = FetchWindow::default();
-        let mut snapshots = Vec::new();
+        let mut images = Images::new();
         let mut last = oracle.regions.iter().find(|r| r.perms.exec).unwrap().base;
 
         for (op, pick, raw, value) in ops {
@@ -365,14 +479,14 @@ proptest! {
                     mem.restore_region(&oracle.regions[r].name, &boot);
                     oracle.words[r].clone_from(&boot_words[r]);
                 }
-                // Share every page, so the next write to one copies it.
-                _ => snapshots.push(mem.clone()),
+                _ => images.op(op - 9, &mut mem, &mut oracle, (addr, value, raw)),
             }
         }
 
         for (r, words) in oracle.regions.iter().zip(&oracle.words) {
             prop_assert_eq!(&mem.region_words(&r.name).unwrap(), words, "{}", r.name);
         }
+        images.check(&oracle);
     }
 
     /// One [`DataWindow`] carried through a whole sequence — what
@@ -380,8 +494,8 @@ proptest! {
     /// table lookup per access would: addresses that stay on a page just
     /// accessed (aligned or not, inside its region or past it), addresses
     /// that leave it, and in between stores onto the PTE that governs the
-    /// page — through the window and around it — region restores and
-    /// snapshots.
+    /// page — through the window and around it — region restores,
+    /// snapshots and `clone_from` in either direction.
     #[test]
     fn one_data_window_matches_the_linear_scan(
         layout in (
@@ -391,7 +505,7 @@ proptest! {
         ),
         maps in proptest::collection::vec((any::<u64>(), 1u32..5, any::<u64>(), any::<u8>()), 1..3),
         ptes in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..8),
-        ops in proptest::collection::vec((0u8..12, any::<u8>(), any::<u64>(), any::<u64>()), 1..300),
+        ops in proptest::collection::vec((0u8..16, any::<u8>(), any::<u64>(), any::<u64>()), 1..300),
     ) {
         let (start, chunks, shuffle) = layout;
         let mut mem = build_layout(start, &chunks, shuffle);
@@ -400,7 +514,7 @@ proptest! {
         let boot_words = Oracle::of(&boot).words;
         let mut oracle = Oracle::of(&mem);
         let mut near = DataWindow::default();
-        let mut snapshots = Vec::new();
+        let mut images = Images::new();
         // The virtual address last accessed successfully.
         let mut last = oracle.maps[0].virt_base;
 
@@ -466,14 +580,14 @@ proptest! {
                     mem.restore_region(&oracle.regions[r].name, &boot);
                     oracle.words[r].clone_from(&boot_words[r]);
                 }
-                // Share every page, so the next write to one copies it.
-                _ => snapshots.push(mem.clone()),
+                _ => images.op(op - 11, &mut mem, &mut oracle, (addr, value, raw)),
             }
         }
 
         for (r, words) in oracle.regions.iter().zip(&oracle.words) {
             prop_assert_eq!(&mem.region_words(&r.name).unwrap(), words, "{}", r.name);
         }
+        images.check(&oracle);
     }
 
     /// `load_image` is `poke` word by word: same words written, same first

@@ -6,7 +6,8 @@
 //! original continuation cycle-for-cycle — registers, memory digest,
 //! performance counters and step outcomes — and that the sparse
 //! [`sim_machine::MachineDelta`] reproduces the exact same state as a
-//! full snapshot.
+//! full snapshot — and that `clone_from`, which the engine rebuilds its
+//! forks with, is `clone` whatever machine it overwrites.
 
 use proptest::prelude::*;
 use sim_machine::{
@@ -186,6 +187,64 @@ proptest! {
         // The delta is sparse: it never carries more words than the
         // program could have written.
         prop_assert!(delta.mem_words() <= prog.len() + 1);
+    }
+
+    /// `a.clone_from(&b)` is `a = b.clone()` whatever `a` held — an older
+    /// state of `b`'s run, a sibling that ran on from one with other
+    /// register contents, a machine with another program, memory map and
+    /// seed: `a == b`, equal digests, a store to either is not seen by the
+    /// other, and both continue cycle for cycle.
+    #[test]
+    fn clone_from_is_clone_whatever_it_overwrites(
+        prog in proptest::collection::vec(arb_straightline_insn(), 1..40),
+        seed in any::<u64>(),
+        cut in 0usize..40,
+        fork_at in 0usize..40,
+        target in 0u8..3,
+        other in proptest::collection::vec(arb_straightline_insn(), 1..40),
+        scribble in any::<u64>(),
+    ) {
+        let cut = cut % (prog.len() + 1);
+        let fork_at = fork_at % (cut + 1);
+        let mut b = build_machine(&prog, seed);
+        run_observed(&mut b, fork_at);
+        let mut a = b.clone();
+        run_observed(&mut b, cut - fork_at);
+        match target {
+            // An older state of the same run.
+            0 => {}
+            // A sibling: on from the fork with scribbled registers, so it
+            // stores, draws noise and does port I/O that `b` never did.
+            1 => {
+                for r in 0..BASE {
+                    a.cpu_mut(0).set(Reg::from_index(r), scribble.rotate_left(r as u32));
+                }
+                run_observed(&mut a, prog.len() + 1 - fork_at);
+            }
+            // Nothing to do with `b`: nothing of it can be kept.
+            _ => {
+                a = build_machine(&other, !seed);
+                run_observed(&mut a, other.len());
+            }
+        }
+
+        a.clone_from(&b);
+        prop_assert!(a == b, "clone_from left a difference");
+        prop_assert_eq!(a.state_digest(), b.state_digest());
+        prop_assert_eq!(a.mem.digest(), b.mem.digest());
+
+        // A store to either side stays there.
+        let digest = b.state_digest();
+        let word = a.mem.peek(DATA).unwrap();
+        a.mem.poke(DATA, !word).unwrap();
+        prop_assert_eq!(b.state_digest(), digest, "the source saw a store to the copy");
+        a.mem.poke(DATA, word).unwrap();
+        b.mem.poke(DATA + 8, scribble).unwrap();
+        prop_assert!(a.state_digest() == digest, "the copy saw a store to the source");
+        a.mem.poke(DATA + 8, scribble).unwrap();
+
+        let rest = prog.len() + 1 - cut;
+        prop_assert_eq!(&run_observed(&mut a, rest), &run_observed(&mut b, rest));
     }
 
     /// serialize → deserialize rebuilds the page table and the pages from

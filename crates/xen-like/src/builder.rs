@@ -21,7 +21,7 @@ pub struct DomainSpec {
 /// The machine topology: mirrors the paper's experimental setups (e.g. one
 /// Dom0 plus two para-virtualized DomUs for fault injection; four guest VMs
 /// for the activation-frequency study).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Topology {
     /// Physical (logical) CPUs.
     pub nr_cpus: usize,
@@ -33,6 +33,35 @@ pub struct Topology {
     pub seed: u64,
     /// Cycle model (defaults match the paper's Xeon E5506).
     pub cycle_model: CycleModel,
+}
+
+impl Clone for Topology {
+    fn clone(&self) -> Topology {
+        Topology {
+            nr_cpus: self.nr_cpus,
+            domains: self.domains.clone(),
+            virt_mode: self.virt_mode,
+            seed: self.seed,
+            cycle_model: self.cycle_model,
+        }
+    }
+
+    /// Field by field, so the domain list keeps its allocation (a
+    /// [`Platform`](crate::Platform) rebuilt from another carries one).
+    fn clone_from(&mut self, source: &Topology) {
+        let Topology {
+            nr_cpus,
+            domains,
+            virt_mode,
+            seed,
+            cycle_model,
+        } = source;
+        self.nr_cpus = *nr_cpus;
+        self.domains.clone_from(domains);
+        self.virt_mode = *virt_mode;
+        self.seed = *seed;
+        self.cycle_model = *cycle_model;
+    }
 }
 
 impl Topology {

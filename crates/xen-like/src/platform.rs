@@ -206,7 +206,7 @@ impl PlatformDelta {
 }
 
 /// The platform simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Platform {
     pub machine: Machine,
     pub topo: Topology,
@@ -222,6 +222,57 @@ pub struct Platform {
     /// Boot-time image of the hypervisor-private regions (microreboot
     /// substrate). Static per boot; shared across clones and checkpoints.
     boot_image: Arc<BootImage>,
+}
+
+impl Clone for Platform {
+    fn clone(&self) -> Platform {
+        Platform {
+            machine: self.machine.clone(),
+            topo: self.topo.clone(),
+            irq: self.irq,
+            host_step_budget: self.host_step_budget,
+            guest_step_budget: self.guest_step_budget,
+            next_tick: self.next_tick.clone(),
+            next_dev: self.next_dev.clone(),
+            irq_rng: self.irq_rng,
+            booted: self.booted.clone(),
+            boot_image: Arc::clone(&self.boot_image),
+        }
+    }
+
+    /// `*self = source.clone()` for what the two differ by. Rebuilding a
+    /// finished fork into a fresh one of the same boot — what a campaign
+    /// does thousands of times — takes the pages one side wrote since they
+    /// diverged ([`Machine::clone_from`]) and overwrites the scheduler
+    /// vectors in place: no allocation, and no reference count touched on
+    /// a page both already share. A platform of another boot costs a
+    /// clone.
+    fn clone_from(&mut self, source: &Platform) {
+        let Platform {
+            machine,
+            topo,
+            irq,
+            host_step_budget,
+            guest_step_budget,
+            next_tick,
+            next_dev,
+            irq_rng,
+            booted,
+            boot_image,
+        } = source;
+        self.machine.clone_from(machine);
+        self.topo.clone_from(topo);
+        self.irq = *irq;
+        self.host_step_budget = *host_step_budget;
+        self.guest_step_budget = *guest_step_budget;
+        self.next_tick.clone_from(next_tick);
+        self.next_dev.clone_from(next_dev);
+        self.irq_rng = *irq_rng;
+        self.booted.clone_from(booted);
+        if !Arc::ptr_eq(&self.boot_image, boot_image) {
+            self.boot_image = Arc::clone(boot_image);
+        }
+    }
 }
 
 impl Platform {
@@ -279,10 +330,10 @@ impl Platform {
     /// this exact state.
     pub fn apply_delta(&mut self, delta: &PlatformDelta) {
         self.machine.apply_delta(&delta.machine);
-        self.next_tick = delta.next_tick.clone();
-        self.next_dev = delta.next_dev.clone();
+        self.next_tick.clone_from(&delta.next_tick);
+        self.next_dev.clone_from(&delta.next_dev);
         self.irq_rng = delta.irq_rng;
-        self.booted = delta.booted.clone();
+        self.booted.clone_from(&delta.booted);
     }
 
     /// Deterministic digest of the complete dynamic state: the machine plus

@@ -399,6 +399,104 @@ fn clones_of_one_shared_platform_run_independently_on_four_threads() {
     );
 }
 
+/// `a.clone_from(&b)` is `a = b.clone()` whatever `a` held — the campaign
+/// engine rebuilds every fork this way, into whatever platform the last
+/// fork left behind: an older state of the same run, a sibling that ran on
+/// under other interrupt traffic, a platform that never booted (equal
+/// memory map, another allocation), one of another topology and memory
+/// map. Everything the digest covers and everything it does not (topology,
+/// interrupt profile, budgets, boot image) must come across, a store to
+/// either side must stay there, and both must run on alike.
+#[test]
+fn clone_from_is_clone_whatever_it_overwrites() {
+    use xen_like::IrqProfile;
+    let run = |p: &mut Platform, n: usize| -> Vec<Activation> {
+        let acts = p.run(0, n, &mut NullMonitor);
+        assert!(acts.iter().all(|a| a.outcome.is_healthy()), "{acts:?}");
+        acts
+    };
+    // Interrupts dense enough that every deadline and the device-traffic
+    // generator move between any two of the states below.
+    let mut b = pv_platform(2);
+    b.irq = IrqProfile {
+        tick_period: 20_000,
+        dev_irq_period: 6_000,
+    };
+    b.boot(0, &mut NullMonitor);
+    run(&mut b, 30);
+    let older = b.clone();
+    run(&mut b, 25);
+
+    let mut sibling = older.clone();
+    sibling.irq.dev_irq_period = 2_500;
+    sibling.host_step_budget = 77_777;
+    run(&mut sibling, 40);
+    let mut other_boot = {
+        let topo = Topology {
+            nr_cpus: 2,
+            domains: vec![DomainSpec { nr_vcpus: 1 }],
+            virt_mode: VirtMode::Hvm,
+            seed: 7,
+            cycle_model: Default::default(),
+        };
+        let (mut p, _img) = Platform::new(topo);
+        load_pv_guest(&mut p.machine, 0);
+        p.guest_step_budget = 1_234_567;
+        p
+    };
+    other_boot.boot(0, &mut NullMonitor);
+    run(&mut other_boot, 10);
+
+    let statics = |p: &Platform| {
+        format!(
+            "{:?} {:?} {} {} {:?}",
+            p.topo,
+            p.irq,
+            p.host_step_budget,
+            p.guest_step_budget,
+            p.boot_image_region("hv.pcpu")
+        )
+    };
+    let targets = [
+        ("an older state", older),
+        ("a sibling", sibling),
+        ("an unbooted platform", pv_platform(2)),
+        ("another boot", other_boot),
+        ("an equal platform", b.clone()),
+    ];
+    for (what, mut a) in targets {
+        a.clone_from(&b);
+        assert_eq!(a.state_digest(), b.state_digest(), "over {what}");
+        assert!(a.machine == b.machine, "over {what}");
+        assert_eq!(a.async_deadlines(0), b.async_deadlines(0), "over {what}");
+        assert_eq!(statics(&a), statics(&b), "over {what}");
+
+        // A store to either side stays there.
+        let digest = b.state_digest();
+        let at = lay::global_addr(lay::global::WALLCLOCK);
+        let word = a.machine.mem.peek(at).unwrap();
+        a.machine.mem.poke(at, !word).unwrap();
+        assert_eq!(b.state_digest(), digest, "source saw a store, over {what}");
+        a.machine.mem.poke(at, word).unwrap();
+        let mut b = b.clone();
+        b.machine.mem.poke(at, !word).unwrap();
+        assert_eq!(a.state_digest(), digest, "copy saw a store, over {what}");
+        b.machine.mem.poke(at, word).unwrap();
+
+        // On alike: activations, then a microreboot (the boot image).
+        assert_eq!(run(&mut a, 40), run(&mut b, 40), "over {what}");
+        let (ra, oa) = a.microreboot(0, &mut NullMonitor);
+        let (rb, ob) = b.microreboot(0, &mut NullMonitor);
+        assert_eq!(
+            format!("{ra:?} {oa:?}"),
+            format!("{rb:?} {ob:?}"),
+            "over {what}"
+        );
+        assert_eq!(run(&mut a, 10), run(&mut b, 10), "over {what}");
+        assert_eq!(a.state_digest(), b.state_digest(), "over {what}");
+    }
+}
+
 // ---- Run boundaries against a per-instruction reference ------------------
 //
 // `Platform` drives the machine with `Machine::run`, whose stop conditions
