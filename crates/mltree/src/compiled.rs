@@ -193,12 +193,13 @@ unsafe fn walk_lanes(
     }
 }
 
-/// Like [`walk`] but counts the comparisons performed.
+/// Like [`walk`] but also counts the comparisons performed: the leaf
+/// reference and how many splits were visited on the way to it.
 ///
 /// # Safety
 /// Same contract as [`walk`].
 #[inline]
-unsafe fn walk_cost(nodes: &[CompiledNode], mut r: u32, features: &[u64]) -> usize {
+unsafe fn walk_cost(nodes: &[CompiledNode], mut r: u32, features: &[u64]) -> (u32, usize) {
     let mut cost = 0;
     while r & LEAF_BIT == 0 {
         let n = *nodes.get_unchecked(r as usize);
@@ -210,7 +211,7 @@ unsafe fn walk_cost(nodes: &[CompiledNode], mut r: u32, features: &[u64]) -> usi
             r = n.right;
         }
     }
-    cost
+    (r, cost)
 }
 
 /// Emit `node`'s splits into `nodes` in preorder; returns the reference
@@ -308,7 +309,18 @@ impl CompiledTree {
     pub fn classify_cost(&self, features: &[u64]) -> usize {
         assert!(features.len() >= self.arity, "feature vector too short");
         // SAFETY: emit() produced only in-arena indices; arity checked.
-        unsafe { walk_cost(&self.nodes, self.root, features) }
+        unsafe { walk_cost(&self.nodes, self.root, features) }.1
+    }
+
+    /// [`CompiledTree::classify`] and [`CompiledTree::classify_cost`] from
+    /// one walk, for a caller that wants both (the shim charges the
+    /// comparisons it takes to reach the verdict).
+    #[inline]
+    pub fn classify_with_cost(&self, features: &[u64]) -> (Label, usize) {
+        assert!(features.len() >= self.arity, "feature vector too short");
+        // SAFETY: emit() produced only in-arena indices; arity checked.
+        let (leaf, cost) = unsafe { walk_cost(&self.nodes, self.root, features) };
+        (leaf_label(leaf), cost)
     }
 
     /// Classify a batch, one verdict per input row, with the widest
@@ -793,7 +805,7 @@ impl CompiledForest {
         self.roots
             .iter()
             // SAFETY: emit() produced only in-arena indices; arity checked.
-            .map(|&r| unsafe { walk_cost(&self.nodes, r, features) })
+            .map(|&r| unsafe { walk_cost(&self.nodes, r, features) }.1)
             .sum()
     }
 

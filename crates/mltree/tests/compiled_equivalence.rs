@@ -97,8 +97,9 @@ fn probes(ds: &Dataset, raw: &[Vec<u64>]) -> Vec<Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// CompiledTree::classify and classify_cost match the boxed walker on
-    /// every probe, and the batch path matches the single-sample path.
+    /// CompiledTree::classify and classify_cost — and the one walk that
+    /// answers both — match the boxed walker on every probe, and the batch
+    /// path matches the single-sample path.
     #[test]
     fn compiled_tree_is_bit_identical(
         ds in arb_dataset(),
@@ -113,6 +114,10 @@ proptest! {
         for (f, b) in inputs.iter().zip(batch) {
             prop_assert_eq!(compiled.classify(f), tree.classify(f));
             prop_assert_eq!(compiled.classify_cost(f), tree.classify_cost(f));
+            prop_assert_eq!(
+                compiled.classify_with_cost(f),
+                (tree.classify(f), tree.classify_cost(f))
+            );
             prop_assert_eq!(b, tree.classify(f));
         }
         prop_assert_eq!(compiled.depth(), tree.depth());

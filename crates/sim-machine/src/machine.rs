@@ -423,22 +423,41 @@ impl Machine {
     /// event, if that is what stopped the run.
     pub fn run(&mut self, cpu: CpuId, max_steps: u64, cycle_deadline: u64) -> (u64, Option<Event>) {
         let (c, mut core) = self.split(cpu);
-        let (mut text, mut data) = (FetchWindow::default(), DataWindow::default());
-        let mut steps = 0;
-        while steps < max_steps && c.cycles < cycle_deadline {
+        let mut text = FetchWindow::default();
+        let mut data = DataWindow::default();
+        let mut decoded = [UNDECODED; DECODED_ENTRIES];
+        forget(&mut decoded);
+        let mut hot = Hot::read(c);
+        let (mut steps, mut event) = (0, None);
+        while steps < max_steps && hot.cycles < cycle_deadline {
             steps += 1;
-            if let StepOutcome::Event(e) = core.step(c, &mut text, &mut data) {
-                return (steps, Some(e));
+            if let StepOutcome::Event(e) =
+                core.step(c, &mut hot, &mut text, &mut data, &mut decoded)
+            {
+                event = Some(e);
+                break;
             }
         }
-        (steps, None)
+        hot.write(c);
+        (steps, event)
     }
 
     /// Execute one instruction on `cpu`: the body [`Machine::run`] loops
-    /// over, entered once.
+    /// over, entered once with nothing remembered.
     pub fn step(&mut self, cpu: CpuId) -> StepOutcome {
         let (c, mut core) = self.split(cpu);
-        core.step(c, &mut FetchWindow::default(), &mut DataWindow::default())
+        let mut decoded = [UNDECODED; DECODED_ENTRIES];
+        forget(&mut decoded);
+        let mut hot = Hot::read(c);
+        let outcome = core.step(
+            c,
+            &mut hot,
+            &mut FetchWindow::default(),
+            &mut DataWindow::default(),
+            &mut decoded,
+        );
+        hot.write(c);
+        outcome
     }
 }
 
@@ -514,6 +533,78 @@ const BRANCH: Events = (true, 0, 0);
 const CALL: Events = (true, 0, 1);
 const RET: Events = (true, 1, 0);
 
+/// Entries in a [`Decoded`] table. The measured hit rate is the same at 32,
+/// 64, 128, 256, 512 and 1,024 entries — 99.8–99.9% of a guest run's
+/// instructions, 84.5–85% of a handler run's — because what misses is the
+/// first execution of an address in the run, not a conflict; 64 is 1.5 KiB
+/// of `run`'s stack.
+const DECODED_ENTRIES: usize = 64;
+
+/// The instructions one [`Machine::run`] call has decoded, direct-mapped by
+/// word address ([`decoded_index`]) and tagged with the full `rip`. Unlike
+/// the two windows in [`crate::mem`] it holds *what* was fetched, which is
+/// sound because nothing but the run's own stores can change that before
+/// the run returns (ARCHITECTURE.md §1, "Step loop"): an entry is written
+/// only after a checked fetch and a successful decode, and a store that
+/// lands in an executable region forgets them all ([`forget`]). Nothing
+/// stores one. A bare array, built by `run` with [`UNDECODED`] and
+/// [`forget`]: wrapped in a struct, or returned from a function, it is
+/// built somewhere else and copied into place.
+type Decoded = [(u64, Insn); DECODED_ENTRIES];
+
+/// What fills a new table, under the tags [`forget`] gives it. Which
+/// instruction is immaterial.
+const UNDECODED: (u64, Insn) = (0, Insn::Nop);
+
+#[inline(always)]
+fn decoded_index(rip: u64) -> usize {
+    (rip / 8) as usize % DECODED_ENTRIES
+}
+
+/// Make `decoded` answer for no address. No single tag will do for that —
+/// whatever address it spells would hit in the entry it indexes — so each
+/// entry is tagged with an address that indexes another: entry 0 with entry
+/// 1's `0x8`, the rest with entry 0's `0x0`.
+#[inline(always)]
+fn forget(decoded: &mut Decoded) {
+    for known in decoded.iter_mut() {
+        known.0 = 0;
+    }
+    decoded[0].0 = 8;
+}
+
+/// The three scalars every instruction reads and writes, taken out of the
+/// [`Cpu`] for the length of a run so that they live in host registers
+/// instead of being loaded and stored through `c` once per instruction.
+/// The interpreter body works on these; the `Cpu`'s own `rip`, `cycles` and
+/// `insns_retired` are stale from [`Hot::read`] to [`Hot::write`], so they
+/// are written back before anything out of line looks at them
+/// ([`Core::leave`]) and on the way out of the run.
+#[derive(Clone, Copy)]
+struct Hot {
+    rip: u64,
+    cycles: u64,
+    insns: u64,
+}
+
+impl Hot {
+    #[inline(always)]
+    fn read(c: &Cpu) -> Hot {
+        Hot {
+            rip: c.rip,
+            cycles: c.cycles,
+            insns: c.insns_retired,
+        }
+    }
+
+    #[inline(always)]
+    fn write(self, c: &mut Cpu) {
+        c.rip = self.rip;
+        c.cycles = self.cycles;
+        c.insns_retired = self.insns;
+    }
+}
+
 /// Everything an instruction on one CPU can touch besides that CPU's own
 /// registers. [`Machine::run`] takes it and the `&mut Cpu` once, so the
 /// interpreter body below indexes `cpus` for no instruction.
@@ -566,49 +657,94 @@ impl Core<'_> {
         }
     }
 
+    /// Leave the interpreter body for `f` — [`Core::raise`] or
+    /// [`Core::hw_vm_exit`], which work on the whole `Cpu` — with `hot`
+    /// written back before and read again after: a VM exit moves `rip` and
+    /// charges cycles.
+    #[inline(always)]
+    fn leave(
+        &mut self,
+        c: &mut Cpu,
+        hot: &mut Hot,
+        f: impl FnOnce(&mut Self, &mut Cpu) -> Event,
+    ) -> StepOutcome {
+        hot.write(c);
+        let event = f(self, c);
+        *hot = Hot::read(c);
+        StepOutcome::Event(event)
+    }
+
     /// Retire bookkeeping: PMU events, cycles, dynamic instruction count.
-    fn retire(&self, c: &mut Cpu, (is_branch, reads, writes): Events, taken_branch: bool) {
+    #[inline(always)]
+    fn retire(
+        &self,
+        c: &mut Cpu,
+        hot: &mut Hot,
+        (is_branch, reads, writes): Events,
+        taken_branch: bool,
+    ) {
         c.perf.record(is_branch, reads, writes);
-        c.cycles += self
+        hot.cycles += self
             .config
             .cycle_model
             .insn_cost(reads + writes, taken_branch);
-        c.insns_retired += 1;
+        hot.insns += 1;
     }
 
-    /// Fetch, decode and execute the instruction at `c.rip`. The one
-    /// interpreter body: [`Machine::step`] enters it once, [`Machine::run`]
-    /// in a loop with one pair of lookaside windows for the whole run.
+    /// Fetch, decode and execute the instruction at `hot.rip`, or execute
+    /// it as `decoded` remembers it. The one interpreter body:
+    /// [`Machine::step`] enters it once, [`Machine::run`] in a loop with
+    /// one pair of lookaside windows and one table of decoded instructions
+    /// for the whole run.
     #[inline(always)]
-    fn step(&mut self, c: &mut Cpu, text: &mut FetchWindow, data: &mut DataWindow) -> StepOutcome {
-        let pc = c.rip;
-        let word = match self.mem.fetch_near(text, pc) {
-            Ok(w) => w,
-            Err(e) => {
-                let exc = mem_error_to_exception(e, pc, AccessKind::Fetch);
-                return StepOutcome::Event(self.raise(c, exc));
-            }
-        };
-        match Insn::decode(word) {
-            Ok(insn) => self.execute(c, pc, insn, data),
-            Err(DecodeError::BadOpcode(_)) | Err(DecodeError::BadOperand(_)) => {
-                StepOutcome::Event(self.raise(c, Exception::at(Vector::InvalidOpcode, pc)))
+    fn step(
+        &mut self,
+        c: &mut Cpu,
+        hot: &mut Hot,
+        text: &mut FetchWindow,
+        data: &mut DataWindow,
+        decoded: &mut Decoded,
+    ) -> StepOutcome {
+        let pc = hot.rip;
+        let known = &mut decoded[decoded_index(pc)];
+        if known.0 != pc {
+            let word = match self.mem.fetch_near(text, pc) {
+                Ok(w) => w,
+                Err(e) => {
+                    let exc = mem_error_to_exception(e, pc, AccessKind::Fetch);
+                    return self.leave(c, hot, |core, c| core.raise(c, exc));
+                }
+            };
+            match Insn::decode(word) {
+                Ok(insn) => *known = (pc, insn),
+                Err(DecodeError::BadOpcode(_)) | Err(DecodeError::BadOperand(_)) => {
+                    let exc = Exception::at(Vector::InvalidOpcode, pc);
+                    return self.leave(c, hot, |core, c| core.raise(c, exc));
+                }
             }
         }
+        let insn = known.1;
+        self.execute(c, hot, pc, insn, data, decoded)
     }
 
     #[inline(always)]
-    fn execute(&mut self, c: &mut Cpu, pc: u64, insn: Insn, data: &mut DataWindow) -> StepOutcome {
+    fn execute(
+        &mut self,
+        c: &mut Cpu,
+        hot: &mut Hot,
+        pc: u64,
+        insn: Insn,
+        data: &mut DataWindow,
+        decoded: &mut Decoded,
+    ) -> StepOutcome {
         use Insn::*;
-        let is_host = c.mode.is_host();
-        let virt = self.config.virt_mode;
         // Default next-RIP; control transfers overwrite.
         let mut next = pc.wrapping_add(8);
         let mut taken = false;
 
         macro_rules! fault {
             ($e:expr) => {
-                return StepOutcome::Event(self.raise(c, $e))
+                return self.leave(c, hot, |core, c| core.raise(c, $e))
             };
         }
         macro_rules! mem_fault {
@@ -616,14 +752,35 @@ impl Core<'_> {
                 fault!(mem_error_to_exception($e, pc, $access))
             };
         }
+        // A VM exit that records `pc + 8`: the guest resumes past the
+        // instruction.
+        macro_rules! exit_past {
+            ($reason:expr, $qual:expr) => {
+                return self.leave(c, hot, |core, c| {
+                    core.hw_vm_exit(c, $reason, pc.wrapping_add(8), $qual)
+                })
+            };
+        }
         // A privileged instruction in guest mode: PV guests trap with #GP
         // at the instruction, HVM guests exit past it.
         macro_rules! guest_privileged {
             ($reason:expr, $qual:expr) => {
-                return StepOutcome::Event(match virt {
-                    VirtMode::Para => self.raise(c, Exception::at(Vector::GeneralProtection, pc)),
-                    VirtMode::Hvm => self.hw_vm_exit(c, $reason, pc.wrapping_add(8), $qual),
-                })
+                match self.config.virt_mode {
+                    VirtMode::Para => fault!(Exception::at(Vector::GeneralProtection, pc)),
+                    VirtMode::Hvm => exit_past!($reason, $qual),
+                }
+            };
+        }
+
+        // The four instructions that store. One that lands in an executable
+        // region may have changed a word this run has already decoded.
+        macro_rules! store {
+            ($addr:expr, $value:expr) => {
+                match self.mem.write_near(data, $addr, $value) {
+                    Ok(false) => {}
+                    Ok(true) => forget(decoded),
+                    Err(e) => mem_fault!(e, AccessKind::Write),
+                }
             };
         }
 
@@ -640,8 +797,8 @@ impl Core<'_> {
                     (insn.is_branch(), insn.mem_reads(), insn.mem_writes()),
                     "{insn:?} retired with another instruction's events"
                 );
-                c.rip = next;
-                self.retire(c, $events, taken);
+                hot.rip = next;
+                self.retire(c, hot, $events, taken);
                 return $outcome;
             }};
         }
@@ -665,9 +822,7 @@ impl Core<'_> {
             }
             Store { base, src, off } => {
                 let addr = c.get(base).wrapping_add(off as u64);
-                if let Err(e) = self.mem.write_near(data, addr, c.get(src)) {
-                    mem_fault!(e, AccessKind::Write);
-                }
+                store!(addr, c.get(src));
                 retire!(STORE)
             }
             Add { dst, src } => {
@@ -773,9 +928,7 @@ impl Core<'_> {
             }
             Call { target } => {
                 let rsp = c.rsp().wrapping_sub(8);
-                if let Err(e) = self.mem.write_near(data, rsp, pc.wrapping_add(8)) {
-                    mem_fault!(e, AccessKind::Write);
-                }
+                store!(rsp, pc.wrapping_add(8));
                 c.set(Reg::Rsp, rsp);
                 next = target;
                 taken = true;
@@ -795,9 +948,7 @@ impl Core<'_> {
             }
             Push { src } => {
                 let rsp = c.rsp().wrapping_sub(8);
-                if let Err(e) = self.mem.write_near(data, rsp, c.get(src)) {
-                    mem_fault!(e, AccessKind::Write);
-                }
+                store!(rsp, c.get(src));
                 c.set(Reg::Rsp, rsp);
                 retire!(STORE)
             }
@@ -820,16 +971,14 @@ impl Core<'_> {
             CallReg { target } => {
                 let dest = c.get(target);
                 let rsp = c.rsp().wrapping_sub(8);
-                if let Err(e) = self.mem.write_near(data, rsp, pc.wrapping_add(8)) {
-                    mem_fault!(e, AccessKind::Write);
-                }
+                store!(rsp, pc.wrapping_add(8));
                 c.set(Reg::Rsp, rsp);
                 next = dest;
                 taken = true;
                 retire!(CALL)
             }
             Cpuid => {
-                if !is_host {
+                if !c.mode.is_host() {
                     let leaf = c.get(Reg::Rax);
                     guest_privileged!(ExitReason::CpuidExit, leaf);
                 }
@@ -841,27 +990,25 @@ impl Core<'_> {
                 retire!(PLAIN)
             }
             Rdtsc => {
-                if !is_host {
+                if !c.mode.is_host() {
                     guest_privileged!(ExitReason::RdtscExit, 0);
                 }
-                let t = c.cycles;
+                let t = hot.cycles;
                 c.set(Reg::Rax, t & 0xffff_ffff);
                 c.set(Reg::Rdx, t >> 32);
                 retire!(PLAIN)
             }
             Hypercall { nr } => {
-                if is_host {
+                if c.mode.is_host() {
                     fault!(Exception::at(Vector::InvalidOpcode, pc));
                 }
-                StepOutcome::Event(self.hw_vm_exit(
-                    c,
+                exit_past!(
                     ExitReason::Hypercall(nr % crate::exit::NR_HYPERCALLS),
-                    pc.wrapping_add(8),
-                    nr as u64,
-                ))
+                    nr as u64
+                )
             }
             VmEntry => {
-                if !is_host {
+                if !c.mode.is_host() {
                     fault!(Exception::at(Vector::GeneralProtection, pc));
                 }
                 let (cfg, cpu) = (self.config, self.cpu);
@@ -870,38 +1017,38 @@ impl Core<'_> {
                 taken = true;
                 c.set(Reg::Rsp, field(vmcs::GUEST_RSP));
                 c.rflags = field(vmcs::GUEST_RFLAGS);
-                c.cycles += cfg.cycle_model.vm_entry;
+                hot.cycles += cfg.cycle_model.vm_entry;
                 // Mode switch to Guest is performed by the orchestrator,
                 // which knows (from the hypervisor's scheduling state) which
                 // VCPU is being resumed.
                 retire!(PLAIN, StepOutcome::Event(Event::VmEntry))
             }
             Hlt => {
-                if !is_host {
-                    let reason = match virt {
+                if !c.mode.is_host() {
+                    let reason = match self.config.virt_mode {
                         VirtMode::Para => ExitReason::Hypercall(29), // PV guests yield via sched_op
                         VirtMode::Hvm => ExitReason::HltExit,
                     };
-                    return StepOutcome::Event(self.hw_vm_exit(c, reason, pc.wrapping_add(8), 0));
+                    exit_past!(reason, 0);
                 }
                 retire!(PLAIN, StepOutcome::Event(Event::Halt))
             }
             Nop => retire!(PLAIN),
             AssertFail { id } => {
-                if is_host {
+                if c.mode.is_host() {
                     return StepOutcome::Event(Event::AssertFail { id, rip: pc });
                 }
                 fault!(Exception::at(Vector::InvalidOpcode, pc));
             }
             Out { port, src } => {
-                if !is_host {
+                if !c.mode.is_host() {
                     guest_privileged!(ExitReason::IoInstruction { port, write: true }, port as u64);
                 }
                 self.devices.write(port, c.get(src));
                 retire!(PLAIN)
             }
             In { dst, port } => {
-                if !is_host {
+                if !c.mode.is_host() {
                     guest_privileged!(
                         ExitReason::IoInstruction { port, write: false },
                         port as u64

@@ -63,6 +63,13 @@
 //! stored in a [`Memory`], a machine or a snapshot; [`Memory::fetch`],
 //! [`Memory::read_v`] and [`Memory::write_v`] are the `_near` forms with a
 //! throwaway one.
+//!
+//! `Machine::run` keeps one thing that *does* hold contents — the
+//! instructions it has decoded, in front of the fetch window — and this
+//! module's part in that is one answer: [`Memory::write_near`] says whether
+//! the store landed in an executable region, which is the only event inside
+//! a run that can change what a fetch returns. Why that is enough is in
+//! ARCHITECTURE.md §1, "Step loop".
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -524,7 +531,9 @@ impl MemoryDelta {
 /// [`Memory::fetch_near`] found its word. Holds only what the memory map
 /// fixes — a page number, the executable word range of that page and its
 /// storage slot — never contents, so stores, pokes, restores and
-/// copy-on-write between fetches are seen. It belongs to one memory map:
+/// copy-on-write between fetches are seen (what `run` remembers of
+/// contents sits in front of this window and has its own rule:
+/// ARCHITECTURE.md §1, "Step loop"). It belongs to one memory map:
 /// start a new one after [`Memory::map`]. [`Machine::run`](crate::Machine::run)
 /// keeps one per call and nothing stores one.
 #[derive(Debug, Clone, Copy)]
@@ -557,7 +566,7 @@ impl Default for FetchWindow {
 const DATA_WINDOW_ENTRIES: usize = 16;
 
 /// The PTE a page walk went through: where it sits and what it held.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Pte {
     value: u64,
     /// Index into [`Memory::pages`]; [`NO_PTE`] when no map governs the
@@ -578,8 +587,8 @@ const UNTRANSLATED: Pte = Pte {
 };
 
 /// Where one virtual page's data accesses go, and what that was derived
-/// from. All zeroes is the empty entry: its word range holds no word.
-#[derive(Debug, Clone, Copy, Default)]
+/// from.
+#[derive(Debug, Clone, Copy)]
 struct DataEntry {
     /// Virtual page number the entry answers for.
     vpage: u64,
@@ -592,6 +601,27 @@ struct DataEntry {
     slot: u32,
     /// Whether region and PTE both allow a store.
     write: bool,
+    /// Whether the region is executable: a store that lands here may change
+    /// what a later fetch returns ([`Memory::write_near`]).
+    exec: bool,
+}
+
+impl DataEntry {
+    /// Answers for no address: its word range holds no word. All zeroes,
+    /// so that a new window is one fill, made where the window will live.
+    const EMPTY: DataEntry = DataEntry {
+        vpage: 0,
+        pte: Pte {
+            value: 0,
+            slot: 0,
+            word: 0,
+        },
+        lo: 0,
+        hi: 0,
+        slot: 0,
+        write: false,
+        exec: false,
+    };
 }
 
 /// Data lookaside, the [`FetchWindow`] of loads and stores: where the last
@@ -608,9 +638,18 @@ struct DataEntry {
 /// [`Memory::map`] or [`Memory::add_page_map`].
 /// [`Machine::run`](crate::Machine::run) keeps one per call and nothing
 /// stores one.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DataWindow {
     entries: [DataEntry; DATA_WINDOW_ENTRIES],
+}
+
+impl Default for DataWindow {
+    #[inline]
+    fn default() -> DataWindow {
+        DataWindow {
+            entries: [DataEntry::EMPTY; DATA_WINDOW_ENTRIES],
+        }
+    }
 }
 
 impl DataWindow {
@@ -778,13 +817,14 @@ impl Memory {
         Ok((e.slot as usize, word_of(addr)))
     }
 
-    /// Slot and word of a data access to virtual address `addr`, from
-    /// `near` alone: `None` unless `addr` is aligned, on a page `near` has
+    /// Where a data access to virtual address `addr` lands, from `near`
+    /// alone: storage slot, word of that page and whether the region there
+    /// is executable. `None` unless `addr` is aligned, on a page `near` has
     /// an entry for, inside the entry's word range, allowed (`write`) and —
     /// for a page-mapped address — still governed by the PTE value the
     /// entry was derived from.
     #[inline]
-    fn near_hit(&self, near: &DataWindow, addr: u64, write: bool) -> Option<(usize, usize)> {
+    fn near_hit(&self, near: &DataWindow, addr: u64, write: bool) -> Option<(usize, usize, bool)> {
         let (vpage, word) = (page_of(addr), word_of(addr));
         let e = &near.entries[DataWindow::index(vpage)];
         let hit = e.vpage == vpage
@@ -793,21 +833,23 @@ impl Memory {
             && (e.write || !write)
             && (e.pte.slot == NO_PTE
                 || self.pages[e.pte.slot as usize][e.pte.word as usize] == e.pte.value);
-        hit.then_some((e.slot as usize, word))
+        hit.then_some((e.slot as usize, word, e.exec))
     }
 
     /// The checked path of a data access to virtual address `addr`: the
     /// page walk ([`Memory::walk`]), then [`Memory::check`] on the physical
     /// address — one table lookup serves both and, for an identity PTE
     /// (what boot installs), the data access as well. Raises every fault,
-    /// and is the only place `near` is filled.
+    /// and is the only place `near` is filled. Answers as
+    /// [`Memory::near_hit`] does; "executable" is the region the *physical*
+    /// address is in, so a store through a redirected PTE says what it hit.
     #[inline(never)]
     fn near_miss(
         &self,
         near: &mut DataWindow,
         addr: u64,
         kind: Access,
-    ) -> Result<(usize, usize), MemError> {
+    ) -> Result<(usize, usize, bool), MemError> {
         let head = self.layout.head(addr);
         let (pa, pte) = self.walk(head, addr, kind == Access::Write)?;
         let head = if page_of(pa) == page_of(addr) {
@@ -826,9 +868,10 @@ impl Memory {
                 hi: e.hi,
                 slot: e.slot,
                 write: e.perms.write && pte.value & PTE_RW != 0,
+                exec: e.perms.exec,
             };
         }
-        Ok((e.slot as usize, word_of(pa)))
+        Ok((e.slot as usize, word_of(pa), e.perms.exec))
     }
 
     /// Copy-on-write: the word is written in place when this handle is the
@@ -928,6 +971,7 @@ impl Memory {
     #[inline]
     pub fn write_v(&mut self, addr: u64, value: u64) -> Result<(), MemError> {
         self.write_near(&mut DataWindow::default(), addr, value)
+            .map(|_| ())
     }
 
     /// [`Memory::read_v`] for a caller that loads and stores again and
@@ -937,7 +981,7 @@ impl Memory {
     /// page either way.
     #[inline]
     pub fn read_near(&self, near: &mut DataWindow, addr: u64) -> Result<u64, MemError> {
-        let (slot, word) = match self.near_hit(near, addr, false) {
+        let (slot, word, _) = match self.near_hit(near, addr, false) {
             Some(at) => at,
             None => self.near_miss(near, addr, Access::Read)?,
         };
@@ -945,20 +989,22 @@ impl Memory {
     }
 
     /// [`Memory::write_v`] through a [`DataWindow`] (see
-    /// [`Memory::read_near`]).
+    /// [`Memory::read_near`]). `Ok(true)` when the store landed in an
+    /// executable region — the one thing a caller that remembers what it
+    /// has *fetched* must hear about (ARCHITECTURE.md §1, "Step loop").
     #[inline]
     pub fn write_near(
         &mut self,
         near: &mut DataWindow,
         addr: u64,
         value: u64,
-    ) -> Result<(), MemError> {
-        let at = match self.near_hit(near, addr, true) {
+    ) -> Result<bool, MemError> {
+        let (slot, word, exec) = match self.near_hit(near, addr, true) {
             Some(at) => at,
             None => self.near_miss(near, addr, Access::Write)?,
         };
-        self.store(at, value);
-        Ok(())
+        self.store((slot, word), value);
+        Ok(exec)
     }
 
     /// Fetch the word at `addr` for execution.

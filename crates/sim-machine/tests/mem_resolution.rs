@@ -549,10 +549,14 @@ proptest! {
                     }
                 }
                 4..=6 => {
+                    // Also says whether the store landed in an executable
+                    // region: the physical address's, by its permissions.
                     let got = mem.write_near(&mut near, addr, value);
-                    let expect = oracle
-                        .translate(addr, true)
-                        .and_then(|pa| oracle.store(pa, Kind::Write, value));
+                    let expect = oracle.translate(addr, true).and_then(|pa| {
+                        oracle.store(pa, Kind::Write, value)?;
+                        let (r, _) = oracle.access(pa, Kind::Write)?;
+                        Ok(oracle.regions[r].perms.exec)
+                    });
                     prop_assert_eq!(got, expect, "write_near {:#x} after {:#x}", addr, last);
                     if got.is_ok() {
                         last = addr;
@@ -625,6 +629,7 @@ fn regions_sharing_a_page_keep_their_own_bounds_and_perms() {
     m.map("b", 0x1100, 4, Perms::RW);
     m.map("a", 0x1000, 4, Perms::RX);
     m.map("c", 0x1ff8, 2, Perms::R); // straddles into the next page
+    m.map("d", 0x1200, 4, Perms::RWX);
     assert_eq!(m.fetch(0x1018), Ok(0));
     assert_eq!(
         m.write(0x1018, 1),
@@ -633,6 +638,15 @@ fn regions_sharing_a_page_keep_their_own_bounds_and_perms() {
     assert_eq!(m.read(0x1020), Err(MemError::Unmapped { addr: 0x1020 }));
     assert_eq!(m.write(0x1118, 7), Ok(()));
     assert_eq!(m.read(0x1118), Ok(7));
+    // "Landed in an executable region" is the region's answer, not the
+    // page's: false beside `a` and `d`, true in `d`, from the checked path
+    // and then from the window.
+    let mut near = DataWindow::default();
+    assert_eq!(m.write_near(&mut near, 0x1110, 8), Ok(false));
+    assert_eq!(m.write_near(&mut near, 0x1118, 7), Ok(false));
+    assert_eq!(m.write_near(&mut near, 0x1200, 9), Ok(true));
+    assert_eq!(m.write_near(&mut near, 0x1208, 9), Ok(true));
+    assert_eq!(m.write_near(&mut near, 0x1118, 7), Ok(false));
     assert_eq!(m.read(0x1120), Err(MemError::Unmapped { addr: 0x1120 }));
     assert_eq!(m.read(0x1ff8), Ok(0));
     assert_eq!(m.read(0x2000), Ok(0));

@@ -13,11 +13,20 @@
 //! translation `run` remembered from earlier in the call is held against
 //! the walk `step` does afresh. Neither entry point may panic: that is the
 //! host-never-panics property, scoped to the step loop.
+//!
+//! `run` also keeps the instructions it has decoded, by address, for the
+//! length of the call, and forgets them when one of its own stores lands in
+//! an executable region; `step` decodes every word afresh. The directed
+//! cases below the property are the ones that table can get wrong: a store
+//! (plain, pushed, the return address of a call, through a PTE redirected
+//! onto the text) over a word the same run has already executed and comes
+//! back to, and addresses that share a table entry with, sit beside, or
+//! spell the initial contents of, an entry.
 
 use proptest::prelude::*;
 use sim_machine::{
-    CycleModel, Event, Machine, MachineConfig, Memory, Mode, Opcode, PageMap, Perms, Reg,
-    StepOutcome, VirtMode, PAGE_BYTES, PTE_PRESENT, PTE_RW,
+    Cond, CycleModel, Event, Exception, Insn, Machine, MachineConfig, Memory, Mode, Opcode,
+    PageMap, Perms, Reg, StepOutcome, Vector, VirtMode, PAGE_BYTES, PTE_PRESENT, PTE_RW,
 };
 
 const TEXT: u64 = 0x1_0000;
@@ -180,8 +189,15 @@ fn arb_word() -> impl Strategy<Value = u64> {
         .collect::<Vec<_>>();
     let regs = any::<u8>;
     let small = || prop_oneof![(0u64..32).prop_map(|w| w * 8), 0u64..64];
-    let target =
-        || (0..LOAD_AT.len(), 0u64..48).prop_map(|(at, w)| TEXT + (LOAD_AT[at] as u64 + w) * 8);
+    // Onto a loaded word of the text or, one time in five, of the writable
+    // text — which its own stores through R15 may have replaced since it
+    // last ran.
+    let target = || {
+        (0..LOAD_AT.len() + 1, 0u64..48).prop_map(|(at, w)| match LOAD_AT.get(at) {
+            Some(&at) => TEXT + (at as u64 + w) * 8,
+            None => SMC + w % 16 * 8,
+        })
+    };
     // A memory operation through one of `bases`, other operand free.
     let through = |bases: std::ops::Range<u8>| {
         (of(&MEMORY), bases, 0u8..16, any::<bool>(), small()).prop_map(
@@ -222,8 +238,9 @@ fn arb_word() -> impl Strategy<Value = u64> {
         // through R12.
         (8u8..12, arb_pte()).prop_map(|(dst, pte)| encode(Opcode::MovImm, dst << 4, pte)),
         (8u8..12, 0u64..2).prop_map(|(src, page)| encode(Opcode::Store, 12 << 4 | src, page * 8)),
-        // Through R14 (data) or R15 (the writable text), and as often
-        // through R13 (the page-mapped data, just below its page boundary).
+        // Through R14 (data) or R15 (the writable text, at its loaded
+        // words), and as often through R13 (the page-mapped data, just
+        // below its page boundary).
         through(14..16),
         through(13..14),
     ]
@@ -314,7 +331,7 @@ proptest! {
             c.set(Reg::R12, PTBL);
             c.set(Reg::R13, PAGED + PAGE_BYTES - 0x80);
             c.set(Reg::R14, DATA + 0x400);
-            c.set(Reg::R15, SMC + 0x100);
+            c.set(Reg::R15, SMC);
             // Mostly start on the loaded words, else wherever.
             c.rip = if rflags & 3 != 0 { TEXT + text_at as u64 * 8 } else { rip };
             c.rflags = rflags;
@@ -348,7 +365,6 @@ proptest! {
 /// The stop conditions, one at a time, on code that would otherwise run on.
 #[test]
 fn run_stops_at_budget_deadline_and_event() {
-    use sim_machine::Insn;
     let mut mem = memory();
     let nops = vec![Insn::Nop.encode(); 10];
     mem.load_image(TEXT, &nops).unwrap();
@@ -372,4 +388,246 @@ fn run_stops_at_budget_deadline_and_event() {
     // Event: the instruction that produced it is counted.
     let mut m = m0.clone();
     assert_eq!(m.run(0, 100, u64::MAX), (11, Some(Event::Halt)));
+}
+
+// ---- What `run` remembers of its own text ---------------------------------
+
+/// CPU 0 of a host-mode machine over `mem`, about to execute `rip` with
+/// `regs` set.
+fn host_at(mem: Memory, rip: u64, regs: &[(Reg, u64)]) -> Machine {
+    let mut m = Machine::new(config(VirtMode::Para), mem, 3);
+    let c = m.cpu_mut(0);
+    c.rip = rip;
+    for &(r, v) in regs {
+        c.set(r, v);
+    }
+    m
+}
+
+/// One `run` of up to `max_steps` from `m0` against a loop of `step`s from
+/// the same state: same count, same event (vector, `rip` and fault address
+/// with it), `==` machines, equal digests. Returns the run side.
+fn run_both_ways(m0: &Machine, max_steps: u64) -> (Machine, (u64, Option<Event>)) {
+    let (mut by_run, mut by_step) = (m0.clone(), m0.clone());
+    let got = by_run.run(0, max_steps, u64::MAX);
+    let want = run_by_steps(&mut by_step, 0, max_steps, u64::MAX);
+    assert_eq!(got, want);
+    assert!(by_run == by_step, "machines differ after {got:?}");
+    assert_eq!(by_run.state_digest(), by_step.state_digest());
+    (by_run, got)
+}
+
+fn words(code: &[Insn]) -> Vec<u64> {
+    code.iter().map(|i| i.encode()).collect()
+}
+
+const ADD_1: Insn = Insn::AddImm {
+    dst: Reg::Rax,
+    imm: 1,
+};
+const ADD_100: Insn = Insn::AddImm {
+    dst: Reg::Rax,
+    imm: 100,
+};
+
+/// `W: add rax, 1; <overwrite>; three times round; hlt` at the start of
+/// the writable text, where `overwrite` puts R8 — `add rax, 100`, encoded
+/// — over W. Every pass after the one that stored must execute the new W.
+fn overwriting_loop(overwrite: &[Insn]) -> Vec<u64> {
+    let mut code = vec![ADD_1];
+    code.extend_from_slice(overwrite);
+    code.extend([
+        Insn::AddImm {
+            dst: Reg::Rcx,
+            imm: 1,
+        },
+        Insn::CmpImm {
+            a: Reg::Rcx,
+            imm: 3,
+        },
+        Insn::Jcc {
+            cond: Cond::Lt,
+            target: SMC,
+        },
+        Insn::Hlt,
+    ]);
+    assert!(code.len() <= SMC_WORDS);
+    words(&code)
+}
+
+#[test]
+fn a_store_over_an_executed_word_is_executed_next_time_round() {
+    let store = [Insn::Store {
+        base: Reg::R15,
+        src: Reg::R8,
+        off: 0,
+    }];
+    let push = [
+        Insn::MovImm {
+            dst: Reg::Rsp,
+            imm: SMC as i64 + 8,
+        },
+        Insn::Push { src: Reg::R8 },
+    ];
+    for overwrite in [&store[..], &push[..]] {
+        let mut mem = memory();
+        mem.load_image(SMC, &overwriting_loop(overwrite)).unwrap();
+        let m0 = host_at(mem, SMC, &[(Reg::R8, ADD_100.encode()), (Reg::R15, SMC)]);
+        let (m, got) = run_both_ways(&m0, 100);
+        assert_eq!(got.1, Some(Event::Halt), "{overwrite:?}");
+        assert_eq!(m.cpu(0).get(Reg::Rax), 1 + 100 + 100, "{overwrite:?}");
+    }
+}
+
+/// The same store through `PAGED`, whose PTE the loop itself points at the
+/// writable text's frame: the first pass's store lands in plain data (and
+/// leaves the data window remembering that it did), the second's on W.
+#[test]
+fn a_store_through_a_redirected_pte_onto_an_executed_word_is_seen() {
+    let overwrite = [
+        Insn::Store {
+            base: Reg::R13,
+            src: Reg::R8,
+            off: 0,
+        },
+        Insn::Store {
+            base: Reg::R12,
+            src: Reg::R9,
+            off: 0,
+        },
+    ];
+    let mut mem = memory();
+    mem.load_image(SMC, &overwriting_loop(&overwrite)).unwrap();
+    let m0 = host_at(
+        mem,
+        SMC,
+        &[
+            (Reg::R8, ADD_100.encode()),
+            (Reg::R9, SMC | PTE_PRESENT | PTE_RW),
+            (Reg::R12, PTBL),
+            (Reg::R13, PAGED),
+        ],
+    );
+    let (m, got) = run_both_ways(&m0, 100);
+    assert_eq!(got.1, Some(Event::Halt));
+    assert_eq!(m.mem.peek(PAGED), Ok(ADD_100.encode()), "first pass");
+    assert_eq!(m.mem.peek(SMC), Ok(ADD_100.encode()), "second pass");
+    assert_eq!(m.cpu(0).get(Reg::Rax), 1 + 1 + 100);
+}
+
+/// `W: add rax, 1; call W` with the stack pointer just above W: the return
+/// address the call pushes replaces W, and no address decodes.
+#[test]
+fn a_call_that_pushes_over_an_executed_word_finds_it_replaced() {
+    let direct = Insn::Call { target: SMC };
+    let indirect = Insn::CallReg { target: Reg::R8 };
+    for call in [direct, indirect] {
+        let mut mem = memory();
+        mem.load_image(SMC, &words(&[ADD_1, call])).unwrap();
+        let m0 = host_at(mem, SMC, &[(Reg::Rsp, SMC + 8), (Reg::R8, SMC)]);
+        let (m, got) = run_both_ways(&m0, 100);
+        let ud = Exception::at(Vector::InvalidOpcode, SMC);
+        assert_eq!(got, (3, Some(Event::Exception(ud))), "{call:?}");
+        assert_eq!(m.mem.peek(SMC), Ok(SMC + 16), "{call:?}");
+    }
+}
+
+/// Two stretches of text that many bytes apart, executed turn and turn
+/// about: for a table of `stride / 8` entries every word of one shares its
+/// entry with a word of the other.
+#[test]
+fn addresses_that_share_a_table_entry_keep_their_own_instructions() {
+    for stride in [0x100u64, 0x200, 0x400, 0x800, 0x1000, 0x2000] {
+        let (here, there) = (TEXT, TEXT + stride);
+        let mut mem = memory();
+        mem.load_image(here, &words(&[ADD_1, Insn::Jmp { target: there }]))
+            .unwrap();
+        let far = [
+            ADD_100,
+            Insn::AddImm {
+                dst: Reg::Rcx,
+                imm: 1,
+            },
+            Insn::CmpImm {
+                a: Reg::Rcx,
+                imm: 3,
+            },
+            Insn::Jcc {
+                cond: Cond::Lt,
+                target: here,
+            },
+            Insn::Hlt,
+        ];
+        mem.load_image(there, &words(&far)).unwrap();
+        let (m, got) = run_both_ways(&host_at(mem, here, &[]), 100);
+        assert_eq!(got.1, Some(Event::Halt), "stride {stride:#x}");
+        assert_eq!(m.cpu(0).get(Reg::Rax), 3 * 101, "stride {stride:#x}");
+    }
+}
+
+/// An indirect jump into the middle of a word that has just been executed
+/// is an alignment fault at that address, not the word again.
+#[test]
+fn a_jump_beside_an_executed_address_faults_there() {
+    for off in 1..8 {
+        let mut mem = memory();
+        let code = [ADD_1, Insn::JmpReg { target: Reg::R8 }];
+        mem.load_image(TEXT, &words(&code)).unwrap();
+        let (_, got) = run_both_ways(&host_at(mem, TEXT, &[(Reg::R8, TEXT + off)]), 100);
+        match got {
+            (3, Some(Event::Exception(e))) => {
+                assert_eq!(
+                    (e.vector, e.rip, e.addr),
+                    (Vector::AlignmentCheck, TEXT + off, Some(TEXT + off))
+                );
+            }
+            other => panic!("+{off}: expected #AC, got {other:?}"),
+        }
+    }
+}
+
+/// A run that starts at an address a fresh table's entries could be tagged
+/// with — the lowest addresses, where nothing is mapped by convention —
+/// fetches like any other: the word that is there when a region is, a fetch
+/// fault when none is, in host and in guest mode.
+#[test]
+fn a_run_from_the_lowest_addresses_fetches_what_is_there() {
+    const LOW_WORDS: u64 = 1024;
+    let mut low = memory();
+    low.map("low", 0, LOW_WORDS as usize + 1, Perms::RX);
+    let code: Vec<Insn> = (0..LOW_WORDS)
+        .map(|w| Insn::MovImm {
+            dst: Reg::Rax,
+            imm: 0x1000 + w as i64,
+        })
+        .chain([Insn::Hlt])
+        .collect();
+    low.load_image(0, &words(&code)).unwrap();
+    let none = memory();
+
+    for w in 0..LOW_WORDS {
+        let rip = w * 8;
+        let (m, got) = run_both_ways(&host_at(low.clone(), rip, &[]), 1);
+        assert_eq!(got, (1, None), "rip {rip:#x}");
+        assert_eq!(m.cpu(0).get(Reg::Rax), 0x1000 + w, "rip {rip:#x}");
+
+        let m0 = host_at(none.clone(), rip, &[]);
+        let (_, got) = run_both_ways(&m0, 2);
+        match got {
+            (1, Some(Event::Exception(e))) => {
+                assert_eq!(
+                    (e.vector, e.rip, e.addr),
+                    (Vector::PageFault, rip, Some(rip))
+                );
+            }
+            other => panic!("rip {rip:#x}: expected a fetch fault, got {other:?}"),
+        }
+        let mut guest = m0;
+        guest.cpu_mut(0).mode = Mode::Guest { dom: 1, vcpu: 0 };
+        let (_, got) = run_both_ways(&guest, 2);
+        assert!(
+            matches!(got, (1, Some(Event::VmExit(_)))),
+            "rip {rip:#x}: {got:?}"
+        );
+    }
 }

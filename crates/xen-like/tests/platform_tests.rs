@@ -736,6 +736,56 @@ fn hook_that_breaks_the_next_instruction_faults_there() {
     }
 }
 
+/// The hook is a run boundary, so whatever the run before it remembered of
+/// the handler's text is gone when it returns: a RIP flipped back onto an
+/// instruction the handler has already executed, or beside one, or a strike
+/// on such a word itself, meets a fresh fetch like the reference's.
+#[test]
+fn hook_that_lands_on_or_beside_executed_text_fetches_afresh() {
+    let (p, reason, gc) = at_first_exit();
+    let len = p
+        .clone()
+        .run_handler(0, reason, gc, &mut NullMonitor)
+        .handler_insns;
+    let entry = p.machine.cpu(0).rip;
+    let at = len / 2;
+
+    // Back onto the handler's first instruction, executed `at` steps ago,
+    // and onto the one after it.
+    for back_to in [entry, entry + 8] {
+        let (act, fired) = hooked_both_ways(&p, reason, gc, at, |m, c| {
+            m.cpu_mut(c).rip = back_to;
+        });
+        assert!(fired);
+        assert!(act.handler_insns > at, "ran on from {back_to:#x}");
+    }
+    // Into the middle of either: an alignment fault at that address.
+    for off in 1..8 {
+        let (act, _) = hooked_both_ways(&p, reason, gc, at, |m, c| {
+            m.cpu_mut(c).rip = entry + off;
+        });
+        match act.outcome {
+            ActivationOutcome::HostException(e) => {
+                assert_eq!((e.vector, e.rip), (Vector::AlignmentCheck, entry + off));
+            }
+            other => panic!("+{off}: expected #AC, got {other:?}"),
+        }
+        assert_eq!(act.handler_insns, at);
+    }
+    // A struck code word: the first instruction replaced, then run again.
+    let (act, _) = hooked_both_ways(&p, reason, gc, at, |m, c| {
+        m.mem.poke(entry, 0).unwrap();
+        m.cpu_mut(c).rip = entry;
+    });
+    match act.outcome {
+        ActivationOutcome::HostException(e) => {
+            assert_eq!((e.vector, e.rip), (Vector::InvalidOpcode, entry));
+        }
+        other => panic!("expected #UD at the struck word, got {other:?}"),
+    }
+    assert_eq!(act.handler_insns, at);
+}
+
 /// `run_to_exit` both ways from `p`; assert they agree and return the exit.
 fn to_exit_both_ways(p: &Platform) -> (ExitReason, u64) {
     let mut by_run = p.clone();

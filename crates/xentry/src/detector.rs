@@ -102,6 +102,15 @@ impl VmTransitionDetector {
         self.compiled.classify_cost(&f.columns())
     }
 
+    /// [`classify`] and [`classify_cost`] from one walk of the tree: what
+    /// the shim does at every VM entry.
+    ///
+    /// [`classify`]: VmTransitionDetector::classify
+    /// [`classify_cost`]: VmTransitionDetector::classify_cost
+    pub fn classify_with_cost(&self, f: &FeatureVec) -> (Label, usize) {
+        self.compiled.classify_with_cost(&f.columns())
+    }
+
     /// Classify a batch of executions, one verdict per input. Feature
     /// columns are staged through a fixed stack chunk, so the only
     /// allocation is the caller's `out` buffer.
@@ -345,6 +354,12 @@ mod tests {
         assert_eq!(det.classify(&ok), Label::Correct);
         assert_eq!(det.classify(&bad), Label::Incorrect);
         assert!(det.classify_cost(&ok) >= 1);
+        for f in [&ok, &bad] {
+            assert_eq!(
+                det.classify_with_cost(f),
+                (det.classify(f), det.classify_cost(f))
+            );
+        }
         assert!(det.depth() >= 1);
     }
 

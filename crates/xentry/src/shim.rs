@@ -229,8 +229,9 @@ impl Monitor for Xentry {
             }
             if let Some(det) = &self.detector {
                 self.classified += 1;
-                cost += det.classify_cost(&features) as u64 * self.config.costs.classify_per_node;
-                if det.classify(&features) == Label::Incorrect {
+                let (label, nodes) = det.classify_with_cost(&features);
+                cost += nodes as u64 * self.config.costs.classify_per_node;
+                if label == Label::Incorrect {
                     self.positives += 1;
                     self.record_detection(
                         m,
