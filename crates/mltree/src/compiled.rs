@@ -11,10 +11,10 @@
 //!
 //! ```text
 //!  CompiledNode (repr C, 24 bytes):
-//!  ┌───────────────┬────────┬────────┬─────────┬─────┐
-//!  │ threshold u64 │ left   │ right  │ feature │ pad │
-//!  │               │ u32    │ u32    │ u8      │     │
-//!  └───────────────┴────────┴────────┴─────────┴─────┘
+//!  ┌───────────────┬────────┬────────┬─────────┐
+//!  │ threshold u64 │ left   │ right  │ feature │
+//!  │               │ u32    │ u32    │ u8      │
+//!  └───────────────┴────────┴────────┴─────────┘
 //!  child ref: bit31 = leaf flag, bit0 = label (1 ⇒ Incorrect),
 //!             otherwise an arena index (preorder: left == self + 1)
 //! ```
@@ -33,27 +33,22 @@
 //! misses overlapped. The lockstep round itself is vectorized in
 //! [`crate::simd`]. At compile time each tree also builds a *packed
 //! shadow arena* there — one u64 per split, leaves self-looping — and
-//! any chunk whose runtime feature values fit 12 bits (Xentry's
-//! counters always do; checked per chunk, exact by construction) walks
+//! any chunk whose runtime feature values fit 12 bits (every fault-free
+//! Xentry vector does; checked per chunk, exact by construction) walks
 //! it at one gather plus a few ALU ops per 8-lane group per level.
-//! Chunks outside that envelope take the tagged wide kernels over the
-//! 24-byte records. Kernels (AVX-512 / AVX2 / portable scalar oracle)
-//! are selectable per call through
-//! [`CompiledTree::classify_batch_with`]; short tail groups are padded
-//! to full width by replicating the last row, so every batch size stays
-//! on the wide path.
-//!
-//! Arenas can additionally be laid out *profile-guided*: see
-//! [`crate::layout`] for [`CompiledTree::compile_profiled`], which
-//! re-emits the records hot-path-first from harvested branch counts.
+//! Kernels (AVX-512 / AVX2 / portable scalar oracle) are selectable per
+//! call through [`CompiledTree::classify_batch_with`]; short tail groups
+//! are padded to full width by replicating the last row, so every batch
+//! size stays on the wide path. A chunk outside that envelope, or a
+//! model with no packed shadow (more than five features), has one exact
+//! fallback: the single-sample walk, row by row — rare by measurement
+//! (no fault-free Xentry vector, about one faulty one in a thousand).
 //!
 //! [`Node`]: crate::tree::Node
 
 use crate::dataset::Label;
 use crate::forest::RandomForest;
-use crate::simd::{
-    self, BatchWalker, LaneCols, PackedArena, LANES, MAX_SIMD_ARITY, PACKED_CHUNK, WIDTH,
-};
+use crate::simd::{self, BatchWalker, PackedArena, PACKED_CHUNK};
 use crate::tree::{DecisionTree, Node};
 
 /// Child-reference tag: set ⇒ the reference is a leaf verdict, not an
@@ -81,7 +76,7 @@ pub(crate) const fn leaf_label(r: u32) -> Label {
 }
 
 /// One split record in the arena. `#[repr(C)]` keeps the layout fixed:
-/// 8 (threshold) + 4 + 4 (children) + 1 (feature) + 7 pad = 24 bytes, so
+/// 8 (threshold) + 4 + 4 (children) + 1 (feature) + 7 padding = 24 bytes, so
 /// two to three records share a cache line instead of one ~60-byte boxed
 /// `Node::Split` allocation per miss.
 #[repr(C)]
@@ -95,10 +90,6 @@ pub struct CompiledNode {
     pub right: u32,
     /// Feature column index (Table-I layouts have 5; 255 is plenty).
     pub feature: u8,
-    /// Explicit (zeroed) tail padding. The SIMD walkers gather the
-    /// feature field as a whole 64-bit word at record offset 16, so the
-    /// bytes after `feature` must be initialized, not compiler padding.
-    pub pad: [u8; 7],
 }
 
 /// Keep the child select a real conditional branch. LLVM if-converts the
@@ -116,26 +107,6 @@ fn branch_barrier() {
     }
 }
 
-/// Start pulling the record at reference `r` (leaf tags mask to index 0/1,
-/// a harmless in-arena touch) into cache before the walk knows it needs
-/// it. The left child is the next record — the hardware streamer already
-/// has it — but the right child is an arbitrary index whose miss would
-/// otherwise serialize the walk; issuing the prefetch before the compare
-/// resolves overlaps that miss with the branch.
-#[inline(always)]
-fn prefetch_ref(nodes: &[CompiledNode], r: u32) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch never dereferences; any address is architecturally
-    // safe, and this one stays within (or one element past) the arena.
-    unsafe {
-        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
-            nodes.as_ptr().wrapping_add((r & !LEAF_BIT) as usize) as *const i8,
-        );
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (nodes, r);
-}
-
 /// Walk the arena from `r` until a leaf reference; returns that reference.
 ///
 /// # Safety
@@ -147,7 +118,6 @@ fn prefetch_ref(nodes: &[CompiledNode], r: u32) {
 unsafe fn walk(nodes: &[CompiledNode], mut r: u32, features: &[u64]) -> u32 {
     while r & LEAF_BIT == 0 {
         let n = *nodes.get_unchecked(r as usize);
-        prefetch_ref(nodes, n.right);
         if *features.get_unchecked(n.feature as usize) <= n.threshold {
             r = n.left;
         } else {
@@ -158,38 +128,25 @@ unsafe fn walk(nodes: &[CompiledNode], mut r: u32, features: &[u64]) -> u32 {
     r
 }
 
-/// Advance [`LANES`] independent walks one level per round for `depth`
-/// rounds, branchlessly: lanes that reached a leaf keep re-selecting their
-/// verdict reference. No data-dependent branches means no pipeline
-/// flushes, which is what lets the chains actually overlap.
-///
-/// This is the *wide-arity* path: each lane carries its own feature
-/// slice, so there is no bound on the feature count. Models with arity
-/// ≤ [`MAX_SIMD_ARITY`] take the vector kernels in [`crate::simd`]
-/// instead.
+/// The batch engine's one exact fallback: rows `0..n` walked one at a
+/// time by [`walk`], each verdict handed to `verdict(i, label)`. Serves
+/// every chunk the packed tier cannot — a feature value above 12 bits,
+/// or a model with no packed shadow — from the tree, the row-producer
+/// and the forest entries alike. Exact for any u64 feature values
+/// because it *is* the single-sample walk.
 ///
 /// # Safety
-/// Same contract as [`walk`] for every lane's reference and feature slice.
+/// Same contract as [`walk`] for `root` and for every row produced.
 #[inline]
-unsafe fn walk_lanes(
+unsafe fn walk_rows<R: AsRef<[u64]>>(
     nodes: &[CompiledNode],
-    refs: &mut [u32; LANES],
-    feats: &[&[u64]; LANES],
-    depth: usize,
+    root: u32,
+    n: usize,
+    row: impl Fn(usize) -> R,
+    mut verdict: impl FnMut(usize, Label),
 ) {
-    if nodes.is_empty() {
-        return; // every root reference is already a tagged verdict
-    }
-    let last = nodes.len() - 1;
-    for _ in 0..depth {
-        for lane in 0..LANES {
-            let r = refs[lane];
-            // Leaf-tagged lanes read a real record and discard the result.
-            let n = *nodes.get_unchecked(((r & !LEAF_BIT) as usize).min(last));
-            let f = *feats[lane].get_unchecked(n.feature as usize);
-            let next = if f <= n.threshold { n.left } else { n.right };
-            refs[lane] = if r & LEAF_BIT == 0 { next } else { r };
-        }
+    for i in 0..n {
+        verdict(i, leaf_label(walk(nodes, root, row(i).as_ref())));
     }
 }
 
@@ -233,7 +190,6 @@ fn emit(node: &Node, nodes: &mut Vec<CompiledNode>) -> u32 {
                 left: 0,
                 right: 0,
                 feature: *feature as u8,
-                pad: [0; 7],
             });
             // Preorder: the left subtree lands at idx + 1, so the hot
             // "<= threshold" path is a sequential read.
@@ -260,21 +216,17 @@ fn arena_arity(nodes: &[CompiledNode]) -> usize {
 /// A [`DecisionTree`] compiled into a flat split arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledTree {
-    pub(crate) nodes: Vec<CompiledNode>,
+    nodes: Vec<CompiledNode>,
     /// Root reference: index 0 for any tree with at least one split, a
     /// tagged verdict for a single-leaf tree.
-    pub(crate) root: u32,
-    pub(crate) depth: usize,
+    root: u32,
+    depth: usize,
     /// Minimum feature-slice length a classify call must provide.
-    pub(crate) arity: usize,
-    /// Records in the profile-weighted hot prefix of the arena (the
-    /// leading run covering ≥90% of observed split visits). For an
-    /// unprofiled layout this is the whole arena — no claim is made.
-    pub(crate) hot_prefix: usize,
+    arity: usize,
     /// One-u64-per-split shadow arena for the gather-once batch kernels
     /// (see [`crate::simd`]); `None` when the model is outside the packed
     /// envelope. Derived from `nodes` — rebuilt on every arena mutation.
-    pub(crate) packed: Option<PackedArena>,
+    packed: Option<PackedArena>,
 }
 
 impl CompiledTree {
@@ -286,7 +238,6 @@ impl CompiledTree {
         let root = emit(&tree.root, &mut nodes);
         CompiledTree {
             arity: arena_arity(&nodes),
-            hot_prefix: nodes.len(),
             packed: PackedArena::build(&nodes, arena_arity(&nodes)),
             nodes,
             root,
@@ -324,7 +275,7 @@ impl CompiledTree {
     }
 
     /// Classify a batch, one verdict per input row, with the widest
-    /// batch-walk kernel the CPU supports. Groups of `LANES` rows walk
+    /// batch-walk kernel the CPU supports. Groups of eight rows walk
     /// the arena in lockstep so their load chains overlap; the final
     /// short group is padded to full width by replicating the last row,
     /// so fleet drain batches and campaign tails stay on the fast path.
@@ -359,49 +310,20 @@ impl CompiledTree {
             out.fill(leaf_label(self.root));
             return;
         }
-        if let Some(pa) = &self.packed {
-            // Packed fast path: one gather per level per 8-lane group,
-            // exact whenever the chunk's feature values fit 12 bits —
-            // chunks that don't drop to the tagged kernels below.
-            let kernel = simd::resolve(walker);
-            let root = pa.entry(self.root);
-            let mut fps = [0u64; PACKED_CHUNK];
-            let mut refs = [0u32; PACKED_CHUNK];
-            for (gi, go) in inputs
-                .chunks(PACKED_CHUNK)
-                .zip(out.chunks_mut(PACKED_CHUNK))
-            {
-                if let Some(lanes) = simd::stage_packed(gi, self.arity, &mut fps) {
-                    refs[..lanes].fill(root);
-                    // SAFETY: packed references are in-bounds by
-                    // construction; kernel came from resolve().
-                    unsafe {
-                        simd::walk_packed(kernel, pa, &mut refs[..lanes], &fps[..lanes], self.depth)
-                    };
-                    for (o, &r) in go.iter_mut().zip(refs.iter()) {
-                        *o = pa.label(r);
-                    }
-                } else {
-                    self.classify_batch_tagged(kernel, gi, go);
-                }
-            }
-            return;
-        }
-        if self.arity <= MAX_SIMD_ARITY {
-            self.classify_batch_tagged(simd::resolve(walker), inputs, out);
-        } else {
-            // Wide-arity models: per-lane feature slices, scalar lockstep.
-            for (gi, go) in inputs.chunks(LANES).zip(out.chunks_mut(LANES)) {
-                // Pad short groups by replicating the last row's slice.
-                let feats: [&[u64]; LANES] =
-                    std::array::from_fn(|k| gi[k.min(gi.len() - 1)].as_ref());
-                let mut refs = [self.root; LANES];
-                // SAFETY: emit() produced only in-arena indices; arity checked.
-                unsafe { walk_lanes(&self.nodes, &mut refs, &feats, self.depth) };
-                for (o, r) in go.iter_mut().zip(refs) {
-                    *o = leaf_label(r);
-                }
-            }
+        let kernel = simd::resolve(walker);
+        let mut fps = [0u64; PACKED_CHUNK];
+        let mut refs = [0u32; PACKED_CHUNK];
+        for (gi, go) in inputs
+            .chunks(PACKED_CHUNK)
+            .zip(out.chunks_mut(PACKED_CHUNK))
+        {
+            // Packed tier: one gather per level per 8-lane group, exact
+            // whenever the chunk's feature values fit 12 bits.
+            let staged = self
+                .packed
+                .as_ref()
+                .and_then(|pa| Some((pa, simd::stage_packed(gi, self.arity, &mut fps)?)));
+            self.walk_chunk(kernel, staged, &fps, &mut refs, |k| &gi[k], go);
         }
     }
 
@@ -430,81 +352,62 @@ impl CompiledTree {
             out.fill(leaf_label(self.root));
             return;
         }
-        if let Some(pa) = &self.packed {
-            let kernel = simd::resolve(walker);
-            let root = pa.entry(self.root);
-            let mut fps = [0u64; PACKED_CHUNK];
-            let mut refs = [0u32; PACKED_CHUNK];
-            for (start, go) in (0..n)
-                .step_by(PACKED_CHUNK)
-                .zip(out.chunks_mut(PACKED_CHUNK))
-            {
-                let len = go.len();
-                // Exact-arity rows stage through the const-unrolled
-                // packer; over-wide rows only pack their leading arity
-                // fields (trailing features are never compared).
-                let staged = if self.arity == A {
-                    simd::stage_packed_const::<A>(len, |k| row(start + k), &mut fps)
-                } else {
-                    simd::stage_packed_with(len, |k| row(start + k), self.arity, &mut fps)
-                };
-                if let Some(lanes) = staged {
-                    refs[..lanes].fill(root);
-                    // SAFETY: packed references are in-bounds by
-                    // construction; kernel came from resolve().
-                    unsafe {
-                        simd::walk_packed(kernel, pa, &mut refs[..lanes], &fps[..lanes], self.depth)
-                    };
-                    for (o, &r) in go.iter_mut().zip(refs.iter()) {
-                        *o = pa.label(r);
-                    }
-                } else {
-                    // Oversized values in this chunk: materialize it and
-                    // take the exact tagged path.
-                    let mut rows = [[0u64; A]; PACKED_CHUNK];
-                    for (k, slot) in rows.iter_mut().enumerate().take(len) {
-                        *slot = row(start + k);
-                    }
-                    self.classify_batch_tagged(kernel, &rows[..len], go);
-                }
-            }
-            return;
-        }
-        // No packed shadow: materialize chunks and take the generic path.
-        let mut rows = [[0u64; A]; PACKED_CHUNK];
+        let kernel = simd::resolve(walker);
+        let mut fps = [0u64; PACKED_CHUNK];
+        let mut refs = [0u32; PACKED_CHUNK];
         for (start, go) in (0..n)
             .step_by(PACKED_CHUNK)
             .zip(out.chunks_mut(PACKED_CHUNK))
         {
-            let len = go.len();
-            for (k, slot) in rows.iter_mut().enumerate().take(len) {
-                *slot = row(start + k);
-            }
-            self.classify_batch_with(walker, &rows[..len], go);
+            let row = |k| row(start + k);
+            // Exact-arity rows stage through the const-unrolled packer;
+            // over-wide rows only pack their leading arity fields
+            // (trailing features are never compared).
+            let staged = self.packed.as_ref().and_then(|pa| {
+                let lanes = if self.arity == A {
+                    simd::stage_packed_const::<A>(go.len(), row, &mut fps)
+                } else {
+                    simd::stage_packed_with(go.len(), row, self.arity, &mut fps)
+                };
+                Some((pa, lanes?))
+            });
+            self.walk_chunk(kernel, staged, &fps, &mut refs, row, go);
         }
     }
 
-    /// The tagged-arena vector path: exact for any u64 feature values.
-    /// Serves models without a packed shadow and packed-envelope chunks
-    /// whose runtime values overflow 12 bits.
-    fn classify_batch_tagged<I: AsRef<[u64]>>(
+    /// Verdicts for one chunk of at most [`PACKED_CHUNK`] rows: the packed
+    /// kernels when the caller staged it (`staged` carries the shadow
+    /// arena and the padded lane count, `fps` the feature words), the
+    /// row-by-row fallback otherwise.
+    #[inline]
+    fn walk_chunk<R: AsRef<[u64]>>(
         &self,
         kernel: simd::Kernel,
-        inputs: &[I],
+        staged: Option<(&PackedArena, usize)>,
+        fps: &[u64; PACKED_CHUNK],
+        refs: &mut [u32; PACKED_CHUNK],
+        row: impl Fn(usize) -> R,
         out: &mut [Label],
     ) {
-        debug_assert!(self.arity <= MAX_SIMD_ARITY && !self.nodes.is_empty());
-        let mut cols = [LaneCols::zeroed(), LaneCols::zeroed()];
-        for (gi, go) in inputs.chunks(WIDTH).zip(out.chunks_mut(WIDTH)) {
-            simd::fill_pair(&mut cols, gi, self.arity);
-            let mut refs = [self.root; WIDTH];
-            // SAFETY: emit()/reorder produced only in-arena indices;
-            // arity (≤ MAX_SIMD_ARITY) and column coverage checked by the
-            // caller.
-            unsafe { simd::walk_wide(kernel, &self.nodes, &mut refs, &cols, self.depth) };
-            for (o, r) in go.iter_mut().zip(refs) {
-                *o = leaf_label(r);
+        match staged {
+            Some((pa, lanes)) => {
+                refs[..lanes].fill(pa.entry(self.root));
+                // SAFETY: packed references are in-bounds by
+                // construction; kernel came from resolve().
+                unsafe {
+                    simd::walk_packed(kernel, pa, &mut refs[..lanes], &fps[..lanes], self.depth)
+                };
+                for (o, &r) in out.iter_mut().zip(refs.iter()) {
+                    *o = pa.label(r);
+                }
             }
+            // SAFETY: emit() produced only in-arena indices; the entry
+            // points checked every row against the arity.
+            None => unsafe {
+                walk_rows(&self.nodes, self.root, out.len(), row, |i, label| {
+                    out[i] = label
+                })
+            },
         }
     }
 
@@ -522,17 +425,6 @@ impl CompiledTree {
     /// Arena bytes actually touched by walks.
     pub fn arena_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<CompiledNode>()
-    }
-
-    /// Bytes of the profile-weighted hot prefix: the leading run of
-    /// records that covered ≥90% of split visits when the arena was
-    /// re-laid out by [`CompiledTree::reorder_profiled`]. For an
-    /// unprofiled arena this equals [`CompiledTree::arena_bytes`] —
-    /// nothing is claimed about residency. Exported as a fleet gauge so
-    /// operators can see how much of the model the cache must hold to
-    /// serve the common path.
-    pub fn hot_prefix_bytes(&self) -> usize {
-        self.hot_prefix * std::mem::size_of::<CompiledNode>()
     }
 
     /// Defined (non-padding) bits per arena record, the coordinate space
@@ -813,7 +705,7 @@ impl CompiledForest {
     /// fixed array while the trees are walked in arena order, so each
     /// tree's records are streamed once per chunk instead of once per
     /// sample. Within a tree, samples advance in lockstep groups of
-    /// `LANES` on the widest kernel the CPU supports (short tail groups
+    /// eight on the widest kernel the CPU supports (short tail groups
     /// padded by replicating the last row). Full-count voting — the
     /// label equals the early-exiting [`CompiledForest::classify`] by the
     /// same threshold argument.
@@ -855,21 +747,21 @@ impl CompiledForest {
             out.fill(verdict(votes));
             return;
         }
-        let wide = self.arity > MAX_SIMD_ARITY;
         let kernel = simd::resolve(walker);
-        // Feature columns for each lane-pair group of the chunk, staged
-        // once and reused across every tree of the ensemble.
-        let mut cols: Vec<[LaneCols; 2]> = Vec::new();
         let mut fps = [0u64; PACKED_CHUNK];
         let mut refs = [0u32; PACKED_CHUNK];
         for (chunk_in, chunk_out) in inputs.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK)) {
             let mut votes = [0u32; BATCH_CHUNK];
             let votes = &mut votes[..chunk_in.len()];
-            // Packed fast path: feature words staged once per chunk and
-            // reused across every tree; chunks whose values overflow 12
-            // bits drop to the exact tagged kernels below.
-            if let Some(pa) = &self.packed {
-                if let Some(lanes) = simd::stage_packed(chunk_in, self.arity, &mut fps) {
+            // Packed tier: feature words staged once per chunk and reused
+            // across every tree; a chunk whose values overflow 12 bits
+            // (or a forest with no shadow) is walked row by row instead.
+            let staged = self
+                .packed
+                .as_ref()
+                .and_then(|pa| Some((pa, simd::stage_packed(chunk_in, self.arity, &mut fps)?)));
+            match staged {
+                Some((pa, lanes)) => {
                     for &root in &self.roots {
                         refs[..lanes].fill(pa.entry(root));
                         // SAFETY: packed references are in-bounds by
@@ -887,55 +779,20 @@ impl CompiledForest {
                             *v += pa.vote(r);
                         }
                     }
-                    for (o, &v) in chunk_out.iter_mut().zip(votes.iter()) {
-                        *o = verdict(v);
-                    }
-                    continue;
                 }
-            }
-            if !wide {
-                cols.clear();
-                for gi in chunk_in.chunks(WIDTH) {
-                    let mut c = [LaneCols::zeroed(), LaneCols::zeroed()];
-                    simd::fill_pair(&mut c, gi, self.arity);
-                    cols.push(c);
-                }
-            }
-            for &root in &self.roots {
-                for (g, (gi, gv)) in chunk_in
-                    .chunks(WIDTH)
-                    .zip(votes.chunks_mut(WIDTH))
-                    .enumerate()
-                {
-                    if wide {
-                        for (li, lv) in gi.chunks(LANES).zip(gv.chunks_mut(LANES)) {
-                            // Pad short groups by replicating the last slice.
-                            let feats: [&[u64]; LANES] =
-                                std::array::from_fn(|k| li[k.min(li.len() - 1)].as_ref());
-                            let mut refs = [root; LANES];
-                            // SAFETY: emit() produced in-arena indices; arity
-                            // checked once over the whole batch above.
-                            unsafe { walk_lanes(&self.nodes, &mut refs, &feats, self.max_depth) };
-                            for (v, r) in lv.iter_mut().zip(refs) {
-                                *v += (leaf_label(r) == Label::Incorrect) as u32;
-                            }
-                        }
-                    } else {
-                        let mut refs = [root; WIDTH];
-                        // SAFETY: as above, plus arity ≤ MAX_SIMD_ARITY so
-                        // the staged columns cover every feature index.
+                None => {
+                    for &root in &self.roots {
+                        // SAFETY: emit() produced only in-arena indices;
+                        // arity checked once over the whole batch above.
                         unsafe {
-                            simd::walk_wide(
-                                kernel,
+                            walk_rows(
                                 &self.nodes,
-                                &mut refs,
-                                &cols[g],
-                                self.max_depth,
+                                root,
+                                chunk_in.len(),
+                                |i| &chunk_in[i],
+                                |i, label| votes[i] += (label == Label::Incorrect) as u32,
                             )
                         };
-                        for (v, r) in gv.iter_mut().zip(refs) {
-                            *v += (leaf_label(r) == Label::Incorrect) as u32;
-                        }
                     }
                 }
             }
@@ -1100,6 +957,59 @@ mod tests {
         compiled.classify_batch(&rows, &mut out);
         for (s, o) in ds.samples.iter().zip(out) {
             assert_eq!(o, compiled.classify(&s.features));
+        }
+    }
+
+    /// Models wider than the packed word (6 and 9 features: no shadow
+    /// arena) are served by the row-by-row fallback from all three batch
+    /// entries, on every walker and every tail length.
+    #[test]
+    fn models_without_a_packed_shadow_match_the_boxed_walkers() {
+        for nf in [6usize, 9] {
+            let names: Vec<String> = (0..nf).map(|j| format!("f{j}")).collect();
+            let mut ds = Dataset::new(&names.iter().map(String::as_str).collect::<Vec<_>>());
+            for i in 0..400u64 {
+                let f: Vec<u64> = (0..nf as u64)
+                    .map(|j| {
+                        i.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                            .rotate_left(11 * j as u32)
+                            % 97
+                    })
+                    .collect();
+                // The label hangs on the last column, so the arity is nf.
+                let bad = (f[nf - 1] > 48) != (f[0] > 30);
+                let label = [Label::Correct, Label::Incorrect][bad as usize];
+                ds.push(Sample::new(f, label));
+            }
+            let tree = DecisionTree::train(&ds, &TrainConfig::decision_tree());
+            let forest = RandomForest::train(&ds, &ForestConfig::default_random_forest(nf, 17));
+            let (ct, cf) = (
+                CompiledTree::compile(&tree),
+                CompiledForest::compile(&forest),
+            );
+            assert!(ct.packed.is_none() && cf.packed.is_none(), "{nf} features");
+            let rows: Vec<[u64; 9]> = (ds.samples.iter())
+                .map(|s| std::array::from_fn(|j| s.features.get(j).copied().unwrap_or(0)))
+                .collect();
+            let by_tree: Vec<Label> = rows.iter().map(|r| tree.classify(r)).collect();
+            let by_forest: Vec<Label> = rows.iter().map(|r| forest.classify(r)).collect();
+            for walker in [
+                BatchWalker::Scalar,
+                BatchWalker::Avx2,
+                BatchWalker::Avx512,
+                BatchWalker::Auto,
+            ] {
+                for n in (1..=9).chain([rows.len()]) {
+                    let mut got = vec![Label::Correct; n];
+                    ct.classify_batch_with(walker, &rows[..n], &mut got);
+                    assert_eq!(got, by_tree[..n]);
+                    got.fill(Label::Correct);
+                    ct.classify_batch_rows::<9>(walker, n, |i| rows[i], &mut got);
+                    assert_eq!(got, by_tree[..n]);
+                    cf.classify_batch_with(walker, &rows[..n], &mut got);
+                    assert_eq!(got, by_forest[..n]);
+                }
+            }
         }
     }
 

@@ -14,8 +14,9 @@
 //!   suitable for the hypervisor hot path;
 //! * [`compiled::CompiledTree`] / [`compiled::CompiledForest`] — the
 //!   deployment form: boxed nodes flattened into a contiguous preorder
-//!   arena with an iterative walker and a batch API, bit-identical to the
-//!   boxed walkers but without a pointer chase per level;
+//!   arena with an iterative walker and a batch API (a packed SIMD tier
+//!   plus a row-by-row exact fallback), bit-identical to the boxed
+//!   walkers but without a pointer chase per level;
 //! * [`eval`] — accuracy, confusion matrices and the false-positive rate
 //!   the paper's recovery-overhead estimate depends on (0.7%).
 
@@ -23,7 +24,6 @@ pub mod compiled;
 pub mod dataset;
 pub mod eval;
 pub mod forest;
-pub mod layout;
 pub mod prune;
 pub mod simd;
 pub mod tree;
@@ -32,7 +32,6 @@ pub use compiled::{ArenaFault, CompiledForest, CompiledNode, CompiledTree, LEAF_
 pub use dataset::{Dataset, Label, Sample};
 pub use eval::{cross_validate, evaluate, evaluate_compiled, ConfusionMatrix};
 pub use forest::{evaluate_forest, ForestConfig, RandomForest};
-pub use layout::TreeProfile;
 pub use prune::reduced_error_prune;
 pub use simd::{active_kernel_name, BatchWalker};
 pub use tree::{DecisionTree, Node, TrainConfig};

@@ -1,31 +1,23 @@
 //! Wide-vector batch-walk kernels: the lockstep lanes of
 //! [`CompiledTree::classify_batch`] advanced per-vector instead of
-//! per-lane. Two tiers share the dispatch:
+//! per-lane, over a **packed shadow arena**.
 //!
-//! **Packed shadow arena — the production path.** For any chunk whose
-//! runtime feature values all fit 12 bits (Xentry's Table-I counters
-//! always do), the walk runs over a shadow arena that packs an entire
-//! split record into ONE u64 (`[shamt | left | right | threshold]`) and
-//! each lane's ≤ `PACKED_MAX_ARITY` feature values into one register
-//! word. A round is then a single gather plus eight cheap ALU ops per
-//! 8-lane group; leaves self-loop, so there is no per-lane liveness
-//! bookkeeping at all. Saturating 12-bit quantization is *exact* under
-//! the staged envelope — see the packed-arena section below for the
-//! proof sketch and the bit layout. Chunks that overflow the envelope
-//! fall back transparently to the tagged kernels, so the packed path is
-//! an optimization, never an approximation.
+//! For any chunk whose runtime feature values all fit 12 bits (Xentry's
+//! Table-I counters do on every fault-free VM entry), the walk runs over
+//! a shadow arena that packs an entire split record into ONE u64
+//! (`[shamt | left | right | threshold]`) and each lane's ≤
+//! `PACKED_MAX_ARITY` feature values into one register word. A round is
+//! then a single gather plus eight cheap ALU ops per 8-lane group;
+//! leaves self-loop, so there is no per-lane liveness bookkeeping at
+//! all. Saturating 12-bit quantization is *exact* under the staged
+//! envelope — see the packed-arena section below for the proof sketch
+//! and the bit layout. A chunk that overflows the envelope (a struck
+//! handler that looped: about one faulty vector in a thousand) is not
+//! walked here at all: [`compiled`] hands it, row by row, to the
+//! single-sample walk over the real 24-byte records, so the packed tier
+//! is an optimization, never an approximation.
 //!
-//! **Tagged wide kernels — the exact fallback.** These walk the real
-//! 24-byte-record arena directly: the three record fields are fetched
-//! with three independent masked gathers (they pipeline into one gather
-//! latency per group per round), feature values come from a
-//! column-major scratch (`LaneCols`) picked by compare/blend rather
-//! than a fourth gather, and a liveness mask freezes finished lanes so
-//! a walk costs the deepest *taken* path. The scratch caps the feature
-//! count at `MAX_SIMD_ARITY`; wider models stay on the legacy
-//! per-lane-slice walker in [`compiled`].
-//!
-//! Both tiers come in three ISA flavours:
+//! The packed walk comes in three ISA flavours:
 //!
 //! | kernel   | packed width             | gate                        |
 //! |----------|--------------------------|-----------------------------|
@@ -36,13 +28,11 @@
 //! Whether a vector kernel beats the scalar one is a property of the
 //! *microarchitecture*, not the ISA: gathers are microcoded and slow on
 //! many x86 cores (Skylake-SP-class servers prominently), which is what
-//! motivated the one-gather packed tier in the first place.
+//! motivated the one-gather packed arena in the first place.
 //! [`BatchWalker::Auto`] resolves by a one-shot **calibration race** on
 //! first use — every detected kernel walks the same synthetic packed
 //! arena and the fastest wins — rather than trusting feature flags.
-//! Benchmarks and the equivalence suite pin kernels explicitly;
-//! `MLTREE_KERNEL` (`scalar` / `avx2` / `avx512` / `auto`) overrides
-//! the choice per-process for operators.
+//! Benchmarks and the equivalence suite pin kernels explicitly.
 //!
 //! [`compiled`]: crate::compiled
 //! [`CompiledTree::classify_batch`]: crate::compiled::CompiledTree::classify_batch
@@ -53,65 +43,11 @@ use crate::dataset::Label;
 /// Lanes per lockstep group — one AVX-512 register of u64 walk refs.
 pub(crate) const LANES: usize = 8;
 
-/// Samples per kernel invocation: two groups walked interleaved, so one
-/// group's gathers and compares execute while the other's loads are in
-/// flight.
-pub(crate) const WIDTH: usize = 2 * LANES;
-
-/// Widest feature vector the column-major [`LaneCols`] scratch holds.
-/// The AVX-512 kernel keeps one register per column, so the cap is also
-/// the register budget; models with more features fall back to the
-/// per-lane-slice scalar walker.
-pub(crate) const MAX_SIMD_ARITY: usize = 8;
-
-/// Column-major feature scratch for one lane group:
-/// `cols[feature][lane]`, 64-byte aligned so each column is exactly one
-/// cache line — and one aligned vector load when a kernel hoists the
-/// columns into registers.
-#[repr(C, align(64))]
-pub(crate) struct LaneCols(pub(crate) [[u64; LANES]; MAX_SIMD_ARITY]);
-
-impl LaneCols {
-    pub(crate) fn zeroed() -> LaneCols {
-        LaneCols([[0; LANES]; MAX_SIMD_ARITY])
-    }
-
-    /// Stage a (possibly short) group of samples. Short groups are
-    /// padded by replicating the last sample, so tail batches walk the
-    /// same full-width kernel and the padding lanes compute a discarded
-    /// copy of the last sample's verdict.
-    pub(crate) fn fill<I: AsRef<[u64]>>(&mut self, group: &[I], arity: usize) {
-        debug_assert!(!group.is_empty() && group.len() <= LANES);
-        for (f, col) in self.0.iter_mut().enumerate().take(arity) {
-            for (slot, sample) in col.iter_mut().zip(group) {
-                *slot = sample.as_ref()[f];
-            }
-            let last = col[group.len() - 1];
-            for slot in col[group.len()..].iter_mut() {
-                *slot = last;
-            }
-        }
-    }
-}
-
-/// Stage up to [`WIDTH`] samples as two padded groups.
-pub(crate) fn fill_pair<I: AsRef<[u64]>>(cols: &mut [LaneCols; 2], group: &[I], arity: usize) {
-    debug_assert!(!group.is_empty() && group.len() <= WIDTH);
-    let split = group.len().min(LANES);
-    cols[0].fill(&group[..split], arity);
-    if group.len() > LANES {
-        cols[1].fill(&group[LANES..], arity);
-    } else {
-        // Second group entirely padding: replicate the last sample.
-        cols[1].fill(&group[group.len() - 1..], arity);
-    }
-}
-
 /// Which batch-walk implementation [`CompiledTree::classify_batch_with`]
 /// uses. [`BatchWalker::Auto`] (the plain `classify_batch` behaviour)
 /// resolves once per process by racing the detected kernels; the
-/// explicit variants exist for benchmarks, the SIMD-vs-scalar
-/// equivalence oracle, and operators pinning a known-good path. Asking
+/// explicit variants exist for benchmarks and the SIMD-vs-scalar
+/// equivalence oracle. Asking
 /// for a kernel the CPU lacks falls back to the next narrower one, so
 /// every variant is always safe to request.
 ///
@@ -129,7 +65,7 @@ pub enum BatchWalker {
     Avx512,
 }
 
-/// Resolved kernel identity — what [`walk_wide`] actually dispatches to.
+/// Resolved kernel identity — what [`walk_packed`] actually dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kernel {
     Scalar,
@@ -182,7 +118,6 @@ fn calibration_arena(depth: usize) -> Vec<CompiledNode> {
             left: if leaf { LEAF_BIT } else { l as u32 },
             right: if leaf { LEAF_BIT | 1 } else { r as u32 },
             feature: (i % PACKED_MAX_ARITY) as u8,
-            pad: [0; 7],
         });
     }
     nodes
@@ -190,13 +125,17 @@ fn calibration_arena(depth: usize) -> Vec<CompiledNode> {
 
 /// Race every available kernel over the synthetic arena and return the
 /// fastest. Gather-based kernels lose to the scalar chains on cores
-/// with microcoded gathers; only a measurement can tell, and ~100µs at
+/// with microcoded gathers; only a measurement can tell, and ~0.2 ms at
 /// first use is far cheaper than guessing wrong forever. The race runs
-/// the packed kernels — the path that serves every in-envelope model —
-/// at the full [`PACKED_CHUNK`] interleave width production uses.
+/// the packed kernels at the full [`PACKED_CHUNK`] interleave width
+/// production uses. A kernel's score is the *fastest* of `TRIALS`
+/// short trials, not one summed span: a preemption (or the first wide
+/// instructions' power-up) lands in some trials, never in all of them,
+/// so it cannot hand the process a 2× slower kernel for its lifetime.
 fn calibrate() -> Kernel {
     const DEPTH: usize = 12;
-    const ROUNDS: usize = 24;
+    const TRIALS: usize = 8;
+    const ROUNDS: usize = 4;
     let nodes = calibration_arena(DEPTH);
     let pa = PackedArena::build(&nodes, PACKED_MAX_ARITY).expect("calibration arena packs");
     let rows: Vec<[u64; PACKED_MAX_ARITY]> = (0..PACKED_CHUNK as u64)
@@ -211,35 +150,32 @@ fn calibrate() -> Kernel {
         // SAFETY: packed-arena references are in-bounds by construction;
         // k is detected-available.
         unsafe { walk_packed(k, &pa, &mut refs[..lanes], &fps[..lanes], DEPTH) };
-        let t = std::time::Instant::now();
+        let mut fastest = u128::MAX;
         let mut sink = 0u32;
-        for i in 0..ROUNDS {
-            let mut refs = [(i % 3) as u32; PACKED_CHUNK];
-            // SAFETY: as above.
-            unsafe { walk_packed(k, &pa, &mut refs[..lanes], &fps[..lanes], DEPTH) };
-            sink ^= refs[i % PACKED_CHUNK];
+        for _ in 0..TRIALS {
+            let t = std::time::Instant::now();
+            for i in 0..ROUNDS {
+                let mut refs = [(i % 3) as u32; PACKED_CHUNK];
+                // SAFETY: as above.
+                unsafe { walk_packed(k, &pa, &mut refs[..lanes], &fps[..lanes], DEPTH) };
+                sink ^= refs[i % PACKED_CHUNK];
+            }
+            fastest = fastest.min(t.elapsed().as_nanos());
         }
         std::hint::black_box(sink);
-        let elapsed = t.elapsed().as_nanos();
-        if elapsed < best.1 {
-            best = (k, elapsed);
+        if fastest < best.1 {
+            best = (k, fastest);
         }
     }
     best.0
 }
 
 /// The kernel [`BatchWalker::Auto`] resolves to, decided once per
-/// process: the `MLTREE_KERNEL` env override if set, otherwise the
-/// calibration-race winner.
+/// process by the calibration race.
 pub(crate) fn auto_kernel() -> Kernel {
     use std::sync::OnceLock;
     static AUTO: OnceLock<Kernel> = OnceLock::new();
-    *AUTO.get_or_init(|| match std::env::var("MLTREE_KERNEL").as_deref() {
-        Ok("scalar") => Kernel::Scalar,
-        Ok("avx2") => resolve(BatchWalker::Avx2),
-        Ok("avx512") => resolve(BatchWalker::Avx512),
-        _ => calibrate(),
-    })
+    *AUTO.get_or_init(calibrate)
 }
 
 /// Name of the kernel [`BatchWalker::Auto`] resolves to on this CPU —
@@ -280,280 +216,12 @@ pub(crate) fn resolve(walker: BatchWalker) -> Kernel {
     }
 }
 
-/// Advance [`WIDTH`] walks to their leaves (at most `depth` rounds) with
-/// the resolved kernel. `refs` holds each lane's current reference and
-/// receives its leaf reference; lanes `0..LANES` read `cols[0]`, the
-/// rest `cols[1]`.
-///
-/// # Safety
-/// Every non-leaf reference reachable from `refs` must be a valid arena
-/// index, and every stored feature index must be `< MAX_SIMD_ARITY` —
-/// callers check `validate()`-guaranteed invariants (arity, in-bounds
-/// forward references) once per batch. A `Kernel::Avx2`/`Avx512` value
-/// must come from [`resolve`], which proves CPU support.
-#[inline]
-pub(crate) unsafe fn walk_wide(
-    kernel: Kernel,
-    nodes: &[CompiledNode],
-    refs: &mut [u32; WIDTH],
-    cols: &[LaneCols; 2],
-    depth: usize,
-) {
-    match kernel {
-        Kernel::Scalar => walk_wide_scalar(nodes, refs, cols, depth),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => walk_wide_avx2(nodes, refs, cols, depth),
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Avx512 => walk_wide_avx512(nodes, refs, cols, depth),
-    }
-}
-
-/// Portable lockstep kernel over the column scratch — the semantics the
-/// vector kernels must match bit-for-bit, and the fallback for CPUs
-/// without (fast) gathers. Sixteen independent chains give the
-/// out-of-order core that many overlapped record loads; the round loop
-/// early-exits once every lane holds a leaf.
-///
-/// # Safety
-/// Same contract as [`walk_wide`].
-#[inline]
-unsafe fn walk_wide_scalar(
-    nodes: &[CompiledNode],
-    refs: &mut [u32; WIDTH],
-    cols: &[LaneCols; 2],
-    depth: usize,
-) {
-    if nodes.is_empty() {
-        return; // every root reference is already a tagged verdict
-    }
-    let last = nodes.len() - 1;
-    for _ in 0..depth {
-        let mut all = u32::MAX;
-        for r in refs.iter() {
-            all &= *r;
-        }
-        if all & LEAF_BIT != 0 {
-            break;
-        }
-        for (lane, r) in refs.iter_mut().enumerate() {
-            let cur = *r;
-            // Leaf-tagged lanes read a real record and discard the result.
-            let n = nodes.get_unchecked(((cur & !LEAF_BIT) as usize).min(last));
-            let f = cols[lane >> 3].0[n.feature as usize & (MAX_SIMD_ARITY - 1)][lane & 7];
-            let next = if f <= n.threshold { n.left } else { n.right };
-            *r = if cur & LEAF_BIT == 0 { next } else { cur };
-        }
-    }
-}
-
-/// AVX-512 kernel: two 8-lane `__m512i` chains. The feature columns
-/// live in registers for the whole walk (loaded once from [`LaneCols`]),
-/// so a round is three independent masked record gathers, a compare/
-/// blend tree picking each lane's feature value, one unsigned compare
-/// and two blends — the only memory traffic is the record fetch itself.
-///
-/// # Safety
-/// Same contract as [`walk_wide`], plus `avx512f` must be detected
-/// ([`resolve`] guarantees this).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn walk_wide_avx512(
-    nodes: &[CompiledNode],
-    refs: &mut [u32; WIDTH],
-    cols: &[LaneCols; 2],
-    depth: usize,
-) {
-    use std::arch::x86_64::*;
-    let base = nodes.as_ptr() as *const u8;
-    let leaf = _mm512_set1_epi64(LEAF_BIT as i64);
-    let lo32 = _mm512_set1_epi64(u32::MAX as i64);
-    let byte = _mm512_set1_epi64(0xff);
-    let zero = _mm512_setzero_si512();
-
-    // Hoist both groups' feature columns into registers: 16 zmm plus
-    // temporaries fits the 32-register file.
-    let ca: [__m512i; MAX_SIMD_ARITY] =
-        std::array::from_fn(|f| _mm512_load_si512(cols[0].0[f].as_ptr() as *const __m512i));
-    let cb: [__m512i; MAX_SIMD_ARITY] =
-        std::array::from_fn(|f| _mm512_load_si512(cols[1].0[f].as_ptr() as *const __m512i));
-
-    /// Pick `col[fw[lane]][lane]` per lane with a two-halves blend tree
-    /// (latency ~4 ops, not a gather).
-    #[inline(always)]
-    unsafe fn select(cols: &[__m512i; MAX_SIMD_ARITY], fw: __m512i) -> __m512i {
-        let eq = |v: i64| _mm512_cmpeq_epi64_mask(fw, _mm512_set1_epi64(v));
-        let mut lo = cols[0];
-        lo = _mm512_mask_blend_epi64(eq(1), lo, cols[1]);
-        lo = _mm512_mask_blend_epi64(eq(2), lo, cols[2]);
-        lo = _mm512_mask_blend_epi64(eq(3), lo, cols[3]);
-        let mut hi = cols[4];
-        hi = _mm512_mask_blend_epi64(eq(5), hi, cols[5]);
-        hi = _mm512_mask_blend_epi64(eq(6), hi, cols[6]);
-        hi = _mm512_mask_blend_epi64(eq(7), hi, cols[7]);
-        let top = _mm512_cmpgt_epu64_mask(fw, _mm512_set1_epi64(3));
-        _mm512_mask_blend_epi64(top, lo, hi)
-    }
-
-    /// One group's round: gather record fields, compare, select child,
-    /// freeze dead lanes.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // hoisted constants, one per zmm
-    unsafe fn round(
-        r: __m512i,
-        live: __mmask8,
-        cols: &[__m512i; MAX_SIMD_ARITY],
-        base: *const u8,
-        leaf: __m512i,
-        lo32: __m512i,
-        byte: __m512i,
-        zero: __m512i,
-    ) -> __m512i {
-        let idx = _mm512_andnot_si512(leaf, r);
-        // Records are 24 bytes = three u64s: offset = (3 * idx) * 8.
-        let idx3 = _mm512_add_epi64(_mm512_slli_epi64::<1>(idx), idx);
-        let thr = _mm512_mask_i64gather_epi64::<8>(zero, live, idx3, base as *const i64);
-        let pair = _mm512_mask_i64gather_epi64::<8>(zero, live, idx3, base.add(8) as *const i64);
-        let fword = _mm512_mask_i64gather_epi64::<8>(zero, live, idx3, base.add(16) as *const i64);
-        let fval = select(cols, _mm512_and_si512(fword, byte));
-        // f <= threshold (unsigned) picks the left child.
-        let le = _mm512_cmple_epu64_mask(fval, thr);
-        let left = _mm512_and_si512(pair, lo32);
-        let right = _mm512_srli_epi64::<32>(pair);
-        let next = _mm512_mask_blend_epi64(le, right, left);
-        _mm512_mask_blend_epi64(live, r, next)
-    }
-
-    let mut r64 = [0u64; WIDTH];
-    for (d, s) in r64.iter_mut().zip(refs.iter()) {
-        *d = *s as u64;
-    }
-    let mut ra = _mm512_loadu_si512(r64.as_ptr() as *const __m512i);
-    let mut rb = _mm512_loadu_si512(r64.as_ptr().add(LANES) as *const __m512i);
-
-    for _ in 0..depth {
-        let live_a = _mm512_testn_epi64_mask(ra, leaf);
-        let live_b = _mm512_testn_epi64_mask(rb, leaf);
-        if (live_a | live_b) == 0 {
-            break;
-        }
-        ra = round(ra, live_a, &ca, base, leaf, lo32, byte, zero);
-        rb = round(rb, live_b, &cb, base, leaf, lo32, byte, zero);
-    }
-
-    let na = _mm512_cvtepi64_epi32(ra);
-    let nb = _mm512_cvtepi64_epi32(rb);
-    _mm256_storeu_si256(refs.as_mut_ptr() as *mut __m256i, na);
-    _mm256_storeu_si256(refs.as_mut_ptr().add(LANES) as *mut __m256i, nb);
-}
-
-/// AVX2 kernel: the sixteen lanes as four `__m256i` chains. AVX2 has no
-/// mask registers or unsigned 64-bit compare, so liveness is an all-ones
-/// lane mask (feeding the masked gathers and `blendv`), feature values
-/// come from a fourth gather into the column scratch (the register file
-/// is too small to pin the columns), and `f <= t` blends on the
-/// sign-bias-flipped *greater-than* mask directly.
-///
-/// # Safety
-/// Same contract as [`walk_wide`], plus `avx2` must be detected
-/// ([`resolve`] guarantees this).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn walk_wide_avx2(
-    nodes: &[CompiledNode],
-    refs: &mut [u32; WIDTH],
-    cols: &[LaneCols; 2],
-    depth: usize,
-) {
-    use std::arch::x86_64::*;
-    let base = nodes.as_ptr() as *const u8;
-    let leaf = _mm256_set1_epi64x(LEAF_BIT as i64);
-    let lo32 = _mm256_set1_epi64x(u32::MAX as i64);
-    let byte = _mm256_set1_epi64x(0xff);
-    let bias = _mm256_set1_epi64x(i64::MIN);
-    let zero = _mm256_setzero_si256();
-    // Column scratch in u64 units: value of (feature f, lane k) lives at
-    // element f * LANES + k of the group's LaneCols.
-    let lane_lo = _mm256_setr_epi64x(0, 1, 2, 3);
-    let lane_hi = _mm256_setr_epi64x(4, 5, 6, 7);
-
-    /// One 4-lane half-round: gather, compare, select, freeze.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn half_round(
-        r: __m256i,
-        live: __m256i,
-        lane_base: __m256i,
-        cols_base: *const i64,
-        base: *const u8,
-        leaf: __m256i,
-        lo32: __m256i,
-        byte: __m256i,
-        bias: __m256i,
-        zero: __m256i,
-    ) -> __m256i {
-        let idx = _mm256_andnot_si256(leaf, r);
-        let idx3 = _mm256_add_epi64(_mm256_slli_epi64::<1>(idx), idx);
-        let thr = _mm256_mask_i64gather_epi64::<8>(zero, base as *const i64, idx3, live);
-        let pair = _mm256_mask_i64gather_epi64::<8>(zero, base.add(8) as *const i64, idx3, live);
-        let fword = _mm256_mask_i64gather_epi64::<8>(zero, base.add(16) as *const i64, idx3, live);
-        let f8 = _mm256_slli_epi64::<3>(_mm256_and_si256(fword, byte));
-        let fidx = _mm256_add_epi64(f8, lane_base);
-        let fval = _mm256_mask_i64gather_epi64::<8>(zero, cols_base, fidx, live);
-        // Unsigned f > t via sign-biased signed compare; gt lanes go right.
-        let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(fval, bias), _mm256_xor_si256(thr, bias));
-        let left = _mm256_and_si256(pair, lo32);
-        let right = _mm256_srli_epi64::<32>(pair);
-        let next = _mm256_blendv_epi8(left, right, gt);
-        _mm256_blendv_epi8(r, next, live)
-    }
-
-    let mut r64 = [0u64; WIDTH];
-    for (d, s) in r64.iter_mut().zip(refs.iter()) {
-        *d = *s as u64;
-    }
-    let mut r: [__m256i; 4] =
-        std::array::from_fn(|h| _mm256_loadu_si256(r64.as_ptr().add(4 * h) as *const __m256i));
-    let ca = cols[0].0.as_ptr() as *const i64;
-    let cb = cols[1].0.as_ptr() as *const i64;
-
-    for _ in 0..depth {
-        let live: [__m256i; 4] =
-            std::array::from_fn(|h| _mm256_cmpeq_epi64(_mm256_and_si256(r[h], leaf), zero));
-        let any = _mm256_or_si256(
-            _mm256_or_si256(live[0], live[1]),
-            _mm256_or_si256(live[2], live[3]),
-        );
-        if _mm256_movemask_epi8(any) == 0 {
-            break;
-        }
-        r[0] = half_round(
-            r[0], live[0], lane_lo, ca, base, leaf, lo32, byte, bias, zero,
-        );
-        r[1] = half_round(
-            r[1], live[1], lane_hi, ca, base, leaf, lo32, byte, bias, zero,
-        );
-        r[2] = half_round(
-            r[2], live[2], lane_lo, cb, base, leaf, lo32, byte, bias, zero,
-        );
-        r[3] = half_round(
-            r[3], live[3], lane_hi, cb, base, leaf, lo32, byte, bias, zero,
-        );
-    }
-
-    for (h, v) in r.iter().enumerate() {
-        _mm256_storeu_si256(r64.as_mut_ptr().add(4 * h) as *mut __m256i, *v);
-    }
-    for (d, s) in refs.iter_mut().zip(r64.iter()) {
-        *d = *s as u32;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Packed shadow arena — the gather-once fast path.
 //
-// The wide kernels above still pay three record gathers per level per
-// group, because a 24-byte record cannot be fetched in one 64-bit lane.
-// On gather-slow cores that caps a round at gather throughput no matter
+// A 24-byte record cannot be fetched in one 64-bit lane: a vector walk
+// over the real arena pays three gathers per level per group, and on
+// gather-slow cores that caps a round at gather throughput no matter
 // how cheap the ALU work is. The packed arena collapses an entire split
 // into ONE u64:
 //
@@ -580,10 +248,11 @@ unsafe fn walk_wide_avx2(
 // `fv <= min(thr, 0xFFF) ⇔ fv <= thr` for *any* u64 threshold (if
 // `thr > 0xFFF` both sides are unconditionally true). [`stage_packed`]
 // verifies the bound per chunk — an oversized value sends that chunk to
-// the exact tagged-arena kernels, so the packed path is an
-// optimization, never an approximation. Xentry's Table-I counters
-// (instructions retired deltas, CR3 switch counts, …) are small
-// integers in practice; the fallback exists for everything else.
+// the single-sample walk over the real records, which compares full
+// u64s, so the packed path is an optimization, never an approximation.
+// Xentry's Table-I counters (instructions retired deltas, CR3 switch
+// counts, …) are small integers in practice; the fallback exists for
+// everything else.
 //
 // **Termination without masks.** The two possible verdicts are
 // materialized as two extra records at indices `n` and `n+1` (label in
@@ -608,13 +277,13 @@ pub(crate) const PACKED_CHUNK: usize = 64;
 
 /// Child-index width: arenas up to `2²³ − 2` splits take the packed
 /// path; larger ones (no Xentry model is within orders of magnitude)
-/// stay on the tagged kernels.
+/// get no shadow and are walked row by row.
 const PACKED_IDX_BITS: usize = 23;
 const PACKED_IDX_MASK: u64 = (1 << PACKED_IDX_BITS) - 1;
 
 /// One-u64-per-split shadow of a compiled arena, plus two self-looping
 /// leaf records. Rebuilt whenever the record arena changes (compile,
-/// profile-guided re-layout, fault injection), so it is never stale.
+/// fault injection), so it is never stale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PackedArena {
     pub(crate) words: Vec<u64>,
@@ -637,8 +306,8 @@ impl PackedArena {
             } else {
                 // The clamp is inert for valid arenas (children < n) but
                 // keeps a bit-flipped child reference inside the word
-                // table, like the tagged kernels' `.min(last)` — corrupt
-                // arenas walk to garbage verdicts, never out of bounds.
+                // table — corrupt arenas walk to garbage verdicts here,
+                // never out of bounds.
                 (r as u64).min(n as u64 + 1)
             }
         };
@@ -646,8 +315,7 @@ impl PackedArena {
         for node in nodes {
             // The & 63 keeps a corrupt feature byte (fault injection)
             // from spilling into the left-child field; the resulting
-            // bounded-garbage shift is semantically wrong but memory-safe,
-            // exactly like the tagged kernels' masked feature index.
+            // bounded-garbage shift is semantically wrong but memory-safe.
             let sh = (node.feature as u64 * PACKED_FEATURE_BITS as u64) & 63;
             let thr = node.threshold.min(PACKED_MAX_FEATURE);
             words.push(sh | (enc(node.left) << 6) | (enc(node.right) << 29) | (thr << 52));
@@ -690,7 +358,7 @@ impl PackedArena {
 /// Pack a chunk's feature rows into per-lane words: `Some(lanes)` (the
 /// chunk padded to a [`LANES`] multiple by replicating the last row) when
 /// every value fits 12 bits, `None` when the chunk must take the exact
-/// tagged-kernel path instead.
+/// row-by-row walk instead.
 pub(crate) fn stage_packed<I: AsRef<[u64]>>(
     chunk: &[I],
     arity: usize,
@@ -1004,33 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_cols_pad_replicates_last_sample() {
-        let mut cols = LaneCols::zeroed();
-        let group: Vec<[u64; 3]> = vec![[1, 2, 3], [4, 5, 6], [7, 8, 9]];
-        cols.fill(&group, 3);
-        for f in 0..3 {
-            assert_eq!(cols.0[f][0], [1, 2, 3][f]);
-            assert_eq!(cols.0[f][2], [7, 8, 9][f]);
-            for lane in 3..LANES {
-                assert_eq!(cols.0[f][lane], [7, 8, 9][f], "lane {lane} replicates");
-            }
-        }
-    }
-
-    #[test]
-    fn fill_pair_pads_second_group_from_last_sample() {
-        let mut cols = [LaneCols::zeroed(), LaneCols::zeroed()];
-        let group: Vec<[u64; 2]> = (0..10).map(|i| [i, i * 2]).collect();
-        fill_pair(&mut cols, &group, 2);
-        assert_eq!(cols[0].0[0][7], 7);
-        assert_eq!(cols[1].0[0][0], 8);
-        assert_eq!(cols[1].0[0][1], 9);
-        for lane in 2..LANES {
-            assert_eq!(cols[1].0[0][lane], 9, "lane {lane} replicates sample 9");
-        }
-    }
-
-    #[test]
     fn every_available_packed_kernel_agrees_and_parks_at_leaves() {
         let nodes = calibration_arena(10);
         let pa = PackedArena::build(&nodes, PACKED_MAX_ARITY).unwrap();
@@ -1077,7 +718,6 @@ mod tests {
             left: LEAF_BIT,
             right: LEAF_BIT | 1,
             feature: 3,
-            pad: [0; 7],
         }];
         let pa = PackedArena::build(&nodes, 5).unwrap();
         assert_eq!(pa.nsplits, 1);
@@ -1101,24 +741,5 @@ mod tests {
         // Out-of-envelope models refuse to pack.
         assert!(PackedArena::build(&[], 5).is_none());
         assert!(PackedArena::build(&nodes, 6).is_none());
-    }
-
-    #[test]
-    fn every_available_kernel_agrees_on_the_calibration_arena() {
-        let nodes = calibration_arena(10);
-        let rows: Vec<[u64; MAX_SIMD_ARITY]> = (0..WIDTH as u64)
-            .map(|i| std::array::from_fn(|f| i.wrapping_mul(0x2545_f491).rotate_left(f as u32)))
-            .collect();
-        let mut cols = [LaneCols::zeroed(), LaneCols::zeroed()];
-        fill_pair(&mut cols, &rows, MAX_SIMD_ARITY);
-        let mut want = [0u32; WIDTH];
-        // SAFETY: synthetic arena references are in-bounds and forward.
-        unsafe { walk_wide(Kernel::Scalar, &nodes, &mut want, &cols, 10) };
-        for k in available_kernels() {
-            let mut got = [0u32; WIDTH];
-            // SAFETY: as above; k is detected-available.
-            unsafe { walk_wide(k, &nodes, &mut got, &cols, 10) };
-            assert_eq!(got, want, "kernel {:?} diverged", k);
-        }
     }
 }

@@ -6,7 +6,7 @@
 
 use mltree::{
     BatchWalker, CompiledForest, CompiledTree, Dataset, DecisionTree, ForestConfig, Label,
-    RandomForest, Sample, TrainConfig, TreeProfile,
+    RandomForest, Sample, TrainConfig,
 };
 use proptest::prelude::*;
 
@@ -92,6 +92,14 @@ fn probes(ds: &Dataset, raw: &[Vec<u64>]) -> Vec<Vec<u64>> {
     out.push(vec![u64::MAX; nf]);
     out.extend(ds.samples.iter().map(|s| s.features.clone()));
     out
+}
+
+/// The probes as fixed-width rows (zero-padded) for the row-producer entry.
+fn rows4(inputs: &[Vec<u64>]) -> Vec<[u64; 4]> {
+    inputs
+        .iter()
+        .map(|p| std::array::from_fn(|j| p.get(j).copied().unwrap_or(0)))
+        .collect()
 }
 
 proptest! {
@@ -194,8 +202,10 @@ proptest! {
     /// The packed 12-bit envelope's edges are exact under every kernel:
     /// arenas whose thresholds exceed 0xFFF (saturated at pack time) must
     /// still verdict correctly for in-envelope inputs, and chunks holding
-    /// any out-of-envelope value (4096, u64::MAX) must drop to the exact
-    /// tagged kernels without disturbing their neighbours.
+    /// any out-of-envelope value (4096, u64::MAX) — down to a single one
+    /// in the chunk's last row — must drop to the exact row-by-row walk
+    /// without disturbing their neighbours, from the tree, the
+    /// row-producer and the forest entries alike.
     #[test]
     fn packed_envelope_edges_match_the_boxed_walker(
         ds in arb_wide_dataset(),
@@ -204,11 +214,16 @@ proptest! {
     ) {
         let tree = DecisionTree::train(&ds, &TrainConfig::random_tree(ds.nr_features(), seed));
         let compiled = CompiledTree::compile(&tree);
+        let mut cfg = ForestConfig::default_random_forest(ds.nr_features(), seed);
+        cfg.nr_trees = 3;
+        let forest = RandomForest::train(&ds, &cfg);
+        let compiled_forest = CompiledForest::compile(&forest);
         let nf = ds.nr_features();
         // First 64 rows stay inside the envelope, so chunk 0 is
         // guaranteed to take the packed path against saturated
-        // thresholds; the rows after it force fallback chunks.
-        let mut inputs: Vec<Vec<u64>> = (0..64)
+        // thresholds. Chunk 1 is in-envelope except for one value in its
+        // last row; the rows after it force more fallback chunks.
+        let mut inputs: Vec<Vec<u64>> = (0..128)
             .map(|i| {
                 let mut p = small[i % small.len()].clone();
                 p.resize(nf, 0);
@@ -218,54 +233,22 @@ proptest! {
                 p
             })
             .collect();
-        inputs.push(vec![4096; nf]); // smallest out-of-envelope value
+        inputs[127][nf - 1] = 4096; // smallest out-of-envelope value
+        inputs.push(vec![4096; nf]);
         inputs.push(vec![u64::MAX; nf]);
         inputs.extend(ds.samples.iter().map(|s| s.features.clone()));
+        let rows = rows4(&inputs);
         for walker in WALKERS {
             let mut got = vec![Label::Correct; inputs.len()];
             compiled.classify_batch_with(walker, &inputs, &mut got);
-            for (f, b) in inputs.iter().zip(got) {
-                prop_assert_eq!(b, tree.classify(f));
-            }
-        }
-    }
-
-    /// Profile-guided re-layout is a pure permutation: the re-laid arena
-    /// passes `validate()`, keeps depth and split count, and verdicts on
-    /// every kernel are bit-identical to the original — for a harvested
-    /// profile and for the degenerate all-zero one.
-    #[test]
-    fn profiled_relayout_is_a_pure_permutation(
-        ds in arb_dataset(),
-        seed in any::<u64>(),
-        raw in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 4), 1..8),
-    ) {
-        let tree = DecisionTree::train(&ds, &TrainConfig::random_tree(ds.nr_features(), seed));
-        let compiled = CompiledTree::compile(&tree);
-        let traffic: Vec<Vec<u64>> = ds.samples.iter().map(|s| s.features.clone()).collect();
-        let mut profile = TreeProfile::for_tree(&compiled);
-        profile.record_batch(&compiled, &traffic);
-        let inputs = probes(&ds, &raw);
-        for relaid in [
-            compiled.reorder_profiled(&profile),
-            compiled.reorder_profiled(&TreeProfile::for_tree(&compiled)),
-            CompiledTree::compile_profiled(&tree, &profile),
-        ] {
-            prop_assert!(relaid.validate().is_ok());
-            prop_assert_eq!(relaid.depth(), compiled.depth());
-            prop_assert_eq!(relaid.nr_splits(), compiled.nr_splits());
-            prop_assert_eq!(relaid.arena_bytes(), compiled.arena_bytes());
-            prop_assert!(relaid.hot_prefix_bytes() <= relaid.arena_bytes());
-            for walker in WALKERS {
-                let mut got = vec![Label::Correct; inputs.len()];
-                relaid.classify_batch_with(walker, &inputs, &mut got);
-                for (f, b) in inputs.iter().zip(got) {
-                    prop_assert_eq!(b, tree.classify(f));
-                }
-            }
-            for f in &inputs {
-                prop_assert_eq!(relaid.classify(f), tree.classify(f));
-                prop_assert_eq!(relaid.classify_cost(f), compiled.classify_cost(f));
+            let mut by_row = vec![Label::Correct; inputs.len()];
+            compiled.classify_batch_rows::<4>(walker, rows.len(), |i| rows[i], &mut by_row);
+            let mut voted = vec![Label::Correct; inputs.len()];
+            compiled_forest.classify_batch_with(walker, &inputs, &mut voted);
+            for (i, f) in inputs.iter().enumerate() {
+                prop_assert_eq!(got[i], tree.classify(f));
+                prop_assert_eq!(by_row[i], tree.classify(f));
+                prop_assert_eq!(voted[i], forest.classify(f));
             }
         }
     }
@@ -275,8 +258,8 @@ proptest! {
     /// `classify_batch`, on every kernel and every tail length. Rows are
     /// padded to a fixed width of 4, so datasets with arity 4 exercise
     /// the const-unrolled packer and narrower ones the runtime-arity
-    /// packer; probe rows holding u64::MAX exercise the
-    /// materialize-and-fall-back chunk path.
+    /// packer; probe rows holding u64::MAX exercise the row-by-row
+    /// fallback chunk path.
     #[test]
     fn classify_batch_rows_matches_materialized_batches(
         ds in arb_dataset(),
@@ -286,16 +269,7 @@ proptest! {
         let tree = DecisionTree::train(&ds, &TrainConfig::random_tree(ds.nr_features(), seed));
         let compiled = CompiledTree::compile(&tree);
         let inputs = probes(&ds, &raw);
-        let rows: Vec<[u64; 4]> = inputs
-            .iter()
-            .map(|p| {
-                let mut r = [0u64; 4];
-                for (d, s) in r.iter_mut().zip(p) {
-                    *d = *s;
-                }
-                r
-            })
-            .collect();
+        let rows = rows4(&inputs);
         let mut expect = vec![Label::Correct; inputs.len()];
         compiled.classify_batch(&inputs, &mut expect);
         for walker in WALKERS {

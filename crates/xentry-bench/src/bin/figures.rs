@@ -4,8 +4,8 @@
 //! figures [--quick|--paper] [--out DIR] [--perf-guard] [experiments...]
 //!
 //! experiments: fig3 table1 ml fig7 injection fig11 ablation fleet
-//!              recovery overhead inference campaign distributed layout
-//!              vulnmap                                      (default: all)
+//!              recovery overhead inference campaign distributed vulnmap
+//!                                                           (default: all)
 //!   "injection" produces Fig. 8, Fig. 9, Fig. 10 and Table II.
 //!   "recovery" drives every detected fault through competing
 //!   health-monitor policy tables (ignore / re-execute-only / tiered
@@ -16,8 +16,6 @@
 //!   "distributed" spawns a loopback multi-process fleet (re-executing
 //!   this binary as the host-agent child image) and records the
 //!   wire-level accounting/convergence receipt.
-//!   "layout" records the profile-guided arena relayout's byte maps and
-//!   measured delta (`results/layout.json`).
 //!   "vulnmap" campaigns every fault model (register flips, spatial
 //!   bursts, PTE strikes, PMC strikes) over a paper benchmark plus the
 //!   three adversarial guest profiles and writes the per-bit
@@ -352,14 +350,6 @@ fn main() {
         )
         .expect("write BENCH_inference.json");
         eprintln!("[figures] wrote \"BENCH_inference.json\"");
-    }
-
-    if want("layout") {
-        let t = std::time::Instant::now();
-        let lay = layout_experiment(&scale, seed);
-        println!("{}", lay.render());
-        timing.took("layout", t);
-        write_json(&out, "layout", &lay);
     }
 
     if want("campaign") {

@@ -31,10 +31,7 @@ pub struct FleetReport {
 
 /// Run the fleet service over a replayed trace. With a campaign-trained
 /// `detector`, replays real platform activations; otherwise pairs the
-/// synthetic detector with the synthetic distribution. The deployed
-/// model is re-laid out hot-path-first from a profile harvested over the
-/// replay trace, published through the validated hot-swap gate — the
-/// full profile-guided pipeline, measured end-to-end.
+/// synthetic detector with the synthetic distribution.
 pub fn fleet_experiment(
     detector: Option<&VmTransitionDetector>,
     scale: &Scale,
@@ -66,13 +63,7 @@ pub fn fleet_experiment(
         shards,
         ..FleetConfig::default()
     };
-    // Same tree, same fingerprint, hot-first arena: the profiled
-    // relayout must clear the strict-parity swap gate by construction.
-    let profile = det.harvest_profile(&trace);
-    let profiled = det.with_profiled_layout(&profile);
     let svc = FleetService::start(cfg, det, Arc::new(NullSink));
-    svc.hot_swap_validated(profiled, true)
-        .expect("profiled relayout passes the swap gate");
     let rep = replay::replay(
         &svc,
         &trace,
@@ -110,7 +101,7 @@ impl FleetReport {
              classified  {:>12.0} records/s ({} total)\n\
              dropped     {:>12} ({:.2}% of offered)\n\
              incorrect   {:>12} ({} incident dumps)\n\
-             model       {} B arena, {} B hot prefix, {} splits\n\
+             model       {} B arena, {} splits\n\
              queue lat   p50 {} ns, p99 {} ns\n\
              classify    p50 {} ns, p99 {} ns\n",
             self.model_source,
@@ -126,7 +117,6 @@ impl FleetReport {
             s.incorrect,
             s.incidents,
             s.model_arena_bytes,
-            s.model_hot_prefix_bytes,
             s.model_nr_splits,
             s.queue_latency.p50,
             s.queue_latency.p99,
@@ -177,12 +167,7 @@ mod tests {
         assert_eq!(rep.model_source, "synthetic");
         assert_eq!(rep.snapshot.classified, rep.replay.accepted);
         assert!(rep.snapshot.throughput_per_sec > 0.0);
-        // The profiled relayout deployed through the validated swap gate
-        // and its hot prefix is a strict subset of the arena.
-        assert_eq!(rep.snapshot.swaps, 1);
-        assert_eq!(rep.snapshot.swap_rejections, 0);
         assert!(rep.snapshot.model_arena_bytes > 0);
-        assert!(rep.snapshot.model_hot_prefix_bytes <= rep.snapshot.model_arena_bytes);
         assert_eq!(rep.per_shard_throughput.len(), rep.shards);
         assert!(rep.per_shard_throughput.iter().sum::<f64>() > 0.0);
         let text = rep.render();

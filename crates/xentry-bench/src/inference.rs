@@ -1,11 +1,9 @@
 //! Inference-engine throughput: boxed walker vs compiled arena vs batch
 //! vs forest, the perf-trajectory numbers behind `BENCH_inference.json`.
 //!
-//! The criterion bench (`benches/classify.rs`) gives interactive numbers;
-//! this module produces the *recorded* ones — a serializable report the
-//! `figures` harness writes to `results/inference.json` and mirrors to
-//! the repo root, so every PR from here on has a comparable measurement
-//! of the VM-entry hot path.
+//! A serializable report the `figures` harness writes to
+//! `results/inference.json` and mirrors to the repo root, so every PR
+//! has a comparable measurement of the VM-entry hot path.
 
 use mltree::{Dataset, DecisionTree, ForestConfig, Label, RandomForest, Sample, TrainConfig};
 use serde::{Deserialize, Serialize};
@@ -233,27 +231,6 @@ pub fn inference_experiment(scale: &Scale, seed: u64) -> InferenceReport {
         }
         labels.iter().filter(|&&l| l == Label::Incorrect).count() as u64
     });
-    // Profile each model over its own traffic slice and re-lay its arena
-    // hot-path-first — the full profile-guided pipeline, measured on the
-    // same sweep the plain detector_batch case runs.
-    let profiled: Vec<VmTransitionDetector> = detectors
-        .iter()
-        .enumerate()
-        .map(|(m, det)| {
-            let slice = &features[(m * per_model) % POOL..][..per_model];
-            det.with_profiled_layout(&det.harvest_profile(slice))
-        })
-        .collect();
-    let detector_batch_profiled_ns = measure(rounds, POOL, || {
-        for (m, (fs, ls)) in features
-            .chunks(per_model)
-            .zip(labels.chunks_mut(per_model))
-            .enumerate()
-        {
-            profiled[m & mask].classify_batch(fs, ls);
-        }
-        labels.iter().filter(|&&l| l == Label::Incorrect).count() as u64
-    });
     let forest_boxed_ns = measure(rounds, POOL, || {
         rows.iter()
             .map(|r| (forest.classify(std::hint::black_box(r)) == Label::Incorrect) as u64)
@@ -288,7 +265,6 @@ pub fn inference_experiment(scale: &Scale, seed: u64) -> InferenceReport {
             case("detector_single", detector_ns),
             case("detector_batch", detector_batch_ns),
             case("detector_batch_scalar", detector_batch_scalar_ns),
-            case("detector_batch_profiled", detector_batch_profiled_ns),
             case("forest_boxed", forest_boxed_ns),
             case("forest_compiled", forest_compiled_ns),
             case("forest_compiled_batch", forest_batch_ns),
@@ -339,7 +315,7 @@ mod tests {
         let mut scale = Scale::quick();
         scale.overhead_runs = 1; // minimum rounds: keep the test snappy
         let rep = inference_experiment(&scale, 7);
-        assert_eq!(rep.cases.len(), 10);
+        assert_eq!(rep.cases.len(), 9);
         assert!(rep.cases.iter().all(|c| c.ns_per_classify > 0.0));
         assert!(rep.compiled_speedup_vs_boxed > 0.0);
         assert!(
@@ -349,7 +325,6 @@ mod tests {
         );
         let text = rep.render();
         assert!(text.contains("tree_compiled_batch"), "{text}");
-        assert!(text.contains("detector_batch_profiled"), "{text}");
         let back: InferenceReport =
             serde_json::from_str(&serde_json::to_string(&rep).unwrap()).unwrap();
         assert_eq!(back.cases.len(), rep.cases.len());

@@ -24,7 +24,6 @@ pub mod experiments;
 pub mod extensions;
 pub mod fleet;
 pub mod inference;
-pub mod layout;
 pub mod pipeline;
 
 pub use campaign::{campaign_experiment, CampaignBenchReport};
@@ -32,7 +31,6 @@ pub use experiments::*;
 pub use extensions::*;
 pub use fleet::{fleet_experiment, overhead_experiment, FleetReport};
 pub use inference::{inference_experiment, InferenceReport};
-pub use layout::{layout_experiment, LayoutReport};
 pub use pipeline::{
     gather_dataset, rebalance, train_detector, train_models, Scale, TrainingReport,
 };

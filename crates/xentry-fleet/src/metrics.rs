@@ -314,10 +314,6 @@ pub struct ServiceSnapshot {
     pub model_arena_bytes: u64,
     /// Split records in the deployed model's arena.
     pub model_nr_splits: u64,
-    /// Bytes of the profile-weighted hot prefix — what the cache must
-    /// hold to serve ≥90% of split visits; equals `model_arena_bytes`
-    /// for an unprofiled layout.
-    pub model_hot_prefix_bytes: u64,
     pub ingested: u64,
     pub classified: u64,
     pub dropped: u64,
@@ -490,7 +486,6 @@ mod tests {
             model_fingerprint: 99,
             model_arena_bytes: 2048,
             model_nr_splits: 64,
-            model_hot_prefix_bytes: 512,
             ingested: 10,
             classified: 8,
             dropped: 1,
@@ -535,7 +530,6 @@ mod tests {
         assert_eq!(back.classified, 8);
         assert_eq!(back.model_arena_bytes, 2048);
         assert_eq!(back.model_nr_splits, 64);
-        assert_eq!(back.model_hot_prefix_bytes, 512);
         assert_eq!(back.trace_events, 20);
         assert_eq!(back.trace_dropped, 5);
         assert_eq!(back.epoch_verdicts.len(), 2);

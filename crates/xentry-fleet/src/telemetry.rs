@@ -219,12 +219,6 @@ pub fn render_prometheus(s: &ServiceSnapshot) -> String {
         s.model_nr_splits as f64,
     );
     e.scalar(
-        &p("model_hot_prefix_bytes"),
-        "gauge",
-        "Bytes of the profile-weighted hot prefix covering >=90% of split visits.",
-        s.model_hot_prefix_bytes as f64,
-    );
-    e.scalar(
         &p("degraded"),
         "gauge",
         "1 while serving envelope-fallback verdicts, else 0.",

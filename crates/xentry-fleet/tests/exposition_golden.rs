@@ -24,7 +24,6 @@ fn fixture() -> ServiceSnapshot {
         model_fingerprint: 0xabcd_1234_5678_9e0f,
         model_arena_bytes: 65536,
         model_nr_splits: 2048,
-        model_hot_prefix_bytes: 12288,
         ingested: 1000,
         classified: 990,
         dropped: 7,

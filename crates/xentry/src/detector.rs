@@ -172,35 +172,6 @@ impl VmTransitionDetector {
         &self.compiled
     }
 
-    /// Harvest a branch-probability profile from observed verdict
-    /// traffic: one checked walk per record, counting which side of each
-    /// split was taken. The result feeds
-    /// [`with_profiled_layout`](VmTransitionDetector::with_profiled_layout);
-    /// profiles harvested against the *same arena layout* can be
-    /// [merged](mltree::TreeProfile::merge) across shards before
-    /// re-laying out.
-    pub fn harvest_profile(&self, traffic: &[FeatureVec]) -> mltree::TreeProfile {
-        let mut profile = mltree::TreeProfile::for_tree(&self.compiled);
-        for f in traffic {
-            profile.record(&self.compiled, &f.columns());
-        }
-        profile
-    }
-
-    /// The same model with its arena re-laid out hot-path-first from
-    /// `profile` (see [`mltree::TreeProfile`]): identical tree, identical
-    /// verdicts, identical fingerprint — so a fleet hot-swap publishing
-    /// the profiled detector passes the canary gate by construction —
-    /// but the hot path's records now sit in a contiguous prefix
-    /// ([`CompiledTree::hot_prefix_bytes`]) the cache can actually hold.
-    pub fn with_profiled_layout(&self, profile: &mltree::TreeProfile) -> VmTransitionDetector {
-        VmTransitionDetector {
-            compiled: Arc::new(self.compiled.reorder_profiled(profile)),
-            tree: Arc::clone(&self.tree),
-            fingerprint: self.fingerprint,
-        }
-    }
-
     /// Structural integrity check of the compiled arena — the deploy-time
     /// gate the fleet's validated hot-swap runs before publishing a
     /// detector ([`CompiledTree::validate`]). A detector built by [`new`]
@@ -248,15 +219,6 @@ impl VmTransitionDetector {
     /// Split records in the compiled arena (leaves cost zero bytes).
     pub fn nr_splits(&self) -> usize {
         self.compiled.nr_splits()
-    }
-
-    /// Bytes of the profile-weighted hot prefix — what the cache must
-    /// hold to serve ≥90% of split visits after
-    /// [`with_profiled_layout`](VmTransitionDetector::with_profiled_layout);
-    /// equals [`arena_bytes`](VmTransitionDetector::arena_bytes) for an
-    /// unprofiled layout.
-    pub fn hot_prefix_bytes(&self) -> usize {
-        self.compiled.hot_prefix_bytes()
     }
 
     /// The underlying rules (Fig. 6-style dump).
@@ -418,37 +380,6 @@ mod tests {
             elapsed_ns: 0,
         };
         assert_eq!(empty.per_record_ns(), 0);
-    }
-
-    #[test]
-    fn profiled_layout_preserves_verdicts_and_fingerprint() {
-        let det = toy_detector();
-        let traffic: Vec<FeatureVec> = (0..200u64)
-            .map(|i| FeatureVec {
-                vmer: 17,
-                rt: 30 + (i * 7) % 250,
-                br: i % 30,
-                rm: i % 11,
-                wm: i % 7,
-            })
-            .collect();
-        let profile = det.harvest_profile(&traffic);
-        assert!(
-            det.compiled().nr_splits() == 0 || profile.total_visits() > 0,
-            "traffic must hit splits"
-        );
-        let hot = det.with_profiled_layout(&profile);
-        hot.validate().unwrap();
-        assert_eq!(hot.fingerprint(), det.fingerprint(), "same model, same id");
-        assert!(hot.compiled().hot_prefix_bytes() <= hot.compiled().arena_bytes());
-        let mut want = vec![Label::Correct; traffic.len()];
-        let mut got = vec![Label::Correct; traffic.len()];
-        det.classify_batch(&traffic, &mut want);
-        hot.classify_batch(&traffic, &mut got);
-        assert_eq!(want, got, "re-layout must not change verdicts");
-        for f in &traffic {
-            assert_eq!(hot.classify(f), det.classify(f));
-        }
     }
 
     #[test]
