@@ -21,10 +21,11 @@
 //!
 //! [`CompiledForest`] concatenates every tree's arena into one allocation
 //! and keeps per-tree root references, so an ensemble walk touches a
-//! single slab. Single-sample forest classification early-exits as soon
-//! as the vote threshold is decided either way; batch classification
-//! accumulates votes for a chunk of samples in a fixed array, tree by
-//! tree, so each tree's arena region is streamed once per chunk.
+//! single slab. Forest classification early-exits as soon as the vote
+//! threshold is decided either way, single-sample and batch alike, by one
+//! shared rule: a batch walks the trees in arena order over a window of
+//! up to 1,024 staged rows, and after each tree compacts the rows still
+//! undecided to the front, so later trees walk only those.
 //!
 //! Batch classification ([`CompiledTree::classify_batch`]) walks many
 //! samples in branchless lockstep: per-sample branches mispredict ~50%
@@ -41,14 +42,15 @@
 //! are padded to full width by replicating the last row, so every batch
 //! size stays on the wide path. A chunk outside that envelope, or a
 //! model with no packed shadow (more than five features), has one exact
-//! fallback: the single-sample walk, row by row — rare by measurement
+//! fallback: the single-sample walk, row by row (for a forest, the
+//! early-exiting [`CompiledForest::classify`]) — rare by measurement
 //! (no fault-free Xentry vector, about one faulty one in a thousand).
 //!
 //! [`Node`]: crate::tree::Node
 
 use crate::dataset::Label;
 use crate::forest::RandomForest;
-use crate::simd::{self, BatchWalker, PackedArena, PACKED_CHUNK};
+use crate::simd::{self, BatchWalker, PackedArena, LANES, PACKED_CHUNK};
 use crate::tree::{DecisionTree, Node};
 
 /// Child-reference tag: set ⇒ the reference is a leaf verdict, not an
@@ -128,12 +130,12 @@ unsafe fn walk(nodes: &[CompiledNode], mut r: u32, features: &[u64]) -> u32 {
     r
 }
 
-/// The batch engine's one exact fallback: rows `0..n` walked one at a
-/// time by [`walk`], each verdict handed to `verdict(i, label)`. Serves
+/// The tree batch engine's one exact fallback: rows `0..n` walked one at
+/// a time by [`walk`], each verdict handed to `verdict(i, label)`. Serves
 /// every chunk the packed tier cannot — a feature value above 12 bits,
-/// or a model with no packed shadow — from the tree, the row-producer
-/// and the forest entries alike. Exact for any u64 feature values
-/// because it *is* the single-sample walk.
+/// or a model with no packed shadow — from the tree and the row-producer
+/// entries alike (the forest's is [`CompiledForest::classify`]). Exact
+/// for any u64 feature values because it *is* the single-sample walk.
 ///
 /// # Safety
 /// Same contract as [`walk`] for `root` and for every row produced.
@@ -618,8 +620,10 @@ impl std::fmt::Display for ArenaFault {
 
 impl std::error::Error for ArenaFault {}
 
-/// How many samples a forest batch scores per vote-array refill.
-const BATCH_CHUNK: usize = 64;
+/// Rows a forest batch stages and walks as one live set (16 staging
+/// chunks). Per-chunk live sets thin to a few rows once most verdicts are
+/// decided; a window's survivors still fill whole 64-lane pieces.
+const WINDOW: usize = 16 * PACKED_CHUNK;
 
 /// A [`RandomForest`] compiled into one shared arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -666,28 +670,42 @@ impl CompiledForest {
             .count()
     }
 
+    /// The vote rule both classify paths share: with `votes` `Incorrect`
+    /// votes counted and `trees_left` trees still to walk, the verdict once
+    /// it is decided either way (the threshold reached, or out of reach),
+    /// `None` while the remaining trees could still tip it. Always `Some`
+    /// at `trees_left == 0`, where it is [`RandomForest::classify`]'s
+    /// full-count verdict.
+    #[inline]
+    fn decided(&self, votes: usize, trees_left: usize) -> Option<Label> {
+        if votes >= self.vote_threshold {
+            Some(Label::Incorrect)
+        } else if votes + trees_left < self.vote_threshold {
+            Some(Label::Correct)
+        } else {
+            None
+        }
+    }
+
     /// Majority-vote classification, early-exiting as soon as the verdict
-    /// is decided: either the threshold is reached, or the remaining trees
-    /// cannot reach it. The label is provably identical to counting every
+    /// is decided: the rule is asked before every tree, the first
+    /// included, so a threshold of 0 (or one above the tree count) walks
+    /// no tree at all. The label is provably identical to counting every
     /// vote, which the equivalence proptest checks.
     pub fn classify(&self, features: &[u64]) -> Label {
         assert!(features.len() >= self.arity, "feature vector too short");
         let total = self.roots.len();
         let mut votes = 0usize;
         for (i, &r) in self.roots.iter().enumerate() {
+            if let Some(label) = self.decided(votes, total - i) {
+                return label;
+            }
             // SAFETY: emit() produced only in-arena indices; arity checked.
-            if leaf_label(unsafe { walk(&self.nodes, r, features) }) == Label::Incorrect {
-                votes += 1;
-                if votes >= self.vote_threshold {
-                    return Label::Incorrect;
-                }
-            }
-            let remaining = total - i - 1;
-            if votes + remaining < self.vote_threshold {
-                return Label::Correct;
-            }
+            let leaf = unsafe { walk(&self.nodes, r, features) };
+            votes += (leaf_label(leaf) == Label::Incorrect) as usize;
         }
-        Label::Correct
+        self.decided(votes, 0)
+            .expect("every tree walked decides the vote")
     }
 
     /// Total comparisons across *all* trees — same contract as
@@ -701,14 +719,16 @@ impl CompiledForest {
             .sum()
     }
 
-    /// Batch classification: votes for a chunk of samples accumulate in a
-    /// fixed array while the trees are walked in arena order, so each
-    /// tree's records are streamed once per chunk instead of once per
-    /// sample. Within a tree, samples advance in lockstep groups of
-    /// eight on the widest kernel the CPU supports (short tail groups
-    /// padded by replicating the last row). Full-count voting — the
-    /// label equals the early-exiting [`CompiledForest::classify`] by the
-    /// same threshold argument.
+    /// Batch classification with the single-sample early exit. A window of
+    /// up to 1,024 rows is staged into packed feature words once, then the
+    /// trees are walked in arena order over the window's *live* rows only,
+    /// in lockstep groups of eight on the widest kernel the CPU supports.
+    /// After each tree a row whose vote is decided (the rule
+    /// [`CompiledForest::classify`] uses) takes its verdict and leaves;
+    /// the survivors are compacted to the front, so the next tree walks
+    /// only undecided lanes. A chunk outside the packed envelope, or a
+    /// forest with no packed shadow, is classified row by row by
+    /// [`CompiledForest::classify`] itself.
     pub fn classify_batch<I: AsRef<[u64]>>(&self, inputs: &[I], out: &mut [Label]) {
         self.classify_batch_with(BatchWalker::Auto, inputs, out);
     }
@@ -729,75 +749,77 @@ impl CompiledForest {
         for f in inputs {
             assert!(f.as_ref().len() >= self.arity, "feature vector too short");
         }
-        let thr = self.vote_threshold as u32;
-        let verdict = |v: u32| {
-            if v >= thr {
-                Label::Incorrect
-            } else {
-                Label::Correct
+        let Some(pa) = &self.packed else {
+            // No packed shadow: more than five features, or every tree a
+            // single leaf.
+            for (f, o) in inputs.iter().zip(out.iter_mut()) {
+                *o = self.classify(f.as_ref());
             }
-        };
-        if self.nodes.is_empty() {
-            // Every tree is a single leaf: one vote count fits all rows.
-            let votes = self
-                .roots
-                .iter()
-                .filter(|&&r| leaf_label(r) == Label::Incorrect)
-                .count() as u32;
-            out.fill(verdict(votes));
             return;
-        }
+        };
         let kernel = simd::resolve(walker);
-        let mut fps = [0u64; PACKED_CHUNK];
-        let mut refs = [0u32; PACKED_CHUNK];
-        for (chunk_in, chunk_out) in inputs.chunks(BATCH_CHUNK).zip(out.chunks_mut(BATCH_CHUNK)) {
-            let mut votes = [0u32; BATCH_CHUNK];
-            let votes = &mut votes[..chunk_in.len()];
-            // Packed tier: feature words staged once per chunk and reused
-            // across every tree; a chunk whose values overflow 12 bits
-            // (or a forest with no shadow) is walked row by row instead.
-            let staged = self
-                .packed
-                .as_ref()
-                .and_then(|pa| Some((pa, simd::stage_packed(chunk_in, self.arity, &mut fps)?)));
-            match staged {
-                Some((pa, lanes)) => {
-                    for &root in &self.roots {
-                        refs[..lanes].fill(pa.entry(root));
-                        // SAFETY: packed references are in-bounds by
-                        // construction; kernel came from resolve().
-                        unsafe {
-                            simd::walk_packed(
-                                kernel,
-                                pa,
-                                &mut refs[..lanes],
-                                &fps[..lanes],
-                                self.max_depth,
-                            )
-                        };
-                        for (v, &r) in votes.iter_mut().zip(refs.iter()) {
-                            *v += pa.vote(r);
+        // The live set, compacted in place: packed word, window row and
+        // `Incorrect` votes so far of each undecided lane.
+        let mut fps = [0u64; WINDOW];
+        let mut rows = [0u32; WINDOW];
+        let mut refs = [0u32; WINDOW];
+        let mut votes = [0u32; WINDOW];
+        for (win_in, win_out) in inputs.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
+            let mut live = 0;
+            for (c, chunk) in win_in.chunks(PACKED_CHUNK).enumerate() {
+                let at = c * PACKED_CHUNK;
+                // live <= at, so a whole staging chunk fits behind it; a
+                // refused chunk's words are overwritten by the next one.
+                let dst = fps[live..]
+                    .first_chunk_mut()
+                    .expect("window holds whole chunks");
+                if simd::stage_packed(chunk, self.arity, dst).is_some() {
+                    for (k, r) in rows[live..live + chunk.len()].iter_mut().enumerate() {
+                        *r = (at + k) as u32;
+                    }
+                    live += chunk.len();
+                } else {
+                    // A value above 12 bits: the exact early-exiting walk.
+                    for (f, o) in chunk.iter().zip(&mut win_out[at..]) {
+                        *o = self.classify(f.as_ref());
+                    }
+                }
+            }
+            votes[..live].fill(0);
+            for (t, &root) in self.roots.iter().enumerate() {
+                if live == 0 {
+                    break;
+                }
+                // Padding lanes walk stale (or zero) words harmlessly and
+                // are never read back.
+                let lanes = live.next_multiple_of(LANES);
+                refs[..lanes].fill(pa.entry(root));
+                // SAFETY: packed references are in-bounds by
+                // construction; kernel came from resolve().
+                unsafe {
+                    simd::walk_packed(
+                        kernel,
+                        pa,
+                        &mut refs[..lanes],
+                        &fps[..lanes],
+                        self.max_depth,
+                    )
+                };
+                let trees_left = self.roots.len() - t - 1;
+                let mut kept = 0;
+                for k in 0..live {
+                    let v = votes[k] + pa.vote(refs[k]);
+                    match self.decided(v as usize, trees_left) {
+                        Some(label) => win_out[rows[k] as usize] = label,
+                        None => {
+                            fps[kept] = fps[k];
+                            rows[kept] = rows[k];
+                            votes[kept] = v;
+                            kept += 1;
                         }
                     }
                 }
-                None => {
-                    for &root in &self.roots {
-                        // SAFETY: emit() produced only in-arena indices;
-                        // arity checked once over the whole batch above.
-                        unsafe {
-                            walk_rows(
-                                &self.nodes,
-                                root,
-                                chunk_in.len(),
-                                |i| &chunk_in[i],
-                                |i, label| votes[i] += (label == Label::Incorrect) as u32,
-                            )
-                        };
-                    }
-                }
-            }
-            for (o, &v) in chunk_out.iter_mut().zip(votes.iter()) {
-                *o = verdict(v);
+                live = kept;
             }
         }
     }
@@ -1036,10 +1058,34 @@ mod tests {
         }
     }
 
+    /// `RandomForest::classify` counts `0 >= 0` as `Incorrect` whatever
+    /// the trees say; the early exit must not answer `Correct` for rows on
+    /// which no tree votes `Incorrect`.
+    #[test]
+    fn vote_threshold_zero_is_incorrect_even_without_votes() {
+        let ds = mixed_dataset(240);
+        let mut cfg = ForestConfig::default_random_forest(3, 23);
+        cfg.vote_threshold = Some(0);
+        let forest = RandomForest::train(&ds, &cfg);
+        let compiled = CompiledForest::compile(&forest);
+        let rows: Vec<&[u64]> = ds.samples.iter().map(|s| s.features.as_slice()).collect();
+        assert!(
+            rows.iter().any(|r| forest.incorrect_votes(r) == 0),
+            "need rows no tree votes Incorrect"
+        );
+        let mut batch = vec![Label::Correct; rows.len()];
+        compiled.classify_batch(&rows, &mut batch);
+        for (r, b) in rows.iter().zip(batch) {
+            assert_eq!(forest.classify(r), Label::Incorrect);
+            assert_eq!(compiled.classify(r), Label::Incorrect);
+            assert_eq!(b, Label::Incorrect);
+        }
+    }
+
     #[test]
     fn forest_early_exit_agrees_with_full_count_at_extreme_thresholds() {
         let ds = mixed_dataset(240);
-        for threshold in [1, 8, 15] {
+        for threshold in [0, 1, 8, 15, 16] {
             let mut cfg = ForestConfig::default_random_forest(3, 23);
             cfg.vote_threshold = Some(threshold);
             let forest = RandomForest::train(&ds, &cfg);

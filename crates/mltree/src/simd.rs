@@ -271,8 +271,8 @@ pub(crate) const PACKED_MAX_FEATURE: u64 = (1 << PACKED_FEATURE_BITS) - 1;
 /// (Xentry's Table-I layout exactly).
 pub(crate) const PACKED_MAX_ARITY: usize = 5;
 
-/// Samples staged per packed walk — matches the forest vote chunk so
-/// feature words are packed once and reused across every tree.
+/// Samples staged per packed walk; a forest batch stages 16 of these
+/// into one window and reuses the words across every tree.
 pub(crate) const PACKED_CHUNK: usize = 64;
 
 /// Child-index width: arenas up to `2²³ − 2` splits take the packed

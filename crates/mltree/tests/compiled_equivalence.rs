@@ -132,20 +132,21 @@ proptest! {
     }
 
     /// CompiledForest verdicts, vote counts and costs match the boxed
-    /// forest for arbitrary vote thresholds (including ones the early
-    /// exit hits on the first or last tree), and the chunked batch path
-    /// matches single-sample classification.
+    /// forest for every vote threshold from 0 to one above the tree count
+    /// (the ones the early exit decides before the first tree, on it, or
+    /// only on the last), and the batch path matches single-sample
+    /// classification.
     #[test]
     fn compiled_forest_is_bit_identical(
         ds in arb_dataset(),
         seed in any::<u64>(),
-        nr_trees in 1usize..9,
-        threshold in 1usize..10,
+        shape in (1usize..9).prop_flat_map(|n| (Just(n), 0..n + 2)),
         raw in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 4), 1..8),
     ) {
+        let (nr_trees, threshold) = shape;
         let mut cfg = ForestConfig::default_random_forest(ds.nr_features(), seed);
         cfg.nr_trees = nr_trees;
-        cfg.vote_threshold = Some(threshold.min(nr_trees + 1));
+        cfg.vote_threshold = Some(threshold);
         let forest = RandomForest::train(&ds, &cfg);
         let compiled = CompiledForest::compile(&forest);
         let inputs = probes(&ds, &raw);
@@ -326,7 +327,11 @@ proptest! {
     }
 
     /// The forest batch path agrees with the boxed forest under every
-    /// kernel, including on short tails.
+    /// kernel, including on short tails, and on a batch of three
+    /// 1,024-row windows plus a ragged tail — in the packed envelope but
+    /// for one chunk of the middle window — at thresholds 0, 1, a strict
+    /// majority, all trees and one more than that: the live set carries
+    /// undecided rows across many chunks and every window edge.
     #[test]
     fn forest_batch_walkers_match_the_boxed_forest(
         ds in arb_dataset(),
@@ -349,6 +354,21 @@ proptest! {
                 let mut t = vec![Label::Correct; tail];
                 compiled.classify_batch_with(walker, &inputs[..tail], &mut t);
                 prop_assert_eq!(&t[..], &got[..tail]);
+            }
+        }
+        let mut windows: Vec<Vec<u64>> = (0..3 * 1024 + 37)
+            .map(|i| ds.samples[i % ds.len()].features.clone())
+            .collect();
+        windows[1024 + 5 * 64 + 17][0] = 4096;
+        for threshold in [0, 1, nr_trees / 2 + 1, nr_trees, nr_trees + 1] {
+            let mut voting = forest.clone();
+            voting.vote_threshold = threshold;
+            let compiled = CompiledForest::compile(&voting);
+            let want: Vec<Label> = windows.iter().map(|f| voting.classify(f)).collect();
+            for walker in WALKERS {
+                let mut got = vec![Label::Correct; windows.len()];
+                compiled.classify_batch_with(walker, &windows, &mut got);
+                prop_assert_eq!(&got, &want);
             }
         }
     }
