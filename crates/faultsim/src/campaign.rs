@@ -1605,13 +1605,25 @@ mod tests {
     fn shared_trace_matches_fresh_campaign() {
         let mut cfg = small_cfg();
         cfg.injections = 24;
-        let fresh = run_campaign(&cfg, None);
-        let trace = golden_trace(&cfg, None);
-        let reused = run_campaign_with(&cfg, &trace, None);
-        assert_eq!(
-            serde_json::to_string(&fresh).unwrap(),
-            serde_json::to_string(&reused).unwrap()
-        );
+        let fresh = serde_json::to_string(&run_campaign(&cfg, None)).unwrap();
+        // Walked at one thread, forked at the config's two and at four.
+        let walk = CampaignConfig {
+            threads: 1,
+            ..cfg.clone()
+        };
+        let trace = golden_trace(&walk, None);
+        for threads in [cfg.threads, 4] {
+            let fork = CampaignConfig {
+                threads,
+                ..cfg.clone()
+            };
+            let reused = run_campaign_with(&fork, &trace, None);
+            assert_eq!(
+                serde_json::to_string(&reused).unwrap(),
+                fresh,
+                "forked at {threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -1,30 +1,30 @@
 //! Regenerate every table and figure of the Xentry paper.
 //!
 //! ```text
-//! figures [--quick|--paper] [--out DIR] [--perf-guard] [experiments...]
+//! figures [--quick|--paper] [--out DIR] [experiments...]
 //!
-//! experiments: fig3 table1 ml fig7 injection fig11 ablation fleet
-//!              recovery overhead inference campaign distributed vulnmap
+//! experiments: table1 fig3 ml fig7 injection fig11 recovery vulnmap
+//!              extensions fleet overhead distributed ablation
 //!                                                           (default: all)
 //!   "injection" produces Fig. 8, Fig. 9, Fig. 10 and Table II.
 //!   "recovery" drives every detected fault through competing
 //!   health-monitor policy tables (ignore / re-execute-only / tiered
 //!   with hypervisor microreboot) and writes `results/ext_recovery.json`
 //!   plus the repo-root mirror `BENCH_recovery.json`.
-//!   "inference" and "campaign" also mirror their JSON to the repo-root
-//!   `BENCH_inference.json` / `BENCH_campaign.json` perf-trajectory files.
-//!   "distributed" spawns a loopback multi-process fleet (re-executing
-//!   this binary as the host-agent child image) and records the
-//!   wire-level accounting/convergence receipt.
 //!   "vulnmap" campaigns every fault model (register flips, spatial
 //!   bursts, PTE strikes, PMC strikes) over a paper benchmark plus the
 //!   three adversarial guest profiles and writes the per-bit
 //!   vulnerability map to `results/vulnmap.json` and the repo-root
 //!   mirror `BENCH_vulnmap.json`.
-//!   --perf-guard (with "inference") compares the fresh detector_batch
-//!   number against the committed BENCH_inference.json before the mirror
-//!   overwrite and exits non-zero on a >25% regression — the CI gate.
+//!   "extensions" writes the register-vulnerability, forest, multi-bit
+//!   and envelope comparisons (`results/ext_*.json`).
+//!   "distributed" spawns a loopback multi-process fleet (re-executing
+//!   this binary as the host-agent child image) and records the
+//!   wire-level accounting/convergence receipt.
 //! ```
+//!
+//! An unknown option or experiment name exits 2 with the list above.
+//! Host-side speed is measured by the `benchmark` binary, not here.
 //!
 //! Text renderings go to stdout; JSON artifacts to `--out` (default
 //! `results/`), with the wall-clock of every experiment that ran — the
@@ -36,6 +36,63 @@ use std::path::PathBuf;
 use xentry_bench::pipeline::Scale;
 use xentry_bench::*;
 
+/// Every experiment `figures` runs, in the order it runs them. The
+/// argument check and the usage text both read this list.
+const EXPERIMENTS: &[&str] = &[
+    "table1",
+    "fig3",
+    "ml",
+    "fig7",
+    "injection",
+    "fig11",
+    "recovery",
+    "vulnmap",
+    "extensions",
+    "fleet",
+    "overhead",
+    "distributed",
+    "ablation",
+];
+
+/// The parsed command line.
+#[derive(Debug)]
+struct Args {
+    scale: Scale,
+    out: PathBuf,
+    /// Experiments named on the command line; empty means all of them.
+    wanted: HashSet<String>,
+}
+
+fn usage() -> String {
+    format!(
+        "usage: figures [--quick|--paper] [--out DIR] [experiments...]\n\
+         experiments: {} (default: all)",
+        EXPERIMENTS.join(" ")
+    )
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        scale: Scale::quick(),
+        out: PathBuf::from("results"),
+        wanted: HashSet::new(),
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--quick" => parsed.scale = Scale::quick(),
+            "--paper" => parsed.scale = Scale::paper(),
+            "--out" => parsed.out = PathBuf::from(it.next().ok_or("--out needs a directory")?),
+            name if EXPERIMENTS.contains(&name) => {
+                parsed.wanted.insert(name.to_string());
+            }
+            other if other.starts_with("--") => return Err(format!("unknown option {other}")),
+            other => return Err(format!("unknown experiment {other:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn write_json<T: serde::Serialize>(dir: &PathBuf, name: &str, value: &T) {
     std::fs::create_dir_all(dir).expect("create output dir");
     let path = dir.join(format!("{name}.json"));
@@ -44,64 +101,6 @@ fn write_json<T: serde::Serialize>(dir: &PathBuf, name: &str, value: &T) {
     xentry_fleet::write_atomic(&path, &serde_json::to_string_pretty(value).unwrap())
         .unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     eprintln!("[figures] wrote {path:?}");
-}
-
-/// CI perf-regression gate: compare the fresh `detector_batch`
-/// ns/classify against the committed `BENCH_inference.json` and abort on
-/// a >25% regression. The committed file is parsed as untyped JSON so an
-/// older schema (missing fields, different case list) still yields its
-/// baseline; a missing file or case just skips the guard with a note —
-/// a fresh checkout must not fail CI.
-fn guard_detector_batch(fresh: &InferenceReport) {
-    const CASE: &str = "detector_batch";
-    const TOLERANCE: f64 = 1.25;
-    let committed = match std::fs::read_to_string("BENCH_inference.json") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("[figures] perf-guard: no committed BENCH_inference.json ({e}); skipping");
-            return;
-        }
-    };
-    let value: serde_json::Value = match serde_json::from_str(&committed) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("[figures] perf-guard: committed baseline unparseable ({e}); skipping");
-            return;
-        }
-    };
-    let as_f64 = |v: &serde_json::Value| match v {
-        serde_json::Value::Float(f) => Some(*f),
-        serde_json::Value::UInt(n) => Some(*n as f64),
-        serde_json::Value::Int(n) => Some(*n as f64),
-        _ => None,
-    };
-    let baseline = value
-        .get("cases")
-        .and_then(|c| c.as_array())
-        .into_iter()
-        .flatten()
-        .find(|c| matches!(c.get("name"), Some(serde_json::Value::Str(s)) if s == CASE))
-        .and_then(|c| c.get("ns_per_classify"))
-        .and_then(as_f64);
-    let Some(baseline) = baseline else {
-        eprintln!("[figures] perf-guard: committed baseline has no {CASE} case; skipping");
-        return;
-    };
-    let now = fresh
-        .cases
-        .iter()
-        .find(|c| c.name == CASE)
-        .map(|c| c.ns_per_classify)
-        .expect("fresh report always carries detector_batch");
-    eprintln!(
-        "[figures] perf-guard: {CASE} {now:.1} ns vs committed {baseline:.1} ns \
-         (limit {:.1} ns)",
-        baseline * TOLERANCE
-    );
-    assert!(
-        now <= baseline * TOLERANCE,
-        "perf-guard: {CASE} regressed >25%: {now:.1} ns vs committed {baseline:.1} ns"
-    );
 }
 
 /// Wall-clock of one experiment of this invocation.
@@ -141,23 +140,10 @@ fn main() {
         return;
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::quick();
-    let mut out = PathBuf::from("results");
-    let mut perf_guard = false;
-    let mut wanted: HashSet<String> = HashSet::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => scale = Scale::quick(),
-            "--paper" => scale = Scale::paper(),
-            "--out" => out = PathBuf::from(it.next().expect("--out DIR")),
-            "--perf-guard" => perf_guard = true,
-            other if !other.starts_with("--") => {
-                wanted.insert(other.to_string());
-            }
-            other => panic!("unknown option {other}"),
-        }
-    }
+    let Args { scale, out, wanted } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("figures: {e}\n{}", usage());
+        std::process::exit(2);
+    });
     let all = wanted.is_empty();
     let want = |k: &str| all || wanted.contains(k);
     let benchmarks = Benchmark::ALL;
@@ -262,7 +248,7 @@ fn main() {
         timing.took("recovery", t);
         write_json(&out, "ext_recovery", &rec);
         // Mirror at the repo root so the recovery receipts ride along in
-        // version control next to BENCH_campaign.json / BENCH_inference.json.
+        // version control next to BENCH_vulnmap.json.
         std::fs::write(
             "BENCH_recovery.json",
             serde_json::to_string_pretty(&rec).unwrap(),
@@ -331,42 +317,6 @@ fn main() {
         write_json(&out, "overhead", &oh);
     }
 
-    if want("inference") {
-        let t = std::time::Instant::now();
-        let inf = inference_experiment(&scale, seed);
-        println!("{}", inf.render());
-        timing.took("inference", t);
-        write_json(&out, "inference", &inf);
-        // The perf-regression gate reads the *committed* trajectory file
-        // before the mirror below overwrites it. Parsed as a generic
-        // value so the guard keeps working across report-schema changes.
-        if perf_guard {
-            guard_detector_batch(&inf);
-        }
-        // Mirror to the repo root: the committed perf-trajectory record.
-        std::fs::write(
-            "BENCH_inference.json",
-            serde_json::to_string_pretty(&inf).unwrap(),
-        )
-        .expect("write BENCH_inference.json");
-        eprintln!("[figures] wrote \"BENCH_inference.json\"");
-    }
-
-    if want("campaign") {
-        let t = std::time::Instant::now();
-        let camp = campaign_experiment(&scale, seed);
-        println!("{}", camp.render());
-        timing.took("campaign", t);
-        write_json(&out, "campaign", &camp);
-        // Mirror to the repo root: the committed perf-trajectory record.
-        std::fs::write(
-            "BENCH_campaign.json",
-            serde_json::to_string_pretty(&camp).unwrap(),
-        )
-        .expect("write BENCH_campaign.json");
-        eprintln!("[figures] wrote \"BENCH_campaign.json\"");
-    }
-
     if want("distributed") {
         let t = std::time::Instant::now();
         // Quick-profile fleet either way: the experiment's subject is
@@ -396,4 +346,62 @@ fn main() {
     timing.total_seconds = started.elapsed().as_secs_f64();
     write_json(&out, "figures_timing", &timing);
     println!("done.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parsing_accepts_every_experiment_and_refuses_anything_else() {
+        let all = parse(EXPERIMENTS).unwrap();
+        assert_eq!(all.wanted.len(), EXPERIMENTS.len());
+        let args = parse(&["--paper", "--out", "elsewhere", "fig7"]).unwrap();
+        assert_eq!(format!("{:?}", args.scale), format!("{:?}", Scale::paper()));
+        assert_eq!(args.out, PathBuf::from("elsewhere"));
+        assert_eq!(args.wanted, HashSet::from(["fig7".to_string()]));
+        assert!(parse(&[]).unwrap().wanted.is_empty(), "no names means all");
+
+        for (bad, says) in [
+            (
+                &["--quick", "inference"][..],
+                "unknown experiment \"inference\"",
+            ),
+            (&["fig7", "fig8"][..], "unknown experiment \"fig8\""),
+            (&["--perf-guard"][..], "unknown option --perf-guard"),
+            (&["--out"][..], "--out needs a directory"),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), says, "{bad:?}");
+        }
+    }
+
+    /// The module doc lists exactly what `EXPERIMENTS` holds, and every
+    /// `want` in `main` asks for a name the check lets through.
+    #[test]
+    fn usage_doc_and_main_name_only_listed_experiments() {
+        let source = include_str!("figures.rs");
+        let doc: String = source
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let listed = doc.split("experiments:").nth(1).unwrap();
+        let listed: Vec<&str> = listed[..listed.find("(default: all)").unwrap()]
+            .split_whitespace()
+            .collect();
+        assert_eq!(listed, EXPERIMENTS);
+        let asked: Vec<&str> = source
+            .split("want(\"")
+            .skip(1)
+            .map(|rest| &rest[..rest.find('"').unwrap()])
+            .collect();
+        assert!(asked.len() >= EXPERIMENTS.len(), "{asked:?}");
+        for name in asked {
+            assert!(EXPERIMENTS.contains(&name), "main asks for unlisted {name}");
+        }
+    }
 }

@@ -13,24 +13,20 @@
 //! | Fig. 11 recovery overhead | [`experiments::fig11_recovery_overhead`] |
 //! | feature/depth/size ablations | [`experiments::ablations`] |
 //! | fleet serving throughput (extension) | [`fleet::fleet_experiment`] |
-//! | compiled-inference trajectory (extension) | [`inference::inference_experiment`] |
-//! | campaign-engine throughput (extension) | [`campaign::campaign_experiment`] |
 //!
 //! The `figures` binary drives them all and writes JSON artifacts alongside
-//! the rendered text.
+//! the rendered text. Host-side speed (ns/classify, injections/s, the
+//! per-layer cost ladder) is the `benchmark` binary's job, not this
+//! crate's library.
 
-pub mod campaign;
 pub mod experiments;
 pub mod extensions;
 pub mod fleet;
-pub mod inference;
 pub mod pipeline;
 
-pub use campaign::{campaign_experiment, CampaignBenchReport};
 pub use experiments::*;
 pub use extensions::*;
 pub use fleet::{fleet_experiment, overhead_experiment, FleetReport};
-pub use inference::{inference_experiment, InferenceReport};
 pub use pipeline::{
     gather_dataset, rebalance, train_detector, train_models, Scale, TrainingReport,
 };

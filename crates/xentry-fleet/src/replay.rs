@@ -242,30 +242,35 @@ mod tests {
 
     #[test]
     fn replay_reaches_the_service() {
-        let sink = Arc::new(CollectSink::default());
-        let cfg = FleetConfig {
-            shards: 2,
-            queue_capacity: 4096,
-            batch: 32,
-            recorder_depth: 8,
-            ..FleetConfig::default()
-        };
-        let svc = crate::FleetService::start(cfg, synthetic_detector(1), Arc::clone(&sink) as _);
-        let trace = synthetic_trace(2048, 5);
-        let rep = replay(
-            &svc,
-            &trace,
-            &ReplayConfig {
-                hosts: 3,
-                records_per_host: 2000,
-                rate_per_host: 0.0,
-            },
-        );
-        assert_eq!(rep.sent, 6000);
-        assert_eq!(rep.accepted + rep.rejected, 6000);
-        let snap = svc.shutdown();
-        assert_eq!(snap.classified, rep.accepted);
-        assert_eq!(sink.verdicts.lock().unwrap().len(), rep.accepted as usize);
+        // (shards, sender hosts): a small fleet and the 8 x 8 shape.
+        for (shards, hosts) in [(2, 3), (8, 8)] {
+            let sink = Arc::new(CollectSink::default());
+            let cfg = FleetConfig {
+                shards,
+                queue_capacity: 4096,
+                batch: 32,
+                recorder_depth: 8,
+                ..FleetConfig::default()
+            };
+            let svc =
+                crate::FleetService::start(cfg, synthetic_detector(1), Arc::clone(&sink) as _);
+            let trace = synthetic_trace(2048, 5);
+            let rep = replay(
+                &svc,
+                &trace,
+                &ReplayConfig {
+                    hosts,
+                    records_per_host: 2000,
+                    rate_per_host: 0.0,
+                },
+            );
+            let sent = hosts as u64 * 2000;
+            assert_eq!(rep.sent, sent);
+            assert_eq!(rep.accepted + rep.rejected, sent);
+            let snap = svc.shutdown();
+            assert_eq!(snap.classified, rep.accepted, "{shards} x {hosts}");
+            assert_eq!(sink.verdicts.lock().unwrap().len(), rep.accepted as usize);
+        }
     }
 
     #[test]

@@ -27,7 +27,6 @@
 use crate::frame::{Frame, FrameReader, HostCounters};
 use crate::topology::FleetTopology;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -90,8 +89,9 @@ struct PublishedModel {
 
 struct AggState {
     start: Instant,
-    budgets: BTreeMap<u32, (String, u32)>,
-    hosts: Mutex<BTreeMap<u32, HostState>>,
+    topology: FleetTopology,
+    /// Indexed by host id: a star's ids are exactly `0..hosts`.
+    hosts: Mutex<Vec<HostState>>,
     published: Mutex<Option<PublishedModel>>,
     epoch_counter: AtomicU64,
     summaries: AtomicU64,
@@ -190,51 +190,21 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// Bind `addr` and serve the inbound links that `topology` declares
-    /// for aggregator `name`. The topology is validated first.
-    pub fn start(
-        topology: &FleetTopology,
-        name: &str,
-        addr: impl ToSocketAddrs,
-    ) -> io::Result<Aggregator> {
-        if let Err(errs) = topology.validate() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "invalid topology: {}",
-                    errs.iter()
-                        .map(|e| e.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                ),
-            ));
-        }
-        let budgets = topology.inbound_budgets(name);
-        if budgets.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("topology declares no host links into aggregator {name:?}"),
-            ));
-        }
+    /// Bind `addr` and serve the hosts that `topology` declares.
+    pub fn start(topology: &FleetTopology, addr: impl ToSocketAddrs) -> io::Result<Aggregator> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let hosts = budgets
-            .iter()
-            .map(|(&id, (name, _))| {
-                (
-                    id,
-                    HostState {
-                        name: name.clone(),
-                        last_seen_ns: u64::MAX,
-                        ..HostState::default()
-                    },
-                )
+        let hosts = (0..topology.hosts())
+            .map(|id| HostState {
+                name: FleetTopology::host_name(id),
+                last_seen_ns: u64::MAX,
+                ..HostState::default()
             })
             .collect();
         let state = Arc::new(AggState {
             start: Instant::now(),
-            budgets,
+            topology: *topology,
             hosts: Mutex::new(hosts),
             published: Mutex::new(None),
             epoch_counter: AtomicU64::new(0),
@@ -249,7 +219,7 @@ impl Aggregator {
         let state2 = Arc::clone(&state);
         let sessions2 = Arc::clone(&sessions);
         let accept_handle = std::thread::Builder::new()
-            .name(format!("wire-agg-{name}"))
+            .name("wire-agg".to_string())
             .spawn(move || accept_loop(listener, state2, sessions2))?;
         Ok(Aggregator {
             state,
@@ -309,7 +279,7 @@ impl Aggregator {
     /// session is expected back.
     pub fn finalize(&self) {
         let mut hosts = lock_recovering(&self.state.hosts);
-        for hs in hosts.values_mut() {
+        for hs in hosts.iter_mut() {
             if hs.live.in_flight > 0 {
                 hs.live.lost += hs.live.in_flight;
                 hs.reconciled_lost += hs.live.in_flight;
@@ -365,7 +335,7 @@ fn accept_loop(
                         // Any exit (error or clean) leaves the host down.
                         if let Some(id) = host {
                             let mut hosts = lock_recovering(&state2.hosts);
-                            if let Some(hs) = hosts.get_mut(&id) {
+                            if let Some(hs) = hosts.get_mut(id as usize) {
                                 hs.up = false;
                             }
                         }
@@ -409,7 +379,7 @@ fn run_session(state: &AggState, mut stream: TcpStream) -> Option<u32> {
         }
     };
     let (host, incarnation, _last_seq, model_epoch, model_fingerprint) = hello;
-    let Some(credits) = state.budgets.get(&host).map(|(_, c)| *c) else {
+    let Some(credits) = state.topology.credits(host) else {
         // Undeclared host: no link, no budget — the topology is the
         // admission control.
         state.rejected_connections.fetch_add(1, Ordering::Relaxed);
@@ -418,7 +388,7 @@ fn run_session(state: &AggState, mut stream: TcpStream) -> Option<u32> {
 
     let resume_seq = {
         let mut hosts = lock_recovering(&state.hosts);
-        let hs = hosts.get_mut(&host)?;
+        let hs = hosts.get_mut(host as usize)?;
         if hs.incarnation != 0 && incarnation != hs.incarnation {
             // Rule 2: the host restarted; retire the dead incarnation.
             hs.retire_live();
@@ -478,7 +448,7 @@ fn run_session(state: &AggState, mut stream: TcpStream) -> Option<u32> {
             let published = lock_recovering(&state.published);
             published.as_ref().and_then(|p| {
                 let hosts = lock_recovering(&state.hosts);
-                let admitted = hosts.get(&host).map(|h| h.model_epoch).unwrap_or(0);
+                let admitted = hosts.get(host as usize).map(|h| h.model_epoch).unwrap_or(0);
                 (p.epoch > pushed_epoch && p.epoch > admitted)
                     .then(|| (p.epoch, p.fingerprint, Arc::clone(&p.json)))
             })
@@ -508,7 +478,7 @@ fn handle_frame(
         Frame::Summary(s) => {
             {
                 let mut hosts = lock_recovering(&state.hosts);
-                if let Some(hs) = hosts.get_mut(&host) {
+                if let Some(hs) = hosts.get_mut(host as usize) {
                     hs.last_seen_ns = state.now_ns();
                     // Stale duplicate from before a same-incarnation
                     // reconnect: newer cumulative state already merged.
@@ -535,7 +505,7 @@ fn handle_frame(
         }
         Frame::Heartbeat { .. } => {
             let mut hosts = lock_recovering(&state.hosts);
-            if let Some(hs) = hosts.get_mut(&host) {
+            if let Some(hs) = hosts.get_mut(host as usize) {
                 hs.last_seen_ns = state.now_ns();
             }
             ControlFlow::Continue(())
@@ -547,7 +517,7 @@ fn handle_frame(
             detail,
         } => {
             let mut hosts = lock_recovering(&state.hosts);
-            if let Some(hs) = hosts.get_mut(&host) {
+            if let Some(hs) = hosts.get_mut(host as usize) {
                 hs.last_seen_ns = state.now_ns();
                 if admitted {
                     hs.model_epoch = hs.model_epoch.max(epoch);
@@ -562,7 +532,7 @@ fn handle_frame(
         }
         Frame::Bye { counters } => {
             let mut hosts = lock_recovering(&state.hosts);
-            if let Some(hs) = hosts.get_mut(&host) {
+            if let Some(hs) = hosts.get_mut(host as usize) {
                 hs.last_seen_ns = state.now_ns();
                 hs.live = counters;
                 hs.retire_live();
@@ -590,7 +560,7 @@ fn snapshot_state(state: &AggState) -> AggregatorSnapshot {
         model_divergences: state.model_divergences.load(Ordering::Relaxed),
         ..FleetRollup::default()
     };
-    for (&id, hs) in hosts_map.iter() {
+    for (id, hs) in (0u32..).zip(hosts_map.iter()) {
         let merged = hs.merged();
         fleet.ingested += merged.ingested;
         fleet.classified += merged.classified;

@@ -401,8 +401,9 @@ fn collect_child(mut proc_: HostProc, deadline: Instant) -> io::Result<Option<Ch
 /// choreography; the returned report carries every receipt the CI gate
 /// greps for.
 pub fn run_distributed(cfg: &DistributedConfig) -> io::Result<DistributedReport> {
-    let topology = FleetTopology::star(cfg.hosts, cfg.credits_per_host);
-    let agg = Aggregator::start(&topology, "agg0", "127.0.0.1:0")?;
+    let topology = FleetTopology::star(cfg.hosts, cfg.credits_per_host)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+    let agg = Aggregator::start(&topology, "127.0.0.1:0")?;
     let agg_addr = agg.addr().to_string();
     let metrics = agg.serve_metrics("127.0.0.1:0")?;
 

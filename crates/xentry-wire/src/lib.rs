@@ -19,8 +19,8 @@
 //!
 //! * [`frame`] — the length-prefixed binary codec (magic + version +
 //!   type + payload) and the timeout-safe [`FrameReader`].
-//! * [`topology`] — declarative hosts→aggregators config, statically
-//!   validated (no cycles, no orphan hosts, budgets within capacity).
+//! * [`topology`] — the star of hosts around the aggregator: wire ids,
+//!   names and the per-host credit budget.
 //! * [`agent`] — the host-side session: credit-based backpressure,
 //!   sequence-numbered summaries, exponential-backoff reconnect, and
 //!   model admission through `hot_swap_validated`.
@@ -46,7 +46,7 @@ pub use distributed::{
     CHILD_SENTINEL,
 };
 pub use frame::{Frame, FrameError, FrameReader, HostCounters, SummaryFrame};
-pub use topology::{AggregatorSpec, FleetTopology, HostSpec, LinkSpec, TopologyError};
+pub use topology::FleetTopology;
 
 #[cfg(test)]
 mod tests {
@@ -80,8 +80,8 @@ mod tests {
     /// merged, model pushed and admitted, clean Bye.
     #[test]
     fn agent_and_aggregator_converge_in_process() {
-        let topology = FleetTopology::star(1, 16);
-        let agg = Aggregator::start(&topology, "agg0", "127.0.0.1:0").unwrap();
+        let topology = FleetTopology::star(1, 16).unwrap();
+        let agg = Aggregator::start(&topology, "127.0.0.1:0").unwrap();
         let svc = local_service(2);
         let agent = HostAgent::start(
             Arc::clone(&svc),
@@ -138,8 +138,8 @@ mod tests {
     /// upstream.
     #[test]
     fn rejected_model_reports_divergence_upstream() {
-        let topology = FleetTopology::star(1, 16);
-        let agg = Aggregator::start(&topology, "agg0", "127.0.0.1:0").unwrap();
+        let topology = FleetTopology::star(1, 16).unwrap();
+        let agg = Aggregator::start(&topology, "127.0.0.1:0").unwrap();
         let svc = local_service(1);
         let before = svc.model_fingerprint();
         let agent = HostAgent::start(
@@ -180,8 +180,8 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         assert!(!agent.status().connected);
 
-        let topology = FleetTopology::star(1, 16);
-        let agg = Aggregator::start(&topology, "agg0", addr).unwrap();
+        let topology = FleetTopology::star(1, 16).unwrap();
+        let agg = Aggregator::start(&topology, addr).unwrap();
         wait_until("late connect", Duration::from_secs(10), || {
             agg.snapshot().fleet.hosts_up == 1
         });
@@ -195,8 +195,8 @@ mod tests {
     #[test]
     fn finalize_reconciles_a_dirty_disconnect() {
         use crate::frame::{write_frame, Frame, FrameReader, SummaryFrame};
-        let topology = FleetTopology::star(1, 16);
-        let agg = Aggregator::start(&topology, "agg0", "127.0.0.1:0").unwrap();
+        let topology = FleetTopology::star(1, 16).unwrap();
+        let agg = Aggregator::start(&topology, "127.0.0.1:0").unwrap();
 
         // Hand-rolled host: handshake, one summary with in-flight, then
         // vanish (no Bye).
@@ -222,7 +222,8 @@ mod tests {
         let ack = reader
             .poll_until(&mut stream, Instant::now() + Duration::from_secs(5))
             .unwrap();
-        assert!(matches!(ack, Frame::HelloAck { .. }));
+        // The declared host gets its link's whole credit budget.
+        assert!(matches!(ack, Frame::HelloAck { credits: 16, .. }));
         write_frame(
             &mut stream,
             &Frame::Summary(SummaryFrame {
@@ -257,28 +258,39 @@ mod tests {
         assert!(snap.accounting_identity());
     }
 
-    /// A connection from a host the topology never declared is refused.
+    /// A connection from a host the topology never declared is refused,
+    /// whether its id is just past the star or far outside it; a star no
+    /// host could report into is refused before an aggregator exists.
     #[test]
     fn undeclared_host_is_rejected() {
         use crate::frame::{write_frame, Frame};
-        let topology = FleetTopology::star(1, 16);
-        let agg = Aggregator::start(&topology, "agg0", "127.0.0.1:0").unwrap();
-        let mut stream = std::net::TcpStream::connect(agg.addr()).unwrap();
-        write_frame(
-            &mut stream,
-            &Frame::Hello {
-                host: 99,
-                incarnation: 1,
-                last_seq: 0,
-                model_epoch: 0,
-                model_fingerprint: 0,
-            },
-        )
-        .unwrap();
+        assert!(FleetTopology::star(0, 16).is_err());
+        assert!(FleetTopology::star(1, 0).is_err());
+        let topology = FleetTopology::star(2, 16).unwrap();
+        let agg = Aggregator::start(&topology, "127.0.0.1:0").unwrap();
+        let mut streams = Vec::new();
+        for host in [2, 99] {
+            let mut stream = std::net::TcpStream::connect(agg.addr()).unwrap();
+            write_frame(
+                &mut stream,
+                &Frame::Hello {
+                    host,
+                    incarnation: 1,
+                    last_seq: 0,
+                    model_epoch: 0,
+                    model_fingerprint: 0,
+                },
+            )
+            .unwrap();
+            streams.push(stream);
+        }
         wait_until("rejection", Duration::from_secs(5), || {
-            agg.snapshot().fleet.rejected_connections == 1
+            agg.snapshot().fleet.rejected_connections == 2
         });
         let snap = agg.shutdown();
         assert_eq!(snap.fleet.sessions, 0);
+        assert_eq!(snap.fleet.hosts_configured, 2);
+        let declared: Vec<(u32, &str)> = snap.hosts.iter().map(|h| (h.id, &*h.name)).collect();
+        assert_eq!(declared, [(0, "host0"), (1, "host1")]);
     }
 }

@@ -1,430 +1,49 @@
-//! Declarative fleet topology: which hosts report to which aggregators,
-//! and with what per-link credit budget.
+//! The fleet's shape: a star of `n` hosts around one aggregator, every
+//! host link carrying the same credit budget.
 //!
-//! The config is validated at load in the spirit of ARINC-653 virtual
-//! links: every channel is declared up front with a bounded budget, and
-//! a config that could deadlock, orphan a host, or oversubscribe an
-//! aggregator is rejected before anything binds a socket. Checks:
-//!
-//! * names are unique across hosts and aggregators; host ids are unique
-//! * every link connects a declared endpoint to a declared *aggregator*
-//!   (hosts only send), carries a nonzero credit budget, and is not a
-//!   self-loop
-//! * every host has exactly one upstream link (no orphans, no
-//!   multi-homing)
-//! * aggregator→aggregator links form no cycle (the relay tier is a DAG)
-//! * the credit budgets of an aggregator's inbound links sum within its
-//!   declared capacity
+//! Host `i` has wire id `i` and name `host{i}`. The topology is the
+//! aggregator's admission control: a Hello from an id outside `0..n` is
+//! refused, since that host has no link and no budget.
 
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HostSpec {
-    pub name: String,
-    /// Wire identity; must match the `host` field of the agent's Hello.
-    pub id: u32,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AggregatorSpec {
-    pub name: String,
-    /// Total credits this aggregator may have outstanding across all
-    /// inbound links.
-    pub capacity: u32,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkSpec {
-    pub from: String,
-    pub to: String,
-    /// Credit budget: summaries the sender may have unacknowledged.
-    pub credits: u32,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A star some host can report into: at least one host, at least one
+/// credit per link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetTopology {
-    pub hosts: Vec<HostSpec>,
-    pub aggregators: Vec<AggregatorSpec>,
-    pub links: Vec<LinkSpec>,
+    hosts: u32,
+    credits_per_host: u32,
 }
-
-/// One reason a topology is invalid. `validate` returns all of them, not
-/// just the first — a config file gets fixed in one pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TopologyError {
-    DuplicateName(String),
-    DuplicateHostId(u32),
-    UnknownEndpoint {
-        link: usize,
-        name: String,
-    },
-    LinkIntoHost {
-        link: usize,
-        name: String,
-    },
-    SelfLink {
-        link: usize,
-    },
-    ZeroCredits {
-        link: usize,
-    },
-    OrphanHost(String),
-    MultiHomedHost(String),
-    Cycle(Vec<String>),
-    OverCommitted {
-        aggregator: String,
-        capacity: u32,
-        committed: u64,
-    },
-}
-
-impl std::fmt::Display for TopologyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TopologyError::DuplicateName(n) => write!(f, "duplicate node name {n:?}"),
-            TopologyError::DuplicateHostId(id) => write!(f, "duplicate host id {id}"),
-            TopologyError::UnknownEndpoint { link, name } => {
-                write!(f, "link {link} references undeclared node {name:?}")
-            }
-            TopologyError::LinkIntoHost { link, name } => {
-                write!(f, "link {link} targets host {name:?} (hosts only send)")
-            }
-            TopologyError::SelfLink { link } => write!(f, "link {link} is a self-loop"),
-            TopologyError::ZeroCredits { link } => {
-                write!(f, "link {link} has a zero credit budget")
-            }
-            TopologyError::OrphanHost(n) => write!(f, "host {n:?} has no upstream link"),
-            TopologyError::MultiHomedHost(n) => {
-                write!(f, "host {n:?} has more than one upstream link")
-            }
-            TopologyError::Cycle(path) => write!(f, "aggregator cycle: {}", path.join(" -> ")),
-            TopologyError::OverCommitted {
-                aggregator,
-                capacity,
-                committed,
-            } => write!(
-                f,
-                "aggregator {aggregator:?} capacity {capacity} oversubscribed: \
-                 inbound budgets sum to {committed}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TopologyError {}
 
 impl FleetTopology {
-    /// The loopback default: `n` hosts (`host0..`, ids `0..`), one
-    /// aggregator `agg0` sized exactly to the sum of the link budgets.
-    pub fn star(n: usize, credits_per_host: u32) -> FleetTopology {
-        FleetTopology {
-            hosts: (0..n)
-                .map(|i| HostSpec {
-                    name: format!("host{i}"),
-                    id: i as u32,
-                })
-                .collect(),
-            aggregators: vec![AggregatorSpec {
-                name: "agg0".to_string(),
-                capacity: credits_per_host.saturating_mul(n as u32),
-            }],
-            links: (0..n)
-                .map(|i| LinkSpec {
-                    from: format!("host{i}"),
-                    to: "agg0".to_string(),
-                    credits: credits_per_host,
-                })
-                .collect(),
+    /// `n` hosts (`host0..`, ids `0..`), each linked to the aggregator
+    /// with `credits_per_host` credits. Refused when no host could ever
+    /// report: no hosts, more than fit a wire id, or no credits.
+    pub fn star(n: usize, credits_per_host: u32) -> Result<FleetTopology, String> {
+        let hosts = u32::try_from(n)
+            .ok()
+            .filter(|&h| h > 0)
+            .ok_or_else(|| format!("a star needs 1..=u32::MAX hosts, not {n}"))?;
+        if credits_per_host == 0 {
+            return Err("a star's host links need at least one credit".to_string());
         }
+        Ok(FleetTopology {
+            hosts,
+            credits_per_host,
+        })
     }
 
-    /// Run every static check; returns all violations found.
-    pub fn validate(&self) -> Result<(), Vec<TopologyError>> {
-        let mut errors = Vec::new();
-
-        let mut names = BTreeSet::new();
-        let mut host_names = BTreeSet::new();
-        let mut agg_names = BTreeSet::new();
-        let mut host_ids = BTreeSet::new();
-        for h in &self.hosts {
-            if !names.insert(h.name.clone()) {
-                errors.push(TopologyError::DuplicateName(h.name.clone()));
-            }
-            host_names.insert(h.name.clone());
-            if !host_ids.insert(h.id) {
-                errors.push(TopologyError::DuplicateHostId(h.id));
-            }
-        }
-        for a in &self.aggregators {
-            if !names.insert(a.name.clone()) {
-                errors.push(TopologyError::DuplicateName(a.name.clone()));
-            }
-            agg_names.insert(a.name.clone());
-        }
-
-        let mut upstreams: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut committed: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut agg_edges: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-        for (i, l) in self.links.iter().enumerate() {
-            for end in [&l.from, &l.to] {
-                if !names.contains(end) {
-                    errors.push(TopologyError::UnknownEndpoint {
-                        link: i,
-                        name: end.clone(),
-                    });
-                }
-            }
-            if host_names.contains(&l.to) {
-                errors.push(TopologyError::LinkIntoHost {
-                    link: i,
-                    name: l.to.clone(),
-                });
-            }
-            if l.from == l.to {
-                errors.push(TopologyError::SelfLink { link: i });
-            }
-            if l.credits == 0 {
-                errors.push(TopologyError::ZeroCredits { link: i });
-            }
-            if host_names.contains(&l.from) {
-                *upstreams.entry(l.from.as_str()).or_insert(0) += 1;
-            }
-            if agg_names.contains(&l.to) {
-                *committed.entry(l.to.as_str()).or_insert(0) += u64::from(l.credits);
-            }
-            if agg_names.contains(&l.from) && agg_names.contains(&l.to) && l.from != l.to {
-                agg_edges.entry(l.from.as_str()).or_default().push(&l.to);
-            }
-        }
-
-        for h in &self.hosts {
-            match upstreams.get(h.name.as_str()).copied().unwrap_or(0) {
-                0 => errors.push(TopologyError::OrphanHost(h.name.clone())),
-                1 => {}
-                _ => errors.push(TopologyError::MultiHomedHost(h.name.clone())),
-            }
-        }
-
-        for a in &self.aggregators {
-            let sum = committed.get(a.name.as_str()).copied().unwrap_or(0);
-            if sum > u64::from(a.capacity) {
-                errors.push(TopologyError::OverCommitted {
-                    aggregator: a.name.clone(),
-                    capacity: a.capacity,
-                    committed: sum,
-                });
-            }
-        }
-
-        if let Some(cycle) = find_cycle(&agg_edges) {
-            errors.push(TopologyError::Cycle(cycle));
-        }
-
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(errors)
-        }
+    /// Hosts declared; their wire ids are `0..hosts()`.
+    pub fn hosts(&self) -> u32 {
+        self.hosts
     }
 
-    /// Parse JSON and validate in one step (the load path for config
-    /// files).
-    pub fn load(json: &str) -> Result<FleetTopology, String> {
-        let topo: FleetTopology =
-            serde_json::from_str(json).map_err(|e| format!("topology parse: {e}"))?;
-        topo.validate().map_err(|errs| {
-            errs.iter()
-                .map(|e| e.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        })?;
-        Ok(topo)
+    /// The link budget of host `id`, or `None` for a host the topology
+    /// does not declare.
+    pub fn credits(&self, id: u32) -> Option<u32> {
+        (id < self.hosts).then_some(self.credits_per_host)
     }
 
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("topology serializes")
-    }
-
-    /// The upstream link of a host, by wire id.
-    pub fn host_link(&self, host_id: u32) -> Option<&LinkSpec> {
-        let host = self.hosts.iter().find(|h| h.id == host_id)?;
-        self.links.iter().find(|l| l.from == host.name)
-    }
-
-    /// Credit budgets of every host link into `aggregator`, keyed by
-    /// host wire id.
-    pub fn inbound_budgets(&self, aggregator: &str) -> BTreeMap<u32, (String, u32)> {
-        let mut budgets = BTreeMap::new();
-        for l in &self.links {
-            if l.to != aggregator {
-                continue;
-            }
-            if let Some(h) = self.hosts.iter().find(|h| h.name == l.from) {
-                budgets.insert(h.id, (h.name.clone(), l.credits));
-            }
-        }
-        budgets
-    }
-}
-
-/// DFS three-color cycle detection over the aggregator relay graph.
-/// Returns the cycle path if one exists.
-fn find_cycle(edges: &BTreeMap<&str, Vec<&str>>) -> Option<Vec<String>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color: BTreeMap<&str, Color> = BTreeMap::new();
-    let nodes: Vec<&str> = edges
-        .iter()
-        .flat_map(|(from, tos)| std::iter::once(*from).chain(tos.iter().copied()))
-        .collect();
-    for n in &nodes {
-        color.entry(n).or_insert(Color::White);
-    }
-
-    fn dfs<'a>(
-        node: &'a str,
-        edges: &BTreeMap<&str, Vec<&'a str>>,
-        color: &mut BTreeMap<&'a str, Color>,
-        stack: &mut Vec<&'a str>,
-    ) -> Option<Vec<String>> {
-        color.insert(node, Color::Gray);
-        stack.push(node);
-        for next in edges.get(node).into_iter().flatten() {
-            match color.get(next).copied().unwrap_or(Color::White) {
-                Color::Gray => {
-                    let start = stack.iter().position(|n| n == next).unwrap_or(0);
-                    let mut path: Vec<String> =
-                        stack[start..].iter().map(|s| s.to_string()).collect();
-                    path.push(next.to_string());
-                    return Some(path);
-                }
-                Color::White => {
-                    if let Some(cycle) = dfs(next, edges, color, stack) {
-                        return Some(cycle);
-                    }
-                }
-                Color::Black => {}
-            }
-        }
-        stack.pop();
-        color.insert(node, Color::Black);
-        None
-    }
-
-    for n in nodes {
-        if color.get(n).copied() == Some(Color::White) {
-            let mut stack = Vec::new();
-            if let Some(cycle) = dfs(n, edges, &mut color, &mut stack) {
-                return Some(cycle);
-            }
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn star_is_valid_and_round_trips() {
-        let topo = FleetTopology::star(4, 64);
-        topo.validate().unwrap();
-        let back = FleetTopology::load(&topo.to_json()).unwrap();
-        assert_eq!(back, topo);
-        assert_eq!(topo.host_link(2).unwrap().credits, 64);
-        let budgets = topo.inbound_budgets("agg0");
-        assert_eq!(budgets.len(), 4);
-        assert_eq!(budgets[&0].0, "host0");
-    }
-
-    #[test]
-    fn rejects_orphan_and_multi_homed_hosts() {
-        let mut topo = FleetTopology::star(2, 8);
-        topo.links.remove(0); // host0 orphaned
-        topo.links.push(LinkSpec {
-            from: "host1".into(),
-            to: "agg0".into(),
-            credits: 8,
-        }); // host1 multi-homed
-        let errs = topo.validate().unwrap_err();
-        assert!(errs.contains(&TopologyError::OrphanHost("host0".into())));
-        assert!(errs.contains(&TopologyError::MultiHomedHost("host1".into())));
-    }
-
-    #[test]
-    fn rejects_oversubscribed_aggregator() {
-        let mut topo = FleetTopology::star(2, 8);
-        topo.aggregators[0].capacity = 15;
-        let errs = topo.validate().unwrap_err();
-        assert!(matches!(
-            errs[0],
-            TopologyError::OverCommitted {
-                committed: 16,
-                capacity: 15,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn rejects_aggregator_cycles() {
-        let mut topo = FleetTopology::star(1, 8);
-        for name in ["agg1", "agg2"] {
-            topo.aggregators.push(AggregatorSpec {
-                name: name.into(),
-                capacity: 100,
-            });
-        }
-        for (from, to) in [("agg0", "agg1"), ("agg1", "agg2"), ("agg2", "agg0")] {
-            topo.links.push(LinkSpec {
-                from: from.into(),
-                to: to.into(),
-                credits: 1,
-            });
-        }
-        let errs = topo.validate().unwrap_err();
-        assert!(errs.iter().any(|e| matches!(e, TopologyError::Cycle(_))));
-    }
-
-    #[test]
-    fn rejects_links_into_hosts_and_unknown_nodes() {
-        let mut topo = FleetTopology::star(2, 8);
-        topo.links.push(LinkSpec {
-            from: "agg0".into(),
-            to: "host0".into(),
-            credits: 1,
-        });
-        topo.links.push(LinkSpec {
-            from: "ghost".into(),
-            to: "agg0".into(),
-            credits: 1,
-        });
-        let errs = topo.validate().unwrap_err();
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, TopologyError::LinkIntoHost { .. })));
-        assert!(errs
-            .iter()
-            .any(|e| matches!(e, TopologyError::UnknownEndpoint { .. })));
-    }
-
-    #[test]
-    fn rejects_duplicates_and_zero_credit_links() {
-        let mut topo = FleetTopology::star(2, 8);
-        topo.hosts.push(HostSpec {
-            name: "host0".into(),
-            id: 0,
-        });
-        topo.links[0].credits = 0;
-        let errs = topo.validate().unwrap_err();
-        assert!(errs.contains(&TopologyError::DuplicateName("host0".into())));
-        assert!(errs.contains(&TopologyError::DuplicateHostId(0)));
-        assert!(errs.contains(&TopologyError::ZeroCredits { link: 0 }));
+    /// The name host `id` goes by in snapshots and `/metrics` labels.
+    pub fn host_name(id: u32) -> String {
+        format!("host{id}")
     }
 }
