@@ -4,8 +4,7 @@
 //! figures [--quick|--paper] [--out DIR] [experiments...]
 //!
 //! experiments: table1 fig3 ml fig7 injection fig11 recovery vulnmap
-//!              extensions fleet overhead distributed ablation
-//!                                                           (default: all)
+//!              extensions ablation                          (default: all)
 //!   "injection" produces Fig. 8, Fig. 9, Fig. 10 and Table II.
 //!   "recovery" drives every detected fault through competing
 //!   health-monitor policy tables (ignore / re-execute-only / tiered
@@ -18,13 +17,12 @@
 //!   mirror `BENCH_vulnmap.json`.
 //!   "extensions" writes the register-vulnerability, forest, multi-bit
 //!   and envelope comparisons (`results/ext_*.json`).
-//!   "distributed" spawns a loopback multi-process fleet (re-executing
-//!   this binary as the host-agent child image) and records the
-//!   wire-level accounting/convergence receipt.
 //! ```
 //!
 //! An unknown option or experiment name exits 2 with the list above.
-//! Host-side speed is measured by the `benchmark` binary, not here.
+//! Only experiments on the simulated platform run here. Host-side speed,
+//! the fleet's included, is the `benchmark` binary's job, and the fleet
+//! tier is driven by `fleet-replay`.
 //!
 //! Text renderings go to stdout; JSON artifacts to `--out` (default
 //! `results/`), with the wall-clock of every experiment that ran — the
@@ -48,9 +46,6 @@ const EXPERIMENTS: &[&str] = &[
     "recovery",
     "vulnmap",
     "extensions",
-    "fleet",
-    "overhead",
-    "distributed",
     "ablation",
 ];
 
@@ -133,12 +128,6 @@ impl FiguresTiming {
 }
 
 fn main() {
-    // Child hook for the distributed experiment: `run_distributed`
-    // re-executes this binary with the wire-host sentinel as argv[1],
-    // and the child must short-circuit before any argument parsing.
-    if xentry_wire::maybe_child_main() {
-        return;
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Args { scale, out, wanted } = parse_args(&args).unwrap_or_else(|e| {
         eprintln!("figures: {e}\n{}", usage());
@@ -190,7 +179,6 @@ fn main() {
         || want("injection")
         || want("fig11")
         || want("extensions")
-        || want("fleet")
         || want("recovery")
         || want("vulnmap")
     {
@@ -297,44 +285,6 @@ fn main() {
         timing.took("extensions", t);
     }
 
-    if want("fleet") {
-        let t = std::time::Instant::now();
-        let fleet = fleet_experiment(detector.as_ref(), &scale, seed);
-        println!("{}", fleet.render());
-        timing.took("fleet", t);
-        write_json(&out, "fleet", &fleet);
-        // The raw service snapshot as its own artifact: the shape
-        // operators scrape, with the model gauges and per-shard counters.
-        let path = fleet.snapshot.write(&out).expect("write service.json");
-        eprintln!("[figures] wrote {path:?}");
-    }
-
-    if want("overhead") {
-        let t = std::time::Instant::now();
-        let oh = overhead_experiment(&scale, seed);
-        println!("{}\n", oh.render());
-        timing.took("overhead", t);
-        write_json(&out, "overhead", &oh);
-    }
-
-    if want("distributed") {
-        let t = std::time::Instant::now();
-        // Quick-profile fleet either way: the experiment's subject is
-        // the wire protocol (kill drill, reconnect, model push), not
-        // record volume, so the paper scale gains nothing by inflating
-        // the replay.
-        let mut cfg = xentry_wire::DistributedConfig::quick(4);
-        cfg.out = out.clone();
-        let report = xentry_wire::run_distributed(&cfg).expect("distributed fleet run");
-        println!("{}", report.render());
-        timing.took("distributed", t);
-        write_json(&out, "distributed", &report);
-        assert!(
-            report.is_clean(),
-            "distributed receipt must show exact accounting and model convergence"
-        );
-    }
-
     if want("ablation") {
         let t = std::time::Instant::now();
         let ab = ablations(&[Benchmark::Freqmine, Benchmark::Postmark], &scale, seed);
@@ -372,6 +322,7 @@ mod tests {
                 "unknown experiment \"inference\"",
             ),
             (&["fig7", "fig8"][..], "unknown experiment \"fig8\""),
+            (&["distributed"][..], "unknown experiment \"distributed\""),
             (&["--perf-guard"][..], "unknown option --perf-guard"),
             (&["--out"][..], "--out needs a directory"),
         ] {

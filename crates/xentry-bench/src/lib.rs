@@ -12,21 +12,18 @@
 //! | Fig. 8/9/10 + Table II injection campaigns | [`experiments::injection_evaluation`] |
 //! | Fig. 11 recovery overhead | [`experiments::fig11_recovery_overhead`] |
 //! | feature/depth/size ablations | [`experiments::ablations`] |
-//! | fleet serving throughput (extension) | [`fleet::fleet_experiment`] |
 //!
 //! The `figures` binary drives them all and writes JSON artifacts alongside
-//! the rendered text. Host-side speed (ns/classify, injections/s, the
-//! per-layer cost ladder) is the `benchmark` binary's job, not this
-//! crate's library.
+//! the rendered text. Host-side speed (ns/classify, injections/s, fleet
+//! records/s, the per-layer cost ladder) is the `benchmark` binary's job,
+//! not this crate's library.
 
 pub mod experiments;
 pub mod extensions;
-pub mod fleet;
 pub mod pipeline;
 
 pub use experiments::*;
 pub use extensions::*;
-pub use fleet::{fleet_experiment, overhead_experiment, FleetReport};
 pub use pipeline::{
     gather_dataset, rebalance, train_detector, train_models, Scale, TrainingReport,
 };

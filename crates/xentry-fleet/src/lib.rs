@@ -17,7 +17,7 @@
 //!  │  ...   │   free, │ queue shard 1│──────────►│  recorder    │
 //!  │ host N ├────────►│    worker 1  │           │  dumps)      │
 //!  └────────┘  drops  │      ...     │ snapshot  └──────────────┘
-//!                     │  ModelSlot ◄─┼─── hot_swap(detector.json)
+//!                     │  ModelSlot ◄─┼─── hot_swap_validated(detector.json)
 //!                     │  Metrics     ├──────────► results/service.json
 //!                     └──────────────┘
 //! ```
@@ -51,7 +51,8 @@
 //!   rings export as Chrome trace-event JSON (`results/trace.json`), and
 //!   a std-`TcpListener` scrape endpoint serves Prometheus exposition
 //!   (`/metrics`), liveness (`/healthz`) and the trace (`/trace`). The
-//!   layer's own cost is measured, not guessed ([`overhead`]).
+//!   layer's own cost is measured, not guessed: `benchmark trace
+//!   fleet-serve` prices the traced service against an untraced one.
 //! * **The claims are chaos-tested** ([`chaos`]): failpoints inject
 //!   panicking detectors, bit-flipped candidate arenas, stalled shards,
 //!   and queue saturation into a live replay, and [`chaos::run_chaos`]
@@ -74,7 +75,6 @@ pub mod chaos;
 pub mod metrics;
 pub mod model;
 pub mod net;
-pub mod overhead;
 pub mod queue;
 pub mod record;
 pub mod recorder;
@@ -92,15 +92,14 @@ pub use metrics::{
 };
 pub use model::{lock_recovering, GoldenSet, ModelCache, ModelSlot, SwapError, VersionedModel};
 pub use net::{http_get, HttpServer};
-pub use overhead::{measure_overhead, OverheadConfig, OverheadLeg, OverheadReport};
 pub use queue::MpmcQueue;
 pub use record::{FleetVerdict, HostId, TelemetryRecord, VerdictSource};
 pub use recorder::{DumpBudget, FlightRecorder, IncidentDump, RecordedActivation};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use service::{CollectSink, FleetConfig, FleetService, NullSink, VerdictSink};
 pub use telemetry::{
-    escape_label_value, parse_exposition, render_prometheus, write_atomic, Exposition,
-    TelemetryServer,
+    escape_label_value, parse_exposition, render_exposition, render_prometheus, service_families,
+    write_atomic, Family, Kind, TelemetryServer,
 };
 pub use trace::{SpanKind, TraceEvent, TraceRing, Tracer};
 

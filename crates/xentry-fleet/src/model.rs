@@ -259,13 +259,10 @@ impl ModelSlot {
 
     /// Publish a new model; returns its version. Callers racing here
     /// serialize on the mutex; readers are never blocked. The outgoing
-    /// model is retained as the rollback target.
-    ///
-    /// This is the *unvalidated* path — callers own the guarantee that
-    /// `detector` came straight from `VmTransitionDetector::new` (which
-    /// only builds valid arenas). Anything that could have been corrupted
-    /// in flight belongs behind [`ModelSlot::publish_validated`].
-    pub fn publish(&self, detector: VmTransitionDetector) -> u64 {
+    /// model is retained as the rollback target. Unvalidated: the only
+    /// caller outside this module's tests is
+    /// [`ModelSlot::publish_validated`], after the canary gate.
+    fn publish(&self, detector: VmTransitionDetector) -> u64 {
         let mut guard = lock_recovering(&self.state);
         let version = guard.current.version + 1;
         let vm = Arc::new(VersionedModel {

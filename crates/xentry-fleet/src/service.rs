@@ -159,7 +159,7 @@ impl Shared {
     }
 
     /// Re-capture the golden set's expected labels under the currently
-    /// deployed model (after a relaxed-gate swap or a rollback).
+    /// deployed model (after a rollback).
     pub(crate) fn refresh_golden_from_current(&self) {
         let model = self.model.load();
         let mut golden = lock_recovering(&self.golden);
@@ -356,28 +356,13 @@ impl FleetService {
         }
     }
 
-    /// Atomically deploy a new model mid-flight; returns its version.
-    /// In-flight batches finish under the old model; the next batch on
-    /// every shard classifies under the new one.
-    ///
-    /// This path trusts the caller — the candidate must come straight
-    /// from `VmTransitionDetector::new`. Anything loaded from disk or a
-    /// network belongs behind [`FleetService::hot_swap_validated`].
-    pub fn hot_swap(&self, detector: VmTransitionDetector) -> u64 {
-        let v = self.shared.model.publish(detector);
-        self.shared.metrics.swaps.fetch_add(1, Ordering::Relaxed);
-        self.shared.refresh_golden_from_current();
-        self.shared
-            .tracer
-            .record_control(SpanKind::HotSwap, self.shared.now_ns(), v);
-        v
-    }
-
     /// Validate `detector` (structural arena integrity plus canary
     /// classification of the golden set — strict label parity with the
-    /// incumbent when `require_parity`), then deploy it. A rejected
-    /// candidate never reaches the slot: the incumbent keeps serving,
-    /// which *is* the rollback, and the rejection is counted.
+    /// incumbent when `require_parity`), then deploy it mid-flight and
+    /// return its version. In-flight batches finish under the old model;
+    /// the next batch on every shard classifies under the new one. A
+    /// rejected candidate never reaches the slot: the incumbent keeps
+    /// serving, which *is* the rollback, and the rejection is counted.
     pub fn hot_swap_validated(
         &self,
         detector: VmTransitionDetector,
@@ -661,7 +646,7 @@ mod tests {
         while svc.snapshot().classified < 50 {
             std::thread::yield_now();
         }
-        let v2 = svc.hot_swap(detector(100));
+        let v2 = svc.hot_swap_validated(detector(100), true).unwrap();
         assert_eq!(v2, 2);
         assert_eq!(svc.model_version(), 2);
         for seq in 50..100u64 {
@@ -758,7 +743,7 @@ mod tests {
             Arc::new(NullSink),
         );
         assert_eq!(svc.rollback_model(), None, "nothing to roll back yet");
-        svc.hot_swap(d2);
+        assert_eq!(svc.hot_swap_validated(d2, false).unwrap(), 2);
         assert_eq!(svc.rollback_model(), Some(3));
         assert_eq!(svc.model_fingerprint(), f1);
         let snap = svc.shutdown();

@@ -24,7 +24,7 @@
 //!
 //! [`Metrics`]: crate::metrics::Metrics
 
-use crate::metrics::ServiceSnapshot;
+use crate::metrics::{HistogramSnapshot, ServiceSnapshot, ShardSnapshot};
 use crate::net::{not_found, HttpServer};
 use crate::service::Shared;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -98,297 +98,328 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// Incremental builder for the Prometheus text format. Public so other
-/// exposition surfaces (the wire-layer aggregator's `/metrics`) emit the
-/// exact same shapes this module's golden tests pin down.
-pub struct Exposition {
-    out: String,
+/// One exposition sample: metric name, labels, value. [`render_exposition`]
+/// writes these and [`parse_exposition`] reads them back.
+pub type Sample = (String, Vec<(String, String)>, f64);
+
+/// What a family's `# TYPE` line declares.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
 }
 
-impl Default for Exposition {
-    fn default() -> Exposition {
-        Exposition::new()
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
     }
 }
 
-impl Exposition {
-    pub fn new() -> Exposition {
-        Exposition {
-            out: String::with_capacity(4096),
+/// One metric family: its `# HELP` / `# TYPE` header and every sample
+/// under it. Both `/metrics` surfaces (this service's and the wire-layer
+/// aggregator's) are a `Vec<Family>` built by a pure function of a
+/// snapshot, and [`render_exposition`] is the only writer of the text.
+#[derive(Debug)]
+pub struct Family {
+    name: String,
+    kind: Kind,
+    help: &'static str,
+    samples: Vec<Sample>,
+}
+
+impl Family {
+    /// A family of one unlabelled sample.
+    pub fn scalar(name: String, kind: Kind, help: &'static str, value: f64) -> Family {
+        Family::labelled(name, kind, help, [(Vec::new(), value)])
+    }
+
+    /// A gauge of constant 1 whose labels carry an identity (the
+    /// deployed or published model).
+    pub fn info(
+        name: String,
+        help: &'static str,
+        labels: impl IntoIterator<Item = (&'static str, String)>,
+    ) -> Family {
+        let labels = labels.into_iter().map(|(k, v)| (k.to_string(), v));
+        Family::labelled(name, Kind::Gauge, help, [(labels.collect(), 1.0)])
+    }
+
+    /// One sample per row, labelled `label="<row key>"`: the shape of
+    /// every per-shard, per-epoch and per-host series.
+    pub fn table(
+        name: String,
+        kind: Kind,
+        help: &'static str,
+        label: &str,
+        rows: impl IntoIterator<Item = (String, f64)>,
+    ) -> Family {
+        let rows = rows
+            .into_iter()
+            .map(|(key, value)| (vec![(label.to_string(), key)], value));
+        Family::labelled(name, kind, help, rows)
+    }
+
+    fn labelled(
+        name: String,
+        kind: Kind,
+        help: &'static str,
+        rows: impl IntoIterator<Item = (Vec<(String, String)>, f64)>,
+    ) -> Family {
+        let samples = rows
+            .into_iter()
+            .map(|(labels, value)| (name.clone(), labels, value))
+            .collect();
+        Family {
+            name,
+            kind,
+            help,
+            samples,
         }
     }
 
-    /// Emit the `# HELP` / `# TYPE` header pair for a metric family.
-    pub fn header(&mut self, name: &str, kind: &str, help: &str) {
-        self.out
-            .push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-    }
-
-    /// Emit one sample line with optional labels.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, String)], value: f64) {
-        self.out.push_str(name);
-        if !labels.is_empty() {
-            self.out.push('{');
-            for (i, (k, v)) in labels.iter().enumerate() {
-                if i > 0 {
-                    self.out.push(',');
-                }
-                self.out
-                    .push_str(&format!("{k}=\"{}\"", escape_label_value(v)));
-            }
-            self.out.push('}');
-        }
-        self.out.push(' ');
-        self.out.push_str(&fmt_value(value));
-        self.out.push('\n');
-    }
-
-    /// Header plus a single unlabelled sample.
-    pub fn scalar(&mut self, name: &str, kind: &str, help: &str, value: f64) {
-        self.header(name, kind, help);
-        self.sample(name, &[], value);
-    }
-
-    /// The rendered exposition so far.
-    pub fn finish(self) -> String {
-        self.out
-    }
-
-    fn histogram(&mut self, name: &str, help: &str, h: &crate::metrics::HistogramSnapshot) {
-        self.header(name, "histogram", help);
+    /// A log2 histogram as cumulative `_bucket{le=...}` samples, then
+    /// `_sum` and `_count`.
+    fn histogram(name: String, help: &'static str, h: &HistogramSnapshot) -> Family {
+        let bucket = format!("{name}_bucket");
+        let le = |edge: String| vec![("le".to_string(), edge)];
         let mut cumulative = 0u64;
+        let mut samples = Vec::with_capacity(h.buckets.len() + 3);
         for &(edge, count) in &h.buckets {
             cumulative += count;
             // The top log2 bucket's edge is u64::MAX; fold it into +Inf
             // rather than printing an 20-digit le no scraper can bucket.
-            if edge == u64::MAX {
-                continue;
+            if edge != u64::MAX {
+                samples.push((bucket.clone(), le(edge.to_string()), cumulative as f64));
             }
-            self.sample(
-                &format!("{name}_bucket"),
-                &[("le", format!("{edge}"))],
-                cumulative as f64,
-            );
         }
-        self.sample(
-            &format!("{name}_bucket"),
-            &[("le", "+Inf".to_string())],
-            h.count as f64,
-        );
-        self.sample(&format!("{name}_sum"), &[], h.sum as f64);
-        self.sample(&format!("{name}_count"), &[], h.count as f64);
+        samples.push((bucket, le("+Inf".to_string()), h.count as f64));
+        samples.push((format!("{name}_sum"), Vec::new(), h.sum as f64));
+        samples.push((format!("{name}_count"), Vec::new(), h.count as f64));
+        Family {
+            name,
+            kind: Kind::Histogram,
+            help,
+            samples,
+        }
     }
 }
 
-/// Render a [`ServiceSnapshot`] as Prometheus text exposition (0.0.4).
-/// Pure and deterministic — series order is fixed — so the format is
-/// golden-testable.
-pub fn render_prometheus(s: &ServiceSnapshot) -> String {
-    let mut e = Exposition::new();
+/// Render `families`, in order, as Prometheus text exposition (0.0.4).
+pub fn render_exposition(families: &[Family]) -> String {
+    let mut out = String::with_capacity(4096);
+    for f in families {
+        out.push_str(&format!(
+            "# HELP {name} {}\n# TYPE {name} {}\n",
+            f.help,
+            f.kind.as_str(),
+            name = f.name
+        ));
+        for (name, labels, value) in &f.samples {
+            out.push_str(name);
+            if !labels.is_empty() {
+                let labels: Vec<String> = labels
+                    .iter()
+                    .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
+                    .collect();
+                out.push_str(&format!("{{{}}}", labels.join(",")));
+            }
+            out.push_str(&format!(" {}\n", fmt_value(*value)));
+        }
+    }
+    out
+}
+
+/// The service's `/metrics` families, in their fixed exposition order.
+/// Pure and deterministic, so the format is golden-testable.
+pub fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
     let p = |n: &str| format!("xentry_fleet_{n}");
-
-    e.scalar(
-        &p("uptime_seconds"),
-        "gauge",
-        "Seconds since the service started.",
-        s.uptime_ns as f64 / 1e9,
-    );
-    e.header(
-        &p("model_info"),
-        "gauge",
-        "Deployed model identity (constant 1; identity in labels).",
-    );
-    e.sample(
-        &p("model_info"),
-        &[
-            ("version", format!("{}", s.model_version)),
-            ("fingerprint", format!("{:016x}", s.model_fingerprint)),
-        ],
-        1.0,
-    );
-    e.scalar(
-        &p("model_arena_bytes"),
-        "gauge",
-        "Bytes of the deployed model's compiled split arena.",
-        s.model_arena_bytes as f64,
-    );
-    e.scalar(
-        &p("model_nr_splits"),
-        "gauge",
-        "Split records in the deployed model's arena.",
-        s.model_nr_splits as f64,
-    );
-    e.scalar(
-        &p("degraded"),
-        "gauge",
-        "1 while serving envelope-fallback verdicts, else 0.",
-        if s.degraded { 1.0 } else { 0.0 },
-    );
-    e.scalar(
-        &p("throughput_per_sec"),
-        "gauge",
-        "Classified records per second since start.",
-        s.throughput_per_sec,
-    );
-
-    for (name, help, v) in [
+    let gauge = |n: &str, help, v| Family::scalar(p(n), Kind::Gauge, help, v);
+    let counter = |n: &str, help, v: u64| Family::scalar(p(n), Kind::Counter, help, v as f64);
+    let shard = |n: &str, help, get: fn(&ShardSnapshot) -> u64| {
+        let rows = s
+            .shards
+            .iter()
+            .map(|sh| (sh.shard.to_string(), get(sh) as f64));
+        Family::table(p(n), Kind::Counter, help, "shard", rows)
+    };
+    let by_source = [
         (
+            "model".to_string(),
+            s.classified.saturating_sub(s.degraded_verdicts) as f64,
+        ),
+        ("degraded_envelope".to_string(), s.degraded_verdicts as f64),
+    ];
+    let by_epoch = s
+        .epoch_verdicts
+        .iter()
+        .map(|ev| (ev.epoch.to_string(), ev.verdicts as f64));
+    vec![
+        gauge(
+            "uptime_seconds",
+            "Seconds since the service started.",
+            s.uptime_ns as f64 / 1e9,
+        ),
+        Family::info(
+            p("model_info"),
+            "Deployed model identity (constant 1; identity in labels).",
+            [
+                ("version", s.model_version.to_string()),
+                ("fingerprint", format!("{:016x}", s.model_fingerprint)),
+            ],
+        ),
+        gauge(
+            "model_arena_bytes",
+            "Bytes of the deployed model's compiled split arena.",
+            s.model_arena_bytes as f64,
+        ),
+        gauge(
+            "model_nr_splits",
+            "Split records in the deployed model's arena.",
+            s.model_nr_splits as f64,
+        ),
+        gauge(
+            "degraded",
+            "1 while serving envelope-fallback verdicts, else 0.",
+            f64::from(u8::from(s.degraded)),
+        ),
+        gauge(
+            "throughput_per_sec",
+            "Classified records per second since start.",
+            s.throughput_per_sec,
+        ),
+        counter(
             "ingested_total",
             "Records accepted into a shard queue.",
             s.ingested,
         ),
-        (
+        counter(
             "dropped_total",
             "Records rejected because the shard queue was full.",
             s.dropped,
         ),
-        (
+        counter(
             "classified_total",
             "Records classified (all shards).",
             s.classified,
         ),
-        (
+        counter(
             "lost_total",
             "Records claimed by a worker that panicked before classifying them.",
             s.lost,
         ),
-        (
+        counter(
             "incorrect_total",
             "Verdicts labelled Incorrect.",
             s.incorrect,
         ),
-        ("incidents_total", "Incident dumps emitted.", s.incidents),
-        (
+        counter("incidents_total", "Incident dumps emitted.", s.incidents),
+        counter(
             "suppressed_incidents_total",
             "Incident dumps suppressed by the per-host rate limiter.",
             s.suppressed_incidents,
         ),
-        ("swaps_total", "Model hot swaps performed.", s.swaps),
-        (
+        counter("swaps_total", "Model hot swaps performed.", s.swaps),
+        counter(
             "swap_rejections_total",
             "Hot-swap candidates rejected by validation.",
             s.swap_rejections,
         ),
-        (
+        counter(
             "rollbacks_total",
             "Model rollbacks to the previous epoch.",
             s.rollbacks,
         ),
-        (
+        counter(
             "restarts_total",
             "Worker restarts (panic recoveries + stall replacements).",
             s.restarts,
         ),
-        (
+        counter(
             "stalls_total",
             "Stalled shards detected by the heartbeat watchdog.",
             s.stalls,
         ),
-        (
+        counter(
             "degraded_entries_total",
             "Times the service entered degraded mode.",
             s.degraded_entries,
         ),
-        (
+        counter(
             "trace_events_total",
             "Flight-trace events recorded since start.",
             s.trace_events,
         ),
-        (
+        counter(
             "trace_dropped_total",
             "Flight-trace events lost to ring overflow.",
             s.trace_dropped,
         ),
-    ] {
-        e.scalar(&p(name), "counter", help, v as f64);
-    }
-
-    e.header(
-        &p("verdicts_total"),
-        "counter",
-        "Verdicts by detection path.",
-    );
-    e.sample(
-        &p("verdicts_total"),
-        &[("source", "model".to_string())],
-        s.classified.saturating_sub(s.degraded_verdicts) as f64,
-    );
-    e.sample(
-        &p("verdicts_total"),
-        &[("source", "degraded_envelope".to_string())],
-        s.degraded_verdicts as f64,
-    );
-
-    e.header(
-        &p("epoch_verdicts_total"),
-        "counter",
-        "Verdicts produced under each model epoch.",
-    );
-    for ev in &s.epoch_verdicts {
-        e.sample(
-            &p("epoch_verdicts_total"),
-            &[("epoch", format!("{}", ev.epoch))],
-            ev.verdicts as f64,
-        );
-    }
-
-    for (name, help, get) in [
-        (
+        Family::table(
+            p("verdicts_total"),
+            Kind::Counter,
+            "Verdicts by detection path.",
+            "source",
+            by_source,
+        ),
+        Family::table(
+            p("epoch_verdicts_total"),
+            Kind::Counter,
+            "Verdicts produced under each model epoch.",
+            "epoch",
+            by_epoch,
+        ),
+        shard(
             "shard_classified_total",
             "Records classified by one shard.",
-            (|sh| sh.classified) as fn(&crate::metrics::ShardSnapshot) -> u64,
+            |sh| sh.classified,
         ),
-        (
+        shard(
             "shard_incorrect_total",
             "Incorrect verdicts on one shard.",
             |sh| sh.incorrect,
         ),
-        (
+        shard(
             "shard_dropped_total",
             "Full-queue drops on one shard.",
             |sh| sh.dropped,
         ),
-        (
+        shard(
             "shard_batches_total",
             "Batches classified by one shard.",
             |sh| sh.batches,
         ),
-        (
+        shard(
             "shard_lost_total",
             "Records lost to worker panics on one shard.",
             |sh| sh.lost,
         ),
-        (
+        shard(
             "shard_restarts_total",
             "Worker restarts on one shard.",
             |sh| sh.restarts,
         ),
-    ] {
-        e.header(&p(name), "counter", help);
-        for sh in &s.shards {
-            e.sample(
-                &p(name),
-                &[("shard", format!("{}", sh.shard))],
-                get(sh) as f64,
-            );
-        }
-    }
-
-    e.histogram(
-        &p("queue_latency_ns"),
-        "Time a record waited in its shard queue, nanoseconds.",
-        &s.queue_latency,
-    );
-    e.histogram(
-        &p("classify_latency_ns"),
-        "Time to classify one record, nanoseconds.",
-        &s.classify_latency,
-    );
-    e.finish()
+        Family::histogram(
+            p("queue_latency_ns"),
+            "Time a record waited in its shard queue, nanoseconds.",
+            &s.queue_latency,
+        ),
+        Family::histogram(
+            p("classify_latency_ns"),
+            "Time to classify one record, nanoseconds.",
+            &s.classify_latency,
+        ),
+    ]
 }
 
-/// One parsed exposition sample: metric name, labels, value.
-pub type Sample = (String, Vec<(String, String)>, f64);
+/// Render a [`ServiceSnapshot`] as Prometheus text exposition (0.0.4).
+pub fn render_prometheus(s: &ServiceSnapshot) -> String {
+    render_exposition(&service_families(s))
+}
 
 /// Minimal parser for the Prometheus text format — the shapes
 /// [`render_prometheus`] emits, which is also what the CI self-scrape and

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use xentry_fleet::{lock_recovering, Exposition, HttpServer};
+use xentry_fleet::{lock_recovering, render_exposition, Family, HttpServer, Kind};
 
 /// Per-host state as the aggregator tracks it.
 #[derive(Debug, Clone, Default)]
@@ -614,233 +614,162 @@ fn snapshot_state(state: &AggState) -> AggregatorSnapshot {
     }
 }
 
-/// Render the merged fleet state as Prometheus text exposition 0.0.4,
-/// using the same [`Exposition`] builder as the per-service `/metrics`.
-/// Series are prefixed `xentry_agg_` so a scraper can federate both.
-pub fn render_aggregator_prometheus(s: &AggregatorSnapshot) -> String {
-    let mut e = Exposition::new();
-    e.scalar(
-        "xentry_agg_uptime_seconds",
-        "gauge",
-        "Aggregator uptime",
-        s.uptime_ns as f64 / 1e9,
-    );
-    e.header(
-        "xentry_agg_model_info",
-        "gauge",
-        "Published model epoch and fingerprint (labels), constant 1",
-    );
-    e.sample(
-        "xentry_agg_model_info",
-        &[
-            ("epoch", s.published_epoch.to_string()),
-            ("fingerprint", format!("{:016x}", s.published_fingerprint)),
-        ],
-        1.0,
-    );
-    e.scalar(
-        "xentry_agg_hosts_configured",
-        "gauge",
-        "Hosts declared in the topology",
-        s.fleet.hosts_configured as f64,
-    );
-    e.scalar(
-        "xentry_agg_hosts_up",
-        "gauge",
-        "Hosts with a live session",
-        s.fleet.hosts_up as f64,
-    );
-    for (name, help, v) in [
-        (
-            "xentry_agg_ingested_total",
-            "Fleet-wide records ingested",
-            s.fleet.ingested,
+/// The aggregator's `/metrics` families, in their fixed exposition order:
+/// the same [`Family`] model as the per-service `/metrics`, with series
+/// prefixed `xentry_agg_` so a scraper can federate both.
+pub fn aggregator_families(s: &AggregatorSnapshot) -> Vec<Family> {
+    let p = |n: &str| format!("xentry_agg_{n}");
+    let gauge = |n: &str, help, v| Family::scalar(p(n), Kind::Gauge, help, v);
+    let counter = |n: &str, help, v: u64| Family::scalar(p(n), Kind::Counter, help, v as f64);
+    let host = |n: &str, kind, help, get: fn(&HostSnapshot) -> f64| {
+        let rows = s.hosts.iter().map(|h| (h.name.clone(), get(h)));
+        Family::table(p(n), kind, help, "host", rows)
+    };
+    let f = &s.fleet;
+    vec![
+        gauge(
+            "uptime_seconds",
+            "Aggregator uptime",
+            s.uptime_ns as f64 / 1e9,
         ),
-        (
-            "xentry_agg_classified_total",
+        Family::info(
+            p("model_info"),
+            "Published model epoch and fingerprint (labels), constant 1",
+            [
+                ("epoch", s.published_epoch.to_string()),
+                ("fingerprint", format!("{:016x}", s.published_fingerprint)),
+            ],
+        ),
+        gauge(
+            "hosts_configured",
+            "Hosts declared in the topology",
+            f.hosts_configured as f64,
+        ),
+        gauge("hosts_up", "Hosts with a live session", f.hosts_up as f64),
+        counter("ingested_total", "Fleet-wide records ingested", f.ingested),
+        counter(
+            "classified_total",
             "Fleet-wide records classified",
-            s.fleet.classified,
+            f.classified,
         ),
-        (
-            "xentry_agg_lost_total",
+        counter(
+            "lost_total",
             "Fleet-wide records lost (host-reported plus reconciled)",
-            s.fleet.lost,
+            f.lost,
         ),
-        (
-            "xentry_agg_dropped_total",
+        counter(
+            "dropped_total",
             "Fleet-wide records dropped at ingest",
-            s.fleet.dropped,
+            f.dropped,
         ),
-        (
-            "xentry_agg_incorrect_total",
+        counter(
+            "incorrect_total",
             "Fleet-wide incorrect verdicts",
-            s.fleet.incorrect,
+            f.incorrect,
         ),
-        (
-            "xentry_agg_reconciled_lost_total",
+        counter(
+            "reconciled_lost_total",
             "In-flight records folded into lost when sessions died",
-            s.fleet.reconciled_lost,
+            f.reconciled_lost,
         ),
-        (
-            "xentry_agg_sessions_total",
-            "Host sessions accepted",
-            s.fleet.sessions,
-        ),
-        (
-            "xentry_agg_reconnects_total",
+        counter("sessions_total", "Host sessions accepted", f.sessions),
+        counter(
+            "reconnects_total",
             "Host sessions beyond each host's first",
-            s.fleet.reconnects,
+            f.reconnects,
         ),
-        (
-            "xentry_agg_summaries_total",
-            "Summary frames merged",
-            s.fleet.summaries,
-        ),
-        (
-            "xentry_agg_credits_granted_total",
+        counter("summaries_total", "Summary frames merged", f.summaries),
+        counter(
+            "credits_granted_total",
             "Backpressure credits returned to hosts",
-            s.fleet.credits_granted,
+            f.credits_granted,
         ),
-        (
-            "xentry_agg_rejected_connections_total",
+        counter(
+            "rejected_connections_total",
             "Connections refused (bad handshake or undeclared host)",
-            s.fleet.rejected_connections,
+            f.rejected_connections,
         ),
-        (
-            "xentry_agg_identity_violations_total",
+        counter(
+            "identity_violations_total",
             "Summaries whose own counters broke the accounting identity",
-            s.fleet.identity_violations,
+            f.identity_violations,
         ),
-        (
-            "xentry_agg_model_divergences_total",
+        counter(
+            "model_divergences_total",
             "Model pushes rejected by a host canary",
-            s.fleet.model_divergences,
+            f.model_divergences,
         ),
-    ] {
-        e.scalar(name, "counter", help, v as f64);
-    }
-    e.scalar(
-        "xentry_agg_in_flight",
-        "gauge",
-        "Fleet-wide records in flight (ingested - classified - lost)",
-        s.fleet.in_flight as f64,
-    );
-    e.scalar(
-        "xentry_agg_accounting_identity",
-        "gauge",
-        "1 when ingested == classified + lost + in_flight fleet-wide",
-        if s.accounting_identity() { 1.0 } else { 0.0 },
-    );
+        gauge(
+            "in_flight",
+            "Fleet-wide records in flight (ingested - classified - lost)",
+            f.in_flight as f64,
+        ),
+        gauge(
+            "accounting_identity",
+            "1 when ingested == classified + lost + in_flight fleet-wide",
+            f64::from(u8::from(s.accounting_identity())),
+        ),
+        host(
+            "host_up",
+            Kind::Gauge,
+            "1 when the host session is live",
+            |h| f64::from(u8::from(h.up)),
+        ),
+        host(
+            "host_last_seen_seconds",
+            Kind::Gauge,
+            "Seconds since the last frame from the host (-1 = never)",
+            |h| match h.last_seen_age_ns {
+                u64::MAX => -1.0,
+                age => age as f64 / 1e9,
+            },
+        ),
+        host(
+            "host_reconnects_total",
+            Kind::Counter,
+            "Sessions beyond the host's first",
+            |h| h.reconnects as f64,
+        ),
+        host(
+            "host_ingested_total",
+            Kind::Counter,
+            "Records ingested on the host (all incarnations)",
+            |h| h.counters.ingested as f64,
+        ),
+        host(
+            "host_classified_total",
+            Kind::Counter,
+            "Records classified on the host (all incarnations)",
+            |h| h.counters.classified as f64,
+        ),
+        host(
+            "host_lost_total",
+            Kind::Counter,
+            "Records lost on the host, reconciliation included",
+            |h| h.counters.lost as f64,
+        ),
+        host(
+            "host_in_flight",
+            Kind::Gauge,
+            "Host records between ingest and verdict at last report",
+            |h| h.counters.in_flight as f64,
+        ),
+        host(
+            "host_model_epoch",
+            Kind::Gauge,
+            "Published epoch the host last admitted (0 = local model)",
+            |h| h.model_epoch as f64,
+        ),
+        host(
+            "host_divergences_total",
+            Kind::Counter,
+            "Model pushes this host's canary rejected",
+            |h| h.divergences as f64,
+        ),
+    ]
+}
 
-    let label = |h: &HostSnapshot| vec![("host", h.name.clone())];
-    e.header(
-        "xentry_agg_host_up",
-        "gauge",
-        "1 when the host session is live",
-    );
-    for h in &s.hosts {
-        e.sample(
-            "xentry_agg_host_up",
-            &label(h),
-            if h.up { 1.0 } else { 0.0 },
-        );
-    }
-    e.header(
-        "xentry_agg_host_last_seen_seconds",
-        "gauge",
-        "Seconds since the last frame from the host (-1 = never)",
-    );
-    for h in &s.hosts {
-        let v = if h.last_seen_age_ns == u64::MAX {
-            -1.0
-        } else {
-            h.last_seen_age_ns as f64 / 1e9
-        };
-        e.sample("xentry_agg_host_last_seen_seconds", &label(h), v);
-    }
-    e.header(
-        "xentry_agg_host_reconnects_total",
-        "counter",
-        "Sessions beyond the host's first",
-    );
-    for h in &s.hosts {
-        e.sample(
-            "xentry_agg_host_reconnects_total",
-            &label(h),
-            h.reconnects as f64,
-        );
-    }
-    e.header(
-        "xentry_agg_host_ingested_total",
-        "counter",
-        "Records ingested on the host (all incarnations)",
-    );
-    for h in &s.hosts {
-        e.sample(
-            "xentry_agg_host_ingested_total",
-            &label(h),
-            h.counters.ingested as f64,
-        );
-    }
-    e.header(
-        "xentry_agg_host_classified_total",
-        "counter",
-        "Records classified on the host (all incarnations)",
-    );
-    for h in &s.hosts {
-        e.sample(
-            "xentry_agg_host_classified_total",
-            &label(h),
-            h.counters.classified as f64,
-        );
-    }
-    e.header(
-        "xentry_agg_host_lost_total",
-        "counter",
-        "Records lost on the host, reconciliation included",
-    );
-    for h in &s.hosts {
-        e.sample(
-            "xentry_agg_host_lost_total",
-            &label(h),
-            h.counters.lost as f64,
-        );
-    }
-    e.header(
-        "xentry_agg_host_in_flight",
-        "gauge",
-        "Host records between ingest and verdict at last report",
-    );
-    for h in &s.hosts {
-        e.sample(
-            "xentry_agg_host_in_flight",
-            &label(h),
-            h.counters.in_flight as f64,
-        );
-    }
-    e.header(
-        "xentry_agg_host_model_epoch",
-        "gauge",
-        "Published epoch the host last admitted (0 = local model)",
-    );
-    for h in &s.hosts {
-        e.sample(
-            "xentry_agg_host_model_epoch",
-            &label(h),
-            h.model_epoch as f64,
-        );
-    }
-    e.header(
-        "xentry_agg_host_divergences_total",
-        "counter",
-        "Model pushes this host's canary rejected",
-    );
-    for h in &s.hosts {
-        e.sample(
-            "xentry_agg_host_divergences_total",
-            &label(h),
-            h.divergences as f64,
-        );
-    }
-    e.finish()
+/// Render the merged fleet state as Prometheus text exposition 0.0.4.
+pub fn render_aggregator_prometheus(s: &AggregatorSnapshot) -> String {
+    render_exposition(&aggregator_families(s))
 }

@@ -4,7 +4,7 @@
 //! cargo run --release --bin fleet-replay -- [--quick] [--hosts N]
 //!     [--shards K] [--records N] [--rate R] [--swap] [--chaos]
 //!     [--workload] [--detector PATH] [--out DIR] [--distributed N]
-//!     [--serve ADDR] [--self-scrape] [--trace-depth N] [--trace-overhead]
+//!     [--serve ADDR] [--self-scrape] [--trace-depth N]
 //! ```
 //!
 //! Replays activation traces from `--hosts` simulated platform instances
@@ -19,11 +19,6 @@
 //! in-process while the service is live, asserts the exposition parses
 //! and the key per-shard/per-epoch series are present, and exits nonzero
 //! on any violation — the CI smoke gate.
-//!
-//! `--trace-overhead` skips the plain replay and instead runs the
-//! alternating traced/untraced self-accounting measurement
-//! ([`xentry_fleet::overhead`]), writing `<out>/overhead.json`; exits
-//! nonzero if the overhead misses the <3% budget.
 //!
 //! `--distributed N` spawns N host-agent child processes (this same
 //! binary re-executed) plus an in-process aggregator on 127.0.0.1, runs
@@ -44,8 +39,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use xentry::VmTransitionDetector;
 use xentry_fleet::{
-    replay, ChaosConfig, FleetConfig, FleetService, NullSink, OverheadConfig, ReplayConfig,
-    SpanKind,
+    replay, ChaosConfig, FleetConfig, FleetService, NullSink, ReplayConfig, SpanKind,
 };
 
 struct Args {
@@ -63,7 +57,6 @@ struct Args {
     serve: Option<String>,
     self_scrape: bool,
     trace_depth: usize,
-    trace_overhead: bool,
     distributed: Option<usize>,
     quick: bool,
 }
@@ -96,7 +89,6 @@ impl Default for Args {
             serve: None,
             self_scrape: false,
             trace_depth: FleetConfig::default().trace_depth,
-            trace_overhead: false,
             distributed: None,
             quick: false,
         }
@@ -164,14 +156,13 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| die("bad --trace-depth"))
             }
-            "--trace-overhead" => args.trace_overhead = true,
             "--help" | "-h" => {
                 println!(
                     "fleet-replay [--quick] [--hosts N] [--shards K] [--records N] \
                      [--rate R] [--queue-capacity N] [--batch N] [--swap] [--chaos] \
                      [--workload | --synthetic] [--detector PATH] [--out DIR] \
                      [--distributed N] [--serve ADDR] [--self-scrape] \
-                     [--trace-depth N] [--trace-overhead]"
+                     [--trace-depth N]"
                 );
                 std::process::exit(0);
             }
@@ -271,29 +262,6 @@ fn run_chaos_mode(args: &Args) -> ! {
     std::process::exit(if report.is_clean() { 0 } else { 1 });
 }
 
-/// `--trace-overhead`: measure the observability layer's own cost
-/// instead of running a plain replay. Exits nonzero when the measured
-/// throughput regression misses the <3% budget.
-fn run_overhead_mode(args: &Args) -> ! {
-    let cfg = OverheadConfig {
-        shards: args.shards,
-        hosts: args.hosts,
-        records_per_host: args.records_per_host,
-        trace_depth: args.trace_depth.max(2),
-        ..OverheadConfig::default()
-    };
-    println!(
-        "overhead run: {} pairs of untraced/traced legs, {} records x {} hosts \
-         into {} shards each...",
-        cfg.pairs, cfg.records_per_host, cfg.hosts, cfg.shards
-    );
-    let report = xentry_fleet::measure_overhead(&cfg);
-    let path = report.write(&args.out).expect("write overhead.json");
-    println!("{}", report.render());
-    println!("overhead:   {}", path.display());
-    std::process::exit(if report.within_budget { 0 } else { 1 });
-}
-
 /// `--self-scrape`: hit the live scrape endpoint in-process and assert
 /// the exposition is parseable and the key series exist. Any failure
 /// kills the run — this is the CI gate on the telemetry surface.
@@ -389,13 +357,11 @@ fn main() {
     if args.chaos {
         run_chaos_mode(&args);
     }
-    if args.trace_overhead {
-        run_overhead_mode(&args);
-    }
     let (detector, source) = load_detector(&args);
     // A retrained model for the mid-replay swap: JSON round-trip of the
     // deployed one, so behavior is identical but the deployment epoch
-    // advances (the common "same tree, fresh training run" case).
+    // advances (the common "same tree, fresh training run" case). It came
+    // through a serialiser, so it deploys behind the strict canary gate.
     let swap_model = VmTransitionDetector::from_json(&detector.to_json()).expect("round trip");
 
     let use_workload = match args.trace {
@@ -459,7 +425,9 @@ fn main() {
                 // Deploy the retrained model while the replay is in
                 // flight.
                 std::thread::sleep(Duration::from_millis(50));
-                let v = svc_ref.hot_swap(swap_model);
+                let v = svc_ref
+                    .hot_swap_validated(swap_model, true)
+                    .unwrap_or_else(|e| die(&format!("--swap: {e}")));
                 println!("hot-swapped model mid-replay -> version {v}");
             })
         });

@@ -5,8 +5,8 @@
 //! The runner re-executes its own binary with the
 //! [`CHILD_SENTINEL`] first argument to spawn host processes — any
 //! binary that calls [`maybe_child_main`] at the top of `main` can act
-//! as the child image (`fleet-replay`, `figures`, and the test-suite
-//! `wire-host` all do). Mid-run the runner optionally SIGKILLs one host
+//! as the child image (`fleet-replay` and the test-suite `wire-host`
+//! both do). Mid-run the runner optionally SIGKILLs one host
 //! and restarts it with a higher incarnation (the ReHype-style recovery
 //! drill), and publishes a retrained model epoch over the wire. The
 //! receipt — per-host and fleet-wide throughput, reconnect counts, the

@@ -29,7 +29,7 @@
 //!   disconnects (stranded in-flight windows are reconciled, never
 //!   silently dropped), and publishes model epochs down every session.
 //! * [`distributed`] — the loopback multi-process harness behind
-//!   `fleet-replay --distributed N` and `figures -- distributed`.
+//!   `fleet-replay --distributed N`.
 
 pub mod agent;
 pub mod aggregator;
@@ -39,7 +39,8 @@ pub mod topology;
 
 pub use agent::{AgentConfig, AgentStatus, HostAgent};
 pub use aggregator::{
-    render_aggregator_prometheus, Aggregator, AggregatorSnapshot, FleetRollup, HostSnapshot,
+    aggregator_families, render_aggregator_prometheus, Aggregator, AggregatorSnapshot, FleetRollup,
+    HostSnapshot,
 };
 pub use distributed::{
     maybe_child_main, run_distributed, ChildReport, DistributedConfig, DistributedReport,

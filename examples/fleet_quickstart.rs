@@ -38,8 +38,11 @@ fn main() {
     corrupted.wm *= 10;
     svc.ingest(2, 1, trace.len() as u64, corrupted);
 
-    // Deploy a retrained model without stopping the service.
-    let v = svc.hot_swap(detector);
+    // Redeploy the model without stopping the service, behind the canary
+    // gate (strict parity: a redeploy must not change any verdict).
+    let v = svc
+        .hot_swap_validated(detector, true)
+        .expect("a redeploy of the incumbent passes the canary gate");
     println!("hot-swapped to model version {v} while classifying");
 
     let snapshot = svc.shutdown();

@@ -135,7 +135,7 @@ fn fleet_verdicts_match_direct_classify_across_hot_swap() {
         let d2 = d2.clone();
         s.spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(50));
-            assert_eq!(svc_ref.hot_swap(d2), 2);
+            assert_eq!(svc_ref.hot_swap_validated(d2, false).unwrap(), 2);
         });
         replay::replay(
             svc_ref,
