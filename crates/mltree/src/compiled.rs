@@ -23,9 +23,17 @@
 //! and keeps per-tree root references, so an ensemble walk touches a
 //! single slab. Forest classification early-exits as soon as the vote
 //! threshold is decided either way, single-sample and batch alike, by one
-//! shared rule: a batch walks the trees in arena order over a window of
-//! up to 1,024 staged rows, and after each tree compacts the rows still
-//! undecided to the front, so later trees walk only those.
+//! shared rule: a batch walks the trees in arena order over a window's
+//! distinct words, and after each tree compacts the words still undecided
+//! to the front, so later trees walk only those.
+//!
+//! Both batch engines stage rows through one window of up to 1,024
+//! packed words and walk each distinct word once: Xentry's fault-free
+//! vectors repeat heavily (a few dozen distinct in thousands of
+//! activations), and equal in-envelope words take the same path, so a
+//! row copies its word's verdict. A batch's cost per row therefore
+//! depends on its windows' distinct share. Nothing persists across
+//! calls but a thread's reusable scratch, which holds no verdicts.
 //!
 //! Batch classification ([`CompiledTree::classify_batch`]) walks many
 //! samples in branchless lockstep: per-sample branches mispredict ~50%
@@ -38,8 +46,8 @@
 //! Xentry vector does; checked per chunk, exact by construction) walks
 //! it at one gather plus a few ALU ops per 8-lane group per level.
 //! Kernels (AVX-512 / AVX2 / portable scalar oracle) are selectable per
-//! call through [`CompiledTree::classify_batch_with`]; short tail groups
-//! are padded to full width by replicating the last row, so every batch
+//! call through [`CompiledTree::classify_batch_with`]; a short last group
+//! is padded to full width by replicating a real word, so every batch
 //! size stays on the wide path. A chunk outside that envelope, or a
 //! model with no packed shadow (more than five features), has one exact
 //! fallback: the single-sample walk, row by row (for a forest, the
@@ -52,6 +60,7 @@ use crate::dataset::Label;
 use crate::forest::RandomForest;
 use crate::simd::{self, BatchWalker, PackedArena, LANES, PACKED_CHUNK};
 use crate::tree::{DecisionTree, Node};
+use std::cell::RefCell;
 
 /// Child-reference tag: set ⇒ the reference is a leaf verdict, not an
 /// arena index. Bit 0 then carries the label (1 ⇒ `Incorrect`).
@@ -128,28 +137,6 @@ unsafe fn walk(nodes: &[CompiledNode], mut r: u32, features: &[u64]) -> u32 {
         }
     }
     r
-}
-
-/// The tree batch engine's one exact fallback: rows `0..n` walked one at
-/// a time by [`walk`], each verdict handed to `verdict(i, label)`. Serves
-/// every chunk the packed tier cannot — a feature value above 12 bits,
-/// or a model with no packed shadow — from the tree and the row-producer
-/// entries alike (the forest's is [`CompiledForest::classify`]). Exact
-/// for any u64 feature values because it *is* the single-sample walk.
-///
-/// # Safety
-/// Same contract as [`walk`] for `root` and for every row produced.
-#[inline]
-unsafe fn walk_rows<R: AsRef<[u64]>>(
-    nodes: &[CompiledNode],
-    root: u32,
-    n: usize,
-    row: impl Fn(usize) -> R,
-    mut verdict: impl FnMut(usize, Label),
-) {
-    for i in 0..n {
-        verdict(i, leaf_label(walk(nodes, root, row(i).as_ref())));
-    }
 }
 
 /// Like [`walk`] but also counts the comparisons performed: the leaf
@@ -277,10 +264,11 @@ impl CompiledTree {
     }
 
     /// Classify a batch, one verdict per input row, with the widest
-    /// batch-walk kernel the CPU supports. Groups of eight rows walk
-    /// the arena in lockstep so their load chains overlap; the final
-    /// short group is padded to full width by replicating the last row,
-    /// so fleet drain batches and campaign tails stay on the fast path.
+    /// batch-walk kernel the CPU supports. Each window of up to 1,024
+    /// rows walks its distinct feature vectors once, in groups of eight
+    /// that walk the arena in lockstep so their load chains overlap; the
+    /// final short group is padded to full width with a real vector, so
+    /// fleet drain batches stay on the fast path.
     /// Accepts `[u64; 5]` rows (the Table-I layout), slices, or anything
     /// slice-like.
     pub fn classify_batch<I: AsRef<[u64]>>(&self, inputs: &[I], out: &mut [Label]) {
@@ -307,26 +295,14 @@ impl CompiledTree {
         for f in inputs {
             assert!(f.as_ref().len() >= self.arity, "feature vector too short");
         }
-        if self.nodes.is_empty() {
-            // Single-leaf tree: the root reference is the verdict.
-            out.fill(leaf_label(self.root));
-            return;
-        }
-        let kernel = simd::resolve(walker);
-        let mut fps = [0u64; PACKED_CHUNK];
-        let mut refs = [0u32; PACKED_CHUNK];
-        for (gi, go) in inputs
-            .chunks(PACKED_CHUNK)
-            .zip(out.chunks_mut(PACKED_CHUNK))
-        {
-            // Packed tier: one gather per level per 8-lane group, exact
-            // whenever the chunk's feature values fit 12 bits.
-            let staged = self
-                .packed
-                .as_ref()
-                .and_then(|pa| Some((pa, simd::stage_packed(gi, self.arity, &mut fps)?)));
-            self.walk_chunk(kernel, staged, &fps, &mut refs, |k| &gi[k], go);
-        }
+        self.batch(
+            walker,
+            out,
+            |at, len, words| simd::stage_packed(&inputs[at..at + len], self.arity, words).is_some(),
+            // SAFETY: emit() produced only in-arena indices; every row
+            // was checked against the arity above.
+            |i| leaf_label(unsafe { walk(&self.nodes, self.root, inputs[i].as_ref()) }),
+        );
     }
 
     /// Classify `n` rows produced on demand by `row(i)` — the
@@ -345,72 +321,60 @@ impl CompiledTree {
         row: impl Fn(usize) -> [u64; A],
         out: &mut [Label],
     ) {
-        assert_eq!(n, out.len(), "classify_batch_rows: n and out must agree");
+        assert_eq!(
+            n,
+            out.len(),
+            "classify_batch_rows: n and out must have equal length"
+        );
         assert!(A >= self.arity, "feature rows too short");
-        if n == 0 {
-            return;
-        }
-        if self.nodes.is_empty() {
-            out.fill(leaf_label(self.root));
-            return;
-        }
-        let kernel = simd::resolve(walker);
-        let mut fps = [0u64; PACKED_CHUNK];
-        let mut refs = [0u32; PACKED_CHUNK];
-        for (start, go) in (0..n)
-            .step_by(PACKED_CHUNK)
-            .zip(out.chunks_mut(PACKED_CHUNK))
-        {
-            let row = |k| row(start + k);
+        self.batch(
+            walker,
+            out,
             // Exact-arity rows stage through the const-unrolled packer;
             // over-wide rows only pack their leading arity fields
             // (trailing features are never compared).
-            let staged = self.packed.as_ref().and_then(|pa| {
-                let lanes = if self.arity == A {
-                    simd::stage_packed_const::<A>(go.len(), row, &mut fps)
+            |at, len, words| {
+                let row = |k| row(at + k);
+                if self.arity == A {
+                    simd::stage_packed_const::<A>(len, row, words).is_some()
                 } else {
-                    simd::stage_packed_with(go.len(), row, self.arity, &mut fps)
-                };
-                Some((pa, lanes?))
-            });
-            self.walk_chunk(kernel, staged, &fps, &mut refs, row, go);
-        }
+                    simd::stage_packed_with(len, row, self.arity, words).is_some()
+                }
+            },
+            // SAFETY: emit() produced only in-arena indices; A >= arity.
+            |i| leaf_label(unsafe { walk(&self.nodes, self.root, &row(i)) }),
+        );
     }
 
-    /// Verdicts for one chunk of at most [`PACKED_CHUNK`] rows: the packed
-    /// kernels when the caller staged it (`staged` carries the shadow
-    /// arena and the padded lane count, `fps` the feature words), the
-    /// row-by-row fallback otherwise.
-    #[inline]
-    fn walk_chunk<R: AsRef<[u64]>>(
+    /// The tree's side of [`classify_windows`], behind both batch entries:
+    /// one lockstep walk per window over its distinct packed words.
+    /// `exact(i)` is the single-sample walk of row `i`.
+    fn batch(
         &self,
-        kernel: simd::Kernel,
-        staged: Option<(&PackedArena, usize)>,
-        fps: &[u64; PACKED_CHUNK],
-        refs: &mut [u32; PACKED_CHUNK],
-        row: impl Fn(usize) -> R,
+        walker: BatchWalker,
         out: &mut [Label],
+        stage: impl FnMut(usize, usize, &mut [u64; PACKED_CHUNK]) -> bool,
+        exact: impl Fn(usize) -> Label,
     ) {
-        match staged {
-            Some((pa, lanes)) => {
-                refs[..lanes].fill(pa.entry(self.root));
-                // SAFETY: packed references are in-bounds by
-                // construction; kernel came from resolve().
-                unsafe {
-                    simd::walk_packed(kernel, pa, &mut refs[..lanes], &fps[..lanes], self.depth)
-                };
-                for (o, &r) in out.iter_mut().zip(refs.iter()) {
-                    *o = pa.label(r);
-                }
+        let kernel = simd::resolve(walker);
+        classify_windows(self.packed.as_ref(), out, stage, exact, |pa, s, entries| {
+            let lanes = entries.next_multiple_of(LANES);
+            s.refs[..lanes].fill(pa.entry(self.root));
+            // SAFETY: packed references are in-bounds by construction;
+            // kernel came from resolve().
+            unsafe {
+                simd::walk_packed(
+                    kernel,
+                    pa,
+                    &mut s.refs[..lanes],
+                    &s.words[..lanes],
+                    self.depth,
+                )
+            };
+            for (v, &r) in s.verdict.iter_mut().zip(&s.refs[..entries]) {
+                *v = pa.label(r);
             }
-            // SAFETY: emit() produced only in-arena indices; the entry
-            // points checked every row against the arity.
-            None => unsafe {
-                walk_rows(&self.nodes, self.root, out.len(), row, |i, label| {
-                    out[i] = label
-                })
-            },
-        }
+        });
     }
 
     /// Split records in the arena (the boxed tree's `nr_nodes` counts
@@ -620,10 +584,133 @@ impl std::fmt::Display for ArenaFault {
 
 impl std::error::Error for ArenaFault {}
 
-/// Rows a forest batch stages and walks as one live set (16 staging
-/// chunks). Per-chunk live sets thin to a few rows once most verdicts are
-/// decided; a window's survivors still fill whole 64-lane pieces.
+/// Rows a batch stages, deduplicates and walks as one set (16 staging
+/// chunks). The wider the window, the more repeats of a word it folds
+/// into one walk; and a forest's survivors, thinned once most verdicts
+/// are decided, still fill whole 64-lane pieces.
 const WINDOW: usize = 16 * PACKED_CHUNK;
+
+/// Dedup table slots: a power of two, four per window row.
+const SLOT_BITS: u32 = 12;
+
+/// `Scratch::row_entry` of a row in a refused chunk.
+const EXACT: u16 = u16::MAX;
+
+/// One thread's batch working set, reused by every call on the thread
+/// so that a call allocates and clears nothing. A window's rows map to
+/// *entries*, one per distinct packed word, which is what gets walked.
+struct Scratch {
+    /// Packed word of each entry: the lanes walked. A forest compacts
+    /// its live entries to the front in place.
+    words: [u64; WINDOW],
+    /// Entry of each window row, or [`EXACT`].
+    row_entry: [u16; WINDOW],
+    /// Single-probe table, slot of a word → entry. Never cleared: a slot
+    /// counts only while it names an entry of the current window that
+    /// holds the same word, so a stale slot (from an earlier window or
+    /// call) can cost a shared walk, never a verdict.
+    slots: [u16; 1 << SLOT_BITS],
+    /// One staging chunk's packed words.
+    chunk: [u64; PACKED_CHUNK],
+    refs: [u32; WINDOW],
+    /// The forest's live set: entry and `Incorrect` votes of each
+    /// undecided lane.
+    live_entry: [u16; WINDOW],
+    votes: [u32; WINDOW],
+    /// Verdict of each entry.
+    verdict: [Label; WINDOW],
+}
+
+impl Scratch {
+    fn new() -> Box<Scratch> {
+        Box::new(Scratch {
+            words: [0; WINDOW],
+            row_entry: [0; WINDOW],
+            slots: [0; 1 << SLOT_BITS],
+            chunk: [0; PACKED_CHUNK],
+            refs: [0; WINDOW],
+            live_entry: [0; WINDOW],
+            votes: [0; WINDOW],
+            verdict: [Label::Correct; WINDOW],
+        })
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Box<Scratch>> = RefCell::new(Scratch::new());
+}
+
+/// The batch engines' one window loop, shared by the tree and the forest.
+/// Each window of up to [`WINDOW`] rows is staged chunk by chunk:
+/// `stage(at, len, chunk)` packs rows `at..at + len`, or refuses a chunk
+/// holding a value above 12 bits, whose rows then take `exact(row)`. Each
+/// staged row is mapped to the entry holding its packed word, adding one
+/// when the word is new or its slot names another word (one probe per
+/// row, no probe loop), and `walk(pa, scratch, entries)` gives every
+/// entry its `verdict`, which the rows copy back. Sharing a walk is exact
+/// by construction: an in-envelope word holds a row's every compared
+/// feature value. Without a packed shadow, every row takes `exact`.
+fn classify_windows(
+    packed: Option<&PackedArena>,
+    out: &mut [Label],
+    mut stage: impl FnMut(usize, usize, &mut [u64; PACKED_CHUNK]) -> bool,
+    exact: impl Fn(usize) -> Label,
+    mut walk: impl FnMut(&PackedArena, &mut Scratch, usize),
+) {
+    let Some(pa) = packed else {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = exact(i);
+        }
+        return;
+    };
+    let mut run = |s: &mut Scratch| {
+        for (w, win) in out.chunks_mut(WINDOW).enumerate() {
+            let at = w * WINDOW;
+            let mut entries = 0;
+            for c in (0..win.len()).step_by(PACKED_CHUNK) {
+                let len = (win.len() - c).min(PACKED_CHUNK);
+                let rows = &mut s.row_entry[c..c + len];
+                if !stage(at + c, len, &mut s.chunk) {
+                    rows.fill(EXACT);
+                    continue;
+                }
+                for (e, &word) in rows.iter_mut().zip(&s.chunk) {
+                    let hash = word.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SLOT_BITS);
+                    let slot = &mut s.slots[hash as usize];
+                    let known = *slot as usize;
+                    *e = if known < entries && s.words[known] == word {
+                        known as u16
+                    } else {
+                        s.words[entries] = word;
+                        *slot = entries as u16;
+                        entries += 1;
+                        *slot
+                    };
+                }
+            }
+            if entries > 0 {
+                // Pad the last 8-lane group with a real word, so no
+                // padding lane walks longer than the entries do.
+                let last = s.words[entries - 1];
+                s.words[entries..entries.next_multiple_of(LANES)].fill(last);
+                walk(pa, s, entries);
+            }
+            for (k, (o, &e)) in win.iter_mut().zip(&s.row_entry).enumerate() {
+                *o = if e == EXACT {
+                    exact(at + k)
+                } else {
+                    s.verdict[e as usize]
+                };
+            }
+        }
+    };
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut s) => run(&mut s),
+        // A row producer that classifies a batch itself: the outer call
+        // holds this thread's scratch, so the inner one gets its own.
+        Err(_) => run(&mut Scratch::new()),
+    })
+}
 
 /// A [`RandomForest`] compiled into one shared arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -720,11 +807,12 @@ impl CompiledForest {
     }
 
     /// Batch classification with the single-sample early exit. A window of
-    /// up to 1,024 rows is staged into packed feature words once, then the
-    /// trees are walked in arena order over the window's *live* rows only,
-    /// in lockstep groups of eight on the widest kernel the CPU supports.
-    /// After each tree a row whose vote is decided (the rule
-    /// [`CompiledForest::classify`] uses) takes its verdict and leaves;
+    /// up to 1,024 rows is staged into packed feature words once and
+    /// collapsed to its distinct words, then the trees are walked in arena
+    /// order over the *live* words only, in lockstep groups of eight on
+    /// the widest kernel the CPU supports. After each tree a word whose
+    /// vote is decided (the rule [`CompiledForest::classify`] uses) takes
+    /// its verdict, shared by its rows, and leaves;
     /// the survivors are compacted to the front, so the next tree walks
     /// only undecided lanes. A chunk outside the packed envelope, or a
     /// forest with no packed shadow, is classified row by row by
@@ -749,79 +837,55 @@ impl CompiledForest {
         for f in inputs {
             assert!(f.as_ref().len() >= self.arity, "feature vector too short");
         }
-        let Some(pa) = &self.packed else {
-            // No packed shadow: more than five features, or every tree a
-            // single leaf.
-            for (f, o) in inputs.iter().zip(out.iter_mut()) {
-                *o = self.classify(f.as_ref());
-            }
-            return;
-        };
         let kernel = simd::resolve(walker);
-        // The live set, compacted in place: packed word, window row and
-        // `Incorrect` votes so far of each undecided lane.
-        let mut fps = [0u64; WINDOW];
-        let mut rows = [0u32; WINDOW];
-        let mut refs = [0u32; WINDOW];
-        let mut votes = [0u32; WINDOW];
-        for (win_in, win_out) in inputs.chunks(WINDOW).zip(out.chunks_mut(WINDOW)) {
-            let mut live = 0;
-            for (c, chunk) in win_in.chunks(PACKED_CHUNK).enumerate() {
-                let at = c * PACKED_CHUNK;
-                // live <= at, so a whole staging chunk fits behind it; a
-                // refused chunk's words are overwritten by the next one.
-                let dst = fps[live..]
-                    .first_chunk_mut()
-                    .expect("window holds whole chunks");
-                if simd::stage_packed(chunk, self.arity, dst).is_some() {
-                    for (k, r) in rows[live..live + chunk.len()].iter_mut().enumerate() {
-                        *r = (at + k) as u32;
-                    }
-                    live += chunk.len();
-                } else {
-                    // A value above 12 bits: the exact early-exiting walk.
-                    for (f, o) in chunk.iter().zip(&mut win_out[at..]) {
-                        *o = self.classify(f.as_ref());
-                    }
+        classify_windows(
+            self.packed.as_ref(),
+            out,
+            |at, len, words| simd::stage_packed(&inputs[at..at + len], self.arity, words).is_some(),
+            |i| self.classify(inputs[i].as_ref()),
+            |pa, s, entries| {
+                let mut live = entries;
+                for (k, e) in s.live_entry[..live].iter_mut().enumerate() {
+                    *e = k as u16;
                 }
-            }
-            votes[..live].fill(0);
-            for (t, &root) in self.roots.iter().enumerate() {
-                if live == 0 {
-                    break;
-                }
-                // Padding lanes walk stale (or zero) words harmlessly and
-                // are never read back.
-                let lanes = live.next_multiple_of(LANES);
-                refs[..lanes].fill(pa.entry(root));
-                // SAFETY: packed references are in-bounds by
-                // construction; kernel came from resolve().
-                unsafe {
-                    simd::walk_packed(
-                        kernel,
-                        pa,
-                        &mut refs[..lanes],
-                        &fps[..lanes],
-                        self.max_depth,
-                    )
-                };
-                let trees_left = self.roots.len() - t - 1;
-                let mut kept = 0;
-                for k in 0..live {
-                    let v = votes[k] + pa.vote(refs[k]);
-                    match self.decided(v as usize, trees_left) {
-                        Some(label) => win_out[rows[k] as usize] = label,
-                        None => {
-                            fps[kept] = fps[k];
-                            rows[kept] = rows[k];
-                            votes[kept] = v;
-                            kept += 1;
+                s.votes[..live].fill(0);
+                for (t, &root) in self.roots.iter().enumerate() {
+                    if live == 0 {
+                        break;
+                    }
+                    // Padding lanes walk stale words harmlessly and are
+                    // never read back.
+                    let lanes = live.next_multiple_of(LANES);
+                    s.refs[..lanes].fill(pa.entry(root));
+                    // SAFETY: packed references are in-bounds by
+                    // construction; kernel came from resolve().
+                    unsafe {
+                        simd::walk_packed(
+                            kernel,
+                            pa,
+                            &mut s.refs[..lanes],
+                            &s.words[..lanes],
+                            self.max_depth,
+                        )
+                    };
+                    let trees_left = self.roots.len() - t - 1;
+                    let mut kept = 0;
+                    for k in 0..live {
+                        let v = s.votes[k] + pa.vote(s.refs[k]);
+                        match self.decided(v as usize, trees_left) {
+                            Some(label) => s.verdict[s.live_entry[k] as usize] = label,
+                            None => {
+                                s.words[kept] = s.words[k];
+                                s.live_entry[kept] = s.live_entry[k];
+                                s.votes[kept] = v;
+                                kept += 1;
+                            }
                         }
                     }
+                    live = kept;
                 }
-                live = kept;
-            }
-        }
+            },
+        );
     }
 
     /// Trees in the ensemble.

@@ -65,20 +65,12 @@ fn bag_seed(forest_seed: u64, tree: u64) -> u64 {
 /// Bag and train tree `t` of the forest.
 fn train_one(data: &Dataset, cfg: &ForestConfig, bag_size: usize, t: usize) -> DecisionTree {
     let mut rng = ChaCha8Rng::seed_from_u64(bag_seed(cfg.seed, t as u64));
-    let mut bag = Dataset::new(
-        &data
-            .feature_names
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>(),
-    );
-    for _ in 0..bag_size {
-        let s: &Sample = &data.samples[rng.gen_range(0..data.len())];
-        bag.push(s.clone());
-    }
+    let bag: Vec<&Sample> = (0..bag_size)
+        .map(|_| &data.samples[rng.gen_range(0..data.len())])
+        .collect();
     let mut tree_cfg = cfg.tree;
     tree_cfg.seed = cfg.seed.wrapping_add(t as u64 * 0x9E37_79B9);
-    DecisionTree::train(&bag, &tree_cfg)
+    DecisionTree::train_on(bag, &data.feature_names, &tree_cfg)
 }
 
 impl RandomForest {

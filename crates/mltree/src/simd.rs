@@ -271,8 +271,9 @@ pub(crate) const PACKED_MAX_FEATURE: u64 = (1 << PACKED_FEATURE_BITS) - 1;
 /// (Xentry's Table-I layout exactly).
 pub(crate) const PACKED_MAX_ARITY: usize = 5;
 
-/// Samples staged per packed walk; a forest batch stages 16 of these
-/// into one window and reuses the words across every tree.
+/// Samples staged, and checked against the 12-bit envelope, at a time;
+/// a batch window holds 16 of these (a forest reuses the words across
+/// every tree).
 pub(crate) const PACKED_CHUNK: usize = 64;
 
 /// Child-index width: arenas up to `2²³ − 2` splits take the packed

@@ -275,12 +275,22 @@ fn build(
 impl DecisionTree {
     /// Train on a dataset.
     pub fn train(data: &Dataset, cfg: &TrainConfig) -> DecisionTree {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
+        DecisionTree::train_on(data.samples.iter().collect(), &data.feature_names, cfg)
+    }
+
+    /// [`DecisionTree::train`] on borrowed samples of a dataset with
+    /// columns `feature_names`, in the order given — how a forest trains
+    /// each tree on its bag without copying the drawn samples.
+    pub(crate) fn train_on(
+        samples: Vec<&Sample>,
+        feature_names: &[String],
+        cfg: &TrainConfig,
+    ) -> DecisionTree {
+        assert!(!samples.is_empty(), "cannot train on an empty dataset");
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let refs: Vec<&Sample> = data.samples.iter().collect();
-        let root = build(refs, 0, cfg, data.nr_features(), &mut rng);
+        let root = build(samples, 0, cfg, feature_names.len(), &mut rng);
         DecisionTree {
-            feature_names: data.feature_names.clone(),
+            feature_names: feature_names.to_vec(),
             root,
         }
     }

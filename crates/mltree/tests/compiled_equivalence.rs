@@ -356,10 +356,7 @@ proptest! {
                 prop_assert_eq!(&t[..], &got[..tail]);
             }
         }
-        let mut windows: Vec<Vec<u64>> = (0..3 * 1024 + 37)
-            .map(|i| ds.samples[i % ds.len()].features.clone())
-            .collect();
-        windows[1024 + 5 * 64 + 17][0] = 4096;
+        let windows = three_windows(&ds);
         for threshold in [0, 1, nr_trees / 2 + 1, nr_trees, nr_trees + 1] {
             let mut voting = forest.clone();
             voting.vote_threshold = threshold;
@@ -372,4 +369,160 @@ proptest! {
             }
         }
     }
+
+    /// The tree twin of the forest's window test: both batch entries, on
+    /// every kernel, over three duplicate-heavy 1,024-row windows and a
+    /// ragged tail, one chunk of the middle window outside the envelope.
+    #[test]
+    fn tree_batch_windows_match_the_boxed_tree(ds in arb_dataset(), seed in any::<u64>()) {
+        let tree = DecisionTree::train(&ds, &TrainConfig::random_tree(ds.nr_features(), seed));
+        let compiled = CompiledTree::compile(&tree);
+        let windows = three_windows(&ds);
+        let rows = rows4(&windows);
+        let want: Vec<Label> = windows.iter().map(|f| tree.classify(f)).collect();
+        for walker in WALKERS {
+            let mut got = vec![Label::Correct; windows.len()];
+            compiled.classify_batch_with(walker, &windows, &mut got);
+            prop_assert_eq!(&got, &want);
+            let mut by_row = vec![Label::Correct; rows.len()];
+            compiled.classify_batch_rows::<4>(walker, rows.len(), |i| rows[i], &mut by_row);
+            prop_assert_eq!(&by_row, &want);
+        }
+    }
+}
+
+/// Three 1,024-row windows plus a ragged tail of the dataset's rows,
+/// cycled, with one 4,096 in a chunk of the middle window.
+fn three_windows(ds: &Dataset) -> Vec<Vec<u64>> {
+    let mut windows: Vec<Vec<u64>> = (0..3 * 1024 + 37)
+        .map(|i| ds.samples[i % ds.len()].features.clone())
+        .collect();
+    windows[1024 + 5 * 64 + 17][0] = 4096;
+    windows
+}
+
+/// Distinct in-envelope rows for `i < 4096` (the last column is `i`).
+fn word(i: u64) -> [u64; 4] {
+    let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    [h >> 52, (h >> 40) & 0xfff, (h >> 28) & 0xfff, i & 0xfff]
+}
+
+/// A tree and a five-tree forest trained on [`word`] rows.
+fn word_models() -> (DecisionTree, RandomForest) {
+    let mut ds = Dataset::new(&["a", "b", "c", "d"]);
+    for i in 0..600 {
+        let r = word(i);
+        let bad = ((r[0] > 2048) != (r[1] < 1000)) ^ (i % 7 == 0);
+        ds.push(Sample::new(
+            r.to_vec(),
+            [Label::Correct, Label::Incorrect][bad as usize],
+        ));
+    }
+    let mut cfg = ForestConfig::default_random_forest(4, 5);
+    cfg.nr_trees = 5;
+    (
+        DecisionTree::train(&ds, &TrainConfig::decision_tree()),
+        RandomForest::train(&ds, &cfg),
+    )
+}
+
+/// A window of 1,024 distinct words, so the dedup table's single probe
+/// meets slots naming other words; then a window where each word comes
+/// twice, over the first window's stale slots; then a ragged one. Both
+/// engines, both tree entries, every kernel, and 1- and 8-row calls.
+#[test]
+fn all_distinct_windows_match_the_boxed_walkers() {
+    let (tree, forest) = word_models();
+    let (ct, cf) = (
+        CompiledTree::compile(&tree),
+        CompiledForest::compile(&forest),
+    );
+    let rows: Vec<[u64; 4]> = (0..1024)
+        .chain((0..1024).map(|k| 1024 + k / 2))
+        .chain(2048..3109)
+        .map(word)
+        .collect();
+    let by_tree: Vec<Label> = rows.iter().map(|r| tree.classify(r)).collect();
+    let by_forest: Vec<Label> = rows.iter().map(|r| forest.classify(r)).collect();
+    for walker in WALKERS {
+        for n in [1, 8, rows.len()] {
+            let mut got = vec![Label::Correct; n];
+            ct.classify_batch_with(walker, &rows[..n], &mut got);
+            assert_eq!(got, by_tree[..n], "{walker:?}, {n} rows");
+            got.fill(Label::Correct);
+            ct.classify_batch_rows::<4>(walker, n, |i| rows[i], &mut got);
+            assert_eq!(got, by_tree[..n], "{walker:?}, {n} rows");
+            cf.classify_batch_with(walker, &rows[..n], &mut got);
+            assert_eq!(got, by_forest[..n], "{walker:?}, {n} rows");
+        }
+    }
+}
+
+/// Batches share nothing across threads or nesting: four threads
+/// classifying different pools at once match the serial verdicts, and a
+/// row producer that classifies a batch itself gets correct labels from
+/// both calls.
+#[test]
+fn concurrent_and_nested_batches_keep_their_own_verdicts() {
+    let (tree, forest) = word_models();
+    let (ct, cf) = (
+        CompiledTree::compile(&tree),
+        CompiledForest::compile(&forest),
+    );
+    let pools: Vec<Vec<[u64; 4]>> = (0..4u64)
+        .map(|t| {
+            (0..2500)
+                .map(|i| word(t * 700 + i % (50 + 400 * t)))
+                .collect()
+        })
+        .collect();
+    let serial: Vec<(Vec<Label>, Vec<Label>)> = pools
+        .iter()
+        .map(|pool| {
+            let mut by_tree = vec![Label::Correct; pool.len()];
+            ct.classify_batch(pool, &mut by_tree);
+            let mut by_forest = by_tree.clone();
+            cf.classify_batch(pool, &mut by_forest);
+            (by_tree, by_forest)
+        })
+        .collect();
+    for (pool, (by_tree, by_forest)) in pools.iter().zip(&serial) {
+        for (r, (t, f)) in pool.iter().zip(by_tree.iter().zip(by_forest)) {
+            assert_eq!((*t, *f), (tree.classify(r), forest.classify(r)));
+        }
+    }
+    let start = std::sync::Barrier::new(pools.len());
+    std::thread::scope(|s| {
+        for (pool, (by_tree, by_forest)) in pools.iter().zip(&serial) {
+            let (ct, cf, start) = (&ct, &cf, &start);
+            s.spawn(move || {
+                start.wait();
+                let mut got = vec![Label::Correct; pool.len()];
+                for _ in 0..20 {
+                    ct.classify_batch(pool, &mut got);
+                    assert_eq!(&got, by_tree);
+                    cf.classify_batch(pool, &mut got);
+                    assert_eq!(&got, by_forest);
+                }
+            });
+        }
+    });
+
+    let rows = &pools[1];
+    let inner = std::cell::RefCell::new(vec![Label::Correct; rows.len()]);
+    let mut outer = vec![Label::Correct; rows.len()];
+    ct.classify_batch_rows::<4>(
+        BatchWalker::Auto,
+        rows.len(),
+        |i| {
+            let n = 9.min(rows.len() - i);
+            let mut voted = [Label::Correct; 9];
+            cf.classify_batch(&rows[i..i + n], &mut voted[..n]);
+            inner.borrow_mut()[i] = voted[0];
+            rows[i]
+        },
+        &mut outer,
+    );
+    assert_eq!(outer, serial[1].0);
+    assert_eq!(*inner.borrow(), serial[1].1);
 }
