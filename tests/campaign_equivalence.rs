@@ -9,15 +9,21 @@
 //! `burst` (spatial multi-bit), `pte` (page-table-entry strikes) and
 //! `pmc` (performance-counter strikes).
 //!
-//! Regenerate the corpus (after an *intentional* engine change) with:
+//! A second pinned file, `fault_paths.json`, holds what the corpus does
+//! not: whole recovery records (every policy ladder a detected fault
+//! went through) and multi-bit record pairs.
+//!
+//! Regenerate both (after an *intentional* engine change) with:
 //!
 //! ```text
 //! XENTRY_UPDATE_GOLDEN=1 cargo test -p xentry-integration-tests \
 //!     --test campaign_equivalence
 //! ```
 
-use faultsim::campaign::{golden_trace, run_from_boot, run_with, Models, RegFlips};
-use faultsim::{CampaignConfig, InjectionRecord, ModelRecord};
+use faultsim::campaign::{
+    golden_trace, run_from_boot, run_with, Models, Multibit, Recovery, RegFlips,
+};
+use faultsim::{CampaignConfig, HmTable, InjectionRecord, ModelRecord, RecoveryRecord};
 use guest_sim::Benchmark;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -91,8 +97,17 @@ fn model_corpus_of(records: &[ModelRecord], class: &str) -> Vec<ModelCorpusRecor
         .collect()
 }
 
-fn corpus_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/campaign_corpus.json")
+fn golden_path(file: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("golden")
+        .join(file)
+}
+
+/// The recovery and multi-bit records at the corpus configuration, whole.
+#[derive(Debug, Serialize, Deserialize)]
+struct FaultPaths {
+    recovery: Vec<RecoveryRecord>,
+    multibit: Vec<(InjectionRecord, InjectionRecord)>,
 }
 
 #[test]
@@ -154,7 +169,7 @@ fn forked_engine_matches_from_boot_and_the_golden_corpus() {
     ] {
         assert!(len > 0, "model campaign produced no {name} records");
     }
-    let path = corpus_path();
+    let path = golden_path("campaign_corpus.json");
     if std::env::var("XENTRY_UPDATE_GOLDEN").is_ok() {
         faultsim::write_atomic(
             &path,
@@ -183,4 +198,45 @@ fn forked_engine_matches_from_boot_and_the_golden_corpus() {
             assert_eq!(g, w, "{name} corpus record {i} diverged");
         }
     }
+}
+
+#[test]
+fn recovery_ladders_and_multibit_pairs_match_the_pinned_records() {
+    let cfg = corpus_cfg();
+    let trace = golden_trace(&cfg, None);
+    let tables = [
+        HmTable::ignore_all(),
+        HmTable::reexecute_only(),
+        HmTable::tiered(),
+    ];
+    let got = FaultPaths {
+        recovery: run_with(&cfg, &trace, None, &Recovery(&tables)),
+        multibit: run_with(&cfg, &trace, None, &Multibit { bits: 2 }),
+    };
+    assert_eq!(got.recovery.len(), cfg.injections);
+    assert_eq!(got.multibit.len(), cfg.injections);
+    let got = serde_json::to_string_pretty(&got).unwrap();
+    let path = golden_path("fault_paths.json");
+    if std::env::var("XENTRY_UPDATE_GOLDEN").is_ok() {
+        faultsim::write_atomic(&path, got.as_bytes()).unwrap();
+        eprintln!("regenerated {path:?}");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing pinned records {path:?}: {e}"));
+    // Name the first record that moved before comparing the bytes.
+    let (g, w): (FaultPaths, FaultPaths) = (
+        serde_json::from_str(&got).unwrap(),
+        serde_json::from_str(&want).expect("pinned records parse"),
+    );
+    fn json(v: &impl Serialize) -> String {
+        serde_json::to_string(v).unwrap()
+    }
+    for (i, (g, w)) in g.recovery.iter().zip(&w.recovery).enumerate() {
+        assert_eq!(json(g), json(w), "recovery record {i} diverged");
+    }
+    for (i, (g, w)) in g.multibit.iter().zip(&w.multibit).enumerate() {
+        assert_eq!(json(g), json(w), "multi-bit pair {i} diverged");
+    }
+    assert!(got == want, "pinned records changed");
 }
