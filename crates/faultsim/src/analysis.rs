@@ -329,7 +329,7 @@ pub fn vulnmap_from_model_records(records: &[crate::ModelRecord]) -> VulnMap {
     vulnerability_map(
         records
             .iter()
-            .map(|r| (r.target.clone(), r.bit, &r.outcome)),
+            .map(|r| (r.spec.target_label(), r.spec.bit(), &r.outcome)),
     )
 }
 

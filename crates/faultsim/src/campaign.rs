@@ -53,7 +53,7 @@
 use crate::checkpoint::{CheckpointStats, CheckpointStore};
 use crate::fork::{fork_of, recycle};
 use crate::injection::{
-    golden_run, inject, inject_spec, inject_with_flips, prepare_point, prepare_point_forked,
+    golden_run, inject, inject_core, inject_spec, prepare_point, prepare_point_forked, record,
     InjectionPoint, InjectionRecord, InjectionSpec, PointMeta,
 };
 use crate::journal::CampaignJournal;
@@ -449,7 +449,7 @@ fn replay_chunk<R>(
     trace: &GoldenTrace,
     chunk: usize,
     detector: Option<&VmTransitionDetector>,
-    mut per_point: impl FnMut(&InjectionPoint, &PointMeta) -> Vec<R>,
+    mut per_point: impl FnMut(&InjectionPoint) -> Vec<R>,
 ) -> Vec<R> {
     let ci = cfg.checkpoint_interval.max(1);
     let lo = chunk * ci;
@@ -472,7 +472,7 @@ fn replay_chunk<R>(
             meta,
             detector,
         );
-        out.extend(per_point(&point, meta));
+        out.extend(per_point(&point));
         point.recycle();
     }
     out
@@ -587,10 +587,11 @@ fn fork_pending<E: Experiment>(
         .collect();
     let collected = Mutex::new(done);
     let run = |chunk| {
-        replay_chunk(cfg, trace, chunk, detector, |point, meta| {
-            exp.specs_at(cfg, meta.ordinal, point)
+        replay_chunk(cfg, trace, chunk, detector, |point| {
+            let ordinal = point.meta.ordinal;
+            exp.specs_at(cfg, ordinal, point)
                 .iter()
-                .map(|spec| exp.inject(point, meta.ordinal, spec, detector))
+                .map(|spec| exp.inject(point, ordinal, spec, detector))
                 .collect()
         })
     };
@@ -762,7 +763,7 @@ impl Experiment for RegFlips {
             .map(|_| InjectionSpec {
                 target: targets[rng.gen_range(0..targets.len())],
                 bit: rng.gen_range(0..64),
-                at_step: rng.gen_range(0..point.golden_len.max(1)),
+                at_step: rng.gen_range(0..point.meta.golden_len.max(1)),
             })
             .collect()
     }
@@ -876,7 +877,7 @@ impl Experiment for Recovery<'_> {
         ordinal: usize,
         point: &InjectionPoint,
     ) -> Vec<RecoverySpec> {
-        let (golden_len, vmer) = (point.golden_len, point.reason.vmer());
+        let (golden_len, vmer) = (point.meta.golden_len, point.meta.reason.vmer());
         let mut rng = ChaCha8Rng::seed_from_u64(fold64(cfg.seed, 0x4856_4d45 ^ ordinal as u64));
         let dispatch = dispatch_region_index();
         let redirect = |(k, reg): (usize, InjectionSpec)| {
@@ -1003,19 +1004,6 @@ pub fn dataset_from_records(records: &[InjectionRecord]) -> Dataset {
     ds
 }
 
-/// Re-classify the feature vectors of recorded injections against a
-/// detector, pooling a confusion matrix versus the trace-analysis ground
-/// truth ([`dataset_from_records`] labels). Runs the compiled batch path,
-/// so post-campaign what-if evaluation of candidate models costs one
-/// arena sweep instead of a boxed walk per record.
-pub fn evaluate_detector_on_records(
-    detector: &VmTransitionDetector,
-    records: &[InjectionRecord],
-) -> mltree::ConfusionMatrix {
-    let ds = dataset_from_records(records);
-    mltree::evaluate_compiled(detector.compiled(), &ds)
-}
-
 /// One k-bit upset: `flips` struck together at `at_step`. The 1-bit fault
 /// it is paired with is the first flip alone.
 #[derive(Debug, Clone, PartialEq)]
@@ -1057,7 +1045,7 @@ impl Experiment for Multibit {
         let mut rng = ChaCha8Rng::seed_from_u64(fold64(cfg.seed, 0x4d42_4954 ^ ordinal as u64));
         (0..cfg.due_at(ordinal))
             .map(|_| MultibitSpec {
-                at_step: rng.gen_range(0..point.golden_len.max(1)),
+                at_step: rng.gen_range(0..point.meta.golden_len.max(1)),
                 flips: (0..self.bits).map(|_| flip(&mut rng)).collect(),
             })
             .collect()
@@ -1070,10 +1058,18 @@ impl Experiment for Multibit {
         spec: &MultibitSpec,
         detector: Option<&VmTransitionDetector>,
     ) -> (InjectionRecord, InjectionRecord) {
-        (
-            inject_with_flips(point, &spec.flips[..1], spec.at_step, detector),
-            inject_with_flips(point, &spec.flips, spec.at_step, detector),
-        )
+        let (target, bit) = spec.flips[0];
+        let first = InjectionSpec {
+            target,
+            bit,
+            at_step: spec.at_step,
+        };
+        let all = inject_core(point, spec.at_step, detector, false, |m, c| {
+            for &(target, bit) in &spec.flips {
+                m.cpu_mut(c).flip_bit(target, bit);
+            }
+        });
+        (inject(point, first, detector), record(point, first, all))
     }
 }
 
@@ -1164,28 +1160,24 @@ pub fn model_specs_at(
         .collect()
 }
 
-/// Outcome record of one extended-model injection, carrying the labels
-/// the vulnerability map buckets by.
+/// Outcome record of one extended-model injection. The labels the
+/// vulnerability map buckets by — class, target, bit — are the spec's
+/// ([`RecoverySpec::class`], [`RecoverySpec::target_label`],
+/// [`RecoverySpec::bit`]).
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ModelRecord {
     /// Golden point ordinal the fault was injected at.
     pub ordinal: usize,
     pub vmer: u16,
-    /// Fault-model class (`"burst"`, `"pte"`, `"pmc"`).
-    pub class: String,
-    /// Struck target: register, private region, PTE field or counter.
-    pub target: String,
-    /// Primary struck bit position.
-    pub bit: u8,
-    pub at_step: u64,
+    /// The injected fault.
+    pub spec: RecoverySpec,
     pub outcome: FaultOutcome,
     /// Faulty-run features, when the handler reached VM entry.
     pub features: Option<FeatureVec>,
 }
 
 /// The extended-model experiment: the burst / PTE / PMC strikes of
-/// [`model_specs_at`], each recorded with the labels the vulnerability map
-/// buckets by.
+/// [`model_specs_at`], each recorded with its spec.
 pub struct Models;
 
 impl Experiment for Models {
@@ -1202,7 +1194,12 @@ impl Experiment for Models {
         ordinal: usize,
         point: &InjectionPoint,
     ) -> Vec<RecoverySpec> {
-        model_specs_at(cfg, ordinal, point.golden_len, point.reason.vmer())
+        model_specs_at(
+            cfg,
+            ordinal,
+            point.meta.golden_len,
+            point.meta.reason.vmer(),
+        )
     }
 
     fn inject(
@@ -1215,11 +1212,8 @@ impl Experiment for Models {
         let (outcome, features) = inject_spec(point, spec, detector);
         ModelRecord {
             ordinal,
-            vmer: point.reason.vmer(),
-            class: spec.class().to_string(),
-            target: spec.target_label(),
-            bit: spec.bit(),
-            at_step: spec.at_step(),
+            vmer: point.meta.reason.vmer(),
+            spec: *spec,
             outcome,
             features,
         }
@@ -1523,7 +1517,7 @@ mod tests {
         let ds = dataset_from_records(&res.records);
         let tree = mltree::DecisionTree::train(&ds, &mltree::TrainConfig::decision_tree());
         let det = VmTransitionDetector::new(tree);
-        let cm = evaluate_detector_on_records(&det, &res.records);
+        let cm = mltree::evaluate_compiled(det.compiled(), &ds);
         assert_eq!(cm.total(), ds.len());
         // The batch path must agree with classifying each record alone.
         let mut expect = mltree::ConfusionMatrix::default();

@@ -106,7 +106,7 @@ mod tests {
         let mut reg = || InjectionSpec {
             target: targets[rng.gen_range(0..targets.len())],
             bit: rng.gen_range(0..64),
-            at_step: rng.gen_range(0..point.golden_len.max(1)),
+            at_step: rng.gen_range(0..point.meta.golden_len.max(1)),
         };
         let mut calls = Vec::new();
         for i in 0..160 {
@@ -117,7 +117,12 @@ mod tests {
             }
         }
         for ordinal in 0..4 {
-            for spec in model_specs_at(cfg, ordinal, point.golden_len, point.reason.vmer()) {
+            for spec in model_specs_at(
+                cfg,
+                ordinal,
+                point.meta.golden_len,
+                point.meta.reason.vmer(),
+            ) {
                 calls.push(Call::Spec(spec));
                 calls.push(Call::Recover(spec));
             }
@@ -127,11 +132,11 @@ mod tests {
         calls.push(Call::Recover(RecoverySpec::Reg(InjectionSpec {
             target: FlipTarget::Rip,
             bit: 42,
-            at_step: point.golden_len / 2,
+            at_step: point.meta.golden_len / 2,
         })));
         calls.push(Call::Recover(RecoverySpec::HvMem {
             region: 2,
-            word: point.reason.vmer(),
+            word: point.meta.reason.vmer(),
             bit: 20,
             at_step: 0,
         }));

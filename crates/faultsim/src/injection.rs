@@ -18,14 +18,15 @@
 //!    consequence (APP SDC / APP crash / one-VM / all-VM).
 
 use crate::fork::{fork_of, recycle};
-use crate::golden::{diff_machines, DiffSite, StateDiff};
+use crate::golden::{diff_machines, structural_corruption, DiffSite, StateDiff};
 use crate::outcome::{Consequence, FaultOutcome, UndetectedCategory};
+use crate::policy::TierResult;
 use crate::recovery::RecoverySpec;
 use guest_sim::guest_addrs;
 use sim_machine::cpu::FlipTarget;
 use sim_machine::{CpuId, ExitReason, Machine};
 use xen_like::{ActivationOutcome, Platform};
-use xentry::{FeatureVec, Xentry, XentryConfig};
+use xentry::{Detection, FeatureVec, Xentry, XentryConfig};
 
 /// One fault to inject.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -37,30 +38,21 @@ pub struct InjectionSpec {
     pub at_step: u64,
 }
 
-/// A reusable injection point: the platform frozen at a VM exit, plus the
-/// golden reference runs. Only the *observables* of the golden post window
-/// are kept (burst count, checksum, trap count) — not the post-window
-/// platform itself, which would triple the memory held per point for state
-/// the consequence classifier never word-compares.
+/// A reusable injection point: the platform frozen at a VM exit, the
+/// golden state at the matching VM entry, and the golden run's scalar
+/// record. Only the *observables* of the golden post window are kept (in
+/// `meta`) — not the post-window platform itself, which would triple the
+/// memory held per point for state the guest judge never word-compares.
 #[derive(Debug, Clone)]
 pub struct InjectionPoint {
     /// Platform state at the VM exit (host entry, VMCS filled).
     pub at_exit: Platform,
     pub cpu: CpuId,
-    pub reason: ExitReason,
     /// Golden platform state at the matching VM entry.
     pub golden_entry: Platform,
-    /// Dynamic length of the fault-free handler execution.
-    pub golden_len: u64,
-    /// Fault-free feature vector.
-    pub golden_features: FeatureVec,
-    /// Benchmark-guest burst count `post_window` activations past VM entry
-    /// in the golden run (alignment target for consequence runs).
-    pub golden_post_bursts: u64,
-    /// Benchmark-guest checksum at that burst count.
-    pub golden_post_result: u64,
-    /// Guest trap count in the golden post state.
-    pub golden_post_traps: u64,
+    /// The golden run this point was built from: exit reason, handler
+    /// length and features, post-window observables.
+    pub meta: PointMeta,
     /// Observed guest domain.
     pub dom: usize,
     /// Activations in the post window.
@@ -87,10 +79,16 @@ pub struct PointMeta {
     /// Invalid walk iterations skipped immediately before this point; each
     /// has an entry on the golden chain, which the fork steps over.
     pub skipped_before: usize,
+    /// Dynamic length of the fault-free handler execution.
     pub golden_len: u64,
+    /// Fault-free feature vector.
     pub golden_features: FeatureVec,
+    /// Benchmark-guest burst count `post_window` activations past VM entry
+    /// in the golden run (the guest judge's alignment target).
     pub golden_post_bursts: u64,
+    /// Benchmark-guest checksum at that burst count.
     pub golden_post_result: u64,
+    /// Guest trap count in the golden post state.
     pub golden_post_traps: u64,
 }
 
@@ -108,13 +106,12 @@ pub struct InjectionRecord {
     pub golden_features: FeatureVec,
 }
 
-fn shim_for(detector: Option<&xentry::VmTransitionDetector>) -> Xentry {
-    // continue_after_positive keeps golden/faulty cycle charging identical
-    // and lets us inspect the post-entry propagation even for detected
-    // faults (needed to know the would-be consequence for Fig. 9).
-    let mut shim = Xentry::new(XentryConfig::overhead(), detector.cloned());
-    shim.keep_trace = false;
-    shim
+/// The measurement shim every golden, faulty and judging run is charged
+/// by. continue_after_positive keeps golden/faulty cycle charging identical
+/// and lets us inspect the post-entry propagation even for detected faults
+/// (needed to know the would-be consequence for Fig. 9).
+pub(crate) fn shim_for(detector: Option<&xentry::VmTransitionDetector>) -> Xentry {
+    Xentry::new(XentryConfig::overhead(), detector.cloned())
 }
 
 /// The golden run at one VM exit, on `plat` itself (positioned right after
@@ -169,7 +166,8 @@ pub(crate) fn golden_run(
 /// fork of it, keeping the VM-entry state.
 ///
 /// Returns `None` if the golden run itself does not complete healthily
-/// (cannot happen in practice; defensive).
+/// (cannot happen in practice; defensive). The point's `meta` carries no
+/// walk position (`ordinal` and `skipped_before` are 0).
 pub fn prepare_point(
     at_exit: Platform,
     cpu: CpuId,
@@ -194,13 +192,8 @@ pub fn prepare_point(
     Some(InjectionPoint {
         at_exit,
         cpu,
-        reason,
         golden_entry: golden_entry.expect("a completed golden run passed VM entry"),
-        golden_len: meta.golden_len,
-        golden_features: meta.golden_features,
-        golden_post_bursts: meta.golden_post_bursts,
-        golden_post_result: meta.golden_post_result,
-        golden_post_traps: meta.golden_post_traps,
+        meta,
         dom,
         post_window,
     })
@@ -247,72 +240,75 @@ pub fn prepare_point_forked(
     InjectionPoint {
         at_exit,
         cpu,
-        reason: meta.reason,
         golden_entry: golden,
-        golden_len: meta.golden_len,
-        golden_features,
-        golden_post_bursts: meta.golden_post_bursts,
-        golden_post_result: meta.golden_post_result,
-        golden_post_traps: meta.golden_post_traps,
+        meta: meta.clone(),
         dom,
         post_window,
     }
 }
 
-/// Consequence classification by running `f`, a fork of the faulty machine
-/// at VM entry, forward until the benchmark guest reaches the golden burst
-/// count (or dies / stalls). `None` means the divergence washed out
+/// The guest-observable judge, shared by the campaign's consequence
+/// classifier and every recovery tier: run `f`, a platform past the point's
+/// VM entry, forward under `shim` until the benchmark guest reaches the
+/// golden burst count (at most `max(post_window × 4, 8) × budget_scale`
+/// activations), then compare what the guest shows with the golden run.
+/// The two machines are not activation-aligned, so it compares guest
+/// observables (burst progress, traps, checksum) and the structural
+/// invariants, never whole states.
+pub(crate) fn judge_guest(
+    point: &InjectionPoint,
+    f: &mut Platform,
+    shim: &mut Xentry,
+    budget_scale: u64,
+) -> TierResult {
+    let (meta, ga) = (&point.meta, guest_addrs(point.dom));
+    let peek = |f: &Platform, addr| f.machine.mem.peek(addr).unwrap_or(0);
+    let budget = (point.post_window as u64 * 4).max(8) * budget_scale.max(1);
+    for _ in 0..budget {
+        if peek(f, ga.iter_count) >= meta.golden_post_bursts {
+            break;
+        }
+        if !f.run_activation(point.cpu, shim).outcome.is_healthy() {
+            return TierResult::HypervisorDead;
+        }
+    }
+    let nr_doms = point.at_exit.topo.domains.len();
+    let residual = if peek(f, ga.iter_count) < meta.golden_post_bursts {
+        // The benchmark VM stopped making progress.
+        Some(Consequence::OneVmFailure)
+    } else if peek(f, ga.trap_count) > meta.golden_post_traps {
+        // The guest took unexpected traps: the application crashed.
+        Some(Consequence::AppCrash)
+    } else if peek(f, ga.result) != meta.golden_post_result {
+        // Application finished its bursts with a wrong checksum: SDC.
+        Some(Consequence::AppSdc)
+    } else if structural_corruption(&point.golden_entry.machine, &f.machine, nr_doms) {
+        // Structural invariant words (pointers, descriptors, dispatch
+        // table) are constant during normal operation, so the golden entry
+        // state is as valid a reference as any later golden state.
+        Some(Consequence::AllVmFailure)
+    } else {
+        None
+    };
+    residual.map_or(TierResult::Converged, TierResult::Residual)
+}
+
+/// Consequence classification of a fault that crossed VM entry: the guest
+/// judge on `f`, a fork of the faulty machine at VM entry, then the
+/// entry-aligned evidence. `None` means the divergence washed out
 /// completely (masked after entry).
 fn classify_consequence(
     point: &InjectionPoint,
     f: &mut Platform,
     entry_diff: &StateDiff,
     shim: &mut Xentry,
-    nr_doms: usize,
 ) -> Option<Consequence> {
-    let cpu = point.cpu;
-    let ga = guest_addrs(point.dom);
-    // Budget: generous multiple of the golden window.
-    let budget = (point.post_window * 4).max(8);
-    let mut died = false;
-    for _ in 0..budget {
-        let bursts = f.machine.mem.peek(ga.iter_count).unwrap_or(0);
-        if bursts >= point.golden_post_bursts {
-            break;
-        }
-        let a = f.run_activation(cpu, shim);
-        if !a.outcome.is_healthy() {
-            died = true;
-            break;
-        }
-    }
-    if died {
+    match judge_guest(point, f, shim, 1) {
         // The hypervisor itself crashed after the guest resumed: every VM
         // on the host is gone.
-        return Some(Consequence::AllVmFailure);
-    }
-    let bursts = f.machine.mem.peek(ga.iter_count).unwrap_or(0);
-    if bursts < point.golden_post_bursts {
-        // The benchmark VM stopped making progress.
-        return Some(Consequence::OneVmFailure);
-    }
-    let traps = f.machine.mem.peek(ga.trap_count).unwrap_or(0);
-    if traps > point.golden_post_traps {
-        // The guest took unexpected traps: the application crashed.
-        return Some(Consequence::AppCrash);
-    }
-    if f.machine.mem.peek(ga.result).unwrap_or(0) != point.golden_post_result {
-        // Application finished its bursts with a wrong checksum: SDC.
-        return Some(Consequence::AppSdc);
-    }
-    // Structural invariants (pointers, descriptors, dispatch table) can be
-    // compared even though the two machines are not activation-aligned —
-    // those words are constant during normal operation, so the golden entry
-    // state is as valid a reference as any later golden state; volatile
-    // accounting counters cannot, so the classification relies on
-    // observables plus this check.
-    if crate::golden::structural_corruption(&point.golden_entry.machine, &f.machine, nr_doms) {
-        return Some(Consequence::AllVmFailure);
+        TierResult::HypervisorDead => return Some(Consequence::AllVmFailure),
+        TierResult::Residual(c) => return Some(c),
+        TierResult::Converged => {}
     }
     // Entry-aligned evidence: wrong bytes already reached a device, or the
     // only corruption was guest-visible time.
@@ -372,43 +368,35 @@ fn categorize_undetected(
     UndetectedCategory::OtherValues
 }
 
-/// Execute one injection at a prepared point.
+/// Execute one injection at a prepared point: the register case of
+/// [`inject_spec`], recorded.
 pub fn inject(
     point: &InjectionPoint,
     spec: InjectionSpec,
     detector: Option<&xentry::VmTransitionDetector>,
 ) -> InjectionRecord {
-    inject_with_flips(point, &[(spec.target, spec.bit)], spec.at_step, detector)
+    record(
+        point,
+        spec,
+        inject_spec(point, &RecoverySpec::Reg(spec), detector),
+    )
 }
 
-/// Execute one injection applying several simultaneous bit flips — the
-/// multi-bit upset model the paper motivates ("uncorrected errors may still
-/// occur when the number of errors are beyond the ECC capabilities").
-pub fn inject_with_flips(
+/// The record of one register-fault injection at `point`; a multi-bit
+/// upset is recorded under its first flip.
+pub(crate) fn record(
     point: &InjectionPoint,
-    flips: &[(FlipTarget, u8)],
-    at_step: u64,
-    detector: Option<&xentry::VmTransitionDetector>,
+    spec: InjectionSpec,
+    (outcome, features): (FaultOutcome, Option<FeatureVec>),
 ) -> InjectionRecord {
-    assert!(!flips.is_empty());
-    let spec = InjectionSpec {
-        target: flips[0].0,
-        bit: flips[0].1,
-        at_step,
-    };
-    let (outcome, features) = inject_core(point, at_step, detector, false, |m, c| {
-        for &(target, bit) in flips {
-            m.cpu_mut(c).flip_bit(target, bit);
-        }
-    });
     InjectionRecord {
-        vmer: point.reason.vmer(),
+        vmer: point.meta.reason.vmer(),
         target: spec.target,
         bit: spec.bit,
         at_step: spec.at_step,
         outcome,
         features,
-        golden_features: point.golden_features,
+        golden_features: point.meta.golden_features,
     }
 }
 
@@ -421,7 +409,6 @@ pub fn inject_spec(
     spec: &RecoverySpec,
     detector: Option<&xentry::VmTransitionDetector>,
 ) -> (FaultOutcome, Option<FeatureVec>) {
-    let s = *spec;
     // PMC corruption lands in PMU state the entry diff deliberately
     // excludes, so a detector flag on an architecturally clean diff is a
     // true detection of the corrupted counter — not a false positive.
@@ -431,69 +418,84 @@ pub fn inject_spec(
         spec.at_step(),
         detector,
         flag_on_clean_diff,
-        move |m, c| s.apply(m, c),
+        |m, c| spec.apply(m, c),
     )
 }
 
-/// Shared execution core of every injection flavour, on a fork of the
-/// point's VM exit.
-fn inject_core(
+/// The faulted handler, the one run every injection and every detection
+/// starts with: a fork of the point's VM exit services the exit under
+/// `shim`, and `strike` lands after `at_step` retired host instructions.
+/// The shim's latency clock starts at the strike. The caller recycles the
+/// returned fork.
+pub(crate) fn run_faulted(
+    point: &InjectionPoint,
+    shim: &mut Xentry,
+    at_step: u64,
+    strike: impl FnOnce(&mut Machine, CpuId),
+) -> (Platform, ActivationOutcome) {
+    let cpu = point.cpu;
+    let mut f = fork_of(&point.at_exit);
+    shim.injection_mark = Some(f.machine.cpu(cpu).insns_retired + at_step);
+    let act = f.run_handler_hooked(cpu, point.meta.reason, 0, shim, Some(at_step), strike);
+    (f, act.outcome)
+}
+
+/// Shared execution core of every injection flavour: the faulted handler
+/// under the measurement shim, then its outcome.
+pub(crate) fn inject_core(
     point: &InjectionPoint,
     at_step: u64,
     detector: Option<&xentry::VmTransitionDetector>,
     flag_on_clean_diff: bool,
-    apply: impl FnOnce(&mut Machine, CpuId),
+    strike: impl FnOnce(&mut Machine, CpuId),
 ) -> (FaultOutcome, Option<FeatureVec>) {
-    let mut f = fork_of(&point.at_exit);
-    let result = faulty_run(&mut f, point, at_step, detector, flag_on_clean_diff, apply);
+    let mut shim = shim_for(detector);
+    let (f, outcome) = run_faulted(point, &mut shim, at_step, strike);
+    let result = fault_outcome(point, &f, &shim, outcome, detector, flag_on_clean_diff);
     recycle(f);
     result
 }
 
-/// Run the handler on `f` (the point's VM exit) with the fault hook
-/// attached, diff against the golden entry state, classify the
-/// consequence, and give deployed detection its post-window chance.
-fn faulty_run(
-    f: &mut Platform,
+/// The outcome of a fault `d` caught.
+fn detected(
+    d: &Detection,
+    same_activation: bool,
+    consequence: Option<Consequence>,
+) -> FaultOutcome {
+    FaultOutcome::Detected {
+        technique: d.technique,
+        latency: d.latency.unwrap_or(0),
+        same_activation,
+        consequence,
+    }
+}
+
+/// Classify the faulted handler's run on `f` (ended with `outcome`, under
+/// `shim`): diff against the golden entry state, classify the consequence,
+/// and give deployed detection its post-window chance.
+fn fault_outcome(
     point: &InjectionPoint,
-    at_step: u64,
+    f: &Platform,
+    shim: &Xentry,
+    outcome: ActivationOutcome,
     detector: Option<&xentry::VmTransitionDetector>,
     flag_on_clean_diff: bool,
-    apply: impl FnOnce(&mut Machine, CpuId),
 ) -> (FaultOutcome, Option<FeatureVec>) {
     let cpu = point.cpu;
-    let nr_doms = point.at_exit.topo.domains.len();
-    let mut shim = shim_for(detector);
-    // The latency clock starts at activation: the flips land after
-    // `at_step` retired host instructions.
-    shim.injection_mark = Some(f.machine.cpu(cpu).insns_retired + at_step);
-
-    let act = f.run_handler_hooked(cpu, point.reason, 0, &mut shim, Some(at_step), apply);
-
-    let base = |outcome, features| (outcome, features);
-
-    match act.outcome {
+    match outcome {
         ActivationOutcome::HostException(_)
         | ActivationOutcome::AssertFailed(_)
         | ActivationOutcome::Flagged => {
             // Runtime detection fired before VM entry (short-latency path).
             let d = shim.detections.first().expect("detection recorded");
-            return base(
-                FaultOutcome::Detected {
-                    technique: d.technique,
-                    latency: d.latency.unwrap_or(0),
-                    same_activation: true,
-                    consequence: Some(Consequence::HypervisorCrash),
-                },
-                None,
-            );
+            return (detected(d, true, Some(Consequence::HypervisorCrash)), None);
         }
         ActivationOutcome::Hung => {
             // Watchdog: the handler livelocked *before VM entry* — a
             // short-latency hypervisor failure (the paper's Path 1), not a
             // long-latency propagation. Xentry has no hang detector, so it
             // goes undetected.
-            return base(
+            return (
                 FaultOutcome::Undetected {
                     consequence: Consequence::HypervisorCrash,
                     category: UndetectedCategory::OtherValues,
@@ -506,7 +508,8 @@ fn faulty_run(
 
     // Handler completed: the VM-transition detector has classified (in
     // continue mode a positive is recorded, not fatal).
-    let faulty_features = shim.last_features().expect("features collected");
+    let features = shim.last_features().expect("features collected");
+    let nr_doms = point.at_exit.topo.domains.len();
     let entry_diff = diff_machines(&point.golden_entry.machine, &f.machine, cpu, nr_doms);
 
     if entry_diff.is_empty() {
@@ -514,50 +517,29 @@ fn faulty_run(
             // The caller declared clean-diff flags to be true detections
             // (PMC corruption: the strike is invisible to the diff by
             // construction, and the counter anomaly IS the manifestation).
-            let d = &shim.detections[0];
-            return base(
-                FaultOutcome::Detected {
-                    technique: d.technique,
-                    latency: d.latency.unwrap_or(0),
-                    same_activation: true,
-                    consequence: None,
-                },
-                Some(faulty_features),
-            );
+            return (detected(&shim.detections[0], true, None), Some(features));
         }
         // Architecturally clean execution. A positive verdict here is a
         // false positive (recovery would re-execute and succeed); it is not
         // a detection of a manifested fault, so the record stays benign —
         // FP rates are measured on fault-free runs, as in the paper.
-        return base(FaultOutcome::Benign, Some(faulty_features));
+        return (FaultOutcome::Benign, Some(features));
     }
 
     // Fault propagated across VM entry: long-latency error. Determine the
     // would-be consequence by running the faulty machine forward.
     let mut fwd = fork_of(f);
-    let consequence = classify_consequence(
-        point,
-        &mut fwd,
-        &entry_diff,
-        &mut shim_for(detector),
-        nr_doms,
-    );
+    let consequence = classify_consequence(point, &mut fwd, &entry_diff, &mut shim_for(detector));
     recycle(fwd);
 
     if shim.detected() {
-        let d = &shim.detections[0];
-        return base(
-            FaultOutcome::Detected {
-                technique: d.technique,
-                latency: d.latency.unwrap_or(0),
-                same_activation: true,
-                consequence,
-            },
-            Some(faulty_features),
+        return (
+            detected(&shim.detections[0], true, consequence),
+            Some(features),
         );
     }
     let Some(consequence) = consequence else {
-        return base(FaultOutcome::MaskedAfterEntry, Some(faulty_features));
+        return (FaultOutcome::MaskedAfterEntry, Some(features));
     };
 
     // Give the deployed runtime detection a chance during the observation
@@ -573,23 +555,15 @@ fn faulty_run(
     }
     recycle(fwd);
     if let Some(d) = late_shim.detections.first() {
-        return base(
-            FaultOutcome::Detected {
-                technique: d.technique,
-                latency: d.latency.unwrap_or(0),
-                same_activation: false,
-                consequence: Some(consequence),
-            },
-            Some(faulty_features),
-        );
+        return (detected(d, false, Some(consequence)), Some(features));
     }
 
-    let category = categorize_undetected(&point.golden_features, &faulty_features, &entry_diff);
-    base(
+    let category = categorize_undetected(&point.meta.golden_features, &features, &entry_diff);
+    (
         FaultOutcome::Undetected {
             consequence,
             category,
         },
-        Some(faulty_features),
+        Some(features),
     )
 }

@@ -37,17 +37,17 @@ pub use analysis::{
     UndetectedBreakdown, VulnCell, VulnMap,
 };
 pub use campaign::{
-    campaign_platform, collect_correct_samples, dataset_from_records, evaluate_detector_on_records,
-    golden_trace, model_specs_at, run, run_campaign, run_campaign_from_boot, run_campaign_with,
-    run_from_boot, run_recovery_campaign_with, run_resumable, run_with, CampaignConfig,
-    CampaignResult, Experiment, GoldenTrace, ModelRecord, Models, Multibit, MultibitSpec, Recovery,
+    campaign_platform, collect_correct_samples, dataset_from_records, golden_trace, model_specs_at,
+    run, run_campaign, run_campaign_from_boot, run_campaign_with, run_from_boot,
+    run_recovery_campaign_with, run_resumable, run_with, CampaignConfig, CampaignResult,
+    Experiment, GoldenTrace, ModelRecord, Models, Multibit, MultibitSpec, Recovery,
     RecoveryCampaignResult, RecoveryRecord, RegFlips, Run,
 };
 pub use checkpoint::{CheckpointStats, CheckpointStore};
 pub use golden::{classify_site, diff_machines, DiffSite, StateDiff};
 pub use injection::{
-    inject, inject_spec, inject_with_flips, prepare_point, prepare_point_forked, InjectionPoint,
-    InjectionRecord, InjectionSpec, PointMeta,
+    inject, inject_spec, prepare_point, prepare_point_forked, InjectionPoint, InjectionRecord,
+    InjectionSpec, PointMeta,
 };
 pub use journal::{write_atomic, CampaignJournal};
 pub use outcome::{Consequence, FaultOutcome, UndetectedCategory};

@@ -24,13 +24,6 @@ pub enum Consequence {
     HypervisorCrash,
 }
 
-impl Consequence {
-    /// Whether this is a long-latency consequence (error crossed VM entry).
-    pub fn is_long_latency(self) -> bool {
-        !matches!(self, Consequence::HypervisorCrash)
-    }
-}
-
 /// Corruption-site categories of undetected faults (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum UndetectedCategory {
@@ -110,12 +103,5 @@ mod tests {
             category: UndetectedCategory::TimeValues
         }
         .manifested());
-    }
-
-    #[test]
-    fn long_latency_classes() {
-        assert!(Consequence::AppSdc.is_long_latency());
-        assert!(Consequence::OneVmFailure.is_long_latency());
-        assert!(!Consequence::HypervisorCrash.is_long_latency());
     }
 }

@@ -33,14 +33,6 @@ pub enum RecoveryAction {
 }
 
 impl RecoveryAction {
-    /// Escalation order of the ladder (weaker tiers first).
-    pub const LADDER: [RecoveryAction; 4] = [
-        RecoveryAction::Ignore,
-        RecoveryAction::ReExecute,
-        RecoveryAction::Microreboot,
-        RecoveryAction::Halt,
-    ];
-
     /// The next-stronger tier, or `None` from `Halt`.
     pub fn escalate(self) -> Option<RecoveryAction> {
         match self {

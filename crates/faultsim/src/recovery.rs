@@ -18,12 +18,10 @@
 //!   ladder for one injection, under a given [`HmTable`].
 
 use crate::fork::{fork_of, recycle};
-use crate::injection::{InjectionPoint, InjectionSpec};
-use crate::outcome::Consequence;
+use crate::injection::{judge_guest, run_faulted, shim_for, InjectionPoint, InjectionSpec};
 use crate::policy::{
     run_ladder, EscalationStep, HmTable, RecoveryAction, RecoveryOutcome, TierResult,
 };
-use guest_sim::guest_addrs;
 use serde::{Deserialize, Serialize};
 use sim_machine::cpu::FlipTarget;
 use sim_machine::{CpuId, Machine, PerfCounters, PTE_PRESENT, PTE_RW};
@@ -278,19 +276,10 @@ pub fn detect_fault(
     spec: RecoverySpec,
     detector: Option<&VmTransitionDetector>,
 ) -> Option<DetectedFault> {
-    let cpu = point.cpu;
-    let mut f = fork_of(&point.at_exit);
     // Detection mode: a positive verdict stops the activation.
     let mut shim = Xentry::new(XentryConfig::detection(), detector.cloned());
-    let act = f.run_handler_hooked(
-        cpu,
-        point.reason,
-        0,
-        &mut shim,
-        Some(spec.at_step()),
-        move |m, c| spec.apply(m, c),
-    );
-    let technique = match act.outcome {
+    let (f, outcome) = run_faulted(point, &mut shim, spec.at_step(), |m, c| spec.apply(m, c));
+    let technique = match outcome {
         // Undetected, or hung with no detection signal to act on.
         ActivationOutcome::Resumed | ActivationOutcome::WentIdle | ActivationOutcome::Hung => {
             recycle(f);
@@ -305,9 +294,9 @@ pub fn detect_fault(
         // The shim's recovery support: the critical copy taken at the VM
         // exit. The fork started as the point's VM-exit state, so that is
         // where the copy is read from, and only for faults that need it.
-        snapshot: CriticalState::capture(&point.at_exit.machine, cpu),
+        snapshot: CriticalState::capture(&point.at_exit.machine, point.cpu),
         technique,
-        cpu,
+        cpu: point.cpu,
         spec,
     })
 }
@@ -315,74 +304,21 @@ pub fn detect_fault(
 /// The `Ignore` tier: no recovery action. The detection is logged and
 /// the system runs its course — realized by replaying the injection in
 /// continue-after-positive mode (the activation the detection would have
-/// stopped completes, fault and all) and classifying what the platform
+/// stopped completes, fault and all) and judging what the guest
 /// converges to. This is the detection-without-recovery baseline every
 /// recovery policy is measured against.
 pub fn ignore_recovery(fault: &DetectedFault, point: &InjectionPoint) -> TierResult {
-    let cpu = fault.cpu;
     let spec = fault.spec;
-    let mut f = fork_of(&point.at_exit);
-    let mut shim = Xentry::new(XentryConfig::overhead(), None);
-    let act = f.run_handler_hooked(
-        cpu,
-        point.reason,
-        0,
-        &mut shim,
-        Some(spec.at_step()),
-        move |m, c| spec.apply(m, c),
-    );
-    let result = if act.outcome.is_healthy() {
-        let mut clean = Xentry::new(XentryConfig::overhead(), None);
-        convergence(&mut f, point, &mut clean, 1)
+    let (mut f, outcome) = run_faulted(point, &mut shim_for(None), spec.at_step(), |m, c| {
+        spec.apply(m, c)
+    });
+    let result = if outcome.is_healthy() {
+        judge_guest(point, &mut f, &mut shim_for(None), 1)
     } else {
         TierResult::HypervisorDead
     };
     recycle(f);
     result
-}
-
-/// Drive the recovered platform forward and check convergence with the
-/// golden run. The re-execution draws fresh workload randomness, so a
-/// word-for-word state diff would be over-strict; instead compare the
-/// guest observables (burst progress, traps, result) and the structural
-/// invariants. `budget_scale` widens the catch-up window on retries.
-fn convergence(
-    f: &mut Platform,
-    point: &InjectionPoint,
-    shim: &mut Xentry,
-    budget_scale: u64,
-) -> TierResult {
-    let cpu = point.cpu;
-    let nr_doms = point.at_exit.topo.domains.len();
-    let ga = guest_addrs(point.dom);
-    let budget = (point.post_window as u64 * 4).max(8) * budget_scale.max(1);
-    for _ in 0..budget {
-        let bursts = f.machine.mem.peek(ga.iter_count).unwrap_or(0);
-        if bursts >= point.golden_post_bursts {
-            break;
-        }
-        let a = f.run_activation(cpu, shim);
-        if !a.outcome.is_healthy() {
-            return TierResult::HypervisorDead;
-        }
-    }
-    let bursts = f.machine.mem.peek(ga.iter_count).unwrap_or(0);
-    if bursts < point.golden_post_bursts {
-        return TierResult::Residual(Consequence::OneVmFailure);
-    }
-    if f.machine.mem.peek(ga.trap_count).unwrap_or(0) > point.golden_post_traps {
-        return TierResult::Residual(Consequence::AppCrash);
-    }
-    if f.machine.mem.peek(ga.result).unwrap_or(0) != point.golden_post_result {
-        return TierResult::Residual(Consequence::AppSdc);
-    }
-    // Structural invariant words are constant during normal operation, so
-    // the golden entry state serves as the reference (the point no longer
-    // carries a full post-window platform).
-    if crate::golden::structural_corruption(&point.golden_entry.machine, &f.machine, nr_doms) {
-        return TierResult::Residual(Consequence::AllVmFailure);
-    }
-    TierResult::Converged
 }
 
 /// The `ReExecute` tier (the paper's §VI sketch): restore the critical
@@ -403,18 +339,21 @@ pub fn attempt_recovery(
 }
 
 /// What both restoring tiers end with: service the pending VM exit again
-/// on the restored platform `f`, and if the handler completes, check
-/// convergence. Returns the tier result and the handler's cycles.
+/// on the restored platform `f`, and if the handler completes, judge the
+/// guest. Returns the tier result and the handler's cycles.
 fn reservice(
     f: &mut Platform,
     cpu: CpuId,
     point: &InjectionPoint,
     attempt: u32,
 ) -> (TierResult, u64) {
-    let mut clean = Xentry::new(XentryConfig::overhead(), None);
-    let act = f.run_handler(cpu, point.reason, 0, &mut clean);
+    let mut clean = shim_for(None);
+    let act = f.run_handler(cpu, point.meta.reason, 0, &mut clean);
+    // The re-execution draws fresh workload randomness, so a word-for-word
+    // state diff would be over-strict: the guest judge decides, its
+    // catch-up window widened on retries.
     let result = if act.outcome.is_healthy() {
-        convergence(f, point, &mut clean, attempt as u64)
+        judge_guest(point, f, &mut clean, attempt as u64)
     } else {
         TierResult::HypervisorDead
     };
@@ -553,7 +492,7 @@ mod tests {
             let spec = RecoverySpec::Reg(InjectionSpec {
                 target: targets[rng.gen_range(0..targets.len())],
                 bit: rng.gen_range(0..64),
-                at_step: rng.gen_range(0..point.golden_len.max(1)),
+                at_step: rng.gen_range(0..point.meta.golden_len.max(1)),
             });
             if let Some(rec) = recover_with_policy(&point, spec, None, &table) {
                 attempted += 1;
@@ -578,7 +517,7 @@ mod tests {
         let spec = RecoverySpec::Reg(InjectionSpec {
             target: FlipTarget::Rip,
             bit: 42,
-            at_step: point.golden_len / 2,
+            at_step: point.meta.golden_len / 2,
         });
         let fault = detect_fault(&point, spec, None).expect("high RIP bit is always detected");
         assert_eq!(fault.technique, Technique::HwException);
@@ -601,7 +540,7 @@ mod tests {
         let spec = RecoverySpec::Reg(InjectionSpec {
             target: FlipTarget::Rip,
             bit: 42,
-            at_step: point.golden_len / 2,
+            at_step: point.meta.golden_len / 2,
         });
         let fault = detect_fault(&point, spec, None).unwrap();
         let (tier, report) = microreboot_recovery(&fault, &point, 1);
@@ -620,7 +559,7 @@ mod tests {
         // only the microreboot's boot-image restore heals it.
         let spec = RecoverySpec::HvMem {
             region: 2, // hv.dispatch
-            word: point.reason.vmer(),
+            word: point.meta.reason.vmer(),
             bit: 20,
             at_step: 0,
         };
@@ -654,7 +593,7 @@ mod tests {
         // pending exit's dispatch entry plus bits 0 and 2 of the *next*
         // entry — and must corrupt both words.
         let point = prepared_point(5, 40);
-        let vmer = point.reason.vmer();
+        let vmer = point.meta.reason.vmer();
         let spec = RecoverySpec::Burst(BurstSpec {
             site: BurstSite::HvMem {
                 region: 2, // hv.dispatch
@@ -753,7 +692,7 @@ mod tests {
         let spec = RecoverySpec::Pmc(PmcSpec {
             counter: 1,
             bit: 40,
-            at_step: point.golden_len / 2,
+            at_step: point.meta.golden_len / 2,
         });
         let mut m = point.at_exit.machine.clone();
         let before = m.cpu(point.cpu).perf.clone();

@@ -41,7 +41,7 @@ proptest! {
         step_frac in 0u64..1000,
     ) {
         let point = shared_point();
-        let at_step = step_frac * point.golden_len / 1000;
+        let at_step = step_frac * point.meta.golden_len / 1000;
         let rec = inject(point, InjectionSpec { target, bit, at_step }, None);
 
         // Detected implies manifested.
@@ -52,9 +52,9 @@ proptest! {
         // remaining handler plus the observation window.
         if let FaultOutcome::Detected { latency, same_activation: true, .. } = &rec.outcome {
             prop_assert!(
-                *latency <= point.golden_len * 4 + 10_000,
+                *latency <= point.meta.golden_len * 4 + 10_000,
                 "latency {latency} out of range (golden_len {})",
-                point.golden_len
+                point.meta.golden_len
             );
         }
         // Features present iff the handler reached VM entry.
@@ -66,7 +66,7 @@ proptest! {
             FaultOutcome::Detected { .. } => {} // either way
         }
         // Golden features are invariant.
-        prop_assert_eq!(rec.golden_features, point.golden_features);
+        prop_assert_eq!(rec.golden_features, point.meta.golden_features);
     }
 
     /// Injecting the same fault twice yields the same outcome
@@ -78,7 +78,7 @@ proptest! {
         step_frac in 0u64..100,
     ) {
         let point = shared_point();
-        let at_step = step_frac * point.golden_len / 100;
+        let at_step = step_frac * point.meta.golden_len / 100;
         let spec = InjectionSpec { target, bit, at_step };
         let a = inject(point, spec, None);
         let b = inject(point, spec, None);
@@ -94,7 +94,7 @@ proptest! {
         let point = shared_point();
         let rec = inject(
             point,
-            InjectionSpec { target: FlipTarget::Rip, bit, at_step: point.golden_len / 2 },
+            InjectionSpec { target: FlipTarget::Rip, bit, at_step: point.meta.golden_len / 2 },
             None,
         );
         // RIP high bits land in unmapped space: fetch fault, detected.

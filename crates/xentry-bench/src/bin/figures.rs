@@ -30,7 +30,7 @@
 
 use guest_sim::Benchmark;
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use xentry_bench::pipeline::Scale;
 use xentry_bench::*;
 
@@ -88,13 +88,17 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(parsed)
 }
 
+/// Every artifact is written atomically (temp + rename): an interrupted run
+/// never leaves a torn file that a later plotting/CI step, or
+/// `fleet-replay`'s auto mode reading `detector.json`, would half-parse.
+fn write_file(path: &Path, contents: &str) {
+    xentry_fleet::write_atomic(path, contents).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+}
+
 fn write_json<T: serde::Serialize>(dir: &PathBuf, name: &str, value: &T) {
     std::fs::create_dir_all(dir).expect("create output dir");
     let path = dir.join(format!("{name}.json"));
-    // Atomic (temp + rename): an interrupted run never leaves a torn
-    // artifact that a later plotting/CI step would half-parse.
-    xentry_fleet::write_atomic(&path, &serde_json::to_string_pretty(value).unwrap())
-        .unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+    write_file(&path, &serde_json::to_string_pretty(value).unwrap());
     eprintln!("[figures] wrote {path:?}");
 }
 
@@ -187,8 +191,7 @@ fn main() {
         println!("{}", ml.render());
         timing.took("training", t);
         write_json(&out, "ml_accuracy", &ml);
-        std::fs::create_dir_all(&out).expect("create output dir");
-        std::fs::write(out.join("detector.json"), det.to_json()).expect("write detector");
+        write_file(&out.join("detector.json"), &det.to_json());
         Some(det)
     } else {
         None
@@ -237,11 +240,10 @@ fn main() {
         write_json(&out, "ext_recovery", &rec);
         // Mirror at the repo root so the recovery receipts ride along in
         // version control next to BENCH_vulnmap.json.
-        std::fs::write(
-            "BENCH_recovery.json",
-            serde_json::to_string_pretty(&rec).unwrap(),
-        )
-        .expect("write BENCH_recovery.json");
+        write_file(
+            Path::new("BENCH_recovery.json"),
+            &serde_json::to_string_pretty(&rec).unwrap(),
+        );
         eprintln!("[figures] wrote BENCH_recovery.json");
     }
 
@@ -259,11 +261,10 @@ fn main() {
         timing.took("vulnmap", t);
         write_json(&out, "vulnmap", &vm);
         // Mirror at the repo root next to the other committed receipts.
-        std::fs::write(
-            "BENCH_vulnmap.json",
-            serde_json::to_string_pretty(&vm).unwrap(),
-        )
-        .expect("write BENCH_vulnmap.json");
+        write_file(
+            Path::new("BENCH_vulnmap.json"),
+            &serde_json::to_string_pretty(&vm).unwrap(),
+        );
         eprintln!("[figures] wrote BENCH_vulnmap.json");
     }
 
@@ -273,13 +274,12 @@ fn main() {
         let vuln = register_vulnerability(Benchmark::Freqmine, det, &scale, seed);
         println!("{}", vuln.render());
         write_json(&out, "ext_vulnerability", &vuln);
-        let forest = forest_comparison(&[Benchmark::Freqmine], &scale, seed);
+        let (forest, envelope) = tree_comparisons(&[Benchmark::Freqmine], &scale, seed);
         println!("{}", forest.render());
         write_json(&out, "ext_forest", &forest);
         let multibit = multibit_comparison(Benchmark::Freqmine, 2, det, &scale, seed);
         println!("{}", multibit.render());
         write_json(&out, "ext_multibit", &multibit);
-        let envelope = envelope_comparison(&[Benchmark::Freqmine], &scale, seed);
         println!("{}", envelope.render());
         write_json(&out, "ext_envelope", &envelope);
         timing.took("extensions", t);

@@ -366,13 +366,21 @@ pub struct ForestReport {
     pub forests: Vec<(usize, usize, ConfusionMatrix, usize)>,
 }
 
-/// Train and compare.
-pub fn forest_comparison(benchmarks: &[Benchmark], scale: &Scale, seed: u64) -> ForestReport {
+/// The learned single random tree against its two alternatives, on one
+/// training campaign: a bagged forest at several vote thresholds (the §VIII
+/// direction) and per-VMER min/max envelopes at several slacks. Both share
+/// the campaign, its split, the rebalanced training set and the tree.
+pub fn tree_comparisons(
+    benchmarks: &[Benchmark],
+    scale: &Scale,
+    seed: u64,
+) -> (ForestReport, EnvelopeReport) {
     let ds = gather_dataset(benchmarks, scale, seed);
     let (train, test) = ds.split(3);
     let balanced = rebalance(&train, OVERSAMPLE_INCORRECT);
     let tree = DecisionTree::train(&balanced, &TrainConfig::random_tree(5, seed));
     let tree_cm = evaluate(&tree, &test);
+
     let mut forests = Vec::new();
     for (nr_trees, threshold) in [(9usize, 5usize), (9, 7), (15, 8), (15, 12)] {
         let mut cfg = ForestConfig::default_random_forest(5, seed);
@@ -382,10 +390,38 @@ pub fn forest_comparison(benchmarks: &[Benchmark], scale: &Scale, seed: u64) -> 
         let cm = evaluate_forest(&forest, &test);
         forests.push((nr_trees, threshold, cm, forest.nr_nodes()));
     }
-    ForestReport {
-        tree: tree_cm,
-        forests,
+
+    let features = |s: &mltree::Sample| xentry::FeatureVec {
+        vmer: s.features[0] as u16,
+        rt: s.features[1],
+        br: s.features[2],
+        rm: s.features[3],
+        wm: s.features[4],
+    };
+    // The envelope only learns from fault-free (correct) samples.
+    let correct_trace: Vec<xentry::FeatureVec> = (train.samples.iter())
+        .filter(|s| s.label == mltree::Label::Correct)
+        .map(features)
+        .collect();
+    let mut envelopes = Vec::new();
+    for slack in [0u64, 8, 32, 128] {
+        let env = xentry::EnvelopeDetector::train(&correct_trace, slack, 8);
+        let mut cm = ConfusionMatrix::default();
+        for s in &test.samples {
+            cm.record(s.label, env.classify(&features(s)));
+        }
+        envelopes.push((slack, cm, env.trained_vmers()));
     }
+    (
+        ForestReport {
+            tree: tree_cm,
+            forests,
+        },
+        EnvelopeReport {
+            tree: tree_cm,
+            envelopes,
+        },
+    )
 }
 
 impl ForestReport {
@@ -479,49 +515,6 @@ pub struct EnvelopeReport {
     pub envelopes: Vec<(u64, ConfusionMatrix, usize)>,
 }
 
-/// Compare the learned tree against envelope baselines at several slacks.
-pub fn envelope_comparison(benchmarks: &[Benchmark], scale: &Scale, seed: u64) -> EnvelopeReport {
-    let ds = gather_dataset(benchmarks, scale, seed);
-    let (train, test) = ds.split(3);
-    let balanced = rebalance(&train, OVERSAMPLE_INCORRECT);
-    let tree = DecisionTree::train(&balanced, &TrainConfig::random_tree(5, seed));
-    let tree_cm = evaluate(&tree, &test);
-
-    // The envelope only learns from fault-free (correct) samples.
-    let correct_trace: Vec<xentry::FeatureVec> = train
-        .samples
-        .iter()
-        .filter(|s| s.label == mltree::Label::Correct)
-        .map(|s| xentry::FeatureVec {
-            vmer: s.features[0] as u16,
-            rt: s.features[1],
-            br: s.features[2],
-            rm: s.features[3],
-            wm: s.features[4],
-        })
-        .collect();
-    let mut envelopes = Vec::new();
-    for slack in [0u64, 8, 32, 128] {
-        let env = xentry::EnvelopeDetector::train(&correct_trace, slack, 8);
-        let mut cm = ConfusionMatrix::default();
-        for s in &test.samples {
-            let f = xentry::FeatureVec {
-                vmer: s.features[0] as u16,
-                rt: s.features[1],
-                br: s.features[2],
-                rm: s.features[3],
-                wm: s.features[4],
-            };
-            cm.record(s.label, env.classify(&f));
-        }
-        envelopes.push((slack, cm, env.trained_vmers()));
-    }
-    EnvelopeReport {
-        tree: tree_cm,
-        envelopes,
-    }
-}
-
 impl EnvelopeReport {
     pub fn render(&self) -> String {
         let mut s = String::from(
@@ -602,7 +595,7 @@ pub fn vulnmap_experiment(
             models.insert("reg".to_string());
         }
         for r in &model {
-            models.insert(r.class.clone());
+            models.insert(r.spec.class().to_string());
         }
         maps.push(vulnmap_from_records(&reg));
         maps.push(vulnmap_from_model_records(&model));

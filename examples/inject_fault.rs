@@ -28,9 +28,9 @@ fn main() {
     let point = prepare_point(platform, 1, 1, reason, 6, None).expect("golden run");
     println!(
         "injection point: {} (handler runs {} instructions fault-free)",
-        reason, point.golden_len
+        reason, point.meta.golden_len
     );
-    println!("golden features: {:?}\n", point.golden_features);
+    println!("golden features: {:?}\n", point.meta.golden_features);
 
     // A gallery of representative faults.
     let cases = [
@@ -38,13 +38,13 @@ fn main() {
             "RIP bit 40 (lands in unmapped space)",
             FlipTarget::Rip,
             40u8,
-            point.golden_len / 2,
+            point.meta.golden_len / 2,
         ),
         (
             "RIP bit 4 (lands on a nearby instruction)",
             FlipTarget::Rip,
             4,
-            point.golden_len / 2,
+            point.meta.golden_len / 2,
         ),
         (
             "RSP bit 35 (stack accesses fault)",
@@ -62,19 +62,19 @@ fn main() {
             "R9 bit 12 mid-handler (pointer walk)",
             FlipTarget::Gpr(Reg::R9),
             12,
-            point.golden_len / 3,
+            point.meta.golden_len / 3,
         ),
         (
             "RFLAGS bit 6 (zero flag) mid-handler",
             FlipTarget::Rflags,
             6,
-            point.golden_len / 3,
+            point.meta.golden_len / 3,
         ),
         (
             "R12 bit 50 late (dead register)",
             FlipTarget::Gpr(Reg::R12),
             50,
-            point.golden_len - 5,
+            point.meta.golden_len - 5,
         ),
     ];
 

@@ -47,7 +47,8 @@ struct CorpusRecord {
     outcome: faultsim::FaultOutcome,
 }
 
-/// One extended-model corpus row ([`ModelRecord`] minus the features).
+/// One extended-model corpus row: a [`ModelRecord`]'s labels, derived from
+/// its spec, and its outcome.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct ModelCorpusRecord {
     ordinal: usize,
@@ -84,14 +85,14 @@ fn corpus_of(records: &[InjectionRecord]) -> Vec<CorpusRecord> {
 fn model_corpus_of(records: &[ModelRecord], class: &str) -> Vec<ModelCorpusRecord> {
     records
         .iter()
-        .filter(|r| r.class == class)
+        .filter(|r| r.spec.class() == class)
         .map(|r| ModelCorpusRecord {
             ordinal: r.ordinal,
             vmer: r.vmer,
-            class: r.class.clone(),
-            target: r.target.clone(),
-            bit: r.bit,
-            at_step: r.at_step,
+            class: r.spec.class().to_string(),
+            target: r.spec.target_label(),
+            bit: r.spec.bit(),
+            at_step: r.spec.at_step(),
             outcome: r.outcome.clone(),
         })
         .collect()

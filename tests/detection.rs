@@ -31,7 +31,7 @@ fn rip_high_bit_flip_is_caught_by_hardware_exception() {
         InjectionSpec {
             target: FlipTarget::Rip,
             bit: 40,
-            at_step: point.golden_len / 2,
+            at_step: point.meta.golden_len / 2,
         },
         None,
     );
@@ -67,7 +67,7 @@ fn injections_cover_every_outcome_class() {
                 InjectionSpec {
                     target,
                     bit,
-                    at_step: (i as u64 * 13 + bit as u64) % point.golden_len,
+                    at_step: (i as u64 * 13 + bit as u64) % point.meta.golden_len,
                 },
                 None,
             );
@@ -110,11 +110,11 @@ fn golden_features_are_stable_across_prepares() {
     // the determinism the differencing methodology rests on.
     let a = make_point(33);
     let b = make_point(33);
-    assert_eq!(a.reason, b.reason);
-    assert_eq!(a.golden_features, b.golden_features);
-    assert_eq!(a.golden_len, b.golden_len);
-    assert_eq!(a.golden_post_bursts, b.golden_post_bursts);
-    assert_eq!(a.golden_post_result, b.golden_post_result);
+    assert_eq!(a.meta.reason, b.meta.reason);
+    assert_eq!(a.meta.golden_features, b.meta.golden_features);
+    assert_eq!(a.meta.golden_len, b.meta.golden_len);
+    assert_eq!(a.meta.golden_post_bursts, b.meta.golden_post_bursts);
+    assert_eq!(a.meta.golden_post_result, b.meta.golden_post_result);
 }
 
 #[test]

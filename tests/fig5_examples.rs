@@ -41,7 +41,7 @@ fn fig5a_corrupted_loop_counter_changes_instruction_count() {
     let point = point_for_reason(ExitReason::Hypercall(18), 5).expect("console_io exit");
     let mut witnessed = false;
     // Sweep injection points across the handler; low bits of the counter.
-    for at in (0..point.golden_len).step_by(37) {
+    for at in (0..point.meta.golden_len).step_by(37) {
         for bit in [0u8, 1, 2] {
             let rec = inject(
                 &point,
@@ -77,7 +77,7 @@ fn fig5b_corrupted_branch_condition_takes_other_valid_path() {
     let point = point_for_reason(ExitReason::Hypercall(32), 9).expect("event_channel_op exit");
     let mut completed_with_diff = 0;
     let mut crashed = 0;
-    for at in (0..point.golden_len).step_by(17) {
+    for at in (0..point.meta.golden_len).step_by(17) {
         // r9 carries the masked-bit test inside evtchn_set_pending.
         let rec = inject(
             &point,
@@ -113,7 +113,7 @@ fn fig5b_corrupted_branch_condition_takes_other_valid_path() {
 fn fig5b_zero_flag_flip_is_valid_but_incorrect() {
     let point = point_for_reason(ExitReason::Hypercall(32), 21).expect("event_channel_op exit");
     let mut diverged = 0;
-    for at in (0..point.golden_len).step_by(7) {
+    for at in (0..point.meta.golden_len).step_by(7) {
         let rec = inject(
             &point,
             // Bit 6 = ZF: every flip lands between some cmp and its jcc.
