@@ -209,7 +209,7 @@ impl CampaignResult {
     /// traces; downstream analysis can re-aggregate without re-running).
     /// Written atomically so a crash never leaves a torn file.
     pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        crate::journal::write_atomic(
+        sim_machine::write_atomic(
             path.as_ref(),
             serde_json::to_string(self)
                 .expect("records serialize")

@@ -49,7 +49,7 @@ pub use injection::{
     inject, inject_spec, prepare_point, prepare_point_forked, InjectionPoint, InjectionRecord,
     InjectionSpec, PointMeta,
 };
-pub use journal::{write_atomic, CampaignJournal};
+pub use journal::CampaignJournal;
 pub use outcome::{Consequence, FaultOutcome, UndetectedCategory};
 pub use policy::{
     run_ladder, EscalationStep, HmRule, HmTable, RecoveryAction, RecoveryOutcome, TierResult,

@@ -59,3 +59,64 @@ pub use perf::{PerfCounters, PerfSample};
 pub use prng::fold64;
 pub use reg::Reg;
 pub use trace::{step_traced, TraceEntry, TraceRing};
+
+/// Write `bytes` to `path` atomically, creating its parent directory if
+/// needed. The bytes go to `.<file name>.tmp.<pid>` beside the target,
+/// which is then renamed over it, so a reader (or a kill signal) sees the
+/// old file or the new one, never a torn one, and neither two targets in
+/// one directory nor two processes share a temp file. A failed rename
+/// leaves no temp file behind.
+pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::other("write_atomic: path has no file name"))?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(file_name);
+    tmp_name.push(format!(".tmp.{}", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::write_atomic;
+
+    #[test]
+    fn write_atomic_replaces_in_place_and_never_leaves_a_temp() {
+        let dir = std::env::temp_dir().join(format!("xentry-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let names = |dir: &std::path::Path| -> Vec<String> {
+            let mut v: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            v.sort();
+            v
+        };
+        // The parent directory is created; a second write replaces the first.
+        let json = dir.join("freqmine.json");
+        write_atomic(&json, b"first").unwrap();
+        write_atomic(&json, b"second").unwrap();
+        assert_eq!(std::fs::read(&json).unwrap(), b"second");
+        // A second target of the same stem stages in its own temp.
+        let journal = dir.join("freqmine.journal");
+        write_atomic(&journal, b"{}").unwrap();
+        assert_eq!(names(&dir), ["freqmine.journal", "freqmine.json"]);
+        // Renaming a file onto a directory fails, and takes its temp with it.
+        let occupied = dir.join("occupied");
+        std::fs::create_dir_all(&occupied).unwrap();
+        assert!(write_atomic(&occupied, b"{}").is_err());
+        let all = ["freqmine.journal", "freqmine.json", "occupied"];
+        assert_eq!(names(&dir), all);
+        // A path without a file name is refused before anything is written.
+        assert!(write_atomic(&dir.join(".."), b"{}").is_err());
+        assert_eq!(names(&dir), all);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

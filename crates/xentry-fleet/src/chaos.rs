@@ -1,38 +1,24 @@
-//! Service-level chaos harness: inject the fault classes the fleet
-//! claims to survive into a *live* replay and assert the recovery
-//! invariants hold.
+//! Service-level failpoints: the fault classes the fleet claims to
+//! survive, injected into a *live* service.
 //!
 //! This is `faultsim::injection` lifted one level up: where faultsim
 //! flips architectural bits under a single hypervisor activation and
-//! checks detection, this module injects *service-level* faults —
-//! panicking detectors, bit-flipped model arenas offered for deployment,
-//! stalled shard workers, saturated ingest queues — under a running
-//! [`FleetService`] and checks the self-protection machinery:
+//! checks detection, [`Failpoints`] make shard workers panic (a detector
+//! or sink fault on the model path) or stall (a wedged worker, as the
+//! watchdog sees it) under a running [`FleetService`], so a test can check
+//! the self-protection machinery: no silent loss, recovery after disarm,
+//! rollback and degraded mode. `tests/fleet_chaos.rs` drives them, with
+//! bit-flipped candidate arenas and saturated ingest queues, through the
+//! whole scenario.
 //!
-//! * **No silent loss** — after a drained shutdown, every accepted record
-//!   is either classified or counted in `lost`; every rejected ingest is
-//!   in `dropped`.
-//! * **Recovery** — after the last injection is disarmed, every shard
-//!   produces verdicts again within the recovery deadline.
-//! * **Deploy safety** — corrupted candidates (structural and semantic
-//!   arena bit-flips) are rejected without moving the model epoch, and
-//!   the panic-storm rollback restores the previous model's fingerprint.
-//! * **Verdict integrity** — every model-path verdict agrees with a
-//!   reference classification of the same features; degraded-path
-//!   verdicts are tagged and counted, never mixed in silently.
+//! Failpoints are inert atomics compiled into the worker loop, checked at
+//! most twice per *batch* (one relaxed bool load on the armed flag), so
+//! the production hot path pays nothing measurable.
 //!
-//! Injection uses [`Failpoints`]: inert atomics compiled into the worker
-//! loop, checked at most twice per *batch* (one relaxed bool load on the
-//! armed flag), so the production hot path pays nothing measurable.
+//! [`FleetService`]: crate::FleetService
 
-use crate::record::VerdictSource;
-use crate::replay::{self, ReplayConfig, ReplayReport};
-use crate::service::{CollectSink, FleetConfig, FleetService};
-use crate::ServiceSnapshot;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-use xentry::{FeatureVec, VmTransitionDetector};
+use std::time::Duration;
 
 /// Chaos failpoints wired into every shard worker. Inert until armed;
 /// arming is test/harness-only (the service never arms them itself).
@@ -100,465 +86,6 @@ impl Failpoints {
             0 => None,
             ns => Some(Duration::from_nanos(ns)),
         }
-    }
-}
-
-/// Shape of a chaos run.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Replay hosts (each on its own sender thread).
-    pub hosts: usize,
-    /// Records each replay host sends.
-    pub records_per_host: usize,
-    /// Classification shards.
-    pub shards: usize,
-    pub seed: u64,
-    /// Throttled replay rate per host (records/second); keeps traffic
-    /// flowing across the whole injection timeline.
-    pub rate_per_host: f64,
-    /// Probe records per shard used to prove post-storm recovery.
-    pub probes_per_shard: usize,
-    /// Wall-clock budget for each waited-on transition (panic observed,
-    /// stall detected, degraded entered, recovery proven).
-    pub deadline_ms: u64,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> ChaosConfig {
-        ChaosConfig {
-            hosts: 4,
-            records_per_host: 30_000,
-            shards: 4,
-            seed: 42,
-            rate_per_host: 10_000.0,
-            probes_per_shard: 256,
-            deadline_ms: 10_000,
-        }
-    }
-}
-
-/// What the harness injected and what it observed. `violations` is empty
-/// iff every recovery invariant held.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ChaosReport {
-    pub injected_panic_batches: u64,
-    pub injected_stalls: u64,
-    pub rejected_swaps: u64,
-    pub valid_swaps: u64,
-    /// The supervisor's panic-storm rollback restored the pre-swap
-    /// model's fingerprint.
-    pub rollback_restored_fingerprint: bool,
-    /// Burst-ingest saturation probe: sent/accepted/rejected.
-    pub burst_sent: u64,
-    pub burst_accepted: u64,
-    pub burst_rejected: u64,
-    /// Model-path verdicts checked against the reference classifier.
-    pub parity_checked: u64,
-    pub parity_mismatches: u64,
-    /// Degraded-path verdicts observed in the sink.
-    pub degraded_seen: u64,
-    pub replay: ReplayReport,
-    pub snapshot: ServiceSnapshot,
-    pub violations: Vec<String>,
-}
-
-impl ChaosReport {
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Human-readable summary block.
-    pub fn render(&self) -> String {
-        use std::fmt::Write;
-        let s = &self.snapshot;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "chaos run: {}",
-            if self.is_clean() {
-                "CLEAN"
-            } else {
-                "VIOLATIONS"
-            }
-        );
-        let _ = writeln!(
-            out,
-            "  injected: {} panic batches, {} stalls, {} corrupt swaps, {} valid swaps",
-            self.injected_panic_batches,
-            self.injected_stalls,
-            self.rejected_swaps,
-            self.valid_swaps
-        );
-        let _ = writeln!(
-            out,
-            "  accounting: ingested {} = classified {} + lost {} | dropped {}",
-            s.ingested, s.classified, s.lost, s.dropped
-        );
-        let _ = writeln!(
-            out,
-            "  supervision: {} restarts, {} stalls detected, {} rollbacks, {} swap rejections",
-            s.restarts, s.stalls, s.rollbacks, s.swap_rejections
-        );
-        let _ = writeln!(
-            out,
-            "  degraded: {} entries, {} envelope verdicts | incidents {} (+{} suppressed)",
-            s.degraded_entries, s.degraded_verdicts, s.incidents, s.suppressed_incidents
-        );
-        let _ = writeln!(
-            out,
-            "  parity: {} model verdicts checked, {} mismatches | rollback fingerprint restored: {}",
-            self.parity_checked, self.parity_mismatches, self.rollback_restored_fingerprint
-        );
-        for v in &self.violations {
-            let _ = writeln!(out, "  VIOLATION: {v}");
-        }
-        out
-    }
-
-    /// Panic with the report if any invariant was violated.
-    pub fn assert_clean(&self) {
-        assert!(self.is_clean(), "{}", self.render());
-    }
-}
-
-/// A known-nominal feature vector (VMER-17 profile center) used for pump
-/// and probe traffic, so its expected verdict is reference-computable.
-fn pump_features() -> FeatureVec {
-    FeatureVec {
-        vmer: 17,
-        rt: 70,
-        br: 7,
-        rm: 9,
-        wm: 5,
-    }
-}
-
-/// Ingest pump/probe traffic into `shard`'s queue (host ids are placed
-/// above the replay range so their features are reconstructable).
-struct Pump {
-    host: u32,
-    seq: u64,
-    accepted: u64,
-    rejected: u64,
-}
-
-impl Pump {
-    fn new(cfg: &ChaosConfig, shard: usize) -> Pump {
-        let base = cfg.hosts as u32;
-        let shards = cfg.shards as u32;
-        let host = (base..).find(|h| h % shards == shard as u32).unwrap();
-        Pump {
-            host,
-            seq: 0,
-            accepted: 0,
-            rejected: 0,
-        }
-    }
-
-    fn send(&mut self, svc: &FleetService, n: usize) {
-        for _ in 0..n {
-            if svc.ingest(self.host, 0, self.seq, pump_features()) {
-                self.accepted += 1;
-            } else {
-                self.rejected += 1;
-            }
-            self.seq += 1;
-        }
-    }
-}
-
-/// Keep a trickle of records flowing into `pump`'s shard until `pred`
-/// holds or the deadline passes. Returns whether `pred` held.
-fn pump_until(
-    svc: &FleetService,
-    pump: &mut Pump,
-    deadline: Duration,
-    mut pred: impl FnMut() -> bool,
-) -> bool {
-    let t0 = Instant::now();
-    while !pred() {
-        if t0.elapsed() > deadline {
-            return false;
-        }
-        pump.send(svc, 32);
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    true
-}
-
-/// Run the full chaos scenario against a live service. See the module
-/// docs for the injected faults and asserted invariants.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    assert!(cfg.hosts >= 1 && cfg.shards >= 1);
-    let deadline = Duration::from_millis(cfg.deadline_ms);
-    let reference = replay::synthetic_detector(cfg.seed);
-    let fleet_cfg = FleetConfig {
-        shards: cfg.shards,
-        queue_capacity: 8192,
-        batch: 64,
-        recorder_depth: 32,
-        restart_backoff_ms: 1,
-        restart_backoff_cap_ms: 20,
-        stall_timeout_ms: 100,
-        rollback_after: 2,
-        degrade_after: 4,
-        incident_burst: 32,
-        incident_per_sec: 50,
-        golden_vectors: 128,
-        trace_depth: 8192,
-    };
-    let sink = Arc::new(CollectSink::default());
-    let svc = FleetService::start(fleet_cfg, reference.clone(), Arc::clone(&sink) as _);
-    let trace = replay::synthetic_trace(8192, cfg.seed ^ 0xc4a05);
-    let mut violations: Vec<String> = Vec::new();
-    let mut pumps: Vec<Pump> = (0..cfg.shards).map(|s| Pump::new(cfg, s)).collect();
-    let mut injected_panic_batches = 0u64;
-    let mut injected_stalls = 0u64;
-    let mut rejected_swaps = 0u64;
-    let mut valid_swaps = 0u64;
-
-    let replay_cfg = ReplayConfig {
-        hosts: cfg.hosts,
-        records_per_host: cfg.records_per_host,
-        rate_per_host: cfg.rate_per_host,
-    };
-    let rep = std::thread::scope(|scope| {
-        let replay_handle = scope.spawn(|| replay::replay(&svc, &trace, &replay_cfg));
-
-        // Let steady-state traffic flow (and the workers' envelopes
-        // absorb model-approved activations) before injecting anything.
-        std::thread::sleep(Duration::from_millis(100));
-
-        // Scenario 1: a single detector panic — the supervisor must
-        // restart the worker and account the abandoned batch.
-        svc.failpoints().inject_panics(0, 1);
-        injected_panic_batches += 1;
-        if !pump_until(&svc, &mut pumps[0], deadline, || {
-            svc.snapshot().restarts >= 1
-        }) {
-            violations.push("no restart observed after injected panic".into());
-        }
-
-        // Scenario 2: hot-swap validation. Corrupt candidates (one
-        // structural child-reference flip, one semantic threshold flip)
-        // must be rejected without moving the epoch; a clean redeploy
-        // must pass the strict gate.
-        let epoch_before = svc.model_version();
-        let mut structural = replay::synthetic_detector(cfg.seed);
-        structural.chaos_flip_arena_bit(64 + 17); // left-child reference bit
-        if svc.hot_swap_validated(structural, false).is_err() {
-            rejected_swaps += 1;
-        } else {
-            violations.push("structurally corrupt arena accepted for deployment".into());
-        }
-        let mut semantic = replay::synthetic_detector(cfg.seed);
-        semantic.chaos_flip_arena_bit(63); // root threshold high bit
-        if svc.hot_swap_validated(semantic, false).is_err() {
-            rejected_swaps += 1;
-        } else {
-            violations.push("semantically corrupt arena accepted for deployment".into());
-        }
-        if svc.model_version() != epoch_before {
-            violations.push("rejected swap moved the model epoch".into());
-        }
-        let redeploy =
-            VmTransitionDetector::from_json(&reference.to_json()).expect("reference round-trips");
-        match svc.hot_swap_validated(redeploy, true) {
-            Ok(_) => valid_swaps += 1,
-            Err(e) => violations.push(format!("clean redeploy rejected: {e}")),
-        }
-
-        // Scenario 3: a stalled shard — the watchdog must detect the
-        // stale heartbeat and bring in a replacement worker.
-        let stall_shard = 1 % cfg.shards;
-        svc.failpoints()
-            .inject_stall(stall_shard, Duration::from_millis(400));
-        injected_stalls += 1;
-        if !pump_until(&svc, &mut pumps[stall_shard], deadline, || {
-            svc.snapshot().stalls >= 1
-        }) {
-            violations.push("watchdog never detected the injected stall".into());
-        }
-
-        // Scenario 4: queue saturation while the worker is wedged — the
-        // burst must be bounded by drop-and-count, never by blocking.
-        let sat_shard = 2 % cfg.shards;
-        svc.failpoints()
-            .inject_stall(sat_shard, Duration::from_millis(300));
-        injected_stalls += 1;
-        pumps[sat_shard].send(&svc, 1); // arm: next batch consumes the stall
-        std::thread::sleep(Duration::from_millis(20));
-        let before_rejected = pumps[sat_shard].rejected;
-        pumps[sat_shard].send(&svc, 8192 + 4096);
-        let burst_rejected_now = pumps[sat_shard].rejected - before_rejected;
-        if burst_rejected_now == 0 {
-            violations.push("saturation burst overran a wedged shard without drops".into());
-        }
-
-        // Scenario 5: panic storm — escalation must roll the model back
-        // (restoring the pre-swap fingerprint) and then degrade, at which
-        // point envelope verdicts flow instead of records burning.
-        let storm_shard = 0;
-        svc.failpoints().inject_panics(storm_shard, 64);
-        injected_panic_batches += 64;
-        if !pump_until(&svc, &mut pumps[storm_shard], deadline, || svc.degraded()) {
-            violations.push("panic storm never escalated to degraded mode".into());
-        }
-        if !pump_until(&svc, &mut pumps[storm_shard], deadline, || {
-            svc.snapshot().degraded_verdicts > 0
-        }) {
-            violations.push("degraded mode produced no envelope verdicts".into());
-        }
-
-        // All injections done: disarm, recover, and prove every shard is
-        // serving again.
-        svc.failpoints().disarm();
-        svc.exit_degraded();
-        let rep = replay_handle.join().expect("replay panicked");
-
-        let before_batches: Vec<u64> = svc.snapshot().shards.iter().map(|s| s.batches).collect();
-        for pump in pumps.iter_mut() {
-            pump.send(&svc, cfg.probes_per_shard);
-        }
-        let recovered = {
-            let t0 = Instant::now();
-            loop {
-                let snap = svc.snapshot();
-                let all_advanced = snap
-                    .shards
-                    .iter()
-                    .zip(&before_batches)
-                    .all(|(s, &b)| s.batches > b);
-                let drained = snap.classified + snap.lost == snap.ingested;
-                if all_advanced && drained {
-                    break true;
-                }
-                if t0.elapsed() > deadline {
-                    break false;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        };
-        if !recovered {
-            violations.push(format!(
-                "not every shard resumed verdicts within {} ms of disarming",
-                cfg.deadline_ms
-            ));
-        }
-        rep
-    });
-
-    let snapshot = svc.shutdown();
-
-    // Invariant: exact accounting. Every accepted record classified or
-    // lost-with-cause; every rejected ingest in the drop counter.
-    let pump_accepted: u64 = pumps.iter().map(|p| p.accepted).sum();
-    let pump_rejected: u64 = pumps.iter().map(|p| p.rejected).sum();
-    let accepted_total = rep.accepted + pump_accepted;
-    let rejected_total = rep.rejected + pump_rejected;
-    if snapshot.ingested != accepted_total {
-        violations.push(format!(
-            "ingested {} != accepted {}",
-            snapshot.ingested, accepted_total
-        ));
-    }
-    if snapshot.dropped != rejected_total {
-        violations.push(format!(
-            "dropped {} != rejected ingests {}",
-            snapshot.dropped, rejected_total
-        ));
-    }
-    if snapshot.classified + snapshot.lost != snapshot.ingested {
-        violations.push(format!(
-            "unaccounted records: classified {} + lost {} != ingested {}",
-            snapshot.classified, snapshot.lost, snapshot.ingested
-        ));
-    }
-
-    // Invariant: the escalation ladder ran. One rollback (restoring the
-    // reference fingerprint under a fresh version), one degraded entry.
-    if snapshot.rollbacks < 1 {
-        violations.push("panic storm triggered no automatic rollback".into());
-    }
-    if snapshot.degraded_entries < 1 {
-        violations.push("panic storm never entered degraded mode".into());
-    }
-    let rollback_restored_fingerprint =
-        snapshot.rollbacks >= 1 && snapshot.model_fingerprint == reference.fingerprint();
-    if snapshot.rollbacks >= 1 && !rollback_restored_fingerprint {
-        violations.push("rollback did not restore the pre-swap fingerprint".into());
-    }
-    if snapshot.swap_rejections != rejected_swaps {
-        violations.push(format!(
-            "swap rejection counter {} != rejected attempts {}",
-            snapshot.swap_rejections, rejected_swaps
-        ));
-    }
-    if snapshot.degraded {
-        violations.push("service still degraded after exit_degraded".into());
-    }
-
-    // Invariant: verdict integrity. Sink delivery is exact up to records
-    // that died between their sink call and their counter.
-    let verdicts = crate::model::lock_recovering(&sink.verdicts);
-    let delivered = verdicts.len() as u64;
-    if delivered < snapshot.classified || delivered > snapshot.classified + snapshot.lost {
-        violations.push(format!(
-            "sink delivered {} verdicts for {} classified (+{} lost)",
-            delivered, snapshot.classified, snapshot.lost
-        ));
-    }
-    // Parity: every model-path verdict must match a reference
-    // classification of the record's reconstructed features. All three
-    // deployed versions (v1 reference, v2 strict redeploy, v3 rollback)
-    // classify identically, so one reference covers the whole run.
-    let mut parity_checked = 0u64;
-    let mut parity_mismatches = 0u64;
-    let mut degraded_seen = 0u64;
-    for v in verdicts.iter() {
-        match v.source {
-            VerdictSource::DegradedEnvelope => degraded_seen += 1,
-            VerdictSource::Model => {
-                let f = if (v.host as usize) < cfg.hosts {
-                    trace[(v.host as usize * 7919 + v.seq as usize) % trace.len()]
-                } else {
-                    pump_features()
-                };
-                parity_checked += 1;
-                if reference.classify(&f) != v.label {
-                    parity_mismatches += 1;
-                }
-            }
-        }
-    }
-    drop(verdicts);
-    if parity_mismatches > 0 {
-        violations.push(format!(
-            "{parity_mismatches} model verdicts diverged from the reference classifier"
-        ));
-    }
-    if degraded_seen != snapshot.degraded_verdicts {
-        violations.push(format!(
-            "degraded verdicts in sink ({degraded_seen}) != counter ({})",
-            snapshot.degraded_verdicts
-        ));
-    }
-
-    ChaosReport {
-        injected_panic_batches,
-        injected_stalls,
-        rejected_swaps,
-        valid_swaps,
-        rollback_restored_fingerprint,
-        burst_sent: pumps.iter().map(|p| p.accepted + p.rejected).sum(),
-        burst_accepted: pump_accepted,
-        burst_rejected: pump_rejected,
-        parity_checked,
-        parity_mismatches,
-        degraded_seen,
-        replay: rep,
-        snapshot,
-        violations,
     }
 }
 

@@ -53,10 +53,10 @@
 //!   (`/metrics`), liveness (`/healthz`) and the trace (`/trace`). The
 //!   layer's own cost is measured, not guessed: `benchmark trace
 //!   fleet-serve` prices the traced service against an untraced one.
-//! * **The claims are chaos-tested** ([`chaos`]): failpoints inject
-//!   panicking detectors, bit-flipped candidate arenas, stalled shards,
-//!   and queue saturation into a live replay, and [`chaos::run_chaos`]
-//!   asserts the recovery invariants.
+//! * **The claims are chaos-tested** ([`chaos`]): failpoints make shard
+//!   workers panic or stall in a live replay; `tests/fleet_chaos.rs` adds
+//!   bit-flipped candidate arenas and queue saturation and asserts the
+//!   recovery invariants.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -85,7 +85,7 @@ mod supervisor;
 pub mod telemetry;
 pub mod trace;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport, Failpoints};
+pub use chaos::Failpoints;
 pub use metrics::{
     EpochVerdicts, Histogram, HistogramSnapshot, HistogramTally, Metrics, ServiceSnapshot,
     ShardSnapshot,
@@ -99,7 +99,7 @@ pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use service::{CollectSink, FleetConfig, FleetService, NullSink, VerdictSink};
 pub use telemetry::{
     escape_label_value, parse_exposition, render_exposition, render_prometheus, service_families,
-    write_atomic, Family, Kind, TelemetryServer,
+    Family, Kind, TelemetryServer,
 };
 pub use trace::{SpanKind, TraceEvent, TraceRing, Tracer};
 

@@ -359,9 +359,8 @@ impl ServiceSnapshot {
     /// is atomic (temp file + rename), so a killed run never leaves a
     /// torn snapshot for partial readers to misparse.
     pub fn write(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
         let path = dir.join("service.json");
-        crate::telemetry::write_atomic(&path, &self.to_json_pretty())?;
+        sim_machine::write_atomic(&path, self.to_json_pretty().as_bytes())?;
         Ok(path)
     }
 }

@@ -37,9 +37,12 @@ unsafe impl<T: Send> Sync for MpmcQueue<T> {}
 
 impl<T> MpmcQueue<T> {
     /// Allocate a queue with `capacity` slots (rounded up to a power of
-    /// two, minimum 2).
+    /// two, minimum 2). Panics if that power of two overflows `usize`.
     pub fn with_capacity(capacity: usize) -> MpmcQueue<T> {
-        let cap = capacity.max(2).next_power_of_two();
+        let cap = capacity
+            .max(2)
+            .checked_next_power_of_two()
+            .expect("MpmcQueue::with_capacity: capacity rounds past usize::MAX");
         let buf: Vec<Slot<T>> = (0..cap)
             .map(|i| Slot {
                 seq: AtomicUsize::new(i),
@@ -215,6 +218,12 @@ mod tests {
         assert_eq!(q.capacity(), 1024);
         let q = MpmcQueue::<u32>::with_capacity(0);
         assert_eq!(q.capacity(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "MpmcQueue::with_capacity: capacity rounds past usize::MAX")]
+    fn capacity_past_the_largest_power_of_two_panics() {
+        MpmcQueue::<u32>::with_capacity((1 << (usize::BITS - 1)) + 1);
     }
 
     #[test]

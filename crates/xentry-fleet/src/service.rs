@@ -35,6 +35,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use xentry::{FeatureVec, VmTransitionDetector};
 
+/// Golden canary vectors captured at start for swap validation.
+const GOLDEN_VECTORS: usize = 128;
+
 /// Service sizing and fault-tolerance policy.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
@@ -46,9 +49,8 @@ pub struct FleetConfig {
     pub batch: usize,
     /// Flight-recorder depth per host.
     pub recorder_depth: usize,
-    /// Base restart delay after a worker panic; doubles per consecutive
-    /// panic up to `restart_backoff_cap_ms`.
-    pub restart_backoff_ms: u64,
+    /// Longest restart delay after a worker panic. The delay starts at
+    /// 1 ms and doubles per consecutive panic up to this cap.
     pub restart_backoff_cap_ms: u64,
     /// Heartbeat age after which the watchdog declares a shard stalled
     /// and spawns a replacement worker. 0 disables the watchdog.
@@ -59,13 +61,6 @@ pub struct FleetConfig {
     /// Consecutive panics on one shard before the service enters
     /// degraded (envelope-fallback) mode. 0 disables.
     pub degrade_after: u32,
-    /// Incident-dump rate limit per host: dumps allowed back-to-back.
-    /// 0 disables limiting.
-    pub incident_burst: u64,
-    /// Incident-dump refill rate per host, dumps/second.
-    pub incident_per_sec: u64,
-    /// Golden canary vectors captured at start for swap validation.
-    pub golden_vectors: usize,
     /// Flight-trace ring depth per lane (a worker lane and an ingest
     /// lane per shard plus one control lane; rounded up to a power of
     /// two). Shard queues are FIFO, so the newest-retained ingest spans
@@ -85,14 +80,10 @@ impl Default for FleetConfig {
             queue_capacity: 8192,
             batch: 64,
             recorder_depth: 32,
-            restart_backoff_ms: 1,
             restart_backoff_cap_ms: 100,
             stall_timeout_ms: 500,
             rollback_after: 2,
             degrade_after: 4,
-            incident_burst: 32,
-            incident_per_sec: 10,
-            golden_vectors: 128,
             trace_depth: 8192,
         }
     }
@@ -272,7 +263,7 @@ impl FleetService {
     ) -> FleetService {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.batch >= 1, "need a positive batch size");
-        let golden = GoldenSet::capture(&detector, golden_probe_vectors(cfg.golden_vectors));
+        let golden = GoldenSet::capture(&detector, golden_probe_vectors(GOLDEN_VECTORS));
         let shared = Arc::new(Shared {
             cfg,
             queues: (0..cfg.shards)
@@ -777,7 +768,6 @@ mod tests {
             queue_capacity: 2048,
             batch: 16,
             recorder_depth: 4,
-            restart_backoff_ms: 1,
             restart_backoff_cap_ms: 4,
             ..FleetConfig::default()
         };

@@ -40,6 +40,11 @@ const YIELD_POLLS: u32 = 256;
 const ENVELOPE_SLACK: u64 = 8;
 const ENVELOPE_MIN_SAMPLES: u64 = 32;
 
+/// Incident-dump rate limit per host: dumps allowed back-to-back, then
+/// refilled at this many per second.
+const INCIDENT_BURST: u64 = 32;
+const INCIDENT_PER_SEC: u64 = 10;
+
 pub(crate) fn run_worker(
     shared: &Arc<Shared>,
     shard: usize,
@@ -189,7 +194,7 @@ pub(crate) fn run_worker(
             let (recorder, budget) = recorders.entry(rec.host).or_insert_with(|| {
                 (
                     FlightRecorder::new(shared.cfg.recorder_depth),
-                    DumpBudget::new(shared.cfg.incident_burst, shared.cfg.incident_per_sec),
+                    DumpBudget::new(INCIDENT_BURST, INCIDENT_PER_SEC),
                 )
             });
             recorder.push(rec, label, model.version);

@@ -168,12 +168,15 @@ fn on_worker_panic(shared: &Arc<Shared>, shard: usize, inflight: &AtomicU64) -> 
     consecutive
 }
 
+/// First restart delay after a worker panic.
+const RESTART_BACKOFF_MS: u64 = 1;
+
 /// Capped exponential backoff between restarts, sliced so the heartbeat
 /// stays fresh (a restarting shard is not a stalled shard) and so the
 /// stop flag still drains promptly.
 fn backoff(shared: &Arc<Shared>, shard: usize, consecutive: u32) {
     let cfg = &shared.cfg;
-    let base = cfg.restart_backoff_ms.max(1);
+    let base = RESTART_BACKOFF_MS;
     let exp = consecutive.saturating_sub(1).min(16);
     let mut remaining_ms = (base << exp).min(cfg.restart_backoff_cap_ms.max(base));
     let hb = &shared.supervision.shards[shard].heartbeat_ns;

@@ -155,9 +155,12 @@ pub struct TraceRing {
 
 impl TraceRing {
     /// Allocate a ring with `depth` slots (rounded up to a power of two,
-    /// minimum 2).
+    /// minimum 2). Panics if that power of two overflows `usize`.
     pub fn new(depth: usize) -> TraceRing {
-        let cap = depth.max(2).next_power_of_two();
+        let cap = depth
+            .max(2)
+            .checked_next_power_of_two()
+            .expect("TraceRing::new: depth rounds past usize::MAX");
         TraceRing {
             slots: (0..cap)
                 .map(|_| EventSlot {
@@ -461,6 +464,12 @@ mod tests {
         );
         assert!(evs.iter().all(|e| e.lane == 3));
         assert_eq!(evs[0].trace_id, 112);
+    }
+
+    #[test]
+    #[should_panic(expected = "TraceRing::new: depth rounds past usize::MAX")]
+    fn depth_past_the_largest_power_of_two_panics() {
+        TraceRing::new(usize::MAX);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! cargo run --release --bin fleet-replay -- [--quick] [--hosts N]
-//!     [--shards K] [--records N] [--rate R] [--swap] [--chaos]
-//!     [--workload] [--detector PATH] [--out DIR] [--distributed N]
-//!     [--serve ADDR] [--self-scrape] [--trace-depth N]
+//!     [--shards K] [--records N] [--rate R] [--queue-capacity N]
+//!     [--batch N] [--swap] [--detector PATH] [--out DIR]
+//!     [--serve ADDR] [--trace-depth N]
 //! ```
 //!
 //! Replays activation traces from `--hosts` simulated platform instances
@@ -13,34 +13,24 @@
 //! and the flight trace to `<out>/trace.json` (open it in any Chrome
 //! trace viewer, e.g. `ui.perfetto.dev`).
 //!
+//! The trace follows the deployed model: a campaign-trained model
+//! replays real platform activations, the synthetic fallback model its
+//! own synthetic distribution (mixing them makes every verdict a false
+//! positive).
+//!
 //! `--serve ADDR` additionally exposes `/metrics` (Prometheus text
 //! exposition), `/healthz` and `/trace` on `ADDR` for the lifetime of the
-//! replay (`curl :9184/metrics`). `--self-scrape` scrapes that endpoint
-//! in-process while the service is live, asserts the exposition parses
-//! and the key per-shard/per-epoch series are present, and exits nonzero
-//! on any violation — the CI smoke gate.
-//!
-//! `--distributed N` spawns N host-agent child processes (this same
-//! binary re-executed) plus an in-process aggregator on 127.0.0.1, runs
-//! the loopback distributed replay — including a forced kill/restart of
-//! host 0 and a wire-propagated model epoch — self-scrapes the
-//! aggregator's `/metrics`, and writes the receipt to
-//! `<out>/distributed.json`. Exits nonzero unless the fleet-wide
-//! accounting identity is exact and the model converged on every host.
-//!
-//! With `--chaos` the replay instead runs the service-level chaos
-//! harness ([`xentry_fleet::chaos`]): panicking detectors, corrupted
-//! candidate arenas, stalled shards, and queue saturation are injected
-//! into the live replay, the recovery invariants are checked, and the
-//! process exits nonzero if any were violated.
+//! replay (`curl :9184/metrics`).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use xentry::VmTransitionDetector;
-use xentry_fleet::{
-    replay, ChaosConfig, FleetConfig, FleetService, NullSink, ReplayConfig, SpanKind,
-};
+use xentry_fleet::{replay, FleetConfig, FleetService, NullSink, ReplayConfig};
+
+/// Largest `--queue-capacity` and `--trace-depth` accepted: both are
+/// rounded up to a power of two and allocated per shard.
+const MAX_SLOTS: usize = 1 << 20;
 
 struct Args {
     hosts: usize,
@@ -50,26 +40,10 @@ struct Args {
     queue_capacity: usize,
     batch: usize,
     swap: bool,
-    chaos: bool,
-    trace: TraceSource,
     detector: Option<PathBuf>,
     out: PathBuf,
     serve: Option<String>,
-    self_scrape: bool,
     trace_depth: usize,
-    distributed: Option<usize>,
-    quick: bool,
-}
-
-/// Where replayed activations come from. `Auto` pairs the trace with the
-/// deployed model: a campaign-trained model replays real platform
-/// activations; the synthetic fallback model replays its own
-/// distribution (mixing them makes every verdict a false positive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TraceSource {
-    Auto,
-    Workload,
-    Synthetic,
 }
 
 impl Default for Args {
@@ -82,15 +56,10 @@ impl Default for Args {
             queue_capacity: 8192,
             batch: 64,
             swap: false,
-            chaos: false,
-            trace: TraceSource::Auto,
             detector: None,
             out: PathBuf::from("results"),
             serve: None,
-            self_scrape: false,
             trace_depth: FleetConfig::default().trace_depth,
-            distributed: None,
-            quick: false,
         }
     }
 }
@@ -108,14 +77,6 @@ fn parse_args() -> Args {
                 args.hosts = 4;
                 args.shards = 4;
                 args.records_per_host = 50_000;
-                args.quick = true;
-            }
-            "--distributed" => {
-                args.distributed = Some(
-                    value("host count")
-                        .parse()
-                        .unwrap_or_else(|_| die("bad --distributed")),
-                )
             }
             "--hosts" => {
                 args.hosts = value("count")
@@ -144,13 +105,9 @@ fn parse_args() -> Args {
             }
             "--batch" => args.batch = value("size").parse().unwrap_or_else(|_| die("bad --batch")),
             "--swap" => args.swap = true,
-            "--chaos" => args.chaos = true,
-            "--workload" => args.trace = TraceSource::Workload,
-            "--synthetic" => args.trace = TraceSource::Synthetic,
             "--detector" => args.detector = Some(PathBuf::from(value("path"))),
             "--out" => args.out = PathBuf::from(value("dir")),
             "--serve" => args.serve = Some(value("addr")),
-            "--self-scrape" => args.self_scrape = true,
             "--trace-depth" => {
                 args.trace_depth = value("events")
                     .parse()
@@ -159,10 +116,8 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "fleet-replay [--quick] [--hosts N] [--shards K] [--records N] \
-                     [--rate R] [--queue-capacity N] [--batch N] [--swap] [--chaos] \
-                     [--workload | --synthetic] [--detector PATH] [--out DIR] \
-                     [--distributed N] [--serve ADDR] [--self-scrape] \
-                     [--trace-depth N]"
+                     [--rate R] [--queue-capacity N] [--batch N] [--swap] \
+                     [--detector PATH] [--out DIR] [--serve ADDR] [--trace-depth N]"
                 );
                 std::process::exit(0);
             }
@@ -177,6 +132,12 @@ fn parse_args() -> Args {
     }
     if args.batch == 0 {
         die("--batch must be at least 1");
+    }
+    if args.queue_capacity > MAX_SLOTS {
+        die(&format!("--queue-capacity must be at most {MAX_SLOTS}"));
+    }
+    if args.trace_depth > MAX_SLOTS {
+        die(&format!("--trace-depth must be at most {MAX_SLOTS}"));
     }
     args
 }
@@ -222,141 +183,8 @@ fn load_detector(args: &Args) -> (VmTransitionDetector, &'static str) {
     (det, "synthetic")
 }
 
-/// `--chaos`: run the chaos harness instead of a plain replay. The
-/// harness owns its own (synthetic-reference) service so every injected
-/// fault has a reference classifier to check verdict parity against.
-fn run_chaos_mode(args: &Args) -> ! {
-    // Injected detector panics are expected and caught by the
-    // supervisor; keep them to one line so the report stays readable.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info.payload().downcast_ref::<String>().cloned();
-        match msg.as_deref() {
-            Some(m) if m.starts_with("chaos: injected") => eprintln!("[failpoint] {m}"),
-            _ => default_hook(info),
-        }
-    }));
-    let cfg = ChaosConfig {
-        hosts: args.hosts,
-        records_per_host: args.records_per_host,
-        shards: args.shards,
-        rate_per_host: if args.rate_per_host > 0.0 {
-            args.rate_per_host
-        } else {
-            10_000.0
-        },
-        ..ChaosConfig::default()
-    };
-    println!(
-        "chaos run: {} records x {} hosts into {} shards at {}/s/host...",
-        cfg.records_per_host, cfg.hosts, cfg.shards, cfg.rate_per_host
-    );
-    let report = xentry_fleet::run_chaos(&cfg);
-    let path = report
-        .snapshot
-        .write(&args.out)
-        .expect("write service.json");
-    println!();
-    print!("{}", report.render());
-    println!("snapshot:   {}", path.display());
-    std::process::exit(if report.is_clean() { 0 } else { 1 });
-}
-
-/// `--self-scrape`: hit the live scrape endpoint in-process and assert
-/// the exposition is parseable and the key series exist. Any failure
-/// kills the run — this is the CI gate on the telemetry surface.
-fn self_scrape(addr: std::net::SocketAddr, shards: usize) {
-    let (status, health) =
-        xentry_fleet::http_get(addr, "/healthz").unwrap_or_else(|e| die(&format!("/healthz: {e}")));
-    if status != 200 || !health.contains("\"status\"") {
-        die(&format!("/healthz unhealthy: {status} {health}"));
-    }
-    let (status, body) =
-        xentry_fleet::http_get(addr, "/metrics").unwrap_or_else(|e| die(&format!("/metrics: {e}")));
-    if status != 200 {
-        die(&format!("/metrics returned {status}"));
-    }
-    let samples = xentry_fleet::parse_exposition(&body)
-        .unwrap_or_else(|e| die(&format!("/metrics exposition does not parse: {e}")));
-    let series = |name: &str| samples.iter().filter(|(n, _, _)| n == name).count();
-    for required in [
-        "xentry_fleet_ingested_total",
-        "xentry_fleet_classified_total",
-        "xentry_fleet_trace_events_total",
-        "xentry_fleet_queue_latency_ns_bucket",
-        "xentry_fleet_queue_latency_ns_sum",
-        "xentry_fleet_queue_latency_ns_count",
-        "xentry_fleet_classify_latency_ns_count",
-    ] {
-        if series(required) == 0 {
-            die(&format!("/metrics is missing series {required}"));
-        }
-    }
-    if series("xentry_fleet_shard_classified_total") != shards {
-        die(&format!(
-            "expected one xentry_fleet_shard_classified_total sample per shard ({shards}), got {}",
-            series("xentry_fleet_shard_classified_total")
-        ));
-    }
-    if series("xentry_fleet_epoch_verdicts_total") == 0 {
-        die("no per-epoch verdict series yet — scrape raced the first batch?");
-    }
-    println!(
-        "self-scrape: /metrics ok ({} samples, {} shard series, {} epoch series), /healthz ok",
-        samples.len(),
-        series("xentry_fleet_shard_classified_total"),
-        series("xentry_fleet_epoch_verdicts_total"),
-    );
-}
-
-/// `--distributed N`: hand the run to the multi-process loopback
-/// harness, with this binary re-executed as the host-child image.
-fn run_distributed_mode(args: &Args) -> ! {
-    let n = args.distributed.unwrap_or(4);
-    if n == 0 {
-        die("--distributed needs at least 1 host");
-    }
-    let mut cfg = xentry_wire::DistributedConfig::quick(n);
-    if !args.quick {
-        cfg.records_per_host = args.records_per_host;
-        cfg.rate_per_host = args.rate_per_host;
-        cfg.shards_per_host = args.shards;
-    }
-    cfg.out = args.out.clone();
-    println!(
-        "distributed replay: {n} host processes x {} records at {}/s, \
-         {} shards each; kill/restart host {:?}, model push {}",
-        cfg.records_per_host,
-        cfg.rate_per_host,
-        cfg.shards_per_host,
-        cfg.kill_restart_host,
-        cfg.publish_model,
-    );
-    let report = xentry_wire::run_distributed(&cfg)
-        .unwrap_or_else(|e| die(&format!("distributed run: {e}")));
-    let path = report.write(&cfg.out).expect("write distributed.json");
-    println!();
-    print!("{}", report.render());
-    println!(
-        "scrape:     /metrics ok={} ({} samples, {} host series)",
-        report.scrape.ok, report.scrape.samples, report.scrape.host_series
-    );
-    println!("receipt:    {}", path.display());
-    std::process::exit(if report.is_clean() { 0 } else { 1 });
-}
-
 fn main() {
-    // Re-executed as a distributed host child? Run that and exit.
-    if xentry_wire::maybe_child_main() {
-        return;
-    }
     let args = parse_args();
-    if args.distributed.is_some() {
-        run_distributed_mode(&args);
-    }
-    if args.chaos {
-        run_chaos_mode(&args);
-    }
     let (detector, source) = load_detector(&args);
     // A retrained model for the mid-replay swap: JSON round-trip of the
     // deployed one, so behavior is identical but the deployment epoch
@@ -364,12 +192,7 @@ fn main() {
     // through a serialiser, so it deploys behind the strict canary gate.
     let swap_model = VmTransitionDetector::from_json(&detector.to_json()).expect("round trip");
 
-    let use_workload = match args.trace {
-        TraceSource::Workload => true,
-        TraceSource::Synthetic => false,
-        TraceSource::Auto => source == "file",
-    };
-    let trace = if use_workload {
+    let trace = if source == "file" {
         println!("collecting workload trace from the simulated platform...");
         xentry_fleet::replay::workload_trace(guest_sim::Benchmark::Postmark, 4096, 21)
     } else {
@@ -385,14 +208,9 @@ fn main() {
         ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, detector, Arc::new(NullSink));
-    // `--self-scrape` without `--serve` binds an ephemeral local port.
-    let serve_addr = args
-        .serve
-        .clone()
-        .or_else(|| args.self_scrape.then(|| "127.0.0.1:0".to_string()));
-    let telemetry = serve_addr.map(|addr| {
+    let telemetry = args.serve.as_deref().map(|addr| {
         let server = svc
-            .serve_telemetry(addr.as_str())
+            .serve_telemetry(addr)
             .unwrap_or_else(|e| die(&format!("--serve {addr}: {e}")));
         println!(
             "telemetry:  http://{}/metrics (also /healthz, /trace)",
@@ -438,48 +256,14 @@ fn main() {
         report
     });
 
-    // Scrape while the service is still live (the endpoint serves the
-    // running counters, not a post-mortem).
-    if args.self_scrape {
-        let server = telemetry.as_ref().expect("self-scrape started a server");
-        self_scrape(server.addr(), args.shards);
-    }
-
     let tracer = svc.tracer();
     let snapshot = svc.shutdown();
     let path = snapshot.write(&args.out).expect("write service.json");
 
-    // Post-join the rings are quiescent: export the flight trace and
-    // verify at least one record's full ingest -> classify -> verdict
-    // chain survived ring overflow.
+    // Post-join the rings are quiescent: export the flight trace.
     let trace_path = args.out.join("trace.json");
-    xentry_fleet::write_atomic(&trace_path, &tracer.export_chrome()).expect("write trace.json");
-    let chain_id = {
-        let events = tracer.events();
-        let mut batch_seen = false;
-        let mut ingest = std::collections::HashSet::new();
-        let mut chain = 0u64;
-        for e in &events {
-            match e.kind {
-                SpanKind::BatchClassify => batch_seen = true,
-                SpanKind::Ingest if e.trace_id != 0 => {
-                    ingest.insert(e.trace_id);
-                }
-                SpanKind::Verdict if chain == 0 && ingest.contains(&e.trace_id) => {
-                    chain = e.trace_id;
-                }
-                _ => {}
-            }
-        }
-        if batch_seen {
-            chain
-        } else {
-            0
-        }
-    };
-    if tracer.enabled() && chain_id == 0 {
-        die("trace.json covers no complete ingest->classify->verdict chain");
-    }
+    sim_machine::write_atomic(&trace_path, tracer.export_chrome().as_bytes())
+        .expect("write trace.json");
     drop(telemetry);
 
     let secs = report.wall_ns as f64 / 1e9;
@@ -508,10 +292,9 @@ fn main() {
     );
     if tracer.enabled() {
         println!(
-            "trace:      {} events ({} overflowed), chain verified for trace id {} -> {}",
+            "trace:      {} events ({} overflowed) -> {}",
             snapshot.trace_events,
             snapshot.trace_dropped,
-            chain_id,
             trace_path.display(),
         );
     }

@@ -12,7 +12,7 @@
 //!  │ FleetService     │ ────────────────► │ per-host windows  │
 //!  │   ▲              │  ModelPublish     │ merge + reconcile │
 //!  │ HostAgent ◄──────┼────────────────── │ model epochs      │──► /metrics
-//!  │  (reconnect,     │  ModelStatus      │ (xentry_agg_*)    │    distributed.json
+//!  │  (reconnect,     │  ModelStatus      │ (xentry_agg_*)    │
 //!  │   backpressure)  │ ────────────────► └───────────────────┘
 //!  └──────────────────┘   length-prefixed frames over TCP
 //! ```
@@ -28,12 +28,14 @@
 //!   `ingested == classified + lost` holds fleet-wide even across
 //!   disconnects (stranded in-flight windows are reconciled, never
 //!   silently dropped), and publishes model epochs down every session.
-//! * [`distributed`] — the loopback multi-process harness behind
-//!   `fleet-replay --distributed N`.
+//!
+//! The loopback multi-process drill (real host processes, a SIGKILL and
+//! restart, a model pushed over the wire) lives with the test that runs
+//! it: `tests/fleet_distributed.rs`. The `fleet-replay` bin replays a
+//! trace into one in-process service.
 
 pub mod agent;
 pub mod aggregator;
-pub mod distributed;
 pub mod frame;
 pub mod topology;
 
@@ -41,10 +43,6 @@ pub use agent::{AgentConfig, AgentStatus, HostAgent};
 pub use aggregator::{
     aggregator_families, render_aggregator_prometheus, Aggregator, AggregatorSnapshot, FleetRollup,
     HostSnapshot,
-};
-pub use distributed::{
-    maybe_child_main, run_distributed, ChildReport, DistributedConfig, DistributedReport,
-    CHILD_SENTINEL,
 };
 pub use frame::{Frame, FrameError, FrameReader, HostCounters, SummaryFrame};
 pub use topology::FleetTopology;

@@ -2,14 +2,9 @@
 //!
 //! `tests/fleet_distributed.rs` points `DistributedConfig::child_exe`
 //! at this binary (via `CARGO_BIN_EXE_wire-host`); all the real logic
-//! lives in `xentry_wire::distributed`.
+//! lives in `xentry_integration_tests::distributed::child_main`.
 
 fn main() {
-    if !xentry_wire::maybe_child_main() {
-        eprintln!(
-            "wire-host is the distributed-replay child image; \
-             it only runs when spawned by xentry_wire::run_distributed"
-        );
-        std::process::exit(2);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(xentry_integration_tests::distributed::child_main(&args));
 }

@@ -172,7 +172,7 @@ fn forked_engine_matches_from_boot_and_the_golden_corpus() {
     }
     let path = golden_path("campaign_corpus.json");
     if std::env::var("XENTRY_UPDATE_GOLDEN").is_ok() {
-        faultsim::write_atomic(
+        sim_machine::write_atomic(
             &path,
             serde_json::to_string_pretty(&got).unwrap().as_bytes(),
         )
@@ -219,7 +219,7 @@ fn recovery_ladders_and_multibit_pairs_match_the_pinned_records() {
     let got = serde_json::to_string_pretty(&got).unwrap();
     let path = golden_path("fault_paths.json");
     if std::env::var("XENTRY_UPDATE_GOLDEN").is_ok() {
-        faultsim::write_atomic(&path, got.as_bytes()).unwrap();
+        sim_machine::write_atomic(&path, got.as_bytes()).unwrap();
         eprintln!("regenerated {path:?}");
         return;
     }

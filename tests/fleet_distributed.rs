@@ -1,34 +1,43 @@
 //! Loopback distributed integration test: real processes, real sockets.
 //!
-//! `run_distributed` spawns host-agent child processes (the `wire-host`
-//! bin of this package) plus an in-process aggregator, SIGKILLs one
-//! host mid-run and restarts it with a higher incarnation, and
-//! publishes a retrained model epoch over the wire. The assertions here
-//! are the ISSUE's acceptance criteria verbatim: the fleet-wide
-//! accounting identity is exact across the kill/reconnect, and the
-//! pushed epoch is admitted through `hot_swap_validated` on every
-//! surviving host.
+//! `run_distributed` (this package's `distributed` module) spawns
+//! host-agent child processes (the `wire-host` bin of this package) plus
+//! an in-process aggregator, SIGKILLs one host mid-run and restarts it
+//! with a higher incarnation, and publishes a retrained model epoch over
+//! the wire. The assertions: the fleet-wide accounting identity is exact
+//! across the kill/reconnect, the pushed epoch is admitted through
+//! `hot_swap_validated` on every surviving host, and the aggregator's
+//! `/metrics` answers while the fleet is live.
 
 use std::path::PathBuf;
-use std::time::Duration;
-use xentry_wire::{run_distributed, DistributedConfig};
+use xentry_integration_tests::distributed::{run_distributed, DistributedConfig, DistributedRun};
 
-fn test_config(hosts: usize, out: &str) -> DistributedConfig {
-    let mut cfg = DistributedConfig::quick(hosts);
-    // Smaller than the CLI quick run — CI test budget — but still
-    // throttled enough that the kill lands mid-replay.
-    cfg.records_per_host = 12_000;
-    cfg.rate_per_host = 12_000.0;
-    cfg.child_exe = PathBuf::from(env!("CARGO_BIN_EXE_wire-host"));
-    cfg.timeout = Duration::from_secs(90);
-    cfg.out = std::env::temp_dir().join(out);
-    cfg
+/// Throttled enough that the kill lands mid-replay, small enough for the
+/// test budget.
+fn test_config(hosts: usize) -> DistributedConfig {
+    DistributedConfig {
+        hosts,
+        records_per_host: 12_000,
+        rate_per_host: 12_000.0,
+        kill_restart_host: Some(0),
+        publish_model: true,
+        child_exe: PathBuf::from(env!("CARGO_BIN_EXE_wire-host")),
+    }
+}
+
+/// The aggregator's `/metrics`, scraped mid-run, answered and carried one
+/// up-gauge per host plus the fleet-wide accounting series.
+fn assert_live_scrape(report: &DistributedRun, hosts: usize) {
+    let series = |name: &str| report.scrape.iter().filter(|(n, _, _)| n == name).count();
+    assert_eq!(report.scrape_status, 200, "mid-run /metrics scrape");
+    assert_eq!(series("xentry_agg_host_up"), hosts);
+    assert_eq!(series("xentry_agg_ingested_total"), 1);
+    assert_eq!(series("xentry_agg_accounting_identity"), 1);
 }
 
 #[test]
 fn distributed_replay_survives_kill_and_converges() {
-    let cfg = test_config(3, "xentry-wire-distributed");
-    let report = run_distributed(&cfg).expect("distributed run completes");
+    let report = run_distributed(&test_config(3)).expect("distributed run completes");
 
     // --- Accounting identity, exact, across a forced kill/reconnect.
     let fleet = &report.aggregator.fleet;
@@ -38,7 +47,7 @@ fn distributed_replay_survives_kill_and_converges() {
         "fleet-wide ingested == classified + lost must be exact"
     );
     assert_eq!(fleet.in_flight, 0, "finalization closes every window");
-    assert!(report.accounting.identity_exact);
+    assert!(report.aggregator.accounting_identity());
     assert_eq!(fleet.identity_violations, 0);
 
     // --- The kill/reconnect actually happened and was reconciled.
@@ -63,12 +72,12 @@ fn distributed_replay_survives_kill_and_converges() {
     );
 
     // --- Model epoch propagated and admitted on every host.
-    assert!(report.model.published_epoch > 0);
+    let published_epoch = report.aggregator.published_epoch;
+    assert!(published_epoch > 0);
     assert!(
-        report.model.converged,
+        report.aggregator.model_converged(),
         "every host admitted the pushed epoch"
     );
-    assert_eq!(report.model.hosts_converged, report.model.hosts_total);
     for host in &report.aggregator.hosts {
         assert_eq!(host.model_epoch, report.aggregator.published_epoch);
         assert_eq!(
@@ -83,7 +92,7 @@ fn distributed_replay_survives_kill_and_converges() {
     for child in report
         .children
         .iter()
-        .filter(|c| c.agent.model_epoch == report.model.published_epoch)
+        .filter(|c| c.agent.model_epoch == published_epoch)
     {
         assert!(child.agent.models_admitted >= 1);
     }
@@ -91,22 +100,18 @@ fn distributed_replay_survives_kill_and_converges() {
         report
             .children
             .iter()
-            .all(|c| c.agent.model_epoch == report.model.published_epoch),
+            .all(|c| c.agent.model_epoch == published_epoch),
         "every surviving child converged on the published epoch"
     );
 
-    // --- Receipts: the scrape worked and the JSON receipt landed.
-    assert!(report.scrape.ok, "mid-run /metrics self-scrape");
-    assert_eq!(report.scrape.host_series, 3);
-    let path = report.write(&cfg.out).expect("write receipt");
-    let json = std::fs::read_to_string(path).expect("receipt readable");
-    assert!(json.contains("\"identity_exact\": true"));
-    assert!(report.is_clean());
+    assert!(report.children.iter().all(|c| c.drained));
+
+    assert_live_scrape(&report, 3);
 }
 
 #[test]
 fn distributed_replay_without_drills_is_exact_too() {
-    let mut cfg = test_config(2, "xentry-wire-distributed-plain");
+    let mut cfg = test_config(2);
     cfg.records_per_host = 6_000;
     cfg.rate_per_host = 0.0; // unthrottled: fastest possible run
     cfg.kill_restart_host = None;
@@ -118,5 +123,6 @@ fn distributed_replay_without_drills_is_exact_too() {
     assert_eq!(fleet.sessions, 2);
     assert_eq!(fleet.reconnects, 0);
     assert!(report.children.iter().all(|c| c.drained));
-    assert!(report.is_clean());
+    assert_eq!(fleet.in_flight, 0);
+    assert_live_scrape(&report, 2);
 }

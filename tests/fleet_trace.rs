@@ -247,6 +247,9 @@ fn scrape_endpoint_serves_metrics_health_and_trace() {
     assert_eq!(count("xentry_fleet_shard_classified_total"), 2, "per shard");
     assert!(count("xentry_fleet_epoch_verdicts_total") >= 1, "per epoch");
     assert!(count("xentry_fleet_queue_latency_ns_bucket") >= 2);
+    assert_eq!(count("xentry_fleet_queue_latency_ns_sum"), 1);
+    assert_eq!(count("xentry_fleet_queue_latency_ns_count"), 1);
+    assert_eq!(count("xentry_fleet_classify_latency_ns_count"), 1);
     let value = |name: &str| -> f64 {
         samples
             .iter()

@@ -1,5 +1,7 @@
 //! Shared helpers for integration tests.
 
+pub mod distributed;
+
 use std::sync::{Arc, Barrier};
 use xentry::FeatureVec;
 use xentry_fleet::{CollectSink, FleetService, FleetVerdict, IncidentDump, VerdictSink};
