@@ -168,11 +168,6 @@ pub fn latency_data_filtered(
     d
 }
 
-/// All detection latencies (including late detections).
-pub fn latency_data(records: &[InjectionRecord]) -> LatencyData {
-    latency_data_filtered(records, false)
-}
-
 /// Table II: breakdown of undetected faults by corruption site.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct UndetectedBreakdown {

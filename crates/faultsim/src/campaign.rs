@@ -68,11 +68,11 @@ use mltree::{Dataset, Label};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sim_machine::cpu::FlipTarget;
-use sim_machine::{fold64, VirtMode};
+use sim_machine::{fold64, par_map, VirtMode};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Mutex;
 use xen_like::{DomainSpec, IrqProfile, Platform, Topology};
@@ -521,58 +521,14 @@ pub trait Experiment: Sync {
 /// Chunk results keyed by chunk id, assembled in id order.
 type ChunkMap<R> = BTreeMap<usize, Vec<R>>;
 
-/// Run `run(chunk_id)` for every id in `ids` across `threads` workers.
-/// Workers claim whole chunks from a shared queue (no static split, so the
-/// division of labor cannot leak into the results); each completed chunk is
-/// inserted into `collected` under its id and `on_complete` fires while the
-/// lock is held (journaling hook). `stop_after` bounds how many *new*
-/// chunks complete — the deterministic stand-in for an interrupt. The first
-/// error of `on_complete` stops every worker from claiming another chunk
-/// and is returned.
-fn run_chunks<R: Send>(
-    threads: usize,
-    ids: &[usize],
-    stop_after: Option<usize>,
-    collected: &Mutex<ChunkMap<R>>,
-    run: &(dyn Fn(usize) -> Vec<R> + Sync),
-    on_complete: &(dyn Fn(&ChunkMap<R>) -> io::Result<()> + Sync),
-) -> io::Result<()> {
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let first_error: Mutex<Option<io::Error>> = Mutex::new(None);
-    let failed = || first_error.lock().expect("error slot lock").is_some();
-    let workers = threads.max(1).min(ids.len().max(1));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let capped = stop_after.is_some_and(|cap| completed.load(Ordering::SeqCst) >= cap);
-                if capped || failed() {
-                    return;
-                }
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                let Some(&id) = ids.get(i) else { return };
-                let records = run(id);
-                let mut map = collected.lock().expect("chunk map lock");
-                map.insert(id, records);
-                completed.fetch_add(1, Ordering::SeqCst);
-                if let Err(e) = on_complete(&map) {
-                    first_error
-                        .lock()
-                        .expect("error slot lock")
-                        .get_or_insert(e);
-                    return;
-                }
-            });
-        }
-    });
-    first_error
-        .into_inner()
-        .expect("error slot lock")
-        .map_or(Ok(()), Err)
-}
-
-/// The fork phase: every chunk of `exp`'s campaign not yet in `done`, on
-/// `cfg.threads` workers, `on_complete` as in [`run_chunks`].
+/// The fork phase: every chunk of `exp`'s campaign not yet in `done` —
+/// only the first `stop_after` of them, when given (the deterministic
+/// stand-in for an interrupt) — on `cfg.threads` workers that claim whole
+/// chunks in id order, so the division of labor cannot leak into the
+/// results. Each completed chunk is inserted under its id and
+/// `on_complete` (the journaling hook) sees the map while its lock is
+/// held. The first error of `on_complete` keeps every chunk not yet begun
+/// from running and is returned.
 fn fork_pending<E: Experiment>(
     cfg: &CampaignConfig,
     trace: &GoldenTrace,
@@ -584,25 +540,26 @@ fn fork_pending<E: Experiment>(
 ) -> io::Result<ChunkMap<E::Record>> {
     let pending: Vec<usize> = (0..cfg.nr_chunks())
         .filter(|c| !done.contains_key(c))
+        .take(stop_after.unwrap_or(usize::MAX))
         .collect();
     let collected = Mutex::new(done);
-    let run = |chunk| {
-        replay_chunk(cfg, trace, chunk, detector, |point| {
+    let failed = AtomicBool::new(false);
+    let saved = par_map(cfg.threads, &pending, |&chunk| {
+        if failed.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        let records = replay_chunk(cfg, trace, chunk, detector, |point| {
             let ordinal = point.meta.ordinal;
             exp.specs_at(cfg, ordinal, point)
                 .iter()
                 .map(|spec| exp.inject(point, ordinal, spec, detector))
                 .collect()
-        })
-    };
-    run_chunks(
-        cfg.threads,
-        &pending,
-        stop_after,
-        &collected,
-        &run,
-        on_complete,
-    )?;
+        });
+        let mut map = collected.lock().expect("chunk map lock");
+        map.insert(chunk, records);
+        on_complete(&map).inspect_err(|_| failed.store(true, Ordering::Relaxed))
+    });
+    saved.into_iter().collect::<io::Result<()>>()?;
     Ok(collected.into_inner().expect("chunk map lock"))
 }
 
@@ -654,9 +611,9 @@ pub enum Run<R> {
 /// [`run`] with crash-safe progress journaling. Completed chunks are
 /// persisted (atomic temp + rename) after each finish; a rerun with the
 /// same configuration, experiment and journal path resumes, recomputing
-/// only missing chunks. `stop_after_chunks` stops after roughly that many
+/// only missing chunks. `stop_after_chunks` stops after exactly that many
 /// new chunks — the deterministic stand-in for killing the process, used by
-/// tests and the CI resume smoke. A journal write that fails stops the
+/// the resume tests. A journal write that fails stops the
 /// campaign and is returned.
 pub fn run_resumable<E: Experiment>(
     cfg: &CampaignConfig,

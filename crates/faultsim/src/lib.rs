@@ -31,7 +31,7 @@ pub mod policy;
 pub mod recovery;
 
 pub use analysis::{
-    coverage_breakdown, latency_data, latency_data_filtered, long_latency_coverage, merge_vulnmaps,
+    coverage_breakdown, latency_data_filtered, long_latency_coverage, merge_vulnmaps,
     target_breakdown, undetected_breakdown, vulnerability_map, vulnmap_from_model_records,
     vulnmap_from_records, CoverageBreakdown, LatencyData, LongLatencyCoverage, TargetRow,
     UndetectedBreakdown, VulnCell, VulnMap,

@@ -21,6 +21,4 @@ pub mod runner;
 
 pub use emit::{guest_addrs, load_workload, GuestAddrs};
 pub use profile::{dom0_profile, profile, Action, Benchmark, Kernel, WorkloadProfile};
-pub use runner::{
-    measure_activation_rate, rate_stats, run_with_monitor, workload_platform, RateSample, RateStats,
-};
+pub use runner::{measure_activation_rate, rate_stats, workload_platform, RateSample, RateStats};

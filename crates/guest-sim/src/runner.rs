@@ -4,7 +4,7 @@
 use crate::emit::load_workload;
 use crate::profile::{dom0_profile, profile, Benchmark};
 use sim_machine::VirtMode;
-use xen_like::{DomainSpec, IrqProfile, Monitor, NullMonitor, Platform, Topology};
+use xen_like::{DomainSpec, IrqProfile, NullMonitor, Platform, Topology};
 
 /// Build a platform running `benchmark` in `nr_guests` DomU VMs (plus Dom0
 /// with the control-plane workload), matching the paper's setups.
@@ -118,19 +118,6 @@ pub fn rate_stats(samples: &[RateSample]) -> RateStats {
         p75: q(0.75),
         max: rates[rates.len() - 1],
     }
-}
-
-/// Run a platform for `n` activations with a monitor (shared helper).
-pub fn run_with_monitor<M: Monitor>(
-    plat: &mut Platform,
-    cpu: usize,
-    n: usize,
-    monitor: &mut M,
-) -> Vec<xen_like::Activation> {
-    if !plat.is_booted(cpu) {
-        plat.boot(cpu, monitor);
-    }
-    plat.run(cpu, n, monitor)
 }
 
 #[cfg(test)]

@@ -274,9 +274,6 @@ impl Asm {
     pub fn callr(&mut self, r: Reg) {
         self.emit(Insn::CallReg { target: r });
     }
-    pub fn jmpr(&mut self, r: Reg) {
-        self.emit(Insn::JmpReg { target: r });
-    }
     pub fn ret(&mut self) {
         self.emit(Insn::Ret);
     }
@@ -351,12 +348,6 @@ impl Asm {
         self.jcc(cond, ok.clone());
         self.assert_fail(id);
         self.label(ok);
-    }
-
-    /// Equality-with-immediate assertion.
-    pub fn assert_eq_imm(&mut self, reg: Reg, expect: i64, id: u16) {
-        self.cmpi(reg, expect);
-        self.assert_cond(Cond::Eq, id);
     }
 
     /// Non-zero assertion.

@@ -60,6 +60,38 @@ pub use prng::fold64;
 pub use reg::Reg;
 pub use trace::{step_traced, TraceEntry, TraceRing};
 
+/// Map `f` over `items` on `min(threads, items.len())` scoped workers (none
+/// for an empty list) and return the results in item order, whatever the
+/// schedule. Each worker claims the next index from one shared counter
+/// while the caller waits, so no static split of the list can reach the
+/// results. A job that panics resurfaces as a panic of the caller once the
+/// other workers have run the rest of the list.
+pub fn par_map<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    // A claim ticket only: the results come back through `join`.
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let claim = || next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let work = || -> Vec<(usize, R)> {
+        std::iter::repeat_with(claim)
+            .map_while(|i| Some((i, f(items.get(i)?))))
+            .collect()
+    };
+    let mut done: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.max(1).min(items.len()))
+            .map(|_| s.spawn(work))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Write `bytes` to `path` atomically, creating its parent directory if
 /// needed. The bytes go to `.<file name>.tmp.<pid>` beside the target,
 /// which is then renamed over it, so a reader (or a kill signal) sees the
@@ -85,7 +117,48 @@ pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
 
 #[cfg(test)]
 mod tests {
-    use super::write_atomic;
+    use super::{par_map, write_atomic};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn par_map_returns_the_serial_map_in_item_order() {
+        let items: Vec<u64> = (0..97).collect();
+        // Uneven job lengths, so workers finish out of order.
+        let f = |&x: &u64| (0..(x % 7) * 1000).fold(x, |h, k| h.rotate_left(5) ^ k);
+        let serial: Vec<u64> = items.iter().map(f).collect();
+        for threads in [0, 1, 2, 8] {
+            assert_eq!(par_map(threads, &items, f), serial, "threads={threads}");
+        }
+        // More workers than items: one job each, still in order.
+        assert_eq!(par_map(8, &items[..3], f), serial[..3]);
+    }
+
+    #[test]
+    fn par_map_of_nothing_runs_nothing() {
+        let got: Vec<u8> = par_map(4, &[] as &[u8], |_| unreachable!("no item, no job"));
+        assert!(got.is_empty());
+        // A job runs on a worker, never on the waiting caller.
+        let caller = std::thread::current().id();
+        let ran_on = par_map(4, &[()], |_| std::thread::current().id());
+        assert_ne!(ran_on, [caller]);
+    }
+
+    #[test]
+    fn par_map_panics_the_caller_after_the_other_jobs_finish() {
+        let finished = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..16).collect();
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par_map(2, &items, |&i| {
+                assert_ne!(i, 3, "job 3 failed its assert");
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
+        }));
+        let panic = got.expect_err("the job's panic reaches the caller");
+        let message = panic.downcast_ref::<String>().expect("a formatted assert");
+        assert!(message.contains("job 3 failed its assert"), "{message}");
+        // The other worker ran every job the panicking one left behind.
+        assert_eq!(finished.load(Ordering::SeqCst), items.len() - 1);
+    }
 
     #[test]
     fn write_atomic_replaces_in_place_and_never_leaves_a_temp() {

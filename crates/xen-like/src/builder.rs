@@ -81,18 +81,6 @@ impl Topology {
         }
     }
 
-    /// The paper's performance setup: four guest VMs (plus Dom0), one VCPU
-    /// each.
-    pub fn paper_performance(virt_mode: VirtMode, seed: u64) -> Topology {
-        Topology {
-            nr_cpus: 4,
-            domains: vec![DomainSpec { nr_vcpus: 1 }; 5],
-            virt_mode,
-            seed,
-            cycle_model: CycleModel::default(),
-        }
-    }
-
     /// Total real VCPUs.
     pub fn nr_vcpus(&self) -> usize {
         self.domains.iter().map(|d| d.nr_vcpus).sum()

@@ -197,11 +197,19 @@ fn main() {
         None
     };
 
-    if want("fig7") {
+    // Fig. 7 and Fig. 11 price their shims against the same
+    // unmodified-Xen runs, so one pass produces both.
+    let (fig7, fig11) = if want("fig7") || want("fig11") {
         let t = std::time::Instant::now();
-        let fig7 = fig7_overhead(&scale, seed);
+        let fig11_detector = detector.as_ref().filter(|_| want("fig11"));
+        let figs = overhead_figures(want("fig7"), fig11_detector, &scale, seed);
+        timing.took("fig7/fig11", t);
+        figs
+    } else {
+        (None, None)
+    };
+    if let Some(fig7) = fig7 {
         println!("{}", fig7.render());
-        timing.took("fig7", t);
         write_json(&out, "fig7", &fig7);
     }
 
@@ -217,12 +225,8 @@ fn main() {
         write_json(&out, "injection", &inj);
     }
 
-    if want("fig11") {
-        let det = detector.as_ref().expect("detector trained");
-        let t = std::time::Instant::now();
-        let fig11 = fig11_recovery_overhead(det, &scale, seed);
+    if let Some(fig11) = fig11 {
         println!("{}", fig11.render());
-        timing.took("fig11", t);
         write_json(&out, "fig11", &fig11);
     }
 

@@ -16,8 +16,7 @@ use serde::{Deserialize, Serialize};
 use sim_machine::VirtMode;
 use std::fmt::Write as _;
 use xentry::{
-    measure_overhead_repeated, OverheadSetup, OverheadSummary, VmTransitionDetector, XentryConfig,
-    FEATURE_NAMES,
+    measure_overhead, OverheadSetup, VmTransitionDetector, Xentry, XentryConfig, FEATURE_NAMES,
 };
 
 fn pct(x: f64) -> String {
@@ -251,52 +250,6 @@ pub struct OverheadRow {
 pub struct Fig7Report {
     pub rows: Vec<OverheadRow>,
     pub avg_full: f64,
-}
-
-/// Measure fault-free overhead: runtime detection only vs runtime + VM
-/// transition detection, average and max over repeated runs.
-pub fn fig7_overhead(scale: &Scale, seed: u64) -> Fig7Report {
-    // Each benchmark is independent: run them on worker threads (each
-    // worker further parallelizes its repeated runs).
-    let rows: Vec<OverheadRow> = std::thread::scope(|s| {
-        let handles: Vec<_> = Benchmark::ALL
-            .into_iter()
-            .map(|b| {
-                s.spawn(move || {
-                    let setup = OverheadSetup {
-                        benchmark: b,
-                        mode: VirtMode::Para,
-                        kernel_scale: 1, // paper-calibrated activation rates
-                        bursts: scale.overhead_bursts,
-                        seed,
-                    };
-                    let rt: OverheadSummary = measure_overhead_repeated(
-                        &setup,
-                        XentryConfig::runtime_only(),
-                        scale.overhead_runs,
-                    );
-                    let full: OverheadSummary = measure_overhead_repeated(
-                        &setup,
-                        XentryConfig::overhead(),
-                        scale.overhead_runs,
-                    );
-                    OverheadRow {
-                        benchmark: b.name().to_string(),
-                        runtime_only_avg: rt.avg,
-                        runtime_only_max: rt.max,
-                        full_avg: full.avg,
-                        full_max: full.max,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fig7 worker"))
-            .collect()
-    });
-    let avg_full = rows.iter().map(|r| r.full_avg).sum::<f64>() / rows.len() as f64;
-    Fig7Report { rows, avg_full }
 }
 
 impl Fig7Report {
@@ -535,61 +488,67 @@ pub struct Fig11Report {
     pub avg: f64,
 }
 
-/// Measure the overhead of recovery support in fault-free runs: critical
-/// state is copied at every VM exit (the paper's measured 1,900 ns) and the
-/// deployed detector's false positives trigger restore + re-execution.
-pub fn fig11_recovery_overhead(
-    detector: &VmTransitionDetector,
+/// Fig. 7 and Fig. 11 from one pass of the overhead harness: each
+/// benchmark's unmodified-Xen runs are simulated once, and every
+/// configuration the wanted figures price runs against them. Fig. 7
+/// (`fig7`) prices runtime detection only and the full framework, both
+/// with no deployed tree, so its full column charges PMC programming and
+/// reads but no tree walk. Fig. 11 (`fig11`, the trained detector) prices
+/// recovery support: critical state copied at every VM exit (the paper's
+/// measured 1,900 ns), and the detector's false positives trigger restore
+/// and re-execution.
+pub fn overhead_figures(
+    fig7: bool,
+    fig11: Option<&VmTransitionDetector>,
     scale: &Scale,
     seed: u64,
-) -> Fig11Report {
-    // One worker per (benchmark, repetition): all runs are independent.
-    let mut results: Vec<(usize, f64)> = std::thread::scope(|sc| {
-        let mut handles = Vec::new();
-        for (bi, b) in Benchmark::ALL.into_iter().enumerate() {
-            for r in 0..scale.overhead_runs {
-                let det = detector.clone();
-                handles.push(sc.spawn(move || {
-                    let setup = OverheadSetup {
-                        benchmark: b,
-                        mode: VirtMode::Para,
-                        kernel_scale: 1, // paper-calibrated activation rates
-                        bursts: scale.overhead_bursts,
-                        seed: seed + 1000 * r as u64,
-                    };
-                    let res = xentry::overhead::measure_overhead_with(&setup, || {
-                        xentry::Xentry::new(XentryConfig::with_recovery(), Some(det.clone()))
-                    });
-                    (bi, res.overhead)
-                }));
-            }
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fig11 run"))
-            .collect()
+) -> (Option<Fig7Report>, Option<Fig11Report>) {
+    let runtime_only = || Xentry::new(XentryConfig::runtime_only(), None);
+    let full = || Xentry::new(XentryConfig::overhead(), None);
+    let recovery =
+        fig11.map(|det| move || Xentry::new(XentryConfig::with_recovery(), Some(det.clone())));
+    let mut shims: Vec<&(dyn Fn() -> Xentry + Sync)> = Vec::new();
+    if fig7 {
+        shims.push(&runtime_only);
+        shims.push(&full);
+    }
+    if let Some(recovery) = &recovery {
+        shims.push(recovery);
+    }
+    let setups = Benchmark::ALL.map(|benchmark| OverheadSetup {
+        benchmark,
+        mode: VirtMode::Para,
+        kernel_scale: 1, // paper-calibrated activation rates
+        bursts: scale.overhead_bursts,
+        seed,
     });
-    results.sort_by_key(|(bi, _)| *bi);
-    let rows: Vec<RecoveryRow> = Benchmark::ALL
-        .into_iter()
-        .enumerate()
-        .map(|(bi, b)| {
-            let values: Vec<f64> = results
-                .iter()
-                .filter(|(i, _)| *i == bi)
-                .map(|(_, v)| *v)
-                .collect();
-            let avg = values.iter().sum::<f64>() / values.len().max(1) as f64;
-            let max = values.iter().cloned().fold(f64::MIN, f64::max);
-            RecoveryRow {
-                benchmark: b.name().to_string(),
-                avg,
-                max,
-            }
-        })
-        .collect();
-    let avg = rows.iter().map(|r| r.avg).sum::<f64>() / rows.len() as f64;
-    Fig11Report { rows, avg }
+    let priced = measure_overhead(&setups, scale.overhead_runs, &shims);
+    let benchmarks = || Benchmark::ALL.iter().map(|b| b.name().to_string());
+    let fig7 = fig7.then(|| {
+        let rows: Vec<OverheadRow> = (benchmarks().zip(&priced))
+            .map(|(benchmark, p)| OverheadRow {
+                benchmark,
+                runtime_only_avg: p[0].avg,
+                runtime_only_max: p[0].max,
+                full_avg: p[1].avg,
+                full_max: p[1].max,
+            })
+            .collect();
+        let avg_full = rows.iter().map(|r| r.full_avg).sum::<f64>() / rows.len() as f64;
+        Fig7Report { rows, avg_full }
+    });
+    let fig11 = recovery.is_some().then(|| {
+        let rows: Vec<RecoveryRow> = (benchmarks().zip(&priced))
+            .map(|(benchmark, p)| RecoveryRow {
+                benchmark,
+                avg: p[shims.len() - 1].avg,
+                max: p[shims.len() - 1].max,
+            })
+            .collect();
+        let avg = rows.iter().map(|r| r.avg).sum::<f64>() / rows.len() as f64;
+        Fig11Report { rows, avg }
+    });
+    (fig7, fig11)
 }
 
 impl Fig11Report {

@@ -8,9 +8,8 @@
 //! | Fig. 3 activation frequency | [`experiments::fig3_activation_frequency`] |
 //! | Table I features | [`experiments::table1_features`] |
 //! | §III-B classifier accuracy + Fig. 6 | [`experiments::ml_accuracy`] |
-//! | Fig. 7 performance overhead | [`experiments::fig7_overhead`] |
+//! | Fig. 7 performance overhead + Fig. 11 recovery overhead (one pass, one shared baseline) | [`experiments::overhead_figures`] |
 //! | Fig. 8/9/10 + Table II injection campaigns | [`experiments::injection_evaluation`] |
-//! | Fig. 11 recovery overhead | [`experiments::fig11_recovery_overhead`] |
 //! | feature/depth/size ablations | [`experiments::ablations`] |
 //!
 //! The `figures` binary drives them all and writes JSON artifacts alongside

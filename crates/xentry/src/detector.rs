@@ -192,14 +192,6 @@ impl VmTransitionDetector {
         Arc::make_mut(&mut self.compiled).flip_bit(bit);
     }
 
-    /// Defined bit count of the compiled arena (the
-    /// [`chaos_flip_arena_bit`] fault space).
-    ///
-    /// [`chaos_flip_arena_bit`]: VmTransitionDetector::chaos_flip_arena_bit
-    pub fn arena_logical_bits(&self) -> usize {
-        self.compiled.logical_bits()
-    }
-
     /// Model statistics for reporting.
     pub fn depth(&self) -> usize {
         self.tree.depth()

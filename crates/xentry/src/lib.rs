@@ -20,7 +20,9 @@
 //!
 //! The [`shim::Xentry`] type wires both into the `xen-like` platform via
 //! its `Monitor` hook, charging its own cycle costs so that the paper's
-//! overhead experiments ([`overhead`]) measure rather than assume.
+//! overhead experiments ([`overhead`]) measure rather than assume:
+//! [`measure_overhead`] prices any number of shim configurations against
+//! one unmodified-Xen baseline per run.
 //!
 //! ```
 //! use xentry::{Xentry, XentryConfig};
@@ -51,10 +53,7 @@ pub use codegen::{compile_detector, emit_tree};
 pub use detector::{BatchSpan, VmTransitionDetector};
 pub use envelope::EnvelopeDetector;
 pub use features::{FeatureVec, FEATURE_NAMES};
-pub use overhead::{
-    measure_overhead, measure_overhead_repeated, run_until_bursts, OverheadResult, OverheadSetup,
-    OverheadSummary,
-};
+pub use overhead::{measure_overhead, run_until_bursts, OverheadSetup, OverheadSummary};
 pub use recovery::CriticalState;
 pub use runtime::{classify_exception, Detection, ExceptionClass, Technique};
 pub use shim::{ShimCosts, Xentry, XentryConfig};

@@ -5,23 +5,13 @@
 //! same workload (same seed, same guest program) to a fixed amount of
 //! *guest work* — a target number of completed kernel bursts — under a
 //! `NullMonitor` baseline and under the Xentry shim, and comparing the
-//! cycles consumed.
+//! cycles consumed. Every shim configuration of a run is priced against
+//! that run's one baseline.
 
-use crate::shim::{Xentry, XentryConfig};
+use crate::shim::Xentry;
 use guest_sim::{guest_addrs, workload_platform, Benchmark};
-use sim_machine::VirtMode;
+use sim_machine::{par_map, VirtMode};
 use xen_like::{Monitor, NullMonitor, Platform};
-
-/// Result of one overhead comparison.
-#[derive(Debug, Clone, Copy)]
-pub struct OverheadResult {
-    /// Baseline cycles to complete the work.
-    pub baseline_cycles: u64,
-    /// Cycles with the shim enabled.
-    pub shim_cycles: u64,
-    /// Relative overhead (e.g. 0.025 = 2.5%).
-    pub overhead: f64,
-}
 
 /// Run `plat` on `cpu` until domain `dom` completes `bursts` kernel bursts;
 /// returns cycles consumed. Panics if the platform dies (these are
@@ -69,28 +59,17 @@ pub struct OverheadSetup {
     pub seed: u64,
 }
 
-/// Measure overhead of `config` for one run.
-pub fn measure_overhead(setup: &OverheadSetup, config: XentryConfig) -> OverheadResult {
-    measure_overhead_with(setup, || Xentry::new(config, None))
+/// Average and maximum overhead of one configuration over repeated runs
+/// (the paper reports both, over ten runs).
+#[derive(Debug, Clone, Copy)]
+pub struct OverheadSummary {
+    pub avg: f64,
+    pub max: f64,
 }
 
-/// Measure overhead with a custom shim factory (e.g. with a deployed
-/// detector so classification costs include real tree traversals).
-pub fn measure_overhead_with<F: Fn() -> Xentry>(
-    setup: &OverheadSetup,
-    make_shim: F,
-) -> OverheadResult {
-    // Dom 1 on CPU 1 (pinned), Dom0 on CPU 0 (quiescent in this setup).
-    let mut base = workload_platform(
-        setup.benchmark,
-        setup.mode,
-        2,
-        1,
-        setup.kernel_scale,
-        setup.seed,
-    );
-    let baseline_cycles = run_until_bursts(&mut base, 1, 1, setup.bursts, &mut NullMonitor);
-
+/// Cycles `setup`'s guest needs for its bursts under `monitor`, on a fresh
+/// platform: Dom 1 pinned to CPU 1, Dom0 on CPU 0 (quiescent here).
+fn run_cycles<M: Monitor>(setup: &OverheadSetup, monitor: &mut M) -> u64 {
     let mut plat = workload_platform(
         setup.benchmark,
         setup.mode,
@@ -99,55 +78,56 @@ pub fn measure_overhead_with<F: Fn() -> Xentry>(
         setup.kernel_scale,
         setup.seed,
     );
-    let mut shim = make_shim();
-    let shim_cycles = run_until_bursts(&mut plat, 1, 1, setup.bursts, &mut shim);
-
-    let overhead = shim_cycles as f64 / baseline_cycles as f64 - 1.0;
-    OverheadResult {
-        baseline_cycles,
-        shim_cycles,
-        overhead,
-    }
+    run_until_bursts(&mut plat, 1, 1, setup.bursts, monitor)
 }
 
-/// Summary over repeated runs (the paper reports average and maximum of
-/// ten runs).
-#[derive(Debug, Clone, Copy)]
-pub struct OverheadSummary {
-    pub avg: f64,
-    pub max: f64,
-}
-
-/// Repeat the measurement `runs` times with varied seeds, one worker
-/// thread per run (runs are fully independent platforms).
-pub fn measure_overhead_repeated(
-    setup: &OverheadSetup,
-    config: XentryConfig,
+/// Price every shim of `shims` (each a factory of fresh shims, e.g. one
+/// with a deployed detector so classification costs include real tree
+/// traversals) on every setup of `setups`, over `runs` ≥ 1 runs. Run `r` of a
+/// setup uses seed `seed + 1000·r` and simulates one `NullMonitor`
+/// baseline; each shim runs on its own fresh platform and costs its cycles
+/// ÷ the baseline's − 1. The runs are independent and spread over every
+/// CPU. Returns, per setup, one summary per shim in `shims` order.
+pub fn measure_overhead(
+    setups: &[OverheadSetup],
     runs: usize,
-) -> OverheadSummary {
-    let values: Vec<f64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..runs)
-            .map(|r| {
-                let setup = OverheadSetup {
-                    seed: setup.seed + 1000 * r as u64,
-                    ..*setup
-                };
-                s.spawn(move || measure_overhead(&setup, config).overhead)
+    shims: &[&(dyn Fn() -> Xentry + Sync)],
+) -> Vec<Vec<OverheadSummary>> {
+    let jobs: Vec<OverheadSetup> = (setups.iter())
+        .flat_map(|s| {
+            (0..runs as u64).map(move |r| OverheadSetup {
+                seed: s.seed + 1000 * r,
+                ..*s
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("overhead run panicked"))
+        })
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let per_run: Vec<Vec<f64>> = par_map(threads, &jobs, |setup| {
+        let baseline = run_cycles(setup, &mut NullMonitor) as f64;
+        (shims.iter())
+            .map(|make| run_cycles(setup, &mut make()) as f64 / baseline - 1.0)
             .collect()
     });
-    let avg = values.iter().sum::<f64>() / values.len() as f64;
-    let max = values.iter().cloned().fold(f64::MIN, f64::max);
-    OverheadSummary { avg, max }
+    per_run
+        .chunks(runs)
+        .map(|of_setup| {
+            (0..shims.len())
+                .map(|k| {
+                    let values = || of_setup.iter().map(|run| run[k]);
+                    OverheadSummary {
+                        avg: values().sum::<f64>() / runs as f64,
+                        max: values().fold(f64::MIN, f64::max),
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shim::XentryConfig;
 
     fn quick_setup(benchmark: Benchmark) -> OverheadSetup {
         OverheadSetup {
@@ -159,40 +139,55 @@ mod tests {
         }
     }
 
+    /// Fresh shims of `config` with no deployed tree.
+    fn shim(config: XentryConfig) -> impl Fn() -> Xentry + Sync {
+        move || Xentry::new(config, None)
+    }
+
     #[test]
     fn overhead_is_small_and_positive() {
-        let r = measure_overhead(&quick_setup(Benchmark::Bzip2), XentryConfig::overhead());
-        assert!(
-            r.overhead > 0.0,
-            "shim work must cost something: {}",
-            r.overhead
-        );
-        assert!(r.overhead < 0.08, "overhead out of band: {}", r.overhead);
+        let full = shim(XentryConfig::overhead());
+        let r = measure_overhead(&[quick_setup(Benchmark::Bzip2)], 1, &[&full])[0][0].avg;
+        assert!(r > 0.0, "shim work must cost something: {r}");
+        assert!(r < 0.08, "overhead out of band: {r}");
     }
 
     #[test]
     fn runtime_only_is_cheaper_than_full() {
-        let setup = quick_setup(Benchmark::Postmark);
-        let full = measure_overhead(&setup, XentryConfig::overhead());
-        let rt = measure_overhead(&setup, XentryConfig::runtime_only());
-        assert!(
-            rt.overhead < full.overhead,
-            "runtime-only {} should undercut full {}",
-            rt.overhead,
-            full.overhead
-        );
+        let [full, rt] = [XentryConfig::overhead(), XentryConfig::runtime_only()].map(shim);
+        let got = measure_overhead(&[quick_setup(Benchmark::Postmark)], 1, &[&full, &rt]);
+        let (full, rt) = (got[0][0].avg, got[0][1].avg);
+        assert!(rt < full, "runtime-only {rt} should undercut full {full}");
     }
 
     #[test]
     fn io_heavy_workload_pays_more_than_cpu_bound() {
         // Fig. 7's shape: postmark (exit-hungry) worst, bzip2 best.
-        let post = measure_overhead(&quick_setup(Benchmark::Postmark), XentryConfig::overhead());
-        let bzip = measure_overhead(&quick_setup(Benchmark::Bzip2), XentryConfig::overhead());
+        let setups = [Benchmark::Postmark, Benchmark::Bzip2].map(quick_setup);
+        let got = measure_overhead(&setups, 1, &[&shim(XentryConfig::overhead())]);
+        let (post, bzip) = (got[0][0].avg, got[1][0].avg);
         assert!(
-            post.overhead > 2.0 * bzip.overhead,
-            "postmark {} should dominate bzip2 {}",
-            post.overhead,
-            bzip.overhead
+            post > 2.0 * bzip,
+            "postmark {post} should dominate bzip2 {bzip}"
         );
+    }
+
+    /// Pricing several shims against one baseline per run gives every
+    /// shim the numbers it gets priced alone, to the bit.
+    #[test]
+    fn a_shared_baseline_changes_no_number() {
+        let setups = [quick_setup(Benchmark::Freqmine)];
+        let configs = [
+            XentryConfig::runtime_only(),
+            XentryConfig::overhead(),
+            XentryConfig::with_recovery(),
+        ]
+        .map(shim);
+        let shared = measure_overhead(&setups, 2, &[&configs[0], &configs[1], &configs[2]]);
+        for (k, config) in configs.iter().enumerate() {
+            let alone = measure_overhead(&setups, 2, &[config])[0][0];
+            let bits = |s: OverheadSummary| (s.avg.to_bits(), s.max.to_bits());
+            assert_eq!(bits(shared[0][k]), bits(alone), "configuration {k}");
+        }
     }
 }

@@ -182,14 +182,6 @@ impl Xentry {
     pub fn detected(&self) -> bool {
         !self.detections.is_empty()
     }
-
-    /// Clear per-run state (detections, marks, trace) but keep the model
-    /// and accumulated cost accounting.
-    pub fn reset_run(&mut self) {
-        self.detections.clear();
-        self.trace.clear();
-        self.injection_mark = None;
-    }
 }
 
 impl Monitor for Xentry {

@@ -4,7 +4,7 @@
 
 use guest_sim::{measure_activation_rate, rate_stats, workload_platform, Benchmark};
 use sim_machine::VirtMode;
-use xentry::{measure_overhead, OverheadSetup, XentryConfig};
+use xentry::{measure_overhead, OverheadSetup, Xentry, XentryConfig};
 
 /// Fig. 3 shape: PV activation rates exceed HVM rates for every benchmark
 /// (para-virtualization "provides more interfaces to VMs through hypercalls
@@ -49,19 +49,18 @@ fn io_workloads_dominate_pv_activation_rates() {
 /// pays the most, bzip2 the least; everything stays single-digit percent.
 #[test]
 fn overhead_ordering_and_magnitude() {
-    let measure = |b| {
-        let setup = OverheadSetup {
-            benchmark: b,
+    let setups = [Benchmark::Postmark, Benchmark::Bzip2, Benchmark::Mcf].map(|benchmark| {
+        OverheadSetup {
+            benchmark,
             mode: VirtMode::Para,
             kernel_scale: 1, // paper-calibrated rates
             bursts: 500,
             seed: 31,
-        };
-        measure_overhead(&setup, XentryConfig::overhead()).overhead
-    };
-    let postmark = measure(Benchmark::Postmark);
-    let bzip2 = measure(Benchmark::Bzip2);
-    let mcf = measure(Benchmark::Mcf);
+        }
+    });
+    let full = || Xentry::new(XentryConfig::overhead(), None);
+    let got = measure_overhead(&setups, 1, &[&full]);
+    let [postmark, bzip2, mcf] = [0, 1, 2].map(|b| got[b][0].avg);
     assert!(postmark > bzip2, "postmark {postmark} vs bzip2 {bzip2}");
     assert!(postmark > mcf, "postmark {postmark} vs mcf {mcf}");
     assert!(postmark < 0.12, "postmark overhead blew up: {postmark}");
@@ -80,9 +79,15 @@ fn runtime_only_cheaper_than_full() {
         bursts: 500,
         seed: 13,
     };
-    let rt = measure_overhead(&setup, XentryConfig::runtime_only()).overhead;
-    let full = measure_overhead(&setup, XentryConfig::overhead()).overhead;
-    let recovery = measure_overhead(&setup, XentryConfig::with_recovery()).overhead;
+    // All three priced against one baseline run.
+    let [rt, full, recovery] = [
+        XentryConfig::runtime_only(),
+        XentryConfig::overhead(),
+        XentryConfig::with_recovery(),
+    ]
+    .map(|config| move || Xentry::new(config, None));
+    let got = measure_overhead(&[setup], 1, &[&rt, &full, &recovery]);
+    let [rt, full, recovery] = [0, 1, 2].map(|k| got[0][k].avg);
     assert!(
         rt < full,
         "runtime-only {rt} should be cheaper than full {full}"
