@@ -1325,9 +1325,7 @@ mod tests {
                 rm: 0,
                 wm: 0,
             },
-            golden_post_bursts: 0,
-            golden_post_result: 0,
-            golden_post_traps: 0,
+            window: Vec::new(),
         })
     }
 
@@ -1575,6 +1573,59 @@ mod tests {
                 "forked at {threads} threads"
             );
         }
+    }
+
+    /// A campaign's records and how often each shortcut fired, its chunks
+    /// replayed on this thread (the fire counts are per thread).
+    fn replayed_here<E: Experiment>(
+        cfg: &CampaignConfig,
+        trace: &GoldenTrace,
+        exp: &E,
+    ) -> (Vec<E::Record>, [u64; 2]) {
+        crate::injection::FIRED.set([0; 2]);
+        let records = (0..cfg.nr_chunks())
+            .flat_map(|chunk| {
+                replay_chunk(cfg, trace, chunk, None, |point| {
+                    let ordinal = point.meta.ordinal;
+                    (exp.specs_at(cfg, ordinal, point).iter())
+                        .map(|spec| exp.inject(point, ordinal, spec, None))
+                        .collect()
+                })
+            })
+            .collect();
+        (records, crate::injection::FIRED.get())
+    }
+
+    /// The fork phase's shortcuts — dead register flips not simulated,
+    /// faults that are golden again after one judged activation judged
+    /// there — fire in a small register campaign and a small model
+    /// campaign, and change no byte: the records are the engine's and the
+    /// from-boot oracle's, which takes no shortcut.
+    #[test]
+    fn the_shortcuts_fire_and_the_oracle_agrees() {
+        let cfg = CampaignConfig {
+            injections: 48,
+            ..small_cfg()
+        };
+        let trace = golden_trace(&cfg, None);
+        fn json<T: serde::Serialize>(records: &T) -> String {
+            serde_json::to_string(records).expect("records serialize")
+        }
+
+        let (reg, [dead, settled]) = replayed_here(&cfg, &trace, &RegFlips);
+        assert!(dead > 0 && settled > 0, "dead {dead}, settled {settled}");
+        assert_eq!(json(&reg), json(&run_with(&cfg, &trace, None, &RegFlips)));
+        assert_eq!(json(&reg), json(&run_from_boot(&cfg, None, &RegFlips)));
+
+        let cfg = CampaignConfig {
+            injections: 96,
+            ..cfg
+        };
+        let trace = golden_trace(&cfg, None);
+        let (models, [dead, settled]) = replayed_here(&cfg, &trace, &Models);
+        assert!(dead == 0 && settled > 0, "dead {dead}, settled {settled}");
+        assert_eq!(json(&models), json(&run_with(&cfg, &trace, None, &Models)));
+        assert_eq!(json(&models), json(&run_from_boot(&cfg, None, &Models)));
     }
 
     #[test]

@@ -69,48 +69,34 @@ impl StateDiff {
 /// Maximum recorded differing words (sites are still classified for all).
 const MAX_RECORDED: usize = 128;
 
-/// Compare the *structural invariants* of two machines: the dispatch table
-/// and the configuration/pointer fields of every PCPU, VCPU and domain
-/// descriptor. These words never change during normal operation, so they
-/// can be compared across machines that are not activation-aligned —
-/// exactly what the post-propagation consequence classification needs
-/// (volatile accounting counters legitimately drift between two forward
-/// runs and must not be compared there).
-pub fn structural_corruption(golden: &Machine, faulty: &Machine, nr_doms: usize) -> bool {
-    let differs = |addr: u64| golden.mem.peek(addr).ok() != faulty.mem.peek(addr).ok();
-    for vmer in 0..sim_machine::ExitReason::VMER_COUNT {
-        if differs(lay::dispatch_entry(vmer)) {
-            return true;
-        }
-    }
-    for cpu in 0..lay::MAX_PCPUS {
+/// The *structural invariant* words of `m`, in a fixed order: the dispatch
+/// table and the configuration/pointer fields of every PCPU, VCPU and
+/// domain descriptor (`None` where a word is unmapped). These words never
+/// change during normal operation.
+pub fn structural_words(m: &Machine, nr_doms: usize) -> impl Iterator<Item = Option<u64>> + '_ {
+    let dispatch = (0..sim_machine::ExitReason::VMER_COUNT).map(lay::dispatch_entry);
+    let pcpus = (0..lay::MAX_PCPUS).flat_map(|cpu| {
         let pa = lay::pcpu_addr(cpu);
-        for field in [
+        [
             lay::pcpu::VMCS_PTR,
             lay::pcpu::RUNQ_PTR,
             lay::pcpu::IDLE_VCPU,
-        ] {
-            if differs(pa + field * 8) {
-                return true;
-            }
-        }
-    }
-    for v in 0..lay::MAX_VCPUS {
+        ]
+        .map(|field| pa + field * 8)
+    });
+    let vcpus = (0..lay::MAX_VCPUS).flat_map(|v| {
         let va = lay::vcpu_addr(v);
-        for field in [
+        [
             lay::vcpu::DOM_ID,
             lay::vcpu::VCPU_ID,
             lay::vcpu::IS_IDLE,
             lay::vcpu::DOM_PTR,
-        ] {
-            if differs(va + field * 8) {
-                return true;
-            }
-        }
-    }
-    for d in 0..nr_doms {
+        ]
+        .map(|field| va + field * 8)
+    });
+    let domains = (0..nr_doms).flat_map(|d| {
         let da = lay::domain_addr(d);
-        for field in [
+        [
             lay::domain::DOM_ID,
             lay::domain::NR_VCPUS,
             lay::domain::EVTCHN_PTR,
@@ -120,13 +106,20 @@ pub fn structural_corruption(golden: &Machine, faulty: &Machine, nr_doms: usize)
             lay::domain::MEM_SIZE,
             lay::domain::FIRST_VCPU,
             lay::domain::TRAP_HANDLER,
-        ] {
-            if differs(da + field * 8) {
-                return true;
-            }
-        }
-    }
-    false
+        ]
+        .map(|field| da + field * 8)
+    });
+    (dispatch.chain(pcpus).chain(vcpus).chain(domains)).map(|addr| m.mem.peek(addr).ok())
+}
+
+/// Compare the [`structural_words`] of two machines. Because those words
+/// never change during normal operation, they can be compared across
+/// machines that are not activation-aligned — exactly what the
+/// post-propagation consequence classification needs (volatile accounting
+/// counters legitimately drift between two forward runs and must not be
+/// compared there).
+pub fn structural_corruption(golden: &Machine, faulty: &Machine, nr_doms: usize) -> bool {
+    structural_words(golden, nr_doms).ne(structural_words(faulty, nr_doms))
 }
 
 /// Classify the site of a differing address.

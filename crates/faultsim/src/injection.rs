@@ -18,13 +18,14 @@
 //!    consequence (APP SDC / APP crash / one-VM / all-VM).
 
 use crate::fork::{fork_of, recycle};
-use crate::golden::{diff_machines, structural_corruption, DiffSite, StateDiff};
+use crate::golden::{diff_machines, structural_corruption, structural_words, DiffSite, StateDiff};
 use crate::outcome::{Consequence, FaultOutcome, UndetectedCategory};
 use crate::policy::TierResult;
 use crate::recovery::RecoverySpec;
 use guest_sim::guest_addrs;
 use sim_machine::cpu::FlipTarget;
-use sim_machine::{CpuId, ExitReason, Machine};
+use sim_machine::{CpuId, ExitReason, Insn, Machine, RegSet, RegUses};
+use std::sync::OnceLock;
 use xen_like::{ActivationOutcome, Platform};
 use xentry::{Detection, FeatureVec, Xentry, XentryConfig};
 
@@ -41,8 +42,18 @@ pub struct InjectionSpec {
 /// A reusable injection point: the platform frozen at a VM exit, the
 /// golden state at the matching VM entry, and the golden run's scalar
 /// record. Only the *observables* of the golden post window are kept (in
-/// `meta`) — not the post-window platform itself, which would triple the
-/// memory held per point for state the guest judge never word-compares.
+/// `meta`) — not the post-window platforms themselves, which would
+/// multiply the memory held per point for state the guest judge never
+/// word-compares.
+///
+/// A point built by [`prepare_point_forked`] — the campaign engine's fork
+/// phase — also carries the golden handler's path, and so settles without
+/// simulation what the golden run already proves: a register flip the
+/// handler overwrites before reading it ([`inject`]), and a fault whose
+/// platform is the golden one again after one activation of the
+/// consequence judge. A point built by [`prepare_point`] carries neither
+/// and simulates every injection: the from-boot oracle checks the
+/// shortcuts against it.
 #[derive(Debug, Clone)]
 pub struct InjectionPoint {
     /// Platform state at the VM exit (host entry, VMCS filled).
@@ -57,20 +68,95 @@ pub struct InjectionPoint {
     pub dom: usize,
     /// Activations in the post window.
     pub post_window: usize,
+    /// What the shortcuts read; `None` on a [`prepare_point`] point.
+    shortcuts: Option<Shortcuts>,
+}
+
+/// What a [`prepare_point_forked`] point settles injections from.
+#[derive(Debug, Clone)]
+struct Shortcuts {
+    /// The `rip` of every instruction the golden handler executed, in
+    /// order, `VmEntry` last ([`Platform::run_handler_recorded`]).
+    pcs: Vec<u64>,
+    /// The golden entry state one activation on, under a fresh measurement
+    /// shim: what a fault that washed out is after the judge's first
+    /// activation. Built on first need.
+    after_one: OnceLock<Platform>,
 }
 
 impl InjectionPoint {
-    /// Done with the point: its two platforms become the next forks.
+    /// Done with the point: its platforms become the next forks.
     pub(crate) fn recycle(self) {
         recycle(self.at_exit);
         recycle(self.golden_entry);
+        if let Some(after_one) = self.shortcuts.and_then(|s| s.after_one.into_inner()) {
+            recycle(after_one);
+        }
+    }
+
+    /// Whether the register flip `spec` is dead: the golden handler,
+    /// from the flip's step on, overwrites the flipped class
+    /// ([`RegSet::of_flip`]) before any instruction reads it
+    /// ([`Insn::reg_uses`]). The faulty run is then the golden run, state
+    /// for state, from that write on. A RIP flip is never dead (every
+    /// instruction reads RIP), nor is a class nothing touches before VM
+    /// entry: the entry diff sees it. Always `false` on a point without a
+    /// recorded path.
+    pub(crate) fn flip_is_dead(&self, spec: &InjectionSpec) -> bool {
+        let Some(s) = &self.shortcuts else {
+            return false;
+        };
+        let class = RegSet::of_flip(spec.target, spec.bit);
+        let text = &self.at_exit.machine.mem;
+        let path = s.pcs.get(spec.at_step as usize..).unwrap_or_default();
+        for &pc in path {
+            let uses = text
+                .fetch(pc)
+                .ok()
+                .and_then(|word| Insn::decode(word).ok())
+                .map_or(RegUses::UNKNOWN, |insn| insn.reg_uses());
+            if uses.reads.meets(class) {
+                return false;
+            }
+            if uses.writes.meets(class) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Whether `f`, a faulty platform the consequence judge (budget
+    /// `budget`) has just taken through its first activation, is judged
+    /// `Converged` without running on: it is exactly the golden platform
+    /// one activation past VM entry ([`Platform::same_state`]), so the
+    /// rest of the judge would run along the golden post window, and that
+    /// window, read by the judge's own rules from step 1 on, converges.
+    fn settled_after_one(
+        &self,
+        f: &Platform,
+        budget: u64,
+        detector: Option<&xentry::VmTransitionDetector>,
+    ) -> bool {
+        let Some(s) = &self.shortcuts else {
+            return false;
+        };
+        if !self.meta.window_converges_from_one(budget) {
+            return false;
+        }
+        let after_one = s.after_one.get_or_init(|| {
+            let mut g = fork_of(&self.golden_entry);
+            g.run_activation(self.cpu, &mut shim_for(detector));
+            g
+        });
+        f.same_state(after_one)
     }
 }
 
 /// Scalar record of one golden injection point, produced once by the
 /// campaign's golden pass and replayed by every checkpoint fork. Carrying
-/// the golden post-window observables here is what lets the fork skip the
-/// post window entirely.
+/// the golden post window's observables here is what lets the fork skip
+/// the post window entirely, and lets the consequence judge stop at its
+/// first activation when the fault has washed out.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PointMeta {
     /// Valid-point ordinal along the golden walk (keys the spec schedule).
@@ -83,17 +169,49 @@ pub struct PointMeta {
     pub golden_len: u64,
     /// Fault-free feature vector.
     pub golden_features: FeatureVec,
-    /// Benchmark-guest burst count `post_window` activations past VM entry
-    /// in the golden run (the guest judge's alignment target).
-    pub golden_post_bursts: u64,
-    /// Benchmark-guest checksum at that burst count.
-    pub golden_post_result: u64,
-    /// Guest trap count in the golden post state.
-    pub golden_post_traps: u64,
+    /// The golden post window, as the guest judge reads it: at VM entry,
+    /// then after each of the `post_window` activations that follow.
+    pub window: Vec<WindowEntry>,
+}
+
+/// What the guest judge reads of one golden state of the post window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct WindowEntry {
+    /// Benchmark-guest burst count.
+    pub bursts: u64,
+    /// Guest trap count.
+    pub traps: u64,
+    /// Benchmark-guest checksum.
+    pub result: u64,
+    /// Whether the structural words ([`structural_words`]) differ from
+    /// those at VM entry.
+    pub structural_changed: bool,
+}
+
+impl PointMeta {
+    /// The golden state `post_window` activations past VM entry: the guest
+    /// judge's alignment target.
+    pub fn golden_post(&self) -> &WindowEntry {
+        self.window.last().expect("the window starts at VM entry")
+    }
+
+    /// What [`judge_guest`] (at `budget` activations) concludes on the
+    /// golden trajectory from step 1 on — where it stops, the first state
+    /// with the golden burst count, and what it finds there — is
+    /// `Converged`. `false` when the window is too short to say.
+    fn window_converges_from_one(&self, budget: u64) -> bool {
+        let post = self.golden_post();
+        (self.window.iter().enumerate().skip(1))
+            .take_while(|&(step, _)| (step as u64) < budget)
+            .find(|(_, w)| w.bursts >= post.bursts)
+            .is_some_and(|(_, w)| {
+                w.traps <= post.traps && w.result == post.result && !w.structural_changed
+            })
+    }
 }
 
 /// Outcome of one injection, with everything the campaign aggregates.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct InjectionRecord {
     pub vmer: u16,
     pub target: FlipTarget,
@@ -141,22 +259,34 @@ pub(crate) fn golden_run(
     let golden_features = shim.last_features()?;
     at_entry(plat);
     // Forward window for consequence reference.
+    let (ga, nr_doms) = (guest_addrs(dom), plat.topo.domains.len());
+    let entry_words: Vec<_> = structural_words(&plat.machine, nr_doms).collect();
+    let observe = |plat: &Platform, structural_changed| {
+        let peek = |addr| plat.machine.mem.peek(addr).ok();
+        Some(WindowEntry {
+            bursts: peek(ga.iter_count)?,
+            traps: peek(ga.trap_count)?,
+            result: peek(ga.result)?,
+            structural_changed,
+        })
+    };
+    let mut window = Vec::with_capacity(post_window + 1);
+    window.push(observe(plat, false)?);
     for _ in 0..post_window {
         let a = plat.run_activation(cpu, &mut shim);
         if !a.outcome.is_healthy() {
             return None;
         }
+        let changed = structural_words(&plat.machine, nr_doms).ne(entry_words.iter().copied());
+        window.push(observe(plat, changed)?);
     }
-    let ga = guest_addrs(dom);
     Some(PointMeta {
         ordinal: 0,
         reason,
         skipped_before: 0,
         golden_len: act.handler_insns,
         golden_features,
-        golden_post_bursts: plat.machine.mem.peek(ga.iter_count).ok()?,
-        golden_post_result: plat.machine.mem.peek(ga.result).ok()?,
-        golden_post_traps: plat.machine.mem.peek(ga.trap_count).ok()?,
+        window,
     })
 }
 
@@ -196,6 +326,7 @@ pub fn prepare_point(
         meta,
         dom,
         post_window,
+        shortcuts: None,
     })
 }
 
@@ -204,6 +335,12 @@ pub fn prepare_point(
 /// golden *handler* (needed for the entry-state reference); the post-window
 /// observables come from `meta`, so the fork skips `post_window`
 /// activations per point — the bulk of [`prepare_point`]'s cost.
+///
+/// The handler runs recorded ([`Platform::run_handler_recorded`]) and the
+/// point keeps its path, so the point settles dead register flips and
+/// faults that reconverge after one judged activation without simulating
+/// them (see [`InjectionPoint`]). `detector` must be the one the golden
+/// pass ran under.
 ///
 /// # Panics
 /// If the replayed handler diverges from the golden pass (wrong health,
@@ -219,7 +356,8 @@ pub fn prepare_point_forked(
 ) -> InjectionPoint {
     let mut golden = fork_of(&at_exit);
     let mut shim = shim_for(detector);
-    let act = golden.run_handler(cpu, meta.reason, 0, &mut shim);
+    let mut pcs = Vec::with_capacity(meta.golden_len as usize);
+    let act = golden.run_handler_recorded(cpu, meta.reason, &mut shim, &mut pcs);
     assert!(
         act.outcome.is_healthy(),
         "forked golden handler died at point {}: {:?}",
@@ -244,6 +382,10 @@ pub fn prepare_point_forked(
         meta: meta.clone(),
         dom,
         post_window,
+        shortcuts: Some(Shortcuts {
+            pcs,
+            after_one: OnceLock::new(),
+        }),
     }
 }
 
@@ -261,11 +403,32 @@ pub(crate) fn judge_guest(
     shim: &mut Xentry,
     budget_scale: u64,
 ) -> TierResult {
-    let (meta, ga) = (&point.meta, guest_addrs(point.dom));
+    judge_within(point, f, shim, judge_budget(point, budget_scale))
+}
+
+/// The guest judge's activation budget.
+fn judge_budget(point: &InjectionPoint, budget_scale: u64) -> u64 {
+    (point.post_window as u64 * 4).max(8) * budget_scale.max(1)
+}
+
+/// Whether the benchmark guest on `f` has not yet reached the golden burst
+/// count: the judge runs another activation.
+fn behind_golden(point: &InjectionPoint, f: &Platform) -> bool {
+    let bursts = guest_addrs(point.dom).iter_count;
+    f.machine.mem.peek(bursts).unwrap_or(0) < point.meta.golden_post().bursts
+}
+
+/// [`judge_guest`] with `budget` activations left.
+fn judge_within(
+    point: &InjectionPoint,
+    f: &mut Platform,
+    shim: &mut Xentry,
+    budget: u64,
+) -> TierResult {
+    let (post, ga) = (point.meta.golden_post(), guest_addrs(point.dom));
     let peek = |f: &Platform, addr| f.machine.mem.peek(addr).unwrap_or(0);
-    let budget = (point.post_window as u64 * 4).max(8) * budget_scale.max(1);
     for _ in 0..budget {
-        if peek(f, ga.iter_count) >= meta.golden_post_bursts {
+        if !behind_golden(point, f) {
             break;
         }
         if !f.run_activation(point.cpu, shim).outcome.is_healthy() {
@@ -273,13 +436,13 @@ pub(crate) fn judge_guest(
         }
     }
     let nr_doms = point.at_exit.topo.domains.len();
-    let residual = if peek(f, ga.iter_count) < meta.golden_post_bursts {
+    let residual = if behind_golden(point, f) {
         // The benchmark VM stopped making progress.
         Some(Consequence::OneVmFailure)
-    } else if peek(f, ga.trap_count) > meta.golden_post_traps {
+    } else if peek(f, ga.trap_count) > post.traps {
         // The guest took unexpected traps: the application crashed.
         Some(Consequence::AppCrash)
-    } else if peek(f, ga.result) != meta.golden_post_result {
+    } else if peek(f, ga.result) != post.result {
         // Application finished its bursts with a wrong checksum: SDC.
         Some(Consequence::AppSdc)
     } else if structural_corruption(&point.golden_entry.machine, &f.machine, nr_doms) {
@@ -293,6 +456,57 @@ pub(crate) fn judge_guest(
     residual.map_or(TierResult::Converged, TierResult::Residual)
 }
 
+/// The guest judge as the consequence classifier runs it: on a point that
+/// carries the golden path, a fault whose platform is the golden one again
+/// after the judge's first activation, on a golden window that converges,
+/// is `Converged` without the rest of the run
+/// ([`InjectionPoint::settled_after_one`]).
+fn judge_consequence(
+    point: &InjectionPoint,
+    f: &mut Platform,
+    detector: Option<&xentry::VmTransitionDetector>,
+) -> TierResult {
+    let mut shim = shim_for(detector);
+    let budget = judge_budget(point, 1);
+    if point.shortcuts.is_none() || !behind_golden(point, f) {
+        return judge_within(point, f, &mut shim, budget);
+    }
+    // The judge's first activation, taken here.
+    if !f.run_activation(point.cpu, &mut shim).outcome.is_healthy() {
+        return TierResult::HypervisorDead;
+    }
+    if point.settled_after_one(f, budget, detector) {
+        fired(1);
+        debug_assert_eq!(
+            judge_within(point, f, &mut shim, budget - 1),
+            TierResult::Converged,
+            "a fault settled after one activation at point {}",
+            point.meta.ordinal
+        );
+        return TierResult::Converged;
+    }
+    judge_within(point, f, &mut shim, budget - 1)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How often each shortcut fired on this thread: dead flips, then
+    /// faults settled after one judged activation. Tests drive a
+    /// campaign's chunks on their own thread to read it.
+    pub(crate) static FIRED: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+}
+
+/// Count one firing of `shortcut` (an index into `FIRED`) in tests.
+#[cfg_attr(not(test), allow(unused_variables))]
+fn fired(shortcut: usize) {
+    #[cfg(test)]
+    FIRED.with(|n| {
+        let mut count = n.get();
+        count[shortcut] += 1;
+        n.set(count);
+    });
+}
+
 /// Consequence classification of a fault that crossed VM entry: the guest
 /// judge on `f`, a fork of the faulty machine at VM entry, then the
 /// entry-aligned evidence. `None` means the divergence washed out
@@ -301,9 +515,9 @@ fn classify_consequence(
     point: &InjectionPoint,
     f: &mut Platform,
     entry_diff: &StateDiff,
-    shim: &mut Xentry,
+    detector: Option<&xentry::VmTransitionDetector>,
 ) -> Option<Consequence> {
-    match judge_guest(point, f, shim, 1) {
+    match judge_consequence(point, f, detector) {
         // The hypervisor itself crashed after the guest resumed: every VM
         // on the host is gone.
         TierResult::HypervisorDead => return Some(Consequence::AllVmFailure),
@@ -369,17 +583,39 @@ fn categorize_undetected(
 }
 
 /// Execute one injection at a prepared point: the register case of
-/// [`inject_spec`], recorded.
+/// [`inject_spec`], recorded. On a point built by
+/// [`prepare_point_forked`], a dead flip — one the golden handler
+/// overwrites before reading it (see [`InjectionPoint`]) — is not
+/// simulated: the faulty run is the golden run, so its record is `Benign`
+/// with the golden features.
 pub fn inject(
     point: &InjectionPoint,
     spec: InjectionSpec,
     detector: Option<&xentry::VmTransitionDetector>,
 ) -> InjectionRecord {
-    record(
+    let simulate = || {
+        record(
+            point,
+            spec,
+            inject_spec(point, &RecoverySpec::Reg(spec), detector),
+        )
+    };
+    if !point.flip_is_dead(&spec) {
+        return simulate();
+    }
+    fired(0);
+    let dead = record(
         point,
         spec,
-        inject_spec(point, &RecoverySpec::Reg(spec), detector),
-    )
+        (FaultOutcome::Benign, Some(point.meta.golden_features)),
+    );
+    debug_assert_eq!(
+        dead,
+        simulate(),
+        "a dead flip at point {}",
+        point.meta.ordinal
+    );
+    dead
 }
 
 /// The record of one register-fault injection at `point`; a multi-bit
@@ -529,7 +765,7 @@ fn fault_outcome(
     // Fault propagated across VM entry: long-latency error. Determine the
     // would-be consequence by running the faulty machine forward.
     let mut fwd = fork_of(f);
-    let consequence = classify_consequence(point, &mut fwd, &entry_diff, &mut shim_for(detector));
+    let consequence = classify_consequence(point, &mut fwd, &entry_diff, detector);
     recycle(fwd);
 
     if shim.detected() {
@@ -566,4 +802,90 @@ fn fault_outcome(
         },
         Some(features),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::{campaign_platform, CampaignConfig};
+    use guest_sim::Benchmark;
+
+    /// The shortest handler among forty exits past warm-up, as
+    /// [`prepare_point`] builds it (no shortcuts) and as the fork phase
+    /// rebuilds it from the same exit.
+    fn short_point() -> (InjectionPoint, InjectionPoint) {
+        let cfg = CampaignConfig::paper(Benchmark::Freqmine, 16, 7);
+        let mut plat = campaign_platform(&cfg, cfg.seed);
+        let mut collector = Xentry::collector();
+        plat.boot(1, &mut collector);
+        for _ in 0..cfg.warmup {
+            plat.run_activation(1, &mut collector);
+        }
+        let mut shortest: Option<InjectionPoint> = None;
+        for _ in 0..40 {
+            let (reason, _) = plat.run_to_exit(1);
+            let point = prepare_point(plat.clone(), 1, 1, reason, cfg.post_window, None);
+            if let Some(point) = point.filter(|p| {
+                shortest
+                    .as_ref()
+                    .is_none_or(|s| p.meta.golden_len < s.meta.golden_len)
+            }) {
+                shortest = Some(point);
+            }
+            plat.run_handler(1, reason, 0, &mut collector);
+        }
+        let plain = shortest.expect("a healthy exit");
+        let forked = prepare_point_forked(
+            plain.at_exit.clone(),
+            1,
+            1,
+            plain.post_window,
+            &plain.meta,
+            None,
+        );
+        (plain, forked)
+    }
+
+    /// Soundness of the dead-flip rule against the simulator: at one golden
+    /// point, every (target, bit, step) the rule calls dead, simulated on a
+    /// point that takes no shortcut, is `Benign` with the golden features —
+    /// the record the shortcut gives it.
+    #[test]
+    fn every_flip_the_rule_calls_dead_simulates_benign() {
+        let (plain, forked) = short_point();
+        let len = plain.meta.golden_len;
+        let (mut dead, mut all) = (0u64, 0u64);
+        for target in FlipTarget::all() {
+            for bit in 0..64 {
+                for at_step in 0..len {
+                    let spec = InjectionSpec {
+                        target,
+                        bit,
+                        at_step,
+                    };
+                    all += 1;
+                    assert!(
+                        !plain.flip_is_dead(&spec),
+                        "prepare_point takes no shortcut"
+                    );
+                    if !forked.flip_is_dead(&spec) {
+                        continue;
+                    }
+                    dead += 1;
+                    let rec = inject(&plain, spec, None);
+                    assert_eq!(
+                        (rec.outcome, rec.features),
+                        (FaultOutcome::Benign, Some(plain.meta.golden_features)),
+                        "{spec:?} was called dead"
+                    );
+                }
+            }
+        }
+        eprintln!(
+            "{:?} handler, {len} instructions: {dead} of {all} flips called dead, \
+             each simulated benign",
+            plain.meta.reason
+        );
+        assert!(dead > 0 && dead < all);
+    }
 }

@@ -47,7 +47,7 @@ pub use checkpoint::{CheckpointStats, CheckpointStore};
 pub use golden::{classify_site, diff_machines, DiffSite, StateDiff};
 pub use injection::{
     inject, inject_spec, prepare_point, prepare_point_forked, InjectionPoint, InjectionRecord,
-    InjectionSpec, PointMeta,
+    InjectionSpec, PointMeta, WindowEntry,
 };
 pub use journal::CampaignJournal;
 pub use outcome::{Consequence, FaultOutcome, UndetectedCategory};

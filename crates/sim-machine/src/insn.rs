@@ -15,7 +15,8 @@
 //! few decode into *valid but unintended* instructions — the paper's
 //! "incorrect control flow" that only VM-transition detection can catch.
 
-use crate::reg::Reg;
+use crate::cpu::FlipTarget;
+use crate::reg::{flags, Reg};
 use serde::{Deserialize, Serialize};
 
 /// Operation codes. The numeric values are part of the encoding and must not
@@ -331,6 +332,70 @@ pub enum DecodeError {
     BadOperand(u8),
 }
 
+/// A set of register classes, one bit each: the sixteen GPRs (bit
+/// [`Reg::index`]), the RFLAGS condition bits [`flags::ALL`], every other
+/// RFLAGS bit, and RIP. [`Insn::reg_uses`] answers in these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegSet(u32);
+
+impl RegSet {
+    pub const EMPTY: RegSet = RegSet(0);
+    /// The condition bits: every flag-setting instruction writes all of
+    /// them, `Jcc` reads them.
+    pub const COND: RegSet = RegSet(1 << 16);
+    /// Every RFLAGS bit outside [`flags::ALL`]: only `VmEntry` writes them.
+    pub const FLAGS_REST: RegSet = RegSet(1 << 17);
+    pub const RIP: RegSet = RegSet(1 << 18);
+    /// Every class.
+    pub const ALL: RegSet = RegSet((1 << 19) - 1);
+
+    /// One GPR.
+    pub const fn gpr(r: Reg) -> RegSet {
+        RegSet(1 << r as u32)
+    }
+
+    /// The union of two sets.
+    pub const fn with(self, other: RegSet) -> RegSet {
+        RegSet(self.0 | other.0)
+    }
+
+    /// Whether any class is in both sets.
+    pub const fn meets(self, other: RegSet) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// The class a [`Cpu::flip_bit`](crate::cpu::Cpu::flip_bit) of `bit`
+    /// in `target` lands in.
+    pub fn of_flip(target: FlipTarget, bit: u8) -> RegSet {
+        match target {
+            FlipTarget::Gpr(r) => RegSet::gpr(r),
+            FlipTarget::Rip => RegSet::RIP,
+            FlipTarget::Rflags if flags::ALL & 1 << (bit & 63) != 0 => RegSet::COND,
+            FlipTarget::Rflags => RegSet::FLAGS_REST,
+        }
+    }
+}
+
+/// The register classes one instruction reads and writes, as it executes
+/// in host mode ([`Insn::reg_uses`]). `reads` may say more than the
+/// instruction reads; `writes` says nothing it does not overwrite whole
+/// whenever it retires. So a class one instruction writes before anything
+/// reads it holds nothing anyone will see.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegUses {
+    pub reads: RegSet,
+    pub writes: RegSet,
+}
+
+impl RegUses {
+    /// What a shape the table does not list is taken to do: read
+    /// everything, overwrite nothing.
+    pub const UNKNOWN: RegUses = RegUses {
+        reads: RegSet::ALL,
+        writes: RegSet::EMPTY,
+    };
+}
+
 const IMM_MASK: u64 = (1 << 48) - 1;
 
 fn sext48(v: u64) -> i64 {
@@ -499,6 +564,55 @@ impl Insn {
         match self {
             Insn::Store { .. } | Insn::Push { .. } | Insn::Call { .. } | Insn::CallReg { .. } => 1,
             _ => 0,
+        }
+    }
+
+    /// The register classes this instruction reads and writes in host
+    /// mode (see [`RegUses`]). Every instruction reads and writes RIP.
+    /// `Hypercall`, `Hlt` and `AssertFail` are not listed: they read
+    /// everything.
+    pub fn reg_uses(&self) -> RegUses {
+        use Insn::*;
+        let g = RegSet::gpr;
+        let (cond, rsp) = (RegSet::COND, g(Reg::Rsp));
+        let (reads, writes) = match *self {
+            MovImm { dst, .. } | In { dst, .. } | Noise { dst, .. } => (RegSet::EMPTY, g(dst)),
+            MovReg { dst, src } => (g(src), g(dst)),
+            Load { dst, base, .. } => (g(base), g(dst)),
+            Store { base, src, .. } => (g(base).with(g(src)), RegSet::EMPTY),
+            Add { dst, src }
+            | Sub { dst, src }
+            | And { dst, src }
+            | Or { dst, src }
+            | Xor { dst, src } => (g(dst).with(g(src)), g(dst).with(cond)),
+            AddImm { dst, .. } | SubImm { dst, .. } | ShlImm { dst, .. } | ShrImm { dst, .. } => {
+                (g(dst), g(dst).with(cond))
+            }
+            Mul { dst, src } | Div { dst, src } | Rem { dst, src } => (g(dst).with(g(src)), g(dst)),
+            Cmp { a, b } | Test { a, b } => (g(a).with(g(b)), cond),
+            CmpImm { a, .. } => (g(a), cond),
+            Jmp { .. } | Nop => (RegSet::EMPTY, RegSet::EMPTY),
+            Jcc { .. } => (cond, RegSet::EMPTY),
+            Call { .. } | Ret => (rsp, rsp),
+            CallReg { target } => (g(target).with(rsp), rsp),
+            Push { src } => (g(src).with(rsp), rsp),
+            Pop { dst } => (rsp, g(dst).with(rsp)),
+            JmpReg { target } => (g(target), RegSet::EMPTY),
+            Cpuid => (
+                g(Reg::Rax),
+                g(Reg::Rax)
+                    .with(g(Reg::Rbx))
+                    .with(g(Reg::Rcx))
+                    .with(g(Reg::Rdx)),
+            ),
+            Rdtsc => (RegSet::EMPTY, g(Reg::Rax).with(g(Reg::Rdx))),
+            Out { src, .. } => (g(src), RegSet::EMPTY),
+            VmEntry => (RegSet::EMPTY, rsp.with(cond).with(RegSet::FLAGS_REST)),
+            Hypercall { .. } | Hlt | AssertFail { .. } => return RegUses::UNKNOWN,
+        };
+        RegUses {
+            reads: reads.with(RegSet::RIP),
+            writes: writes.with(RegSet::RIP),
         }
     }
 

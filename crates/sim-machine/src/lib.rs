@@ -47,7 +47,7 @@ pub use cpu::{Cpu, CpuId, Mode};
 pub use cycles::CycleModel;
 pub use exception::{Exception, Vector};
 pub use exit::ExitReason;
-pub use insn::{Cond, DecodeError, Insn, Opcode};
+pub use insn::{Cond, DecodeError, Insn, Opcode, RegSet, RegUses};
 pub use machine::{
     vmcs, Devices, Event, Machine, MachineConfig, MachineDelta, StepOutcome, VirtMode, VMCS_WORDS,
 };

@@ -442,6 +442,39 @@ impl Machine {
         (steps, event)
     }
 
+    /// [`Machine::run`], pushing onto `pcs` the `rip` of every instruction
+    /// it attempts, the one that produced the event included: the golden
+    /// handler's path, which the campaign engine's liveness scan reads.
+    /// A loop of its own over the same step body, so `run` pays nothing
+    /// for it.
+    pub fn run_recorded(
+        &mut self,
+        cpu: CpuId,
+        max_steps: u64,
+        cycle_deadline: u64,
+        pcs: &mut Vec<u64>,
+    ) -> (u64, Option<Event>) {
+        let (c, mut core) = self.split(cpu);
+        let mut text = FetchWindow::default();
+        let mut data = DataWindow::default();
+        let mut decoded = [UNDECODED; DECODED_ENTRIES];
+        forget(&mut decoded);
+        let mut hot = Hot::read(c);
+        let (mut steps, mut event) = (0, None);
+        while steps < max_steps && hot.cycles < cycle_deadline {
+            steps += 1;
+            pcs.push(hot.rip);
+            if let StepOutcome::Event(e) =
+                core.step(c, &mut hot, &mut text, &mut data, &mut decoded)
+            {
+                event = Some(e);
+                break;
+            }
+        }
+        hot.write(c);
+        (steps, event)
+    }
+
     /// Execute one instruction on `cpu`: the body [`Machine::run`] loops
     /// over, entered once with nothing remembered.
     pub fn step(&mut self, cpu: CpuId) -> StepOutcome {

@@ -14,6 +14,10 @@
 //! the walk `step` does afresh. Neither entry point may panic: that is the
 //! host-never-panics property, scoped to the step loop.
 //!
+//! `run_recorded` is `run` pushing the `rip` of every instruction it
+//! attempts: it must stop where `run` stops, leave the same machine, and
+//! record the addresses `step_traced` records for the same steps.
+//!
 //! `run` also keeps the instructions it has decoded, by address, for the
 //! length of the call, and forgets them when one of its own stores lands in
 //! an executable region; `step` decodes every word afresh. The directed
@@ -25,8 +29,9 @@
 
 use proptest::prelude::*;
 use sim_machine::{
-    Cond, CycleModel, Event, Exception, Insn, Machine, MachineConfig, Memory, Mode, Opcode,
-    PageMap, Perms, Reg, StepOutcome, Vector, VirtMode, PAGE_BYTES, PTE_PRESENT, PTE_RW,
+    step_traced, Cond, CycleModel, Event, Exception, Insn, Machine, MachineConfig, Memory, Mode,
+    Opcode, PageMap, Perms, Reg, StepOutcome, TraceRing, Vector, VirtMode, PAGE_BYTES, PTE_PRESENT,
+    PTE_RW,
 };
 
 const TEXT: u64 = 0x1_0000;
@@ -269,22 +274,31 @@ fn arb_segment() -> impl Strategy<Value = (u64, i64)> {
     )
 }
 
-/// `run`, written out over `step`.
+/// `run`, written out over `step`, each step traced into `ring`.
 fn run_by_steps(
     m: &mut Machine,
     cpu: usize,
     max_steps: u64,
     cycle_deadline: u64,
+    ring: &mut TraceRing,
 ) -> (u64, Option<Event>) {
     let mut steps = 0;
     while steps < max_steps && m.cpu(cpu).cycles < cycle_deadline {
         steps += 1;
-        if let StepOutcome::Event(e) = m.step(cpu) {
+        if let StepOutcome::Event(e) = step_traced(m, cpu, ring) {
             return (steps, Some(e));
         }
     }
     (steps, None)
 }
+
+/// The addresses a ring traced, oldest first.
+fn traced_rips(ring: &TraceRing) -> Vec<u64> {
+    ring.entries().iter().map(|e| e.rip).collect()
+}
+
+/// Big enough for every step one test takes.
+const RING: usize = 4096;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
@@ -342,21 +356,29 @@ proptest! {
             }
         }
         let mut by_step = by_run.clone();
+        let mut by_rec = by_run.clone();
+        let (mut ring, mut pcs) = (TraceRing::new(RING), Vec::new());
 
         for (max_steps, rel_deadline) in segments {
             let deadline = by_run.cpu(cpu).cycles.saturating_add_signed(rel_deadline);
             let got = by_run.run(cpu, max_steps, deadline);
-            let want = run_by_steps(&mut by_step, cpu, max_steps, deadline);
+            let want = run_by_steps(&mut by_step, cpu, max_steps, deadline, &mut ring);
+            let recorded = by_rec.run_recorded(cpu, max_steps, deadline, &mut pcs);
             prop_assert_eq!(got, want, "max_steps {} deadline {}", max_steps, deadline);
+            prop_assert_eq!(recorded, got);
             prop_assert!(got.0 <= max_steps);
             prop_assert!(by_run == by_step, "machines differ after {:?}", got);
+            prop_assert!(by_rec == by_run, "recorded run differs after {:?}", got);
             prop_assert_eq!(by_run.state_digest(), by_step.state_digest());
+            prop_assert_eq!(by_rec.state_digest(), by_run.state_digest());
+            prop_assert_eq!(&pcs, &traced_rips(&ring));
             // A host-mode fault leaves the CPU on the faulting instruction;
-            // move both on, as a harness would, so later segments run.
+            // move all on, as a harness would, so later segments run.
             if let Some(Event::Exception(_) | Event::AssertFail { .. }) = got.1 {
                 let resume = TEXT + (text_at as u64 + got.0) * 8;
                 by_run.cpu_mut(cpu).rip = resume;
                 by_step.cpu_mut(cpu).rip = resume;
+                by_rec.cpu_mut(cpu).rip = resume;
             }
         }
     }
@@ -406,14 +428,19 @@ fn host_at(mem: Memory, rip: u64, regs: &[(Reg, u64)]) -> Machine {
 
 /// One `run` of up to `max_steps` from `m0` against a loop of `step`s from
 /// the same state: same count, same event (vector, `rip` and fault address
-/// with it), `==` machines, equal digests. Returns the run side.
+/// with it), `==` machines, equal digests. The same for `run_recorded`,
+/// which records the addresses the steps trace. Returns the run side.
 fn run_both_ways(m0: &Machine, max_steps: u64) -> (Machine, (u64, Option<Event>)) {
-    let (mut by_run, mut by_step) = (m0.clone(), m0.clone());
+    let (mut by_run, mut by_step, mut by_rec) = (m0.clone(), m0.clone(), m0.clone());
+    let (mut ring, mut pcs) = (TraceRing::new(RING), Vec::new());
     let got = by_run.run(0, max_steps, u64::MAX);
-    let want = run_by_steps(&mut by_step, 0, max_steps, u64::MAX);
+    let want = run_by_steps(&mut by_step, 0, max_steps, u64::MAX, &mut ring);
     assert_eq!(got, want);
+    assert_eq!(by_rec.run_recorded(0, max_steps, u64::MAX, &mut pcs), got);
     assert!(by_run == by_step, "machines differ after {got:?}");
+    assert!(by_rec == by_run, "recorded run differs after {got:?}");
     assert_eq!(by_run.state_digest(), by_step.state_digest());
+    assert_eq!(pcs, traced_rips(&ring));
     (by_run, got)
 }
 

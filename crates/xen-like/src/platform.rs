@@ -354,6 +354,20 @@ impl Platform {
         h
     }
 
+    /// Whether `self` and `other` are the same dynamic state, exactly:
+    /// everything [`Self::state_digest`] folds — the machine with its cycle
+    /// and instruction counters, PMU, noise streams, devices and memory,
+    /// and the scheduler's interrupt deadlines, randomness and boot flags.
+    /// Pages the two still share compare by pointer. Two equal platforms
+    /// evolve identically under the same driver calls.
+    pub fn same_state(&self, other: &Platform) -> bool {
+        self.next_tick == other.next_tick
+            && self.next_dev == other.next_dev
+            && self.irq_rng == other.irq_rng
+            && self.booted == other.booted
+            && self.machine == other.machine
+    }
+
     /// Read a PCPU field for `cpu`.
     pub fn pcpu_field(&self, cpu: CpuId, field: u64) -> u64 {
         self.machine
@@ -389,33 +403,39 @@ impl Platform {
         cpu: CpuId,
         monitor: &mut M,
     ) -> (ActivationOutcome, u64, u64) {
-        self.run_host_hooked(cpu, monitor, None, |_, _| {})
+        self.run_host_hooked(cpu, monitor, None, |_, _| {}, None)
     }
 
     /// Like `run_host`, but invokes `hook` on the machine after `hook_at`
     /// host-mode steps — the fault-injection entry point: the hook flips a
-    /// register bit mid-handler.
-    pub fn run_host_hooked<M: Monitor>(
+    /// register bit mid-handler. With `pcs`, the run records the `rip` of
+    /// every instruction it attempts there ([`Machine::run_recorded`]).
+    fn run_host_hooked<M: Monitor>(
         &mut self,
         cpu: CpuId,
         monitor: &mut M,
         hook_at: Option<u64>,
         hook: impl FnOnce(&mut Machine, CpuId),
+        mut pcs: Option<&mut Vec<u64>>,
     ) -> (ActivationOutcome, u64, u64) {
         let insns0 = self.machine.cpu(cpu).insns_retired;
         let cycles0 = self.machine.cpu(cpu).cycles;
         let budget = self.host_step_budget;
+        let mut run = |m: &mut Machine, steps| match pcs.as_deref_mut() {
+            Some(pcs) => m.run_recorded(cpu, steps, u64::MAX, pcs),
+            None => m.run(cpu, steps, u64::MAX),
+        };
         // The hook is a run boundary: run to it, apply it, run on. A hook
         // past the budget, or past the handler's end, never fires.
         let (mut steps, mut event) = (0, None);
         if let Some(at) = hook_at.filter(|&at| at <= budget) {
-            (steps, event) = self.machine.run(cpu, at, u64::MAX);
+            (steps, event) = run(&mut self.machine, at);
             if event.is_none() {
                 hook(&mut self.machine, cpu);
             }
         }
         if event.is_none() {
-            (_, event) = self.machine.run(cpu, budget - steps, u64::MAX);
+            (_, event) = run(&mut self.machine, budget - steps);
         }
         let outcome = match event {
             None | Some(Event::Halt) => ActivationOutcome::Hung,
@@ -674,8 +694,9 @@ impl Platform {
         self.run_handler_hooked(cpu, reason, guest_cycles, monitor, None, |_, _| {})
     }
 
-    /// Host phase with a fault-injection hook (see
-    /// [`Self::run_host_hooked`]).
+    /// Host phase with a fault-injection hook: `hook` runs on the machine
+    /// after `hook_at` host-mode steps, a run boundary; one past the host
+    /// step budget, or past the handler's end, never fires.
     pub fn run_handler_hooked<M: Monitor>(
         &mut self,
         cpu: CpuId,
@@ -687,13 +708,36 @@ impl Platform {
     ) -> Activation {
         monitor.on_vm_exit(&mut self.machine, cpu, reason);
         let (outcome, handler_insns, handler_cycles) =
-            self.run_host_hooked(cpu, monitor, hook_at, hook);
+            self.run_host_hooked(cpu, monitor, hook_at, hook, None);
         Activation {
             cpu,
             reason,
             handler_insns,
             handler_cycles,
             guest_cycles,
+            outcome,
+        }
+    }
+
+    /// [`Self::run_handler`], pushing onto `pcs` the `rip` of every host
+    /// instruction the handler attempts, the last included: the golden
+    /// handler's path, whose liveness the campaign engine reads.
+    pub fn run_handler_recorded<M: Monitor>(
+        &mut self,
+        cpu: CpuId,
+        reason: ExitReason,
+        monitor: &mut M,
+        pcs: &mut Vec<u64>,
+    ) -> Activation {
+        monitor.on_vm_exit(&mut self.machine, cpu, reason);
+        let (outcome, handler_insns, handler_cycles) =
+            self.run_host_hooked(cpu, monitor, None, |_, _| {}, Some(pcs));
+        Activation {
+            cpu,
+            reason,
+            handler_insns,
+            handler_cycles,
+            guest_cycles: 0,
             outcome,
         }
     }

@@ -2,7 +2,7 @@
 //! drive full activations (VM exit → handler → VM entry).
 
 use sim_asm::Asm;
-use sim_machine::{Event, ExitReason, Machine, Mode, Reg, StepOutcome, Vector, VirtMode};
+use sim_machine::{Event, ExitReason, Insn, Machine, Mode, Reg, StepOutcome, Vector, VirtMode};
 use std::cell::Cell;
 use xen_like::layout as lay;
 use xen_like::platform::{Activation, ActivationOutcome, NullMonitor};
@@ -596,6 +596,72 @@ fn at_first_exit() -> (Platform, ExitReason, u64) {
     p.boot(0, &mut NullMonitor);
     let (reason, guest_cycles) = p.run_to_exit(0);
     (p, reason, guest_cycles)
+}
+
+/// `run_handler_recorded` is `run_handler` with the path written down: at
+/// every exit of a fault-free run, and under a watchdog that cuts the
+/// handler short, the same `Activation` and `state_digest`, and one
+/// address per instruction the handler attempted, from the host entry on —
+/// the last one its `VMENTRY` when it completed.
+#[test]
+fn recorded_handler_is_the_handler() {
+    let mut p = pv_platform(2);
+    p.boot(0, &mut NullMonitor);
+    for _ in 0..60 {
+        let (reason, _) = p.run_to_exit(0);
+        let entry = p.machine.cpu(0).rip;
+        let (mut rec, mut pcs) = (p.clone(), Vec::new());
+        let got = rec.run_handler_recorded(0, reason, &mut NullMonitor, &mut pcs);
+        let want = p.run_handler(0, reason, 0, &mut NullMonitor);
+        assert_eq!(got, want);
+        assert_eq!(rec.state_digest(), p.state_digest());
+        assert_eq!(pcs.len() as u64, want.handler_insns);
+        assert_eq!(pcs[0], entry);
+        let last = p.machine.mem.fetch(pcs[pcs.len() - 1]).unwrap();
+        assert_eq!(Insn::decode(last), Ok(Insn::VmEntry));
+    }
+
+    let (mut p, reason, _) = at_first_exit();
+    p.host_step_budget = 7;
+    let (mut rec, mut pcs) = (p.clone(), Vec::new());
+    let got = rec.run_handler_recorded(0, reason, &mut NullMonitor, &mut pcs);
+    let want = p.run_handler(0, reason, 0, &mut NullMonitor);
+    assert_eq!((got, got.outcome), (want, ActivationOutcome::Hung));
+    assert_eq!(rec.state_digest(), p.state_digest());
+    assert_eq!(pcs.len(), 7);
+}
+
+/// `same_state` is equality of everything `state_digest` folds: clones
+/// and platforms that ran the same activations are the same state; a flipped
+/// register, a cycle, a memory word, or a guest run ahead are not.
+#[test]
+fn same_state_is_digest_equality() {
+    let mut p = pv_platform(2);
+    p.boot(0, &mut NullMonitor);
+    let mut q = p.clone();
+    assert!(p.same_state(&q));
+    for _ in 0..5 {
+        p.run_activation(0, &mut NullMonitor);
+        q.run_activation(0, &mut NullMonitor);
+    }
+    assert!(p.same_state(&q) && q.same_state(&p));
+    assert_eq!(p.state_digest(), q.state_digest());
+
+    let mut r = q.clone();
+    r.machine.cpu_mut(0).regs[3] ^= 1;
+    assert!(!p.same_state(&r));
+    let mut r = q.clone();
+    r.machine.cpu_mut(0).cycles += 1;
+    assert!(!p.same_state(&r));
+    let mut r = q.clone();
+    let word = lay::global_addr(lay::global::WALLCLOCK);
+    let v = r.machine.mem.peek(word).unwrap();
+    r.machine.mem.poke(word, v ^ 1).unwrap();
+    assert!(!p.same_state(&r));
+    r.machine.mem.poke(word, v).unwrap();
+    assert!(p.same_state(&r), "an equal word on a page no longer shared");
+    q.run_to_exit(0);
+    assert!(!p.same_state(&q));
 }
 
 /// Run the handler both ways from `at_exit` with `hook` at `hook_at`;

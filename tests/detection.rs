@@ -113,8 +113,7 @@ fn golden_features_are_stable_across_prepares() {
     assert_eq!(a.meta.reason, b.meta.reason);
     assert_eq!(a.meta.golden_features, b.meta.golden_features);
     assert_eq!(a.meta.golden_len, b.meta.golden_len);
-    assert_eq!(a.meta.golden_post_bursts, b.meta.golden_post_bursts);
-    assert_eq!(a.meta.golden_post_result, b.meta.golden_post_result);
+    assert_eq!(a.meta.golden_post(), b.meta.golden_post());
 }
 
 #[test]
