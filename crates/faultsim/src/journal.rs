@@ -44,9 +44,10 @@ impl<R: Deserialize> Deserialize for CampaignJournal<R> {
 }
 
 impl<R: Serialize + Deserialize> CampaignJournal<R> {
-    /// Load a journal, returning `None` when the file is absent, unreadable
-    /// or does not match the expected configuration — in every such case
-    /// the campaign simply starts from scratch.
+    /// Load a journal, returning `None` when the file is absent, unreadable,
+    /// does not match the expected configuration, or holds a chunk index
+    /// outside `0..chunks_total` — in every such case the campaign simply
+    /// starts from scratch.
     pub fn load_matching(
         path: &Path,
         config_digest: u64,
@@ -54,7 +55,9 @@ impl<R: Serialize + Deserialize> CampaignJournal<R> {
     ) -> Option<CampaignJournal<R>> {
         let text = std::fs::read_to_string(path).ok()?;
         let j: CampaignJournal<R> = serde_json::from_str(&text).ok()?;
-        (j.config_digest == config_digest && j.chunks_total == chunks_total).then_some(j)
+        let in_range = j.chunks.keys().all(|&k| k < chunks_total);
+        (j.config_digest == config_digest && j.chunks_total == chunks_total && in_range)
+            .then_some(j)
     }
 
     /// Persist a journal of `chunks` atomically. Serialised from the
@@ -128,6 +131,11 @@ mod tests {
         assert!(back.chunks.contains_key(&1));
         // Wrong digest or chunk count → treated as absent.
         assert!(CampaignJournal::<InjectionRecord>::load_matching(&path, 0xABCE, 3).is_none());
+        assert!(CampaignJournal::<InjectionRecord>::load_matching(&path, 0xABCD, 4).is_none());
+        // As many chunks as the campaign has, but one key out of range: a
+        // resume would count it complete and never run chunk 3.
+        let stray = BTreeMap::from([0, 1, 2, 99].map(|k| (k, Vec::<InjectionRecord>::new())));
+        CampaignJournal::save(&path, 0xABCD, 4, &stray).unwrap();
         assert!(CampaignJournal::<InjectionRecord>::load_matching(&path, 0xABCD, 4).is_none());
         let _ = std::fs::remove_dir_all(dir);
     }

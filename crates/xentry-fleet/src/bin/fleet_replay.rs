@@ -139,6 +139,9 @@ fn parse_args() -> Args {
     if args.trace_depth > MAX_SLOTS {
         die(&format!("--trace-depth must be at most {MAX_SLOTS}"));
     }
+    // Before the replay, so an unwritable --out costs no replay.
+    std::fs::create_dir_all(&args.out)
+        .unwrap_or_else(|e| die(&format!("--out {}: {e}", args.out.display())));
     args
 }
 
@@ -258,12 +261,14 @@ fn main() {
 
     let tracer = svc.tracer();
     let snapshot = svc.shutdown();
-    let path = snapshot.write(&args.out).expect("write service.json");
+    let path = snapshot
+        .write(&args.out)
+        .unwrap_or_else(|e| die(&format!("write service.json: {e}")));
 
     // Post-join the rings are quiescent: export the flight trace.
     let trace_path = args.out.join("trace.json");
     sim_machine::write_atomic(&trace_path, tracer.export_chrome().as_bytes())
-        .expect("write trace.json");
+        .unwrap_or_else(|e| die(&format!("write trace.json: {e}")));
     drop(telemetry);
 
     let secs = report.wall_ns as f64 / 1e9;

@@ -90,17 +90,14 @@ pub use metrics::{
     EpochVerdicts, Histogram, HistogramSnapshot, HistogramTally, Metrics, ServiceSnapshot,
     ShardSnapshot,
 };
-pub use model::{lock_recovering, GoldenSet, ModelCache, ModelSlot, SwapError, VersionedModel};
+pub use model::{GoldenSet, ModelCache, ModelSlot, SwapError, VersionedModel};
 pub use net::{http_get, HttpServer};
 pub use queue::MpmcQueue;
 pub use record::{FleetVerdict, HostId, TelemetryRecord, VerdictSource};
 pub use recorder::{DumpBudget, FlightRecorder, IncidentDump, RecordedActivation};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use service::{CollectSink, FleetConfig, FleetService, NullSink, VerdictSink};
-pub use telemetry::{
-    escape_label_value, parse_exposition, render_exposition, render_prometheus, service_families,
-    Family, Kind, TelemetryServer,
-};
+pub use telemetry::{escape_label_value, parse_exposition, render_prometheus, TelemetryServer};
 pub use trace::{SpanKind, TraceEvent, TraceRing, Tracer};
 
 pub use xentry::VmTransitionDetector;

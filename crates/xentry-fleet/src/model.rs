@@ -40,7 +40,7 @@ use xentry::{FeatureVec, VmTransitionDetector};
 /// into every future locker. The protected state here is always valid at
 /// rest — counters and `Arc` swaps are single assignments — so recovering
 /// the guard is safe.
-pub fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

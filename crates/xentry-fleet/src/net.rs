@@ -1,13 +1,10 @@
-//! Shared socket/HTTP plumbing for every std-only network surface of the
-//! fleet: the telemetry scrape server ([`crate::telemetry`]) and the
-//! distributed wire layer (`xentry-wire`) both sit on plain
-//! `TcpListener`/`TcpStream`, and both need the same handful of
-//! primitives — stream timeout setup, a request-line router, a one-shot
-//! HTTP response writer, a minimal GET client, and a stoppable accept
-//! loop. They live here once instead of twice.
+//! Socket/HTTP plumbing for the fleet's std-only telemetry scrape server
+//! ([`crate::telemetry`]) on a plain `TcpListener`/`TcpStream`: stream
+//! timeout setup, a request-line router, a one-shot HTTP response writer,
+//! a minimal GET client, and a stoppable accept loop.
 //!
-//! Nothing in this module knows about metrics, frames, or the service;
-//! it is transport only.
+//! Nothing in this module knows about metrics or the service; it is
+//! transport only.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -17,15 +14,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Default per-connection timeouts for request/response surfaces: a
-/// scraper or wire peer that stalls longer than this is treated as gone
+/// scraper that stalls longer than this is treated as gone
 /// rather than allowed to wedge a server thread.
 pub const READ_TIMEOUT: Duration = Duration::from_millis(500);
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Put `stream` into blocking mode with the given timeouts — the setup
-/// every accepted connection (scrape or wire) performs before its first
+/// every accepted connection performs before its first
 /// read. `None` disables the respective timeout.
-pub fn configure_stream(
+pub(crate) fn configure_stream(
     stream: &TcpStream,
     read: Option<Duration>,
     write: Option<Duration>,
@@ -75,7 +72,7 @@ pub fn write_http_response(
 pub type HttpResponse = (&'static str, &'static str, String);
 
 /// The standard 404 for these servers.
-pub fn not_found(hint: &str) -> HttpResponse {
+pub(crate) fn not_found(hint: &str) -> HttpResponse {
     (
         "404 Not Found",
         "text/plain; charset=utf-8",

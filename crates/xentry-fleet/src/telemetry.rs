@@ -30,11 +30,6 @@ use crate::service::Shared;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 
-// The GET client lives in [`crate::net`] now (shared with the wire
-// layer); re-exported here so existing `telemetry::http_get` callers and
-// the crate-root export keep working.
-pub use crate::net::http_get;
-
 // ---------------------------------------------------------------------------
 // Prometheus text exposition
 // ---------------------------------------------------------------------------
@@ -65,13 +60,13 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// One exposition sample: metric name, labels, value. [`render_exposition`]
-/// writes these and [`parse_exposition`] reads them back.
+/// One exposition sample: metric name, labels, value. `/metrics` is
+/// written from these and [`parse_exposition`] reads them back.
 pub type Sample = (String, Vec<(String, String)>, f64);
 
 /// What a family's `# TYPE` line declares.
 #[derive(Debug, Clone, Copy)]
-pub enum Kind {
+pub(crate) enum Kind {
     Counter,
     Gauge,
     Histogram,
@@ -88,11 +83,10 @@ impl Kind {
 }
 
 /// One metric family: its `# HELP` / `# TYPE` header and every sample
-/// under it. Both `/metrics` surfaces (this service's and the wire-layer
-/// aggregator's) are a `Vec<Family>` built by a pure function of a
+/// under it. `/metrics` is a `Vec<Family>` built by a pure function of a
 /// snapshot, and [`render_exposition`] is the only writer of the text.
 #[derive(Debug)]
-pub struct Family {
+pub(crate) struct Family {
     name: String,
     kind: Kind,
     help: &'static str,
@@ -177,7 +171,7 @@ impl Family {
 }
 
 /// Render `families`, in order, as Prometheus text exposition (0.0.4).
-pub fn render_exposition(families: &[Family]) -> String {
+pub(crate) fn render_exposition(families: &[Family]) -> String {
     let mut out = String::with_capacity(4096);
     for f in families {
         out.push_str(&format!(
@@ -203,7 +197,7 @@ pub fn render_exposition(families: &[Family]) -> String {
 
 /// The service's `/metrics` families, in their fixed exposition order.
 /// Pure and deterministic, so the format is golden-testable.
-pub fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
+pub(crate) fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
     let p = |n: &str| format!("xentry_fleet_{n}");
     let gauge = |n: &str, help, v| Family::scalar(p(n), Kind::Gauge, help, v);
     let counter = |n: &str, help, v: u64| Family::scalar(p(n), Kind::Counter, help, v as f64);

@@ -1,5 +1,6 @@
-//! `fleet-replay` on sizes it cannot allocate: a one-line message and
-//! exit 2, never a panic, an abort or a hang.
+//! `fleet-replay` on sizes it cannot allocate and on an `--out` it cannot
+//! create: a one-line message and exit 2, never a panic, an abort or a
+//! hang.
 //!
 //! Both sizes are rounded up to a power of two per shard. Unchecked,
 //! `--trace-depth 2^64-1` rounds to a zero-slot ring and panics a shard
@@ -49,19 +50,27 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn oversized_queue_capacity_and_trace_depth_exit_2_with_one_line() {
-    for (flag, value) in [
-        ("--trace-depth", "18446744073709551615"),
-        ("--trace-depth", "1048577"),
-        ("--queue-capacity", "9223372036854775809"),
-        ("--queue-capacity", "1099511627776"),
-        ("--queue-capacity", "1048577"),
+    // A directory under a regular file can never be created: that `--out`
+    // fails before the replay, not with a panic after it.
+    let file = std::env::temp_dir().join(format!("fleet-replay-cli-file-{}", std::process::id()));
+    std::fs::write(&file, b"").expect("create the blocking file");
+    let out = file.join("sub");
+    let out = out.to_str().expect("UTF-8 temp path");
+    for (flag, value, says) in [
+        ("--trace-depth", "18446744073709551615", "must be at most"),
+        ("--trace-depth", "1048577", "must be at most"),
+        ("--queue-capacity", "9223372036854775809", "must be at most"),
+        ("--queue-capacity", "1099511627776", "must be at most"),
+        ("--queue-capacity", "1048577", "must be at most"),
+        ("--out", out, out),
     ] {
         let (code, stderr) = run(&[flag, value]);
         assert_eq!(code, Some(2), "{flag} {value}: stderr {stderr:?}");
         assert_eq!(stderr.lines().count(), 1, "{flag} {value}: {stderr:?}");
         assert!(
-            stderr.starts_with(&format!("fleet-replay: {flag} must be at most")),
+            stderr.starts_with(&format!("fleet-replay: {flag} {says}")),
             "{flag} {value}: {stderr:?}"
         );
     }
+    let _ = std::fs::remove_file(&file);
 }

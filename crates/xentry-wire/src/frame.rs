@@ -1,30 +1,22 @@
-//! Length-prefixed binary frame codec for the fleet wire protocol.
+//! Length-prefixed binary codec of the per-host `Summary` frame.
 //!
-//! Every frame on the wire is:
+//! A frame is:
 //!
 //! ```text
 //!  offset  size  field
 //!  0       4     magic  b"XWIR"
 //!  4       1     version (currently 1)
-//!  5       1     frame type
+//!  5       1     frame type (3 = Summary; no other type is defined)
 //!  6       2     reserved (must be zero)
 //!  8       4     payload length, u32 little-endian
-//!  12      n     payload (fixed-width integers, LE; length-prefixed blobs)
+//!  12      n     payload (Summary: thirteen u64, LE; n = 104)
 //! ```
 //!
 //! The codec is defensive by construction: the payload length is checked
-//! against [`MAX_PAYLOAD`] *before* any allocation, every length-prefixed
-//! blob inside a payload is checked against the bytes actually present,
-//! and a payload that decodes short or leaves trailing bytes is rejected
-//! (trailing garbage is how corruption hides). Decoding never panics on
-//! any input — the proptest suite in `tests/frame_roundtrip.rs` holds the
-//! codec to that.
-//!
-//! Stream reads go through [`FrameReader`], which buffers partial frames
-//! so a read timeout mid-frame never desynchronizes the stream.
-
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+//! against [`MAX_PAYLOAD`] *before* any allocation, and a payload shorter
+//! than a Summary or with trailing bytes is rejected (trailing garbage is
+//! how corruption hides). Decoding never panics on any input — the proptest
+//! suite in `tests/frame_roundtrip.rs` holds the codec to that.
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"XWIR";
@@ -36,11 +28,10 @@ pub const HEADER_LEN: usize = 12;
 /// adversarial length field cannot balloon memory.
 pub const MAX_PAYLOAD: usize = 16 << 20;
 
-/// Cumulative per-incarnation accounting counters, as maintained by the
-/// local `FleetService` and reported upstream in every [`Frame::Summary`].
-/// `in_flight` is the ingest-to-verdict window (`ingested - classified -
-/// lost`); it is what the aggregator must reconcile when a session dies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// Cumulative per-incarnation accounting counters of one host's
+/// `FleetService`. `in_flight` is the ingest-to-verdict window
+/// (`ingested - classified - lost`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostCounters {
     pub ingested: u64,
     pub classified: u64,
@@ -50,30 +41,8 @@ pub struct HostCounters {
     pub in_flight: u64,
 }
 
-impl HostCounters {
-    /// Field-wise sum (used when folding a retired incarnation into a
-    /// host's totals).
-    pub fn add(&self, other: &HostCounters) -> HostCounters {
-        HostCounters {
-            ingested: self.ingested + other.ingested,
-            classified: self.classified + other.classified,
-            lost: self.lost + other.lost,
-            dropped: self.dropped + other.dropped,
-            incorrect: self.incorrect + other.incorrect,
-            in_flight: self.in_flight + other.in_flight,
-        }
-    }
-
-    /// The per-host accounting identity the fleet-wide one is built from.
-    pub fn identity_holds(&self) -> bool {
-        self.ingested == self.classified + self.lost + self.in_flight
-    }
-}
-
 /// One verdict/feature summary tick. Counters are cumulative for the
-/// sending incarnation; `window_*` are deltas since the previous summary
-/// (they survive reconnects because the agent, not the session, owns
-/// them).
+/// sending incarnation; `window_*` are deltas since the previous summary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SummaryFrame {
     pub seq: u64,
@@ -86,67 +55,19 @@ pub struct SummaryFrame {
     pub classify_p99_ns: u64,
 }
 
-/// Every message the wire carries. Hosts send `Hello`, `Summary`,
-/// `Heartbeat`, `ModelStatus` and `Bye`; aggregators send `HelloAck`,
-/// `Credit` and `ModelPublish`.
+/// A decoded frame. `Summary` is the only type the codec defines.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Session open: host identity plus where its counters stand, so the
-    /// aggregator can resume or retire the previous session's window.
-    Hello {
-        host: u32,
-        incarnation: u64,
-        last_seq: u64,
-        model_epoch: u64,
-        model_fingerprint: u64,
-    },
-    /// Session accept: initial credit grant from the link budget and the
-    /// aggregator's current published model, if any.
-    HelloAck {
-        credits: u32,
-        resume_seq: u64,
-        model_epoch: u64,
-        model_fingerprint: u64,
-    },
-    /// Periodic accounting summary; consumes one credit.
+    /// Periodic accounting summary.
     Summary(SummaryFrame),
-    /// Backpressure: the aggregator returns credits as it absorbs
-    /// summaries.
-    Credit { grant: u32 },
-    /// Fleet-wide model push: epoch + fingerprint + detector JSON. The
-    /// host admits it only through `hot_swap_validated`.
-    ModelPublish {
-        epoch: u64,
-        fingerprint: u64,
-        json: String,
-    },
-    /// Host's verdict on a pushed model: admitted, or rejected by the
-    /// canary (the divergence report).
-    ModelStatus {
-        epoch: u64,
-        fingerprint: u64,
-        admitted: bool,
-        detail: String,
-    },
-    /// Keepalive while throttled or idle.
-    Heartbeat { sent_ns: u64 },
-    /// Clean close: final counters, in-flight already drained to zero if
-    /// the host shut down properly.
-    Bye { counters: HostCounters },
 }
 
-const TYPE_HELLO: u8 = 1;
-const TYPE_HELLO_ACK: u8 = 2;
 const TYPE_SUMMARY: u8 = 3;
-const TYPE_CREDIT: u8 = 4;
-const TYPE_MODEL_PUBLISH: u8 = 5;
-const TYPE_MODEL_STATUS: u8 = 6;
-const TYPE_HEARTBEAT: u8 = 7;
-const TYPE_BYE: u8 = 8;
+/// A `Summary` payload: thirteen little-endian `u64`s.
+const SUMMARY_LEN: usize = 13 * 8;
 
 /// Why a buffer failed to decode. `Truncated` is recoverable (read more
-/// bytes); everything else means the stream is corrupt and the session
-/// must be torn down.
+/// bytes); everything else means the bytes are corrupt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// Not enough bytes yet; `need` is the total length required.
@@ -161,8 +82,7 @@ pub enum FrameError {
     Oversize {
         len: u64,
     },
-    /// Payload present but malformed (short blob, trailing bytes, bad
-    /// UTF-8, non-boolean flag...).
+    /// Payload present but malformed (short or with trailing bytes).
     BadPayload(&'static str),
 }
 
@@ -184,178 +104,40 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Bounds-checked payload reader: every accessor validates against the
-/// bytes actually present, so an adversarial inner length can neither
-/// panic nor allocate past the received payload.
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Rd<'a> {
-        Rd { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.buf.len() - self.pos < n {
-            return Err(FrameError::BadPayload("payload shorter than declared"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::BadPayload("non-UTF-8 string"))
-    }
-
-    fn counters(&mut self) -> Result<HostCounters, FrameError> {
-        Ok(HostCounters {
-            ingested: self.u64()?,
-            classified: self.u64()?,
-            lost: self.u64()?,
-            dropped: self.u64()?,
-            incorrect: self.u64()?,
-            in_flight: self.u64()?,
-        })
-    }
-
-    fn done(&self) -> Result<(), FrameError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(FrameError::BadPayload("trailing payload bytes"))
-        }
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_counters(out: &mut Vec<u8>, c: &HostCounters) {
-    put_u64(out, c.ingested);
-    put_u64(out, c.classified);
-    put_u64(out, c.lost);
-    put_u64(out, c.dropped);
-    put_u64(out, c.incorrect);
-    put_u64(out, c.in_flight);
-}
-
 impl Frame {
-    fn frame_type(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => TYPE_HELLO,
-            Frame::HelloAck { .. } => TYPE_HELLO_ACK,
-            Frame::Summary(_) => TYPE_SUMMARY,
-            Frame::Credit { .. } => TYPE_CREDIT,
-            Frame::ModelPublish { .. } => TYPE_MODEL_PUBLISH,
-            Frame::ModelStatus { .. } => TYPE_MODEL_STATUS,
-            Frame::Heartbeat { .. } => TYPE_HEARTBEAT,
-            Frame::Bye { .. } => TYPE_BYE,
-        }
-    }
-
     /// Serialize into one complete wire frame (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        match self {
-            Frame::Hello {
-                host,
-                incarnation,
-                last_seq,
-                model_epoch,
-                model_fingerprint,
-            } => {
-                put_u32(&mut payload, *host);
-                put_u64(&mut payload, *incarnation);
-                put_u64(&mut payload, *last_seq);
-                put_u64(&mut payload, *model_epoch);
-                put_u64(&mut payload, *model_fingerprint);
-            }
-            Frame::HelloAck {
-                credits,
-                resume_seq,
-                model_epoch,
-                model_fingerprint,
-            } => {
-                put_u32(&mut payload, *credits);
-                put_u64(&mut payload, *resume_seq);
-                put_u64(&mut payload, *model_epoch);
-                put_u64(&mut payload, *model_fingerprint);
-            }
-            Frame::Summary(s) => {
-                put_u64(&mut payload, s.seq);
-                put_counters(&mut payload, &s.counters);
-                put_u64(&mut payload, s.model_epoch);
-                put_u64(&mut payload, s.model_fingerprint);
-                put_u64(&mut payload, s.window_classified);
-                put_u64(&mut payload, s.window_incorrect);
-                put_u64(&mut payload, s.queue_p99_ns);
-                put_u64(&mut payload, s.classify_p99_ns);
-            }
-            Frame::Credit { grant } => put_u32(&mut payload, *grant),
-            Frame::ModelPublish {
-                epoch,
-                fingerprint,
-                json,
-            } => {
-                put_u64(&mut payload, *epoch);
-                put_u64(&mut payload, *fingerprint);
-                put_string(&mut payload, json);
-            }
-            Frame::ModelStatus {
-                epoch,
-                fingerprint,
-                admitted,
-                detail,
-            } => {
-                put_u64(&mut payload, *epoch);
-                put_u64(&mut payload, *fingerprint);
-                payload.push(u8::from(*admitted));
-                put_string(&mut payload, detail);
-            }
-            Frame::Heartbeat { sent_ns } => put_u64(&mut payload, *sent_ns),
-            Frame::Bye { counters } => put_counters(&mut payload, counters),
-        }
-        debug_assert!(payload.len() <= MAX_PAYLOAD);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let Frame::Summary(s) = self;
+        let c = &s.counters;
+        let mut out = Vec::with_capacity(HEADER_LEN + SUMMARY_LEN);
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
-        out.push(self.frame_type());
+        out.push(TYPE_SUMMARY);
         out.extend_from_slice(&0u16.to_le_bytes());
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&(SUMMARY_LEN as u32).to_le_bytes());
+        for v in [
+            s.seq,
+            c.ingested,
+            c.classified,
+            c.lost,
+            c.dropped,
+            c.incorrect,
+            c.in_flight,
+            s.model_epoch,
+            s.model_fingerprint,
+            s.window_classified,
+            s.window_incorrect,
+            s.queue_p99_ns,
+            s.classify_p99_ns,
+        ] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
         out
     }
 
     /// Decode one frame from the front of `buf`. Returns the frame and
     /// the number of bytes consumed. [`FrameError::Truncated`] means
-    /// "read more and retry"; any other error is fatal for the stream.
+    /// "read more and retry"; any other error means the bytes are corrupt.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
         if buf.len() < HEADER_LEN {
             return Err(FrameError::Truncated { need: HEADER_LEN });
@@ -380,129 +162,39 @@ impl Frame {
         if buf.len() < total {
             return Err(FrameError::Truncated { need: total });
         }
-        let mut rd = Rd::new(&buf[HEADER_LEN..total]);
-        let frame = match ty {
-            TYPE_HELLO => Frame::Hello {
-                host: rd.u32()?,
-                incarnation: rd.u64()?,
-                last_seq: rd.u64()?,
-                model_epoch: rd.u64()?,
-                model_fingerprint: rd.u64()?,
+        if ty != TYPE_SUMMARY {
+            return Err(FrameError::UnknownType(ty));
+        }
+        let payload = &buf[HEADER_LEN..total];
+        if payload.len() < SUMMARY_LEN {
+            return Err(FrameError::BadPayload("payload shorter than declared"));
+        }
+        if payload.len() > SUMMARY_LEN {
+            return Err(FrameError::BadPayload("trailing payload bytes"));
+        }
+        // Exactly thirteen words, one per field, read in wire order.
+        let mut words = payload
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()));
+        let mut next = || words.next().unwrap();
+        let frame = Frame::Summary(SummaryFrame {
+            seq: next(),
+            counters: HostCounters {
+                ingested: next(),
+                classified: next(),
+                lost: next(),
+                dropped: next(),
+                incorrect: next(),
+                in_flight: next(),
             },
-            TYPE_HELLO_ACK => Frame::HelloAck {
-                credits: rd.u32()?,
-                resume_seq: rd.u64()?,
-                model_epoch: rd.u64()?,
-                model_fingerprint: rd.u64()?,
-            },
-            TYPE_SUMMARY => Frame::Summary(SummaryFrame {
-                seq: rd.u64()?,
-                counters: rd.counters()?,
-                model_epoch: rd.u64()?,
-                model_fingerprint: rd.u64()?,
-                window_classified: rd.u64()?,
-                window_incorrect: rd.u64()?,
-                queue_p99_ns: rd.u64()?,
-                classify_p99_ns: rd.u64()?,
-            }),
-            TYPE_CREDIT => Frame::Credit { grant: rd.u32()? },
-            TYPE_MODEL_PUBLISH => Frame::ModelPublish {
-                epoch: rd.u64()?,
-                fingerprint: rd.u64()?,
-                json: rd.string()?,
-            },
-            TYPE_MODEL_STATUS => Frame::ModelStatus {
-                epoch: rd.u64()?,
-                fingerprint: rd.u64()?,
-                admitted: match rd.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(FrameError::BadPayload("non-boolean admitted flag")),
-                },
-                detail: rd.string()?,
-            },
-            TYPE_HEARTBEAT => Frame::Heartbeat { sent_ns: rd.u64()? },
-            TYPE_BYE => Frame::Bye {
-                counters: rd.counters()?,
-            },
-            other => return Err(FrameError::UnknownType(other)),
-        };
-        rd.done()?;
+            model_epoch: next(),
+            model_fingerprint: next(),
+            window_classified: next(),
+            window_incorrect: next(),
+            queue_p99_ns: next(),
+            classify_p99_ns: next(),
+        });
         Ok((frame, total))
-    }
-}
-
-/// Write one frame to a stream.
-pub fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
-    stream.write_all(&frame.encode())
-}
-
-/// Buffered incremental frame decoder for a `TcpStream` with a read
-/// timeout. A timeout mid-frame leaves the partial bytes buffered, so
-/// the next poll resumes exactly where the stream left off — `read_exact`
-/// under a timeout would instead lose its place and desynchronize.
-#[derive(Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-}
-
-impl FrameReader {
-    pub fn new() -> FrameReader {
-        FrameReader::default()
-    }
-
-    /// Return the next frame, reading from `stream` as needed. `Ok(None)`
-    /// means the read timed out with no complete frame buffered — poll
-    /// again. `Err` means EOF, I/O failure, or a corrupt stream.
-    pub fn poll(&mut self, stream: &mut TcpStream) -> io::Result<Option<Frame>> {
-        loop {
-            match Frame::decode(&self.buf) {
-                Ok((frame, used)) => {
-                    self.buf.drain(..used);
-                    return Ok(Some(frame));
-                }
-                Err(FrameError::Truncated { .. }) => {}
-                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-            }
-            let mut scratch = [0u8; 4096];
-            match stream.read(&mut scratch) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "peer closed the connection",
-                    ))
-                }
-                Ok(n) => self.buf.extend_from_slice(&scratch[..n]),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Poll until a frame arrives or `deadline` passes (for handshakes,
-    /// where "no answer" is an error rather than an idle tick).
-    pub fn poll_until(
-        &mut self,
-        stream: &mut TcpStream,
-        deadline: std::time::Instant,
-    ) -> io::Result<Frame> {
-        loop {
-            if let Some(frame) = self.poll(stream)? {
-                return Ok(frame);
-            }
-            if std::time::Instant::now() >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "timed out waiting for a frame",
-                ));
-            }
-        }
     }
 }
 
@@ -512,19 +204,6 @@ mod tests {
 
     fn sample_frames() -> Vec<Frame> {
         vec![
-            Frame::Hello {
-                host: 3,
-                incarnation: 2,
-                last_seq: 41,
-                model_epoch: 7,
-                model_fingerprint: 0xdead_beef,
-            },
-            Frame::HelloAck {
-                credits: 64,
-                resume_seq: 41,
-                model_epoch: 8,
-                model_fingerprint: 0xfeed_f00d,
-            },
             Frame::Summary(SummaryFrame {
                 seq: 42,
                 counters: HostCounters {
@@ -542,22 +221,7 @@ mod tests {
                 queue_p99_ns: 1800,
                 classify_p99_ns: 5400,
             }),
-            Frame::Credit { grant: 1 },
-            Frame::ModelPublish {
-                epoch: 9,
-                fingerprint: 0xabad_cafe,
-                json: "{\"trees\":[]}".to_string(),
-            },
-            Frame::ModelStatus {
-                epoch: 9,
-                fingerprint: 0xabad_cafe,
-                admitted: false,
-                detail: "canary divergence on vector 17".to_string(),
-            },
-            Frame::Heartbeat { sent_ns: 123_456 },
-            Frame::Bye {
-                counters: HostCounters::default(),
-            },
+            Frame::Summary(SummaryFrame::default()),
         ]
     }
 
@@ -589,7 +253,7 @@ mod tests {
 
     #[test]
     fn truncation_reports_total_needed() {
-        let bytes = Frame::Credit { grant: 5 }.encode();
+        let bytes = sample_frames()[0].encode();
         for cut in 0..bytes.len() {
             match Frame::decode(&bytes[..cut]) {
                 Err(FrameError::Truncated { need }) => assert!(need > cut),
@@ -600,7 +264,7 @@ mod tests {
 
     #[test]
     fn oversize_length_is_rejected_before_buffering() {
-        let mut bytes = Frame::Heartbeat { sent_ns: 1 }.encode();
+        let mut bytes = sample_frames()[0].encode();
         bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             Frame::decode(&bytes),
@@ -610,7 +274,7 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        let mut bytes = Frame::Credit { grant: 1 }.encode();
+        let mut bytes = sample_frames()[0].encode();
         // Grow the declared payload by one byte and append it: a decoder
         // that ignores trailing bytes would silently accept corruption.
         let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) + 1;
@@ -619,6 +283,48 @@ mod tests {
         assert_eq!(
             Frame::decode(&bytes),
             Err(FrameError::BadPayload("trailing payload bytes"))
+        );
+    }
+
+    #[test]
+    fn every_other_type_byte_is_unknown() {
+        let bytes = sample_frames()[0].encode();
+        for ty in (0..=u8::MAX).filter(|&t| t != TYPE_SUMMARY) {
+            let mut b = bytes.clone();
+            b[5] = ty;
+            assert_eq!(Frame::decode(&b), Err(FrameError::UnknownType(ty)));
+        }
+    }
+
+    /// The benchmark's `Summary` frame (`summary_frame_round_trips` at
+    /// seed 2014) encodes to exactly these bytes.
+    #[test]
+    fn summary_frame_bytes_are_pinned() {
+        let frame = Frame::Summary(SummaryFrame {
+            seq: 2014,
+            counters: HostCounters {
+                ingested: 1_000_000,
+                classified: 999_000,
+                lost: 0,
+                dropped: 10,
+                incorrect: 12,
+                in_flight: 1_000,
+            },
+            model_epoch: 3,
+            // `fold64(2014, 0x7769_7265)`, as the benchmark computes it.
+            model_fingerprint: 0x2c49_1556_bf5a_14cc,
+            window_classified: 4_096,
+            window_incorrect: 1,
+            queue_p99_ns: 2_047,
+            classify_p99_ns: 16_383,
+        });
+        let hex: String = frame.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "585749520103000068000000de0700000000000040420f0000000000583e0f00\
+             0000000000000000000000000a000000000000000c00000000000000e8030000\
+             000000000300000000000000cc145abf5615492c001000000000000001000000\
+             00000000ff07000000000000ff3f000000000000"
         );
     }
 }
