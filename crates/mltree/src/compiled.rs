@@ -47,12 +47,16 @@
 //! it at one gather plus a few ALU ops per 8-lane group per level.
 //! Kernels (AVX-512 / AVX2 / portable scalar oracle) are selectable per
 //! call through [`CompiledTree::classify_batch_with`]; a short last group
-//! is padded to full width by replicating a real word, so every batch
-//! size stays on the wide path. A chunk outside that envelope, or a
-//! model with no packed shadow (more than five features), has one exact
-//! fallback: the single-sample walk, row by row (for a forest, the
-//! early-exiting [`CompiledForest::classify`]) — rare by measurement
-//! (no fault-free Xentry vector, about one faulty one in a thousand).
+//! is padded to full width by replicating a real word, so a call of at
+//! least one 8-lane group stays on the wide path whatever its length. A
+//! chunk outside that envelope, or a model with no packed shadow (more
+//! than five features), has one exact fallback: the single-sample walk,
+//! row by row (for a forest, the early-exiting
+//! [`CompiledForest::classify`]) — rare by measurement (no fault-free
+//! Xentry vector, about one faulty one in a thousand). A call of fewer
+//! than eight rows takes the same walk for every row: one lane group is
+//! the kernels' unit, and below it their fixed cost exceeds the rows'
+//! own walks (a fleet shard at low load drains one or two records).
 //!
 //! [`Node`]: crate::tree::Node
 
@@ -267,8 +271,9 @@ impl CompiledTree {
     /// batch-walk kernel the CPU supports. Each window of up to 1,024
     /// rows walks its distinct feature vectors once, in groups of eight
     /// that walk the arena in lockstep so their load chains overlap; the
-    /// final short group is padded to full width with a real vector, so
-    /// fleet drain batches stay on the fast path.
+    /// final short group is padded to full width with a real vector. A
+    /// call of fewer than eight rows (one lane group) walks each row with
+    /// [`CompiledTree::classify`] instead, which is cheaper there.
     /// Accepts `[u64; 5]` rows (the Table-I layout), slices, or anything
     /// slice-like.
     pub fn classify_batch<I: AsRef<[u64]>>(&self, inputs: &[I], out: &mut [Label]) {
@@ -278,6 +283,9 @@ impl CompiledTree {
     /// [`CompiledTree::classify_batch`] with an explicit kernel choice —
     /// benchmarks pin kernels with this, and the equivalence suite uses
     /// [`BatchWalker::Scalar`] as the oracle against the vector paths.
+    /// The pinned kernel applies from one lane group (eight rows) up; a
+    /// smaller call takes the exact single-sample walk whatever `walker`
+    /// says, as do chunks outside the packed envelope.
     pub fn classify_batch_with<I: AsRef<[u64]>>(
         &self,
         walker: BatchWalker,
@@ -412,14 +420,7 @@ impl CompiledTree {
     /// [`CompiledTree::validate`] and the fleet's canary swap validation
     /// exist to catch — never deploy one.
     pub fn flip_bit(&mut self, bit: usize) {
-        assert!(bit < self.logical_bits(), "bit {bit} outside the arena");
-        let node = &mut self.nodes[bit / Self::NODE_BITS];
-        match bit % Self::NODE_BITS {
-            b @ 0..=63 => node.threshold ^= 1u64 << b,
-            b @ 64..=95 => node.left ^= 1u32 << (b - 64),
-            b @ 96..=127 => node.right ^= 1u32 << (b - 96),
-            b => node.feature ^= 1u8 << (b - 128),
-        }
+        flip_record_bit(&mut self.nodes, bit);
         // Re-derive the packed shadow so the corruption is visible on the
         // fast path too — a fault that only struck a stale copy would
         // vanish instead of being caught by validate()/canary layers.
@@ -449,80 +450,107 @@ impl CompiledTree {
     /// against a reference walker, which is the fleet model-swap layer's
     /// job.
     pub fn validate(&self) -> Result<(), ArenaFault> {
-        let check_ref = |parent: usize, r: u32| -> Result<(), ArenaFault> {
-            if r & LEAF_BIT != 0 {
-                if r & !(LEAF_BIT | 1) != 0 {
-                    return Err(ArenaFault::MalformedLeaf {
-                        parent,
-                        reference: r,
-                    });
-                }
-            } else if r as usize >= self.nodes.len() {
-                return Err(ArenaFault::OutOfBounds {
-                    parent,
-                    reference: r,
-                });
-            } else if r as usize <= parent {
-                return Err(ArenaFault::BackwardEdge {
-                    parent,
-                    reference: r,
-                });
-            }
-            Ok(())
-        };
         if self.nodes.is_empty() {
-            if self.root & LEAF_BIT == 0 || self.root & !(LEAF_BIT | 1) != 0 {
+            if !is_leaf_tag(self.root) {
                 return Err(ArenaFault::MalformedLeaf {
                     parent: 0,
                     reference: self.root,
                 });
             }
-            return Ok(());
-        }
-        if self.root != 0 {
+        } else if self.root != 0 {
             // emit() always lands the first split at index 0.
             return Err(ArenaFault::BadRoot {
                 reference: self.root,
             });
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            check_ref(i, n.left)?;
-            check_ref(i, n.right)?;
-            if n.feature as usize >= self.arity {
-                return Err(ArenaFault::FeatureOutOfRange {
-                    parent: i,
-                    feature: n.feature,
-                    arity: self.arity,
-                });
-            }
-        }
-        // Forward-only references make the arena a DAG over increasing
-        // indices, so one pass in index order computes the longest
-        // root-to-leaf path without recursion.
-        let mut path_len = vec![0usize; self.nodes.len()];
-        let mut max_depth = 0usize;
-        for (i, n) in self.nodes.iter().enumerate() {
-            let here = path_len[i] + 1; // comparisons on paths through i
-            for r in [n.left, n.right] {
-                if r & LEAF_BIT != 0 {
-                    max_depth = max_depth.max(here);
-                } else {
-                    let c = r as usize;
-                    path_len[c] = path_len[c].max(here);
-                }
-            }
-        }
-        if max_depth != self.depth {
-            return Err(ArenaFault::DepthMismatch {
-                recorded: self.depth,
-                actual: max_depth,
-            });
-        }
-        Ok(())
+        validate_records(&self.nodes, self.arity, self.depth)
     }
 }
 
-/// Why [`CompiledTree::validate`] rejected an arena.
+/// Whether `r` is a well-formed leaf reference: [`LEAF_BIT`] and at most
+/// the label bit.
+fn is_leaf_tag(r: u32) -> bool {
+    r & LEAF_BIT != 0 && r & !(LEAF_BIT | 1) == 0
+}
+
+/// [`CompiledTree::flip_bit`]'s fault on a record arena, in the same
+/// logical coordinates.
+fn flip_record_bit(nodes: &mut [CompiledNode], bit: usize) {
+    const BITS: usize = CompiledTree::NODE_BITS;
+    assert!(bit < nodes.len() * BITS, "bit {bit} outside the arena");
+    let node = &mut nodes[bit / BITS];
+    match bit % BITS {
+        b @ 0..=63 => node.threshold ^= 1u64 << b,
+        b @ 64..=95 => node.left ^= 1u32 << (b - 64),
+        b @ 96..=127 => node.right ^= 1u32 << (b - 96),
+        b => node.feature ^= 1u8 << (b - 128),
+    }
+}
+
+/// The record checks of [`CompiledTree::validate`], for a tree's arena or
+/// a forest's shared one: well-formed forward references, features below
+/// `arity`, and `depth` equal to the longest path from any record.
+fn validate_records(nodes: &[CompiledNode], arity: usize, depth: usize) -> Result<(), ArenaFault> {
+    let check_ref = |parent: usize, r: u32| -> Result<(), ArenaFault> {
+        if r & LEAF_BIT != 0 {
+            if !is_leaf_tag(r) {
+                return Err(ArenaFault::MalformedLeaf {
+                    parent,
+                    reference: r,
+                });
+            }
+        } else if r as usize >= nodes.len() {
+            return Err(ArenaFault::OutOfBounds {
+                parent,
+                reference: r,
+            });
+        } else if r as usize <= parent {
+            return Err(ArenaFault::BackwardEdge {
+                parent,
+                reference: r,
+            });
+        }
+        Ok(())
+    };
+    for (i, n) in nodes.iter().enumerate() {
+        check_ref(i, n.left)?;
+        check_ref(i, n.right)?;
+        if n.feature as usize >= arity {
+            return Err(ArenaFault::FeatureOutOfRange {
+                parent: i,
+                feature: n.feature,
+                arity,
+            });
+        }
+    }
+    // Forward-only references make the arena a DAG over increasing
+    // indices, so one pass in index order computes the longest path
+    // without recursion. Every record of a compiled model lies on a path
+    // from its root, so this is the longest root path.
+    let mut path_len = vec![0usize; nodes.len()];
+    let mut max_depth = 0usize;
+    for (i, n) in nodes.iter().enumerate() {
+        let here = path_len[i] + 1; // comparisons on paths through i
+        for r in [n.left, n.right] {
+            if r & LEAF_BIT != 0 {
+                max_depth = max_depth.max(here);
+            } else {
+                let c = r as usize;
+                path_len[c] = path_len[c].max(here);
+            }
+        }
+    }
+    if max_depth != depth {
+        return Err(ArenaFault::DepthMismatch {
+            recorded: depth,
+            actual: max_depth,
+        });
+    }
+    Ok(())
+}
+
+/// Why [`CompiledTree::validate`] or [`CompiledForest::validate`]
+/// rejected an arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaFault {
     /// A leaf-tagged reference carries bits other than the label bit.
@@ -649,7 +677,11 @@ thread_local! {
 /// row, no probe loop), and `walk(pa, scratch, entries)` gives every
 /// entry its `verdict`, which the rows copy back. Sharing a walk is exact
 /// by construction: an in-envelope word holds a row's every compared
-/// feature value. Without a packed shadow, every row takes `exact`.
+/// feature value. Without a packed shadow, and in a call of fewer than
+/// [`LANES`] rows, every row takes `exact`: below one lane group the
+/// staging, the dedup and the padded group's every round cost more than
+/// the rows' own walks (a 1-row call ~220 ns against ~35 ns on a depth-19
+/// tree), and the fleet drains its records a few at a time at low load.
 fn classify_windows(
     packed: Option<&PackedArena>,
     out: &mut [Label],
@@ -657,7 +689,7 @@ fn classify_windows(
     exact: impl Fn(usize) -> Label,
     mut walk: impl FnMut(&PackedArena, &mut Scratch, usize),
 ) {
-    let Some(pa) = packed else {
+    let Some(pa) = packed.filter(|_| out.len() >= LANES) else {
         for (i, o) in out.iter_mut().enumerate() {
             *o = exact(i);
         }
@@ -814,15 +846,17 @@ impl CompiledForest {
     /// vote is decided (the rule [`CompiledForest::classify`] uses) takes
     /// its verdict, shared by its rows, and leaves;
     /// the survivors are compacted to the front, so the next tree walks
-    /// only undecided lanes. A chunk outside the packed envelope, or a
-    /// forest with no packed shadow, is classified row by row by
+    /// only undecided lanes. A chunk outside the packed envelope, a
+    /// forest with no packed shadow, and a call of fewer than eight rows
+    /// (one lane group) are classified row by row by
     /// [`CompiledForest::classify`] itself.
     pub fn classify_batch<I: AsRef<[u64]>>(&self, inputs: &[I], out: &mut [Label]) {
         self.classify_batch_with(BatchWalker::Auto, inputs, out);
     }
 
-    /// [`CompiledForest::classify_batch`] with an explicit kernel choice
-    /// (see [`CompiledTree::classify_batch_with`]).
+    /// [`CompiledForest::classify_batch`] with an explicit kernel choice,
+    /// under the same contract as [`CompiledTree::classify_batch_with`]:
+    /// the kernel applies from one lane group up.
     pub fn classify_batch_with<I: AsRef<[u64]>>(
         &self,
         walker: BatchWalker,
@@ -886,6 +920,28 @@ impl CompiledForest {
                 }
             },
         );
+    }
+
+    /// Total defined bits in the shared arena, in
+    /// [`CompiledTree::NODE_BITS`] per record.
+    pub fn logical_bits(&self) -> usize {
+        self.nodes.len() * CompiledTree::NODE_BITS
+    }
+
+    /// Flip one bit of the shared arena — [`CompiledTree::flip_bit`] for
+    /// an ensemble, same coordinates, packed shadow re-derived.
+    pub fn flip_bit(&mut self, bit: usize) {
+        flip_record_bit(&mut self.nodes, bit);
+        self.packed = PackedArena::build(&self.nodes, self.arity);
+    }
+
+    /// [`CompiledTree::validate`] for an ensemble: the shared arena's
+    /// records pass the tree's checks, and the recorded deepest tree — the
+    /// batch walk's round count — matches the longest path. The root
+    /// references live outside the arena, where [`CompiledForest::flip_bit`]
+    /// cannot reach them.
+    pub fn validate(&self) -> Result<(), ArenaFault> {
+        validate_records(&self.nodes, self.arity, self.max_depth)
     }
 
     /// Trees in the ensemble.
@@ -994,6 +1050,21 @@ mod tests {
     }
 
     #[test]
+    fn validate_accepts_every_compiled_forest() {
+        for threshold in [0, 8, 16] {
+            let mut cfg = ForestConfig::default_random_forest(3, 23);
+            cfg.vote_threshold = Some(threshold);
+            let compiled = CompiledForest::compile(&RandomForest::train(&mixed_dataset(240), &cfg));
+            compiled.validate().unwrap();
+            let mut corrupt = compiled.clone();
+            corrupt.flip_bit(64 + 30); // record 0, left reference bit 30
+            assert!(corrupt.validate().is_err());
+            corrupt.flip_bit(64 + 30);
+            assert_eq!(corrupt, compiled);
+        }
+    }
+
+    #[test]
     fn flip_bit_round_trips() {
         let ds = mixed_dataset(120);
         let tree = DecisionTree::train(&ds, &TrainConfig::decision_tree());
@@ -1095,6 +1166,73 @@ mod tests {
                     cf.classify_batch_with(walker, &rows[..n], &mut got);
                     assert_eq!(got, by_forest[..n]);
                 }
+            }
+        }
+    }
+
+    /// Swap every leaf label of `nodes`: the same structure and depths,
+    /// the opposite verdict on every path.
+    fn invert_leaves(nodes: &mut [CompiledNode]) {
+        for n in nodes {
+            for r in [&mut n.left, &mut n.right] {
+                if *r & LEAF_BIT != 0 {
+                    *r ^= 1;
+                }
+            }
+        }
+    }
+
+    /// Which path a call takes, made visible: each model's packed shadow
+    /// is swapped for the shadow of its leaf-inverted twin, so the kernels
+    /// answer as the twin and the exact walk as the model. Calls of fewer
+    /// than `LANES` rows must walk singly, and every larger one — partial
+    /// lane groups of 9–15 rows included — through the padded kernels, on
+    /// every walker and from all three batch entries.
+    #[test]
+    fn calls_below_one_lane_group_walk_singly_and_larger_ones_take_the_kernels() {
+        let ds = mixed_dataset(300);
+        let tree = DecisionTree::train(&ds, &TrainConfig::decision_tree());
+        let forest = RandomForest::train(&ds, &ForestConfig::default_random_forest(3, 17));
+        let (ct, cf) = (
+            CompiledTree::compile(&tree),
+            CompiledForest::compile(&forest),
+        );
+        let (mut twin_t, mut twin_f) = (ct.clone(), cf.clone());
+        invert_leaves(&mut twin_t.nodes);
+        invert_leaves(&mut twin_f.nodes);
+        twin_t.packed = PackedArena::build(&twin_t.nodes, twin_t.arity);
+        twin_f.packed = PackedArena::build(&twin_f.nodes, twin_f.arity);
+        let (mut probe_t, mut probe_f) = (ct.clone(), cf.clone());
+        probe_t.packed = twin_t.packed.clone();
+        probe_f.packed = twin_f.packed.clone();
+        let rows: Vec<[u64; 3]> = (ds.samples.iter().take(2 * LANES + 1))
+            .map(|s| [s.features[0], s.features[1], s.features[2]])
+            .collect();
+        for r in &rows {
+            assert_ne!(ct.classify(r), twin_t.classify(r));
+            assert_ne!(cf.classify(r), twin_f.classify(r));
+        }
+        for walker in [
+            BatchWalker::Scalar,
+            BatchWalker::Avx2,
+            BatchWalker::Avx512,
+            BatchWalker::Auto,
+        ] {
+            for n in 1..=rows.len() {
+                let (by_t, by_f) = if n < LANES {
+                    (&ct, &cf)
+                } else {
+                    (&twin_t, &twin_f)
+                };
+                let want_t: Vec<Label> = rows[..n].iter().map(|r| by_t.classify(r)).collect();
+                let want_f: Vec<Label> = rows[..n].iter().map(|r| by_f.classify(r)).collect();
+                let mut got = vec![Label::Correct; n];
+                probe_t.classify_batch_with(walker, &rows[..n], &mut got);
+                assert_eq!(got, want_t, "{walker:?}, {n} rows");
+                probe_t.classify_batch_rows::<3>(walker, n, |i| rows[i], &mut got);
+                assert_eq!(got, want_t, "{walker:?}, {n} rows");
+                probe_f.classify_batch_with(walker, &rows[..n], &mut got);
+                assert_eq!(got, want_f, "{walker:?}, {n} rows");
             }
         }
     }

@@ -40,7 +40,8 @@
 use crate::compiled::{leaf_label, CompiledNode, LEAF_BIT};
 use crate::dataset::Label;
 
-/// Lanes per lockstep group — one AVX-512 register of u64 walk refs.
+/// Lanes per lockstep group — one AVX-512 register of u64 walk refs, and
+/// the smallest batch the kernels walk (a smaller one walks row by row).
 pub(crate) const LANES: usize = 8;
 
 /// Which batch-walk implementation [`CompiledTree::classify_batch_with`]
@@ -49,7 +50,9 @@ pub(crate) const LANES: usize = 8;
 /// explicit variants exist for benchmarks and the SIMD-vs-scalar
 /// equivalence oracle. Asking
 /// for a kernel the CPU lacks falls back to the next narrower one, so
-/// every variant is always safe to request.
+/// every variant is always safe to request. A call of fewer than
+/// eight rows (one lane group) runs no kernel: it takes the exact
+/// single-sample walk.
 ///
 /// [`CompiledTree::classify_batch_with`]: crate::compiled::CompiledTree::classify_batch_with
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -22,6 +22,12 @@ const WALKERS: [BatchWalker; 4] = [
     BatchWalker::Auto,
 ];
 
+/// One SIMD lane group: a batch engine walks a call of fewer rows singly.
+const LANES: usize = 8;
+
+/// Rows the batch engines stage and deduplicate as one window.
+const WINDOW: usize = 1024;
+
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
     // 2-4 features, 20-200 samples, values in a modest range.
     (2usize..5, 20usize..200).prop_flat_map(|(nf, ns)| {
@@ -326,6 +332,55 @@ proptest! {
         prop_assert!(oob.validate().is_err());
     }
 
+    /// A model slab struck many times over is still never a host panic:
+    /// after each of up to 16 random bit flips, a tree and a forest either
+    /// fail `validate()` or classify every probe through the single walker
+    /// and through every batch size up to two lane groups and one row and
+    /// one past a window edge, on every kernel, the batch answering as the
+    /// single walk does.
+    #[test]
+    fn arenas_struck_by_many_flips_are_rejected_or_classify_consistently(
+        ds in arb_dataset(),
+        seed in any::<u64>(),
+        flips in proptest::collection::vec(any::<u64>(), 1..16),
+    ) {
+        let tree = DecisionTree::train(&ds, &TrainConfig::random_tree(ds.nr_features(), seed));
+        let mut cfg = ForestConfig::default_random_forest(ds.nr_features(), seed);
+        cfg.nr_trees = 5;
+        let (mut ct, mut cf) = (
+            CompiledTree::compile(&tree),
+            CompiledForest::compile(&RandomForest::train(&ds, &cfg)),
+        );
+        prop_assume!(ct.nr_splits() > 0 && cf.nr_splits() > 0);
+        let inputs: Vec<Vec<u64>> = (probes(&ds, &[]).into_iter().cycle())
+            .take(WINDOW + 1)
+            .collect();
+        for &f in &flips {
+            ct.flip_bit(f as usize % ct.logical_bits());
+            cf.flip_bit((f >> 32) as usize % cf.logical_bits());
+            if ct.validate().is_ok() {
+                let single: Vec<Label> = inputs.iter().map(|r| ct.classify(r)).collect();
+                for walker in WALKERS {
+                    for n in (0..=2 * LANES + 1).chain([inputs.len()]) {
+                        let mut got = vec![Label::Correct; n];
+                        ct.classify_batch_with(walker, &inputs[..n], &mut got);
+                        prop_assert_eq!(&got[..], &single[..n]);
+                    }
+                }
+            }
+            if cf.validate().is_ok() {
+                let single: Vec<Label> = inputs.iter().map(|r| cf.classify(r)).collect();
+                for walker in WALKERS {
+                    for n in (0..=2 * LANES + 1).chain([inputs.len()]) {
+                        let mut got = vec![Label::Correct; n];
+                        cf.classify_batch_with(walker, &inputs[..n], &mut got);
+                        prop_assert_eq!(&got[..], &single[..n]);
+                    }
+                }
+            }
+        }
+    }
+
     /// The forest batch path agrees with the boxed forest under every
     /// kernel, including on short tails, and on a batch of three
     /// 1,024-row windows plus a ragged tail — in the packed envelope but
@@ -407,8 +462,8 @@ fn word(i: u64) -> [u64; 4] {
     [h >> 52, (h >> 40) & 0xfff, (h >> 28) & 0xfff, i & 0xfff]
 }
 
-/// A tree and a five-tree forest trained on [`word`] rows.
-fn word_models() -> (DecisionTree, RandomForest) {
+/// 600 labelled [`word`] rows.
+fn word_dataset() -> Dataset {
     let mut ds = Dataset::new(&["a", "b", "c", "d"]);
     for i in 0..600 {
         let r = word(i);
@@ -418,6 +473,12 @@ fn word_models() -> (DecisionTree, RandomForest) {
             [Label::Correct, Label::Incorrect][bad as usize],
         ));
     }
+    ds
+}
+
+/// A tree and a five-tree forest trained on [`word_dataset`].
+fn word_models() -> (DecisionTree, RandomForest) {
+    let ds = word_dataset();
     let mut cfg = ForestConfig::default_random_forest(4, 5);
     cfg.nr_trees = 5;
     (
@@ -454,6 +515,59 @@ fn all_distinct_windows_match_the_boxed_walkers() {
             assert_eq!(got, by_tree[..n], "{walker:?}, {n} rows");
             cf.classify_batch_with(walker, &rows[..n], &mut got);
             assert_eq!(got, by_forest[..n], "{walker:?}, {n} rows");
+        }
+    }
+}
+
+/// Every batch size around one lane group and across a window edge, from
+/// all three batch entries on every kernel, agrees with the
+/// single-sample walk and the boxed walker, for a tree and a 15-tree
+/// forest: once over in-envelope rows (the kernels' padding at 9–15 rows
+/// and past the window edge), once with a row above the packed 12-bit
+/// envelope near the start and one just past the window edge. The first
+/// lane group's labels are mixed, so a small-call path that answered any
+/// row with another row's verdict fails here.
+#[test]
+fn every_batch_size_around_a_lane_group_and_a_window_edge_matches_the_walkers() {
+    let (tree, _) = word_models();
+    let mut cfg = ForestConfig::default_random_forest(4, 5);
+    cfg.nr_trees = 15;
+    let forest = RandomForest::train(&word_dataset(), &cfg);
+    let (ct, cf) = (
+        CompiledTree::compile(&tree),
+        CompiledForest::compile(&forest),
+    );
+    let clean: Vec<[u64; 4]> = (0..(WINDOW + LANES) as u64)
+        .map(|i| word(i % 600))
+        .collect();
+    let mut mixed = clean.clone();
+    mixed[3][2] = 4096;
+    mixed[WINDOW + 1][0] = u64::MAX;
+    for rows in [&clean, &mixed] {
+        let by_tree: Vec<Label> = rows.iter().map(|r| tree.classify(r)).collect();
+        let by_forest: Vec<Label> = rows.iter().map(|r| forest.classify(r)).collect();
+        for labels in [&by_tree, &by_forest] {
+            assert!(
+                labels[1..LANES].iter().any(|&l| l != labels[0]),
+                "the first lane group needs mixed labels"
+            );
+        }
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(ct.classify(r), by_tree[i]);
+            assert_eq!(cf.classify(r), by_forest[i]);
+        }
+        for walker in WALKERS {
+            for n in (0..=2 * LANES + 1).chain(WINDOW - 1..=WINDOW + LANES) {
+                let mut got = vec![Label::Correct; n];
+                ct.classify_batch_with(walker, &rows[..n], &mut got);
+                assert_eq!(got, by_tree[..n], "tree, {walker:?}, {n} rows");
+                got.fill(Label::Correct);
+                ct.classify_batch_rows::<4>(walker, n, |i| rows[i], &mut got);
+                assert_eq!(got, by_tree[..n], "tree rows, {walker:?}, {n} rows");
+                got.fill(Label::Correct);
+                cf.classify_batch_with(walker, &rows[..n], &mut got);
+                assert_eq!(got, by_forest[..n], "forest, {walker:?}, {n} rows");
+            }
         }
     }
 }

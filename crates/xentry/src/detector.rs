@@ -113,7 +113,12 @@ impl VmTransitionDetector {
 
     /// Classify a batch of executions, one verdict per input. Feature
     /// columns are staged through a fixed stack chunk, so the only
-    /// allocation is the caller's `out` buffer.
+    /// allocation is the caller's `out` buffer. A batch of fewer than
+    /// eight records (one SIMD lane group, what a fleet shard drains at
+    /// low load) walks each record as [`classify`] does, which is
+    /// cheaper than the lockstep kernels there; verdicts are the same.
+    ///
+    /// [`classify`]: VmTransitionDetector::classify
     pub fn classify_batch(&self, fs: &[FeatureVec], out: &mut [Label]) {
         self.classify_batch_with(mltree::BatchWalker::Auto, fs, out);
     }
@@ -121,6 +126,8 @@ impl VmTransitionDetector {
     /// [`classify_batch`] with an explicit kernel choice — benchmarks
     /// pin kernels with this to attribute throughput to a specific
     /// walker; production callers should stay on the calibrated default.
+    /// The pinned kernel applies from eight records (one lane group) up;
+    /// a smaller batch takes the single-sample walk whatever `walker` is.
     ///
     /// [`classify_batch`]: VmTransitionDetector::classify_batch
     pub fn classify_batch_with(
