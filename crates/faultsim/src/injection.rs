@@ -24,7 +24,7 @@ use crate::policy::TierResult;
 use crate::recovery::RecoverySpec;
 use guest_sim::guest_addrs;
 use sim_machine::cpu::FlipTarget;
-use sim_machine::{CpuId, ExitReason, Insn, Machine, RegSet, RegUses};
+use sim_machine::{CpuId, ExitReason, FetchWindow, Insn, Machine, RegSet, RegUses};
 use std::sync::OnceLock;
 use xen_like::{ActivationOutcome, Platform};
 use xentry::{Detection, FeatureVec, Xentry, XentryConfig};
@@ -78,6 +78,10 @@ struct Shortcuts {
     /// The `rip` of every instruction the golden handler executed, in
     /// order, `VmEntry` last ([`Platform::run_handler_recorded`]).
     pcs: Vec<u64>,
+    /// Per step of `pcs`, and one past its end, the register classes
+    /// ([`RegSet::bits`]) whose next access from that step on is a write:
+    /// a flip there is dead. Built on first need.
+    dead: OnceLock<Vec<u32>>,
     /// The golden entry state one activation on, under a fresh measurement
     /// shim: what a fault that washed out is after the judge's first
     /// activation. Built on first need.
@@ -106,23 +110,33 @@ impl InjectionPoint {
         let Some(s) = &self.shortcuts else {
             return false;
         };
-        let class = RegSet::of_flip(spec.target, spec.bit);
-        let text = &self.at_exit.machine.mem;
-        let path = s.pcs.get(spec.at_step as usize..).unwrap_or_default();
-        for &pc in path {
-            let uses = text
-                .fetch(pc)
-                .ok()
-                .and_then(|word| Insn::decode(word).ok())
-                .map_or(RegUses::UNKNOWN, |insn| insn.reg_uses());
-            if uses.reads.meets(class) {
-                return false;
+        let dead = s.dead.get_or_init(|| {
+            // One backward pass: a class is dead at a step that writes it
+            // without reading it, or that leaves it alone when it is dead
+            // at the next step. An undecodable word reads everything. A
+            // handler loops, so a small direct-mapped table keyed by `pc`
+            // decodes each of its words (`at_exit`'s, fixed) about once;
+            // a pass costs less than the forward scans of a point's few
+            // injections did.
+            let text = &self.at_exit.machine.mem;
+            let mut near = FetchWindow::default();
+            let mut decoded = [(u64::MAX, RegUses::UNKNOWN); 512];
+            let mut dead = vec![0u32; s.pcs.len() + 1];
+            for (step, &pc) in s.pcs.iter().enumerate().rev() {
+                let slot = &mut decoded[(pc / 8) as usize % 512];
+                if slot.0 != pc {
+                    let uses = (text.fetch_near(&mut near, pc).ok())
+                        .and_then(|word| Insn::decode(word).ok())
+                        .map_or(RegUses::UNKNOWN, |insn| insn.reg_uses());
+                    *slot = (pc, uses);
+                }
+                let (r, w) = (slot.1.reads.bits(), slot.1.writes.bits());
+                dead[step] = (w & !r) | (dead[step + 1] & !(r | w));
             }
-            if uses.writes.meets(class) {
-                return true;
-            }
-        }
-        false
+            dead
+        });
+        let class = RegSet::of_flip(spec.target, spec.bit).bits();
+        (dead.get(spec.at_step as usize)).is_some_and(|&d| d & class != 0)
     }
 
     /// Whether `f`, a faulty platform the consequence judge (budget
@@ -384,6 +398,7 @@ pub fn prepare_point_forked(
         post_window,
         shortcuts: Some(Shortcuts {
             pcs,
+            dead: OnceLock::new(),
             after_one: OnceLock::new(),
         }),
     }
@@ -810,10 +825,9 @@ mod tests {
     use crate::campaign::{campaign_platform, CampaignConfig};
     use guest_sim::Benchmark;
 
-    /// The shortest handler among forty exits past warm-up, as
-    /// [`prepare_point`] builds it (no shortcuts) and as the fork phase
-    /// rebuilds it from the same exit.
-    fn short_point() -> (InjectionPoint, InjectionPoint) {
+    /// The healthy points among `exits` exits past warm-up, as
+    /// [`prepare_point`] builds them (no shortcuts).
+    fn plain_points(exits: usize) -> Vec<InjectionPoint> {
         let cfg = CampaignConfig::paper(Benchmark::Freqmine, 16, 7);
         let mut plat = campaign_platform(&cfg, cfg.seed);
         let mut collector = Xentry::collector();
@@ -821,29 +835,100 @@ mod tests {
         for _ in 0..cfg.warmup {
             plat.run_activation(1, &mut collector);
         }
-        let mut shortest: Option<InjectionPoint> = None;
-        for _ in 0..40 {
+        let mut points = Vec::new();
+        for _ in 0..exits {
             let (reason, _) = plat.run_to_exit(1);
-            let point = prepare_point(plat.clone(), 1, 1, reason, cfg.post_window, None);
-            if let Some(point) = point.filter(|p| {
-                shortest
-                    .as_ref()
-                    .is_none_or(|s| p.meta.golden_len < s.meta.golden_len)
-            }) {
-                shortest = Some(point);
-            }
+            points.extend(prepare_point(
+                plat.clone(),
+                1,
+                1,
+                reason,
+                cfg.post_window,
+                None,
+            ));
             plat.run_handler(1, reason, 0, &mut collector);
         }
-        let plain = shortest.expect("a healthy exit");
-        let forked = prepare_point_forked(
+        points
+    }
+
+    /// `plain` as the fork phase rebuilds it from the same exit.
+    fn forked(plain: &InjectionPoint) -> InjectionPoint {
+        prepare_point_forked(
             plain.at_exit.clone(),
             1,
             1,
             plain.post_window,
             &plain.meta,
             None,
-        );
+        )
+    }
+
+    /// The shortest handler among forty exits past warm-up, as
+    /// [`prepare_point`] builds it and as the fork phase rebuilds it.
+    fn short_point() -> (InjectionPoint, InjectionPoint) {
+        let plain = (plain_points(40).into_iter())
+            .min_by_key(|p| p.meta.golden_len)
+            .expect("a healthy exit");
+        let forked = forked(&plain);
         (plain, forked)
+    }
+
+    /// The dead-flip rule as one forward scan of the golden path per
+    /// flip: the first access to the flipped class from the flip's step
+    /// on decides, a write before any read meaning dead.
+    fn scanned_dead(point: &InjectionPoint, spec: &InjectionSpec) -> bool {
+        let class = RegSet::of_flip(spec.target, spec.bit);
+        let text = &point.at_exit.machine.mem;
+        let pcs = &point.shortcuts.as_ref().expect("a forked point").pcs;
+        for &pc in pcs.get(spec.at_step as usize..).unwrap_or_default() {
+            let uses = (text.fetch(pc).ok())
+                .and_then(|word| Insn::decode(word).ok())
+                .map_or(RegUses::UNKNOWN, |insn| insn.reg_uses());
+            if uses.reads.meets(class) {
+                return false;
+            }
+            if uses.writes.meets(class) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The per-step masks answer as the forward scan, at the first six
+    /// healthy points past warm-up, for every register class at every
+    /// step of the golden path and past its end.
+    #[test]
+    fn dead_masks_answer_as_the_forward_scan() {
+        let rflags_bit = |class| {
+            (0..64)
+                .find(|&b| RegSet::of_flip(FlipTarget::Rflags, b) == class)
+                .expect("RFLAGS holds both flag classes")
+        };
+        let mut flips: Vec<(FlipTarget, u8)> = (FlipTarget::all().into_iter())
+            .filter(|&t| t != FlipTarget::Rflags)
+            .map(|t| (t, 0))
+            .collect();
+        flips.push((FlipTarget::Rflags, rflags_bit(RegSet::COND)));
+        flips.push((FlipTarget::Rflags, rflags_bit(RegSet::FLAGS_REST)));
+        let points = plain_points(8);
+        assert!(points.len() >= 6, "{} healthy points", points.len());
+        let (mut dead, mut all) = (0u64, 0u64);
+        for point in points.iter().take(6).map(forked) {
+            for &(target, bit) in &flips {
+                for at_step in 0..=point.meta.golden_len + 1 {
+                    let spec = InjectionSpec {
+                        target,
+                        bit,
+                        at_step,
+                    };
+                    let is_dead = point.flip_is_dead(&spec);
+                    assert_eq!(is_dead, scanned_dead(&point, &spec), "{spec:?}");
+                    dead += is_dead as u64;
+                    all += 1;
+                }
+            }
+        }
+        assert!(dead > 0 && dead < all, "{dead} of {all} dead");
     }
 
     /// Soundness of the dead-flip rule against the simulator: at one golden

@@ -19,6 +19,45 @@
 //!             otherwise an arena index (preorder: left == self + 1)
 //! ```
 //!
+//! A single sample is not walked, though: a walk is a chain of dependent
+//! loads as deep as the tree (19 on the deployed detector). Each tree
+//! also derives an *exit-leaf scorer* from its arena (QuickScorer,
+//! Lucchese et al., SIGIR 2015). Leaves are numbered left to right, and a
+//! failed test rules out its left subtree's leaves, so the exit leaf is
+//! the lowest leaf no failed test rules out. Per feature some split tests:
+//!
+//! ```text
+//!  ExitLeafScorer (derived from the arena, ≤ 128 leaves):
+//!  per feature  thresholds   sorted distinct u64s  (t0 < t1 < … < tk-1)
+//!               interval     [u8; 4096]: value → mask index (12-bit
+//!                            envelope; above it, binary search of the
+//!                            thresholds)
+//!  shared       masks        [u128; 256]: per feature, k + 1 masks, the
+//!                            leaves a value above exactly j thresholds
+//!                            leaves alive
+//!               leaves       [(label, depth); 128], left to right
+//!  verdict = leaves[trailing_zeros(AND of one mask per feature)]
+//! ```
+//!
+//! The lookups are independent of each other, so a classification costs
+//! about the same at any depth. It is exact for every `u64` value, and a
+//! leaf's depth is the walk's comparison count, so
+//! [`CompiledTree::classify_cost`] answers as the walk does. A five-feature
+//! tree carries ~25 KB of tables, ~21 KB of them touched: 20 KB of
+//! interval tables, the 4 KB mask slab of which it uses at most one mask
+//! per split plus one per feature (≤ 1.3 KB on the deployed 79-split
+//! tree), and 256 B of leaves. Every
+//! single-sample entry and every row a batch does not give its kernels
+//! takes the scorer. Only arenas it does not cover still walk: one that
+//! unfolds to more than 128 leaves (a record two parents share is unfolded
+//! under each; the bound also keeps every mask index inside a `u8`), or
+//! one [`CompiledTree::validate`] rejects. The batch kernels keep their
+//! lockstep walk, which already overlaps eight lanes' chains per group.
+//! The forest keeps its walk too: fifteen trees would carry ~20 KB of
+//! tables each, and its single-sample path is not on a measured path.
+//! The tables are a function of the model alone, derived again whenever
+//! the arena changes, and hold no verdicts.
+//!
 //! [`CompiledForest`] concatenates every tree's arena into one allocation
 //! and keeps per-tree root references, so an ensemble walk touches a
 //! single slab. Forest classification early-exits as soon as the vote
@@ -50,18 +89,19 @@
 //! is padded to full width by replicating a real word, so a call of at
 //! least one 8-lane group stays on the wide path whatever its length. A
 //! chunk outside that envelope, or a model with no packed shadow (more
-//! than five features), has one exact fallback: the single-sample walk,
-//! row by row (for a forest, the early-exiting
+//! than five features), has one exact fallback: the single-sample path,
+//! row by row (the scorer; for a forest, the early-exiting
 //! [`CompiledForest::classify`]) — rare by measurement (no fault-free
 //! Xentry vector, about one faulty one in a thousand). A call of fewer
-//! than eight rows takes the same walk for every row: one lane group is
+//! than eight rows takes the same path for every row: one lane group is
 //! the kernels' unit, and below it their fixed cost exceeds the rows'
-//! own walks (a fleet shard at low load drains one or two records).
+//! own lookups (a fleet shard at low load drains one or two records).
 //!
 //! [`Node`]: crate::tree::Node
 
 use crate::dataset::Label;
 use crate::forest::RandomForest;
+use crate::scorer::ExitLeafScorer;
 use crate::simd::{self, BatchWalker, PackedArena, LANES, PACKED_CHUNK};
 use crate::tree::{DecisionTree, Node};
 use std::cell::RefCell;
@@ -218,8 +258,12 @@ pub struct CompiledTree {
     arity: usize,
     /// One-u64-per-split shadow arena for the gather-once batch kernels
     /// (see [`crate::simd`]); `None` when the model is outside the packed
-    /// envelope. Derived from `nodes` — rebuilt on every arena mutation.
+    /// envelope. Derived from `nodes` by [`CompiledTree::rederive`].
     packed: Option<PackedArena>,
+    /// Exit-leaf scorer of the single-sample paths; `None` where the
+    /// arena fails [`CompiledTree::validate`] or unfolds to more than 128
+    /// leaves, which then walk. Derived with `packed`.
+    scorer: Option<ExitLeafScorer>,
 }
 
 impl CompiledTree {
@@ -229,13 +273,25 @@ impl CompiledTree {
     pub fn compile(tree: &DecisionTree) -> CompiledTree {
         let mut nodes = Vec::with_capacity(tree.nr_nodes() / 2 + 1);
         let root = emit(&tree.root, &mut nodes);
-        CompiledTree {
+        let mut compiled = CompiledTree {
             arity: arena_arity(&nodes),
-            packed: PackedArena::build(&nodes, arena_arity(&nodes)),
             nodes,
             root,
             depth: tree.depth(),
-        }
+            packed: None,
+            scorer: None,
+        };
+        compiled.rederive();
+        compiled
+    }
+
+    /// Rebuild every table derived from the arena — the packed shadow and
+    /// the exit-leaf scorer. Every arena mutation ends here, so neither
+    /// can go stale.
+    fn rederive(&mut self) {
+        self.packed = PackedArena::build(&self.nodes, self.arity);
+        self.scorer =
+            (self.validate().ok()).and_then(|()| ExitLeafScorer::build(&self.nodes, self.root));
     }
 
     /// Classify one feature vector — same contract as
@@ -243,8 +299,8 @@ impl CompiledTree {
     #[inline]
     pub fn classify(&self, features: &[u64]) -> Label {
         assert!(features.len() >= self.arity, "feature vector too short");
-        // SAFETY: emit() produced only in-arena indices; arity checked.
-        leaf_label(unsafe { walk(&self.nodes, self.root, features) })
+        // SAFETY: arity checked.
+        unsafe { self.exit(features) }.0
     }
 
     /// Comparisons performed — same contract as
@@ -252,17 +308,46 @@ impl CompiledTree {
     #[inline]
     pub fn classify_cost(&self, features: &[u64]) -> usize {
         assert!(features.len() >= self.arity, "feature vector too short");
-        // SAFETY: emit() produced only in-arena indices; arity checked.
-        unsafe { walk_cost(&self.nodes, self.root, features) }.1
+        // SAFETY: arity checked.
+        unsafe { self.exit(features) }.1
     }
 
     /// [`CompiledTree::classify`] and [`CompiledTree::classify_cost`] from
-    /// one walk, for a caller that wants both (the shim charges the
-    /// comparisons it takes to reach the verdict).
+    /// one lookup, for a caller that wants both (the shim charges the
+    /// comparisons a walk takes to reach the verdict).
     #[inline]
     pub fn classify_with_cost(&self, features: &[u64]) -> (Label, usize) {
         assert!(features.len() >= self.arity, "feature vector too short");
-        // SAFETY: emit() produced only in-arena indices; arity checked.
+        // SAFETY: arity checked.
+        unsafe { self.exit(features) }
+    }
+
+    /// The exit leaf of `features`: its label and the comparisons a walk
+    /// makes to reach it, from the scorer, or from the walk itself where
+    /// the arena has none. Every single-sample path, and every row a batch
+    /// does not give the kernels, ends here.
+    ///
+    /// # Safety
+    /// `features.len() >= self.arity` (the walk's contract; the scorer
+    /// indexes checked).
+    #[inline(always)]
+    unsafe fn exit(&self, features: &[u64]) -> (Label, usize) {
+        match &self.scorer {
+            Some(s) => s.score(features),
+            // SAFETY: the caller's contract.
+            None => unsafe { self.walk_exit(features) },
+        }
+    }
+
+    /// [`CompiledTree::exit`] of an arena without a scorer, kept out of
+    /// line: it is the rare path.
+    ///
+    /// # Safety
+    /// As [`CompiledTree::exit`].
+    #[inline(never)]
+    unsafe fn walk_exit(&self, features: &[u64]) -> (Label, usize) {
+        // SAFETY: emit() produced only in-arena indices; the caller
+        // checked arity.
         let (leaf, cost) = unsafe { walk_cost(&self.nodes, self.root, features) };
         (leaf_label(leaf), cost)
     }
@@ -272,8 +357,8 @@ impl CompiledTree {
     /// rows walks its distinct feature vectors once, in groups of eight
     /// that walk the arena in lockstep so their load chains overlap; the
     /// final short group is padded to full width with a real vector. A
-    /// call of fewer than eight rows (one lane group) walks each row with
-    /// [`CompiledTree::classify`] instead, which is cheaper there.
+    /// call of fewer than eight rows (one lane group) classifies each row
+    /// as [`CompiledTree::classify`] does instead, which is cheaper there.
     /// Accepts `[u64; 5]` rows (the Table-I layout), slices, or anything
     /// slice-like.
     pub fn classify_batch<I: AsRef<[u64]>>(&self, inputs: &[I], out: &mut [Label]) {
@@ -284,7 +369,7 @@ impl CompiledTree {
     /// benchmarks pin kernels with this, and the equivalence suite uses
     /// [`BatchWalker::Scalar`] as the oracle against the vector paths.
     /// The pinned kernel applies from one lane group (eight rows) up; a
-    /// smaller call takes the exact single-sample walk whatever `walker`
+    /// smaller call takes the exact single-sample path whatever `walker`
     /// says, as do chunks outside the packed envelope.
     pub fn classify_batch_with<I: AsRef<[u64]>>(
         &self,
@@ -307,9 +392,8 @@ impl CompiledTree {
             walker,
             out,
             |at, len, words| simd::stage_packed(&inputs[at..at + len], self.arity, words).is_some(),
-            // SAFETY: emit() produced only in-arena indices; every row
-            // was checked against the arity above.
-            |i| leaf_label(unsafe { walk(&self.nodes, self.root, inputs[i].as_ref()) }),
+            // SAFETY: every row was checked against the arity above.
+            |i| unsafe { self.exit(inputs[i].as_ref()) }.0,
         );
     }
 
@@ -349,14 +433,14 @@ impl CompiledTree {
                     simd::stage_packed_with(len, row, self.arity, words).is_some()
                 }
             },
-            // SAFETY: emit() produced only in-arena indices; A >= arity.
-            |i| leaf_label(unsafe { walk(&self.nodes, self.root, &row(i)) }),
+            // SAFETY: A >= arity.
+            |i| unsafe { self.exit(&row(i)) }.0,
         );
     }
 
     /// The tree's side of [`classify_windows`], behind both batch entries:
     /// one lockstep walk per window over its distinct packed words.
-    /// `exact(i)` is the single-sample walk of row `i`.
+    /// `exact(i)` is the single-sample verdict of row `i`.
     fn batch(
         &self,
         walker: BatchWalker,
@@ -421,10 +505,10 @@ impl CompiledTree {
     /// exist to catch — never deploy one.
     pub fn flip_bit(&mut self, bit: usize) {
         flip_record_bit(&mut self.nodes, bit);
-        // Re-derive the packed shadow so the corruption is visible on the
-        // fast path too — a fault that only struck a stale copy would
-        // vanish instead of being caught by validate()/canary layers.
-        self.packed = PackedArena::build(&self.nodes, self.arity);
+        // Re-derive the shadows so the corruption is visible on the fast
+        // paths too — a fault that only struck a stale copy would vanish
+        // instead of being caught by validate()/canary layers.
+        self.rederive();
     }
 
     /// Structural integrity check over the arena — the deploy-time gate
@@ -680,8 +764,9 @@ thread_local! {
 /// feature value. Without a packed shadow, and in a call of fewer than
 /// [`LANES`] rows, every row takes `exact`: below one lane group the
 /// staging, the dedup and the padded group's every round cost more than
-/// the rows' own walks (a 1-row call ~220 ns against ~35 ns on a depth-19
-/// tree), and the fleet drains its records a few at a time at low load.
+/// the rows' own single-sample verdicts (a 1-row call ~220 ns against
+/// ~35 ns for a walk of a depth-19 tree, ~10 ns for its scorer), and the
+/// fleet drains its records a few at a time at low load.
 fn classify_windows(
     packed: Option<&PackedArena>,
     out: &mut [Label],
@@ -768,14 +853,23 @@ impl CompiledForest {
             .iter()
             .map(|t| emit(&t.root, &mut nodes))
             .collect();
-        CompiledForest {
+        let mut compiled = CompiledForest {
             arity: arena_arity(&nodes),
-            packed: PackedArena::build(&nodes, arena_arity(&nodes)),
             nodes,
             roots,
             vote_threshold: forest.vote_threshold,
             max_depth: forest.trees.iter().map(|t| t.depth()).max().unwrap_or(0),
-        }
+            packed: None,
+        };
+        compiled.rederive();
+        compiled
+    }
+
+    /// Rebuild the packed shadow from the shared arena, as
+    /// [`CompiledTree`] does its shadows (a forest has no exit-leaf
+    /// scorer).
+    fn rederive(&mut self) {
+        self.packed = PackedArena::build(&self.nodes, self.arity);
     }
 
     /// Number of trees voting `Incorrect` — same contract as
@@ -932,7 +1026,7 @@ impl CompiledForest {
     /// an ensemble, same coordinates, packed shadow re-derived.
     pub fn flip_bit(&mut self, bit: usize) {
         flip_record_bit(&mut self.nodes, bit);
-        self.packed = PackedArena::build(&self.nodes, self.arity);
+        self.rederive();
     }
 
     /// [`CompiledTree::validate`] for an ensemble: the shared arena's
@@ -966,6 +1060,7 @@ mod tests {
     use crate::dataset::{Dataset, Sample};
     use crate::forest::ForestConfig;
     use crate::tree::TrainConfig;
+    use proptest::prelude::*;
 
     fn mixed_dataset(n: usize) -> Dataset {
         let mut ds = Dataset::new(&["a", "b", "c"]);
@@ -1184,7 +1279,8 @@ mod tests {
 
     /// Which path a call takes, made visible: each model's packed shadow
     /// is swapped for the shadow of its leaf-inverted twin, so the kernels
-    /// answer as the twin and the exact walk as the model. Calls of fewer
+    /// answer as the twin and the exact path (the tree's scorer, the
+    /// forest's walk) as the model. Calls of fewer
     /// than `LANES` rows must walk singly, and every larger one — partial
     /// lane groups of 9–15 rows included — through the padded kernels, on
     /// every walker and from all three batch entries.
@@ -1200,8 +1296,8 @@ mod tests {
         let (mut twin_t, mut twin_f) = (ct.clone(), cf.clone());
         invert_leaves(&mut twin_t.nodes);
         invert_leaves(&mut twin_f.nodes);
-        twin_t.packed = PackedArena::build(&twin_t.nodes, twin_t.arity);
-        twin_f.packed = PackedArena::build(&twin_f.nodes, twin_f.arity);
+        twin_t.rederive();
+        twin_f.rederive();
         let (mut probe_t, mut probe_f) = (ct.clone(), cf.clone());
         probe_t.packed = twin_t.packed.clone();
         probe_f.packed = twin_f.packed.clone();
@@ -1298,6 +1394,231 @@ mod tests {
                     forest.classify(&s.features),
                     "threshold {threshold}"
                 );
+            }
+        }
+    }
+
+    /// The walk's exit leaf of `row`: the oracle the scorer answers to.
+    fn walked(t: &CompiledTree, row: &[u64]) -> (Label, usize) {
+        assert!(row.len() >= t.arity);
+        // SAFETY: callers pass arenas validate() accepts; arity checked.
+        let (leaf, cost) = unsafe { walk_cost(&t.nodes, t.root, row) };
+        (leaf_label(leaf), cost)
+    }
+
+    /// Rows of width `arity` whose values sit on, beside and far from
+    /// every threshold of `nodes`, and on both sides of the 12-bit table.
+    fn edge_rows(nodes: &[CompiledNode], arity: usize, count: usize, seed: u64) -> Vec<Vec<u64>> {
+        let mut values = vec![0, 1, 4094, 4095, 4096, 4097, u64::MAX];
+        for n in nodes {
+            let t = n.threshold;
+            values.extend([t.wrapping_sub(1), t, t.wrapping_add(1)]);
+        }
+        (0..count as u64)
+            .map(|i| {
+                (0..arity as u64)
+                    .map(|j| {
+                        let h = (seed ^ (i << 32) ^ j).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        values[(h >> 40) as usize % values.len()]
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Leaves of the tree reached from `r`, a record shared by two parents
+    /// counted under each.
+    fn unfolded_leaves(nodes: &[CompiledNode], r: u32) -> usize {
+        if r & LEAF_BIT != 0 {
+            1
+        } else {
+            let n = &nodes[r as usize];
+            unfolded_leaves(nodes, n.left) + unfolded_leaves(nodes, n.right)
+        }
+    }
+
+    /// Every bit of a trained arena flipped in turn — thresholds, child
+    /// references and feature indices — and re-derived: wherever
+    /// `validate` passes the scorer exists and answers as the walk, verdict
+    /// and comparison count, through every single-sample entry, unless the
+    /// flip unfolds it past 128 leaves; wherever it fails there is none.
+    #[test]
+    fn every_flip_validate_accepts_scores_as_it_walks() {
+        let ds = mixed_dataset(300);
+        let tree = DecisionTree::train(&ds, &TrainConfig::decision_tree());
+        let compiled = CompiledTree::compile(&tree);
+        assert!(compiled.scorer.is_some(), "the trained tree has a scorer");
+        let (mut valid, mut rejected) = (0, 0);
+        for bit in 0..compiled.logical_bits() {
+            let mut c = compiled.clone();
+            c.flip_bit(bit);
+            if c.validate().is_err() {
+                assert!(c.scorer.is_none(), "bit {bit}");
+                rejected += 1;
+                continue;
+            }
+            // A child flipped onto a later record shares that subtree,
+            // which can unfold past the scorer's 128 leaves.
+            assert_eq!(c.scorer.is_some(), unfolded_leaves(&c.nodes, c.root) <= 128);
+            let Some(scorer) = &c.scorer else {
+                continue;
+            };
+            for row in edge_rows(&c.nodes, c.arity, 24, bit as u64) {
+                let want = walked(&c, &row);
+                assert_eq!(scorer.score(&row), want, "bit {bit}, {row:?}");
+                assert_eq!(c.classify_with_cost(&row), want);
+                assert_eq!((c.classify(&row), c.classify_cost(&row)), want);
+            }
+            valid += 1;
+        }
+        assert!(
+            valid > 0 && rejected > 0,
+            "{valid} valid, {rejected} rejected"
+        );
+    }
+
+    /// Deriving a scorer stops on a cyclic arena (which `validate`
+    /// rejects, and a walk of which never ends), down either child.
+    #[test]
+    fn scorer_derivation_stops_on_cycles() {
+        let node = |left, right| CompiledNode {
+            threshold: 7,
+            left,
+            right,
+            feature: 0,
+        };
+        assert!(ExitLeafScorer::build(&[node(0, LEAF_BIT)], 0).is_none());
+        let pair = [node(LEAF_BIT, 1), node(LEAF_BIT | 1, 0)];
+        assert!(ExitLeafScorer::build(&pair, 0).is_none());
+    }
+
+    /// A record arena built from loose parts: child references mostly
+    /// forward indices (so two parents often share one subtree) or leaf
+    /// tags, one in 32 any `u32`; thresholds small, around 4,096 or
+    /// anywhere; features mostly inside the arity. The recorded depth is
+    /// the longest path unless `depth_sel` says otherwise.
+    fn hand_built(
+        records: &[(u64, u64, u64, u8)],
+        root_sel: u64,
+        arity_sel: u64,
+        depth_sel: u64,
+    ) -> CompiledTree {
+        let n = records.len();
+        let child = |i: usize, sel: u64| -> u32 {
+            match sel % 32 {
+                31 => (sel >> 32) as u32,
+                k if k < 12 || i + 1 == n => LEAF_BIT | (sel >> 8) as u32 & 1,
+                _ => (i + 1 + (sel >> 8) as usize % (n - i - 1)) as u32,
+            }
+        };
+        let nodes: Vec<CompiledNode> = (records.iter().enumerate())
+            .map(|(i, &(thr, left, right, feature))| CompiledNode {
+                threshold: match thr % 4 {
+                    0 => (thr >> 8) % 64,
+                    1 => 4090 + (thr >> 8) % 12,
+                    2 => thr >> 2,
+                    _ => (thr >> 8) % 8192,
+                },
+                left: child(i, left),
+                right: child(i, right),
+                feature: if feature < 240 { feature % 6 } else { feature },
+            })
+            .collect();
+        let root = match root_sel % 16 {
+            0 => LEAF_BIT | (root_sel >> 8) as u32 & 1,
+            1 => (root_sel >> 32) as u32,
+            _ if n == 0 => LEAF_BIT | (root_sel >> 8) as u32 & 1,
+            _ => 0,
+        };
+        let arity = match arity_sel % 8 {
+            0 => (arity_sel >> 8) as usize % 7,
+            _ => arena_arity(&nodes) + (arity_sel >> 8) as usize % 2,
+        };
+        let mut t = CompiledTree {
+            nodes,
+            root,
+            depth: (depth_sel >> 8) as usize % 12,
+            arity,
+            packed: None,
+            scorer: None,
+        };
+        // DepthMismatch is validate's last check: every other one passed.
+        if let (1.., Err(ArenaFault::DepthMismatch { actual, .. })) = (depth_sel % 8, t.validate())
+        {
+            t.depth = actual;
+        }
+        t.rederive();
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Host robustness on hand-built arenas: deriving the scorer never
+        /// panics, hangs or reads out of bounds, on any arena; an arena
+        /// `validate` rejects gets none; one it accepts — shared subtrees
+        /// unfolded — has one whenever it is small enough to unfold within
+        /// 128 leaves, and classifies every row identically through the
+        /// scorer, the walk and every batch size around a lane group, on
+        /// every kernel and both batch entries, in and out of the packed
+        /// envelope.
+        #[test]
+        fn hand_built_arenas_are_rejected_or_score_as_they_walk(
+            records in proptest::collection::vec(
+                (any::<u64>(), any::<u64>(), any::<u64>(), any::<u8>()),
+                0..12,
+            ),
+            root_sel in any::<u64>(),
+            arity_sel in any::<u64>(),
+            depth_sel in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let t = hand_built(&records, root_sel, arity_sel, depth_sel);
+            let _ = ExitLeafScorer::build(&t.nodes, t.root);
+            let _ = ExitLeafScorer::build(&t.nodes, (root_sel >> 32) as u32);
+            if t.validate().is_err() {
+                prop_assert!(t.scorer.is_none());
+            }
+            prop_assume!(t.validate().is_ok());
+            prop_assert_eq!(t.scorer.is_some(), unfolded_leaves(&t.nodes, t.root) <= 128);
+            // The first rows stay inside the 12-bit envelope (the kernels'
+            // chunks), the rest go past it (refused chunks, single rows).
+            let mut rows: Vec<Vec<u64>> = edge_rows(&t.nodes, t.arity, 40, seed);
+            for row in &mut rows[..2 * LANES + 1] {
+                for v in row.iter_mut() {
+                    *v &= simd::PACKED_MAX_FEATURE;
+                }
+            }
+            let single: Vec<(Label, usize)> = rows.iter().map(|r| walked(&t, r)).collect();
+            for (row, &want) in rows.iter().zip(&single) {
+                if let Some(s) = &t.scorer {
+                    prop_assert_eq!(s.score(row), want);
+                }
+                prop_assert_eq!(t.classify_with_cost(row), want);
+            }
+            let labels: Vec<Label> = single.iter().map(|&(l, _)| l).collect();
+            for walker in [
+                BatchWalker::Scalar,
+                BatchWalker::Avx2,
+                BatchWalker::Avx512,
+                BatchWalker::Auto,
+            ] {
+                for from in [0, 2 * LANES + 1] {
+                    for n in 1..=2 * LANES + 1 {
+                        let (rows, want) = (&rows[from..from + n], &labels[from..from + n]);
+                        let mut got = vec![Label::Correct; n];
+                        t.classify_batch_with(walker, rows, &mut got);
+                        prop_assert_eq!(&got[..], want);
+                        if t.arity <= 8 {
+                            let fixed = |i: usize| -> [u64; 8] {
+                                std::array::from_fn(|j| rows[i].get(j).copied().unwrap_or(0))
+                            };
+                            got.fill(Label::Correct);
+                            t.classify_batch_rows::<8>(walker, n, fixed, &mut got);
+                            prop_assert_eq!(&got[..], want);
+                        }
+                    }
+                }
             }
         }
     }

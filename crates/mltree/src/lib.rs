@@ -25,6 +25,7 @@ pub mod dataset;
 pub mod eval;
 pub mod forest;
 pub mod prune;
+mod scorer;
 pub mod simd;
 pub mod tree;
 

@@ -13,9 +13,10 @@
 //! envelope — see the packed-arena section below for the proof sketch
 //! and the bit layout. A chunk that overflows the envelope (a struck
 //! handler that looped: about one faulty vector in a thousand) is not
-//! walked here at all: [`compiled`] hands it, row by row, to the
-//! single-sample walk over the real 24-byte records, so the packed tier
-//! is an optimization, never an approximation.
+//! walked here at all: [`compiled`] hands it, row by row, to the exact
+//! single-sample path (a tree's exit-leaf scorer, a forest's walk over
+//! the real 24-byte records), so the packed tier is an optimization,
+//! never an approximation.
 //!
 //! The packed walk comes in three ISA flavours:
 //!
@@ -52,7 +53,7 @@ pub(crate) const LANES: usize = 8;
 /// for a kernel the CPU lacks falls back to the next narrower one, so
 /// every variant is always safe to request. A call of fewer than
 /// eight rows (one lane group) runs no kernel: it takes the exact
-/// single-sample walk.
+/// single-sample path.
 ///
 /// [`CompiledTree::classify_batch_with`]: crate::compiled::CompiledTree::classify_batch_with
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -251,8 +252,8 @@ pub(crate) fn resolve(walker: BatchWalker) -> Kernel {
 // `fv <= min(thr, 0xFFF) ⇔ fv <= thr` for *any* u64 threshold (if
 // `thr > 0xFFF` both sides are unconditionally true). [`stage_packed`]
 // verifies the bound per chunk — an oversized value sends that chunk to
-// the single-sample walk over the real records, which compares full
-// u64s, so the packed path is an optimization, never an approximation.
+// the exact single-sample path, which compares full u64s, so the packed
+// path is an optimization, never an approximation.
 // Xentry's Table-I counters (instructions retired deltas, CR3 switch
 // counts, …) are small integers in practice; the fallback exists for
 // everything else.

@@ -364,6 +364,12 @@ impl RegSet {
         self.0 & other.0 != 0
     }
 
+    /// The set as a bit mask, one bit per class, for set algebra the
+    /// methods above do not offer.
+    pub const fn bits(self) -> u32 {
+        self.0
+    }
+
     /// The class a [`Cpu::flip_bit`](crate::cpu::Cpu::flip_bit) of `bit`
     /// in `target` lands in.
     pub fn of_flip(target: FlipTarget, bit: u8) -> RegSet {

@@ -102,11 +102,12 @@ impl VmTransitionDetector {
         self.compiled.classify_cost(&f.columns())
     }
 
-    /// [`classify`] and [`classify_cost`] from one walk of the tree: what
-    /// the shim does at every VM entry.
+    /// [`classify`] and [`classify_cost`] from one lookup of the compiled
+    /// tree's exit-leaf scorer: what the shim does at every VM entry.
     ///
     /// [`classify`]: VmTransitionDetector::classify
     /// [`classify_cost`]: VmTransitionDetector::classify_cost
+    #[inline]
     pub fn classify_with_cost(&self, f: &FeatureVec) -> (Label, usize) {
         self.compiled.classify_with_cost(&f.columns())
     }
@@ -115,7 +116,7 @@ impl VmTransitionDetector {
     /// columns are staged through a fixed stack chunk, so the only
     /// allocation is the caller's `out` buffer. A batch of fewer than
     /// eight records (one SIMD lane group, what a fleet shard drains at
-    /// low load) walks each record as [`classify`] does, which is
+    /// low load) classifies each record as [`classify`] does, which is
     /// cheaper than the lockstep kernels there; verdicts are the same.
     ///
     /// [`classify`]: VmTransitionDetector::classify
@@ -127,7 +128,7 @@ impl VmTransitionDetector {
     /// pin kernels with this to attribute throughput to a specific
     /// walker; production callers should stay on the calibrated default.
     /// The pinned kernel applies from eight records (one lane group) up;
-    /// a smaller batch takes the single-sample walk whatever `walker` is.
+    /// a smaller batch takes the single-sample path whatever `walker` is.
     ///
     /// [`classify_batch`]: VmTransitionDetector::classify_batch
     pub fn classify_batch_with(
