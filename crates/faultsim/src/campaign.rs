@@ -146,6 +146,16 @@ impl CampaignConfig {
         self.nr_points().div_ceil(self.checkpoint_interval.max(1))
     }
 
+    /// Injections due in work chunk `chunk`: [`CampaignConfig::due_at`]
+    /// summed over its golden points (none is due past the last point),
+    /// so the records a complete chunk holds.
+    pub fn due_in_chunk(&self, chunk: usize) -> usize {
+        let ci = self.checkpoint_interval.max(1);
+        (chunk * ci..(chunk + 1) * ci)
+            .map(|ordinal| self.due_at(ordinal))
+            .sum()
+    }
+
     /// Stable fingerprint of every field that shapes the records (all but
     /// `threads`, which only changes scheduling). Uses the workspace digest
     /// fold rather than `DefaultHasher` so journals written by one binary
@@ -611,10 +621,13 @@ pub enum Run<R> {
 /// [`run`] with crash-safe progress journaling. Completed chunks are
 /// persisted (atomic temp + rename) after each finish; a rerun with the
 /// same configuration, experiment and journal path resumes, recomputing
-/// only missing chunks. `stop_after_chunks` stops after exactly that many
-/// new chunks — the deterministic stand-in for killing the process, used by
-/// the resume tests. A journal write that fails stops the
-/// campaign and is returned.
+/// only missing chunks. A journal that does not load intact
+/// ([`CampaignJournal::load_matching`]) is ignored, and a chunk that does
+/// not hold exactly [`CampaignConfig::due_in_chunk`] records is computed
+/// again, so whatever bytes the journal holds the result is [`run`]'s.
+/// `stop_after_chunks` stops after exactly that many new chunks — the
+/// deterministic stand-in for killing the process, used by the resume
+/// tests. A journal write that fails stops the campaign and is returned.
 pub fn run_resumable<E: Experiment>(
     cfg: &CampaignConfig,
     detector: Option<&VmTransitionDetector>,
@@ -626,6 +639,9 @@ pub fn run_resumable<E: Experiment>(
     let chunks_total = cfg.nr_chunks();
     let mut chunks = CampaignJournal::load_matching(journal_path, fingerprint, chunks_total)
         .map_or_else(BTreeMap::new, |journal| journal.chunks);
+    // A chunk short of (or past) its points' injections is not done: it is
+    // computed again rather than resumed with records missing.
+    chunks.retain(|&chunk, records| records.len() == cfg.due_in_chunk(chunk));
     if chunks.len() < chunks_total {
         // The golden pass is recomputed on resume: it is deterministic (for
         // any thread count), and journaling it would mean persisting the

@@ -7,12 +7,27 @@
 //! campaign with the same configuration loads the journal and recomputes
 //! only the missing chunks — the engine is deterministic, so the resumed
 //! result is bit-identical to an uninterrupted run.
+//!
+//! A journal is trusted only whole: it carries a digest of its chunks'
+//! JSON, so a file corrupted after it was written (a flipped bit, a torn
+//! copy) loads as absent, and the campaign starts over instead of resuming
+//! records nobody computed.
 
 use crate::injection::InjectionRecord;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
+
+/// Digest of a chunk map's compact JSON: what a journal's `chunks_digest`
+/// must equal for the journal to load.
+fn chunks_digest(chunks_json: &str) -> u64 {
+    let mut h = 0x6a6f_7572;
+    for b in chunks_json.bytes() {
+        h = sim_machine::fold64(h, b as u64);
+    }
+    h
+}
 
 /// On-disk record of a partially completed campaign, generic over the
 /// per-injection record type ([`crate::campaign::Experiment::Record`]).
@@ -26,6 +41,8 @@ pub struct CampaignJournal<R = InjectionRecord> {
     pub chunks_total: usize,
     /// Completed chunks, keyed by chunk index.
     pub chunks: BTreeMap<usize, Vec<R>>,
+    /// Digest of `chunks` as saved (see [`CampaignJournal::save`]).
+    pub chunks_digest: u64,
 }
 
 // The vendored serde derive does not support generic types, so the
@@ -39,15 +56,18 @@ impl<R: Deserialize> Deserialize for CampaignJournal<R> {
             config_digest: serde::field(obj, "config_digest", "CampaignJournal")?,
             chunks_total: serde::field(obj, "chunks_total", "CampaignJournal")?,
             chunks: serde::field(obj, "chunks", "CampaignJournal")?,
+            chunks_digest: serde::field(obj, "chunks_digest", "CampaignJournal")?,
         })
     }
 }
 
 impl<R: Serialize + Deserialize> CampaignJournal<R> {
     /// Load a journal, returning `None` when the file is absent, unreadable,
-    /// does not match the expected configuration, or holds a chunk index
-    /// outside `0..chunks_total` — in every such case the campaign simply
-    /// starts from scratch.
+    /// does not match the expected configuration, holds a chunk index
+    /// outside `0..chunks_total`, or holds chunks whose digest is not the
+    /// one saved with them — in every such case the campaign simply starts
+    /// from scratch. Whether each chunk holds as many records as its points
+    /// owe is the caller's check ([`crate::campaign::run_resumable`]).
     pub fn load_matching(
         path: &Path,
         config_digest: u64,
@@ -56,25 +76,32 @@ impl<R: Serialize + Deserialize> CampaignJournal<R> {
         let text = std::fs::read_to_string(path).ok()?;
         let j: CampaignJournal<R> = serde_json::from_str(&text).ok()?;
         let in_range = j.chunks.keys().all(|&k| k < chunks_total);
-        (j.config_digest == config_digest && j.chunks_total == chunks_total && in_range)
+        let intact = serde_json::to_string(&j.chunks)
+            .is_ok_and(|json| chunks_digest(&json) == j.chunks_digest);
+        (j.config_digest == config_digest && j.chunks_total == chunks_total && in_range && intact)
             .then_some(j)
     }
 
-    /// Persist a journal of `chunks` atomically. Serialised from the
-    /// borrowed map: the engine journals under its chunk-map lock, once per
-    /// completed chunk, and must not clone every record so far to do it.
+    /// Persist a journal of `chunks` atomically, with the digest of their
+    /// JSON. Serialised from the borrowed map: the engine journals under
+    /// its chunk-map lock, once per completed chunk, and must not clone
+    /// every record so far to do it.
     pub fn save(
         path: &Path,
         config_digest: u64,
         chunks_total: usize,
         chunks: &BTreeMap<usize, Vec<R>>,
     ) -> io::Result<()> {
-        let journal = Value::Object(vec![
+        let chunks_json = serde_json::to_string(chunks).expect("journal serializes");
+        let digest = chunks_digest(&chunks_json);
+        let head = Value::Object(vec![
             ("config_digest".into(), config_digest.to_value()),
             ("chunks_total".into(), chunks_total.to_value()),
-            ("chunks".into(), chunks.to_value()),
+            ("chunks_digest".into(), digest.to_value()),
         ]);
-        let json = serde_json::to_string(&journal).expect("journal serializes");
+        let head = serde_json::to_string(&head).expect("journal serializes");
+        // The head's closing brace gives way to the chunks, serialised once.
+        let json = format!("{},\"chunks\":{chunks_json}}}", &head[..head.len() - 1]);
         sim_machine::write_atomic(path, json.as_bytes())
     }
 }
@@ -132,6 +159,17 @@ mod tests {
         // Wrong digest or chunk count → treated as absent.
         assert!(CampaignJournal::<InjectionRecord>::load_matching(&path, 0xABCE, 3).is_none());
         assert!(CampaignJournal::<InjectionRecord>::load_matching(&path, 0xABCD, 4).is_none());
+        // Chunks that are not the ones their digest was taken of, or no
+        // digest at all → absent.
+        let text = std::fs::read_to_string(&path).unwrap();
+        for tampered in [
+            text.replace("\"1\":[]", "\"2\":[]"),
+            text.replace("chunks_digest", "digest"),
+        ] {
+            assert_ne!(tampered, text);
+            std::fs::write(&path, tampered).unwrap();
+            assert!(CampaignJournal::<InjectionRecord>::load_matching(&path, 0xABCD, 3).is_none());
+        }
         // As many chunks as the campaign has, but one key out of range: a
         // resume would count it complete and never run chunk 3.
         let stray = BTreeMap::from([0, 1, 2, 99].map(|k| (k, Vec::<InjectionRecord>::new())));

@@ -63,16 +63,25 @@
 //! single slab. Forest classification early-exits as soon as the vote
 //! threshold is decided either way, single-sample and batch alike, by one
 //! shared rule: a batch walks the trees in arena order over a window's
-//! distinct words, and after each tree compacts the words still undecided
-//! to the front, so later trees walk only those.
+//! new words, and after each tree compacts the words still undecided to
+//! the front of a live set of their own, so later trees walk only those.
 //!
-//! Both batch engines stage rows through one window of up to 1,024
-//! packed words and walk each distinct word once: Xentry's fault-free
-//! vectors repeat heavily (a few dozen distinct in thousands of
-//! activations), and equal in-envelope words take the same path, so a
-//! row copies its word's verdict. A batch's cost per row therefore
-//! depends on its windows' distinct share. Nothing persists across
-//! calls but a thread's reusable scratch, which holds no verdicts.
+//! Both batch engines stage rows through windows of up to 1,024 packed
+//! words and walk each distinct word of a *call* once: Xentry's
+//! fault-free vectors repeat heavily (0.35–1.18% distinct in 8,192
+//! activations, 1.2–7.2% in each 1,024 of them), and equal in-envelope
+//! words take the same path, so a row copies its word's verdict. The
+//! distinct words and their verdicts are the call's *entries*, kept
+//! across its windows up to 4,096 of them (four windows' worth); a
+//! window that could overflow the table starts it over, so an
+//! all-distinct call walks as often as a window-at-a-time one would. A
+//! window walks only the entries new in it, none when it has none, and
+//! fewer than one lane group of new entries take the exact single-sample
+//! path each, through the row that made it. A batch's cost per row
+//! therefore follows its call's distinct share, not its windows'.
+//! Nothing persists across calls but a thread's reusable scratch
+//! (~90 KB), which a call starts at zero entries and which holds no
+//! verdict a later call can read.
 //!
 //! Batch classification ([`CompiledTree::classify_batch`]) walks many
 //! samples in branchless lockstep: per-sample branches mispredict ~50%
@@ -105,6 +114,7 @@ use crate::scorer::ExitLeafScorer;
 use crate::simd::{self, BatchWalker, PackedArena, LANES, PACKED_CHUNK};
 use crate::tree::{DecisionTree, Node};
 use std::cell::RefCell;
+use std::ops::Range;
 
 /// Child-reference tag: set ⇒ the reference is a leaf verdict, not an
 /// arena index. Bit 0 then carries the label (1 ⇒ `Incorrect`).
@@ -353,12 +363,14 @@ impl CompiledTree {
     }
 
     /// Classify a batch, one verdict per input row, with the widest
-    /// batch-walk kernel the CPU supports. Each window of up to 1,024
-    /// rows walks its distinct feature vectors once, in groups of eight
-    /// that walk the arena in lockstep so their load chains overlap; the
-    /// final short group is padded to full width with a real vector. A
-    /// call of fewer than eight rows (one lane group) classifies each row
-    /// as [`CompiledTree::classify`] does instead, which is cheaper there.
+    /// batch-walk kernel the CPU supports. The call walks each distinct
+    /// feature vector once, window by window of up to 1,024 rows as they
+    /// first appear, in groups of eight that walk the arena in lockstep
+    /// so their load chains overlap; the final short group is padded to
+    /// full width with a real vector. A call of fewer than eight rows (one
+    /// lane group), and a window with fewer than eight new vectors,
+    /// classify those as [`CompiledTree::classify`] does instead, which is
+    /// cheaper there.
     /// Accepts `[u64; 5]` rows (the Table-I layout), slices, or anything
     /// slice-like.
     pub fn classify_batch<I: AsRef<[u64]>>(&self, inputs: &[I], out: &mut [Label]) {
@@ -439,7 +451,7 @@ impl CompiledTree {
     }
 
     /// The tree's side of [`classify_windows`], behind both batch entries:
-    /// one lockstep walk per window over its distinct packed words.
+    /// one lockstep walk per window over the packed words new to the call.
     /// `exact(i)` is the single-sample verdict of row `i`.
     fn batch(
         &self,
@@ -449,8 +461,8 @@ impl CompiledTree {
         exact: impl Fn(usize) -> Label,
     ) {
         let kernel = simd::resolve(walker);
-        classify_windows(self.packed.as_ref(), out, stage, exact, |pa, s, entries| {
-            let lanes = entries.next_multiple_of(LANES);
+        classify_windows(self.packed.as_ref(), out, stage, exact, |pa, s, new| {
+            let lanes = new.len().next_multiple_of(LANES);
             s.refs[..lanes].fill(pa.entry(self.root));
             // SAFETY: packed references are in-bounds by construction;
             // kernel came from resolve().
@@ -459,12 +471,12 @@ impl CompiledTree {
                     kernel,
                     pa,
                     &mut s.refs[..lanes],
-                    &s.words[..lanes],
+                    &s.words[new.start..new.start + lanes],
                     self.depth,
                 )
             };
-            for (v, &r) in s.verdict.iter_mut().zip(&s.refs[..entries]) {
-                *v = pa.label(r);
+            for (k, e) in new.enumerate() {
+                s.verdict[e] = pa.label(s.refs[k]);
             }
         });
     }
@@ -696,54 +708,70 @@ impl std::fmt::Display for ArenaFault {
 
 impl std::error::Error for ArenaFault {}
 
-/// Rows a batch stages, deduplicates and walks as one set (16 staging
-/// chunks). The wider the window, the more repeats of a word it folds
-/// into one walk; and a forest's survivors, thinned once most verdicts
-/// are decided, still fill whole 64-lane pieces.
+/// Rows a batch stages and maps to entries as one set (16 staging
+/// chunks); the entries new in a window are walked together, so a
+/// forest's survivors, thinned once most verdicts are decided, still
+/// fill whole 64-lane pieces.
 const WINDOW: usize = 16 * PACKED_CHUNK;
 
-/// Dedup table slots: a power of two, four per window row.
-const SLOT_BITS: u32 = 12;
+/// Entries one call keeps: four windows' worth of distinct packed words
+/// and their verdicts, shared by every window of the call. A window that
+/// could overflow them starts the table over, so its rows walk again.
+const ENTRIES: usize = 4 * WINDOW;
+
+/// Dedup table slots: a power of two, four per entry.
+const SLOT_BITS: u32 = 14;
 
 /// `Scratch::row_entry` of a row in a refused chunk.
 const EXACT: u16 = u16::MAX;
 
 /// One thread's batch working set, reused by every call on the thread
-/// so that a call allocates and clears nothing. A window's rows map to
-/// *entries*, one per distinct packed word, which is what gets walked.
+/// so that a call allocates and clears nothing. A call's rows map to
+/// *entries*, one per distinct packed word, which is what gets walked:
+/// at most [`ENTRIES`] (the table starts over rather than grows, and
+/// `u16` indices name them), counted from zero in every call, so an entry
+/// and its verdict live as long as the call, no longer.
 struct Scratch {
-    /// Packed word of each entry: the lanes walked. A forest compacts
-    /// its live entries to the front in place.
-    words: [u64; WINDOW],
+    /// Packed word of each entry: the dedup keys of the whole call. A
+    /// window's new entries are walked from here, padded past the last.
+    words: [u64; ENTRIES],
+    /// Verdict of each entry.
+    verdict: [Label; ENTRIES],
+    /// Single-probe table, slot of a word → entry. Never cleared: a slot
+    /// counts only while it names an entry of the current call that
+    /// holds the same word, so a stale slot (from an earlier call, or
+    /// from before the table started over) can cost a shared walk, never
+    /// a verdict.
+    slots: [u16; 1 << SLOT_BITS],
     /// Entry of each window row, or [`EXACT`].
     row_entry: [u16; WINDOW],
-    /// Single-probe table, slot of a word → entry. Never cleared: a slot
-    /// counts only while it names an entry of the current window that
-    /// holds the same word, so a stale slot (from an earlier window or
-    /// call) can cost a shared walk, never a verdict.
-    slots: [u16; 1 << SLOT_BITS],
+    /// Window row that created each of the window's new entries, counted
+    /// from the window's first new entry.
+    origin: [u16; WINDOW],
     /// One staging chunk's packed words.
     chunk: [u64; PACKED_CHUNK],
     refs: [u32; WINDOW],
-    /// The forest's live set: entry and `Incorrect` votes of each
-    /// undecided lane.
+    /// The forest's live set: packed word, entry and `Incorrect` votes of
+    /// each undecided lane. Compacted here, never in `words`, whose keys
+    /// the call's later windows still look up.
+    live_words: [u64; WINDOW],
     live_entry: [u16; WINDOW],
     votes: [u32; WINDOW],
-    /// Verdict of each entry.
-    verdict: [Label; WINDOW],
 }
 
 impl Scratch {
     fn new() -> Box<Scratch> {
         Box::new(Scratch {
-            words: [0; WINDOW],
-            row_entry: [0; WINDOW],
+            words: [0; ENTRIES],
+            verdict: [Label::Correct; ENTRIES],
             slots: [0; 1 << SLOT_BITS],
+            row_entry: [0; WINDOW],
+            origin: [0; WINDOW],
             chunk: [0; PACKED_CHUNK],
             refs: [0; WINDOW],
+            live_words: [0; WINDOW],
             live_entry: [0; WINDOW],
             votes: [0; WINDOW],
-            verdict: [Label::Correct; WINDOW],
         })
     }
 }
@@ -753,26 +781,34 @@ thread_local! {
 }
 
 /// The batch engines' one window loop, shared by the tree and the forest.
-/// Each window of up to [`WINDOW`] rows is staged chunk by chunk:
+/// A call walks each distinct packed word once, so its cost per row
+/// follows the call's distinct share. Each window of up to [`WINDOW`]
+/// rows is staged chunk by chunk:
 /// `stage(at, len, chunk)` packs rows `at..at + len`, or refuses a chunk
 /// holding a value above 12 bits, whose rows then take `exact(row)`. Each
 /// staged row is mapped to the entry holding its packed word, adding one
-/// when the word is new or its slot names another word (one probe per
-/// row, no probe loop), and `walk(pa, scratch, entries)` gives every
-/// entry its `verdict`, which the rows copy back. Sharing a walk is exact
-/// by construction: an in-envelope word holds a row's every compared
-/// feature value. Without a packed shadow, and in a call of fewer than
-/// [`LANES`] rows, every row takes `exact`: below one lane group the
-/// staging, the dedup and the padded group's every round cost more than
-/// the rows' own single-sample verdicts (a 1-row call ~220 ns against
-/// ~35 ns for a walk of a depth-19 tree, ~10 ns for its scorer), and the
-/// fleet drains its records a few at a time at low load.
+/// when the word is new to the call or its slot names another word (one
+/// probe per row, no probe loop). Entries persist across the call's
+/// windows, up to [`ENTRIES`] of them (a window that could overflow them
+/// starts the table over), so only a window's *new* entries are given
+/// verdicts: `walk(pa, scratch, new)` walks them when there are
+/// at least [`LANES`], and below one lane group each takes `exact` through
+/// the row that created it, as a whole call of fewer rows does below; a
+/// window with no new entry walks nothing. The
+/// rows then copy their entries' verdicts. Sharing a verdict is exact by
+/// construction: an in-envelope word holds a row's every compared feature
+/// value. Without a packed shadow, and in a call of fewer than [`LANES`]
+/// rows, every row takes `exact`: below one lane group the staging, the
+/// dedup and the padded group's every round cost more than the rows' own
+/// single-sample verdicts (a 1-row call ~220 ns against ~35 ns for a walk
+/// of a depth-19 tree, ~10 ns for its scorer), and the fleet drains its
+/// records a few at a time at low load.
 fn classify_windows(
     packed: Option<&PackedArena>,
     out: &mut [Label],
     mut stage: impl FnMut(usize, usize, &mut [u64; PACKED_CHUNK]) -> bool,
     exact: impl Fn(usize) -> Label,
-    mut walk: impl FnMut(&PackedArena, &mut Scratch, usize),
+    mut walk: impl FnMut(&PackedArena, &mut Scratch, Range<usize>),
 ) {
     let Some(pa) = packed.filter(|_| out.len() >= LANES) else {
         for (i, o) in out.iter_mut().enumerate() {
@@ -781,9 +817,13 @@ fn classify_windows(
         return;
     };
     let mut run = |s: &mut Scratch| {
+        let mut entries = 0;
         for (w, win) in out.chunks_mut(WINDOW).enumerate() {
             let at = w * WINDOW;
-            let mut entries = 0;
+            if entries + WINDOW > ENTRIES {
+                entries = 0;
+            }
+            let first = entries;
             for c in (0..win.len()).step_by(PACKED_CHUNK) {
                 let len = (win.len() - c).min(PACKED_CHUNK);
                 let rows = &mut s.row_entry[c..c + len];
@@ -791,7 +831,7 @@ fn classify_windows(
                     rows.fill(EXACT);
                     continue;
                 }
-                for (e, &word) in rows.iter_mut().zip(&s.chunk) {
+                for (k, (e, &word)) in rows.iter_mut().zip(&s.chunk).enumerate() {
                     let hash = word.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SLOT_BITS);
                     let slot = &mut s.slots[hash as usize];
                     let known = *slot as usize;
@@ -799,18 +839,24 @@ fn classify_windows(
                         known as u16
                     } else {
                         s.words[entries] = word;
+                        s.origin[entries - first] = (c + k) as u16;
                         *slot = entries as u16;
                         entries += 1;
                         *slot
                     };
                 }
             }
-            if entries > 0 {
+            let new = first..entries;
+            if new.len() >= LANES {
                 // Pad the last 8-lane group with a real word, so no
                 // padding lane walks longer than the entries do.
                 let last = s.words[entries - 1];
-                s.words[entries..entries.next_multiple_of(LANES)].fill(last);
-                walk(pa, s, entries);
+                s.words[entries..first + new.len().next_multiple_of(LANES)].fill(last);
+                walk(pa, s, new);
+            } else {
+                for e in new {
+                    s.verdict[e] = exact(at + s.origin[e - first] as usize);
+                }
             }
             for (k, (o, &e)) in win.iter_mut().zip(&s.row_entry).enumerate() {
                 *o = if e == EXACT {
@@ -932,18 +978,20 @@ impl CompiledForest {
             .sum()
     }
 
-    /// Batch classification with the single-sample early exit. A window of
-    /// up to 1,024 rows is staged into packed feature words once and
-    /// collapsed to its distinct words, then the trees are walked in arena
-    /// order over the *live* words only, in lockstep groups of eight on
-    /// the widest kernel the CPU supports. After each tree a word whose
-    /// vote is decided (the rule [`CompiledForest::classify`] uses) takes
-    /// its verdict, shared by its rows, and leaves;
-    /// the survivors are compacted to the front, so the next tree walks
+    /// Batch classification with the single-sample early exit. Each window
+    /// of up to 1,024 rows is staged into packed feature words once and
+    /// mapped onto the distinct words of the whole call; the words new in
+    /// the window are walked tree by tree in arena order, the *live* ones
+    /// only, in lockstep groups of eight on the widest kernel the CPU
+    /// supports. After each tree a word whose vote is decided (the rule
+    /// [`CompiledForest::classify`] uses) takes its verdict, shared by its
+    /// rows in this window and every later one, and leaves; the survivors
+    /// are compacted to the front of the live set, so the next tree walks
     /// only undecided lanes. A chunk outside the packed envelope, a
-    /// forest with no packed shadow, and a call of fewer than eight rows
-    /// (one lane group) are classified row by row by
-    /// [`CompiledForest::classify`] itself.
+    /// forest with no packed shadow, a call of fewer than eight rows (one
+    /// lane group) and a window with fewer than eight new words are
+    /// classified row (or word) by row by [`CompiledForest::classify`]
+    /// itself.
     pub fn classify_batch<I: AsRef<[u64]>>(&self, inputs: &[I], out: &mut [Label]) {
         self.classify_batch_with(BatchWalker::Auto, inputs, out);
     }
@@ -971,10 +1019,12 @@ impl CompiledForest {
             out,
             |at, len, words| simd::stage_packed(&inputs[at..at + len], self.arity, words).is_some(),
             |i| self.classify(inputs[i].as_ref()),
-            |pa, s, entries| {
-                let mut live = entries;
+            |pa, s, new| {
+                let mut live = new.len();
+                let lanes = live.next_multiple_of(LANES);
+                s.live_words[..lanes].copy_from_slice(&s.words[new.start..new.start + lanes]);
                 for (k, e) in s.live_entry[..live].iter_mut().enumerate() {
-                    *e = k as u16;
+                    *e = (new.start + k) as u16;
                 }
                 s.votes[..live].fill(0);
                 for (t, &root) in self.roots.iter().enumerate() {
@@ -992,7 +1042,7 @@ impl CompiledForest {
                             kernel,
                             pa,
                             &mut s.refs[..lanes],
-                            &s.words[..lanes],
+                            &s.live_words[..lanes],
                             self.max_depth,
                         )
                     };
@@ -1003,7 +1053,7 @@ impl CompiledForest {
                         match self.decided(v as usize, trees_left) {
                             Some(label) => s.verdict[s.live_entry[k] as usize] = label,
                             None => {
-                                s.words[kept] = s.words[k];
+                                s.live_words[kept] = s.live_words[k];
                                 s.live_entry[kept] = s.live_entry[k];
                                 s.votes[kept] = v;
                                 kept += 1;
@@ -1277,59 +1327,161 @@ mod tests {
         }
     }
 
-    /// Which path a call takes, made visible: each model's packed shadow
-    /// is swapped for the shadow of its leaf-inverted twin, so the kernels
-    /// answer as the twin and the exact path (the tree's scorer, the
-    /// forest's walk) as the model. Calls of fewer
-    /// than `LANES` rows must walk singly, and every larger one — partial
-    /// lane groups of 9–15 rows included — through the padded kernels, on
-    /// every walker and from all three batch entries.
+    /// A tree and a forest trained on [`mixed_dataset`], each beside its
+    /// leaf-inverted twin and a *probe*: the model with the twin's packed
+    /// shadow, so a probe answers as the twin for a word its kernels walk
+    /// and as the model where it takes the exact path (the tree's scorer,
+    /// the forest's walk). This makes the path each verdict took visible.
+    struct Probes {
+        model: (CompiledTree, CompiledForest),
+        twin: (CompiledTree, CompiledForest),
+        probe: (CompiledTree, CompiledForest),
+    }
+
+    impl Probes {
+        fn new() -> Probes {
+            let ds = mixed_dataset(300);
+            let tree = DecisionTree::train(&ds, &TrainConfig::decision_tree());
+            let forest = RandomForest::train(&ds, &ForestConfig::default_random_forest(3, 17));
+            let model = (
+                CompiledTree::compile(&tree),
+                CompiledForest::compile(&forest),
+            );
+            let mut twin = model.clone();
+            invert_leaves(&mut twin.0.nodes);
+            invert_leaves(&mut twin.1.nodes);
+            twin.0.rederive();
+            twin.1.rederive();
+            let mut probe = model.clone();
+            probe.0.packed = twin.0.packed.clone();
+            probe.1.packed = twin.1.packed.clone();
+            Probes { model, twin, probe }
+        }
+
+        /// Labels of `rows` from the tree and the forest of the twin where
+        /// `walked(i)`, of the model elsewhere; every row must tell the two
+        /// apart.
+        fn expect(&self, rows: &[[u64; 3]], walked: impl Fn(usize) -> bool) -> [Vec<Label>; 2] {
+            let (mut tree, mut forest) = (Vec::new(), Vec::new());
+            for (i, r) in rows.iter().enumerate() {
+                assert_ne!(self.model.0.classify(r), self.twin.0.classify(r));
+                assert_ne!(self.model.1.classify(r), self.twin.1.classify(r));
+                let by = if walked(i) { &self.twin } else { &self.model };
+                tree.push(by.0.classify(r));
+                forest.push(by.1.classify(r));
+            }
+            [tree, forest]
+        }
+
+        /// The probes' labels of `rows` from all three batch entries.
+        fn check(&self, walker: BatchWalker, rows: &[[u64; 3]], want: &[Vec<Label>; 2]) {
+            let (n, (tree, forest)) = (rows.len(), &self.probe);
+            let mut got = vec![Label::Correct; n];
+            tree.classify_batch_with(walker, rows, &mut got);
+            assert_eq!(got, want[0], "tree, {walker:?}, {n} rows");
+            tree.classify_batch_rows::<3>(walker, n, |i| rows[i], &mut got);
+            assert_eq!(got, want[0], "tree rows, {walker:?}, {n} rows");
+            forest.classify_batch_with(walker, rows, &mut got);
+            assert_eq!(got, want[1], "forest, {walker:?}, {n} rows");
+        }
+    }
+
+    /// The first `n` rows of [`mixed_dataset`], all distinct.
+    fn mixed_rows(n: usize) -> Vec<[u64; 3]> {
+        (mixed_dataset(n).samples.iter())
+            .map(|s| [s.features[0], s.features[1], s.features[2]])
+            .collect()
+    }
+
+    const ALL_WALKERS: [BatchWalker; 4] = [
+        BatchWalker::Scalar,
+        BatchWalker::Avx2,
+        BatchWalker::Avx512,
+        BatchWalker::Auto,
+    ];
+
+    /// Calls of fewer than `LANES` rows walk singly, and every larger one
+    /// of as many distinct words — partial lane groups of 9–15 rows
+    /// included — through the padded kernels, on every walker and from
+    /// all three batch entries. A call of more rows but fewer distinct
+    /// words than one lane group has fewer new entries than that, so
+    /// those take the exact path too, each through the row that made it.
     #[test]
     fn calls_below_one_lane_group_walk_singly_and_larger_ones_take_the_kernels() {
-        let ds = mixed_dataset(300);
-        let tree = DecisionTree::train(&ds, &TrainConfig::decision_tree());
-        let forest = RandomForest::train(&ds, &ForestConfig::default_random_forest(3, 17));
-        let (ct, cf) = (
-            CompiledTree::compile(&tree),
-            CompiledForest::compile(&forest),
-        );
-        let (mut twin_t, mut twin_f) = (ct.clone(), cf.clone());
-        invert_leaves(&mut twin_t.nodes);
-        invert_leaves(&mut twin_f.nodes);
-        twin_t.rederive();
-        twin_f.rederive();
-        let (mut probe_t, mut probe_f) = (ct.clone(), cf.clone());
-        probe_t.packed = twin_t.packed.clone();
-        probe_f.packed = twin_f.packed.clone();
-        let rows: Vec<[u64; 3]> = (ds.samples.iter().take(2 * LANES + 1))
-            .map(|s| [s.features[0], s.features[1], s.features[2]])
-            .collect();
-        for r in &rows {
-            assert_ne!(ct.classify(r), twin_t.classify(r));
-            assert_ne!(cf.classify(r), twin_f.classify(r));
-        }
-        for walker in [
-            BatchWalker::Scalar,
-            BatchWalker::Avx2,
-            BatchWalker::Avx512,
-            BatchWalker::Auto,
-        ] {
+        let p = Probes::new();
+        let rows = mixed_rows(2 * LANES + 1);
+        let few: Vec<[u64; 3]> = (0..3 * LANES).map(|i| rows[i % (LANES - 1)]).collect();
+        for walker in ALL_WALKERS {
             for n in 1..=rows.len() {
-                let (by_t, by_f) = if n < LANES {
-                    (&ct, &cf)
-                } else {
-                    (&twin_t, &twin_f)
-                };
-                let want_t: Vec<Label> = rows[..n].iter().map(|r| by_t.classify(r)).collect();
-                let want_f: Vec<Label> = rows[..n].iter().map(|r| by_f.classify(r)).collect();
-                let mut got = vec![Label::Correct; n];
-                probe_t.classify_batch_with(walker, &rows[..n], &mut got);
-                assert_eq!(got, want_t, "{walker:?}, {n} rows");
-                probe_t.classify_batch_rows::<3>(walker, n, |i| rows[i], &mut got);
-                assert_eq!(got, want_t, "{walker:?}, {n} rows");
-                probe_f.classify_batch_with(walker, &rows[..n], &mut got);
-                assert_eq!(got, want_f, "{walker:?}, {n} rows");
+                let want = p.expect(&rows[..n], |_| n >= LANES);
+                p.check(walker, &rows[..n], &want);
             }
+            let want = p.expect(&few, |_| false);
+            p.check(walker, &few, &want);
+        }
+    }
+
+    /// One call's windows share their entries: a word walked in an
+    /// earlier window is not walked again, a window whose new words fill
+    /// a lane group walks them, and one with fewer new words takes the
+    /// exact path for each. Across ten windows (the last ragged), on every
+    /// walker: the first window brings 40 words, later ones repeat six of
+    /// them each, the fifth adds twelve new words and the last three. The
+    /// forest's words are decided at different trees, so its survivors are
+    /// compacted past earlier words, which later windows still look up.
+    /// Then a call whose entries outgrow the table: four windows of
+    /// all-distinct words fill it, so the fifth starts it over, and three
+    /// words of the first window are new again there.
+    #[test]
+    fn windows_of_one_call_walk_only_the_words_new_to_it() {
+        let p = Probes::new();
+        let words = mixed_rows(55);
+        let slot = |r: &[u64; 3]| {
+            let mut packed = [0; PACKED_CHUNK];
+            simd::stage_packed(&[r], 3, &mut packed).unwrap();
+            packed[0].wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - SLOT_BITS)
+        };
+        let mut slots: Vec<u64> = words.iter().map(slot).collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), words.len(), "the words need a dedup slot each");
+        let mut ids: Vec<usize> = Vec::new();
+        for w in 0..10 {
+            let len = if w == 9 { 100 } else { WINDOW };
+            ids.extend((0..len).map(|k| match (w, k) {
+                (0, _) => k % 40,
+                (4, 500..=511) => 40 + k - 500,
+                (9, 50..=52) => 52 + k - 50,
+                _ => (5 * w + k % 6) % 40,
+            }));
+        }
+        // A word is walked iff the window that first holds it brings at
+        // least a lane group of new words.
+        let mut walked = [false; 55];
+        let mut seen = [false; 55];
+        for win in ids.chunks(WINDOW) {
+            let mut new: Vec<usize> = win.iter().copied().filter(|&id| !seen[id]).collect();
+            new.sort_unstable();
+            new.dedup();
+            for &id in &new {
+                (seen[id], walked[id]) = (true, new.len() >= LANES);
+            }
+        }
+        assert_eq!(walked.iter().filter(|&&w| !w).count(), 3);
+        let rows: Vec<[u64; 3]> = ids.iter().map(|&id| words[id]).collect();
+        let want = p.expect(&rows, |i| walked[ids[i]]);
+        for walker in ALL_WALKERS {
+            p.check(walker, &rows, &want);
+        }
+
+        let distinct = |i: u64| [i & 0xfff, (i * 7) & 0xfff, i >> 12];
+        let rows: Vec<[u64; 3]> = (0..ENTRIES as u64)
+            .map(distinct)
+            .chain((0..WINDOW as u64).map(|k| distinct(k % 3)))
+            .collect();
+        let want = p.expect(&rows, |i| i < ENTRIES);
+        for walker in ALL_WALKERS {
+            p.check(walker, &rows, &want);
         }
     }
 

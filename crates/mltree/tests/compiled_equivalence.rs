@@ -640,3 +640,72 @@ fn concurrent_and_nested_batches_keep_their_own_verdicts() {
     assert_eq!(outer, serial[1].0);
     assert_eq!(*inner.borrow(), serial[1].1);
 }
+
+/// Rows distinct for every `i < 2^24`, all inside the packed envelope.
+fn distinct_word(i: u64) -> [u64; 4] {
+    let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    [i & 0xfff, (i >> 12) & 0xfff, h >> 52, (h >> 40) & 0xfff]
+}
+
+/// A batch call's windows share one entry table, so its verdicts must
+/// not depend on which window first held a word. Over calls of ten and
+/// more windows, for a tree and a 15-tree forest whose words are decided
+/// at different trees, from all three batch entries on every kernel,
+/// batch ≡ single ≡ boxed when: later windows repeat the first window's
+/// words; new words first appear in the last window, a few of them
+/// (fewer than a lane group) or many; chunks outside the packed envelope
+/// sit between windows; and 20,000 all-distinct rows outgrow the table,
+/// which starts over several times, then repeat their first words.
+#[test]
+fn calls_of_many_windows_match_the_boxed_walkers() {
+    let (tree, _) = word_models();
+    let mut cfg = ForestConfig::default_random_forest(4, 5);
+    cfg.nr_trees = 15;
+    let forest = RandomForest::train(&word_dataset(), &cfg);
+    let (ct, cf) = (
+        CompiledTree::compile(&tree),
+        CompiledForest::compile(&forest),
+    );
+    let repeats = |last_new: u64| -> Vec<[u64; 4]> {
+        let mut rows: Vec<[u64; 4]> = (0..9 * WINDOW as u64 + 300)
+            .map(|i| match i / WINDOW as u64 {
+                0 => word(i % 200),
+                9 if i % 97 < last_new => word(600 + i % 97),
+                w => word((w * 23 + i % (5 + 20 * w)) % 200),
+            })
+            .collect();
+        rows[3 * WINDOW + 64 + 5][2] = 4096;
+        rows[6 * WINDOW - 1][0] = u64::MAX;
+        rows[8 * WINDOW + 3 * 64][3] = 1 << 40;
+        rows
+    };
+    let distinct: Vec<[u64; 4]> = (0..20_000)
+        .map(distinct_word)
+        .chain((0..3_000).map(|i| distinct_word(i % 50)))
+        .collect();
+    let (few, many) = (repeats(3), repeats(40));
+    for rows in [&few, &many, &distinct] {
+        let by_tree: Vec<Label> = rows.iter().map(|r| tree.classify(r)).collect();
+        let by_forest: Vec<Label> = rows.iter().map(|r| forest.classify(r)).collect();
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(ct.classify(r), by_tree[i], "tree single, row {i}");
+            assert_eq!(cf.classify(r), by_forest[i], "forest single, row {i}");
+        }
+        for labels in [&by_tree, &by_forest] {
+            let incorrect = labels.iter().filter(|&&l| l == Label::Incorrect).count();
+            assert!((1..labels.len()).contains(&incorrect), "labels must mix");
+        }
+        for walker in WALKERS {
+            let n = rows.len();
+            let mut got = vec![Label::Correct; n];
+            ct.classify_batch_with(walker, rows, &mut got);
+            assert_eq!(got, by_tree, "tree, {walker:?}, {n} rows");
+            got.fill(Label::Correct);
+            ct.classify_batch_rows::<4>(walker, n, |i| rows[i], &mut got);
+            assert_eq!(got, by_tree, "tree rows, {walker:?}, {n} rows");
+            got.fill(Label::Correct);
+            cf.classify_batch_with(walker, rows, &mut got);
+            assert_eq!(got, by_forest, "forest, {walker:?}, {n} rows");
+        }
+    }
+}

@@ -4,8 +4,8 @@
 #   scripts/placement.sh <binary> [<parent binary>]
 #
 # Prints where `.gcc_except_table` and `.text` start, mod 64, and the offset
-# mod 64 of each symbol on the simulator's, the campaign engine's and the
-# batch classifier's hot paths (a symbol with several instances, such as a
+# mod 64 of each symbol on the simulator's, the campaign engine's, the
+# recovery ladder's and the batch classifier's hot paths (a symbol with several instances, such as a
 # generic kernel, gets one numbered row per instance in address order).
 # With a second binary, each line also gives that build's offset and the
 # delta (this − parent) mod 64. The interpreter loop and the fork phase
@@ -38,6 +38,10 @@ SYMBOLS=(
     'faultsim::checkpoint::CheckpointStore::restore'
     'xen_like::platform::Platform::run_handler_recorded'
     'xen_like::platform::Platform::run_to_exit'
+    'xen_like::platform::Platform::run_handler_hooked'
+    'faultsim::policy::run_ladder'
+    'xentry::detector::VmTransitionDetector::classify_batch_with'
+    'xentry::detector::VmTransitionDetector::classify_batch_timed'
     'mltree::compiled::classify_windows::{{closure}}'
     'mltree::simd::walk_packed_avx512'
 )
