@@ -507,6 +507,14 @@ impl CompiledTree {
         self.nodes.len() * Self::NODE_BITS
     }
 
+    /// True when this arena is exactly `tree`'s compilation. Stronger
+    /// than [`CompiledTree::validate`], which proves an arena safe to
+    /// walk, not right: a flipped low threshold bit moves a split by a
+    /// few units and still validates.
+    pub fn is_compilation_of(&self, tree: &DecisionTree) -> bool {
+        *self == CompiledTree::compile(tree)
+    }
+
     /// Flip one bit of one arena record, in the logical field layout
     /// `[threshold:64 | left:32 | right:32 | feature:8]` (136 bits per
     /// record, padding excluded). This is the chaos-injection entry point:

@@ -193,7 +193,11 @@ fn main() {
     // deployed one, so behavior is identical but the deployment epoch
     // advances (the common "same tree, fresh training run" case). It came
     // through a serialiser, so it deploys behind the strict canary gate.
-    let swap_model = VmTransitionDetector::from_json(&detector.to_json()).expect("round trip");
+    let swap_model = VmTransitionDetector::from_json(&detector.to_json()).unwrap_or_else(|e| {
+        die(&format!(
+            "--swap: the deployed model does not round-trip: {e}"
+        ))
+    });
 
     let trace = if source == "file" {
         println!("collecting workload trace from the simulated platform...");
@@ -208,7 +212,6 @@ fn main() {
         batch: args.batch,
         recorder_depth: 32,
         trace_depth: args.trace_depth,
-        ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, detector, Arc::new(NullSink));
     let telemetry = args.serve.as_deref().map(|addr| {
@@ -254,6 +257,8 @@ fn main() {
         });
         let report = replay(svc_ref, &trace, &replay_cfg);
         if let Some(h) = swapper {
+            // The swapper reports a refused swap through `die`; only a bug
+            // could unwind out of it.
             h.join().expect("swapper panicked");
         }
         report

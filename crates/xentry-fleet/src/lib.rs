@@ -35,28 +35,27 @@
 //!   verdict, fleet-scale analogue of `examples/post_mortem.rs`.
 //! * **Metrics are lock-free** ([`metrics`]): relaxed counters and log2
 //!   latency histograms, exported as `results/service.json`.
-//! * **Workers are supervised** (`supervisor`): a panicking worker is
-//!   restarted with capped backoff and its abandoned in-flight records
-//!   counted (`ingested == classified + lost` after a drained shutdown);
-//!   a stalled worker is superseded by the heartbeat watchdog. Repeated
-//!   panics escalate to an automatic model rollback, then to degraded
-//!   (envelope-fallback) mode with tagged verdicts.
-//! * **Deploys are validated** ([`model`]): [`ModelSlot::publish_validated`]
-//!   gates candidates behind structural arena checks plus a fingerprinted
-//!   golden-vector canary, and retains the previous epoch for rollback.
+//! * **Deploys are gated** ([`model`]): [`ModelSlot::publish_validated`]
+//!   admits a candidate only after structural arena checks, a check that
+//!   the arena is its tree's compilation and a fingerprinted golden-vector
+//!   canary, and [`FleetService::start`] puts its detector through the
+//!   same checks. Rolling back is redeploying
+//!   the earlier detector through the same gate.
+//! * **Workers run plain** ([`service`]): a worker walks only gated
+//!   arenas, so its own code cannot fault; a panic in one is a bug (in
+//!   practice in the caller's [`VerdictSink`]) and nothing restarts it.
+//!   [`FleetService::shutdown`] counts what it never classified in
+//!   `lost`, so `ingested == classified + lost` holds on every final
+//!   snapshot.
 //! * **Observability is always-on** ([`trace`], [`telemetry`]): lock-free
 //!   per-shard flight-trace rings record span events (ingest, queue wait,
-//!   batch classify, verdict, hot swap, restart, degrade) keyed by a
+//!   batch classify, verdict, hot swap, rejected swap) keyed by a
 //!   per-record trace id that flows into verdicts and incident dumps;
 //!   rings export as Chrome trace-event JSON (`results/trace.json`), and
 //!   a std-`TcpListener` scrape endpoint serves Prometheus exposition
 //!   (`/metrics`), liveness (`/healthz`) and the trace (`/trace`). The
 //!   layer's own cost is measured, not guessed: `benchmark trace
 //!   fleet-serve` prices the traced service against an untraced one.
-//! * **The claims are chaos-tested** ([`chaos`]): failpoints make shard
-//!   workers panic or stall in a live replay; `tests/fleet_chaos.rs` adds
-//!   bit-flipped candidate arenas and queue saturation and asserts the
-//!   recovery invariants.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -71,7 +70,6 @@
 //! assert_eq!(snapshot.classified, report.accepted);
 //! ```
 
-pub mod chaos;
 pub mod metrics;
 pub mod model;
 pub mod net;
@@ -81,11 +79,9 @@ pub mod recorder;
 pub mod replay;
 pub mod service;
 mod shard;
-mod supervisor;
 pub mod telemetry;
 pub mod trace;
 
-pub use chaos::Failpoints;
 pub use metrics::{
     EpochVerdicts, Histogram, HistogramSnapshot, HistogramTally, Metrics, ServiceSnapshot,
     ShardSnapshot,
@@ -93,7 +89,7 @@ pub use metrics::{
 pub use model::{GoldenSet, ModelCache, ModelSlot, SwapError, VersionedModel};
 pub use net::{http_get, HttpServer};
 pub use queue::MpmcQueue;
-pub use record::{FleetVerdict, HostId, TelemetryRecord, VerdictSource};
+pub use record::{FleetVerdict, HostId, TelemetryRecord};
 pub use recorder::{DumpBudget, FlightRecorder, IncidentDump, RecordedActivation};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use service::{CollectSink, FleetConfig, FleetService, NullSink, VerdictSink};

@@ -174,11 +174,6 @@ pub struct ShardMetrics {
     pub incorrect: AtomicU64,
     pub dropped: AtomicU64,
     pub batches: AtomicU64,
-    /// Records lost to worker panics (claimed but never classified).
-    pub lost: AtomicU64,
-    /// Worker restarts on this shard (panic recoveries + stall
-    /// replacements).
-    pub restarts: AtomicU64,
 }
 
 /// All service metrics. One instance shared by every producer and worker.
@@ -187,22 +182,15 @@ pub struct Metrics {
     pub ingested: AtomicU64,
     /// Records rejected because the target shard queue was full.
     pub dropped: AtomicU64,
+    /// Records accepted but never classified: 0 until
+    /// `FleetService::shutdown` sets it to `ingested - classified` after
+    /// joining the workers. Non-zero only when a sink panicked.
+    pub lost: AtomicU64,
     /// Model hot swaps performed.
     pub swaps: AtomicU64,
     /// Hot-swap candidates rejected by validation (structural arena fault
     /// or canary divergence).
     pub swap_rejections: AtomicU64,
-    /// Model rollbacks to the previous epoch (operator- or
-    /// supervisor-initiated).
-    pub rollbacks: AtomicU64,
-    /// Worker restarts fleet-wide (panic recoveries + stall replacements).
-    pub restarts: AtomicU64,
-    /// Stalled shards detected by the heartbeat watchdog.
-    pub stalls: AtomicU64,
-    /// Times the service entered degraded (envelope-fallback) mode.
-    pub degraded_entries: AtomicU64,
-    /// Verdicts produced by the degraded envelope fallback.
-    pub degraded_verdicts: AtomicU64,
     /// Incident dumps emitted (one per Incorrect verdict, minus
     /// rate-limited suppressions).
     pub incidents: AtomicU64,
@@ -213,11 +201,11 @@ pub struct Metrics {
     /// Both latency histograms are written once per batch, after the
     /// batch is classified and before its first sink call, so every
     /// record of a classified batch is in both — including the ones a
-    /// panicking sink then turns into `lost`. After a drained shutdown
-    /// each count is `classified + lost` when every loss came from a sink
-    /// panic; a batch whose *classify* call panicked was never measured
-    /// and is in `lost` alone (`classified <= count <= classified + lost`
-    /// in general).
+    /// panicking sink then turns into `lost`. Records still queued behind
+    /// that sink's dead worker were never dequeued, so they are in `lost`
+    /// alone: after shutdown `classified <= count <= classified + lost`,
+    /// with equality on the right when the panicking batch was the last
+    /// one queued.
     pub queue_latency: Histogram,
     /// Time to classify one record (ns): a batch's measured classify time
     /// split over its records as evenly as whole nanoseconds allow, so
@@ -236,13 +224,9 @@ impl Metrics {
         Metrics {
             ingested: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            lost: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             swap_rejections: AtomicU64::new(0),
-            rollbacks: AtomicU64::new(0),
-            restarts: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            degraded_entries: AtomicU64::new(0),
-            degraded_verdicts: AtomicU64::new(0),
             incidents: AtomicU64::new(0),
             suppressed_incidents: AtomicU64::new(0),
             queue_latency: Histogram::default(),
@@ -273,13 +257,6 @@ impl Metrics {
             .map(|s| s.classified.load(Ordering::Relaxed))
             .sum()
     }
-
-    pub fn total_lost(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lost.load(Ordering::Relaxed))
-            .sum()
-    }
 }
 
 /// Per-shard slice of a snapshot.
@@ -290,8 +267,6 @@ pub struct ShardSnapshot {
     pub incorrect: u64,
     pub dropped: u64,
     pub batches: u64,
-    pub lost: u64,
-    pub restarts: u64,
 }
 
 /// Verdict count attributed to one model epoch.
@@ -317,8 +292,9 @@ pub struct ServiceSnapshot {
     pub ingested: u64,
     pub classified: u64,
     pub dropped: u64,
-    /// Records claimed by a worker that panicked before classifying them.
-    /// `ingested == classified + lost` after a drained shutdown.
+    /// Records accepted but never classified, because a panicking sink
+    /// ended their shard's worker. Counted by `FleetService::shutdown`
+    /// (0 on a live snapshot), where `ingested == classified + lost`.
     pub lost: u64,
     pub incorrect: u64,
     pub incidents: u64,
@@ -326,16 +302,6 @@ pub struct ServiceSnapshot {
     pub suppressed_incidents: u64,
     pub swaps: u64,
     pub swap_rejections: u64,
-    pub rollbacks: u64,
-    /// Worker restarts (panic recoveries + stall replacements).
-    pub restarts: u64,
-    /// Stalls detected by the heartbeat watchdog.
-    pub stalls: u64,
-    /// True while the service is in degraded (envelope-fallback) mode.
-    pub degraded: bool,
-    pub degraded_entries: u64,
-    /// Verdicts produced by the degraded envelope fallback.
-    pub degraded_verdicts: u64,
     /// classified / uptime, in records per second.
     pub throughput_per_sec: f64,
     /// Flight-trace events recorded since start (including ones since
@@ -352,6 +318,8 @@ pub struct ServiceSnapshot {
 
 impl ServiceSnapshot {
     pub fn to_json_pretty(&self) -> String {
+        // Integers, floats, vectors and structs of them: nothing here can
+        // fail to serialize (a non-finite float is written as `null`).
         serde_json::to_string_pretty(self).expect("snapshot serializes")
     }
 
@@ -494,12 +462,6 @@ mod tests {
             suppressed_incidents: 1,
             swaps: 1,
             swap_rejections: 1,
-            rollbacks: 1,
-            restarts: 2,
-            stalls: 1,
-            degraded: true,
-            degraded_entries: 1,
-            degraded_verdicts: 4,
             throughput_per_sec: 9.0,
             trace_events: 20,
             trace_dropped: 5,
@@ -521,8 +483,6 @@ mod tests {
                 incorrect: 3,
                 dropped: 1,
                 batches: 2,
-                lost: 1,
-                restarts: 2,
             }],
         };
         let back: ServiceSnapshot = serde_json::from_str(&snap.to_json_pretty()).unwrap();
@@ -539,11 +499,6 @@ mod tests {
         assert_eq!(back.lost, 1);
         assert_eq!(back.suppressed_incidents, 1);
         assert_eq!(back.swap_rejections, 1);
-        assert_eq!(back.rollbacks, 1);
-        assert_eq!(back.restarts, 2);
-        assert_eq!(back.stalls, 1);
-        assert!(back.degraded);
-        assert_eq!(back.degraded_verdicts, 4);
-        assert_eq!(back.shards[0].restarts, 2);
+        assert_eq!(back.shards[0].batches, 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Atomic model hot-swap, with deploy-time validation and rollback.
+//! Atomic model hot-swap, with deploy-time validation.
 //!
 //! The service must be able to load a newly trained `detector.json`
 //! mid-flight without pausing classification. The design is an epoch
@@ -23,12 +23,14 @@
 //! because the shard hot path classifies through *unchecked* arena
 //! walkers, a corrupted candidate must never reach the slot. A validated
 //! publish runs (1) the structural arena check
-//! ([`VmTransitionDetector::validate`]) and (2) a canary classification
-//! of a fingerprinted golden-vector set, comparing the candidate's
-//! compiled arena against its own boxed tree (and, for strict redeploys,
-//! against the labels the incumbent model produced). The slot also keeps
-//! the previous epoch's model, so [`ModelSlot::rollback`] can restore it
-//! — republished under a fresh version so reader epochs stay monotone.
+//! ([`VmTransitionDetector::validate`]), (2) equality of the arena with
+//! its boxed tree's compilation, which catches the flips no golden vector
+//! happens to cross, and (3) a canary classification of a fingerprinted
+//! golden-vector set, comparing the candidate's compiled arena against
+//! its own boxed tree (and, for strict redeploys, against the labels the
+//! incumbent model produced). Rolling back is the same gate:
+//! republishing the earlier detector under a fresh version, so reader
+//! epochs stay monotone and one publish path serves every deploy.
 
 use mltree::Label;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,10 +38,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use xentry::{FeatureVec, VmTransitionDetector};
 
 /// Poison-tolerant lock: a panic on another thread while it held the
-/// mutex (a crashed shard worker, a panicking sink) must not cascade
-/// into every future locker. The protected state here is always valid at
-/// rest — counters and `Arc` swaps are single assignments — so recovering
-/// the guard is safe.
+/// mutex (a panicking sink, say) must not cascade into every future
+/// locker. The protected state here is always valid at rest — counters
+/// and `Arc` swaps are single assignments — so recovering the guard is
+/// safe.
 pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -48,7 +50,7 @@ pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug)]
 pub struct VersionedModel {
     /// Monotone version: 1 for the model the service started with, +1 per
-    /// hot swap or rollback.
+    /// hot swap.
     pub version: u64,
     /// [`VmTransitionDetector::fingerprint`] of the tree.
     pub fingerprint: u64,
@@ -72,6 +74,11 @@ pub enum SwapError {
     /// The candidate's batch walker disagrees with its single-sample
     /// walker on a golden vector.
     BatchDivergence { index: usize },
+    /// The compiled arena is structurally sound, yet is not its boxed
+    /// tree's compilation: a flip `validate` cannot see, such as one in a
+    /// threshold. A low threshold bit moves a split by a few units, which
+    /// no golden vector may cross.
+    ArenaMismatch,
     /// Strict redeploy parity: the candidate disagrees with the expected
     /// golden labels captured from the incumbent model.
     CanaryDivergence {
@@ -98,6 +105,9 @@ impl std::fmt::Display for SwapError {
                     f,
                     "golden vector {index}: batch walker diverges from single-sample"
                 )
+            }
+            SwapError::ArenaMismatch => {
+                f.write_str("compiled arena is not its boxed tree's compilation")
             }
             SwapError::CanaryDivergence {
                 index,
@@ -160,9 +170,21 @@ impl GoldenSet {
         }
     }
 
+    /// [`GoldenSet::capture`] of a reference that first passes
+    /// [`GoldenSet::verify`]'s checks on `vectors`. Nothing classifies
+    /// with `reference` before its arena validated, so a corrupt one is
+    /// refused instead of walked.
+    pub fn capture_verified(
+        reference: &VmTransitionDetector,
+        vectors: Vec<FeatureVec>,
+    ) -> Result<GoldenSet, SwapError> {
+        verify_on(reference, &vectors)?;
+        Ok(GoldenSet::capture(reference, vectors))
+    }
+
     /// Same vectors, expected labels re-captured under a new reference
-    /// model. Call after the deployed model legitimately changes (relaxed
-    /// swap, rollback) so strict parity tracks the incumbent.
+    /// model. Call after the deployed model legitimately changes (any
+    /// accepted swap) so strict parity tracks the incumbent.
     pub fn recapture(&self, reference: &VmTransitionDetector) -> GoldenSet {
         GoldenSet::capture(reference, self.vectors.clone())
     }
@@ -183,28 +205,12 @@ impl GoldenSet {
     }
 
     /// Validation every candidate must pass regardless of policy:
-    /// structural arena integrity, then canary classification proving the
-    /// compiled arena agrees with the candidate's own boxed tree on every
+    /// structural arena integrity, then equality of the arena with the
+    /// candidate's boxed tree's compilation, then canary classification
+    /// proving the compiled arena agrees with that boxed tree on every
     /// golden vector, on both the single-sample and batch walkers.
     pub fn verify(&self, candidate: &VmTransitionDetector) -> Result<(), SwapError> {
-        candidate.validate().map_err(SwapError::Arena)?;
-        let mut batch = vec![Label::Correct; self.vectors.len()];
-        candidate.classify_batch(&self.vectors, &mut batch);
-        for (index, f) in self.vectors.iter().enumerate() {
-            let compiled = candidate.classify(f);
-            let boxed = candidate.tree().classify(&f.columns());
-            if compiled != boxed {
-                return Err(SwapError::SelfInconsistent {
-                    index,
-                    compiled,
-                    boxed,
-                });
-            }
-            if batch[index] != compiled {
-                return Err(SwapError::BatchDivergence { index });
-            }
-        }
-        Ok(())
+        verify_on(candidate, &self.vectors)
     }
 
     /// [`GoldenSet::verify`] plus strict label parity with the captured
@@ -227,17 +233,38 @@ impl GoldenSet {
     }
 }
 
-/// The slot contents: the live model plus the previous epoch's, retained
-/// as the rollback target.
-struct SlotState {
-    current: Arc<VersionedModel>,
-    previous: Option<Arc<VersionedModel>>,
+/// [`GoldenSet::verify`] over `vectors`. The arena validates first, so
+/// nothing below walks an unsound one; then it must equal its boxed
+/// tree's compilation, which no canary of finitely many vectors can
+/// establish.
+fn verify_on(candidate: &VmTransitionDetector, vectors: &[FeatureVec]) -> Result<(), SwapError> {
+    candidate.validate().map_err(SwapError::Arena)?;
+    if !candidate.compiled().is_compilation_of(candidate.tree()) {
+        return Err(SwapError::ArenaMismatch);
+    }
+    let mut batch = vec![Label::Correct; vectors.len()];
+    candidate.classify_batch(vectors, &mut batch);
+    for (index, f) in vectors.iter().enumerate() {
+        let compiled = candidate.classify(f);
+        let boxed = candidate.tree().classify(&f.columns());
+        if compiled != boxed {
+            return Err(SwapError::SelfInconsistent {
+                index,
+                compiled,
+                boxed,
+            });
+        }
+        if batch[index] != compiled {
+            return Err(SwapError::BatchDivergence { index });
+        }
+    }
+    Ok(())
 }
 
 /// Shared slot holding the current model.
 pub struct ModelSlot {
     epoch: AtomicU64,
-    state: Mutex<SlotState>,
+    current: Mutex<Arc<VersionedModel>>,
 }
 
 impl ModelSlot {
@@ -250,27 +277,22 @@ impl ModelSlot {
         });
         ModelSlot {
             epoch: AtomicU64::new(1),
-            state: Mutex::new(SlotState {
-                current: vm,
-                previous: None,
-            }),
+            current: Mutex::new(vm),
         }
     }
 
     /// Publish a new model; returns its version. Callers racing here
-    /// serialize on the mutex; readers are never blocked. The outgoing
-    /// model is retained as the rollback target. Unvalidated: the only
-    /// caller outside this module's tests is
+    /// serialize on the mutex; readers are never blocked. Unvalidated:
+    /// the only caller outside this module's tests is
     /// [`ModelSlot::publish_validated`], after the canary gate.
     fn publish(&self, detector: VmTransitionDetector) -> u64 {
-        let mut guard = lock_recovering(&self.state);
-        let version = guard.current.version + 1;
-        let vm = Arc::new(VersionedModel {
+        let mut current = lock_recovering(&self.current);
+        let version = current.version + 1;
+        *current = Arc::new(VersionedModel {
             version,
             fingerprint: detector.fingerprint(),
             detector,
         });
-        guard.previous = Some(std::mem::replace(&mut guard.current, vm));
         // Release pairs with the Acquire in `epoch()`: a reader that sees
         // the new epoch will also see the new Arc through the mutex.
         self.epoch.store(version, Ordering::Release);
@@ -279,8 +301,8 @@ impl ModelSlot {
 
     /// Validate `detector` against `golden` (strictly when
     /// `require_parity`), then publish. A rejected candidate leaves the
-    /// slot untouched: the incumbent keeps classifying, which *is* the
-    /// rollback — the epoch never moved.
+    /// slot untouched: the incumbent keeps classifying and the epoch never
+    /// moves. Redeploying an earlier detector this way is the rollback.
     pub fn publish_validated(
         &self,
         detector: VmTransitionDetector,
@@ -295,26 +317,6 @@ impl ModelSlot {
         Ok(self.publish(detector))
     }
 
-    /// Roll back to the previous epoch's model, republished under a fresh
-    /// version (reader epochs stay monotone; verdicts stamped with the
-    /// new version carry the old fingerprint). Returns the new version,
-    /// or `None` when there is nothing to roll back to. The displaced
-    /// model becomes the new rollback target, so roll-forward is the same
-    /// call again.
-    pub fn rollback(&self) -> Option<u64> {
-        let mut guard = lock_recovering(&self.state);
-        let prev = guard.previous.take()?;
-        let version = guard.current.version + 1;
-        let vm = Arc::new(VersionedModel {
-            version,
-            fingerprint: prev.fingerprint,
-            detector: prev.detector.clone(),
-        });
-        guard.previous = Some(std::mem::replace(&mut guard.current, vm));
-        self.epoch.store(version, Ordering::Release);
-        Some(version)
-    }
-
     /// Current epoch (== current model version).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
@@ -322,15 +324,7 @@ impl ModelSlot {
 
     /// Clone the current model handle (cold path).
     pub fn load(&self) -> Arc<VersionedModel> {
-        Arc::clone(&lock_recovering(&self.state).current)
-    }
-
-    /// Fingerprint of the rollback target, if one exists.
-    pub fn previous_fingerprint(&self) -> Option<u64> {
-        lock_recovering(&self.state)
-            .previous
-            .as_ref()
-            .map(|m| m.fingerprint)
+        Arc::clone(&lock_recovering(&self.current))
     }
 }
 
@@ -463,15 +457,16 @@ mod tests {
         let slot2 = Arc::clone(&slot);
         // Poison the state mutex by panicking while holding it.
         let _ = std::thread::spawn(move || {
-            let _guard = slot2.state.lock().unwrap();
+            let _guard = slot2.current.lock().unwrap();
             panic!("poison the slot");
         })
         .join();
-        assert!(slot.state.is_poisoned(), "setup must actually poison");
+        assert!(slot.current.is_poisoned(), "setup must actually poison");
         // Every entry point must recover instead of propagating the panic.
         assert_eq!(slot.load().version, 1);
         assert_eq!(slot.publish(detector(300)), 2);
-        assert_eq!(slot.rollback(), Some(3));
+        let golden = golden_for(&detector(300));
+        assert_eq!(slot.publish_validated(detector(100), &golden, false), Ok(3));
     }
 
     #[test]
@@ -517,18 +512,14 @@ mod tests {
             3
         );
 
-        // Semantic corruption (threshold flip): structurally valid,
-        // caught by the self-consistency canary; the slot must not move.
+        // Semantic corruption (threshold flip): structurally valid, not
+        // the tree's compilation; the slot must not move.
         let mut corrupt = detector(100);
         corrupt.chaos_flip_arena_bit(63);
         let before = slot.epoch();
-        let err = slot.publish_validated(corrupt, &golden, false).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SwapError::SelfInconsistent { .. } | SwapError::CanaryDivergence { .. }
-            ),
-            "{err}"
+        assert_eq!(
+            slot.publish_validated(corrupt, &golden, false),
+            Err(SwapError::ArenaMismatch)
         );
         assert_eq!(slot.epoch(), before, "rejected swap must not publish");
 
@@ -541,19 +532,40 @@ mod tests {
             Err(SwapError::Arena(_))
         ));
         assert_eq!(slot.epoch(), before);
+
+        // The root threshold's lowest bit: the split moves by one, which
+        // no golden vector crosses, so the canary alone would pass it.
+        let mut corrupt = detector(100);
+        corrupt.chaos_flip_arena_bit(0);
+        assert!(
+            golden
+                .vectors
+                .iter()
+                .all(|f| corrupt.classify(f) == corrupt.tree().classify(&f.columns())),
+            "the canary alone would pass it"
+        );
+        assert_eq!(
+            slot.publish_validated(corrupt, &golden, false),
+            Err(SwapError::ArenaMismatch)
+        );
+        assert_eq!(slot.epoch(), before);
     }
 
+    /// A rollback is a validated republish of the earlier detector: a
+    /// fresh version carrying the old fingerprint. Roll-forward is the
+    /// same call with the later one.
     #[test]
     fn rollback_restores_previous_model_under_new_version() {
         let d1 = detector(100);
         let d2 = detector(5000);
         let slot = ModelSlot::new(d1.clone());
-        assert_eq!(slot.rollback(), None, "nothing to roll back at start");
-        assert_eq!(slot.publish(d2.clone()), 2);
-        assert_eq!(slot.previous_fingerprint(), Some(d1.fingerprint()));
-
-        let v = slot.rollback().unwrap();
-        assert_eq!(v, 3);
+        let golden = golden_for(&d1);
+        assert_eq!(slot.publish_validated(d2.clone(), &golden, false), Ok(2));
+        // d1 relabels the golden vectors captured under d2: the strict
+        // gate refuses it, the relaxed one republishes it.
+        let golden = golden.recapture(&slot.load().detector);
+        assert!(golden.verify_strict(&d1).is_err());
+        assert_eq!(slot.publish_validated(d1.clone(), &golden, false), Ok(3));
         let m = slot.load();
         assert_eq!(m.version, 3);
         assert_eq!(
@@ -561,10 +573,8 @@ mod tests {
             d1.fingerprint(),
             "rollback restores v1's tree"
         );
-        // Roll-forward is the same call again: previous is now d2.
-        assert_eq!(slot.previous_fingerprint(), Some(d2.fingerprint()));
-        let v = slot.rollback().unwrap();
-        assert_eq!(v, 4);
+        let golden = golden.recapture(&m.detector);
+        assert_eq!(slot.publish_validated(d2.clone(), &golden, false), Ok(4));
         assert_eq!(slot.load().fingerprint, d2.fingerprint());
     }
 }

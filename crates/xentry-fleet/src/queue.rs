@@ -39,6 +39,8 @@ impl<T> MpmcQueue<T> {
     /// Allocate a queue with `capacity` slots (rounded up to a power of
     /// two, minimum 2). Panics if that power of two overflows `usize`.
     pub fn with_capacity(capacity: usize) -> MpmcQueue<T> {
+        // The documented panic: no allocation of that many slots could
+        // succeed anyway (`fleet-replay` caps its flag far below it).
         let cap = capacity
             .max(2)
             .checked_next_power_of_two()

@@ -49,40 +49,19 @@ impl TelemetryRecord {
     }
 }
 
-/// Which detection path produced a verdict — the provenance consumers
-/// need before trusting a label. The fleet never silently drops records
-/// when the model path is unhealthy; it keeps serving with a weaker
-/// detector and says so here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum VerdictSource {
-    /// The deployed [`VmTransitionDetector`] (normal operation).
-    ///
-    /// [`VmTransitionDetector`]: xentry::VmTransitionDetector
-    Model,
-    /// Degraded mode: the worker's self-trained runtime envelope
-    /// ([`xentry::EnvelopeDetector`] bounds learned online from
-    /// model-approved activations). Coverage is runtime-detection-only —
-    /// cross-feature structure is lost — but records keep getting
-    /// verdicts instead of vanishing.
-    DegradedEnvelope,
-}
-
 /// Result of classifying one telemetry record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetVerdict {
     pub host: HostId,
     pub vcpu: u32,
     pub seq: u64,
-    /// Classification by the deployed tree (or the degraded fallback —
-    /// see `source`).
+    /// Classification by the deployed tree.
     pub label: mltree::Label,
     /// Version of the model that produced this verdict (monotone,
-    /// incremented by every hot swap and rollback).
+    /// incremented by every hot swap).
     pub model_version: u64,
     /// Fingerprint of that model (stable across processes).
     pub model_fingerprint: u64,
-    /// Detection path that produced the label.
-    pub source: VerdictSource,
     /// Flight-trace id carried from the record that produced this verdict
     /// (0 when tracing is disabled).
     pub trace_id: u64,
@@ -124,18 +103,11 @@ mod tests {
             label: mltree::Label::Incorrect,
             model_version: 3,
             model_fingerprint: 0xdead,
-            source: VerdictSource::Model,
             trace_id: 41,
         };
         let s = serde_json::to_string(&v).unwrap();
         assert!(s.contains("\"model_version\":3"), "{s}");
         assert!(s.contains("Incorrect"), "{s}");
-        assert!(s.contains("Model"), "{s}");
-        let degraded = FleetVerdict {
-            source: VerdictSource::DegradedEnvelope,
-            ..v
-        };
-        let s = serde_json::to_string(&degraded).unwrap();
-        assert!(s.contains("DegradedEnvelope"), "{s}");
+        assert!(s.contains("\"trace_id\":41"), "{s}");
     }
 }

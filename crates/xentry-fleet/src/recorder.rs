@@ -93,6 +93,7 @@ impl FlightRecorder {
     /// not just the per-host activation history.
     pub fn dump_with_trace(&self, host: HostId, trace: Vec<TraceEvent>) -> IncidentDump {
         let recent = self.recent();
+        // The worker dumps a host's ring right after pushing its trigger.
         let trigger = *recent.last().expect("dump after at least one push");
         IncidentDump {
             host,

@@ -87,6 +87,7 @@ pub fn replay(service: &FleetService, trace: &[FeatureVec], cfg: &ReplayConfig) 
             .collect();
         handles
             .into_iter()
+            // A host thread only ingests, and `ingest_record` cannot panic.
             .map(|h| h.join().expect("replay host panicked"))
             .collect()
     });

@@ -8,24 +8,19 @@
 //! the right tradeoff for soft-error telemetry — a lost sample costs a
 //! little detection coverage, a blocked VM entry costs guest latency.
 //!
-//! Fault policy (see `crate::supervisor`): workers run supervised.
-//! A panicking worker is restarted with capped backoff and its abandoned
-//! in-flight records are counted as `lost`; a stalled worker is
-//! superseded by the heartbeat watchdog. Repeated panics escalate to an
-//! automatic model rollback and then to degraded mode, where workers
-//! classify with self-trained runtime envelopes (verdicts tagged
-//! [`VerdictSource::DegradedEnvelope`]) instead of silently dropping
-//! records.
-//!
-//! [`VerdictSource::DegradedEnvelope`]: crate::record::VerdictSource
+//! Failure policy: deploys are gated, workers run plain. Every model a
+//! worker walks passed the swap gate ([`GoldenSet::verify`]), the one
+//! [`FleetService::start`] installs included, so classify cannot fault.
+//! A panic in a worker is therefore a bug, in practice in the caller's
+//! [`VerdictSink`]. Nothing restarts the worker: its shard stops
+//! classifying, and [`FleetService::shutdown`] counts every record it
+//! accepted but never classified in `lost`.
 
-use crate::chaos::Failpoints;
 use crate::metrics::{Metrics, ServiceSnapshot, ShardSnapshot};
 use crate::model::{lock_recovering, GoldenSet, ModelSlot, SwapError};
 use crate::queue::MpmcQueue;
 use crate::record::{FleetVerdict, HostId, TelemetryRecord};
 use crate::recorder::IncidentDump;
-use crate::supervisor::Supervision;
 use crate::telemetry::TelemetryServer;
 use crate::trace::{SpanKind, Tracer};
 use std::net::ToSocketAddrs;
@@ -38,7 +33,7 @@ use xentry::{FeatureVec, VmTransitionDetector};
 /// Golden canary vectors captured at start for swap validation.
 const GOLDEN_VECTORS: usize = 128;
 
-/// Service sizing and fault-tolerance policy.
+/// Service sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetConfig {
     /// Number of classification workers (hosts shard as `host % shards`).
@@ -49,18 +44,6 @@ pub struct FleetConfig {
     pub batch: usize,
     /// Flight-recorder depth per host.
     pub recorder_depth: usize,
-    /// Longest restart delay after a worker panic. The delay starts at
-    /// 1 ms and doubles per consecutive panic up to this cap.
-    pub restart_backoff_cap_ms: u64,
-    /// Heartbeat age after which the watchdog declares a shard stalled
-    /// and spawns a replacement worker. 0 disables the watchdog.
-    pub stall_timeout_ms: u64,
-    /// Consecutive panics on one shard before the supervisor rolls the
-    /// model back to the previous epoch (once per epoch). 0 disables.
-    pub rollback_after: u32,
-    /// Consecutive panics on one shard before the service enters
-    /// degraded (envelope-fallback) mode. 0 disables.
-    pub degrade_after: u32,
     /// Flight-trace ring depth per lane (a worker lane and an ingest
     /// lane per shard plus one control lane; rounded up to a power of
     /// two). Shard queues are FIFO, so the newest-retained ingest spans
@@ -80,19 +63,18 @@ impl Default for FleetConfig {
             queue_capacity: 8192,
             batch: 64,
             recorder_depth: 32,
-            restart_backoff_cap_ms: 100,
-            stall_timeout_ms: 500,
-            rollback_after: 2,
-            degrade_after: 4,
             trace_depth: 8192,
         }
     }
 }
 
 /// Receives classification results. Implementations must be cheap and
-/// thread-safe: calls come from every shard worker. A sink that panics
-/// does not take the service down — the supervisor restarts the worker
-/// and counts the abandoned batch as lost.
+/// thread-safe: calls come from every shard worker. They must not panic:
+/// a panicking sink ends the worker that called it, nothing restarts that
+/// worker, and its shard classifies nothing more. The other shards keep
+/// serving, and [`FleetService::shutdown`] counts the panicking call's
+/// record, the rest of its batch and everything still queued behind it
+/// in `lost`.
 pub trait VerdictSink: Send + Sync {
     fn on_verdict(&self, _verdict: &FleetVerdict) {}
     /// Called with the per-host flight-recorder dump on every `Incorrect`
@@ -106,8 +88,8 @@ pub struct NullSink;
 impl VerdictSink for NullSink {}
 
 /// Collects verdicts and incidents in memory (tests, small replays).
-/// Locking is poison-tolerant: a panic elsewhere in a worker never
-/// wedges collection.
+/// Locking is poison-tolerant: a thread that panicked while holding a
+/// lock never wedges collection.
 #[derive(Default)]
 pub struct CollectSink {
     pub verdicts: Mutex<Vec<FleetVerdict>>,
@@ -133,8 +115,6 @@ pub(crate) struct Shared {
     /// whenever the deployed model legitimately changes.
     pub(crate) golden: Mutex<GoldenSet>,
     pub(crate) metrics: Metrics,
-    pub(crate) supervision: Supervision,
-    pub(crate) failpoints: Failpoints,
     pub(crate) stop: AtomicBool,
     pub(crate) sink: Arc<dyn VerdictSink>,
     /// Flight tracer: one ring per shard plus a control lane. Always
@@ -147,19 +127,6 @@ impl Shared {
     /// Nanoseconds since service start (monotonic).
     pub(crate) fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
-    }
-
-    /// Re-capture the golden set's expected labels under the currently
-    /// deployed model (after a rollback).
-    pub(crate) fn refresh_golden_from_current(&self) {
-        let model = self.model.load();
-        let mut golden = lock_recovering(&self.golden);
-        *golden = golden.recapture(&model.detector);
-    }
-
-    /// True while the service is serving envelope-fallback verdicts.
-    pub(crate) fn degraded(&self) -> bool {
-        self.supervision.degraded.load(Ordering::Acquire)
     }
 
     /// Racy-consistent metrics snapshot. Lives on `Shared` (not the
@@ -179,7 +146,7 @@ impl Shared {
             ingested: m.ingested.load(Ordering::Relaxed),
             classified,
             dropped: m.dropped.load(Ordering::Relaxed),
-            lost: m.total_lost(),
+            lost: m.lost.load(Ordering::Relaxed),
             incorrect: m
                 .shards
                 .iter()
@@ -189,12 +156,6 @@ impl Shared {
             suppressed_incidents: m.suppressed_incidents.load(Ordering::Relaxed),
             swaps: m.swaps.load(Ordering::Relaxed),
             swap_rejections: m.swap_rejections.load(Ordering::Relaxed),
-            rollbacks: m.rollbacks.load(Ordering::Relaxed),
-            restarts: m.restarts.load(Ordering::Relaxed),
-            stalls: m.stalls.load(Ordering::Relaxed),
-            degraded: self.degraded(),
-            degraded_entries: m.degraded_entries.load(Ordering::Relaxed),
-            degraded_verdicts: m.degraded_verdicts.load(Ordering::Relaxed),
             throughput_per_sec: classified as f64 * 1e9 / uptime_ns as f64,
             trace_events: self.tracer.total_events(),
             trace_dropped: self.tracer.total_dropped(),
@@ -211,8 +172,6 @@ impl Shared {
                     incorrect: s.incorrect.load(Ordering::Relaxed),
                     dropped: s.dropped.load(Ordering::Relaxed),
                     batches: s.batches.load(Ordering::Relaxed),
-                    lost: s.lost.load(Ordering::Relaxed),
-                    restarts: s.restarts.load(Ordering::Relaxed),
                 })
                 .collect(),
         }
@@ -254,8 +213,17 @@ pub struct FleetService {
 }
 
 impl FleetService {
-    /// Start `cfg.shards` supervised workers classifying with `detector`
-    /// (deployed as model version 1), plus the heartbeat watchdog.
+    /// Start `cfg.shards` workers classifying with `detector` (deployed
+    /// as model version 1).
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.shards` or `cfg.batch` is 0, or if `detector` fails the
+    /// checks every hot swap passes ([`GoldenSet::verify`]: a structurally
+    /// sound arena that is its boxed tree's compilation and agrees with
+    /// that tree on the golden vectors, single-sample and batch).
+    /// The check runs before anything classifies with the detector,
+    /// because the workers walk its arena unchecked.
     pub fn start(
         cfg: FleetConfig,
         detector: VmTransitionDetector,
@@ -263,7 +231,8 @@ impl FleetService {
     ) -> FleetService {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.batch >= 1, "need a positive batch size");
-        let golden = GoldenSet::capture(&detector, golden_probe_vectors(GOLDEN_VECTORS));
+        let golden = GoldenSet::capture_verified(&detector, golden_probe_vectors(GOLDEN_VECTORS))
+            .unwrap_or_else(|e| panic!("FleetService::start: detector fails the swap gate: {e}"));
         let shared = Arc::new(Shared {
             cfg,
             queues: (0..cfg.shards)
@@ -272,29 +241,22 @@ impl FleetService {
             model: ModelSlot::new(detector),
             golden: Mutex::new(golden),
             metrics: Metrics::new(cfg.shards),
-            supervision: Supervision::new(cfg.shards),
-            failpoints: Failpoints::new(cfg.shards),
             stop: AtomicBool::new(false),
             sink,
             tracer: Arc::new(Tracer::new(cfg.shards, cfg.trace_depth)),
             start: Instant::now(),
         });
-        let mut workers: Vec<JoinHandle<()>> = (0..cfg.shards)
+        let workers = (0..cfg.shards)
             .map(|shard| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("fleet-shard-{shard}"))
-                    .spawn(move || crate::supervisor::run_supervised(shared, shard))
+                    .spawn(move || crate::shard::run_worker(&shared, shard))
+                    // Fails only when the OS refuses a thread; `start` has
+                    // no error channel, like `std::thread::spawn`.
                     .expect("spawn shard worker")
             })
             .collect();
-        let wd_shared = Arc::clone(&shared);
-        workers.push(
-            std::thread::Builder::new()
-                .name("fleet-watchdog".into())
-                .spawn(move || crate::supervisor::run_watchdog(wd_shared))
-                .expect("spawn watchdog"),
-        );
         FleetService { shared, workers }
     }
 
@@ -353,7 +315,8 @@ impl FleetService {
     /// return its version. In-flight batches finish under the old model;
     /// the next batch on every shard classifies under the new one. A
     /// rejected candidate never reaches the slot: the incumbent keeps
-    /// serving, which *is* the rollback, and the rejection is counted.
+    /// serving and the rejection is counted. To roll back, redeploy the
+    /// earlier detector through this same call.
     pub fn hot_swap_validated(
         &self,
         detector: VmTransitionDetector,
@@ -389,23 +352,6 @@ impl FleetService {
         }
     }
 
-    /// Roll back to the previous epoch's model (republished under a fresh
-    /// version). Returns the new version, or `None` when nothing is
-    /// retained. The supervisor calls the same slot operation
-    /// automatically after `rollback_after` consecutive panics.
-    pub fn rollback_model(&self) -> Option<u64> {
-        let v = self.shared.model.rollback()?;
-        self.shared
-            .metrics
-            .rollbacks
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.refresh_golden_from_current();
-        self.shared
-            .tracer
-            .record_control(SpanKind::Rollback, self.shared.now_ns(), v);
-        Some(v)
-    }
-
     /// Version of the currently deployed model.
     pub fn model_version(&self) -> u64 {
         self.shared.model.epoch()
@@ -419,34 +365,6 @@ impl FleetService {
     /// Identity of the canary gate deployments are validated against.
     pub fn golden_fingerprint(&self) -> u64 {
         lock_recovering(&self.shared.golden).fingerprint()
-    }
-
-    /// True while the service is serving envelope-fallback verdicts.
-    pub fn degraded(&self) -> bool {
-        self.shared.supervision.degraded.load(Ordering::Acquire)
-    }
-
-    /// Operator acknowledgment: leave degraded mode and reset the
-    /// consecutive-panic counters (the next panic storm can re-enter).
-    pub fn exit_degraded(&self) {
-        for s in &self.shared.supervision.shards {
-            s.consecutive_panics.store(0, Ordering::Relaxed);
-        }
-        let was_degraded = self
-            .shared
-            .supervision
-            .degraded
-            .swap(false, Ordering::Release);
-        if was_degraded {
-            self.shared
-                .tracer
-                .record_control(SpanKind::Recover, self.shared.now_ns(), 0);
-        }
-    }
-
-    /// Chaos-testing failpoints (inert until armed).
-    pub fn failpoints(&self) -> &Failpoints {
-        &self.shared.failpoints
     }
 
     /// The flight tracer (trace-id source + Chrome export). Returned as
@@ -472,32 +390,45 @@ impl FleetService {
         self.shared.snapshot()
     }
 
-    /// Stop ingesting, drain every queue, join the workers, and return
-    /// the final snapshot. Every record accepted before shutdown is
-    /// either classified or (if a worker panicked mid-batch) counted in
-    /// `lost`: `ingested == classified + lost` holds on the result.
+    /// Stop ingesting, let every worker drain its queue, join them all,
+    /// and return the final snapshot. A worker that panicked (a
+    /// [`VerdictSink`] bug) drained nothing more; every record accepted
+    /// but never classified is then counted in `lost`, so
+    /// `ingested == classified + lost` holds on the result. The count is
+    /// exact because a record is counted classified only after its sink
+    /// calls returned, and nothing is ingested or classified once the
+    /// joins are done.
     pub fn shutdown(mut self) -> ServiceSnapshot {
+        self.join_workers();
+        let m = &self.shared.metrics;
+        let ingested = m.ingested.load(Ordering::Relaxed);
+        m.lost.store(
+            ingested.saturating_sub(m.total_classified()),
+            Ordering::Relaxed,
+        );
+        self.snapshot()
+    }
+
+    /// Set the stop flag and join every worker, a panicked one included.
+    fn join_workers(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         for w in self.workers.drain(..) {
-            w.join().expect("supervisor thread panicked");
+            // A worker's panic was already reported by the panic hook on
+            // its own thread; what it cost shows up in `lost`.
+            let _ = w.join();
         }
-        self.snapshot()
     }
 }
 
 impl Drop for FleetService {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        self.join_workers();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::VerdictSource;
     use mltree::{Dataset, DecisionTree, Label, Sample, TrainConfig};
     use std::sync::atomic::AtomicU64;
     use xentry::FEATURE_NAMES;
@@ -569,10 +500,8 @@ mod tests {
         assert_eq!(snap.incorrect, 4, "one planted anomaly per host");
         assert_eq!(snap.incidents, 4);
         assert_eq!(snap.suppressed_incidents, 0);
-        assert!(!snap.degraded);
         let verdicts = sink.verdicts.lock().unwrap();
         assert_eq!(verdicts.len(), accepted as usize);
-        assert!(verdicts.iter().all(|v| v.source == VerdictSource::Model));
         drop(verdicts);
         let incidents = sink.incidents.lock().unwrap();
         assert_eq!(incidents.len(), 4);
@@ -717,6 +646,8 @@ mod tests {
         assert_eq!(snap.model_nr_splits, detector(100).nr_splits() as u64);
     }
 
+    /// A rollback is a redeploy of the earlier detector through the
+    /// validated gate: a fresh version carrying the old fingerprint.
     #[test]
     fn rollback_restores_previous_fingerprint() {
         let d1 = detector(100);
@@ -730,62 +661,85 @@ mod tests {
                 recorder_depth: 4,
                 ..FleetConfig::default()
             },
-            d1,
+            d1.clone(),
             Arc::new(NullSink),
         );
-        assert_eq!(svc.rollback_model(), None, "nothing to roll back yet");
         assert_eq!(svc.hot_swap_validated(d2, false).unwrap(), 2);
-        assert_eq!(svc.rollback_model(), Some(3));
+        assert_eq!(svc.hot_swap_validated(d1, false).unwrap(), 3);
         assert_eq!(svc.model_fingerprint(), f1);
         let snap = svc.shutdown();
-        assert_eq!(snap.rollbacks, 1);
+        assert_eq!(snap.swaps, 2);
         assert_eq!(snap.model_version, 3);
+        assert_eq!(snap.model_fingerprint, f1);
     }
 
-    /// Panics on the first verdict it sees, then collects normally.
+    /// A flip that leaves a child reference out of bounds: such an arena
+    /// gets no scorer and its walk is unchecked, so `start` must refuse
+    /// it on the caller's thread before anything classifies with it.
+    #[test]
+    #[should_panic(expected = "detector fails the swap gate")]
+    fn start_refuses_a_detector_that_fails_the_swap_gate() {
+        let mut corrupt = crate::replay::synthetic_detector(1);
+        corrupt.chaos_flip_arena_bit(64 + 20);
+        let cfg = FleetConfig {
+            shards: 1,
+            ..FleetConfig::default()
+        };
+        let _svc = FleetService::start(cfg, corrupt, Arc::new(NullSink));
+    }
+
+    /// Panics on the first verdict for host 0, then collects normally.
     struct PanicOnceSink {
         panicked: AtomicBool,
         seen: AtomicU64,
     }
 
     impl VerdictSink for PanicOnceSink {
-        fn on_verdict(&self, _v: &FleetVerdict) {
-            if !self.panicked.swap(true, Ordering::SeqCst) {
+        fn on_verdict(&self, v: &FleetVerdict) {
+            if v.host == 0 && !self.panicked.swap(true, Ordering::SeqCst) {
                 panic!("sink exploded on purpose");
             }
             self.seen.fetch_add(1, Ordering::Relaxed);
         }
     }
 
+    /// The panic ends shard 0's worker and nothing restarts it. Shard 1
+    /// keeps serving, `shutdown` still joins both, and every record shard
+    /// 0 never classified is counted in `lost`.
     #[test]
     fn panicking_sink_cannot_take_down_the_service() {
+        const PER_HOST: u64 = 1000;
         let sink = Arc::new(PanicOnceSink {
             panicked: AtomicBool::new(false),
             seen: AtomicU64::new(0),
         });
         let cfg = FleetConfig {
-            shards: 1,
+            shards: 2,
             queue_capacity: 2048,
             batch: 16,
             recorder_depth: 4,
-            restart_backoff_cap_ms: 4,
             ..FleetConfig::default()
         };
         let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
-        let mut accepted = 0u64;
-        for seq in 0..1000u64 {
-            if svc.ingest(0, 0, seq, ok_features(100)) {
-                accepted += 1;
+        for seq in 0..PER_HOST {
+            for host in 0..2 {
+                assert!(svc.ingest(host, 0, seq, ok_features(100)));
             }
         }
         let snap = svc.shutdown();
-        assert_eq!(snap.ingested, accepted);
-        assert_eq!(snap.restarts, 1, "exactly one panic, one restart");
-        assert!(snap.lost >= 1, "the abandoned batch must be accounted");
-        assert!(snap.lost <= cfg.batch as u64);
+        assert_eq!(snap.ingested, 2 * PER_HOST);
+        assert_eq!(
+            snap.shards[0].classified, 0,
+            "host 0's first verdict panicked"
+        );
+        assert_eq!(snap.shards[1].classified, PER_HOST, "shard 1 served on");
+        assert_eq!(
+            snap.lost, PER_HOST,
+            "shard 0 classified none of its records"
+        );
         assert_eq!(
             snap.classified + snap.lost,
-            accepted,
+            snap.ingested,
             "no record may vanish unaccounted"
         );
         assert_eq!(sink.seen.load(Ordering::Relaxed), snap.classified);
@@ -809,7 +763,6 @@ mod tests {
             label: Label::Correct,
             model_version: 1,
             model_fingerprint: 0,
-            source: VerdictSource::Model,
             trace_id: 0,
         });
         assert_eq!(lock_recovering(&sink.verdicts).len(), 1);

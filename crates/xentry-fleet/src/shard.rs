@@ -3,62 +3,48 @@
 //!
 //! Hosts are statically sharded (`host % nr_shards`), so every host's
 //! records are classified by exactly one worker; the flight recorders can
-//! therefore live in worker-local state with no locking at all. (A
-//! replacement worker spawned after a stall starts with fresh recorders
-//! and a fresh envelope — worker-local context is the price of lock-free
-//! recording, and it rebuilds within one recorder depth of traffic.)
+//! therefore live in worker-local state with no locking at all.
 //!
-//! The worker cooperates with [`crate::supervisor`] through three cheap
-//! per-loop signals: it re-checks its shard *generation* (a moved
-//! generation means a replacement owns the queue — finish the in-flight
-//! batch, then exit), stores a *heartbeat* timestamp, and keeps the
-//! supervisor's *in-flight* counter equal to the number of claimed but
-//! not-yet-classified records so a panic loses nothing silently.
+//! The worker is a plain thread and nothing restarts it, because nothing
+//! in its own code can panic on what the service accepts: every model it
+//! walks passed the swap gate's `validate` and canary checks (at
+//! `FleetService::start` and in `hot_swap_validated` alike), records are
+//! fixed-size integers that need no parsing, and the one division is by a
+//! batch length `pop_batch` just returned non-zero. A panic here is the
+//! caller's `VerdictSink`'s. It ends this shard's worker, and
+//! `FleetService::shutdown` counts every record that worker never
+//! classified in `lost`.
 
 use crate::metrics::HistogramTally;
 use crate::model::ModelCache;
-use crate::record::{FleetVerdict, HostId, TelemetryRecord, VerdictSource};
+use crate::record::{FleetVerdict, HostId, TelemetryRecord};
 use crate::recorder::{DumpBudget, FlightRecorder};
 use crate::service::Shared;
-use crate::supervisor::WorkerExit;
 use crate::trace::SpanKind;
 use mltree::Label;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
-use xentry::{EnvelopeDetector, FeatureVec};
+use xentry::FeatureVec;
 
-/// Spin this many empty polls before yielding, and yield this many before
+/// Spin this many empty polls before yielding, then yield 192 times before
 /// sleeping: keeps latency low under load without burning an idle core.
-const SPIN_POLLS: u32 = 64;
-const YIELD_POLLS: u32 = 256;
-
-/// Degraded-mode fallback tuning: absolute slack around the learned
-/// per-VMER bounds, and samples per VMER before the envelope trusts
-/// itself (under-sampled reasons fail open).
-const ENVELOPE_SLACK: u64 = 8;
-const ENVELOPE_MIN_SAMPLES: u64 = 32;
+/// An empty poll costs ~30 ns on a 2-vCPU AVX-512 VM, so the spin lasts
+/// ~6 µs there, longer than the 4 µs between records at 250 k records/s.
+const SPIN_POLLS: u32 = 192;
+const YIELD_POLLS: u32 = SPIN_POLLS + 192;
 
 /// Incident-dump rate limit per host: dumps allowed back-to-back, then
 /// refilled at this many per second.
 const INCIDENT_BURST: u64 = 32;
 const INCIDENT_PER_SEC: u64 = 10;
 
-pub(crate) fn run_worker(
-    shared: &Arc<Shared>,
-    shard: usize,
-    my_gen: u64,
-    inflight: &AtomicU64,
-) -> WorkerExit {
+/// The thread body `FleetService::start` spawns for `shard`. Returns once
+/// the stop flag is set and the shard's queue is empty.
+pub(crate) fn run_worker(shared: &Shared, shard: usize) {
     let queue = &shared.queues[shard];
-    let sup = &shared.supervision.shards[shard];
     let mut cache = ModelCache::new(&shared.model);
     let mut recorders: HashMap<HostId, (FlightRecorder, DumpBudget)> = HashMap::new();
-    // Degraded-mode fallback: a runtime envelope learned online from
-    // activations the model approved. If the model path becomes unusable
-    // the shard keeps serving (weaker, tagged) verdicts from this.
-    let mut envelope = EnvelopeDetector::new(ENVELOPE_SLACK, ENVELOPE_MIN_SAMPLES);
     let mut batch: Vec<TelemetryRecord> = Vec::with_capacity(shared.cfg.batch);
     let mut features: Vec<FeatureVec> = Vec::with_capacity(shared.cfg.batch);
     let mut labels: Vec<Label> = Vec::with_capacity(shared.cfg.batch);
@@ -68,16 +54,12 @@ pub(crate) fn run_worker(
     let ring = shared.tracer.enabled().then(|| shared.tracer.ring(shard));
     let mut idle: u32 = 0;
     loop {
-        if sup.gen.load(Ordering::Acquire) != my_gen {
-            return WorkerExit::Superseded;
-        }
-        sup.heartbeat_ns.store(shared.now_ns(), Ordering::Relaxed);
         batch.clear();
         if queue.pop_batch(&mut batch, shared.cfg.batch) == 0 {
             // Drain-then-exit: producers stop ingesting before `stop` is
             // set, so an empty queue after observing `stop` is final.
             if shared.stop.load(Ordering::Acquire) && queue.is_empty() {
-                return WorkerExit::Stopped;
+                return;
             }
             idle = idle.saturating_add(1);
             if idle < SPIN_POLLS {
@@ -90,15 +72,6 @@ pub(crate) fn run_worker(
             continue;
         }
         idle = 0;
-        // Everything claimed from here on is visible to the supervisor:
-        // if this worker dies mid-batch, exactly `inflight` records are
-        // accounted as lost.
-        inflight.store(batch.len() as u64, Ordering::Relaxed);
-        if let Some(stall) = shared.failpoints.take_stall(shard) {
-            // Injected stall: sleep without heartbeating, which is
-            // exactly what a wedged worker looks like to the watchdog.
-            std::thread::sleep(stall);
-        }
         // One epoch check per batch: the hot-swap cost on this path is a
         // single Acquire load.
         let model = Arc::clone(cache.get(&shared.model));
@@ -108,35 +81,21 @@ pub(crate) fn run_worker(
         features.extend(batch.iter().map(|r| r.features));
         labels.clear();
         labels.resize(batch.len(), Label::Correct);
-        let degraded = shared.supervision.degraded.load(Ordering::Relaxed);
-        let (source, batch_ns) = if degraded {
-            let t0 = Instant::now();
-            for (f, l) in features.iter().zip(labels.iter_mut()) {
-                *l = envelope.classify(f);
-            }
-            (
-                VerdictSource::DegradedEnvelope,
-                t0.elapsed().as_nanos() as u64,
-            )
-        } else {
-            // The panic failpoint models a fault on the model/classify
-            // path, so it sits inside the non-degraded branch — degraded
-            // mode is precisely the state that routes around it.
-            shared.failpoints.maybe_panic(shard);
-            // One compiled-arena batch call classifies the whole drain;
-            // the per-record latency histogram is preserved by amortizing
-            // the batch walk over its records. The detector's own timed
-            // span hook measures the arena walk and nothing else.
-            let span = model.detector.classify_batch_timed(&features, &mut labels);
-            (VerdictSource::Model, span.elapsed_ns)
-        };
+        // One compiled-arena batch call classifies the whole drain; the
+        // per-record latency histogram is preserved by amortizing the
+        // batch walk over its records. The detector's own timed span hook
+        // measures the arena walk and nothing else.
+        let batch_ns = model
+            .detector
+            .classify_batch_timed(&features, &mut labels)
+            .elapsed_ns;
         // Everything below up to the sink loop is the batch's bookkeeping,
         // paid once per batch rather than once per record: the records
         // share one classify time, their queue waits fold into the shared
         // histogram in one go, and their spans share one claim on the
         // trace ring. All of it happens *before* the first sink call: a
         // sink may panic, and neither a worker-local tally nor a claimed
-        // but unwritten trace slot may be left behind by the unwind.
+        // but unwritten trace slot may be left behind when it does.
         let n = batch.len() as u64;
         let per_record_ns = batch_ns / n;
         // The measured time split as evenly as whole nanoseconds allow,
@@ -148,7 +107,7 @@ pub(crate) fn run_worker(
         // One batch-level span covering the classify call itself, then
         // two spans per record closing the ingest→classify→verdict chain
         // for its trace id: the wait in the shard queue and the verdict
-        // (arg bit 0 = Incorrect, bit 1 = degraded-envelope source).
+        // (arg = 1 when Incorrect).
         let trace_base = ring.map_or(0, |ring| {
             let base = ring.claim(1 + 2 * n);
             ring.write(base, SpanKind::BatchClassify, dequeued_ns, batch_ns, 0, n);
@@ -176,20 +135,13 @@ pub(crate) fn run_worker(
                     dequeued_ns,
                     per_record_ns,
                     rec.trace_id,
-                    (label == Label::Incorrect) as u64 | ((degraded as u64) << 1),
+                    (label == Label::Incorrect) as u64,
                 );
             }
         }
         shared.metrics.queue_latency.absorb(&mut queue_waits);
         // Per-epoch verdict attribution, also once per batch.
         shared.metrics.count_epoch_verdicts(model.version, n);
-        if degraded {
-            shared
-                .metrics
-                .degraded_verdicts
-                .fetch_add(n, Ordering::Relaxed);
-        }
-        let mut remaining = n;
         for (i, (rec, &label)) in batch.iter().zip(labels.iter()).enumerate() {
             let (recorder, budget) = recorders.entry(rec.host).or_insert_with(|| {
                 (
@@ -205,7 +157,6 @@ pub(crate) fn run_worker(
                 label,
                 model_version: model.version,
                 model_fingerprint: model.fingerprint,
-                source,
                 trace_id: rec.trace_id,
             };
             shared.sink.on_verdict(&verdict);
@@ -229,22 +180,12 @@ pub(crate) fn run_worker(
                         .suppressed_incidents
                         .fetch_add(1, Ordering::Relaxed);
                 }
-            } else if source == VerdictSource::Model {
-                // Feed the degraded-mode fallback from model-approved
-                // activations only.
-                envelope.absorb(&rec.features);
             }
             // A record counts as classified only once its sink calls
-            // returned; until then it stays in `inflight` so a panic in
-            // the sink is charged to `lost`, never dropped silently.
-            remaining -= 1;
-            inflight.store(remaining, Ordering::Relaxed);
+            // returned, so `shutdown` can charge what a panicking sink
+            // left unfinished to `lost` as `ingested - classified`.
             shard_metrics.classified.fetch_add(1, Ordering::Relaxed);
         }
         shard_metrics.batches.fetch_add(1, Ordering::Relaxed);
-        if sup.consecutive_panics.load(Ordering::Relaxed) != 0 {
-            // A fully classified batch ends the panic streak.
-            sup.consecutive_panics.store(0, Ordering::Relaxed);
-        }
     }
 }

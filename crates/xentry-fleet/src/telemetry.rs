@@ -8,11 +8,9 @@
 //! way production fleets are actually watched:
 //!
 //! * `GET /metrics` — Prometheus text exposition (format 0.0.4) derived
-//!   from the same [`Metrics`] the JSON snapshot uses, with per-shard,
-//!   per-epoch and per-verdict-source labels and real `_bucket`/`_sum`/
-//!   `_count` histograms;
-//! * `GET /healthz` — liveness + degraded-mode flag as a one-line JSON
-//!   object;
+//!   from the same [`Metrics`] the JSON snapshot uses, with per-shard
+//!   and per-epoch labels and real `_bucket`/`_sum`/`_count` histograms;
+//! * `GET /healthz` — liveness as a one-line JSON object;
 //! * `GET /trace` — the flight tracer's rings as Chrome trace-event JSON
 //!   (same payload `fleet-replay` writes to `results/trace.json`).
 //!
@@ -208,13 +206,6 @@ pub(crate) fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
             .map(|sh| (sh.shard.to_string(), get(sh) as f64));
         Family::table(p(n), Kind::Counter, help, "shard", rows)
     };
-    let by_source = [
-        (
-            "model".to_string(),
-            s.classified.saturating_sub(s.degraded_verdicts) as f64,
-        ),
-        ("degraded_envelope".to_string(), s.degraded_verdicts as f64),
-    ];
     let by_epoch = s
         .epoch_verdicts
         .iter()
@@ -244,11 +235,6 @@ pub(crate) fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
             s.model_nr_splits as f64,
         ),
         gauge(
-            "degraded",
-            "1 while serving envelope-fallback verdicts, else 0.",
-            f64::from(u8::from(s.degraded)),
-        ),
-        gauge(
             "throughput_per_sec",
             "Classified records per second since start.",
             s.throughput_per_sec,
@@ -270,7 +256,7 @@ pub(crate) fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
         ),
         counter(
             "lost_total",
-            "Records claimed by a worker that panicked before classifying them.",
+            "Records accepted but never classified (counted at shutdown).",
             s.lost,
         ),
         counter(
@@ -291,26 +277,6 @@ pub(crate) fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
             s.swap_rejections,
         ),
         counter(
-            "rollbacks_total",
-            "Model rollbacks to the previous epoch.",
-            s.rollbacks,
-        ),
-        counter(
-            "restarts_total",
-            "Worker restarts (panic recoveries + stall replacements).",
-            s.restarts,
-        ),
-        counter(
-            "stalls_total",
-            "Stalled shards detected by the heartbeat watchdog.",
-            s.stalls,
-        ),
-        counter(
-            "degraded_entries_total",
-            "Times the service entered degraded mode.",
-            s.degraded_entries,
-        ),
-        counter(
             "trace_events_total",
             "Flight-trace events recorded since start.",
             s.trace_events,
@@ -319,13 +285,6 @@ pub(crate) fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
             "trace_dropped_total",
             "Flight-trace events lost to ring overflow.",
             s.trace_dropped,
-        ),
-        Family::table(
-            p("verdicts_total"),
-            Kind::Counter,
-            "Verdicts by detection path.",
-            "source",
-            by_source,
         ),
         Family::table(
             p("epoch_verdicts_total"),
@@ -353,16 +312,6 @@ pub(crate) fn service_families(s: &ServiceSnapshot) -> Vec<Family> {
             "shard_batches_total",
             "Batches classified by one shard.",
             |sh| sh.batches,
-        ),
-        shard(
-            "shard_lost_total",
-            "Records lost to worker panics on one shard.",
-            |sh| sh.lost,
-        ),
-        shard(
-            "shard_restarts_total",
-            "Worker restarts on one shard.",
-            |sh| sh.restarts,
         ),
         Family::histogram(
             p("queue_latency_ns"),
@@ -452,16 +401,12 @@ pub fn parse_exposition(text: &str) -> Result<Vec<Sample>, String> {
 // The scrape server
 // ---------------------------------------------------------------------------
 
-/// `/healthz` payload: enough for a probe to decide liveness and whether
-/// the fleet is serving full-strength verdicts.
+/// `/healthz` payload: enough for a probe to decide liveness and see
+/// which model is serving.
 fn healthz_json(s: &ServiceSnapshot) -> String {
     format!(
-        "{{\"status\":\"{}\",\"uptime_ns\":{},\"model_version\":{},\"classified\":{},\"degraded\":{}}}",
-        if s.degraded { "degraded" } else { "ok" },
-        s.uptime_ns,
-        s.model_version,
-        s.classified,
-        s.degraded,
+        "{{\"status\":\"ok\",\"uptime_ns\":{},\"model_version\":{},\"classified\":{}}}",
+        s.uptime_ns, s.model_version, s.classified,
     )
 }
 

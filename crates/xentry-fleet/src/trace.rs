@@ -7,7 +7,7 @@
 //! component was doing at detection time. This module makes that
 //! reconstruction possible on a *live* fleet: every shard owns a
 //! fixed-depth ring of [`TraceEvent`]s ([`TraceRing`]), every control-plane
-//! action (hot swap, rollback, restart, degrade) lands in a control ring,
+//! action (hot swap, rejected swap) lands in a control ring,
 //! and every telemetry record carries a [`Tracer`]-assigned trace id from
 //! ingest through classification into its verdict and — for `Incorrect`
 //! verdicts — its incident dump. The rings export on demand as Chrome
@@ -45,25 +45,13 @@ pub enum SpanKind {
     /// One batch classification call (`arg` = batch length, `dur` the
     /// classify span reported by the detector hook).
     BatchClassify,
-    /// A verdict was emitted (`arg` bit 0 = incorrect, bit 1 = degraded
-    /// envelope source).
+    /// A verdict was emitted (`arg` = 1 when incorrect).
     Verdict,
     /// A model hot swap published a new version (`arg` = version).
     HotSwap,
-    /// A validated swap rejected its candidate.
+    /// A validated swap rejected its candidate (`arg` = the version
+    /// that kept serving).
     SwapRejected,
-    /// The model slot rolled back to the previous epoch
-    /// (`arg` = new version).
-    Rollback,
-    /// A shard worker was restarted after a panic (`arg` = consecutive
-    /// panic count).
-    Restart,
-    /// The watchdog superseded a stalled worker (`arg` = new generation).
-    Stall,
-    /// The service entered degraded (envelope-fallback) mode.
-    Degrade,
-    /// The operator acknowledged and left degraded mode.
-    Recover,
 }
 
 impl SpanKind {
@@ -77,11 +65,6 @@ impl SpanKind {
             SpanKind::Verdict => "verdict",
             SpanKind::HotSwap => "hot_swap",
             SpanKind::SwapRejected => "swap_rejected",
-            SpanKind::Rollback => "rollback",
-            SpanKind::Restart => "restart",
-            SpanKind::Stall => "stall",
-            SpanKind::Degrade => "degrade",
-            SpanKind::Recover => "recover",
         }
     }
 
@@ -93,12 +76,7 @@ impl SpanKind {
             3 => SpanKind::BatchClassify,
             4 => SpanKind::Verdict,
             5 => SpanKind::HotSwap,
-            6 => SpanKind::SwapRejected,
-            7 => SpanKind::Rollback,
-            8 => SpanKind::Restart,
-            9 => SpanKind::Stall,
-            10 => SpanKind::Degrade,
-            _ => SpanKind::Recover,
+            _ => SpanKind::SwapRejected,
         }
     }
 }
@@ -143,10 +121,10 @@ struct PaddedCounter(AtomicU64);
 
 /// Fixed-depth lock-free event ring with oldest-drop overflow.
 ///
-/// Multi-writer: a slot is claimed with one `fetch_add` on `head`, so a
-/// superseded worker and its replacement (or producers and the shard
-/// worker) can share a ring. `total()` counts every push ever made;
-/// `dropped()` is exactly the number of events overwritten since start.
+/// Multi-writer: a slot is claimed with one `fetch_add` on `head`, so
+/// producers and the shard worker can share a ring. `total()` counts
+/// every push ever made; `dropped()` is exactly the number of events
+/// overwritten since start.
 pub struct TraceRing {
     slots: Box<[EventSlot]>,
     mask: u64,
@@ -157,6 +135,8 @@ impl TraceRing {
     /// Allocate a ring with `depth` slots (rounded up to a power of two,
     /// minimum 2). Panics if that power of two overflows `usize`.
     pub fn new(depth: usize) -> TraceRing {
+        // The documented panic: no allocation of that many slots could
+        // succeed anyway (`fleet-replay` caps its flag far below it).
         let cap = depth
             .max(2)
             .checked_next_power_of_two()
@@ -344,7 +324,7 @@ impl Tracer {
         }
     }
 
-    /// Record a control-plane event (hot swap, rollback, degrade, ...).
+    /// Record a control-plane event (hot swap, rejected swap).
     pub fn record_control(&self, kind: SpanKind, ts_ns: u64, arg: u64) {
         if self.enabled() {
             self.rings[self.control_lane()].push(kind, ts_ns, 0, 0, arg);
@@ -438,6 +418,7 @@ impl Tracer {
             ("displayTimeUnit".into(), Value::Str("ms".into())),
             ("traceEvents".into(), Value::Array(events)),
         ]);
+        // A tree of strings, integers and floats: nothing here can fail.
         serde_json::to_string(&doc).expect("trace export serializes")
     }
 }
@@ -526,11 +507,6 @@ mod tests {
             SpanKind::Verdict,
             SpanKind::HotSwap,
             SpanKind::SwapRejected,
-            SpanKind::Rollback,
-            SpanKind::Restart,
-            SpanKind::Stall,
-            SpanKind::Degrade,
-            SpanKind::Recover,
         ];
         let ring = TraceRing::new(kinds.len());
         for (i, k) in kinds.iter().enumerate() {

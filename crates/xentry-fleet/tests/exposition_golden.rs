@@ -33,12 +33,6 @@ fn fixture() -> ServiceSnapshot {
         suppressed_incidents: 2,
         swaps: 2,
         swap_rejections: 1,
-        rollbacks: 1,
-        restarts: 4,
-        stalls: 1,
-        degraded: true,
-        degraded_entries: 1,
-        degraded_verdicts: 40,
         throughput_per_sec: 495.0,
         trace_events: 3100,
         trace_dropped: 60,
@@ -61,8 +55,6 @@ fn fixture() -> ServiceSnapshot {
                 incorrect: 6,
                 dropped: 3,
                 batches: 40,
-                lost: 2,
-                restarts: 3,
             },
             ShardSnapshot {
                 shard: 1,
@@ -70,8 +62,6 @@ fn fixture() -> ServiceSnapshot {
                 incorrect: 5,
                 dropped: 4,
                 batches: 39,
-                lost: 1,
-                restarts: 1,
             },
         ],
     }

@@ -194,8 +194,8 @@ impl VmTransitionDetector {
     /// Chaos-injection entry point: flip one bit of the compiled arena,
     /// leaving the boxed tree and cached fingerprint untouched — exactly
     /// the state a soft error in the deployed model's memory produces.
-    /// The result is for feeding *into* validation gates (swap canaries,
-    /// the fleet chaos harness), never for classifying with.
+    /// The result is for feeding *into* validation gates (the fleet's swap
+    /// gate and its proptest), never for classifying with.
     pub fn chaos_flip_arena_bit(&mut self, bit: usize) {
         Arc::make_mut(&mut self.compiled).flip_bit(bit);
     }

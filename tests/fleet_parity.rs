@@ -225,6 +225,9 @@ fn drain(svc: &FleetService) {
     }
 }
 
+/// Rolling back is redeploying the pre-swap detector through
+/// `hot_swap_validated`: a fresh epoch that classifies exactly like the
+/// first one.
 #[test]
 fn rollback_restores_verdict_parity_with_pre_swap_model() {
     let d1 = replay::synthetic_detector(1);
@@ -264,8 +267,11 @@ fn rollback_restores_verdict_parity_with_pre_swap_model() {
     assert_eq!(replay::replay(&svc, &trace, &wave).rejected, 0);
     drain(&svc);
 
-    // Roll back: a fresh epoch republishing the pre-swap detector.
-    assert_eq!(svc.rollback_model(), Some(3));
+    // Roll back: redeploy the pre-swap detector, as a fresh epoch. It
+    // relabels the golden vectors now captured under d2, so only the
+    // relaxed gate takes it, like d2 before it.
+    assert!(svc.hot_swap_validated(d1.clone(), true).is_err());
+    assert_eq!(svc.hot_swap_validated(d1.clone(), false).unwrap(), 3);
     assert_eq!(svc.model_fingerprint(), d1.fingerprint());
 
     // Wave 3 must classify exactly like the pre-swap model again.
@@ -273,9 +279,8 @@ fn rollback_restores_verdict_parity_with_pre_swap_model() {
     let snap = svc.shutdown();
     assert_eq!(snap.classified, 9000);
     assert_eq!(snap.lost, 0);
-    assert_eq!(snap.swaps, 1);
-    assert_eq!(snap.swap_rejections, 1);
-    assert_eq!(snap.rollbacks, 1);
+    assert_eq!(snap.swaps, 2);
+    assert_eq!(snap.swap_rejections, 2);
     assert_eq!(snap.model_version, 3);
     assert_eq!(snap.model_fingerprint, d1.fingerprint());
 
@@ -284,7 +289,7 @@ fn rollback_restores_verdict_parity_with_pre_swap_model() {
     let mut by_version = [0u64; 3];
     for v in verdicts.iter() {
         let model = match v.model_version {
-            1 | 3 => &d1, // version 3 is the rollback epoch of d1
+            1 | 3 => &d1, // version 3 is d1 redeployed
             2 => &d2,
             other => panic!("verdict stamped with unknown model version {other}"),
         };

@@ -1,12 +1,13 @@
 //! Flight-trace integration: ring overflow semantics, trace-id
 //! propagation ingest→verdict→incident dump, the live scrape endpoint,
-//! and the disabled-tracing configuration.
+//! the disabled-tracing configuration, and the per-batch bookkeeping a
+//! panicking sink leaves behind.
 
 use mltree::{Dataset, DecisionTree, Label, Sample, TrainConfig};
 use std::sync::Arc;
 use xentry::{FeatureVec, VmTransitionDetector, FEATURE_NAMES};
 use xentry_fleet::{
-    http_get, parse_exposition, CollectSink, FleetConfig, FleetService, SpanKind, TraceRing,
+    http_get, parse_exposition, replay, CollectSink, FleetConfig, FleetService, SpanKind, TraceRing,
 };
 use xentry_integration_tests::GateSink;
 
@@ -71,7 +72,6 @@ fn trace_id_flows_from_ingest_through_verdict_into_dump() {
         batch: 16,
         recorder_depth: 8,
         trace_depth: 4096,
-        ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
     for seq in 0..200u64 {
@@ -158,9 +158,7 @@ fn mid_batch_incident_dump_ends_with_the_triggers_own_spans() {
             queue_capacity: 1024,
             batch: BATCH,
             recorder_depth: 8,
-            stall_timeout_ms: 0,
             trace_depth,
-            ..FleetConfig::default()
         };
         let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
         for seq in 0..warmup {
@@ -225,7 +223,6 @@ fn scrape_endpoint_serves_metrics_health_and_trace() {
         batch: 16,
         recorder_depth: 4,
         trace_depth: 4096,
-        ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, detector(100), Arc::new(xentry_fleet::NullSink));
     let server = svc
@@ -285,7 +282,6 @@ fn disabled_tracing_is_inert_and_free_of_ids() {
         batch: 8,
         recorder_depth: 4,
         trace_depth: 0,
-        ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
     for seq in 0..50u64 {
@@ -303,4 +299,51 @@ fn disabled_tracing_is_inert_and_free_of_ids() {
         verdicts.iter().all(|v| v.trace_id == 0),
         "disabled tracing stamps no ids"
     );
+}
+
+/// The sink panics on record `K` of one full 64-record batch. That ends
+/// the shard's worker, and nothing restarts it. The `K` records before
+/// the panic are classified; `shutdown` counts the other `64 - K` as
+/// lost — exactly, because `classified` moves per record, after the
+/// record's sink calls, even though the rest of the worker's bookkeeping
+/// is per batch. And that per-batch bookkeeping is not lost with the
+/// worker: both latency histograms were written before the first sink
+/// call, so they hold every record of the batch (`metrics.rs`: `count ==
+/// classified + lost` when the panicking batch was the last one queued).
+///
+/// Mutation-checked: folding the worker's queue-wait tally into the
+/// shared histogram after the sink loop instead of before it leaves
+/// `queue_latency.count` at 1 (the bait) and fails this test.
+#[test]
+fn sink_panic_mid_batch_loses_exactly_the_rest_and_no_bookkeeping() {
+    const BATCH: u64 = 64;
+    const K: u64 = 23;
+    let sink = GateSink::new(0, Some(1 + K));
+    let cfg = FleetConfig {
+        shards: 1,
+        queue_capacity: 1024,
+        batch: BATCH as usize,
+        recorder_depth: 8,
+        ..FleetConfig::default()
+    };
+    let svc = FleetService::start(cfg, replay::synthetic_detector(1), Arc::clone(&sink) as _);
+    let trace = replay::synthetic_trace(BATCH as usize, 11);
+    sink.form_batch(&svc, 0, trace[0], &trace);
+    let snap = svc.shutdown();
+
+    assert_eq!(snap.ingested, 1 + BATCH);
+    assert_eq!(
+        snap.classified,
+        1 + K,
+        "the bait and the K records before the panic"
+    );
+    assert_eq!(snap.lost, BATCH - K);
+    assert_eq!(snap.ingested, snap.classified + snap.lost);
+    assert_eq!(snap.shards[0].batches, 1, "only the bait's batch completed");
+    assert_eq!(
+        sink.collected.verdicts.lock().unwrap().len() as u64,
+        snap.classified
+    );
+    assert_eq!(snap.queue_latency.count, snap.classified + snap.lost);
+    assert_eq!(snap.classify_latency.count, snap.classified + snap.lost);
 }
