@@ -21,8 +21,7 @@
 //!
 //! An unknown option or experiment name exits 2 with the list above.
 //! Only experiments on the simulated platform run here. Host-side speed,
-//! the fleet's included, is the `benchmark` binary's job, and the fleet
-//! tier is driven by `fleet-replay`.
+//! the fleet's included, is the `benchmark` binary's job.
 //!
 //! Text renderings go to stdout; JSON artifacts to `--out` (default
 //! `results/`), with the wall-clock of every experiment that ran — the
@@ -90,7 +89,8 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 
 /// Every artifact is written atomically (temp + rename): an interrupted run
 /// never leaves a torn file that a later plotting/CI step, or
-/// `fleet-replay` reading `detector.json`, would half-parse.
+/// `VmTransitionDetector::from_json` reading `detector.json`, would
+/// half-parse.
 fn write_file(path: &Path, contents: &str) {
     sim_machine::write_atomic(path, contents.as_bytes())
         .unwrap_or_else(|e| panic!("write {path:?}: {e}"));

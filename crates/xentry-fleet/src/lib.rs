@@ -17,8 +17,9 @@
 //!  │  ...   │   free, │ queue shard 1│──────────►│  recorder    │
 //!  │ host N ├────────►│    worker 1  │           │  dumps)      │
 //!  └────────┘  drops  │      ...     │ snapshot  └──────────────┘
-//!                     │  ModelSlot ◄─┼─── hot_swap_validated(detector.json)
-//!                     │  Metrics     ├──────────► results/service.json
+//!                     │  model slot ◄┼─── hot_swap_validated(detector)
+//!                     │  Metrics     ├──────────► ServiceSnapshot
+//!                     │  Tracer      │
 //!                     └──────────────┘
 //! ```
 //!
@@ -34,28 +35,27 @@
 //!   activations are kept in a ring and dumped on any `Incorrect`
 //!   verdict, fleet-scale analogue of `examples/post_mortem.rs`.
 //! * **Metrics are lock-free** ([`metrics`]): relaxed counters and log2
-//!   latency histograms, exported as `results/service.json`.
-//! * **Deploys are gated** ([`model`]): [`ModelSlot::publish_validated`]
-//!   admits a candidate only after structural arena checks, a check that
-//!   the arena is its tree's compilation and a fingerprinted golden-vector
-//!   canary, and [`FleetService::start`] puts its detector through the
-//!   same checks. Rolling back is redeploying
-//!   the earlier detector through the same gate.
+//!   latency histograms, read back as a [`ServiceSnapshot`] from
+//!   [`FleetService::snapshot`] and [`FleetService::shutdown`].
+//! * **Deploys are gated** ([`model`]): a detector reaches a worker only
+//!   through [`FleetService::start`] or
+//!   [`FleetService::hot_swap_validated`], and both admit it only after
+//!   structural arena checks, a check that the arena is its tree's
+//!   compilation and a fingerprinted golden-vector canary. Rolling back
+//!   is redeploying the earlier detector through the same gate.
 //! * **Workers run plain** ([`service`]): a worker walks only gated
 //!   arenas, so its own code cannot fault; a panic in one is a bug (in
 //!   practice in the caller's [`VerdictSink`]) and nothing restarts it.
 //!   [`FleetService::shutdown`] counts what it never classified in
 //!   `lost`, so `ingested == classified + lost` holds on every final
 //!   snapshot.
-//! * **Observability is always-on** ([`trace`], [`telemetry`]): lock-free
-//!   per-shard flight-trace rings record span events (ingest, queue wait,
-//!   batch classify, verdict, hot swap, rejected swap) keyed by a
-//!   per-record trace id that flows into verdicts and incident dumps;
-//!   rings export as Chrome trace-event JSON (`results/trace.json`), and
-//!   a std-`TcpListener` scrape endpoint serves Prometheus exposition
-//!   (`/metrics`), liveness (`/healthz`) and the trace (`/trace`). The
-//!   layer's own cost is measured, not guessed: `benchmark trace
-//!   fleet-serve` prices the traced service against an untraced one.
+//! * **Tracing is always-on** ([`trace`]): lock-free per-shard
+//!   flight-trace rings record span events (ingest, queue wait, batch
+//!   classify, verdict, hot swap, rejected swap) keyed by a per-record
+//!   trace id that flows into verdicts and incident dumps, which carry
+//!   the trigger's own spans. The layer's own cost is measured, not
+//!   guessed: `benchmark trace fleet-serve` prices the traced service
+//!   against an untraced one.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -72,28 +72,23 @@
 
 pub mod metrics;
 pub mod model;
-pub mod net;
 pub mod queue;
 pub mod record;
 pub mod recorder;
 pub mod replay;
 pub mod service;
 mod shard;
-pub mod telemetry;
 pub mod trace;
 
 pub use metrics::{
-    EpochVerdicts, Histogram, HistogramSnapshot, HistogramTally, Metrics, ServiceSnapshot,
-    ShardSnapshot,
+    Histogram, HistogramSnapshot, HistogramTally, Metrics, ServiceSnapshot, ShardSnapshot,
 };
-pub use model::{GoldenSet, ModelCache, ModelSlot, SwapError, VersionedModel};
-pub use net::{http_get, HttpServer};
+pub use model::SwapError;
 pub use queue::MpmcQueue;
 pub use record::{FleetVerdict, HostId, TelemetryRecord};
 pub use recorder::{DumpBudget, FlightRecorder, IncidentDump, RecordedActivation};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use service::{CollectSink, FleetConfig, FleetService, NullSink, VerdictSink};
-pub use telemetry::{escape_label_value, parse_exposition, render_prometheus, TelemetryServer};
 pub use trace::{SpanKind, TraceEvent, TraceRing, Tracer};
 
 pub use xentry::VmTransitionDetector;

@@ -1,24 +1,27 @@
 //! Lock-free service metrics: counters and log2-bucket latency
-//! histograms, exportable as a JSON snapshot (`results/service.json`).
+//! histograms, read back as a [`ServiceSnapshot`].
 //!
 //! Everything here is plain relaxed atomics — metrics must never
 //! introduce synchronization on the classify hot path. Snapshots are
 //! racy-consistent, which is the correct tradeoff for monitoring.
 
-use crate::model::lock_recovering;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 const BUCKETS: usize = 64;
 
 /// Histogram over `u64` values with power-of-two bucket edges: bucket `i`
 /// holds values in `[2^i, 2^(i+1))` (bucket 0 also holds 0), so its
 /// exported upper edge is `2^(i+1) - 1`. The exact running sum is kept
-/// alongside the buckets so exports can report a true mean (and
-/// Prometheus exposition a correct `_sum`), not a bucket-edge
-/// approximation.
+/// alongside the buckets so a snapshot reports a true mean, not a
+/// bucket-edge approximation.
+///
+/// Cache-line aligned: a shard worker writes its histograms once per
+/// batch, and a field sharing a line with them (the service's start
+/// instant, which every `ingest` reads) costs the sender a cross-core miss
+/// per record. Which field lands there moved with every size change of
+/// the service's shared state and with its allocation's offset mod 64.
+#[repr(align(64))]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
@@ -209,13 +212,8 @@ pub struct Metrics {
     pub queue_latency: Histogram,
     /// Time to classify one record (ns): a batch's measured classify time
     /// split over its records as evenly as whole nanoseconds allow, so
-    /// `_sum` is exactly the time spent classifying.
+    /// `sum` is exactly the time spent classifying.
     pub classify_latency: Histogram,
-    /// Verdicts per model epoch (the version stamped on the verdict).
-    /// Updated once per classified batch, so the mutex is off the
-    /// per-record hot path; drives the `epoch` label of the scrape
-    /// endpoint's verdict series.
-    pub epoch_verdicts: Mutex<BTreeMap<u64, u64>>,
     pub shards: Vec<ShardMetrics>,
 }
 
@@ -231,24 +229,8 @@ impl Metrics {
             suppressed_incidents: AtomicU64::new(0),
             queue_latency: Histogram::default(),
             classify_latency: Histogram::default(),
-            epoch_verdicts: Mutex::new(BTreeMap::new()),
             shards: (0..nr_shards).map(|_| ShardMetrics::default()).collect(),
         }
-    }
-
-    /// Credit `n` verdicts to model `epoch` (called once per batch).
-    pub fn count_epoch_verdicts(&self, epoch: u64, n: u64) {
-        *lock_recovering(&self.epoch_verdicts)
-            .entry(epoch)
-            .or_insert(0) += n;
-    }
-
-    /// Per-epoch verdict counts, ascending by epoch.
-    pub fn epoch_verdicts_sorted(&self) -> Vec<EpochVerdicts> {
-        lock_recovering(&self.epoch_verdicts)
-            .iter()
-            .map(|(&epoch, &verdicts)| EpochVerdicts { epoch, verdicts })
-            .collect()
     }
 
     pub fn total_classified(&self) -> u64 {
@@ -269,15 +251,8 @@ pub struct ShardSnapshot {
     pub batches: u64,
 }
 
-/// Verdict count attributed to one model epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EpochVerdicts {
-    pub epoch: u64,
-    pub verdicts: u64,
-}
-
-/// JSON-exportable view of the whole service, written to
-/// `results/service.json`.
+/// Serializable view of the whole service, from
+/// `FleetService::snapshot` and `FleetService::shutdown`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceSnapshot {
     /// Nanoseconds since the service started.
@@ -311,26 +286,7 @@ pub struct ServiceSnapshot {
     pub trace_dropped: u64,
     pub queue_latency: HistogramSnapshot,
     pub classify_latency: HistogramSnapshot,
-    /// Verdicts per model epoch, ascending.
-    pub epoch_verdicts: Vec<EpochVerdicts>,
     pub shards: Vec<ShardSnapshot>,
-}
-
-impl ServiceSnapshot {
-    pub fn to_json_pretty(&self) -> String {
-        // Integers, floats, vectors and structs of them: nothing here can
-        // fail to serialize (a non-finite float is written as `null`).
-        serde_json::to_string_pretty(self).expect("snapshot serializes")
-    }
-
-    /// Write to `<dir>/service.json`, creating `dir` if needed. The write
-    /// is atomic (temp file + rename), so a killed run never leaves a
-    /// torn snapshot for partial readers to misparse.
-    pub fn write(&self, dir: &std::path::Path) -> std::io::Result<std::path::PathBuf> {
-        let path = dir.join("service.json");
-        sim_machine::write_atomic(&path, self.to_json_pretty().as_bytes())?;
-        Ok(path)
-    }
 }
 
 #[cfg(test)]
@@ -431,6 +387,35 @@ mod tests {
         assert_eq!(s.buckets.len(), 2);
     }
 
+    /// What a consumer of a snapshot relies on: non-empty buckets in
+    /// strictly increasing edge order whose counts add up to `count`,
+    /// the exact `sum`, and percentiles that are bucket edges in
+    /// non-decreasing order up to the last non-empty bucket.
+    #[test]
+    fn snapshot_buckets_ascend_and_add_up_to_count() {
+        let h = Histogram::default();
+        let values = [0u64, 5, 120, 130, 5000, 90_000, 1 << 40, u64::MAX];
+        for &v in &values {
+            h.record(v);
+        }
+        h.record_n(130, 4);
+        let s = h.snapshot();
+        assert_eq!(s.count, values.len() as u64 + 4);
+        let sum = values.iter().fold(4 * 130u64, |a, &v| a.wrapping_add(v));
+        assert_eq!(s.sum, sum, "sum is exact (wrapping), not bucketed");
+        assert!(s.buckets.iter().all(|&(_, c)| c > 0), "only non-empty");
+        for w in s.buckets.windows(2) {
+            assert!(w[0].0 < w[1].0, "edges must increase: {:?}", s.buckets);
+        }
+        let cumulative = s.buckets.iter().map(|&(_, c)| c).sum::<u64>();
+        assert_eq!(cumulative, s.count, "buckets add up to count");
+        assert_eq!(s.max_bucket_ns, s.buckets.last().unwrap().0);
+        assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max_bucket_ns);
+        for p in [s.p50, s.p90, s.p99] {
+            assert!(s.buckets.iter().any(|&(edge, _)| edge == p), "{p}");
+        }
+    }
+
     #[test]
     fn empty_histogram_snapshot_is_zero() {
         let s = Histogram::default().snapshot();
@@ -467,16 +452,6 @@ mod tests {
             trace_dropped: 5,
             queue_latency: h.snapshot(),
             classify_latency: Histogram::default().snapshot(),
-            epoch_verdicts: vec![
-                EpochVerdicts {
-                    epoch: 1,
-                    verdicts: 5,
-                },
-                EpochVerdicts {
-                    epoch: 2,
-                    verdicts: 3,
-                },
-            ],
             shards: vec![ShardSnapshot {
                 shard: 0,
                 classified: 8,
@@ -485,14 +460,13 @@ mod tests {
                 batches: 2,
             }],
         };
-        let back: ServiceSnapshot = serde_json::from_str(&snap.to_json_pretty()).unwrap();
+        let json = serde_json::to_string_pretty(&snap).unwrap();
+        let back: ServiceSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back.classified, 8);
         assert_eq!(back.model_arena_bytes, 2048);
         assert_eq!(back.model_nr_splits, 64);
         assert_eq!(back.trace_events, 20);
         assert_eq!(back.trace_dropped, 5);
-        assert_eq!(back.epoch_verdicts.len(), 2);
-        assert_eq!(back.epoch_verdicts[1].epoch, 2);
         assert_eq!(back.queue_latency.count, 2);
         assert_eq!(back.queue_latency.sum, 5005);
         assert_eq!(back.shards[0].incorrect, 3);

@@ -6,7 +6,7 @@
 //!
 //! * publishing a model takes the mutex (cold path, once per swap),
 //!   replaces the `Arc`, then bumps the epoch with `Release`;
-//! * every shard worker keeps a [`ModelCache`] — a clone of the `Arc`
+//! * every shard worker keeps a `ModelCache` — a clone of the `Arc`
 //!   plus the epoch it was read at — and revalidates with a single
 //!   `Acquire` load per batch. The mutex is only touched when the epoch
 //!   actually moved, so the steady-state hot path never contends.
@@ -19,9 +19,12 @@
 //! swap atomically replaces tree, arena and fingerprint together — a
 //! reader can never pair an old arena with a new fingerprint.
 //!
-//! Validation gates ([`GoldenSet`], [`ModelSlot::publish_validated`]):
+//! Validation gates (`GoldenSet`, `ModelSlot::publish_validated`):
 //! because the shard hot path classifies through *unchecked* arena
-//! walkers, a corrupted candidate must never reach the slot. A validated
+//! walkers, a corrupted candidate must never reach the slot. The slot and
+//! the golden set are private to this crate, so a detector reaches a
+//! worker only through `FleetService::start` and
+//! `FleetService::hot_swap_validated`, and both gate it. A validated
 //! publish runs (1) the structural arena check
 //! ([`VmTransitionDetector::validate`]), (2) equality of the arena with
 //! its boxed tree's compilation, which catches the flips no golden vector
@@ -48,7 +51,7 @@ pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A deployed detector plus its identity.
 #[derive(Debug)]
-pub struct VersionedModel {
+pub(crate) struct VersionedModel {
     /// Monotone version: 1 for the model the service started with, +1 per
     /// hot swap.
     pub version: u64,
@@ -144,7 +147,7 @@ fn fnv1a_words<I: IntoIterator<Item = u64>>(words: I) -> u64 {
 /// tree; strict mode additionally requires agreement with the captured
 /// labels (the "same tree, fresh training run" redeploy case).
 #[derive(Debug, Clone)]
-pub struct GoldenSet {
+pub(crate) struct GoldenSet {
     vectors: Vec<FeatureVec>,
     expected: Vec<Label>,
     fingerprint: u64,
@@ -152,8 +155,10 @@ pub struct GoldenSet {
 
 impl GoldenSet {
     /// Capture the golden set: classify `vectors` with `reference` and
-    /// remember the verdicts.
-    pub fn capture(reference: &VmTransitionDetector, vectors: Vec<FeatureVec>) -> GoldenSet {
+    /// remember the verdicts. Private: `reference` is walked unchecked, so
+    /// only [`GoldenSet::capture_verified`] and [`GoldenSet::recapture`]
+    /// (of a deployed, hence gated, model) call it.
+    fn capture(reference: &VmTransitionDetector, vectors: Vec<FeatureVec>) -> GoldenSet {
         assert!(!vectors.is_empty(), "golden set needs at least one vector");
         let expected: Vec<Label> = vectors.iter().map(|f| reference.classify(f)).collect();
         let fingerprint = fnv1a_words(
@@ -194,14 +199,6 @@ impl GoldenSet {
     /// audit can tell exactly which canary gate a deployment passed.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
     }
 
     /// Validation every candidate must pass regardless of policy:
@@ -262,7 +259,7 @@ fn verify_on(candidate: &VmTransitionDetector, vectors: &[FeatureVec]) -> Result
 }
 
 /// Shared slot holding the current model.
-pub struct ModelSlot {
+pub(crate) struct ModelSlot {
     epoch: AtomicU64,
     current: Mutex<Arc<VersionedModel>>,
 }
@@ -329,7 +326,7 @@ impl ModelSlot {
 }
 
 /// Per-worker cached handle, revalidated with one atomic load.
-pub struct ModelCache {
+pub(crate) struct ModelCache {
     epoch: u64,
     model: Arc<VersionedModel>,
 }
@@ -485,8 +482,6 @@ mod tests {
             g3.fingerprint(),
             "different reference model, different expected labels"
         );
-        assert_eq!(g1.len(), 64);
-        assert!(!g1.is_empty());
     }
 
     #[test]

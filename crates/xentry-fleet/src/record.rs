@@ -27,8 +27,8 @@ pub struct TelemetryRecord {
     /// Flight-trace id (stamped by the service on ingest; senders leave
     /// it 0, and it stays 0 when tracing is disabled). Flows unchanged
     /// into the record's [`FleetVerdict`] and, for `Incorrect` verdicts,
-    /// its incident dump — the link from any verdict back to the causal
-    /// span chain in `results/trace.json`.
+    /// its incident dump — the link from any verdict back to its causal
+    /// span chain in the service's trace rings.
     pub trace_id: u64,
     /// The five Table-I features of the activation.
     pub features: FeatureVec,

@@ -171,7 +171,7 @@ impl DumpBudget {
 pub struct IncidentDump {
     pub host: HostId,
     /// Flight-trace id of the trigger record — the key for finding its
-    /// span chain in `results/trace.json` (0 when tracing is disabled).
+    /// spans in `trace` (0 when tracing is disabled).
     pub trace_id: u64,
     /// The activation that tripped the detector.
     pub trigger: RecordedActivation,

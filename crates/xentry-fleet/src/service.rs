@@ -1,6 +1,6 @@
 //! The fleet service: bounded ingest queues in front of sharded batch
-//! classification workers, with atomic model hot-swap and a metrics
-//! snapshot exporter.
+//! classification workers, with validated atomic model hot-swap and a
+//! metrics snapshot.
 //!
 //! Degradation policy: ingest never blocks. A record whose shard queue is
 //! full is dropped and counted (globally and per shard); the shim hot
@@ -9,8 +9,8 @@
 //! little detection coverage, a blocked VM entry costs guest latency.
 //!
 //! Failure policy: deploys are gated, workers run plain. Every model a
-//! worker walks passed the swap gate ([`GoldenSet::verify`]), the one
-//! [`FleetService::start`] installs included, so classify cannot fault.
+//! worker walks passed the swap gate, the one [`FleetService::start`]
+//! installs included, so classify cannot fault.
 //! A panic in a worker is therefore a bug, in practice in the caller's
 //! [`VerdictSink`]. Nothing restarts the worker: its shard stops
 //! classifying, and [`FleetService::shutdown`] counts every record it
@@ -21,9 +21,7 @@ use crate::model::{lock_recovering, GoldenSet, ModelSlot, SwapError};
 use crate::queue::MpmcQueue;
 use crate::record::{FleetVerdict, HostId, TelemetryRecord};
 use crate::recorder::IncidentDump;
-use crate::telemetry::TelemetryServer;
 use crate::trace::{SpanKind, Tracer};
-use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -128,54 +126,6 @@ impl Shared {
     pub(crate) fn now_ns(&self) -> u64 {
         self.start.elapsed().as_nanos() as u64
     }
-
-    /// Racy-consistent metrics snapshot. Lives on `Shared` (not the
-    /// service handle) so the telemetry scrape endpoint can build one
-    /// from its own `Arc<Shared>` without holding the handle.
-    pub(crate) fn snapshot(&self) -> ServiceSnapshot {
-        let m = &self.metrics;
-        let model = self.model.load();
-        let uptime_ns = self.now_ns().max(1);
-        let classified = m.total_classified();
-        ServiceSnapshot {
-            uptime_ns,
-            model_version: model.version,
-            model_fingerprint: model.fingerprint,
-            model_arena_bytes: model.detector.arena_bytes() as u64,
-            model_nr_splits: model.detector.nr_splits() as u64,
-            ingested: m.ingested.load(Ordering::Relaxed),
-            classified,
-            dropped: m.dropped.load(Ordering::Relaxed),
-            lost: m.lost.load(Ordering::Relaxed),
-            incorrect: m
-                .shards
-                .iter()
-                .map(|s| s.incorrect.load(Ordering::Relaxed))
-                .sum(),
-            incidents: m.incidents.load(Ordering::Relaxed),
-            suppressed_incidents: m.suppressed_incidents.load(Ordering::Relaxed),
-            swaps: m.swaps.load(Ordering::Relaxed),
-            swap_rejections: m.swap_rejections.load(Ordering::Relaxed),
-            throughput_per_sec: classified as f64 * 1e9 / uptime_ns as f64,
-            trace_events: self.tracer.total_events(),
-            trace_dropped: self.tracer.total_dropped(),
-            queue_latency: m.queue_latency.snapshot(),
-            classify_latency: m.classify_latency.snapshot(),
-            epoch_verdicts: m.epoch_verdicts_sorted(),
-            shards: m
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| ShardSnapshot {
-                    shard: i,
-                    classified: s.classified.load(Ordering::Relaxed),
-                    incorrect: s.incorrect.load(Ordering::Relaxed),
-                    dropped: s.dropped.load(Ordering::Relaxed),
-                    batches: s.batches.load(Ordering::Relaxed),
-                })
-                .collect(),
-        }
-    }
 }
 
 /// Deterministic canary probes spanning the feature space: the synthetic
@@ -219,9 +169,9 @@ impl FleetService {
     /// # Panics
     ///
     /// If `cfg.shards` or `cfg.batch` is 0, or if `detector` fails the
-    /// checks every hot swap passes ([`GoldenSet::verify`]: a structurally
-    /// sound arena that is its boxed tree's compilation and agrees with
-    /// that tree on the golden vectors, single-sample and batch).
+    /// checks every hot swap passes (a structurally sound arena that is
+    /// its boxed tree's compilation and agrees with that tree on the
+    /// golden vectors, single-sample and batch).
     /// The check runs before anything classifies with the detector,
     /// because the workers walk its arena unchecked.
     pub fn start(
@@ -367,27 +317,58 @@ impl FleetService {
         lock_recovering(&self.shared.golden).fingerprint()
     }
 
-    /// The flight tracer (trace-id source + Chrome export). Returned as
-    /// an `Arc` so callers can export after [`FleetService::shutdown`]
-    /// consumes the handle — post-join the rings are quiescent and the
-    /// export is exact.
+    /// The flight tracer (trace-id source and span rings). Returned as an
+    /// `Arc` so callers can read the rings after [`FleetService::shutdown`]
+    /// consumes the handle — post-join they are quiescent and
+    /// [`Tracer::events`] is exact.
     pub fn tracer(&self) -> Arc<Tracer> {
         Arc::clone(&self.shared.tracer)
     }
 
-    /// Start the telemetry scrape endpoint (`/metrics`, `/healthz`,
-    /// `/trace`) on `addr`; port 0 picks a free port. The server lives
-    /// until its handle is dropped or [`TelemetryServer::shutdown`] —
-    /// it holds its own `Arc` to the shared state, so it may outlive
-    /// this service handle (scraping a shut-down service just serves
-    /// the final counters).
-    pub fn serve_telemetry(&self, addr: impl ToSocketAddrs) -> std::io::Result<TelemetryServer> {
-        TelemetryServer::start(Arc::clone(&self.shared), addr)
-    }
-
     /// Racy-consistent metrics snapshot.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        self.shared.snapshot()
+        let shared = &self.shared;
+        let m = &shared.metrics;
+        let model = shared.model.load();
+        let uptime_ns = shared.now_ns().max(1);
+        let classified = m.total_classified();
+        ServiceSnapshot {
+            uptime_ns,
+            model_version: model.version,
+            model_fingerprint: model.fingerprint,
+            model_arena_bytes: model.detector.arena_bytes() as u64,
+            model_nr_splits: model.detector.nr_splits() as u64,
+            ingested: m.ingested.load(Ordering::Relaxed),
+            classified,
+            dropped: m.dropped.load(Ordering::Relaxed),
+            lost: m.lost.load(Ordering::Relaxed),
+            incorrect: m
+                .shards
+                .iter()
+                .map(|s| s.incorrect.load(Ordering::Relaxed))
+                .sum(),
+            incidents: m.incidents.load(Ordering::Relaxed),
+            suppressed_incidents: m.suppressed_incidents.load(Ordering::Relaxed),
+            swaps: m.swaps.load(Ordering::Relaxed),
+            swap_rejections: m.swap_rejections.load(Ordering::Relaxed),
+            throughput_per_sec: classified as f64 * 1e9 / uptime_ns as f64,
+            trace_events: shared.tracer.total_events(),
+            trace_dropped: shared.tracer.total_dropped(),
+            queue_latency: m.queue_latency.snapshot(),
+            classify_latency: m.classify_latency.snapshot(),
+            shards: m
+                .shards
+                .iter()
+                .enumerate()
+                .map(|(i, s)| ShardSnapshot {
+                    shard: i,
+                    classified: s.classified.load(Ordering::Relaxed),
+                    incorrect: s.incorrect.load(Ordering::Relaxed),
+                    dropped: s.dropped.load(Ordering::Relaxed),
+                    batches: s.batches.load(Ordering::Relaxed),
+                })
+                .collect(),
+        }
     }
 
     /// Stop ingesting, let every worker drain its queue, join them all,

@@ -140,8 +140,6 @@ pub(crate) fn run_worker(shared: &Shared, shard: usize) {
             }
         }
         shared.metrics.queue_latency.absorb(&mut queue_waits);
-        // Per-epoch verdict attribution, also once per batch.
-        shared.metrics.count_epoch_verdicts(model.version, n);
         for (i, (rec, &label)) in batch.iter().zip(labels.iter()).enumerate() {
             let (recorder, budget) = recorders.entry(rec.host).or_insert_with(|| {
                 (

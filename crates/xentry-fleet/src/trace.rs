@@ -10,8 +10,8 @@
 //! action (hot swap, rejected swap) lands in a control ring,
 //! and every telemetry record carries a [`Tracer`]-assigned trace id from
 //! ingest through classification into its verdict and — for `Incorrect`
-//! verdicts — its incident dump. The rings export on demand as Chrome
-//! trace-event JSON (`results/trace.json`), loadable in any trace viewer.
+//! verdicts — its incident dump, which carries the trigger's own spans
+//! ([`TraceRing::before`]).
 //!
 //! Cost model: tracing must be *always on*, so a recorded event is one
 //! relaxed `fetch_add` to claim a slot plus four relaxed stores — no
@@ -24,8 +24,8 @@
 //! Rings overflow by overwriting the oldest slot; the exact number of
 //! overwritten (dropped) events is always reportable as
 //! `total() - capacity()`. Snapshots are racy-consistent, which is the
-//! correct tradeoff for monitoring; on a quiescent ring (post-shutdown
-//! export, single-threaded tests) they are exact.
+//! correct tradeoff for monitoring; on a quiescent ring (after shutdown,
+//! single-threaded tests) they are exact.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,19 +55,6 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Event name as it appears in the Chrome trace export.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanKind::Ingest => "ingest",
-            SpanKind::Drop => "drop",
-            SpanKind::QueueWait => "queue_wait",
-            SpanKind::BatchClassify => "classify_batch",
-            SpanKind::Verdict => "verdict",
-            SpanKind::HotSwap => "hot_swap",
-            SpanKind::SwapRejected => "swap_rejected",
-        }
-    }
-
     fn from_u8(b: u8) -> SpanKind {
         match b {
             0 => SpanKind::Ingest,
@@ -136,7 +123,7 @@ impl TraceRing {
     /// minimum 2). Panics if that power of two overflows `usize`.
     pub fn new(depth: usize) -> TraceRing {
         // The documented panic: no allocation of that many slots could
-        // succeed anyway (`fleet-replay` caps its flag far below it).
+        // succeed anyway.
         let cap = depth
             .max(2)
             .checked_next_power_of_two()
@@ -237,8 +224,8 @@ impl TraceRing {
 
 /// The fleet's flight tracer: a worker ring and an ingest ring per shard
 /// plus a control ring, and the trace-id allocator. Lives in the
-/// service's shared state behind an `Arc`, so exports keep working after
-/// the service itself has shut down.
+/// service's shared state behind an `Arc`, so its rings stay readable
+/// after the service itself has shut down.
 ///
 /// Lane layout: `0..shards` are the worker lanes (queue-wait, classify,
 /// verdict spans), `shards..2*shards` the ingest lanes (ingest and drop
@@ -337,15 +324,6 @@ impl Tracer {
         &self.rings[lane]
     }
 
-    /// The last `n` retained events on one lane, oldest first. Empty when
-    /// disabled.
-    pub fn tail(&self, lane: usize, n: usize) -> Vec<TraceEvent> {
-        match self.rings.get(lane) {
-            Some(ring) => ring.before(lane as u32, ring.total(), n),
-            None => Vec::new(),
-        }
-    }
-
     /// All retained events across every lane, ordered by timestamp.
     pub fn events(&self) -> Vec<TraceEvent> {
         let mut all: Vec<TraceEvent> = self
@@ -367,59 +345,6 @@ impl Tracer {
     /// Events lost to ring overflow, across all lanes — exact.
     pub fn total_dropped(&self) -> u64 {
         self.rings.iter().map(TraceRing::dropped).sum()
-    }
-
-    /// Export every retained event as Chrome trace-event JSON (the
-    /// `chrome://tracing` / Perfetto "JSON Array with metadata" format).
-    /// Timestamps are microseconds with nanosecond decimals; lanes map to
-    /// `tid`s named `shard-N` / `ingest-N` / `control`.
-    pub fn export_chrome(&self) -> String {
-        use serde::Value;
-        let micros = |ns: u64| Value::Float(ns as f64 / 1000.0);
-        let mut events: Vec<Value> = Vec::new();
-        for lane in 0..self.lanes() {
-            let name = if lane == self.control_lane() {
-                "control".to_string()
-            } else if lane < self.shards {
-                format!("shard-{lane}")
-            } else {
-                format!("ingest-{}", lane - self.shards)
-            };
-            events.push(Value::Object(vec![
-                ("ph".into(), Value::Str("M".into())),
-                ("pid".into(), Value::UInt(1)),
-                ("tid".into(), Value::UInt(lane as u64)),
-                ("name".into(), Value::Str("thread_name".into())),
-                (
-                    "args".into(),
-                    Value::Object(vec![("name".into(), Value::Str(name))]),
-                ),
-            ]));
-        }
-        for e in self.events() {
-            events.push(Value::Object(vec![
-                ("name".into(), Value::Str(e.kind.name().into())),
-                ("cat".into(), Value::Str("fleet".into())),
-                ("ph".into(), Value::Str("X".into())),
-                ("pid".into(), Value::UInt(1)),
-                ("tid".into(), Value::UInt(e.lane as u64)),
-                ("ts".into(), micros(e.ts_ns)),
-                ("dur".into(), micros(e.dur_ns)),
-                (
-                    "args".into(),
-                    Value::Object(vec![
-                        ("trace_id".into(), Value::UInt(e.trace_id)),
-                        ("arg".into(), Value::UInt(e.arg)),
-                    ]),
-                ),
-            ]));
-        }
-        let doc = Value::Object(vec![
-            ("displayTimeUnit".into(), Value::Str("ms".into())),
-            ("traceEvents".into(), Value::Array(events)),
-        ]);
-        // A tree of strings, integers and floats: nothing here can fail.
-        serde_json::to_string(&doc).expect("trace export serializes")
     }
 }
 
@@ -530,7 +455,6 @@ mod tests {
         t.record_control(SpanKind::HotSwap, 1, 2);
         assert_eq!(t.total_events(), 0);
         assert!(t.events().is_empty());
-        assert!(t.tail(0, 8).is_empty());
     }
 
     #[test]
@@ -556,38 +480,9 @@ mod tests {
         assert_eq!(
             evs.iter().map(|e| e.ts_ns).collect::<Vec<_>>(),
             vec![10, 30, 50],
-            "merged export is time-ordered"
+            "merged events are time-ordered"
         );
         assert_eq!(evs[0].lane, 2, "ingest events land on the ingest lane");
         assert_eq!(evs[1].lane, 4, "control lane is last");
-        assert_eq!(t.tail(2, 4).len(), 1);
-        assert_eq!(t.tail(2, 0).len(), 0);
-    }
-
-    #[test]
-    fn chrome_export_is_valid_json_with_expected_shape() {
-        let t = Tracer::new(1, 8);
-        let id = t.next_id(0);
-        t.record(t.ingest_lane(0), SpanKind::Ingest, 900, 0, id, 4);
-        t.record(0, SpanKind::QueueWait, 1_000, 2_500, id, 0);
-        t.record(0, SpanKind::Verdict, 4_000, 0, id, 1);
-        let json = t.export_chrome();
-        let doc: serde::Value = serde_json::from_str(&json).expect("export parses");
-        let evs = doc
-            .get("traceEvents")
-            .and_then(|v| v.as_array())
-            .expect("traceEvents array");
-        // 3 thread-name metadata events (worker, ingest, control lanes)
-        // + 3 span events.
-        assert_eq!(evs.len(), 6);
-        let names: Vec<&str> = evs
-            .iter()
-            .filter(|e| matches!(e.get("ph"), Some(serde::Value::Str(s)) if s == "X"))
-            .map(|e| match e.get("name") {
-                Some(serde::Value::Str(s)) => s.as_str(),
-                _ => panic!("span without a name"),
-            })
-            .collect();
-        assert_eq!(names, vec!["ingest", "queue_wait", "verdict"]);
     }
 }

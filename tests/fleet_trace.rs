@@ -1,14 +1,12 @@
 //! Flight-trace integration: ring overflow semantics, trace-id
-//! propagation ingest→verdict→incident dump, the live scrape endpoint,
+//! propagation ingest→verdict→incident dump, the live metrics snapshot,
 //! the disabled-tracing configuration, and the per-batch bookkeeping a
 //! panicking sink leaves behind.
 
 use mltree::{Dataset, DecisionTree, Label, Sample, TrainConfig};
 use std::sync::Arc;
 use xentry::{FeatureVec, VmTransitionDetector, FEATURE_NAMES};
-use xentry_fleet::{
-    http_get, parse_exposition, replay, CollectSink, FleetConfig, FleetService, SpanKind, TraceRing,
-};
+use xentry_fleet::{replay, CollectSink, FleetConfig, FleetService, NullSink, SpanKind, TraceRing};
 use xentry_integration_tests::GateSink;
 
 /// Detector with a planted decision boundary: on vmer 17, rt around
@@ -215,8 +213,12 @@ fn mid_batch_incident_dump_ends_with_the_triggers_own_spans() {
     }
 }
 
+/// A snapshot of a running service, taken once everything ingested is
+/// classified: one slice per shard that together hold every record, both
+/// latency histograms holding every classified record, and the trace
+/// rings counting events.
 #[test]
-fn scrape_endpoint_serves_metrics_health_and_trace() {
+fn live_snapshot_covers_every_shard_histogram_and_trace() {
     let cfg = FleetConfig {
         shards: 2,
         queue_capacity: 1024,
@@ -224,52 +226,27 @@ fn scrape_endpoint_serves_metrics_health_and_trace() {
         recorder_depth: 4,
         trace_depth: 4096,
     };
-    let svc = FleetService::start(cfg, detector(100), Arc::new(xentry_fleet::NullSink));
-    let server = svc
-        .serve_telemetry("127.0.0.1:0")
-        .expect("bind scrape port");
-    let addr = server.addr();
+    let svc = FleetService::start(cfg, detector(100), Arc::new(NullSink));
     for seq in 0..300u64 {
-        svc.ingest((seq % 4) as u32, 0, seq, ok_features(100));
+        assert!(svc.ingest((seq % 4) as u32, 0, seq, ok_features(100)));
     }
     while svc.snapshot().classified < 300 {
         std::thread::yield_now();
     }
 
-    let (status, body) = http_get(addr, "/metrics").expect("scrape /metrics");
-    assert_eq!(status, 200);
-    let samples = parse_exposition(&body).expect("exposition parses");
-    let count = |name: &str| samples.iter().filter(|(n, _, _)| n == name).count();
-    assert_eq!(count("xentry_fleet_ingested_total"), 1);
-    assert_eq!(count("xentry_fleet_shard_classified_total"), 2, "per shard");
-    assert!(count("xentry_fleet_epoch_verdicts_total") >= 1, "per epoch");
-    assert!(count("xentry_fleet_queue_latency_ns_bucket") >= 2);
-    assert_eq!(count("xentry_fleet_queue_latency_ns_sum"), 1);
-    assert_eq!(count("xentry_fleet_queue_latency_ns_count"), 1);
-    assert_eq!(count("xentry_fleet_classify_latency_ns_count"), 1);
-    let value = |name: &str| -> f64 {
-        samples
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, _, v)| *v)
-            .unwrap()
-    };
-    assert_eq!(value("xentry_fleet_classified_total"), 300.0);
-    assert!(value("xentry_fleet_trace_events_total") > 0.0);
-
-    let (status, health) = http_get(addr, "/healthz").expect("scrape /healthz");
-    assert_eq!(status, 200);
-    assert!(health.contains("\"status\":\"ok\""), "{health}");
-
-    let (status, trace) = http_get(addr, "/trace").expect("scrape /trace");
-    assert_eq!(status, 200);
-    assert!(trace.contains("\"traceEvents\""), "chrome trace shape");
-    assert!(trace.contains("\"ingest\""), "ingest spans exported");
-
-    let (status, _) = http_get(addr, "/nope").expect("scrape unknown path");
-    assert_eq!(status, 404);
-
-    server.shutdown();
+    let snap = svc.snapshot();
+    assert_eq!(snap.ingested, 300);
+    assert_eq!(snap.classified, 300);
+    assert_eq!(snap.shards.len(), 2, "one slice per shard");
+    assert_eq!(
+        snap.shards.iter().map(|s| s.classified).collect::<Vec<_>>(),
+        vec![150, 150],
+        "hosts shard as host % shards"
+    );
+    assert_eq!(snap.queue_latency.count, snap.classified);
+    assert_eq!(snap.classify_latency.count, snap.classified);
+    assert!(!snap.queue_latency.buckets.is_empty());
+    assert!(snap.trace_events > 0);
     svc.shutdown();
 }
 
