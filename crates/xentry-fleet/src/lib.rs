@@ -13,9 +13,9 @@
 //!  hosts (shims)          service                       consumers
 //!  ┌────────┐  ingest ┌──────────────┐ verdicts  ┌──────────────┐
 //!  │ host 0 ├────────►│ queue shard 0├──────────►│ VerdictSink  │
-//!  │ host 1 │  (lock- │    worker 0  │ incidents │ (+ flight-   │
-//!  │  ...   │   free, │ queue shard 1│──────────►│  recorder    │
-//!  │ host N ├────────►│    worker 1  │           │  dumps)      │
+//!  │ host 1 │  (lock- │    worker 0  │ incidents │ (+ incident  │
+//!  │  ...   │   free, │ queue shard 1│──────────►│  dumps with  │
+//!  │ host N ├────────►│    worker 1  │           │  spans)      │
 //!  └────────┘  drops  │      ...     │ snapshot  └──────────────┘
 //!                     │  model slot ◄┼─── hot_swap_validated(detector)
 //!                     │  Metrics     ├──────────► ServiceSnapshot
@@ -31,9 +31,10 @@
 //! * **Hot swap is wait-free for readers** ([`model`]): workers revalidate
 //!   an epoch counter once per batch; every verdict carries the version
 //!   and fingerprint of the model that produced it.
-//! * **Post-mortem context survives** ([`recorder`]): each host's last N
-//!   activations are kept in a ring and dumped on any `Incorrect`
-//!   verdict, fleet-scale analogue of `examples/post_mortem.rs`.
+//! * **An incident is one activation** ([`record`]): every `Incorrect`
+//!   verdict a per-shard dump budget allows reaches the sink as an
+//!   [`IncidentDump`] of the trigger's verdict, features and shard spans.
+//!   The worker keeps no per-host history.
 //! * **Metrics are lock-free** ([`metrics`]): relaxed counters and log2
 //!   latency histograms, read back as a [`ServiceSnapshot`] from
 //!   [`FleetService::snapshot`] and [`FleetService::shutdown`].
@@ -74,7 +75,6 @@ pub mod metrics;
 pub mod model;
 pub mod queue;
 pub mod record;
-pub mod recorder;
 pub mod replay;
 pub mod service;
 mod shard;
@@ -85,8 +85,7 @@ pub use metrics::{
 };
 pub use model::SwapError;
 pub use queue::MpmcQueue;
-pub use record::{FleetVerdict, HostId, TelemetryRecord};
-pub use recorder::{DumpBudget, FlightRecorder, IncidentDump, RecordedActivation};
+pub use record::{FleetVerdict, HostId, IncidentDump, TelemetryRecord};
 pub use replay::{replay, ReplayConfig, ReplayReport};
 pub use service::{CollectSink, FleetConfig, FleetService, NullSink, VerdictSink};
 pub use trace::{SpanKind, TraceEvent, TraceRing, Tracer};

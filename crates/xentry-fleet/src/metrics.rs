@@ -5,7 +5,6 @@
 //! introduce synchronization on the classify hot path. Snapshots are
 //! racy-consistent, which is the correct tradeoff for monitoring.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const BUCKETS: usize = 64;
@@ -115,7 +114,7 @@ impl HistogramTally {
 /// Exported histogram: counts plus derived percentiles. Percentile values
 /// are the upper edge of the bucket containing the target rank, i.e. an
 /// upper bound tight to within 2x.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     pub count: u64,
     /// Exact sum of all recorded values (not bucket-approximated).
@@ -197,7 +196,7 @@ pub struct Metrics {
     /// Incident dumps emitted (one per Incorrect verdict, minus
     /// rate-limited suppressions).
     pub incidents: AtomicU64,
-    /// Incident dumps suppressed by the per-host rate limiter.
+    /// Incident dumps suppressed by the per-shard rate limiter.
     pub suppressed_incidents: AtomicU64,
     /// Time a record waited in its shard queue (ns).
     ///
@@ -242,7 +241,7 @@ impl Metrics {
 }
 
 /// Per-shard slice of a snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     pub shard: usize,
     pub classified: u64,
@@ -251,9 +250,9 @@ pub struct ShardSnapshot {
     pub batches: u64,
 }
 
-/// Serializable view of the whole service, from
+/// View of the whole service, from
 /// `FleetService::snapshot` and `FleetService::shutdown`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
     /// Nanoseconds since the service started.
     pub uptime_ns: u64,
@@ -273,7 +272,7 @@ pub struct ServiceSnapshot {
     pub lost: u64,
     pub incorrect: u64,
     pub incidents: u64,
-    /// Incident dumps suppressed by the per-host rate limiter.
+    /// Incident dumps suppressed by the per-shard rate limiter.
     pub suppressed_incidents: u64,
     pub swaps: u64,
     pub swap_rejections: u64,
@@ -425,54 +424,5 @@ mod tests {
         assert_eq!(s.p99, 0);
         assert_eq!(s.max_bucket_ns, 0);
         assert!(s.buckets.is_empty());
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let h = Histogram::default();
-        h.record(5);
-        h.record(5000);
-        let snap = ServiceSnapshot {
-            uptime_ns: 1_000_000_000,
-            model_version: 2,
-            model_fingerprint: 99,
-            model_arena_bytes: 2048,
-            model_nr_splits: 64,
-            ingested: 10,
-            classified: 8,
-            dropped: 1,
-            lost: 1,
-            incorrect: 3,
-            incidents: 2,
-            suppressed_incidents: 1,
-            swaps: 1,
-            swap_rejections: 1,
-            throughput_per_sec: 9.0,
-            trace_events: 20,
-            trace_dropped: 5,
-            queue_latency: h.snapshot(),
-            classify_latency: Histogram::default().snapshot(),
-            shards: vec![ShardSnapshot {
-                shard: 0,
-                classified: 8,
-                incorrect: 3,
-                dropped: 1,
-                batches: 2,
-            }],
-        };
-        let json = serde_json::to_string_pretty(&snap).unwrap();
-        let back: ServiceSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.classified, 8);
-        assert_eq!(back.model_arena_bytes, 2048);
-        assert_eq!(back.model_nr_splits, 64);
-        assert_eq!(back.trace_events, 20);
-        assert_eq!(back.trace_dropped, 5);
-        assert_eq!(back.queue_latency.count, 2);
-        assert_eq!(back.queue_latency.sum, 5005);
-        assert_eq!(back.shards[0].incorrect, 3);
-        assert_eq!(back.lost, 1);
-        assert_eq!(back.suppressed_incidents, 1);
-        assert_eq!(back.swap_rejections, 1);
-        assert_eq!(back.shards[0].batches, 2);
     }
 }

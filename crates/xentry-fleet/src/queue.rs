@@ -118,6 +118,9 @@ impl<T> MpmcQueue<T> {
     /// Non-blocking batch dequeue: appends up to `max` of the oldest
     /// queued items to `out`, in queue order, and returns how many. Short
     /// (or zero) when fewer are ready; never waits for a producer.
+    // Inline, with `claim`: the shard worker's empty poll then runs
+    // straight through the scan, with no call.
+    #[inline]
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         // Reserved up front so that `push` cannot fail between a claim
         // and the release of its slots.
@@ -133,6 +136,7 @@ impl<T> MpmcQueue<T> {
     ///
     /// `take` must not panic: a claimed slot that is never freed wedges
     /// the queue at that position one lap later.
+    #[inline]
     fn claim(&self, max: usize, mut take: impl FnMut(T)) -> usize {
         let mut pos = self.dequeue_pos.0.load(Ordering::Relaxed);
         loop {

@@ -1,4 +1,5 @@
-//! Telemetry and verdict record types flowing through the fleet service.
+//! Telemetry, verdict and incident record types flowing through the fleet
+//! service.
 //!
 //! A [`TelemetryRecord`] is what a per-host Xentry shim would emit at every
 //! VM entry: the Table-I feature vector plus enough identity (host, VCPU,
@@ -6,14 +7,14 @@
 //! and fixed-size so the ingest path moves them into preallocated queue
 //! slots without touching the allocator.
 
-use serde::{Deserialize, Serialize};
+use crate::trace::TraceEvent;
 use xentry::FeatureVec;
 
 /// Identifier of a simulated platform instance in the fleet.
 pub type HostId = u32;
 
 /// One hypervisor activation reported by a host's shim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryRecord {
     /// Reporting host.
     pub host: HostId,
@@ -50,7 +51,7 @@ impl TelemetryRecord {
 }
 
 /// Result of classifying one telemetry record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetVerdict {
     pub host: HostId,
     pub vcpu: u32,
@@ -65,6 +66,51 @@ pub struct FleetVerdict {
     /// Flight-trace id carried from the record that produced this verdict
     /// (0 when tracing is disabled).
     pub trace_id: u64,
+}
+
+/// Everything an investigator gets about one `Incorrect` verdict: the
+/// verdict (host, VCPU, seq, model version, trace id), the features that
+/// tripped the detector, and the trigger's shard spans. Like the paper's
+/// recovery, it is about the one activation, not a history of earlier
+/// ones.
+#[derive(Debug, Clone)]
+pub struct IncidentDump {
+    pub verdict: FleetVerdict,
+    /// The trigger activation's five Table-I features.
+    pub features: FeatureVec,
+    /// The trigger's shard trace events, oldest first, ending with its
+    /// own `QueueWait` and `Verdict` spans (empty when tracing is
+    /// disabled).
+    pub trace: Vec<TraceEvent>,
+}
+
+impl IncidentDump {
+    /// Human-readable post-mortem block.
+    pub fn render(&self) -> String {
+        use std::fmt::Write;
+        let v = &self.verdict;
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "incident: host {} vcpu {} seq {} (model v{})",
+            v.host, v.vcpu, v.seq, v.model_version
+        );
+        if v.trace_id != 0 {
+            let _ = writeln!(
+                out,
+                "  trace id {} ({} shard trace events attached)",
+                v.trace_id,
+                self.trace.len()
+            );
+        }
+        let f = &self.features;
+        let _ = writeln!(
+            out,
+            "  trigger features: vmer={} rt={} br={} rm={} wm={}",
+            f.vmer, f.rt, f.br, f.rm, f.wm
+        );
+        out
+    }
 }
 
 #[cfg(test)]
@@ -95,19 +141,49 @@ mod tests {
     }
 
     #[test]
-    fn verdict_serializes_with_version() {
-        let v = FleetVerdict {
-            host: 1,
-            vcpu: 0,
-            seq: 9,
-            label: mltree::Label::Incorrect,
-            model_version: 3,
-            model_fingerprint: 0xdead,
-            trace_id: 41,
+    fn render_names_the_trigger_and_its_trace() {
+        use crate::trace::SpanKind;
+        let dump = IncidentDump {
+            verdict: FleetVerdict {
+                host: 3,
+                vcpu: 1,
+                seq: 6,
+                label: mltree::Label::Incorrect,
+                model_version: 2,
+                model_fingerprint: 0xdead,
+                trace_id: 77,
+            },
+            features: FeatureVec {
+                vmer: 17,
+                rt: 400,
+                br: 25,
+                rm: 9,
+                wm: 6,
+            },
+            trace: vec![TraceEvent {
+                ts_ns: 10,
+                dur_ns: 5,
+                trace_id: 77,
+                kind: SpanKind::Verdict,
+                arg: 1,
+                lane: 0,
+            }],
         };
-        let s = serde_json::to_string(&v).unwrap();
-        assert!(s.contains("\"model_version\":3"), "{s}");
-        assert!(s.contains("Incorrect"), "{s}");
-        assert!(s.contains("\"trace_id\":41"), "{s}");
+        let text = dump.render();
+        assert!(
+            text.starts_with("incident: host 3 vcpu 1 seq 6 (model v2)"),
+            "{text}"
+        );
+        assert!(text.contains("trace id 77 (1 shard trace events"), "{text}");
+        assert!(text.contains("vmer=17 rt=400 br=25 rm=9 wm=6"), "{text}");
+        let untraced = IncidentDump {
+            verdict: FleetVerdict {
+                trace_id: 0,
+                ..dump.verdict
+            },
+            trace: Vec::new(),
+            ..dump
+        };
+        assert!(!untraced.render().contains("trace id"));
     }
 }

@@ -14,7 +14,6 @@ use crate::service::FleetService;
 use mltree::{Dataset, DecisionTree, Label, Sample, TrainConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use xentry::{FeatureVec, VmTransitionDetector, Xentry, FEATURE_NAMES};
 
@@ -40,7 +39,7 @@ impl Default for ReplayConfig {
 }
 
 /// What the driver observed (service-side numbers live in the snapshot).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReplayReport {
     pub hosts: usize,
     pub sent: u64,
@@ -249,8 +248,6 @@ mod tests {
             let cfg = FleetConfig {
                 shards,
                 queue_capacity: 4096,
-                batch: 32,
-                recorder_depth: 8,
                 ..FleetConfig::default()
             };
             let svc =
@@ -279,8 +276,6 @@ mod tests {
         let cfg = FleetConfig {
             shards: 1,
             queue_capacity: 1024,
-            batch: 16,
-            recorder_depth: 4,
             ..FleetConfig::default()
         };
         let svc = crate::FleetService::start(cfg, synthetic_detector(1), Arc::new(crate::NullSink));

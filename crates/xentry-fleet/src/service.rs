@@ -19,8 +19,7 @@
 use crate::metrics::{Metrics, ServiceSnapshot, ShardSnapshot};
 use crate::model::{lock_recovering, GoldenSet, ModelSlot, SwapError};
 use crate::queue::MpmcQueue;
-use crate::record::{FleetVerdict, HostId, TelemetryRecord};
-use crate::recorder::IncidentDump;
+use crate::record::{FleetVerdict, HostId, IncidentDump, TelemetryRecord};
 use crate::trace::{SpanKind, Tracer};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,10 +37,6 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Per-shard queue capacity (rounded up to a power of two).
     pub queue_capacity: usize,
-    /// Max records a worker claims per batch.
-    pub batch: usize,
-    /// Flight-recorder depth per host.
-    pub recorder_depth: usize,
     /// Flight-trace ring depth per lane (a worker lane and an ingest
     /// lane per shard plus one control lane; rounded up to a power of
     /// two). Shard queues are FIFO, so the newest-retained ingest spans
@@ -59,8 +54,6 @@ impl Default for FleetConfig {
         FleetConfig {
             shards: 8,
             queue_capacity: 8192,
-            batch: 64,
-            recorder_depth: 32,
             trace_depth: 8192,
         }
     }
@@ -75,8 +68,8 @@ impl Default for FleetConfig {
 /// in `lost`.
 pub trait VerdictSink: Send + Sync {
     fn on_verdict(&self, _verdict: &FleetVerdict) {}
-    /// Called with the per-host flight-recorder dump on every `Incorrect`
-    /// verdict (minus rate-limited suppressions).
+    /// Called with the incident dump of every `Incorrect` verdict (minus
+    /// the ones the shard's rate limit suppresses).
     fn on_incident(&self, _dump: &IncidentDump) {}
 }
 
@@ -168,10 +161,10 @@ impl FleetService {
     ///
     /// # Panics
     ///
-    /// If `cfg.shards` or `cfg.batch` is 0, or if `detector` fails the
-    /// checks every hot swap passes (a structurally sound arena that is
-    /// its boxed tree's compilation and agrees with that tree on the
-    /// golden vectors, single-sample and batch).
+    /// If `cfg.shards` is 0, or if `detector` fails the checks every hot
+    /// swap passes (a structurally sound arena that is its boxed tree's
+    /// compilation and agrees with that tree on the golden vectors,
+    /// single-sample and batch).
     /// The check runs before anything classifies with the detector,
     /// because the workers walk its arena unchecked.
     pub fn start(
@@ -180,7 +173,6 @@ impl FleetService {
         sink: Arc<dyn VerdictSink>,
     ) -> FleetService {
         assert!(cfg.shards >= 1, "need at least one shard");
-        assert!(cfg.batch >= 1, "need a positive batch size");
         let golden = GoldenSet::capture_verified(&detector, golden_probe_vectors(GOLDEN_VECTORS))
             .unwrap_or_else(|e| panic!("FleetService::start: detector fails the swap gate: {e}"));
         let shared = Arc::new(Shared {
@@ -456,8 +448,6 @@ mod tests {
         let cfg = FleetConfig {
             shards: 2,
             queue_capacity: 1024,
-            batch: 16,
-            recorder_depth: 8,
             ..FleetConfig::default()
         };
         let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
@@ -486,12 +476,13 @@ mod tests {
         drop(verdicts);
         let incidents = sink.incidents.lock().unwrap();
         assert_eq!(incidents.len(), 4);
+        let mut hosts: Vec<HostId> = incidents.iter().map(|d| d.verdict.host).collect();
+        hosts.sort_unstable();
+        assert_eq!(hosts, [0, 1, 2, 3], "one dump per planted anomaly");
         for dump in incidents.iter() {
-            assert_eq!(dump.trigger.seq, 77);
-            assert_eq!(dump.trigger.label, Label::Incorrect);
-            assert!(dump.recent.len() <= 8);
-            // The ring holds the activations leading up to the trigger.
-            assert_eq!(dump.recent.last().unwrap().seq, 77);
+            assert_eq!(dump.verdict.seq, 77);
+            assert_eq!(dump.verdict.label, Label::Incorrect);
+            assert_eq!(dump.features, bad_features(100));
         }
     }
 
@@ -502,8 +493,6 @@ mod tests {
         let cfg = FleetConfig {
             shards: 1,
             queue_capacity: 4,
-            batch: 4,
-            recorder_depth: 4,
             ..FleetConfig::default()
         };
         let svc = FleetService::start(cfg, detector(100), Arc::new(NullSink));
@@ -535,8 +524,6 @@ mod tests {
         let cfg = FleetConfig {
             shards: 1,
             queue_capacity: 1024,
-            batch: 8,
-            recorder_depth: 4,
             ..FleetConfig::default()
         };
         let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
@@ -572,8 +559,6 @@ mod tests {
         let cfg = FleetConfig {
             shards: 2,
             queue_capacity: 256,
-            batch: 8,
-            recorder_depth: 4,
             ..FleetConfig::default()
         };
         let svc = FleetService::start(cfg, detector(100), Arc::new(NullSink));
@@ -593,8 +578,6 @@ mod tests {
             FleetConfig {
                 shards: 1,
                 queue_capacity: 256,
-                batch: 8,
-                recorder_depth: 4,
                 ..FleetConfig::default()
             },
             detector(100),
@@ -638,8 +621,6 @@ mod tests {
             FleetConfig {
                 shards: 1,
                 queue_capacity: 256,
-                batch: 8,
-                recorder_depth: 4,
                 ..FleetConfig::default()
             },
             d1.clone(),
@@ -697,8 +678,6 @@ mod tests {
         let cfg = FleetConfig {
             shards: 2,
             queue_capacity: 2048,
-            batch: 16,
-            recorder_depth: 4,
             ..FleetConfig::default()
         };
         let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);

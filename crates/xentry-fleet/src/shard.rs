@@ -1,9 +1,11 @@
 //! Shard worker: drains one queue in batches, classifies with the cached
-//! model, maintains per-host flight recorders, and reports verdicts.
+//! model, and reports verdicts, with an incident dump for every
+//! `Incorrect` one its dump budget allows.
 //!
 //! Hosts are statically sharded (`host % nr_shards`), so every host's
-//! records are classified by exactly one worker; the flight recorders can
-//! therefore live in worker-local state with no locking at all.
+//! records are classified by exactly one worker. The worker keeps no
+//! per-host state: an incident dump is its trigger's verdict, features
+//! and shard spans, and one dump budget bounds the whole shard.
 //!
 //! The worker is a plain thread and nothing restarts it, because nothing
 //! in its own code can panic on what the service accepts: every model it
@@ -17,15 +19,16 @@
 
 use crate::metrics::HistogramTally;
 use crate::model::ModelCache;
-use crate::record::{FleetVerdict, HostId, TelemetryRecord};
-use crate::recorder::{DumpBudget, FlightRecorder};
+use crate::record::{FleetVerdict, IncidentDump, TelemetryRecord};
 use crate::service::Shared;
 use crate::trace::SpanKind;
 use mltree::Label;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use xentry::FeatureVec;
+
+/// Max records a worker claims per batch.
+const BATCH: usize = 64;
 
 /// Spin this many empty polls before yielding, then yield 192 times before
 /// sleeping: keeps latency low under load without burning an idle core.
@@ -34,28 +37,87 @@ use xentry::FeatureVec;
 const SPIN_POLLS: u32 = 192;
 const YIELD_POLLS: u32 = SPIN_POLLS + 192;
 
-/// Incident-dump rate limit per host: dumps allowed back-to-back, then
+/// Incident-dump rate limit per shard: dumps allowed back-to-back, then
 /// refilled at this many per second.
 const INCIDENT_BURST: u64 = 32;
 const INCIDENT_PER_SEC: u64 = 10;
+
+/// Token bucket bounding incident-dump emission for one shard.
+///
+/// An `Incorrect` verdict allocates an [`IncidentDump`] (its trace events)
+/// and hands it to the sink. During an error storm — a genuinely broken
+/// host, or a miscalibrated model flagging everything — that is an
+/// allocation per record, forever. The bucket lets `burst` dumps through
+/// back-to-back (real incidents cluster), then refills at `per_sec`;
+/// everything beyond is suppressed and counted. Suppression loses
+/// *dumps*, never verdicts: the `Incorrect` label and the incident
+/// counters are untouched.
+pub(crate) struct DumpBudget {
+    burst: u64,
+    /// Nanoseconds per replenished token; 0 disables limiting.
+    refill_interval_ns: u64,
+    tokens: u64,
+    last_refill_ns: u64,
+}
+
+impl DumpBudget {
+    /// Allow `burst` dumps at once, refilling at `per_sec` tokens/second.
+    /// `burst == 0` disables limiting entirely (every dump allowed).
+    pub(crate) fn new(burst: u64, per_sec: u64) -> DumpBudget {
+        DumpBudget {
+            burst,
+            refill_interval_ns: if burst == 0 || per_sec == 0 {
+                0
+            } else {
+                1_000_000_000 / per_sec.min(1_000_000_000)
+            },
+            tokens: burst,
+            last_refill_ns: 0,
+        }
+    }
+
+    /// Spend one token if available. `now_ns` is any monotone clock (the
+    /// service's `now_ns`); only differences matter.
+    pub(crate) fn try_take(&mut self, now_ns: u64) -> bool {
+        if self.burst == 0 {
+            return true;
+        }
+        let elapsed = now_ns.saturating_sub(self.last_refill_ns);
+        if let Some(earned) = elapsed.checked_div(self.refill_interval_ns) {
+            if earned > 0 {
+                self.tokens = (self.tokens + earned).min(self.burst);
+                // Advance by whole tokens only, so fractional refill time
+                // is never discarded.
+                self.last_refill_ns += earned * self.refill_interval_ns;
+            }
+        }
+        if self.tokens > 0 {
+            self.tokens -= 1;
+            true
+        } else {
+            false
+        }
+    }
+}
 
 /// The thread body `FleetService::start` spawns for `shard`. Returns once
 /// the stop flag is set and the shard's queue is empty.
 pub(crate) fn run_worker(shared: &Shared, shard: usize) {
     let queue = &shared.queues[shard];
     let mut cache = ModelCache::new(&shared.model);
-    let mut recorders: HashMap<HostId, (FlightRecorder, DumpBudget)> = HashMap::new();
-    let mut batch: Vec<TelemetryRecord> = Vec::with_capacity(shared.cfg.batch);
-    let mut features: Vec<FeatureVec> = Vec::with_capacity(shared.cfg.batch);
-    let mut labels: Vec<Label> = Vec::with_capacity(shared.cfg.batch);
+    let mut budget = DumpBudget::new(INCIDENT_BURST, INCIDENT_PER_SEC);
+    let mut batch: Vec<TelemetryRecord> = Vec::with_capacity(BATCH);
+    let mut features: Vec<FeatureVec> = Vec::with_capacity(BATCH);
+    let mut labels: Vec<Label> = Vec::with_capacity(BATCH);
     // Queue waits of the batch in hand, folded into the shared histogram
     // once per batch.
     let mut queue_waits = HistogramTally::default();
     let ring = shared.tracer.enabled().then(|| shared.tracer.ring(shard));
+    let shard_metrics = &shared.metrics.shards[shard];
     let mut idle: u32 = 0;
     loop {
         batch.clear();
-        if queue.pop_batch(&mut batch, shared.cfg.batch) == 0 {
+        if queue.pop_batch(&mut batch, BATCH) == 0 {
             // Drain-then-exit: producers stop ingesting before `stop` is
             // set, so an empty queue after observing `stop` is final.
             if shared.stop.load(Ordering::Acquire) && queue.is_empty() {
@@ -75,7 +137,6 @@ pub(crate) fn run_worker(shared: &Shared, shard: usize) {
         // One epoch check per batch: the hot-swap cost on this path is a
         // single Acquire load.
         let model = Arc::clone(cache.get(&shared.model));
-        let shard_metrics = &shared.metrics.shards[shard];
         let dequeued_ns = shared.now_ns();
         features.clear();
         features.extend(batch.iter().map(|r| r.features));
@@ -141,13 +202,6 @@ pub(crate) fn run_worker(shared: &Shared, shard: usize) {
         }
         shared.metrics.queue_latency.absorb(&mut queue_waits);
         for (i, (rec, &label)) in batch.iter().zip(labels.iter()).enumerate() {
-            let (recorder, budget) = recorders.entry(rec.host).or_insert_with(|| {
-                (
-                    FlightRecorder::new(shared.cfg.recorder_depth),
-                    DumpBudget::new(INCIDENT_BURST, INCIDENT_PER_SEC),
-                )
-            });
-            recorder.push(rec, label, model.version);
             let verdict = FleetVerdict {
                 host: rec.host,
                 vcpu: rec.vcpu,
@@ -169,9 +223,11 @@ pub(crate) fn run_worker(shared: &Shared, shard: usize) {
                     let trace = ring.map_or_else(Vec::new, |ring| {
                         ring.before(shard as u32, spans_at(i) + 2, 32)
                     });
-                    shared
-                        .sink
-                        .on_incident(&recorder.dump_with_trace(rec.host, trace));
+                    shared.sink.on_incident(&IncidentDump {
+                        verdict,
+                        features: rec.features,
+                        trace,
+                    });
                 } else {
                     shared
                         .metrics
@@ -185,5 +241,44 @@ pub(crate) fn run_worker(shared: &Shared, shard: usize) {
             shard_metrics.classified.fetch_add(1, Ordering::Relaxed);
         }
         shard_metrics.batches.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn dump_budget_limits_bursts_and_refills() {
+        let mut b = DumpBudget::new(3, 10); // 3 burst, one token per 100 ms
+        let t0 = 5_000_000_000u64;
+        assert!(b.try_take(t0));
+        assert!(b.try_take(t0));
+        assert!(b.try_take(t0));
+        assert!(!b.try_take(t0), "burst exhausted");
+        assert!(!b.try_take(t0 + 99_000_000), "no token before 100 ms");
+        assert!(b.try_take(t0 + 100_000_000), "one token after 100 ms");
+        assert!(!b.try_take(t0 + 100_000_000));
+        // A long quiet period refills to the cap, not beyond.
+        assert!(b.try_take(t0 + 60_000_000_000));
+        assert!(b.try_take(t0 + 60_000_000_000));
+        assert!(b.try_take(t0 + 60_000_000_000));
+        assert!(!b.try_take(t0 + 60_000_000_000), "cap is the burst size");
+    }
+
+    #[test]
+    fn dump_budget_zero_burst_is_unlimited() {
+        let mut b = DumpBudget::new(0, 0);
+        for i in 0..10_000u64 {
+            assert!(b.try_take(i));
+        }
+    }
+
+    #[test]
+    fn dump_budget_without_refill_is_a_lifetime_cap() {
+        let mut b = DumpBudget::new(2, 0);
+        assert!(b.try_take(0));
+        assert!(b.try_take(u64::MAX / 2));
+        assert!(!b.try_take(u64::MAX));
     }
 }

@@ -27,13 +27,12 @@
 //! correct tradeoff for monitoring; on a quiescent ring (after shutdown,
 //! single-threaded tests) they are exact.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a span event describes. Record-scoped kinds (`Ingest`,
 /// `QueueWait`, `Verdict`, `Drop`) carry the record's trace id;
 /// batch- and control-scoped kinds carry id 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     /// A record entered its shard queue (`arg` = host).
     Ingest,
@@ -71,7 +70,7 @@ impl SpanKind {
 /// One decoded span event. `ts_ns`/`dur_ns` are service-relative
 /// monotonic nanoseconds (the service's `now_ns` clock); `lane` is the
 /// shard index the event was recorded on, or the control lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     pub ts_ns: u64,
     pub dur_ns: u64,

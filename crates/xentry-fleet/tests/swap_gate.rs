@@ -37,8 +37,6 @@ proptest! {
         let cfg = FleetConfig {
             shards: 1,
             queue_capacity: 1024,
-            batch: 16,
-            recorder_depth: 4,
             ..FleetConfig::default()
         };
         let svc = FleetService::start(cfg, base(), Arc::clone(&sink) as _);

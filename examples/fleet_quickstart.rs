@@ -55,8 +55,8 @@ fn main() {
         snapshot.incorrect, snapshot.classify_latency.p50, snapshot.classify_latency.p99
     );
 
-    // Every Incorrect verdict came with a flight-recorder dump of the
-    // reporting host's recent activations.
+    // Every Incorrect verdict came with an incident dump: the verdict, the
+    // features that tripped the detector and the trigger's shard spans.
     let incidents = sink.incidents.lock().unwrap();
     for dump in incidents.iter() {
         println!("\n{}", dump.render());

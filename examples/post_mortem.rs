@@ -8,12 +8,9 @@
 
 use faultsim::CampaignConfig;
 use guest_sim::Benchmark;
-use mltree::Label;
 use sim_machine::cpu::FlipTarget;
-use sim_machine::machine::vmcs;
 use sim_machine::{step_traced, Event, StepOutcome, TraceRing};
-use xentry::{classify_exception, ExceptionClass, FeatureVec, Xentry};
-use xentry_fleet::{FlightRecorder, TelemetryRecord};
+use xentry::{classify_exception, ExceptionClass, Xentry};
 
 fn main() {
     // Warm up the usual campaign platform and stop at a VM exit.
@@ -78,27 +75,4 @@ fn main() {
 
     println!("last 25 instructions before the event:");
     print!("{}", ring.dump(25));
-
-    // The same incident as the fleet service records it: a per-host
-    // flight recorder holds the feature vectors of the activations that
-    // led up to the fault, and the partial counters of the activation
-    // that died become the trigger entry of the dump.
-    let mut recorder = FlightRecorder::new(16);
-    for (i, f) in shim.trace.iter().enumerate() {
-        recorder.push(&TelemetryRecord::new(0, 1, i as u64, *f), Label::Correct, 1);
-    }
-    let partial = plat.machine.cpu_mut(1).perf.stop();
-    let vmer = plat
-        .machine
-        .mem
-        .peek(plat.machine.config.vmcs_field(1, vmcs::EXIT_REASON))
-        .unwrap_or(0) as u16;
-    let trigger = FeatureVec::from_sample(vmer, partial);
-    recorder.push(
-        &TelemetryRecord::new(0, 1, shim.trace.len() as u64, trigger),
-        Label::Incorrect,
-        1,
-    );
-    println!("\nfleet flight-recorder view of the same incident:");
-    print!("{}", recorder.dump(0).render());
 }

@@ -48,8 +48,6 @@ fn fleet_verdicts_match_direct_classify() {
     let cfg = FleetConfig {
         shards: 4,
         queue_capacity: 1 << 15,
-        batch: 32,
-        recorder_depth: 8,
         ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, det.clone(), Arc::clone(&sink) as _);
@@ -121,8 +119,6 @@ fn fleet_verdicts_match_direct_classify_across_hot_swap() {
     let cfg = FleetConfig {
         shards: 2,
         queue_capacity: 1 << 15,
-        batch: 16,
-        recorder_depth: 8,
         ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, d1.clone(), Arc::clone(&sink) as _);
@@ -238,8 +234,6 @@ fn rollback_restores_verdict_parity_with_pre_swap_model() {
     let cfg = FleetConfig {
         shards: 2,
         queue_capacity: 1 << 15,
-        batch: 16,
-        recorder_depth: 8,
         ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, d1.clone(), Arc::clone(&sink) as _);

@@ -1,10 +1,11 @@
 //! Flight-trace integration: ring overflow semantics, trace-id
-//! propagation ingest→verdict→incident dump, the live metrics snapshot,
-//! the disabled-tracing configuration, and the per-batch bookkeeping a
-//! panicking sink leaves behind.
+//! propagation ingest→verdict→incident dump, the per-shard incident
+//! budget, the live metrics snapshot, the disabled-tracing configuration,
+//! and the per-batch bookkeeping a panicking sink leaves behind.
 
 use mltree::{Dataset, DecisionTree, Label, Sample, TrainConfig};
 use std::sync::Arc;
+use std::time::Instant;
 use xentry::{FeatureVec, VmTransitionDetector, FEATURE_NAMES};
 use xentry_fleet::{replay, CollectSink, FleetConfig, FleetService, NullSink, SpanKind, TraceRing};
 use xentry_integration_tests::GateSink;
@@ -67,8 +68,6 @@ fn trace_id_flows_from_ingest_through_verdict_into_dump() {
     let cfg = FleetConfig {
         shards: 1,
         queue_capacity: 1024,
-        batch: 16,
-        recorder_depth: 8,
         trace_depth: 4096,
     };
     let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
@@ -100,13 +99,13 @@ fn trace_id_flows_from_ingest_through_verdict_into_dump() {
         .expect("the planted anomaly was flagged");
     assert_eq!(incorrect.seq, 150);
 
-    // The incident dump keys on the same id, remembers it on the
-    // trigger activation, and attaches shard trace events.
+    // The incident dump is the flagged verdict itself, with the features
+    // that tripped the detector and the shard trace events.
     let incidents = sink.incidents.lock().unwrap();
     assert_eq!(incidents.len(), 1);
     let dump = &incidents[0];
-    assert_eq!(dump.trace_id, incorrect.trace_id);
-    assert_eq!(dump.trigger.trace_id, incorrect.trace_id);
+    assert_eq!(dump.verdict, *incorrect);
+    assert_eq!(dump.features, bad_features(100));
     assert!(!dump.trace.is_empty(), "dump embeds shard trace events");
     assert!(
         dump.trace.iter().all(|e| e.lane == 0),
@@ -154,8 +153,6 @@ fn mid_batch_incident_dump_ends_with_the_triggers_own_spans() {
         let cfg = FleetConfig {
             shards: 1,
             queue_capacity: 1024,
-            batch: BATCH,
-            recorder_depth: 8,
             trace_depth,
         };
         let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
@@ -192,8 +189,9 @@ fn mid_batch_incident_dump_ends_with_the_triggers_own_spans() {
         };
         let incidents = sink.collected.incidents.lock().unwrap();
         let dump = &incidents[0];
-        assert_eq!(dump.trigger.seq, warmup + 1 + K as u64);
-        assert_eq!(dump.trace_id, id_at(K));
+        assert_eq!(dump.verdict.seq, warmup + 1 + K as u64);
+        assert_eq!(dump.verdict.trace_id, id_at(K));
+        assert_eq!(dump.features, bad_features(100));
         let got: Vec<(SpanKind, u64)> = dump.trace.iter().map(|e| (e.kind, e.trace_id)).collect();
         let want: Vec<(SpanKind, u64)> = (K - 15..=K)
             .flat_map(|pos| {
@@ -213,6 +211,48 @@ fn mid_batch_incident_dump_ends_with_the_triggers_own_spans() {
     }
 }
 
+/// An error storm on one shard: every record of four hosts classifies
+/// `Incorrect`. One dump budget bounds the whole shard (32 dumps at once,
+/// then ten a second), where a budget per host would let 4 x 32 through.
+/// Every `Incorrect` verdict is either dumped or counted as suppressed,
+/// and each dump that goes out ends with its trigger's own `Verdict` span.
+#[test]
+fn error_storm_dumps_are_bounded_per_shard() {
+    const RECORDS: u64 = 4096;
+    let sink = Arc::new(CollectSink::default());
+    let cfg = FleetConfig {
+        shards: 1,
+        ..FleetConfig::default()
+    };
+    // Started before the service, whose budget clock starts inside
+    // `start`, so the bound below can only be looser than the budget's.
+    let t0 = Instant::now();
+    let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
+    for seq in 0..RECORDS {
+        assert!(svc.ingest((seq % 4) as u32, 0, seq, bad_features(100)));
+    }
+    let snap = svc.shutdown();
+    let elapsed_s = t0.elapsed().as_secs_f64();
+    assert_eq!(snap.incorrect, RECORDS);
+    assert_eq!(snap.incidents + snap.suppressed_incidents, snap.incorrect);
+    let incidents = sink.incidents.lock().unwrap();
+    assert_eq!(incidents.len() as u64, snap.incidents);
+    assert!(
+        snap.incidents as f64 <= 32.0 + 10.0 * elapsed_s + 1.0,
+        "{} dumps in {elapsed_s:.3} s: the budget is per shard",
+        snap.incidents
+    );
+    for dump in incidents.iter() {
+        let last = dump.trace.last().expect("a traced dump has spans");
+        assert_eq!(
+            (last.kind, last.trace_id, last.arg),
+            (SpanKind::Verdict, dump.verdict.trace_id, 1),
+            "seq {}: the dump ends with its trigger's Incorrect verdict span",
+            dump.verdict.seq
+        );
+    }
+}
+
 /// A snapshot of a running service, taken once everything ingested is
 /// classified: one slice per shard that together hold every record, both
 /// latency histograms holding every classified record, and the trace
@@ -222,8 +262,6 @@ fn live_snapshot_covers_every_shard_histogram_and_trace() {
     let cfg = FleetConfig {
         shards: 2,
         queue_capacity: 1024,
-        batch: 16,
-        recorder_depth: 4,
         trace_depth: 4096,
     };
     let svc = FleetService::start(cfg, detector(100), Arc::new(NullSink));
@@ -256,8 +294,6 @@ fn disabled_tracing_is_inert_and_free_of_ids() {
     let cfg = FleetConfig {
         shards: 1,
         queue_capacity: 256,
-        batch: 8,
-        recorder_depth: 4,
         trace_depth: 0,
     };
     let svc = FleetService::start(cfg, detector(100), Arc::clone(&sink) as _);
@@ -299,14 +335,20 @@ fn sink_panic_mid_batch_loses_exactly_the_rest_and_no_bookkeeping() {
     let cfg = FleetConfig {
         shards: 1,
         queue_capacity: 1024,
-        batch: BATCH as usize,
-        recorder_depth: 8,
         ..FleetConfig::default()
     };
     let svc = FleetService::start(cfg, replay::synthetic_detector(1), Arc::clone(&sink) as _);
     let trace = replay::synthetic_trace(BATCH as usize, 11);
     sink.form_batch(&svc, 0, trace[0], &trace);
+    let tracer = svc.tracer();
     let snap = svc.shutdown();
+    assert!(
+        tracer
+            .events()
+            .iter()
+            .any(|e| e.kind == SpanKind::BatchClassify && e.arg == BATCH),
+        "no {BATCH}-record batch formed"
+    );
 
     assert_eq!(snap.ingested, 1 + BATCH);
     assert_eq!(

@@ -7,9 +7,9 @@ use xentry_fleet::{CollectSink, FleetService, FleetVerdict, IncidentDump, Verdic
 /// A collecting sink through which a test makes a shard worker drain one
 /// batch of exactly the records it chose, without a sleep: the worker is
 /// held inside `on_verdict` of a lone *bait* record while the batch is
-/// queued behind its back, so its next drain takes all of it (up to
-/// `FleetConfig::batch`). The sink can also panic on one record of that
-/// batch.
+/// queued behind its back, so its next drain takes all of it (up to the
+/// worker's 64-record batch). The sink can also panic on one record of
+/// that batch.
 pub struct GateSink {
     pub collected: CollectSink,
     bait_seq: u64,
