@@ -140,10 +140,8 @@ mod tests {
         assert_eq!(r.enqueued_ns, 0);
     }
 
-    #[test]
-    fn render_names_the_trigger_and_its_trace() {
-        use crate::trace::SpanKind;
-        let dump = IncidentDump {
+    fn incident(trace_id: u64, trace: Vec<TraceEvent>) -> IncidentDump {
+        IncidentDump {
             verdict: FleetVerdict {
                 host: 3,
                 vcpu: 1,
@@ -151,7 +149,7 @@ mod tests {
                 label: mltree::Label::Incorrect,
                 model_version: 2,
                 model_fingerprint: 0xdead,
-                trace_id: 77,
+                trace_id,
             },
             features: FeatureVec {
                 vmer: 17,
@@ -160,30 +158,39 @@ mod tests {
                 rm: 9,
                 wm: 6,
             },
-            trace: vec![TraceEvent {
-                ts_ns: 10,
-                dur_ns: 5,
-                trace_id: 77,
-                kind: SpanKind::Verdict,
-                arg: 1,
-                lane: 0,
-            }],
-        };
-        let text = dump.render();
+            trace,
+        }
+    }
+
+    #[test]
+    fn render_flags_the_trigger() {
+        let text = incident(0, Vec::new()).render();
         assert!(
             text.starts_with("incident: host 3 vcpu 1 seq 6 (model v2)"),
             "{text}"
         );
-        assert!(text.contains("trace id 77 (1 shard trace events"), "{text}");
         assert!(text.contains("vmer=17 rt=400 br=25 rm=9 wm=6"), "{text}");
-        let untraced = IncidentDump {
-            verdict: FleetVerdict {
-                trace_id: 0,
-                ..dump.verdict
-            },
-            trace: Vec::new(),
-            ..dump
-        };
-        assert!(!untraced.render().contains("trace id"));
+        assert!(!text.contains("trace id"), "untraced dump names no trace");
+    }
+
+    #[test]
+    fn dump_with_trace_links_trigger_id_and_events() {
+        use crate::trace::SpanKind;
+        let events = vec![TraceEvent {
+            ts_ns: 10,
+            dur_ns: 5,
+            trace_id: 77,
+            kind: SpanKind::Verdict,
+            arg: 1,
+            lane: 0,
+        }];
+        let dump = incident(77, events);
+        assert_eq!(
+            dump.verdict.trace_id, 77,
+            "dump keys on the trigger's trace id"
+        );
+        assert_eq!(dump.trace.len(), 1);
+        let text = dump.render();
+        assert!(text.contains("trace id 77 (1 shard trace events"), "{text}");
     }
 }
