@@ -1,6 +1,8 @@
 //! Property-based tests for the tree learner.
 
-use mltree::{evaluate, Dataset, DecisionTree, Label, Sample, TrainConfig};
+use mltree::{
+    evaluate, Dataset, DecisionTree, ForestConfig, Label, RandomForest, Sample, TrainConfig,
+};
 use proptest::prelude::*;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
@@ -76,6 +78,18 @@ proptest! {
         let a = DecisionTree::train(&ds, &TrainConfig::random_tree(ds.nr_features(), seed));
         let b = DecisionTree::train(&ds, &TrainConfig::random_tree(ds.nr_features(), seed));
         prop_assert_eq!(a.root, b.root);
+    }
+
+    /// Tree `t` of a forest depends only on the seed and `t`, so a smaller
+    /// forest is a larger one's first trees: `xentry-bench`'s forest
+    /// comparison trains one forest and reads its prefixes.
+    #[test]
+    fn smaller_forest_is_a_prefix_of_a_larger_one(ds in arb_dataset(), seed in any::<u64>(), n in 1usize..8) {
+        let mut cfg = ForestConfig::default_random_forest(ds.nr_features(), seed);
+        cfg.nr_trees = 8;
+        let big = RandomForest::train(&ds, &cfg);
+        cfg.nr_trees = n;
+        prop_assert_eq!(RandomForest::train(&ds, &cfg).trees, big.trees[..n].to_vec());
     }
 
     /// The confusion matrix always partitions the test set.

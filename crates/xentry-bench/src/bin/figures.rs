@@ -9,15 +9,20 @@
 //!   "recovery" drives every detected fault through competing
 //!   health-monitor policy tables (ignore / re-execute-only / tiered
 //!   with hypervisor microreboot) and writes `results/ext_recovery.json`
-//!   plus the repo-root mirror `BENCH_recovery.json`.
+//!   plus the repo-root mirror `BENCH_recovery_<scale>.json`.
 //!   "vulnmap" campaigns every fault model (register flips, spatial
 //!   bursts, PTE strikes, PMC strikes) over a paper benchmark plus the
 //!   three adversarial guest profiles and writes the per-bit
 //!   vulnerability map to `results/vulnmap.json` and the repo-root
-//!   mirror `BENCH_vulnmap.json`.
+//!   mirror `BENCH_vulnmap_<scale>.json`.
 //!   "extensions" writes the register-vulnerability, forest, multi-bit
 //!   and envelope comparisons (`results/ext_*.json`).
 //! ```
+//!
+//! `<scale>` is `quick` or `paper`, after the flag. Every experiment that
+//! deploys or compares a tree reads one `Study`, built once: a training
+//! campaign over the paper suite plus the adversarial profiles, whichever
+//! experiments were named.
 //!
 //! An unknown option or experiment name exits 2 with the list above.
 //! Only experiments on the simulated platform run here. Host-side speed,
@@ -30,7 +35,6 @@
 use guest_sim::Benchmark;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use xentry_bench::pipeline::Scale;
 use xentry_bench::*;
 
 /// Every experiment `figures` runs, in the order it runs them. The
@@ -51,7 +55,9 @@ const EXPERIMENTS: &[&str] = &[
 /// The parsed command line.
 #[derive(Debug)]
 struct Args {
-    scale: Scale,
+    /// The scale flag without its dashes, which names the repo-root
+    /// receipts, and the sizing it picks.
+    scale: (&'static str, Scale),
     out: PathBuf,
     /// Experiments named on the command line; empty means all of them.
     wanted: HashSet<String>,
@@ -67,15 +73,15 @@ fn usage() -> String {
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args {
-        scale: Scale::quick(),
+        scale: ("quick", Scale::quick()),
         out: PathBuf::from("results"),
         wanted: HashSet::new(),
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => parsed.scale = Scale::quick(),
-            "--paper" => parsed.scale = Scale::paper(),
+            "--quick" => parsed.scale = ("quick", Scale::quick()),
+            "--paper" => parsed.scale = ("paper", Scale::paper()),
             "--out" => parsed.out = PathBuf::from(it.next().ok_or("--out needs a directory")?),
             name if EXPERIMENTS.contains(&name) => {
                 parsed.wanted.insert(name.to_string());
@@ -137,6 +143,9 @@ fn main() {
         eprintln!("figures: {e}\n{}", usage());
         std::process::exit(2);
     });
+    let (scale_name, scale) = scale;
+    // A report's committed repo-root mirror is named by its scale.
+    let receipt = |name: &str| format!("BENCH_{name}_{scale_name}");
     let all = wanted.is_empty();
     let want = |k: &str| all || wanted.contains(k);
     let benchmarks = Benchmark::ALL;
@@ -145,7 +154,7 @@ fn main() {
     println!("== Xentry evaluation harness (scale: {scale:?}) ==\n");
     let started = std::time::Instant::now();
     let mut timing = FiguresTiming {
-        scale: format!("{scale:?}"),
+        scale: scale_name.to_string(),
         nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         total_seconds: 0.0,
         experiments: Vec::new(),
@@ -165,43 +174,31 @@ fn main() {
         write_json(&out, "fig3", &fig3);
     }
 
-    // The detector is needed by the injection, recovery and vulnmap
-    // experiments. The vulnmap campaigns over the adversarial guest
-    // workloads too, so when it runs, those profiles join the training
-    // set (threaded through `gather_dataset` by `ml_accuracy`) — the
-    // classifier must have seen their exit-reason mix to stand a chance.
-    let train_set: Vec<Benchmark> = if want("vulnmap") {
-        benchmarks
-            .iter()
-            .copied()
-            .chain(Benchmark::ADVERSARIAL)
-            .collect()
-    } else {
-        benchmarks.to_vec()
-    };
-    let detector = if want("ml")
+    // One study for every experiment that trains or deploys a tree.
+    let study = (want("ml")
         || want("injection")
         || want("fig11")
-        || want("extensions")
         || want("recovery")
         || want("vulnmap")
-    {
+        || want("extensions")
+        || want("ablation"))
+    .then(|| {
         let t = std::time::Instant::now();
-        let (det, ml) = ml_accuracy(&train_set, &scale, seed);
+        let study = Study::new(scale, seed);
+        let ml = ml_accuracy(&study);
         println!("{}", ml.render());
         timing.took("training", t);
         write_json(&out, "ml_accuracy", &ml);
-        write_file(&out.join("detector.json"), &det.to_json());
-        Some(det)
-    } else {
-        None
-    };
+        write_file(&out.join("detector.json"), &study.detector.to_json());
+        study
+    });
+    let detector = study.as_ref().map(|s| &s.detector);
 
     // Fig. 7 and Fig. 11 price their shims against the same
     // unmodified-Xen runs, so one pass produces both.
     let (fig7, fig11) = if want("fig7") || want("fig11") {
         let t = std::time::Instant::now();
-        let fig11_detector = detector.as_ref().filter(|_| want("fig11"));
+        let fig11_detector = detector.filter(|_| want("fig11"));
         let figs = overhead_figures(want("fig7"), fig11_detector, &scale, seed);
         timing.took("fig7/fig11", t);
         figs
@@ -214,7 +211,7 @@ fn main() {
     }
 
     if want("injection") {
-        let det = detector.as_ref().expect("detector trained");
+        let det = detector.expect("detector trained");
         let t = std::time::Instant::now();
         let inj = injection_evaluation(&benchmarks, det, &scale, seed);
         println!("{}", inj.render_fig8());
@@ -231,28 +228,20 @@ fn main() {
     }
 
     if want("recovery") {
-        let det = detector.as_ref();
         let t = std::time::Instant::now();
         let rec = recovery_experiment(
             &[Benchmark::Freqmine, Benchmark::Postmark],
-            det,
+            detector,
             &scale,
             seed,
         );
         println!("{}", rec.render());
         timing.took("recovery", t);
         write_json(&out, "ext_recovery", &rec);
-        // Mirror at the repo root so the recovery receipts ride along in
-        // version control next to BENCH_vulnmap.json.
-        write_file(
-            Path::new("BENCH_recovery.json"),
-            &serde_json::to_string_pretty(&rec).unwrap(),
-        );
-        eprintln!("[figures] wrote BENCH_recovery.json");
+        write_json(Path::new(""), &receipt("recovery"), &rec);
     }
 
     if want("vulnmap") {
-        let det = detector.as_ref();
         let t = std::time::Instant::now();
         // One paper benchmark plus all three adversarial profiles: the
         // map must cover the stressed exit-reason corners, not just the
@@ -260,28 +249,22 @@ fn main() {
         let workloads: Vec<Benchmark> = std::iter::once(Benchmark::Freqmine)
             .chain(Benchmark::ADVERSARIAL)
             .collect();
-        let vm = vulnmap_experiment(&workloads, det, &scale, seed);
+        let vm = vulnmap_experiment(&workloads, detector, &scale, seed);
         println!("{}", vm.render());
         timing.took("vulnmap", t);
         write_json(&out, "vulnmap", &vm);
-        // Mirror at the repo root next to the other committed receipts.
-        write_file(
-            Path::new("BENCH_vulnmap.json"),
-            &serde_json::to_string_pretty(&vm).unwrap(),
-        );
-        eprintln!("[figures] wrote BENCH_vulnmap.json");
+        write_json(Path::new(""), &receipt("vulnmap"), &vm);
     }
 
     if want("extensions") {
-        let det = detector.as_ref();
         let t = std::time::Instant::now();
-        let vuln = register_vulnerability(Benchmark::Freqmine, det, &scale, seed);
+        let vuln = register_vulnerability(Benchmark::Freqmine, detector, &scale, seed);
         println!("{}", vuln.render());
         write_json(&out, "ext_vulnerability", &vuln);
-        let (forest, envelope) = tree_comparisons(&[Benchmark::Freqmine], &scale, seed);
+        let (forest, envelope) = tree_comparisons(study.as_ref().expect("study built"));
         println!("{}", forest.render());
         write_json(&out, "ext_forest", &forest);
-        let multibit = multibit_comparison(Benchmark::Freqmine, 2, det, &scale, seed);
+        let multibit = multibit_comparison(Benchmark::Freqmine, 2, detector, &scale, seed);
         println!("{}", multibit.render());
         write_json(&out, "ext_multibit", &multibit);
         println!("{}", envelope.render());
@@ -291,7 +274,7 @@ fn main() {
 
     if want("ablation") {
         let t = std::time::Instant::now();
-        let ab = ablations(&[Benchmark::Freqmine, Benchmark::Postmark], &scale, seed);
+        let ab = ablations(study.as_ref().expect("study built"));
         println!("{}", ab.render());
         timing.took("ablations", t);
         write_json(&out, "ablation", &ab);
@@ -315,7 +298,10 @@ mod tests {
         let all = parse(EXPERIMENTS).unwrap();
         assert_eq!(all.wanted.len(), EXPERIMENTS.len());
         let args = parse(&["--paper", "--out", "elsewhere", "fig7"]).unwrap();
-        assert_eq!(format!("{:?}", args.scale), format!("{:?}", Scale::paper()));
+        assert_eq!(
+            format!("{:?}", args.scale),
+            format!("{:?}", ("paper", Scale::paper()))
+        );
         assert_eq!(args.out, PathBuf::from("elsewhere"));
         assert_eq!(args.wanted, HashSet::from(["fig7".to_string()]));
         assert!(parse(&[]).unwrap().wanted.is_empty(), "no names means all");

@@ -2,16 +2,14 @@
 //! returns a serializable report with a `render()` that prints the same
 //! rows/series the paper reports.
 
-use crate::pipeline::{
-    gather_dataset, rebalance, train_models, Scale, TrainingReport, OVERSAMPLE_INCORRECT,
-};
+use crate::pipeline::{Scale, Study, TrainingReport};
 use faultsim::{
     coverage_breakdown, latency_data_filtered, long_latency_coverage, run_campaign,
     undetected_breakdown, CampaignConfig, CoverageBreakdown, LatencyData, LongLatencyCoverage,
     UndetectedBreakdown,
 };
 use guest_sim::{measure_activation_rate, rate_stats, workload_platform, Benchmark, RateStats};
-use mltree::{evaluate, DecisionTree, TrainConfig};
+use mltree::{evaluate, Dataset, DecisionTree, TrainConfig};
 use serde::{Deserialize, Serialize};
 use sim_machine::VirtMode;
 use std::fmt::Write as _;
@@ -19,7 +17,7 @@ use xentry::{
     measure_overhead, OverheadSetup, VmTransitionDetector, Xentry, XentryConfig, FEATURE_NAMES,
 };
 
-fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
@@ -155,30 +153,15 @@ pub struct MlAccuracyReport {
     pub sample_rules: String,
 }
 
-/// Train both tree algorithms on multi-benchmark campaign data.
-pub fn ml_accuracy(
-    benchmarks: &[Benchmark],
-    scale: &Scale,
-    seed: u64,
-) -> (VmTransitionDetector, MlAccuracyReport) {
-    let ds = gather_dataset(benchmarks, scale, seed);
-    let (rt, _dt, training) = train_models(&ds, seed);
-    let cv = mltree::cross_validate(&ds, 5, |train| {
-        let balanced = crate::pipeline::rebalance(train, OVERSAMPLE_INCORRECT);
-        DecisionTree::train(&balanced, &TrainConfig::random_tree(5, seed))
-    });
-    let full_rules = rt.dump_rules();
-    let sample_rules: String = full_rules.lines().take(24).collect::<Vec<_>>().join("\n");
-    let det = VmTransitionDetector::new(rt);
-    (
-        det,
-        MlAccuracyReport {
-            training,
-            cv_accuracy: cv.accuracy(),
-            cv_fp_rate: cv.false_positive_rate(),
-            sample_rules,
-        },
-    )
+/// The study's two trees and its cross-validation, as the §III-B report.
+pub fn ml_accuracy(study: &Study) -> MlAccuracyReport {
+    let full_rules = study.detector.dump_rules();
+    MlAccuracyReport {
+        training: study.training.clone(),
+        cv_accuracy: study.cv.accuracy(),
+        cv_fp_rate: study.cv.false_positive_rate(),
+        sample_rules: full_rules.lines().take(24).collect::<Vec<_>>().join("\n"),
+    }
 }
 
 impl MlAccuracyReport {
@@ -586,13 +569,22 @@ pub struct AblationReport {
     pub size_sweep: Vec<(usize, f64)>,
 }
 
+/// Training fractions (x1000) of the size sweep.
+const SIZE_FRACTIONS: [usize; 4] = [125, 250, 500, 1000];
+
+/// Every `1000 / frac`-th row of `ds`. The rows arrive grouped by workload
+/// and class, so a stride keeps their mix where a prefix would not.
+fn stride_subset(ds: &Dataset, frac: usize) -> Dataset {
+    let mut sub = Dataset::new(&FEATURE_NAMES);
+    sub.extend_samples(ds.samples.iter().step_by(1000 / frac).cloned());
+    sub
+}
+
 /// The feature/depth/training-size ablations the paper mentions but omits
 /// for space ("we omit the evaluation results and discussions on various
-/// features, tree depth, and training set size").
-pub fn ablations(benchmarks: &[Benchmark], scale: &Scale, seed: u64) -> AblationReport {
-    let ds = gather_dataset(benchmarks, scale, seed);
-    let (train, test) = ds.split(3);
-    let balanced = rebalance(&train, OVERSAMPLE_INCORRECT);
+/// features, tree depth, and training set size"), on the study's split.
+pub fn ablations(study: &Study) -> AblationReport {
+    let (balanced, test, seed) = (&study.train, &study.test, study.seed);
 
     // Feature ablation: drop one column at a time.
     let mut feature_drop = Vec::new();
@@ -610,20 +602,16 @@ pub fn ablations(benchmarks: &[Benchmark], scale: &Scale, seed: u64) -> Ablation
     for depth in [2usize, 4, 8, 16, 24] {
         let mut cfg = TrainConfig::random_tree(FEATURE_NAMES.len(), seed);
         cfg.max_depth = depth;
-        let tree = DecisionTree::train(&balanced, &cfg);
-        depth_sweep.push((depth, evaluate(&tree, &test).accuracy()));
+        let tree = DecisionTree::train(balanced, &cfg);
+        depth_sweep.push((depth, evaluate(&tree, test).accuracy()));
     }
 
     // Training-size sweep.
     let mut size_sweep = Vec::new();
-    for frac in [125usize, 250, 500, 1000] {
-        let n = balanced.len() * frac / 1000;
-        let mut sub = mltree::Dataset::new(&FEATURE_NAMES);
-        for s in balanced.samples.iter().take(n.max(10)) {
-            sub.push(s.clone());
-        }
+    for frac in SIZE_FRACTIONS {
+        let sub = stride_subset(balanced, frac);
         let tree = DecisionTree::train(&sub, &TrainConfig::random_tree(FEATURE_NAMES.len(), seed));
-        size_sweep.push((frac, evaluate(&tree, &test).accuracy()));
+        size_sweep.push((frac, evaluate(&tree, test).accuracy()));
     }
 
     AblationReport {
@@ -649,5 +637,26 @@ impl AblationReport {
             writeln!(s, "  {:>5.1}% of data: {}", *f as f64 / 10.0, pct(*acc)).unwrap();
         }
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mltree::Label;
+
+    /// Rows grouped by class, as a gathered set's are by workload and
+    /// class: every size-sweep subset keeps the whole set's class ratio.
+    #[test]
+    fn size_sweep_subsets_keep_the_class_mix() {
+        let mut ds = Dataset::new(&FEATURE_NAMES);
+        for (label, rows) in [(Label::Correct, 800), (Label::Incorrect, 200)] {
+            ds.extend_samples((0..rows).map(|i| mltree::Sample::new(vec![i; 5], label)));
+        }
+        for frac in SIZE_FRACTIONS {
+            let sub = stride_subset(&ds, frac);
+            assert_eq!(sub.len(), frac);
+            assert!(sub.class_counts().1.abs_diff(frac / 5) <= 1, "{frac}");
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! * **Per-register vulnerability** — which architectural state is most
 //!   dangerous to the hypervisor (classic AVF-style analysis).
 
-use crate::pipeline::{gather_dataset, rebalance, Scale, OVERSAMPLE_INCORRECT};
+use crate::experiments::pct;
+use crate::pipeline::{Scale, Study};
 use faultsim::policy::{HmTable, RecoveryAction, RecoveryOutcome};
 use faultsim::{
     coverage_breakdown, golden_trace, merge_vulnmaps, run, run_campaign, run_with,
@@ -20,17 +21,10 @@ use faultsim::{
     CoverageBreakdown, Models, Multibit, Recovery, RegFlips, TargetRow, VulnMap,
 };
 use guest_sim::Benchmark;
-use mltree::{
-    evaluate, evaluate_forest, ConfusionMatrix, DecisionTree, ForestConfig, RandomForest,
-    TrainConfig,
-};
+use mltree::{evaluate_forest, ConfusionMatrix, ForestConfig, RandomForest};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use xentry::VmTransitionDetector;
-
-fn pct(x: f64) -> String {
-    format!("{:.1}%", 100.0 * x)
-}
 
 /// Recovery rate within one detection-technique class, for one policy.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -42,7 +36,7 @@ pub struct ClassRate {
 }
 
 /// Aggregate of one policy table over one benchmark's recovery campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PolicyStats {
     pub policy: String,
     /// Detected injections (identical across policies by construction).
@@ -145,20 +139,8 @@ pub fn recovery_experiment(
             let mut st = PolicyStats {
                 policy: table.name.clone(),
                 detected,
-                recovered: 0,
-                vm_lost: 0,
-                failed_recovery: 0,
-                recovery_rate: 0.0,
-                recovered_by_tier: Vec::new(),
-                per_class: Vec::new(),
-                per_model: Vec::new(),
-                reexec_attempts: 0,
-                microreboot_attempts: 0,
-                max_ladder_steps: 0,
                 attempt_cap: table.max_attempts(),
-                avg_reexec_cycles: 0.0,
-                avg_microreboot_cycles: 0.0,
-                avg_words_lost: 0.0,
+                ..PolicyStats::default()
             };
             let mut by_tier: Vec<(String, usize)> = Vec::new();
             let mut by_class: Vec<ClassRate> = Vec::new();
@@ -366,28 +348,22 @@ pub struct ForestReport {
     pub forests: Vec<(usize, usize, ConfusionMatrix, usize)>,
 }
 
-/// The learned single random tree against its two alternatives, on one
-/// training campaign: a bagged forest at several vote thresholds (the §VIII
-/// direction) and per-VMER min/max envelopes at several slacks. Both share
-/// the campaign, its split, the rebalanced training set and the tree.
-pub fn tree_comparisons(
-    benchmarks: &[Benchmark],
-    scale: &Scale,
-    seed: u64,
-) -> (ForestReport, EnvelopeReport) {
-    let ds = gather_dataset(benchmarks, scale, seed);
-    let (train, test) = ds.split(3);
-    let balanced = rebalance(&train, OVERSAMPLE_INCORRECT);
-    let tree = DecisionTree::train(&balanced, &TrainConfig::random_tree(5, seed));
-    let tree_cm = evaluate(&tree, &test);
+/// The study's deployed random tree against its two alternatives, on the
+/// study's split: a bagged forest at several vote thresholds (the §VIII
+/// direction) and per-VMER min/max envelopes at several slacks.
+pub fn tree_comparisons(study: &Study) -> (ForestReport, EnvelopeReport) {
+    let (balanced, test, seed) = (&study.train, &study.test, study.seed);
+    let tree_cm = study.training.random_tree;
 
+    // A forest's tree `t` depends only on the seed and `t`, so each
+    // smaller forest is the first trees of one 15-tree forest.
+    let grown = RandomForest::train(balanced, &ForestConfig::default_random_forest(5, seed));
     let mut forests = Vec::new();
     for (nr_trees, threshold) in [(9usize, 5usize), (9, 7), (15, 8), (15, 12)] {
-        let mut cfg = ForestConfig::default_random_forest(5, seed);
-        cfg.nr_trees = nr_trees;
-        cfg.vote_threshold = Some(threshold);
-        let forest = RandomForest::train(&balanced, &cfg);
-        let cm = evaluate_forest(&forest, &test);
+        let mut forest = grown.clone();
+        forest.trees.truncate(nr_trees);
+        forest.vote_threshold = threshold;
+        let cm = evaluate_forest(&forest, test);
         forests.push((nr_trees, threshold, cm, forest.nr_nodes()));
     }
 
@@ -398,8 +374,9 @@ pub fn tree_comparisons(
         rm: s.features[3],
         wm: s.features[4],
     };
-    // The envelope only learns from fault-free (correct) samples.
-    let correct_trace: Vec<xentry::FeatureVec> = (train.samples.iter())
+    // The envelope only learns from fault-free (correct) samples;
+    // rebalancing copies only the incorrect ones.
+    let correct_trace: Vec<xentry::FeatureVec> = (balanced.samples.iter())
         .filter(|s| s.label == mltree::Label::Correct)
         .map(features)
         .collect();
@@ -517,10 +494,8 @@ pub struct EnvelopeReport {
 
 impl EnvelopeReport {
     pub fn render(&self) -> String {
-        let mut s = String::from(
-            "Extension — learned tree vs per-VMER min/max envelope baseline
-",
-        );
+        let mut s =
+            String::from("Extension — learned tree vs per-VMER min/max envelope baseline\n");
         writeln!(
             s,
             "{:<22} {:>9} {:>9} {:>9}",
@@ -701,8 +676,7 @@ pub fn multibit_comparison(
 impl MultibitReport {
     pub fn render(&self) -> String {
         let mut s = format!(
-            "Extension — single-bit vs {}-bit upsets (paired injection points)
-",
+            "Extension — single-bit vs {}-bit upsets (paired injection points)\n",
             self.bits
         );
         writeln!(

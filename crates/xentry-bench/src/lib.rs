@@ -5,9 +5,11 @@
 //!
 //! | Experiment | Function |
 //! |---|---|
+//! | one training set, split and detector, shared by every experiment that trains or deploys a tree | [`pipeline::Study`] |
 //! | Fig. 3 activation frequency | [`experiments::fig3_activation_frequency`] |
 //! | Table I features | [`experiments::table1_features`] |
 //! | §III-B classifier accuracy + Fig. 6 | [`experiments::ml_accuracy`] |
+//! | forest and envelope against the deployed tree | [`extensions::tree_comparisons`] |
 //! | Fig. 7 performance overhead + Fig. 11 recovery overhead (one pass, one shared baseline) | [`experiments::overhead_figures`] |
 //! | Fig. 8/9/10 + Table II injection campaigns | [`experiments::injection_evaluation`] |
 //! | feature/depth/size ablations | [`experiments::ablations`] |
@@ -23,6 +25,4 @@ pub mod pipeline;
 
 pub use experiments::*;
 pub use extensions::*;
-pub use pipeline::{
-    gather_dataset, rebalance, train_detector, train_models, Scale, TrainingReport,
-};
+pub use pipeline::{Scale, Study, TrainingReport};

@@ -4,7 +4,8 @@
 //! the simulator to gather labeled samples, train a decision tree and a
 //! random tree offline (WEKA stand-in), compare their accuracy, and deploy
 //! the random tree (the paper selects it for its slightly higher accuracy)
-//! into the Xentry shim for the evaluation campaigns.
+//! into the Xentry shim for the evaluation campaigns. A [`Study`] runs it
+//! once, and every experiment reads that one training set and detector.
 
 use faultsim::{dataset_from_records, golden_trace, run_campaign_with, CampaignConfig};
 use guest_sim::Benchmark;
@@ -62,7 +63,7 @@ impl Scale {
 
 /// Oversampling factor for incorrect training samples (class rebalancing;
 /// the detector must not drown the rare incorrect class).
-pub const OVERSAMPLE_INCORRECT: usize = 8;
+const OVERSAMPLE_INCORRECT: usize = 8;
 
 /// Outcome of model training: both trees, their test metrics, and the
 /// dataset sizes (the paper reports 12,024 training / 6,596 test samples).
@@ -80,13 +81,72 @@ pub struct TrainingReport {
     pub decision_tree_depth: usize,
 }
 
+/// One pass of the §III-B workflow that every experiment of a `figures`
+/// invocation reads: one training campaign gathered, split and rebalanced
+/// once, the deployed random tree and the comparison decision tree
+/// trained on it, and the random tree cross-validated over the whole set.
+pub struct Study {
+    pub seed: u64,
+    /// The rebalanced training half every tree of the study learns from.
+    pub train: Dataset,
+    /// The held-out half every tree of the study is scored on.
+    pub test: Dataset,
+    /// The deployed random tree.
+    pub detector: VmTransitionDetector,
+    pub training: TrainingReport,
+    /// The random tree's pooled 5-fold cross-validation.
+    pub cv: ConfusionMatrix,
+}
+
+impl Study {
+    /// Run the training campaign over the workloads the evaluation
+    /// campaigns run on — the paper's suite plus the adversarial profiles,
+    /// whose exit-reason mix the classifier must have seen — then split,
+    /// rebalance and train.
+    pub fn new(scale: Scale, seed: u64) -> Study {
+        let workloads = [&Benchmark::ALL[..], &Benchmark::ADVERSARIAL].concat();
+        let ds = gather_dataset(&workloads, &scale, seed);
+        let (train, test) = ds.split(3);
+        let balance = |part: &Dataset| rebalance(part, OVERSAMPLE_INCORRECT);
+        let random_tree = TrainConfig::random_tree(FEATURE_NAMES.len(), seed);
+        let cv = mltree::cross_validate(&ds, 5, |fold| {
+            DecisionTree::train(&balance(fold), &random_tree)
+        });
+        let (train_correct, train_incorrect) = train.class_counts();
+        let train_samples = train.len();
+        let train = balance(&train);
+        let rt = DecisionTree::train(&train, &random_tree);
+        let dt = DecisionTree::train(&train, &TrainConfig::decision_tree());
+        let training = TrainingReport {
+            train_samples,
+            train_correct,
+            train_incorrect,
+            test_samples: test.len(),
+            random_tree: evaluate(&rt, &test),
+            decision_tree: evaluate(&dt, &test),
+            random_tree_nodes: rt.nr_nodes(),
+            decision_tree_nodes: dt.nr_nodes(),
+            random_tree_depth: rt.depth(),
+            decision_tree_depth: dt.depth(),
+        };
+        Study {
+            seed,
+            train,
+            test,
+            detector: VmTransitionDetector::new(rt),
+            training,
+            cv,
+        }
+    }
+}
+
 /// Gather a labeled dataset across benchmarks (campaign + fault-free runs).
 ///
 /// One golden trace is walked per benchmark and shared by both halves of
 /// the dataset: the checkpoint-forked campaign supplies the labeled fault
 /// samples, and the same trace's fault-free feature stream supplies the
 /// correct samples — no second fault-free execution per benchmark.
-pub fn gather_dataset(benchmarks: &[Benchmark], scale: &Scale, seed: u64) -> Dataset {
+fn gather_dataset(benchmarks: &[Benchmark], scale: &Scale, seed: u64) -> Dataset {
     let mut ds = Dataset::new(&FEATURE_NAMES);
     for (i, &b) in benchmarks.iter().enumerate() {
         let cfg = CampaignConfig::paper(b, scale.train_injections, seed + i as u64 * 101);
@@ -99,7 +159,7 @@ pub fn gather_dataset(benchmarks: &[Benchmark], scale: &Scale, seed: u64) -> Dat
 }
 
 /// Oversample the incorrect class (training-set rebalancing).
-pub fn rebalance(train: &Dataset, factor: usize) -> Dataset {
+fn rebalance(train: &Dataset, factor: usize) -> Dataset {
     let mut out = Dataset::new(&FEATURE_NAMES);
     for s in &train.samples {
         let n = if s.label == Label::Incorrect {
@@ -114,41 +174,6 @@ pub fn rebalance(train: &Dataset, factor: usize) -> Dataset {
     out
 }
 
-/// Train both tree flavours and evaluate on a held-out split.
-pub fn train_models(ds: &Dataset, seed: u64) -> (DecisionTree, DecisionTree, TrainingReport) {
-    let (train, test) = ds.split(3);
-    let balanced = rebalance(&train, OVERSAMPLE_INCORRECT);
-    let rt = DecisionTree::train(&balanced, &TrainConfig::random_tree(ds.nr_features(), seed));
-    let dt = DecisionTree::train(&balanced, &TrainConfig::decision_tree());
-    let cm_rt = evaluate(&rt, &test);
-    let cm_dt = evaluate(&dt, &test);
-    let (c, i) = train.class_counts();
-    let report = TrainingReport {
-        train_samples: train.len(),
-        train_correct: c,
-        train_incorrect: i,
-        test_samples: test.len(),
-        random_tree: cm_rt,
-        decision_tree: cm_dt,
-        random_tree_nodes: rt.nr_nodes(),
-        decision_tree_nodes: dt.nr_nodes(),
-        random_tree_depth: rt.depth(),
-        decision_tree_depth: dt.depth(),
-    };
-    (rt, dt, report)
-}
-
-/// Full pipeline: gather, train, deploy the random tree.
-pub fn train_detector(
-    benchmarks: &[Benchmark],
-    scale: &Scale,
-    seed: u64,
-) -> (VmTransitionDetector, TrainingReport) {
-    let ds = gather_dataset(benchmarks, scale, seed);
-    let (rt, _dt, report) = train_models(&ds, seed);
-    (VmTransitionDetector::new(rt), report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +185,8 @@ mod tests {
             train_correct: 900,
             ..Scale::quick()
         };
-        let (det, report) = train_detector(&[Benchmark::Freqmine], &scale, 3);
+        let study = Study::new(scale, 3);
+        let (det, report) = (&study.detector, &study.training);
         assert!(report.train_samples > 700);
         assert!(
             report.train_incorrect > 0,
